@@ -343,15 +343,8 @@ def invert(auto: Automorphism) -> Automorphism:
 
 def agree_on(auto1: Automorphism, auto2: Automorphism, samples, tol: float = DEFAULT_TOL) -> bool:
     """Do two automorphisms take the same values on every sample?"""
-    from .matrices import agree
-
     for a in samples:
-        if not agree(apply(auto1, a, tol), apply(auto2, a, tol), tol):
+        if not close(apply(auto1, a, tol), apply(auto2, a, tol), tol):
             return False
     return True
 
-
-def is_identity_on(auto: Automorphism, samples, tol: float = DEFAULT_TOL) -> bool:
-    from .matrices import agree
-
-    return all(agree(apply(auto, a, tol), a, tol) for a in samples)

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from .autos import Automorphism, apply, make_automorphism
-from .errors import FileFormatError, LocalautError
+from .errors import FileFormatError, LocalautError, NoEngine
 from .gallery import GALLERY, build_entry, verify_entry
 from .localcheck import check_map
 from .matrices import (
@@ -27,21 +27,11 @@ from .matrices import (
     Mat,
     QC,
     QR,
-    member,
     random_gl,
     random_su,
     random_unitary,
 )
-from .recover import (
-    AutomorphismOracle,
-    SampleOracle,
-    SubprocessOracle,
-    recover_glnr,
-    recover_slnr_short,
-    recover_sln_common,
-    recover_sun,
-    recover_un,
-)
+from .recover import AutomorphismOracle, SampleOracle, SubprocessOracle, recover
 from .scalarmaps import CIRCLE, PowerConjFunc, PowerFunc
 from .serialize import (
     auto_from_json,
@@ -276,26 +266,13 @@ def _cmd_recover(args) -> dict:
     group = parse_group(args.group)
     oracle = _make_oracle(args, group)
     try:
-        if group.family == "SL":
-            if group.field == "R":
-                rep = recover_slnr_short(oracle, seed=args.seed, verify_probes=args.verify_probes)
-            else:
-                rep = recover_sln_common(oracle, seed=args.seed, verify_probes=args.verify_probes)
-        elif group.family == "GL" and group.field == "R":
-            dets = _fraction_list(args.dets) if args.dets else (Fraction(2), Fraction(3))
-            rep = recover_glnr(
-                oracle, dets=dets, seed=args.seed, verify_probes=args.verify_probes
-            )
-        elif group.family == "SUn":
-            rep = recover_sun(
-                oracle, seed=args.seed, verify_probes=args.verify_probes, tol=max(args.tol, 1e-9)
-            )
-        elif group.family == "Un":
-            rep = recover_un(
-                oracle, seed=args.seed, verify_probes=args.verify_probes, tol=max(args.tol, 1e-9)
-            )
-        else:
-            raise BadArgs(f"no recovery engine for {args.group}")
+        rep = recover(
+            oracle,
+            seed=args.seed,
+            verify_probes=args.verify_probes,
+            dets=_fraction_list(args.dets) if args.dets else None,
+            tol=max(args.tol, 1e-9),
+        )
     finally:
         if hasattr(oracle, "close"):
             oracle.close()
@@ -445,11 +422,8 @@ def _emit(report: dict) -> None:
     print(pretty_json(report))
 
 
-def _error(code: str, message: str, extra: dict | None = None) -> None:
-    payload = {"error": code, "message": message}
-    if extra:
-        payload.update(extra)
-    print(pretty_json(payload))
+def _error(code: str, message: str) -> None:
+    print(pretty_json({"error": code, "message": message}))
 
 
 def main(argv=None) -> int:
@@ -458,7 +432,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.func(args)
-    except BadArgs as exc:
+    except (BadArgs, NoEngine) as exc:
         _error("BadArgs", str(exc))
         return 2
     except FileFormatError as exc:
@@ -468,10 +442,7 @@ def main(argv=None) -> int:
         _error("BadArgs", f"{exc.filename}: file not found")
         return 2
     except LocalautError as exc:
-        extra = {}
-        if hasattr(exc, "missing_probe"):
-            extra["missing_probe"] = exc.missing_probe
-        _error(type(exc).__name__, str(exc), extra)
+        print(pretty_json(exc.payload()))
         return 4
     report["_t0"] = t0
     _emit(report)

@@ -7,90 +7,83 @@ from __future__ import annotations
 
 
 class LocalautError(Exception):
-    """Base class; carries a machine-readable code for CLI error reports."""
-
-    code = "error"
+    """Base class; payload() is the machine-readable CLI error report, named
+    by the class."""
 
     def payload(self) -> dict:
-        return {"error": self.code, "message": str(self)}
+        return {"error": type(self).__name__, "message": str(self)}
 
 
 class BadParameters(LocalautError):
-    code = "bad-parameters"
+    pass
+
+
+class NoEngine(BadParameters):
+    """No recovery engine covers the oracle's group."""
 
 
 class RegimeMismatch(LocalautError):
-    code = "regime-mismatch"
+    pass
 
 
 class ZeroInput(LocalautError):
-    code = "zero-input"
+    pass
 
 
 class DomainNotFactorable(LocalautError):
-    code = "domain-not-factorable"
+    pass
 
 
 class TooFewGenerators(LocalautError):
-    code = "too-few-generators"
+    pass
 
 
 class AmbientMismatch(LocalautError):
-    code = "ambient-mismatch"
+    pass
 
 
 class OddN(LocalautError):
-    code = "odd-n"
+    pass
 
 
 class SingularMatrix(LocalautError):
-    code = "singular-matrix"
+    pass
 
 
 class BadIdempotent(LocalautError):
-    code = "bad-idempotent"
+    pass
 
 
 class NotInGroup(LocalautError):
-    code = "not-in-group"
+    pass
 
 
 class GroupMismatch(LocalautError):
-    code = "group-mismatch"
+    pass
 
 
 class IllegalSigma(LocalautError):
-    code = "illegal-sigma"
+    pass
 
 
 class IllegalScalarClass(LocalautError):
-    code = "illegal-scalar-class"
+    pass
 
 
 class NonUnitaryT(LocalautError):
-    code = "non-unitary-t"
+    pass
 
 
 class SingularT(LocalautError):
-    code = "singular-t"
+    pass
 
 
 class DetOutsideLattice(LocalautError):
-    code = "det-outside-lattice"
-
-
-class LatticeIncompatible(LocalautError):
-    code = "lattice-incompatible"
-
-
-class TooFewSamples(LocalautError):
-    code = "too-few-samples"
+    pass
 
 
 class BudgetExceeded(LocalautError):
     """Oracle query budget exhausted; carries the partial report if any."""
-
-    code = "budget-exceeded"
 
     def __init__(self, message: str, partial: dict | None = None):
         super().__init__(message)
@@ -105,46 +98,20 @@ class BudgetExceeded(LocalautError):
 class OracleIncomplete(LocalautError):
     """A sample-file oracle was asked for a probe it does not contain."""
 
-    code = "oracle-incomplete"
-
-    def __init__(self, message: str, probe: dict | None = None):
+    def __init__(self, message: str, missing_probe: dict | None = None):
         super().__init__(message)
-        self.probe = probe
+        self.missing_probe = missing_probe
 
     def payload(self) -> dict:
         out = super().payload()
-        if self.probe is not None:
-            out["missing_probe"] = self.probe
+        if self.missing_probe is not None:
+            out["missing_probe"] = self.missing_probe
         return out
 
 
-class GramSingular(LocalautError):
-    code = "gram-singular"
-
-
 class ResidualFail(LocalautError):
-    code = "residual-fail"
-
-
-class NonUnitaryFit(LocalautError):
-    code = "non-unitary-fit"
-
-
-class SLRecoveryFailed(LocalautError):
-    code = "sl-recovery-failed"
-
-
-class FTableInconsistent(LocalautError):
-    code = "f-table-inconsistent"
-
-
-class IrrationalRootUnsupported(LocalautError):
-    code = "irrational-root-unsupported"
-
-
-class SigmaUndetermined(LocalautError):
-    code = "sigma-undetermined"
+    pass
 
 
 class FileFormatError(LocalautError):
-    code = "file-format"
+    pass

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from .errors import OddN, TooFewGenerators
 from .localcheck import SampleMap, check_map
-from .matrices import GroupTag, QR, det, identity, mat, mul, random_sl, smul
+from .matrices import GroupTag, QR, det, diag_first, identity, mul, random_sl, smul
 from .recover import det_relation_refutations
 from .scalarmaps import PowerFunc, check_M1r
 
@@ -40,14 +40,6 @@ class GalleryEntry:
     artifacts: dict = field(default_factory=dict)
 
 
-def _diag_first(n: int, d: Fraction) -> "mat":
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(d)
-    for i in range(1, n):
-        rows[i][i] = Fraction(1)
-    return mat(rows, QR)
-
-
 def gl_local_not_global(n: int = 3, seed: int = 0) -> GalleryEntry:
     """Samples of determinant 2, 3 and 6 scaled by 2, 9 and 6.
 
@@ -62,8 +54,8 @@ def gl_local_not_global(n: int = 3, seed: int = 0) -> GalleryEntry:
         raise TooFewGenerators("n >= 3 is required")
     group = GroupTag("GL", "R", n)
     rng = random.Random(seed)
-    b2 = mul(random_sl(n, QR, rng), _diag_first(n, Fraction(2)))
-    b3 = mul(random_sl(n, QR, rng), _diag_first(n, Fraction(3)))
+    b2 = mul(random_sl(n, QR, rng), diag_first(n, Fraction(2), QR))
+    b3 = mul(random_sl(n, QR, rng), diag_first(n, Fraction(3), QR))
     b6 = mul(b2, b3)
     samples = tuple((b, smul(H_VALUES[det(b)], b)) for b in (b2, b3, b6))
     cert = Certificate(
@@ -300,8 +292,8 @@ def verify_entry(entry: GalleryEntry, seed: int = 0) -> dict:
         rng = random.Random(seed)
         hom_ok = True
         for _ in range(20):
-            a = mul(random_sl(n, QR, rng), _diag_first(n, Fraction(rng.choice([-2, -1, 1, 3]))))
-            b = mul(random_sl(n, QR, rng), _diag_first(n, Fraction(rng.choice([-3, -1, 1, 2]))))
+            a = mul(random_sl(n, QR, rng), diag_first(n, Fraction(rng.choice([-2, -1, 1, 3])), QR))
+            b = mul(random_sl(n, QR, rng), diag_first(n, Fraction(rng.choice([-3, -1, 1, 2])), QR))
             if not equal_mats(apply(auto, mul(a, b)), mul(apply(auto, a), apply(auto, b))):
                 hom_ok = False
                 break

@@ -29,9 +29,9 @@ from .matrices import (
     QC,
     GroupTag,
     Mat,
-    agree,
     apply_sigma,
     charpoly,
+    close,
     det,
     inv,
     member,
@@ -331,7 +331,7 @@ def _witness_report(group, kind, sigma, t, scalars, originals, tol, detail) -> B
         return BranchReport(kind, sigma, "inconclusive", f"witness rejected: {exc}", scalars or ())
     vtol = max(tol, 1e-7) if t.regime == C64 else tol
     for a, a_out in originals:
-        if not agree(apply(witness, a, vtol), a_out, vtol):
+        if not close(apply(witness, a, vtol), a_out, vtol):
             return BranchReport(
                 kind, sigma, "inconclusive", "witness failed sample verification", scalars or ()
             )

@@ -20,7 +20,7 @@ from .errors import (
     RegimeMismatch,
     SingularMatrix,
 )
-from .exactlinalg import is_zero_scalar, rank as exact_rank, rref, solve
+from .exactlinalg import is_zero_scalar, rref, solve
 from .scalars import DEFAULT_TOL, GQ_ONE, GQ_ZERO, GaussRational
 
 QR = "QR"
@@ -135,6 +135,13 @@ def zeros(n: int, regime: str) -> Mat:
     return Mat(n, regime, tuple(tuple(zero for _ in range(n)) for _ in range(n)))
 
 
+def diag_first(n: int, d, regime: str) -> Mat:
+    """diag(d, 1, ..., 1): determinant d, the scalar-character probe."""
+    rows = identity(n, regime).rows()
+    rows[0][0] = d
+    return mat(rows, regime)
+
+
 def _check_same(a: Mat, b: Mat):
     if a.regime != b.regime or a.n != b.n:
         raise RegimeMismatch("operands must share size and regime")
@@ -215,11 +222,6 @@ def close(a: Mat, b: Mat, tol: float = DEFAULT_TOL) -> bool:
     return max(
         abs(x - y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
     ) <= tol
-
-
-def agree(a: Mat, b: Mat, tol: float = DEFAULT_TOL) -> bool:
-    """Exact equality in exact regimes, tol-closeness in C64."""
-    return close(a, b, tol)
 
 
 def det(a: Mat):
@@ -400,76 +402,6 @@ def poly_from_roots(roots, regime: str) -> list:
     return coeffs
 
 
-def has_spectrum(a: Mat, roots) -> bool:
-    """Exact test: char poly of A equals prod (t - r) for the given multiset."""
-    if len(list(roots)) != a.n:
-        raise BadParameters("need n eigenvalues with multiplicity")
-    return charpoly(a) == poly_from_roots(roots, a.regime)
-
-
-def rational_eigenvalues(a: Mat) -> list[tuple[Fraction, int]] | None:
-    """Roots with multiplicity when the char poly splits over Q, else None."""
-    if a.regime != QR:
-        raise RegimeMismatch("rational eigenvalue extraction is a QR tool")
-    coeffs = charpoly(a)
-    l = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * l) for c in coeffs]
-    roots: list[tuple[Fraction, int]] = []
-    poly = ints[:]
-
-    def divisors(k: int) -> list[int]:
-        k = abs(k)
-        out = [d for d in range(1, int(k**0.5) + 1) if k % d == 0]
-        return sorted(set(out + [k // d for d in out]))
-
-    def eval_frac(p: list[int], q: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * q + c
-        return acc
-
-    def deflate(p: list[int], q: Fraction) -> list[int]:
-        # synthetic division by (t - q), highest degree first; rescale to ints
-        rev = [Fraction(c) for c in reversed(p)]
-        res = [rev[0]]
-        for c in rev[1:-1]:
-            res.append(res[-1] * q + c)
-        l2 = lcm(*(c.denominator for c in res))
-        return [int(c * l2) for c in reversed(res)]
-
-    while len(poly) > 1:
-        if all(c == 0 for c in poly[:-1]):
-            # t^k: root 0 with multiplicity
-            roots.append((Fraction(0), len(poly) - 1))
-            poly = [poly[-1]]
-            break
-        k0 = next(i for i, c in enumerate(poly) if c != 0)
-        if k0 > 0:
-            roots.append((Fraction(0), k0))
-            poly = poly[k0:]
-            continue
-        found = None
-        for p in divisors(poly[0]):
-            for q in divisors(poly[-1]):
-                for s in (1, -1):
-                    cand = Fraction(s * p, q)
-                    if eval_frac(poly, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        roots.append((found, 1))
-        poly = deflate(poly, found)
-    merged: dict[Fraction, int] = {}
-    for r, m in roots:
-        merged[r] = merged.get(r, 0) + m
-    return sorted(merged.items())
-
-
 # ---------------------------------------------------------------------------
 # group membership
 
@@ -497,14 +429,6 @@ def member(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL) -> bool:
 
 # ---------------------------------------------------------------------------
 # vectors, idempotents, the E-sets
-
-
-def matvec(a: Mat, x) -> list:
-    return [sum((c * v for c, v in zip(row, x)), scalar_zero(a.regime)) for row in a.entries]
-
-
-def vecmat(y, a: Mat) -> list:
-    return [sum((y[i] * a.entries[i][j] for i in range(a.n)), scalar_zero(a.regime)) for j in range(a.n)]
 
 
 def outer(x, y, regime: str) -> Mat:
@@ -536,17 +460,6 @@ def rank_one_idempotent(x, y, regime: str) -> RankOneIdem:
     elif pairing != scalar_one(regime):
         raise BadIdempotent("y^t x must equal 1")
     return RankOneIdem(x, y, regime)
-
-
-def hermitian_projection(x, regime: str) -> Mat:
-    """P = x x* / (x* x), the rank-one orthogonal projection onto [x]."""
-    x = [coerce_scalar(regime, v) for v in x]
-    xc = [scalar_conj(regime, v) for v in x]
-    norm2 = sum((a * b for a, b in zip(x, xc)), scalar_zero(regime))
-    if is_zero_scalar(norm2) if regime != C64 else abs(norm2) < 1e-300:
-        raise BadIdempotent("zero vector has no line")
-    p = outer(x, xc, regime)
-    return smul(scalar_one(regime) / norm2, p)
 
 
 def is_rank_one_idempotent(p: Mat, tol: float = DEFAULT_TOL) -> bool:
@@ -616,10 +529,6 @@ def make_E(p: Mat) -> Mat:
     small = Fraction(1, 2) ** (n - 1)
     i = identity(n, p.regime)
     return add(smul(small, p), smul(2, sub(i, p)))
-
-
-def make_E_from_xy(x, y, regime: str) -> Mat:
-    return make_E(rank_one_idempotent(x, y, regime).matrix())
 
 
 def make_Es(p: Mat, alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Mat:
@@ -710,48 +619,7 @@ def build_basis(kind: str, n: int) -> Basis:
 
 
 # ---------------------------------------------------------------------------
-# Lemma-grade helpers
-
-
-def trace_target_idempotent(c: Mat, target, rng: random.Random) -> RankOneIdem | None:
-    """Rank-one idempotent P with tr(P C) = target, for non-scalar C.
-
-    Constructive content of the trace-range lemma: pick x with Cx outside the
-    line [x] (exists since C is not scalar), then a functional y with
-    y^t x = 1 and y^t C x = target. Returns None when C is scalar and the
-    target is not its eigenvalue.
-    """
-    if c.regime == C64:
-        raise RegimeMismatch("exact regimes only")
-    n = c.n
-    target = coerce_scalar(c.regime, target)
-    for _ in range(200):
-        x = [coerce_scalar(c.regime, rng.randint(-3, 3)) for _ in range(n)]
-        if all(is_zero_scalar(v) for v in x):
-            continue
-        cx = matvec(c, x)
-        if _independent_vectors(x, cx, c.regime):
-            a = [[x[j], cx[j]] for j in range(n)]
-            at = [[a[i][k] for i in range(n)] for k in range(2)]
-            y = solve(at, [scalar_one(c.regime), target])
-            if y is None:
-                continue
-            return rank_one_idempotent(x, y, c.regime)
-    return None
-
-
-def _independent_vectors(x, y, regime) -> bool:
-    return exact_rank([[x[i], y[i]] for i in range(len(x))]) == 2
-
-
-# ---------------------------------------------------------------------------
 # seeded random elements
-
-
-def random_fraction(rng: random.Random, small: bool = True) -> Fraction:
-    num = rng.randint(-3, 3)
-    den = rng.choice([1, 1, 1, 2]) if small else rng.choice([1, 2, 3])
-    return Fraction(num, den)
 
 
 def random_shear(n: int, regime: str, rng: random.Random) -> Mat:
@@ -796,10 +664,6 @@ def random_gl(n: int, regime: str, rng: random.Random, dets=None) -> Mat:
     return Mat(n, regime, tuple(tuple(r) for r in rows))
 
 
-def random_invertible(n: int, regime: str, rng: random.Random) -> Mat:
-    return random_gl(n, regime, rng)
-
-
 def random_unitary(n: int, seed: int) -> Mat:
     """Haar-ish random unitary via QR of a complex Gaussian, deterministic."""
     import numpy as np
@@ -820,10 +684,3 @@ def random_su(n: int, seed: int) -> Mat:
     u[:, 0] = u[:, 0] / dv
     return _from_numpy(u)
 
-
-def scale_det_to(a: Mat, d: complex) -> Mat:
-    """Multiply the first column by d: det scales by d, unitarity kept if |d|=1."""
-    rows = a.rows()
-    for i in range(a.n):
-        rows[i][0] = rows[i][0] * coerce_scalar(a.regime, d)
-    return Mat(a.n, a.regime, tuple(tuple(r) for r in rows))

@@ -11,6 +11,12 @@ automorphism. The workhorse observations:
   (T e_i)(e_j^t T^-1), so their coherent factorization reads T off directly;
 * diagonal determinant probes isolate scalar character values entrywise.
 
+Every engine is one pipeline run by `_drive`: detect the kind (or sigma),
+fit T, fit g by determinant probes, verify on fresh probes. A stage that
+sees the oracle contradict every automorphism raises `_Stop`, which the
+driver turns into the Refuted (or Inconclusive) report. `recover` picks
+the engine for the oracle's group.
+
 All probe counts are charged against an oracle budget (default
 10 n^2 + 200); exceeding it raises BudgetExceeded with partial progress
 attached.
@@ -21,6 +27,7 @@ import cmath
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .autos import (
     CONTRAGREDIENT,
@@ -34,12 +41,14 @@ from .autos import (
 from .errors import (
     BadParameters,
     BudgetExceeded,
+    NoEngine,
     NotInGroup,
     OddN,
     OracleIncomplete,
     RegimeMismatch,
     ResidualFail,
 )
+from .exactlinalg import is_zero_scalar
 from .matrices import (
     C64,
     QC,
@@ -47,12 +56,12 @@ from .matrices import (
     GroupTag,
     Mat,
     add,
-    agree,
     apply_sigma,
     build_basis,
     charpoly,
     close,
     det,
+    diag_first,
     equal,
     identity,
     inv,
@@ -66,11 +75,9 @@ from .matrices import (
     rank_one_idempotent,
     random_sl,
     random_su,
-    random_unitary,
-    scale_det_to,
     smul,
     sub,
-    to_c64,
+    trace,
     transpose,
     zeros,
 )
@@ -83,6 +90,8 @@ from .scalarmaps import (
 )
 from .scalars import DEFAULT_TOL, GaussRational
 from .similarity import simultaneous_similarity, unitary_intertwiner
+
+DEFAULT_DETS = (Fraction(2), Fraction(3))
 
 
 def default_budget(n: int) -> int:
@@ -155,9 +164,9 @@ class SampleOracle(Oracle):
 
         key = mat_key(a)
         if key not in self.table:
-            exc = OracleIncomplete("sample file has no answer for a required probe")
-            exc.missing_probe = mat_to_json(a)
-            raise exc
+            raise OracleIncomplete(
+                "sample file has no answer for a required probe", missing_probe=mat_to_json(a)
+            )
         return self.table[key]
 
 
@@ -195,7 +204,7 @@ class SubprocessOracle(Oracle):
 
 
 # ---------------------------------------------------------------------------
-# reports
+# reports, the pipeline driver, shared steps
 
 
 @dataclass
@@ -218,18 +227,43 @@ class RecoveryReport:
         return base
 
 
-def _refuted(group, engine, oracle, reason, **extra) -> RecoveryReport:
-    return RecoveryReport(
-        status="Refuted",
-        group=group,
-        engine=engine,
-        probes_used=oracle.count,
-        refutation={"reason": reason, **extra},
-    )
+class _Stop(Exception):
+    """An early verdict from a stage: Refuted with a reason and extra
+    evidence, or Inconclusive with a note."""
+
+    def __init__(self, reason: str, status: str = "Refuted", **extra):
+        super().__init__(reason)
+        self.reason, self.status, self.extra = reason, status, extra
 
 
-# ---------------------------------------------------------------------------
-# shared probe steps
+def _drive(engine: str, oracle: Oracle, accepts: bool, carrier: str, stages) -> RecoveryReport:
+    """Run an engine's stages on oracle and report.
+
+    stages() returns the fields of the Recovered report. A _Stop becomes
+    the Refuted or Inconclusive report; an exhausted budget re-raises with
+    the engine and probe count attached as `partial`.
+    """
+    if not accepts:
+        raise BadParameters(f"this engine recovers {carrier} automorphisms")
+    try:
+        status, fields = "Recovered", stages()
+    except _Stop as stop:
+        status = stop.status
+        if status == "Inconclusive":
+            fields = {"notes": [stop.reason]}
+        else:
+            fields = {"refutation": {"reason": stop.reason, **stop.extra}}
+    except BudgetExceeded as exc:
+        exc.partial = {"engine": engine, "probes_used": oracle.count}
+        raise
+    return RecoveryReport(status, oracle.group, engine, probes_used=oracle.count, **fields)
+
+
+def _found(value, reason: str):
+    """value, or a refutation with reason when a detector found nothing."""
+    if value is None:
+        raise _Stop(reason)
+    return value
 
 
 def scalar_ratio(observed: Mat, model: Mat, tol: float = DEFAULT_TOL):
@@ -249,7 +283,7 @@ def scalar_ratio(observed: Mat, model: Mat, tol: float = DEFAULT_TOL):
             raise ResidualFail("observed image is not a scalar multiple of the model")
         return c
     pivot = next(
-        ((i, j) for i in range(n) for j in range(n) if not _is_zero(model[i, j])), None
+        ((i, j) for i in range(n) for j in range(n) if not is_zero_scalar(model[i, j])), None
     )
     if pivot is None:
         raise ResidualFail("model matrix is zero")
@@ -259,10 +293,16 @@ def scalar_ratio(observed: Mat, model: Mat, tol: float = DEFAULT_TOL):
     return c
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, GaussRational):
-        return x.is_zero()
-    return x == 0
+def _ratio(observed: Mat, model: Mat, tol: float, reason: str, **extra):
+    """scalar_ratio, with a refutation when there is no such scalar."""
+    try:
+        return scalar_ratio(observed, model, tol)
+    except ResidualFail:
+        raise _Stop(reason, **extra) from None
+
+
+# ---------------------------------------------------------------------------
+# stage: detect the kind
 
 
 def detect_kind(oracle: Oracle, tol: float = DEFAULT_TOL):
@@ -294,10 +334,38 @@ def _unwrap(kind: str, img: Mat) -> Mat:
     return transpose(inv(img))
 
 
+def _t_of(kind: str, s_mat: Mat) -> Mat:
+    """T from the similarity S of the unwrapped map: S itself for the
+    standard kind, (S^t)^-1 for the contragredient."""
+    return s_mat if kind == STANDARD else _normalize_first_nonzero(inv(transpose(s_mat)))
+
+
+# ---------------------------------------------------------------------------
+# stage: fit T from shear images (SL_n over both fields, GL_n(R))
+
+
 def _shear(n, regime, i, j, value=Fraction(1)) -> Mat:
     rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
     rows[i][j] = value
     return mat(rows, regime)
+
+
+def _fit_shears(oracle: Oracle, kind: str, regime: str) -> Mat:
+    """The normalized S with unwrapped image S A_sigma S^-1, read off the
+    n^2 - n shear images I + E_ij."""
+    # after the contragredient unwrap the map is S A_sigma S^-1 with
+    # S = (T^t)^-1, so every shear block lands at its own (i, j)
+    n = oracle.group.n
+    blocks = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            img = _unwrap(kind, oracle.query(_shear(n, regime, i, j)))
+            blocks[(i, j)] = sub(img, identity(n, regime))
+    fact = _found(_factor_rank_one_family(blocks, n), "shear images are not rank-one coherent")
+    s_mat = _found(_assemble_t(*fact, regime), "shear factors do not assemble to a similarity")
+    return _normalize_first_nonzero(s_mat)
 
 
 def _factor_rank_one_family(blocks: dict, n: int):
@@ -310,12 +378,12 @@ def _factor_rank_one_family(blocks: dict, n: int):
     u1 = None
     for c in range(n):
         col = [m12[r, c] for r in range(n)]
-        if any(not _is_zero(x) for x in col):
+        if any(not is_zero_scalar(x) for x in col):
             u1 = col
             break
     if u1 is None:
         return None
-    r0 = next(r for r in range(n) if not _is_zero(u1[r]))
+    r0 = next(r for r in range(n) if not is_zero_scalar(u1[r]))
     ws = [None] * n
     for j in range(1, n):
         mj = blocks[(0, j)]
@@ -325,14 +393,14 @@ def _factor_rank_one_family(blocks: dict, n: int):
     for i in range(1, n):
         jp = 1 if i != 1 else 2
         wj = ws[jp]
-        c0 = next((c for c in range(n) if not _is_zero(wj[c])), None)
+        c0 = next((c for c in range(n) if not is_zero_scalar(wj[c])), None)
         if c0 is None:
             return None
         mi = blocks[(i, jp)]
         us[i] = [mi[r, c0] / wj[c0] for r in range(n)]
     # w_0 comes last, from M[1,0] = u_1 w_0^t
     m10 = blocks[(1, 0)]
-    r1 = next((r for r in range(n) if not _is_zero(us[1][r])), None)
+    r1 = next((r for r in range(n) if not is_zero_scalar(us[1][r])), None)
     if r1 is None:
         return None
     ws[0] = [m10[r1, c] / us[1][r1] for c in range(n)]
@@ -352,7 +420,7 @@ def _assemble_t(us, ws, regime) -> Mat | None:
     w = mat([ws[i] for i in range(n)], regime)
     prod = mul(w, t)
     c = prod[0, 0]
-    if _is_zero(c):
+    if is_zero_scalar(c):
         return None
     for i in range(n):
         for j in range(n):
@@ -365,78 +433,10 @@ def _assemble_t(us, ws, regime) -> Mat | None:
 def _normalize_first_nonzero(t: Mat) -> Mat:
     for i in range(t.n):
         for j in range(t.n):
-            if not _is_zero(t[i, j]):
+            if not is_zero_scalar(t[i, j]):
                 one = t[i, j] / t[i, j]
                 return smul(one / t[i, j], t)
     return t
-
-
-# ---------------------------------------------------------------------------
-# SL engines
-
-
-def recover_sln_common(
-    oracle: Oracle, seed: int = 0, verify_probes: int = 50
-) -> RecoveryReport:
-    """Shear-probe engine for SL_n over the exact regimes (both fields).
-
-    Probe schedule: one spectrum probe for the kind, the n^2 - n shears for
-    T, one complex shear for sigma, then fresh verification probes.
-    """
-    group = oracle.group
-    engine = "sln_common"
-    if group.family != "SL":
-        raise BadParameters("this engine recovers SL automorphisms")
-    regime = QR if group.field == "R" else QC
-    n = group.n
-    try:
-        kind, err = detect_kind(oracle)
-        if kind is None:
-            return _refuted(group, engine, oracle, err)
-        # after the contragredient unwrap the map is S A_sigma S^-1 with
-        # S = (T^t)^-1, so every shear block lands at its own (i, j)
-        blocks = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                img = _unwrap(kind, oracle.query(_shear(n, regime, i, j)))
-                blocks[(i, j)] = sub(img, identity(n, regime))
-        fact = _factor_rank_one_family(blocks, n)
-        if fact is None:
-            return _refuted(group, engine, oracle, "shear images are not rank-one coherent")
-        s_mat = _assemble_t(*fact, regime)
-        if s_mat is None:
-            return _refuted(group, engine, oracle, "shear factors do not assemble to a similarity")
-        s_mat = _normalize_first_nonzero(s_mat)
-        sigma = SIGMA_ID
-        if group.field == "C":
-            sigma = _detect_sigma_exact(oracle, kind, s_mat, n, regime)
-            if sigma is None:
-                return _refuted(group, engine, oracle, "complex shear probe matches neither sigma")
-        t = s_mat if kind == STANDARD else _normalize_first_nonzero(inv(transpose(s_mat)))
-        candidate = make_automorphism(group, kind, sigma, t)
-        rng = random.Random(seed)
-        for _ in range(verify_probes):
-            probe = random_sl(n, regime, rng)
-            if not equal(oracle.query(probe), apply(candidate, probe)):
-                return _refuted(
-                    group,
-                    engine,
-                    oracle,
-                    "verification probe disagrees with the recovered automorphism",
-                )
-        return RecoveryReport(
-            status="Recovered",
-            group=group,
-            engine=engine,
-            auto=candidate,
-            probes_used=oracle.count,
-            residual=0.0,
-        )
-    except BudgetExceeded as exc:
-        exc.partial = {"engine": engine, "probes_used": oracle.count}
-        raise
 
 
 def _detect_sigma_exact(oracle, kind, s_mat, n, regime) -> str | None:
@@ -463,215 +463,51 @@ def _e_matrix(n, regime, i, j) -> Mat:
     return mat(rows, regime)
 
 
-def recover_slnr_short(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
-    """Basis-probe engine for SL_n(R), odd n.
+# ---------------------------------------------------------------------------
+# stage: fit T from basis images (SL_n(R), odd n)
 
-    Probes an invertible spanning basis, certifies that the trace form is
-    preserved, extends linearly, and reads T off the idempotent images via
-    simultaneous similarity. Even n is rejected: half the basis has
-    determinant -1 and cannot be sign-corrected into SL.
-    """
-    group = oracle.group
-    engine = "slnr_short"
-    if group.family != "SL" or group.field != "R":
-        raise BadParameters("this engine recovers SL_n(R) automorphisms")
-    n = group.n
-    if n % 2 == 0:
-        raise OddN("the basis-probe engine needs odd n; use the shear engine")
-    try:
-        kind, err = detect_kind(oracle)
-        if kind is None:
-            return _refuted(group, engine, oracle, err)
-        basis = build_basis("B", n)
-        images = []
-        for b in basis.mats:
-            d = det(b)
-            probe = b if d == 1 else smul(Fraction(-1), b)
-            raw = _unwrap(kind, oracle.query(probe))
-            images.append(raw if d == 1 else smul(Fraction(-1), raw))
-        # trace-form certificate: tr(psi(B_i) psi(B_j)) must equal tr(B_i B_j)
-        from .matrices import trace
 
-        gram_src = basis.gram()
-        for i in range(n * n):
-            for j in range(n * n):
-                if trace(mul(images[i], images[j])) != gram_src[i, j]:
-                    return _refuted(
-                        group, engine, oracle, "trace form is not preserved on the basis"
-                    )
-        # linear extension on the idempotent spanning family
-        pairs = []
-        for i in range(n):
-            for j in range(n):
-                p = _e_matrix(n, QR, i, i)
-                if i != j:
-                    p = add(p, _e_matrix(n, QR, i, j))
-                coords = basis.coordinates(p)
-                q = zeros(n, QR)
-                for c, img in zip(coords, images):
-                    if c != 0:
-                        q = add(q, smul(c, img))
-                if not is_rank_one_idempotent(q):
-                    return _refuted(
-                        group,
-                        engine,
-                        oracle,
-                        "linear extension breaks idempotents",
-                        idempotent=[i, j],
-                    )
-                pairs.append((p, q))
-        res = simultaneous_similarity(pairs, seed=seed)
-        if res.status != "Solved":
-            return _refuted(
-                group, engine, oracle, f"idempotent family admits no similarity: {res.note}"
-            )
-        s_mat = _normalize_first_nonzero(res.s)
-        t = s_mat if kind == STANDARD else _normalize_first_nonzero(inv(transpose(s_mat)))
-        candidate = make_automorphism(group, kind, SIGMA_ID, t)
-        rng = random.Random(seed)
-        for _ in range(verify_probes):
-            probe = random_sl(n, QR, rng)
-            if not equal(oracle.query(probe), apply(candidate, probe)):
-                return _refuted(
-                    group,
-                    engine,
-                    oracle,
-                    "verification probe disagrees with the recovered automorphism",
-                )
-        return RecoveryReport(
-            status="Recovered",
-            group=group,
-            engine=engine,
-            auto=candidate,
-            probes_used=oracle.count,
-            residual=0.0,
-        )
-    except BudgetExceeded as exc:
-        exc.partial = {"engine": engine, "probes_used": oracle.count}
-        raise
+def _fit_basis(oracle: Oracle, kind: str, seed: int) -> Mat:
+    """The normalized S of the unwrapped map, from the images of the basis B:
+    certify the trace form, extend linearly to the idempotents E_ii and
+    E_ii + E_ij, and solve the simultaneous similarity."""
+    n = oracle.group.n
+    basis = build_basis("B", n)
+    images = []
+    for b in basis.mats:
+        d = det(b)
+        probe = b if d == 1 else smul(Fraction(-1), b)
+        raw = _unwrap(kind, oracle.query(probe))
+        images.append(raw if d == 1 else smul(Fraction(-1), raw))
+    # trace-form certificate: tr(psi(B_i) psi(B_j)) must equal tr(B_i B_j)
+    gram_src = basis.gram()
+    for i in range(n * n):
+        for j in range(n * n):
+            if trace(mul(images[i], images[j])) != gram_src[i, j]:
+                raise _Stop("trace form is not preserved on the basis")
+    # linear extension on the idempotent spanning family
+    pairs = []
+    for i in range(n):
+        for j in range(n):
+            p = _e_matrix(n, QR, i, i)
+            if i != j:
+                p = add(p, _e_matrix(n, QR, i, j))
+            coords = basis.coordinates(p)
+            q = zeros(n, QR)
+            for c, img in zip(coords, images):
+                if c != 0:
+                    q = add(q, smul(c, img))
+            if not is_rank_one_idempotent(q):
+                raise _Stop("linear extension breaks idempotents", idempotent=[i, j])
+            pairs.append((p, q))
+    res = simultaneous_similarity(pairs, seed=seed)
+    if res.status != "Solved":
+        raise _Stop(f"idempotent family admits no similarity: {res.note}")
+    return _normalize_first_nonzero(res.s)
 
 
 # ---------------------------------------------------------------------------
-# GL over R
-
-
-def recover_glnr(
-    oracle: Oracle,
-    dets=(Fraction(2), Fraction(3)),
-    seed: int = 0,
-    verify_probes: int = 50,
-) -> RecoveryReport:
-    """SL restriction via shears, then direct determinant probes for g.
-
-    diag(d, 1, ..., 1) probes isolate g(d) entrywise; the collected table is
-    screened pairwise against the scalar class of the detected kind. A probe
-    table violating the class yields a Refuted report with the offending
-    determinant pair.
-    """
-    group = oracle.group
-    engine = "glnr"
-    if group.family != "GL" or group.field != "R":
-        raise BadParameters("this engine recovers GL_n(R) automorphisms")
-    n = group.n
-    try:
-        kind, err = detect_kind(oracle)
-        if kind is None:
-            return _refuted(group, engine, oracle, err)
-        blocks = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                img = _unwrap(kind, oracle.query(_shear(n, QR, i, j)))
-                blocks[(i, j)] = sub(img, identity(n, QR))
-        fact = _factor_rank_one_family(blocks, n)
-        if fact is None:
-            return _refuted(group, engine, oracle, "shear images are not rank-one coherent")
-        s_mat = _assemble_t(*fact, QR)
-        if s_mat is None:
-            return _refuted(group, engine, oracle, "shear factors do not assemble to a similarity")
-        s_mat = _normalize_first_nonzero(s_mat)
-        t = s_mat if kind == STANDARD else _normalize_first_nonzero(inv(transpose(s_mat)))
-        tinv = inv(t)
-        eps = -1 if kind == CONTRAGREDIENT else 1
-        first = kind == STANDARD
-        gens = [Fraction(d) for d in dets]
-        g_points: list[tuple[Fraction, Fraction]] = []
-        for d in gens:
-            if d == 0:
-                raise BadParameters("0 is not a determinant of an invertible matrix")
-            probe = _diag_det(n, d)
-            img = oracle.query(probe)
-            op = probe if eps == 1 else transpose(inv(probe))
-            model = mul(mul(t, op), tinv)
-            try:
-                c = scalar_ratio(img, model)
-            except ResidualFail:
-                return _refuted(
-                    group,
-                    engine,
-                    oracle,
-                    "determinant probe is not a scalar multiple of the conjugated model",
-                    det=str(d),
-                )
-            g_points.append((d, Fraction(c)))
-        for idx, (d, c) in enumerate(g_points):
-            ok, why = point_ok_rclass(d, c, n, first)
-            if not ok:
-                return _refuted(
-                    group, engine, oracle, f"scalar class violated at det {d}: {why}"
-                )
-            for d2, c2 in g_points[idx + 1 :]:
-                ok, why = pair_ok_rclass((d, c), (d2, c2), n, first)
-                if not ok:
-                    return _refuted(
-                        group,
-                        engine,
-                        oracle,
-                        f"scalar class violated on dets ({d}, {d2}): {why}",
-                    )
-        g = TableFunc(tuple(sorted(g_points))) if g_points else None
-        candidate = make_automorphism(group, kind, SIGMA_ID, t, g)
-        rng = random.Random(seed)
-        for _ in range(verify_probes):
-            base = random_sl(n, QR, rng)
-            d = gens[rng.randrange(len(gens))] if gens else Fraction(1)
-            probe = mul(base, _diag_det(n, d))
-            if not equal(oracle.query(probe), apply(candidate, probe)):
-                return _refuted(
-                    group,
-                    engine,
-                    oracle,
-                    "verification probe disagrees with the recovered automorphism",
-                )
-        # the induced determinant map: f(d) = g(d)^n d for the standard kind,
-        # g(d)^n / d for the contragredient
-        f_table = [(d, c**n * d**eps) for d, c in g_points]
-        return RecoveryReport(
-            status="Recovered",
-            group=group,
-            engine=engine,
-            auto=candidate,
-            probes_used=oracle.count,
-            residual=0.0,
-            g_points=[(str(d), str(c)) for d, c in g_points],
-            f_table=f_table,
-        )
-    except BudgetExceeded as exc:
-        exc.partial = {"engine": engine, "probes_used": oracle.count}
-        raise
-
-
-def _diag_det(n: int, d: Fraction) -> Mat:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(d)
-    for i in range(1, n):
-        rows[i][i] = Fraction(1)
-    return mat(rows, QR)
-
-
-# ---------------------------------------------------------------------------
-# unitary engines (ApproxC)
+# stage: fit T from SU samples (SU_n, U_n)
 
 
 def _spectrum_probe_su(n: int):
@@ -730,60 +566,18 @@ def _hermitian_e11(n: int) -> Mat:
     return mat(rows, C64)
 
 
-def recover_sun(
-    oracle: Oracle, seed: int = 0, sample_count: int = 4, verify_probes: int = 50, tol: float = 1e-6
-) -> RecoveryReport:
-    """SU_n engine: sigma from a spectrum probe, then a unitary intertwiner
-    fitted over random special unitary samples."""
-    group = oracle.group
-    engine = "sun"
-    if group.family != "SUn":
-        raise BadParameters("this engine recovers SU_n automorphisms")
-    n = group.n
-    try:
-        sigma, err = detect_sigma_unitary(oracle, tol)
-        if sigma is None:
-            return _refuted(group, engine, oracle, err)
-        pairs = []
-        for k in range(sample_count):
-            a = random_su(n, seed=seed * 101 + k)
-            img = oracle.query(a)
-            pairs.append((apply_sigma(a, sigma), img))
-        u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-7))
-        if u is None:
-            return RecoveryReport(
-                status="Inconclusive",
-                group=group,
-                engine=engine,
-                probes_used=oracle.count,
-                notes=["no unitary intertwiner through the sampled pairs"],
-            )
-        u = _normalize_phase(u)
-        candidate = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
-        residual = 0.0
-        for k in range(verify_probes):
-            probe = random_su(n, seed=seed * 413 + 57 + k)
-            got = oracle.query(probe)
-            want = apply(candidate, probe, 1e-6)
-            residual = max(residual, _frob_dist(got, want))
-        if residual > tol * 50:
-            return _refuted(
-                group,
-                engine,
-                oracle,
-                f"verification residual {residual:.3e} exceeds tolerance",
-            )
-        return RecoveryReport(
-            status="Recovered",
-            group=group,
-            engine=engine,
-            auto=candidate,
-            probes_used=oracle.count,
-            residual=residual,
-        )
-    except BudgetExceeded as exc:
-        exc.partial = {"engine": engine, "probes_used": oracle.count}
-        raise
+def _fit_su(oracle: Oracle, sigma: str, seed: int, sample_count: int, tol: float, note: str) -> Mat:
+    """The phase-normalized unitary U with phi(A) = U sigma(A) U^-1 on
+    random SU_n samples; Inconclusive with note when none is found."""
+    pairs = []
+    for k in range(sample_count):
+        a = random_su(oracle.group.n, seed=seed * 101 + k)
+        img = oracle.query(a)
+        pairs.append((apply_sigma(a, sigma), img))
+    u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-7))
+    if u is None:
+        raise _Stop(note, status="Inconclusive")
+    return _normalize_phase(u)
 
 
 def _normalize_phase(u: Mat) -> Mat:
@@ -800,6 +594,165 @@ def _frob_dist(a: Mat, b: Mat) -> float:
     return sum(abs(a[i, j] - b[i, j]) ** 2 for i in range(a.n) for j in range(a.n)) ** 0.5
 
 
+# ---------------------------------------------------------------------------
+# stages: fit g, verify
+
+
+def _det_probe(oracle: Oracle, model: Automorphism, probe: Mat, tol: float, det_label):
+    """g at det(probe): the scalar c with phi(probe) = c * model(probe),
+    where model is the fitted automorphism without its character."""
+    return _ratio(
+        oracle.query(probe),
+        apply(model, probe, check=False),
+        tol,
+        "determinant probe is not a scalar multiple of the conjugated model",
+        det=det_label,
+    )
+
+
+def _verify_exact(oracle: Oracle, candidate: Automorphism, probes) -> None:
+    """Every fresh probe's image must equal the candidate's, exactly."""
+    for probe in probes:
+        if not equal(oracle.query(probe), apply(candidate, probe)):
+            raise _Stop("verification probe disagrees with the recovered automorphism")
+
+
+# ---------------------------------------------------------------------------
+# engines
+
+
+def recover_sln_common(
+    oracle: Oracle, seed: int = 0, verify_probes: int = 50
+) -> RecoveryReport:
+    """Shear-probe engine for SL_n over the exact regimes (both fields).
+
+    Probe schedule: one spectrum probe for the kind, the n^2 - n shears for
+    T, one complex shear for sigma, then fresh verification probes.
+    """
+    group = oracle.group
+    n = group.n
+    regime = QR if group.field == "R" else QC
+
+    def stages():
+        kind = _found(*detect_kind(oracle))
+        s_mat = _fit_shears(oracle, kind, regime)
+        sigma = SIGMA_ID
+        if group.field == "C":
+            sigma = _found(
+                _detect_sigma_exact(oracle, kind, s_mat, n, regime),
+                "complex shear probe matches neither sigma",
+            )
+        candidate = make_automorphism(group, kind, sigma, _t_of(kind, s_mat))
+        rng = random.Random(seed)
+        _verify_exact(oracle, candidate, (random_sl(n, regime, rng) for _ in range(verify_probes)))
+        return {"auto": candidate}
+
+    return _drive("sln_common", oracle, group.family == "SL", "SL", stages)
+
+
+def recover_slnr_short(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
+    """Basis-probe engine for SL_n(R), odd n.
+
+    Probes an invertible spanning basis, certifies that the trace form is
+    preserved, extends linearly, and reads T off the idempotent images via
+    simultaneous similarity. Even n is rejected: half the basis has
+    determinant -1 and cannot be sign-corrected into SL.
+    """
+    group = oracle.group
+    n = group.n
+
+    def stages():
+        if n % 2 == 0:
+            raise OddN("the basis-probe engine needs odd n; use the shear engine")
+        kind = _found(*detect_kind(oracle))
+        candidate = make_automorphism(group, kind, SIGMA_ID, _t_of(kind, _fit_basis(oracle, kind, seed)))
+        rng = random.Random(seed)
+        _verify_exact(oracle, candidate, (random_sl(n, QR, rng) for _ in range(verify_probes)))
+        return {"auto": candidate}
+
+    return _drive(
+        "slnr_short", oracle, group.family == "SL" and group.field == "R", "SL_n(R)", stages
+    )
+
+
+def recover_glnr(
+    oracle: Oracle,
+    dets=DEFAULT_DETS,
+    seed: int = 0,
+    verify_probes: int = 50,
+) -> RecoveryReport:
+    """SL restriction via shears, then direct determinant probes for g.
+
+    diag(d, 1, ..., 1) probes isolate g(d) entrywise; the collected table is
+    screened pairwise against the scalar class of the detected kind. A probe
+    table violating the class yields a Refuted report with the offending
+    determinant pair.
+    """
+    group = oracle.group
+    n = group.n
+
+    def stages():
+        kind = _found(*detect_kind(oracle))
+        t = _t_of(kind, _fit_shears(oracle, kind, QR))
+        model = make_automorphism(group, kind, SIGMA_ID, t)
+        gens = [Fraction(d) for d in dets]
+        g_points: list[tuple[Fraction, Fraction]] = []
+        for d in gens:
+            if d == 0:
+                raise BadParameters("0 is not a determinant of an invertible matrix")
+            c = _det_probe(oracle, model, diag_first(n, d, QR), DEFAULT_TOL, str(d))
+            g_points.append((d, Fraction(c)))
+        first = kind == STANDARD
+        for idx, (d, c) in enumerate(g_points):
+            ok, why = point_ok_rclass(d, c, n, first)
+            if not ok:
+                raise _Stop(f"scalar class violated at det {d}: {why}")
+            for d2, c2 in g_points[idx + 1 :]:
+                ok, why = pair_ok_rclass((d, c), (d2, c2), n, first)
+                if not ok:
+                    raise _Stop(f"scalar class violated on dets ({d}, {d2}): {why}")
+        g = TableFunc(tuple(sorted(g_points))) if g_points else None
+        candidate = make_automorphism(group, kind, SIGMA_ID, t, g)
+        rng = random.Random(seed)
+        probes = (
+            mul(random_sl(n, QR, rng), diag_first(n, gens[rng.randrange(len(gens))] if gens else 1, QR))
+            for _ in range(verify_probes)
+        )
+        _verify_exact(oracle, candidate, probes)
+        # the induced determinant map: f(d) = g(d)^n d for the standard kind,
+        # g(d)^n / d for the contragredient
+        eps = -1 if kind == CONTRAGREDIENT else 1
+        return {
+            "auto": candidate,
+            "g_points": [(str(d), str(c)) for d, c in g_points],
+            "f_table": [(d, c**n * d**eps) for d, c in g_points],
+        }
+
+    return _drive("glnr", oracle, group.family == "GL" and group.field == "R", "GL_n(R)", stages)
+
+
+def recover_sun(
+    oracle: Oracle, seed: int = 0, sample_count: int = 4, verify_probes: int = 50, tol: float = 1e-6
+) -> RecoveryReport:
+    """SU_n engine: sigma from a spectrum probe, then a unitary intertwiner
+    fitted over random special unitary samples."""
+    group = oracle.group
+
+    def stages():
+        sigma = _found(*detect_sigma_unitary(oracle, tol))
+        u = _fit_su(oracle, sigma, seed, sample_count, tol, "no unitary intertwiner through the sampled pairs")
+        candidate = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
+        residual = 0.0
+        for k in range(verify_probes):
+            probe = random_su(group.n, seed=seed * 413 + 57 + k)
+            residual = max(residual, _frob_dist(oracle.query(probe), apply(candidate, probe, 1e-6)))
+        if residual > tol * 50:
+            raise _Stop(f"verification residual {residual:.3e} exceeds tolerance")
+        return {"auto": candidate, "residual": residual}
+
+    return _drive("sun", oracle, group.family == "SUn", "SU_n", stages)
+
+
 def recover_un(
     oracle: Oracle,
     circle_generators=(1j,),
@@ -809,104 +762,51 @@ def recover_un(
     tol: float = 1e-6,
 ) -> RecoveryReport:
     """U_n engine: the SU restriction pins sigma and U; determinant probes
-    diag(z, 1, ..., 1) then tabulate the circle character g."""
+    diag(z, 1, ..., 1) then tabulate the circle character g.
+
+    Verification is projective: each fresh probe's image must be a circle
+    scalar c times U sigma(P) U^-1, and the residual is the largest
+    Frobenius distance between the two.
+    """
     group = oracle.group
-    engine = "un"
-    if group.family != "Un":
-        raise BadParameters("this engine recovers U_n automorphisms")
     n = group.n
-    try:
-        sigma, err = detect_sigma_unitary(oracle, tol)
-        if sigma is None:
-            return _refuted(group, engine, oracle, err)
-        pairs = []
-        for k in range(sample_count):
-            a = random_su(n, seed=seed * 101 + k)
-            img = oracle.query(a)
-            pairs.append((apply_sigma(a, sigma), img))
-        u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-7))
-        if u is None:
-            return RecoveryReport(
-                status="Inconclusive",
-                group=group,
-                engine=engine,
-                probes_used=oracle.count,
-                notes=["no unitary intertwiner through the SU samples"],
-            )
-        u = _normalize_phase(u)
-        uinv = inv(u)
+
+    def stages():
+        sigma = _found(*detect_sigma_unitary(oracle, tol))
+        u = _fit_su(oracle, sigma, seed, sample_count, tol, "no unitary intertwiner through the SU samples")
+        model = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
         g_points = []
         for z in circle_generators:
             zc = complex(z)
             if abs(abs(zc) - 1) > 1e-9:
                 raise BadParameters("circle generators must have modulus 1")
-            probe = _diag_circle(n, zc)
-            img = oracle.query(probe)
-            model = mul(mul(u, apply_sigma(probe, sigma)), uinv)
-            try:
-                c = scalar_ratio(img, model, tol)
-            except ResidualFail:
-                return _refuted(
-                    group,
-                    engine,
-                    oracle,
-                    "determinant probe is not a scalar multiple of the conjugated model",
-                    det=[zc.real, zc.imag],
-                )
-            d_seen = zc.conjugate() if sigma == SIGMA_CONJ else zc
-            g_points.append((d_seen, complex(c)))
+            c = _det_probe(oracle, model, diag_first(n, zc, C64), tol, [zc.real, zc.imag])
+            g_points.append((zc.conjugate() if sigma == SIGMA_CONJ else zc, complex(c)))
         for idx, (d, c) in enumerate(g_points):
             for d2, c2 in g_points[idx + 1 :]:
                 ok, why = pair_ok_mu(d, c, d2, c2, n, None, max(tol, 1e-8))
                 if not ok:
-                    return _refuted(
-                        group, engine, oracle, f"circle class violated: {why}"
-                    )
+                    raise _Stop(f"circle class violated: {why}")
         g = CircleTableFunc(tuple(g_points)) if g_points else None
         candidate = make_automorphism(group, STANDARD, sigma, u, g, tol=1e-6)
         residual = 0.0
-        projective_notes = []
         for k in range(verify_probes):
             probe = mat_from_su_scaled(n, seed * 733 + 91 + k)
             got = oracle.query(probe)
-            model = mul(mul(u, apply_sigma(probe, sigma)), uinv)
-            try:
-                c = scalar_ratio(got, model, max(tol, 1e-7))
-            except ResidualFail:
-                return _refuted(
-                    group,
-                    engine,
-                    oracle,
-                    "verification probe is not conjugation followed by a scalar",
-                )
+            want = apply(model, probe, check=False)
+            c = _ratio(got, want, max(tol, 1e-7), "verification probe is not conjugation followed by a scalar")
             if abs(abs(complex(c)) - 1) > tol * 10:
-                return _refuted(group, engine, oracle, "verification scalar leaves the circle")
-        projective_notes.append(
-            "verification is projective: scalars at unprobed determinants stay unchecked"
-        )
-        f_table = [(d, (c**n) * d) for d, c in g_points]
-        return RecoveryReport(
-            status="Recovered",
-            group=group,
-            engine=engine,
-            auto=candidate,
-            probes_used=oracle.count,
-            residual=residual,
-            g_points=[([d.real, d.imag], [c.real, c.imag]) for d, c in g_points],
-            f_table=f_table,
-            notes=projective_notes,
-        )
-    except BudgetExceeded as exc:
-        exc.partial = {"engine": engine, "probes_used": oracle.count}
-        raise
+                raise _Stop("verification scalar leaves the circle")
+            residual = max(residual, _frob_dist(got, smul(c, want)))
+        return {
+            "auto": candidate,
+            "residual": residual,
+            "g_points": [([d.real, d.imag], [c.real, c.imag]) for d, c in g_points],
+            "f_table": [(d, (c**n) * d) for d, c in g_points],
+            "notes": ["verification is projective: scalars at unprobed determinants stay unchecked"],
+        }
 
-
-def _diag_circle(n: int, z: complex) -> Mat:
-    rows = [[complex(0)] * n for _ in range(n)]
-    rows[0][0] = z
-    for i in range(1, n):
-        rows[i][i] = complex(1)
-    return mat(rows, C64)
+    return _drive("un", oracle, group.family == "Un", "U_n", stages)
 
 
 def mat_from_su_scaled(n: int, seed: int) -> Mat:
@@ -914,7 +814,33 @@ def mat_from_su_scaled(n: int, seed: int) -> Mat:
     base = random_su(n, seed=seed)
     rng = random.Random(seed)
     z = cmath.exp(2j * cmath.pi * rng.random())
-    return mul(base, _diag_circle(n, z))
+    return mul(base, diag_first(n, z, C64))
+
+
+def recover(
+    oracle: Oracle, seed: int = 0, verify_probes: int = 50, dets=None, tol: float = 1e-6
+) -> RecoveryReport:
+    """Recover with the engine for oracle.group.
+
+    SL_n(R) with odd n goes to the basis engine, every other SL_n to the
+    shear engine, GL_n(R), SU_n and U_n to their own engines. dets (default
+    2 and 3) feeds the GL_n(R) determinant probes, tol the unitary engines.
+    Raises NoEngine for GL_n(C).
+    """
+    group = oracle.group
+    common = {"seed": seed, "verify_probes": verify_probes}
+    if group.family == "SL":
+        if group.field == "R" and group.n % 2:
+            return recover_slnr_short(oracle, **common)
+        return recover_sln_common(oracle, **common)
+    if group.family == "GL" and group.field == "R":
+        return recover_glnr(oracle, dets=DEFAULT_DETS if dets is None else dets, **common)
+    if group.family == "SUn":
+        return recover_sun(oracle, tol=tol, **common)
+    if group.family == "Un":
+        return recover_un(oracle, tol=tol, **common)
+    label = f"{group.family}-{group.field}-{group.n}".lower()
+    raise NoEngine(f"no recovery engine for {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -941,13 +867,9 @@ def det_relation_refutations(table) -> list[dict]:
         rows = [[Fraction(0)] * len(items)]
     out = []
     for rel in nullspace(rows):
-        denom = 1
-        for x in rel:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in rel))
         ints = [int(x * denom) for x in rel]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
+        g = gcd(*ints)
         if g > 1:
             ints = [x // g for x in ints]
         lhs = Fraction(1)
@@ -961,12 +883,6 @@ def det_relation_refutations(table) -> list[dict]:
                 }
             )
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +907,7 @@ def _vectors_dependent(ax, bx, regime, tol) -> bool:
         return True
     for i in range(n):
         for j in range(i + 1, n):
-            if not _is_zero(ax[i] * bx[j] - ax[j] * bx[i]):
+            if not is_zero_scalar(ax[i] * bx[j] - ax[j] * bx[i]):
                 return False
     return True
 
@@ -1040,7 +956,7 @@ def lindep_detector(a: Mat, b: Mat, probes: int = 25, seed: int = 0, tol: float 
             (i, j)
             for i in range(n)
             for j in range(n)
-            if (abs(b[i, j]) > tol if regime == C64 else not _is_zero(b[i, j]))
+            if (abs(b[i, j]) > tol if regime == C64 else not is_zero_scalar(b[i, j]))
         ),
         None,
     )
@@ -1066,11 +982,11 @@ def functional_ratio(phi1, phi2):
     phi1, phi2 = list(phi1), list(phi2)
     if len(phi1) != len(phi2):
         raise BadParameters("the functionals act on different spaces")
-    k = next((i for i, x in enumerate(phi1) if not _is_zero(x)), None)
+    k = next((i for i, x in enumerate(phi1) if not is_zero_scalar(x)), None)
     if k is None:
         raise BadParameters("phi1 is the zero functional")
     c = phi2[k] / phi1[k]
     for x, y in zip(phi1, phi2):
-        if not _is_zero(y - c * x):
+        if not is_zero_scalar(y - c * x):
             raise BadParameters("the kernels differ: no proportionality constant exists")
     return c

@@ -9,7 +9,6 @@ injectivity for independent ones, and the sign/parity rules.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -19,7 +18,6 @@ from .mullattice import (
     CircleHom,
     CircleLattice,
     LatticeHom,
-    MulLattice,
     dep_exponent,
     factor,
 )
@@ -130,10 +128,6 @@ MulFunc = (
     | CircleTableFunc
     | GaussTableFunc
 )
-
-
-def trivial_power(ambient: str = RSTAR) -> PowerFunc:
-    return PowerFunc(Fraction(0), "same", ambient)
 
 
 def evaluate(g, x):
@@ -523,8 +517,6 @@ def _int_det(m: list[list[int]]) -> int:
     if size == 0:
         return 1
     rows = [[Fraction(x) for x in r] for r in m]
-    from .exactlinalg import rref
-
     total = Fraction(1)
     mm = [r[:] for r in rows]
     sign = 1

@@ -113,26 +113,6 @@ def gq(re, im=0) -> GaussRational:
     return GaussRational(Fraction(re), Fraction(im))
 
 
-@dataclass(frozen=True)
-class ComplexApprox:
-    """Machine complex with an equality tolerance attached."""
-
-    re: float
-    im: float
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise BadParameters("tol must be positive")
-
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    def close_to(self, other: "ComplexApprox | complex") -> bool:
-        w = other.value() if isinstance(other, ComplexApprox) else other
-        return abs(self.value() - w) <= self.tol
-
-
 def iroot(k: int, n: int) -> int | None:
     """Exact integer n-th root of k >= 0, or None."""
     if k < 0:

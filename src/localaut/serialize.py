@@ -174,7 +174,6 @@ def mulfunc_from_json(obj):
     from .mullattice import CircleLattice, angle_gen, hom_on_lattice, make_lattice
     from .mullattice import CircleHom
     from .scalarmaps import (
-        CIRCLE,
         CircleHomFunc,
         CircleTableFunc,
         GaussTableFunc,

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import BadParameters, RegimeMismatch
+from .errors import BadParameters, RegimeMismatch, ResidualFail
 from .exactlinalg import is_zero_scalar, nullspace
 from .matrices import (
     C64,
     Mat,
-    coerce_scalar,
     close,
     det,
     mul,
@@ -100,7 +99,8 @@ def simultaneous_similarity(
     def try_candidate(s: Mat) -> Mat | None:
         if is_zero_scalar(det(s)):
             return None
-        assert verify_intertwines(s, pairs)
+        if not verify_intertwines(s, pairs):
+            raise ResidualFail("an element of the intertwiner basis span fails S A = B S")
         return s
 
     for k in basis:

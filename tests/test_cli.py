@@ -113,13 +113,70 @@ def test_subprocess_oracle(tmp_path, capsys):
 
 
 def test_console_script_smoke(tmp_path):
+    """The installed console script, or the module entry point of the
+    package under test when the script is not on PATH."""
+    import os
     import shutil
+    from pathlib import Path
+
+    import localaut
 
     exe = shutil.which("localaut")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    cmd = [exe] if exe else [sys.executable, "-m", "localaut.cli"]
+    src = str(Path(localaut.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [exe, "gallery", "additive-r"], capture_output=True, text=True, timeout=120
+        cmd + ["gallery", "additive-r"], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["claim"] == "IsLocalNotGlobal"
+
+
+def _gen(capsys, tmp_path, group, *extra):
+    path = str(tmp_path / f"{group}.json")
+    code, _ = run_cli(capsys, "gen-auto", "--group", group, *extra, "--seed", "5", "-o", path)
+    assert code == 0
+    return path
+
+
+def test_recover_even_sl_real_uses_the_shear_engine(tmp_path, capsys):
+    auto_file = _gen(capsys, tmp_path, "sl-r-4")
+    code, rep = run_cli(capsys, "recover", "--group", "sl-r-4", "--auto", auto_file, "--seed", "1")
+    assert code == 0
+    assert (rep["status"], rep["engine"], rep["probes_used"]) == ("Recovered", "sln_common", 63)
+
+
+def test_recover_gl_complex_has_no_engine(tmp_path, capsys):
+    auto_file = _gen(capsys, tmp_path, "gl-c-3")
+    code, rep = run_cli(capsys, "recover", "--group", "gl-c-3", "--auto", auto_file, "--seed", "1")
+    assert code == 2
+    assert rep == {"error": "BadArgs", "message": "no recovery engine for gl-c-3"}
+
+
+@pytest.mark.parametrize(
+    "group, gen_extra, rec_extra, digest",
+    [
+        ("sl-r-3", ["--kind", "contragredient"], [],
+         "a5bdae289008541e2117b8bff17b4ede312f704487856a98c77c703bef4dcffb"),
+        ("sl-c-3", ["--sigma", "conj"], [],
+         "e26aff69f78ce153c69c8797c9e4a6d7b3d1ef30e5a2862d05b6c5b7938b93aa"),
+        ("gl-r-3", ["--g", "power:2"], ["--dets", "2,3,-5"],
+         "91f70a68680ae5605f35080f033514cf2bd0201b01fe30d5847d0457ffbe9217"),
+    ],
+)
+def test_exact_recover_digests_are_pinned(tmp_path, capsys, group, gen_extra, rec_extra, digest):
+    auto_file = _gen(capsys, tmp_path, group, *gen_extra)
+    code, rep = run_cli(
+        capsys, "recover", "--group", group, "--auto", auto_file, "--seed", "1", *rec_extra
+    )
+    assert code == 0 and rep["status"] == "Recovered"
+    assert rep["digest"] == digest
+
+
+def test_budget_stop_reports_partial_progress(tmp_path, capsys):
+    auto_file = _gen(capsys, tmp_path, "gl-r-3", "--g", "power:2")
+    code, rep = run_cli(
+        capsys, "recover", "--group", "gl-r-3", "--auto", auto_file, "--seed", "1", "--budget", "4"
+    )
+    assert code == 4 and rep["error"] == "BudgetExceeded"
+    assert rep["partial"] == {"engine": "glnr", "probes_used": 4}

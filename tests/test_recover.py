@@ -13,14 +13,17 @@ from localaut.autos import (
     apply,
     make_automorphism,
 )
-from localaut.errors import BadParameters, BudgetExceeded, OracleIncomplete
+from localaut.errors import BadParameters, BudgetExceeded, NoEngine, OracleIncomplete
 from localaut.matrices import (
+    C64,
+    add,
     GroupTag,
     QC,
     QR,
     equal,
     identity,
     inv,
+    mat,
     mul,
     random_gl,
     random_sl,
@@ -29,10 +32,12 @@ from localaut.matrices import (
 )
 from localaut.recover import (
     AutomorphismOracle,
+    FunctionOracle,
     SampleOracle,
     det_relation_refutations,
     functional_ratio,
     lindep_detector,
+    recover,
     recover_glnr,
     recover_slnr_short,
     recover_sln_common,
@@ -104,6 +109,25 @@ def test_un_round_trip():
     rep = recover_un(AutomorphismOracle(auto), seed=0, verify_probes=20)
     assert rep.status == "Recovered"
     assert rep.residual < 1e-8
+
+
+def test_un_residual_is_measured():
+    t = random_unitary(3, seed=22)
+    auto = make_automorphism(GroupTag("Un", "C", 3), STANDARD, SIGMA_ID, t)
+    nudge = mat([[1e-10 if (i, j) == (0, 1) else 0 for j in range(3)] for i in range(3)], C64)
+    oracle = FunctionOracle(auto.group, lambda a: add(apply(auto, a), nudge))
+    rep = recover_un(oracle, seed=0, verify_probes=20)
+    assert rep.status == "Recovered"
+    assert 0 < rep.residual < 1e-6
+
+
+def test_recover_picks_the_engine_for_the_group():
+    auto = make_automorphism(GroupTag("SL", "R", 4), STANDARD, SIGMA_ID, random_gl(4, QR, random.Random(6)))
+    rep = recover(AutomorphismOracle(auto), seed=1, verify_probes=5)
+    assert (rep.status, rep.engine) == ("Recovered", "sln_common")
+    auto = make_automorphism(GroupTag("GL", "C", 3), STANDARD, SIGMA_ID, identity(3, QC))
+    with pytest.raises(NoEngine):
+        recover(AutomorphismOracle(auto))
 
 
 def test_budget_is_enforced():

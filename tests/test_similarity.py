@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+import localaut.similarity as similarity
+from localaut.errors import LocalautError
+
 from localaut.matrices import (
     C64,
     QR,
@@ -87,3 +90,12 @@ def test_unitary_intertwiner_numeric():
     assert close(mul(conj_transpose(u), u), eye, 1e-8)
     for a, b in pairs:
         assert close(mul(u, a), mul(b, u), 1e-7)
+
+
+def test_a_non_intertwining_candidate_raises_a_package_error(monkeypatch):
+    """The S A = B S check is explicit, so it holds under python -O too."""
+    rng = random.Random(5)
+    pairs = _conjugates(random_gl(3, QR, rng), [random_sl(3, QR, rng) for _ in range(2)])
+    monkeypatch.setattr(similarity, "intertwiner_basis", lambda pairs: [identity(3, QR)])
+    with pytest.raises(LocalautError):
+        simultaneous_similarity(pairs)
