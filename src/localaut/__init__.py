@@ -95,8 +95,6 @@ from .scalarmaps import (
     CSTAR,
     RSTAR,
     CircleHomFunc,
-    CircleTableFunc,
-    GaussTableFunc,
     LatticeFunc,
     PowerConjFunc,
     PowerFunc,

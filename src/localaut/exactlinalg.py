@@ -1,19 +1,13 @@
 """Exact dense linear algebra over Q and Q(i), list-of-lists based.
 
-Everything here is field-generic over scalars supporting +, -, *, / and an
-exact zero test (Fraction or GaussRational). Nothing rounds.
+Everything here is field-generic over exact scalars (Fraction or
+GaussRational): +, -, *, / and truth as the zero test. Zero is the scalar
+type called with no argument and one is it called with Fraction(1).
+Nothing rounds.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .scalars import GaussRational
-
-
-def is_zero_scalar(x) -> bool:
-    if isinstance(x, GaussRational):
-        return x.is_zero()
-    return x == 0
 
 
 def rref(rows: list[list], aug: int = 0):
@@ -31,14 +25,14 @@ def rref(rows: list[list], aug: int = 0):
     for c in range(ncols - aug):
         if r >= nrows:
             break
-        pivot = next((i for i in range(r, nrows) if not is_zero_scalar(m[i][c])), None)
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
         for i in range(nrows):
-            if i != r and not is_zero_scalar(m[i][c]):
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -57,15 +51,13 @@ def solve(a: list[list], b: list):
     Free variables are set to zero. Exact.
     """
     if not a or not a[0]:
-        return [] if all(is_zero_scalar(x) for x in b) else None
-    ncols = len(a[0])
+        return None if any(b) else []
     aug_rows = [list(r) + [bv] for r, bv in zip(a, b)]
     m, pivots = rref(aug_rows, aug=1)
     for row in m:
-        if all(is_zero_scalar(x) for x in row[:-1]) and not is_zero_scalar(row[-1]):
+        if row[-1] and not any(row[:-1]):
             return None
-    zero = a[0][0] - a[0][0]
-    x = [zero] * ncols
+    x = [type(a[0][0])()] * len(a[0])
     for r, c in enumerate(pivots):
         x[c] = m[r][-1]
     return x
@@ -73,41 +65,17 @@ def solve(a: list[list], b: list):
 
 def nullspace(a: list[list]) -> list[list]:
     """Basis of the kernel of A, exact."""
-    if not a:
+    if not a or not a[0]:
         return []
     ncols = len(a[0])
+    field = type(a[0][0])
+    zero, one = field(), field(Fraction(1))
     m, pivots = rref(a)
-    zero = a[0][0] - a[0][0]
-    one = None
-    for row in a:
-        for x in row:
-            if not is_zero_scalar(x):
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        # zero matrix: kernel is everything
-        basis = []
-        for j in range(ncols):
-            v = [zero] * ncols
-            v[j] = _unit_like(zero)
-            basis.append(v)
-        return basis
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [zero] * ncols
         v[fc] = one
         for r, c in enumerate(pivots):
             v[c] = -m[r][fc]
         basis.append(v)
     return basis
-
-
-def _unit_like(zero):
-    if isinstance(zero, GaussRational):
-        from .scalars import GQ_ONE
-
-        return GQ_ONE
-    return Fraction(1)

@@ -35,13 +35,14 @@ from .matrices import (
     det,
     inv,
     member,
+    scalar_one,
     smul,
     to_c64,
     transpose,
 )
 from .scalarmaps import (
-    CircleTableFunc,
-    GaussTableFunc,
+    CIRCLE,
+    CSTAR,
     TableFunc,
     pair_ok_mu,
     pair_ok_rclass,
@@ -281,7 +282,8 @@ def _try_branch(group, kind, sigma, p1, p2, seed, tol) -> BranchReport:
             if not ok:
                 refusals.append(f"g({da})={ca}, g({db})={cb}: {why}")
                 continue
-            pairs = [(a_op, _unscale(a_out, ca)), (b_op, _unscale(b_out, cb))]
+            one = scalar_one(a_out.regime)
+            pairs = [(a_op, smul(one / ca, a_out)), (b_op, smul(one / cb, b_out))]
             br = _similarity_step(group, kind, sigma, pairs, (da, ca, db, cb), (p1, p2), seed, tol)
             if br.outcome == "witness":
                 return br
@@ -294,14 +296,6 @@ def _try_branch(group, kind, sigma, p1, p2, seed, tol) -> BranchReport:
     if not exhaustive:
         return BranchReport(kind, sigma, "inconclusive", "scalar candidates may be incomplete")
     return BranchReport(kind, sigma, "refuted", "; ".join(refusals) or "no admissible scalars")
-
-
-def _unscale(m: Mat, c) -> Mat:
-    if m.regime == C64:
-        return smul(1.0 / complex(c), m)
-    if isinstance(c, GaussRational):
-        return smul(GaussRational(Fraction(1), Fraction(0)) / c, m)
-    return smul(Fraction(1) / Fraction(c), m)
 
 
 def _similarity_step(group, kind, sigma, pairs, scalars, originals, seed, tol) -> BranchReport:
@@ -329,7 +323,7 @@ def _witness_report(group, kind, sigma, t, scalars, originals, tol, detail) -> B
         witness = make_automorphism(group, kind, sigma, t, g, tol=max(tol, 1e-8))
     except Exception as exc:
         return BranchReport(kind, sigma, "inconclusive", f"witness rejected: {exc}", scalars or ())
-    vtol = max(tol, 1e-7) if t.regime == C64 else tol
+    vtol = max(tol, 1e-7)  # exact regimes compare exactly whatever the tol
     for a, a_out in originals:
         if not close(apply(witness, a, vtol), a_out, vtol):
             return BranchReport(
@@ -346,14 +340,13 @@ def _witness_scalar(group, scalars):
         pts = [(complex(da), complex(ca))]
         if abs(complex(da) - complex(db)) > 1e-12:
             pts.append((complex(db), complex(cb)))
-        return CircleTableFunc(tuple(pts))
+        return TableFunc(tuple(pts), CIRCLE)
     if isinstance(da, Fraction):
-        table = {Fraction(da): Fraction(ca), Fraction(db): Fraction(cb)}
-        return TableFunc(tuple(sorted(table.items())))
+        return TableFunc(tuple(sorted({da: ca, db: cb}.items())))
     pts = [(da, ca)]
     if db != da:
         pts.append((db, cb))
-    return GaussTableFunc(tuple(pts))
+    return TableFunc(tuple(pts), CSTAR)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     RegimeMismatch,
     SingularMatrix,
 )
-from .exactlinalg import is_zero_scalar, rref, solve
+from .exactlinalg import rref, solve
 from .scalars import DEFAULT_TOL, GQ_ONE, GQ_ZERO, GaussRational
 
 QR = "QR"
@@ -59,12 +59,16 @@ class GroupTag:
         return (QR,) if self.field == "R" else (QC, C64)
 
 
+_ZERO = {QR: Fraction(0), QC: GQ_ZERO, C64: complex(0)}
+_ONE = {QR: Fraction(1), QC: GQ_ONE, C64: complex(1)}
+
+
 def scalar_zero(regime: str):
-    return {QR: Fraction(0), QC: GQ_ZERO, C64: complex(0)}[regime]
+    return _ZERO[regime]
 
 
 def scalar_one(regime: str):
-    return {QR: Fraction(1), QC: GQ_ONE, C64: complex(1)}[regime]
+    return _ONE[regime]
 
 
 def coerce_scalar(regime: str, v):
@@ -91,12 +95,9 @@ def coerce_scalar(regime: str, v):
     raise BadParameters(f"unknown regime {regime!r}")
 
 
-def scalar_conj(regime: str, v):
-    if regime == QR:
-        return v
-    if regime == QC:
-        return v.conjugate()
-    return v.conjugate()
+def scalar_close(x, y, tol: float = DEFAULT_TOL) -> bool:
+    """x == y in the exact regimes, |x - y| <= tol in C64."""
+    return abs(x - y) <= tol if isinstance(x, complex) else x == y
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def conj(a: Mat) -> Mat:
     """Entrywise conjugation (identity on QR)."""
     if a.regime == QR:
         return a
-    return Mat(a.n, a.regime, tuple(tuple(scalar_conj(a.regime, x) for x in r) for r in a.entries))
+    return Mat(a.n, a.regime, tuple(tuple(x.conjugate() for x in r) for r in a.entries))
 
 
 def conj_transpose(a: Mat) -> Mat:
@@ -280,7 +281,7 @@ def _det_elim(a: Mat):
     sign_flips = 0
     detv = scalar_one(a.regime)
     for c in range(n):
-        piv = next((i for i in range(c, n) if not is_zero_scalar(rows[i][c])), None)
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
         if piv is None:
             return scalar_zero(a.regime)
         if piv != c:
@@ -289,7 +290,7 @@ def _det_elim(a: Mat):
         pv = rows[c][c]
         detv = detv * pv
         for i in range(c + 1, n):
-            if not is_zero_scalar(rows[i][c]):
+            if rows[i][c]:
                 f = rows[i][c] / pv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return -detv if sign_flips else detv
@@ -317,7 +318,7 @@ def inv(a: Mat) -> Mat:
 def _inv_small(a: Mat) -> Mat:
     """Adjugate inverse for n <= 3: one reciprocal, the rest multiplications."""
     d = _det_small(a)
-    if is_zero_scalar(d):
+    if not d:
         raise SingularMatrix("matrix is singular")
     r = scalar_one(a.regime) / d
     e = a.entries
@@ -361,7 +362,7 @@ def _from_numpy(m) -> Mat:
 
 
 def to_c64(a: Mat) -> Mat:
-    return Mat(a.n, C64, tuple(tuple(complex(x) if not isinstance(x, Fraction) else complex(float(x)) for x in r) for r in a.entries))
+    return mat(a.entries, C64)
 
 
 def charpoly(a: Mat) -> list:
@@ -373,19 +374,13 @@ def charpoly(a: Mat) -> list:
     if a.regime == C64:
         raise RegimeMismatch("charpoly is an exact-regime tool")
     n = a.n
-    one = scalar_one(a.regime)
-
-    def inv_k(k: int):
-        return Fraction(1, k) if a.regime == QR else GaussRational(Fraction(1, k))
-
-    coeffs_desc = [one]  # leading t^n
+    coeffs_desc = [scalar_one(a.regime)]  # leading t^n
     m = a
-    c = -trace(m) * inv_k(1)
-    coeffs_desc.append(c)
-    for k in range(2, n + 1):
-        m = mul(a, add(m, smul(c, identity(n, a.regime))))
-        c = -trace(m) * inv_k(k)
+    for k in range(1, n + 1):
+        c = -trace(m) * coerce_scalar(a.regime, Fraction(1, k))
         coeffs_desc.append(c)
+        if k < n:
+            m = mul(a, add(m, smul(c, identity(n, a.regime))))
     return list(reversed(coeffs_desc))
 
 
@@ -414,17 +409,12 @@ def member(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL) -> bool:
     if g.family in ("GL", "SL", "SLminus"):
         d = det(a)
         if g.family == "GL":
-            return abs(d) > tol if a.regime == C64 else not is_zero_scalar(d)
-        target = scalar_one(a.regime) if g.family == "SL" else -scalar_one(a.regime)
-        return abs(d - target) <= tol if a.regime == C64 else d == target
+            return not scalar_close(d, _ZERO[a.regime], tol) and d == d  # a NaN det fails too
+        return scalar_close(d, _ONE[a.regime] if g.family == "SL" else -_ONE[a.regime], tol)
     gram = mul(conj_transpose(a), a)
     if not close(gram, identity(a.n, a.regime), tol):
         return False
-    if g.family == "SUn":
-        d = det(a)
-        one = scalar_one(a.regime)
-        return abs(d - one) <= tol if a.regime == C64 else d == one
-    return True
+    return g.family == "Un" or scalar_close(det(a), _ONE[a.regime], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +444,13 @@ def rank_one_idempotent(x, y, regime: str) -> RankOneIdem:
     x = tuple(coerce_scalar(regime, v) for v in x)
     y = tuple(coerce_scalar(regime, v) for v in y)
     pairing = sum((a * b for a, b in zip(y, x)), scalar_zero(regime))
-    if regime == C64:
-        if abs(pairing - 1) > DEFAULT_TOL:
-            raise BadIdempotent("y^t x must equal 1")
-    elif pairing != scalar_one(regime):
+    if not scalar_close(pairing, scalar_one(regime)):
         raise BadIdempotent("y^t x must equal 1")
     return RankOneIdem(x, y, regime)
 
 
 def is_rank_one_idempotent(p: Mat, tol: float = DEFAULT_TOL) -> bool:
-    if p.regime == C64:
-        return close(mul(p, p), p, tol) and rank_of(p, tol) == 1
-    return equal(mul(p, p), p) and rank_of(p) == 1
+    return close(mul(p, p), p, tol) and rank_of(p, tol) == 1
 
 
 def rank_one_with_trace(c: Mat, target) -> RankOneIdem:
@@ -496,7 +481,7 @@ def rank_one_with_trace(c: Mat, target) -> RankOneIdem:
         piv = None
         for i in range(n):
             for j in range(i + 1, n):
-                if not is_zero_scalar(x[i] * cx[j] - x[j] * cx[i]):
+                if x[i] * cx[j] != x[j] * cx[i]:
                     piv = (i, j)
                     break
             if piv:
@@ -632,7 +617,7 @@ def random_shear(n: int, regime: str, rng: random.Random) -> Mat:
         q = Fraction(rng.choice([1, -1, 2, -2, 1, -1]), rng.choice([1, 1, 2]))
     elif regime == QC:
         q = GaussRational(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
-        if q.is_zero():
+        if not q:
             q = GQ_ONE
     else:
         q = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -684,3 +669,19 @@ def random_su(n: int, seed: int) -> Mat:
     u[:, 0] = u[:, 0] / dv
     return _from_numpy(u)
 
+
+def random_pool(group: GroupTag, rng: random.Random, size: int) -> list[Mat]:
+    """size seeded random elements of group: exact for GL and SL, C64 for
+    the unitary groups."""
+    n, regime = group.n, group.regimes()[0]
+    out = []
+    for _ in range(size):
+        if group.family == "SUn":
+            out.append(random_su(n, seed=rng.randrange(10**6)))
+        elif group.family == "Un":
+            out.append(random_unitary(n, seed=rng.randrange(10**6)))
+        elif group.family == "SL":
+            out.append(random_sl(n, regime, rng))
+        else:
+            out.append(random_gl(n, regime, rng))
+    return out

@@ -48,10 +48,8 @@ from .errors import (
     RegimeMismatch,
     ResidualFail,
 )
-from .exactlinalg import is_zero_scalar
 from .matrices import (
     C64,
-    QC,
     QR,
     GroupTag,
     Mat,
@@ -60,6 +58,7 @@ from .matrices import (
     build_basis,
     charpoly,
     close,
+    coerce_scalar,
     det,
     diag_first,
     equal,
@@ -75,6 +74,9 @@ from .matrices import (
     rank_one_idempotent,
     random_sl,
     random_su,
+    scalar_close,
+    scalar_one,
+    scalar_zero,
     smul,
     sub,
     trace,
@@ -82,16 +84,19 @@ from .matrices import (
     zeros,
 )
 from .scalarmaps import (
-    CircleTableFunc,
+    CIRCLE,
     TableFunc,
     pair_ok_mu,
     pair_ok_rclass,
     point_ok_rclass,
 )
-from .scalars import DEFAULT_TOL, GaussRational
+from .scalars import DEFAULT_TOL, GQ_I
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
 DEFAULT_DETS = (Fraction(2), Fraction(3))
+SU_SAMPLES = 4  # random SU_n samples the unitary intertwiner is fitted on
+CIRCLE_GENERATORS = (1j,)  # determinant probes of the U_n character
+LINDEP_PROBES = 25  # random directions lindep_detector tries first
 
 
 def default_budget(n: int) -> int:
@@ -282,9 +287,7 @@ def scalar_ratio(observed: Mat, model: Mat, tol: float = DEFAULT_TOL):
         if not close(observed, scaled, max(tol, 1e-7) * max(1.0, bv)):
             raise ResidualFail("observed image is not a scalar multiple of the model")
         return c
-    pivot = next(
-        ((i, j) for i in range(n) for j in range(n) if not is_zero_scalar(model[i, j])), None
-    )
+    pivot = next(((i, j) for i in range(n) for j in range(n) if model[i, j]), None)
     if pivot is None:
         raise ResidualFail("model matrix is zero")
     c = observed[pivot[0], pivot[1]] / model[pivot[0], pivot[1]]
@@ -309,7 +312,7 @@ def detect_kind(oracle: Oracle, tol: float = DEFAULT_TOL):
     """Probe with spectrum {(1/2)^(n-1), 2, ..., 2}; the contragredient
     inverts it. Returns (kind, note) or a refutation string."""
     n = oracle.group.n
-    regime = QR if oracle.group.field == "R" else QC
+    regime = oracle.group.regimes()[0]
     e_probe = make_E(rank_one_idempotent(_e1(n), _e1(n), regime).matrix())
     img = oracle.query(e_probe)
     small = Fraction(1, 2) ** (n - 1)
@@ -378,12 +381,12 @@ def _factor_rank_one_family(blocks: dict, n: int):
     u1 = None
     for c in range(n):
         col = [m12[r, c] for r in range(n)]
-        if any(not is_zero_scalar(x) for x in col):
+        if any(col):
             u1 = col
             break
     if u1 is None:
         return None
-    r0 = next(r for r in range(n) if not is_zero_scalar(u1[r]))
+    r0 = next(r for r in range(n) if u1[r])
     ws = [None] * n
     for j in range(1, n):
         mj = blocks[(0, j)]
@@ -393,14 +396,14 @@ def _factor_rank_one_family(blocks: dict, n: int):
     for i in range(1, n):
         jp = 1 if i != 1 else 2
         wj = ws[jp]
-        c0 = next((c for c in range(n) if not is_zero_scalar(wj[c])), None)
+        c0 = next((c for c in range(n) if wj[c]), None)
         if c0 is None:
             return None
         mi = blocks[(i, jp)]
         us[i] = [mi[r, c0] / wj[c0] for r in range(n)]
     # w_0 comes last, from M[1,0] = u_1 w_0^t
     m10 = blocks[(1, 0)]
-    r1 = next((r for r in range(n) if not is_zero_scalar(us[1][r])), None)
+    r1 = next((r for r in range(n) if us[1][r]), None)
     if r1 is None:
         return None
     ws[0] = [m10[r1, c] / us[1][r1] for c in range(n)]
@@ -420,29 +423,22 @@ def _assemble_t(us, ws, regime) -> Mat | None:
     w = mat([ws[i] for i in range(n)], regime)
     prod = mul(w, t)
     c = prod[0, 0]
-    if is_zero_scalar(c):
+    if not c or not close(prod, smul(c, identity(n, regime))):
         return None
-    for i in range(n):
-        for j in range(n):
-            expect = c if i == j else prod[0, 0] - prod[0, 0]
-            if prod[i, j] != expect:
-                return None
     return t
 
 
 def _normalize_first_nonzero(t: Mat) -> Mat:
     for i in range(t.n):
         for j in range(t.n):
-            if not is_zero_scalar(t[i, j]):
-                one = t[i, j] / t[i, j]
-                return smul(one / t[i, j], t)
+            if t[i, j]:
+                return smul(scalar_one(t.regime) / t[i, j], t)
     return t
 
 
 def _detect_sigma_exact(oracle, kind, s_mat, n, regime) -> str | None:
     """Probe I + i E_12; after unwrap the image is I + sigma(i) S E_12 S^-1."""
-    i_val = GaussRational(Fraction(0), Fraction(1))
-    probe = _shear(n, regime, 0, 1, i_val)
+    probe = _shear(n, regime, 0, 1, GQ_I)
     img = _unwrap(kind, oracle.query(probe))
     m = sub(img, identity(n, regime))
     model = mul(mul(s_mat, _e_matrix(n, regime, 0, 1)), inv(s_mat))
@@ -450,9 +446,9 @@ def _detect_sigma_exact(oracle, kind, s_mat, n, regime) -> str | None:
         c = scalar_ratio(m, model)
     except ResidualFail:
         return None
-    if c == i_val:
+    if c == GQ_I:
         return SIGMA_ID
-    if c == i_val.conjugate():
+    if c == GQ_I.conjugate():
         return SIGMA_CONJ
     return None
 
@@ -566,11 +562,11 @@ def _hermitian_e11(n: int) -> Mat:
     return mat(rows, C64)
 
 
-def _fit_su(oracle: Oracle, sigma: str, seed: int, sample_count: int, tol: float, note: str) -> Mat:
+def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float, note: str) -> Mat:
     """The phase-normalized unitary U with phi(A) = U sigma(A) U^-1 on
     random SU_n samples; Inconclusive with note when none is found."""
     pairs = []
-    for k in range(sample_count):
+    for k in range(SU_SAMPLES):
         a = random_su(oracle.group.n, seed=seed * 101 + k)
         img = oracle.query(a)
         pairs.append((apply_sigma(a, sigma), img))
@@ -631,7 +627,7 @@ def recover_sln_common(
     """
     group = oracle.group
     n = group.n
-    regime = QR if group.field == "R" else QC
+    regime = group.regimes()[0]
 
     def stages():
         kind = _found(*detect_kind(oracle))
@@ -711,6 +707,11 @@ def recover_glnr(
                 ok, why = pair_ok_rclass((d, c), (d2, c2), n, first)
                 if not ok:
                     raise _Stop(f"scalar class violated on dets ({d}, {d2}): {why}")
+        # signs and d / -d pairs are pinned above; |g| must also respect
+        # every multiplicative relation among the |d|
+        broken = det_relation_refutations({abs(d): abs(c) for d, c in g_points})
+        if broken:
+            raise _Stop("scalar class violated: |g| breaks a relation among the dets", **broken[0])
         g = TableFunc(tuple(sorted(g_points))) if g_points else None
         candidate = make_automorphism(group, kind, SIGMA_ID, t, g)
         rng = random.Random(seed)
@@ -731,16 +732,14 @@ def recover_glnr(
     return _drive("glnr", oracle, group.family == "GL" and group.field == "R", "GL_n(R)", stages)
 
 
-def recover_sun(
-    oracle: Oracle, seed: int = 0, sample_count: int = 4, verify_probes: int = 50, tol: float = 1e-6
-) -> RecoveryReport:
+def recover_sun(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
     """SU_n engine: sigma from a spectrum probe, then a unitary intertwiner
     fitted over random special unitary samples."""
     group = oracle.group
 
     def stages():
         sigma = _found(*detect_sigma_unitary(oracle, tol))
-        u = _fit_su(oracle, sigma, seed, sample_count, tol, "no unitary intertwiner through the sampled pairs")
+        u = _fit_su(oracle, sigma, seed, tol, "no unitary intertwiner through the sampled pairs")
         candidate = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
         residual = 0.0
         for k in range(verify_probes):
@@ -753,14 +752,7 @@ def recover_sun(
     return _drive("sun", oracle, group.family == "SUn", "SU_n", stages)
 
 
-def recover_un(
-    oracle: Oracle,
-    circle_generators=(1j,),
-    seed: int = 0,
-    sample_count: int = 4,
-    verify_probes: int = 50,
-    tol: float = 1e-6,
-) -> RecoveryReport:
+def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
     """U_n engine: the SU restriction pins sigma and U; determinant probes
     diag(z, 1, ..., 1) then tabulate the circle character g.
 
@@ -773,13 +765,10 @@ def recover_un(
 
     def stages():
         sigma = _found(*detect_sigma_unitary(oracle, tol))
-        u = _fit_su(oracle, sigma, seed, sample_count, tol, "no unitary intertwiner through the SU samples")
+        u = _fit_su(oracle, sigma, seed, tol, "no unitary intertwiner through the SU samples")
         model = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
         g_points = []
-        for z in circle_generators:
-            zc = complex(z)
-            if abs(abs(zc) - 1) > 1e-9:
-                raise BadParameters("circle generators must have modulus 1")
+        for zc in CIRCLE_GENERATORS:
             c = _det_probe(oracle, model, diag_first(n, zc, C64), tol, [zc.real, zc.imag])
             g_points.append((zc.conjugate() if sigma == SIGMA_CONJ else zc, complex(c)))
         for idx, (d, c) in enumerate(g_points):
@@ -787,7 +776,7 @@ def recover_un(
                 ok, why = pair_ok_mu(d, c, d2, c2, n, None, max(tol, 1e-8))
                 if not ok:
                     raise _Stop(f"circle class violated: {why}")
-        g = CircleTableFunc(tuple(g_points)) if g_points else None
+        g = TableFunc(tuple(g_points), CIRCLE)
         candidate = make_automorphism(group, STANDARD, sigma, u, g, tol=1e-6)
         residual = 0.0
         for k in range(verify_probes):
@@ -897,22 +886,12 @@ class LinDepResult:
     witness: list | None = None  # x with Ax, Bx independent
 
 
-def _vectors_dependent(ax, bx, regime, tol) -> bool:
+def _vectors_dependent(ax, bx, tol) -> bool:
     n = len(ax)
-    if regime == C64:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(ax[i] * bx[j] - ax[j] * bx[i]) > tol:
-                    return False
-        return True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero_scalar(ax[i] * bx[j] - ax[j] * bx[i]):
-                return False
-    return True
+    return all(scalar_close(ax[i] * bx[j], ax[j] * bx[i], tol) for i in range(n) for j in range(i + 1, n))
 
 
-def lindep_detector(a: Mat, b: Mat, probes: int = 25, seed: int = 0, tol: float = DEFAULT_TOL) -> LinDepResult:
+def lindep_detector(a: Mat, b: Mat, seed: int = 0, tol: float = DEFAULT_TOL) -> LinDepResult:
     """Decide whether A = lambda B from directional probes.
 
     If Ax and Bx are parallel for every standard basis vector and every sum
@@ -925,47 +904,24 @@ def lindep_detector(a: Mat, b: Mat, probes: int = 25, seed: int = 0, tol: float 
     if b.n != n or a.regime != b.regime:
         raise RegimeMismatch("the detector needs matrices of one shape and regime")
     regime = a.regime
-    one, zero = (1.0, 0.0) if regime == C64 else (Fraction(1), Fraction(0))
-    probes_list = []
     rng = random.Random(seed)
-    for _ in range(probes):
-        probes_list.append([Fraction(rng.randrange(-9, 10)) for _ in range(n)])
+    probes_list = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(LINDEP_PROBES)]
     for i in range(n):
-        e = [zero] * n
-        e[i] = one
-        probes_list.append(e)
-        for j in range(i + 1, n):
-            s = [zero] * n
-            s[i] = one
-            s[j] = one
-            probes_list.append(s)
-    if regime == C64:
-        probes_list = [[complex(x) for x in v] for v in probes_list]
-    elif regime == QC:
-        probes_list = [
-            [x if isinstance(x, GaussRational) else GaussRational(Fraction(x), Fraction(0)) for x in v]
-            for v in probes_list
-        ]
-    mv = lambda m, v: [sum(m[i, k] * v[k] for k in range(n)) for i in range(n)]
+        probes_list.append([int(k == i) for k in range(n)])
+        probes_list += [[int(k in (i, j)) for k in range(n)] for j in range(i + 1, n)]
+    probes_list = [[coerce_scalar(regime, x) for x in v] for v in probes_list]
+    zero = scalar_zero(regime)
+    mv = lambda m, v: [sum((m[i, k] * v[k] for k in range(n)), zero) for i in range(n)]
     for x in probes_list:
-        ax, bx = mv(a, x), mv(b, x)
-        if not _vectors_dependent(ax, bx, regime, tol):
+        if not _vectors_dependent(mv(a, x), mv(b, x), tol):
             return LinDepResult("Independent", witness=x)
     pivot = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if (abs(b[i, j]) > tol if regime == C64 else not is_zero_scalar(b[i, j]))
-        ),
-        None,
+        ((i, j) for i in range(n) for j in range(n) if not scalar_close(b[i, j], zero, tol)), None
     )
     if pivot is None:
         raise BadParameters("B is the zero matrix")
     lam = a[pivot[0], pivot[1]] / b[pivot[0], pivot[1]]
-    scaled = smul(lam, b)
-    ok = close(a, scaled, max(tol, 1e-7)) if regime == C64 else equal(a, scaled)
-    if not ok:
+    if not close(a, smul(lam, b), max(tol, 1e-7)):
         # cannot happen for exact regimes: the basis and sum probes force
         # B^-1 A scalar; kept as a guard for noisy C64 inputs
         return LinDepResult("Independent", witness=probes_list[-1])
@@ -982,11 +938,11 @@ def functional_ratio(phi1, phi2):
     phi1, phi2 = list(phi1), list(phi2)
     if len(phi1) != len(phi2):
         raise BadParameters("the functionals act on different spaces")
-    k = next((i for i, x in enumerate(phi1) if not is_zero_scalar(x)), None)
+    k = next((i for i, x in enumerate(phi1) if x), None)
     if k is None:
         raise BadParameters("phi1 is the zero functional")
     c = phi2[k] / phi1[k]
     for x, y in zip(phi1, phi2):
-        if not is_zero_scalar(y - c * x):
+        if y != c * x:
             raise BadParameters("the kernels differ: no proportionality constant exists")
     return c

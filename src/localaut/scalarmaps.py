@@ -21,6 +21,7 @@ from .mullattice import (
     dep_exponent,
     factor,
 )
+from .matrices import QR, det, mat
 from .scalars import rational_pow
 
 RSTAR = "Rstar"
@@ -79,55 +80,22 @@ class CircleHomFunc:
 
 @dataclass(frozen=True)
 class TableFunc:
-    """Finite exact table on R*: the witness-grade partial scalar map."""
-
-    points: tuple[tuple[Fraction, Fraction], ...]
-    ambient: str = RSTAR
-
-    def lookup(self, x: Fraction) -> Fraction | None:
-        for a, v in self.points:
-            if a == x:
-                return v
-        return None
-
-
-@dataclass(frozen=True)
-class CircleTableFunc:
-    """Finite numeric table on the circle (ApproxC witnesses)."""
-
-    points: tuple[tuple[complex, complex], ...]
-    ambient: str = CIRCLE
-
-    def lookup(self, z: complex, tol: float = 1e-8) -> complex | None:
-        for a, v in self.points:
-            if abs(a - z) <= tol:
-                return v
-        return None
-
-
-@dataclass(frozen=True)
-class GaussTableFunc:
-    """Finite exact table on C* (Gaussian rational points)."""
+    """Finite table of (point, value) pairs: the witness-grade partial
+    scalar map. Exact Fraction points on R*, exact GaussRational points on
+    C*, numeric complex points on the circle."""
 
     points: tuple
-    ambient: str = CSTAR
+    ambient: str = RSTAR
 
-    def lookup(self, z):
-        for a, v in self.points:
-            if a == z:
-                return v
-        return None
+    def lookup(self, x, tol: float = 1e-8):
+        """The value at x, or None: exact on R* and C*, within tol on the circle."""
+        if self.ambient == CIRCLE:
+            x = complex(x)
+            return next((v for a, v in self.points if abs(a - x) <= tol), None)
+        return next((v for a, v in self.points if a == x), None)
 
 
-MulFunc = (
-    PowerFunc
-    | PowerConjFunc
-    | LatticeFunc
-    | CircleHomFunc
-    | TableFunc
-    | CircleTableFunc
-    | GaussTableFunc
-)
+MulFunc = PowerFunc | PowerConjFunc | LatticeFunc | CircleHomFunc | TableFunc
 
 
 def evaluate(g, x):
@@ -161,11 +129,7 @@ def evaluate(g, x):
     if isinstance(g, LatticeFunc):
         return g.hom.evaluate(Fraction(x))
     if isinstance(g, TableFunc):
-        return g.lookup(Fraction(x))
-    if isinstance(g, GaussTableFunc):
         return g.lookup(x)
-    if isinstance(g, CircleTableFunc):
-        return g.lookup(complex(x))
     if isinstance(g, CircleHomFunc):
         raise BadParameters("CircleHomFunc evaluates on exponent vectors; use evaluate_exponents")
     raise BadParameters(f"not a MulFunc: {type(g).__name__}")
@@ -260,9 +224,9 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
     if n < 3:
         raise BadParameters("n >= 3 is required")
     name = "M1r" if first_kind else "M2r"
-    if isinstance(g, (CircleHomFunc, CircleTableFunc)) or getattr(g, "ambient", None) == CIRCLE:
+    if getattr(g, "ambient", None) == CIRCLE:
         raise AmbientMismatch(f"{name} lives on R*")
-    if isinstance(g, PowerConjFunc):
+    if getattr(g, "ambient", None) == CSTAR:
         raise AmbientMismatch(f"{name} lives on R*, not C*")
     if isinstance(g, PowerFunc):
         exponent = n * g.c + (1 if first_kind else -1)
@@ -499,7 +463,7 @@ def check_Mu(g, n: int) -> ClassCheck:
                 [n * hom.images[j][i] + (1 if i == j else 0) for j in free_idx]
                 for i in free_idx
             ]
-            if _int_det(block) == 0:
+            if not det(mat(block, QR)):
                 return ClassCheck(False, "f exponent matrix is singular on the free part", on_lattice=True)
         return ClassCheck(
             True,
@@ -507,31 +471,9 @@ def check_Mu(g, n: int) -> ClassCheck:
             on_lattice=True,
             extension_assumed=not tors_idx,
         )
-    if isinstance(g, (PowerConjFunc, LatticeFunc, TableFunc)):
+    if isinstance(g, (PowerConjFunc, LatticeFunc)) or (isinstance(g, TableFunc) and g.ambient != CIRCLE):
         raise AmbientMismatch("Mu lives on the circle")
     raise BadParameters(f"unsupported MulFunc for Mu: {type(g).__name__}")
-
-
-def _int_det(m: list[list[int]]) -> int:
-    size = len(m)
-    if size == 0:
-        return 1
-    rows = [[Fraction(x) for x in r] for r in m]
-    total = Fraction(1)
-    mm = [r[:] for r in rows]
-    sign = 1
-    for c in range(size):
-        piv = next((i for i in range(c, size) if mm[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mm[c], mm[piv] = mm[piv], mm[c]
-            sign = -sign
-        total *= mm[c][c]
-        for i in range(c + 1, size):
-            f = mm[i][c] / mm[c][c]
-            mm[i] = [a - f * b for a, b in zip(mm[i], mm[c])]
-    return int(total * sign)
 
 
 def pair_ok_mu(

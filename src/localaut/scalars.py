@@ -76,8 +76,8 @@ class GaussRational:
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
 
     def is_real(self) -> bool:
         return self.im == 0

@@ -12,10 +12,21 @@ import json
 from fractions import Fraction
 
 from .errors import FileFormatError
-from .matrices import C64, QC, QR, GroupTag, Mat, mat
+from .matrices import C64, QC, QR, REGIMES, GroupTag, Mat, coerce_scalar, mat
+from .scalarmaps import (
+    CIRCLE,
+    CSTAR,
+    RSTAR,
+    CircleHomFunc,
+    LatticeFunc,
+    PowerConjFunc,
+    PowerFunc,
+    TableFunc,
+)
 from .scalars import GaussRational, format_rational, parse_rational
 
-REGIMES = (QR, QC, C64)
+# finite scalar tables on the wire: type string and point regime by ambient
+TABLE_WIRE = {RSTAR: ("table", QR), CSTAR: ("gausstable", QC), CIRCLE: ("circletable", C64)}
 
 
 def canonical_json(obj) -> str:
@@ -38,7 +49,7 @@ def scalar_to_json(x, regime: str):
     if regime == QR:
         return format_rational(Fraction(x))
     if regime == QC:
-        g = x if isinstance(x, GaussRational) else GaussRational(Fraction(x), Fraction(0))
+        g = coerce_scalar(QC, x)
         return {"re": format_rational(g.re), "im": format_rational(g.im)}
     z = complex(x)
     return [z.real, z.imag]
@@ -103,16 +114,6 @@ def group_from_json(obj) -> GroupTag:
 
 
 def mulfunc_to_json(g) -> dict | None:
-    from .scalarmaps import (
-        CircleHomFunc,
-        CircleTableFunc,
-        GaussTableFunc,
-        LatticeFunc,
-        PowerConjFunc,
-        PowerFunc,
-        TableFunc,
-    )
-
     if g is None:
         return None
     if isinstance(g, PowerFunc):
@@ -129,23 +130,10 @@ def mulfunc_to_json(g) -> dict | None:
             "m": format_rational(Fraction(g.m)),
         }
     if isinstance(g, TableFunc):
+        wire, regime = TABLE_WIRE[g.ambient]
         return {
-            "type": "table",
-            "points": [[format_rational(a), format_rational(v)] for a, v in g.points],
-        }
-    if isinstance(g, GaussTableFunc):
-        return {
-            "type": "gausstable",
-            "points": [
-                [scalar_to_json(a, QC), scalar_to_json(v, QC)] for a, v in g.points
-            ],
-        }
-    if isinstance(g, CircleTableFunc):
-        return {
-            "type": "circletable",
-            "points": [
-                [[a.real, a.imag], [v.real, v.imag]] for a, v in g.points
-            ],
+            "type": wire,
+            "points": [[scalar_to_json(a, regime), scalar_to_json(v, regime)] for a, v in g.points],
         }
     if isinstance(g, LatticeFunc):
         hom = g.hom
@@ -173,16 +161,6 @@ def mulfunc_to_json(g) -> dict | None:
 def mulfunc_from_json(obj):
     from .mullattice import CircleLattice, angle_gen, hom_on_lattice, make_lattice
     from .mullattice import CircleHom
-    from .scalarmaps import (
-        CircleHomFunc,
-        CircleTableFunc,
-        GaussTableFunc,
-        LatticeFunc,
-        PowerConjFunc,
-        PowerFunc,
-        TableFunc,
-    )
-
     if obj is None:
         return None
     try:
@@ -191,19 +169,10 @@ def mulfunc_from_json(obj):
             return PowerFunc(parse_rational(obj["c"]), obj.get("neg", "same"), obj.get("ambient", "Rstar"))
         if t == "powerconj":
             return PowerConjFunc(parse_rational(obj["k"]), parse_rational(obj["m"]))
-        if t == "table":
-            pts = tuple((parse_rational(a), parse_rational(v)) for a, v in obj["points"])
-            return TableFunc(pts)
-        if t == "gausstable":
-            pts = tuple(
-                (scalar_from_json(a, QC), scalar_from_json(v, QC)) for a, v in obj["points"]
-            )
-            return GaussTableFunc(pts)
-        if t == "circletable":
-            pts = tuple(
-                (complex(a[0], a[1]), complex(v[0], v[1])) for a, v in obj["points"]
-            )
-            return CircleTableFunc(pts)
+        for ambient, (wire, regime) in TABLE_WIRE.items():
+            if t == wire:
+                pts = tuple((scalar_from_json(a, regime), scalar_from_json(v, regime)) for a, v in obj["points"])
+                return TableFunc(pts, ambient)
         if t == "latticehom":
             lat = make_lattice(*[parse_rational(s) for s in obj["generators"]])
             return LatticeFunc(

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadParameters, RegimeMismatch, ResidualFail
-from .exactlinalg import is_zero_scalar, nullspace
+from .exactlinalg import nullspace
 from .matrices import (
     C64,
     Mat,
@@ -97,7 +97,7 @@ def simultaneous_similarity(
     n = basis[0].n
 
     def try_candidate(s: Mat) -> Mat | None:
-        if is_zero_scalar(det(s)):
+        if not det(s):
             return None
         if not verify_intertwines(s, pairs):
             raise ResidualFail("an element of the intertwiner basis span fails S A = B S")

@@ -1,12 +1,15 @@
 """Command line contract: JSON reports, digests, exit codes."""
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from localaut.cli import main, parse_group
-from localaut.matrices import GroupTag
+from localaut.localcheck import samples_from_automorphism
+from localaut.matrices import GroupTag, random_gl
+from localaut.serialize import auto_from_json, dump_json, load_json, samples_to_json
 
 
 def run_cli(capsys, *argv):
@@ -180,3 +183,24 @@ def test_budget_stop_reports_partial_progress(tmp_path, capsys):
     )
     assert code == 4 and rep["error"] == "BudgetExceeded"
     assert rep["partial"] == {"engine": "glnr", "probes_used": 4}
+
+
+@pytest.mark.parametrize(
+    "group, gen_extra, table, digest",
+    [
+        ("gl-c-3", ["--g", "powerconj:1:1"], "gausstable",
+         "7013b7b150c275b8aeaec55497f141482c83096c971fb795892bccf03cbbc597"),
+        ("gl-r-3", ["--g", "power:2", "--kind", "contragredient"], "table",
+         "363dd54d576bbb842c58931b98c8b9c39576b57f71251e58f23556c0f0a027cf"),
+    ],
+)
+def test_exact_local_check_digests_are_pinned(tmp_path, capsys, group, gen_extra, table, digest):
+    auto = auto_from_json(load_json(_gen(capsys, tmp_path, group, *gen_extra)))
+    rng = random.Random(3)
+    mats = [random_gl(3, auto.t.regime, rng) for _ in range(3)]
+    samples_file = str(tmp_path / "samples.json")
+    dump_json(samples_file, samples_to_json(samples_from_automorphism(auto, mats)))
+    code, rep = run_cli(capsys, "local-check", samples_file, "--seed", "1")
+    assert code == 0 and rep["status"] == "LocallyConsistent"
+    assert {p["witness"]["g"]["type"] for p in rep["pairs"]} == {table}
+    assert rep["digest"] == digest

@@ -1,0 +1,56 @@
+"""Source hygiene of the package, checked on its syntax trees.
+
+No certificate may rest on an `assert`, which `python -O` strips, and every
+imported name must be used.
+"""
+import ast
+from pathlib import Path
+
+import localaut
+
+SRC = Path(localaut.__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_package_sources_found():
+    assert len(MODULES) > 10
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {
+        node.value.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    found = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue  # the package root re-exports what it imports
+        tree = _parse(path)
+        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert found == []

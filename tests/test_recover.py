@@ -17,6 +17,7 @@ from localaut.errors import BadParameters, BudgetExceeded, NoEngine, OracleIncom
 from localaut.matrices import (
     C64,
     add,
+    det,
     GroupTag,
     QC,
     QR,
@@ -94,6 +95,20 @@ def test_gl_real_splits_character():
     assert gtable[F(2)] == 4 and gtable[F(-2)] == 4
 
 
+def test_gl_real_refutes_a_non_multiplicative_character():
+    """A -> h(det A) T A T^-1 with h(2) h(3) != h(6): every pair of probed
+    dets passes the class screen, only the relation 2 * 3 = 6 exposes it."""
+    group = GroupTag("GL", "R", 3)
+    t = random_gl(3, QR, random.Random(9))
+    conj = make_automorphism(group, STANDARD, SIGMA_ID, t)
+    h = {F(2): F(2), F(3): F(9), F(6): F(6)}
+    oracle = FunctionOracle(group, lambda a: smul(h.get(det(a), F(1)), apply(conj, a)))
+    rep = recover_glnr(oracle, dets=[F(2), F(3), F(6)], seed=0, verify_probes=10)
+    assert rep.status == "Refuted" and rep.auto is None
+    assert rep.refutation["relation"] == {"2": -1, "3": -1, "6": 1}
+    assert rep.refutation["image_product"] == "1/3"
+
+
 def test_su_round_trip_detects_conjugation():
     t = random_unitary(3, seed=21)
     auto = make_automorphism(GroupTag("SUn", "C", 3), STANDARD, SIGMA_CONJ, t)
@@ -155,14 +170,15 @@ def test_det_relation_refutations_frozen():
 
 def test_lindep_detector_both_verdicts():
     rng = random.Random(3)
-    a = random_sl(3, QR, rng)
-    dep = lindep_detector(a, smul(F(3, 5), a), seed=0)
-    assert dep.status == "GloballyDependent"
-    assert equal(a, smul(dep.ratio, smul(F(3, 5), a)))
-    b = random_sl(3, QR, rng)
-    ind = lindep_detector(a, b, seed=0)
-    assert ind.status == "Independent"
-    assert ind.witness is not None
+    for regime in (QR, QC):
+        a = random_sl(3, regime, rng)
+        dep = lindep_detector(a, smul(F(3, 5), a), seed=0)
+        assert dep.status == "GloballyDependent"
+        assert equal(a, smul(dep.ratio, smul(F(3, 5), a)))
+        b = random_sl(3, regime, rng)
+        ind = lindep_detector(a, b, seed=0)
+        assert ind.status == "Independent"
+        assert ind.witness is not None
 
 
 def test_functional_ratio():

@@ -10,6 +10,8 @@ from localaut.errors import BadParameters
 from localaut.mullattice import hom_on_lattice, make_lattice
 from localaut.scalarmaps import (
     CIRCLE,
+    CSTAR,
+    RSTAR,
     ClassMap,
     LatticeFunc,
     PowerConjFunc,
@@ -130,5 +132,16 @@ def test_domain_check_parity():
 
 def test_table_func_lookup():
     t = TableFunc(((F(2), F(4)), (F(3), F(9))))
+    assert t.ambient == RSTAR
     assert evaluate(t, F(3)) == 9
     assert evaluate(t, F(5)) is None
+    # C*: exact Gaussian rational points
+    i, two = GaussRational(F(0), F(1)), GaussRational(F(2))
+    g = TableFunc(((i, two), (two, GaussRational(F(4)))), CSTAR)
+    assert evaluate(g, GaussRational(F(0), F(1))) == two
+    assert evaluate(g, GaussRational(F(0), F(-1))) is None
+    # the circle: numeric points, matched within a tolerance
+    c = TableFunc(((1j, -1j), (-1 + 0j, 1 + 0j)), CIRCLE)
+    assert evaluate(c, 1j + 1e-12) == -1j
+    assert c.lookup(1j + 1e-6) is None and c.lookup(1j + 1e-6, tol=1e-5) == -1j
+    assert evaluate(c, 1 + 0j) is None

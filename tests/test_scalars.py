@@ -62,3 +62,9 @@ def test_rational_pow_exact_cases():
 def test_rational_pow_irrational_is_none():
     assert rational_pow(Fraction(2), Fraction(1, 2)) is None
     assert rational_pow(Fraction(3), Fraction(2, 3)) is None
+
+
+def test_truthiness_is_the_zero_test():
+    assert not GQ_ZERO and not GaussRational()
+    assert GQ_ONE and gq(0, -1) and gq(Fraction(1, 3))
+    assert [x for x in (GQ_ZERO, gq(2), GQ_ZERO, gq(0, 1)) if x] == [gq(2), gq(0, 1)]

@@ -8,13 +8,16 @@ from localaut.autos import CONTRAGREDIENT, SIGMA_CONJ, SIGMA_ID, STANDARD, apply
 from localaut.errors import FileFormatError
 from localaut.localcheck import samples_from_automorphism
 from localaut.matrices import GroupTag, QC, QR, close, equal, random_gl, random_sl, random_unitary
-from localaut.scalarmaps import PowerConjFunc, PowerFunc
+from localaut.scalarmaps import CIRCLE, CSTAR, PowerConjFunc, PowerFunc, TableFunc
+from localaut.scalars import GaussRational
 from localaut.serialize import (
     auto_from_json,
     auto_to_json,
     canonical_json,
     mat_from_json,
     mat_to_json,
+    mulfunc_from_json,
+    mulfunc_to_json,
     samples_from_json,
     samples_to_json,
     sha256_digest,
@@ -56,6 +59,23 @@ def test_automorphism_round_trip_with_characters():
         assert back.group == auto.group and back.kind == auto.kind and back.sigma == auto.sigma
         sample = random_sl(3, QR if auto.group.field == "R" else QC, rng)
         assert equal(apply(back, sample), apply(auto, sample))
+
+
+def test_table_func_round_trip_in_every_ambient():
+    tables = {
+        "table": TableFunc(((F(-2), F(4)), (F(1, 3), F(9, 7)))),
+        "gausstable": TableFunc(((GaussRational(F(1), F(1)), GaussRational(F(2))),), CSTAR),
+        "circletable": TableFunc(((1j, complex(0.6, 0.8)),), CIRCLE),
+    }
+    for wire, g in tables.items():
+        obj = mulfunc_to_json(g)
+        assert obj["type"] == wire
+        assert mulfunc_from_json(obj) == g
+    assert mulfunc_to_json(tables["table"])["points"] == [["-2", "4"], ["1/3", "9/7"]]
+    assert mulfunc_to_json(tables["gausstable"])["points"] == [
+        [{"re": "1", "im": "1"}, {"re": "2", "im": "0"}]
+    ]
+    assert mulfunc_to_json(tables["circletable"])["points"] == [[[0.0, 1.0], [0.6, 0.8]]]
 
 
 def test_sample_map_round_trip():
