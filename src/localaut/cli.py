@@ -1,12 +1,13 @@
 """Command line front end.
 
 Every subcommand prints one JSON report to stdout. The report carries a
-sha256 digest of its own content; the elapsed_s timing field is added
-after the digest is taken, so two runs with the same inputs and seed are
-byte-identical except for that one field. Exit code 0 means a verdict was
-computed, including negative verdicts like Refuted or Obstructed; nonzero
-exit codes are operational failures (bad arguments, unreadable files,
-exhausted oracles) reported as machine-readable error JSON.
+sha256 digest of its own content; the timing fields (elapsed_s, and the
+seconds of each selftest criterion) are added after the digest is taken,
+so two runs with the same inputs and seed are byte-identical except for
+those fields. Exit code 0 means a verdict was computed, including
+negative verdicts like Refuted or Obstructed; nonzero exit codes are
+operational failures (bad arguments, unreadable files, exhausted or
+misbehaving oracles) reported as machine-readable error JSON.
 """
 from __future__ import annotations
 
@@ -345,6 +346,7 @@ def _cmd_selftest(args) -> dict:
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
+        "_seconds": [round(r.seconds, 6) for r in results],
     }
 
 
@@ -412,7 +414,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict) -> None:
     t0 = report.pop("_t0")
+    seconds = report.pop("_seconds", ())
     report["digest"] = sha256_digest(report)
+    for criterion, s in zip(report.get("criteria", ()), seconds):
+        criterion["seconds"] = s
     report["elapsed_s"] = round(time.perf_counter() - t0, 6)
     print(pretty_json(report))
 

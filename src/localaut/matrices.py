@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul as _imul
 
 from .errors import (
     BadIdempotent,
@@ -21,7 +21,18 @@ from .errors import (
     SingularMatrix,
 )
 from .exactlinalg import rref, solve
-from .scalars import DEFAULT_TOL, GQ_ONE, GQ_ZERO, GaussRational
+from .scalars import (
+    DEFAULT_TOL,
+    GQ_ONE,
+    GQ_ZERO,
+    GaussRational,
+    clear_row,
+    exact_quotient,
+    gauss,
+    quotient,
+    rational,
+    ring_row,
+)
 
 QR = "QR"
 QC = "QC"
@@ -164,19 +175,42 @@ def smul(c, a: Mat) -> Mat:
 
 
 def mul(a: Mat, b: Mat) -> Mat:
+    """a b. In the exact regimes each row of a and each column of b is
+    cleared to integers over one denominator, so an entry is one integer
+    dot product (two grids, re and im, over Q(i)) and one scalar built."""
     _check_same(a, b)
     n = a.n
-    bt = tuple(zip(*b.entries))
-    rows = []
-    for ar in a.entries:
-        row = []
-        for bc in bt:
-            acc = ar[0] * bc[0]
-            for k in range(1, n):
-                acc = acc + ar[k] * bc[k]
-            row.append(acc)
-        rows.append(tuple(row))
-    return Mat(n, a.regime, tuple(rows))
+    if a.regime == C64:
+        bt = tuple(zip(*b.entries))
+        rows = []
+        for ar in a.entries:
+            row = []
+            for bc in bt:
+                acc = ar[0] * bc[0]
+                for k in range(1, n):
+                    acc = acc + ar[k] * bc[k]
+                row.append(acc)
+            rows.append(tuple(row))
+        return Mat(n, C64, tuple(rows))
+    ra = [clear_row(r) for r in a.entries]
+    cb = [clear_row(c) for c in zip(*b.entries)]
+    if a.regime == QR:
+        return Mat(n, QR, tuple(
+            tuple(rational(sum(map(_imul, x, y)), dx * dy) for y, dy in cb) for x, dx in ra
+        ))
+    ra = [(x[0::2], x[1::2], dx) for x, dx in ra]
+    cb = [(y[0::2], y[1::2], dy) for y, dy in cb]
+    return Mat(n, QC, tuple(
+        tuple(
+            gauss(
+                sum(map(_imul, xr, yr)) - sum(map(_imul, xi, yi)),
+                sum(map(_imul, xr, yi)) + sum(map(_imul, xi, yr)),
+                dx * dy,
+            )
+            for yr, yi, dy in cb
+        )
+        for xr, xi, dx in ra
+    ))
 
 
 def transpose(a: Mat) -> Mat:
@@ -226,74 +260,40 @@ def close(a: Mat, b: Mat, tol: float = DEFAULT_TOL) -> bool:
 
 
 def det(a: Mat):
-    if a.regime == QR or a.regime == QC:
-        if a.n <= 3:
-            return _det_small(a)
-        return _det_bareiss(a) if a.regime == QR else _det_elim(a)
-    import numpy as np
+    if a.regime == C64:
+        import numpy as np
 
-    return complex(np.linalg.det(_to_numpy(a)))
+        return complex(np.linalg.det(_to_numpy(a)))
+    return _det_bareiss(a)
 
 
-def _det_small(a: Mat):
-    """Direct cofactor expansion for n <= 3: no divisions at all."""
-    e = a.entries
-    if a.n == 1:
-        return e[0][0]
-    if a.n == 2:
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    return (
-        e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-    )
-
-
-def _det_bareiss(a: Mat) -> Fraction:
-    """Fraction-free determinant: clear denominators per row, integer Bareiss."""
+def _det_bareiss(a: Mat):
+    """Fraction-free determinant: clear each row's denominators, then one
+    Bareiss elimination over Z or Z[i], where every division by the previous
+    pivot is exact."""
     n = a.n
-    m: list[list[int]] = []
-    denom = 1
+    m, denom = [], 1
     for row in a.entries:
-        l = lcm(*(x.denominator for x in row)) if n else 1
-        denom *= l
-        m.append([int(x * l) for x in row])
-    sign = 1
-    prev = 1
+        xs, d = ring_row(row)
+        m.append(xs)
+        denom *= d
+    sign, prev = 1, None  # prev: the previous pivot, none before the first step
     for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
             if piv is None:
-                return Fraction(0)
+                return scalar_zero(a.regime)
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        mk, p = m[k], m[k][k]
+        for mi in m[k + 1:]:
+            f = mi[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], denom)
-
-
-def _det_elim(a: Mat):
-    rows = a.rows()
-    n = a.n
-    sign_flips = 0
-    detv = scalar_one(a.regime)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return scalar_zero(a.regime)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign_flips ^= 1
-        pv = rows[c][c]
-        detv = detv * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return -detv if sign_flips else detv
+                x = mi[j] * p - f * mk[j]
+                mi[j] = x if prev is None else exact_quotient(x, prev)
+        prev = p
+    last = m[n - 1][n - 1]
+    return quotient(last if sign > 0 else -last, denom)
 
 
 def inv(a: Mat) -> Mat:
@@ -316,30 +316,34 @@ def inv(a: Mat) -> Mat:
 
 
 def _inv_small(a: Mat) -> Mat:
-    """Adjugate inverse for n <= 3: one reciprocal, the rest multiplications."""
-    d = _det_small(a)
+    """Adjugate inverse for n <= 3 on the integer grid: with a = D^-1 M for
+    D the row denominators, a^-1 = adj(M) D / det(M)."""
+    rows = [ring_row(r) for r in a.entries]
+    e = [xs for xs, _ in rows]
+    dens = [d for _, d in rows]
+    n = a.n
+    if n == 1:
+        adj = [[GaussRational(1, 0) if a.regime == QC else 1]]
+    elif n == 2:
+        adj = [[e[1][1], -e[0][1]], [-e[1][0], e[0][0]]]
+    else:
+        idx = ((1, 2), (0, 2), (0, 1))
+
+        def cof(i, j):
+            r1, r2 = idx[i]
+            c1, c2 = idx[j]
+            m = e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1]
+            return m if (i + j) % 2 == 0 else -m
+
+        adj = [[cof(j, i) for j in range(3)] for i in range(3)]
+    d = e[0][0] * adj[0][0]
+    for k in range(1, n):
+        d = d + e[0][k] * adj[k][0]
     if not d:
         raise SingularMatrix("matrix is singular")
-    r = scalar_one(a.regime) / d
-    e = a.entries
-    if a.n == 1:
-        return Mat(1, a.regime, ((r,),))
-    if a.n == 2:
-        return Mat(
-            2,
-            a.regime,
-            ((e[1][1] * r, -e[0][1] * r), (-e[1][0] * r, e[0][0] * r)),
-        )
-    idx = ((1, 2), (0, 2), (0, 1))
-
-    def cof(i, j):
-        r1, r2 = idx[i]
-        c1, c2 = idx[j]
-        m = e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1]
-        return m if (i + j) % 2 == 0 else -m
-
-    rows = tuple(tuple(cof(j, i) * r for j in range(3)) for i in range(3))
-    return Mat(3, a.regime, rows)
+    return Mat(n, a.regime, tuple(
+        tuple(quotient(adj[i][j], d, dens[j]) for j in range(n)) for i in range(n)
+    ))
 
 
 def rank_of(a: Mat, tol: float = DEFAULT_TOL) -> int:
@@ -380,7 +384,10 @@ def charpoly(a: Mat) -> list:
         c = -trace(m) * coerce_scalar(a.regime, Fraction(1, k))
         coeffs_desc.append(c)
         if k < n:
-            m = mul(a, add(m, smul(c, identity(n, a.regime))))
+            shifted = tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m.entries)
+            )
+            m = mul(a, Mat(n, a.regime, shifted))
     return list(reversed(coeffs_desc))
 
 

@@ -41,6 +41,7 @@ from .autos import (
 from .errors import (
     BadParameters,
     BudgetExceeded,
+    LocalautError,
     NoEngine,
     NotInGroup,
     OddN,
@@ -200,7 +201,10 @@ class SubprocessOracle(Oracle):
         line = self.proc.stdout.readline()
         if not line:
             raise ResidualFail("oracle subprocess closed its output")
-        return mat_from_json(json.loads(line))
+        try:
+            return mat_from_json(json.loads(line))
+        except (ValueError, TypeError, LocalautError) as exc:
+            raise ResidualFail(f"oracle subprocess sent a reply that is not a matrix: {line.strip()[:200]!r}") from exc
 
     def close(self):
         if self.proc.stdin:

@@ -463,8 +463,10 @@ def check_Mu(g, n: int) -> ClassCheck:
                 [n * hom.images[j][i] + (1 if i == j else 0) for j in free_idx]
                 for i in free_idx
             ]
-            if not det(mat(block, QR)):
-                return ClassCheck(False, "f exponent matrix is singular on the free part", on_lattice=True)
+            # f is onto the free part only when its exponent block is
+            # invertible over Z, the rank-one rule |n k + 1| = 1
+            if abs(det(mat(block, QR))) != 1:
+                return ClassCheck(False, "f exponent matrix is not unimodular on the free part", on_lattice=True)
         return ClassCheck(
             True,
             "f injective on the lattice",

@@ -113,6 +113,78 @@ def gq(re, im=0) -> GaussRational:
     return GaussRational(Fraction(re), Fraction(im))
 
 
+# ---------------------------------------------------------------------------
+# integer grids: the exact kernels compute over Z and Z[i]
+#
+# A row of exact scalars is cleared once to integers over one common
+# denominator d. A rational x becomes the int x*d; a Gaussian rational
+# becomes the (re, im) int pair of x*d, laid flat, so a row of k Gaussian
+# rationals is 2k ints. Field scalars are built back once per output entry.
+
+_Q0 = Fraction(0)
+
+
+def int_width(x) -> int:
+    """Ints per scalar on an integer grid: 1 over Q, 2 over Q(i)."""
+    return 2 if isinstance(x, GaussRational) else 1
+
+
+def clear_row(row) -> tuple[list[int], int]:
+    """(ints, d) with row = ints / d, d the lcm of the row's denominators."""
+    if isinstance(row[0], GaussRational):
+        parts = [p for x in row for p in (x.re, x.im)]
+    else:
+        parts = row
+    d = math.lcm(*[p.denominator for p in parts])
+    if d == 1:
+        return [p.numerator for p in parts], 1
+    return [p.numerator * (d // p.denominator) for p in parts], d
+
+
+def rational(num: int, den: int) -> Fraction:
+    """num / den for ints, den nonzero."""
+    return Fraction(num, den) if num else _Q0
+
+
+def gauss(re: int, im: int, den: int) -> GaussRational:
+    """(re + i im) / den for ints, den nonzero."""
+    return GaussRational(rational(re, den), rational(im, den))
+
+
+def field_row(ints: list[int], den: int, width: int) -> list:
+    """The field scalars ints / den of a grid row of the given width."""
+    if width == 1:
+        return [rational(x, den) for x in ints]
+    return [gauss(ints[j], ints[j + 1], den) for j in range(0, len(ints), 2)]
+
+
+def ring_row(row) -> tuple[list, int]:
+    """(xs, d) with row = xs / d: xs are ints over Q and Gaussian integers
+    over Q(i), held as GaussRational with int parts (its +, -, * and
+    conjugate stay on them)."""
+    ints, d = clear_row(row)
+    if isinstance(row[0], GaussRational):
+        return [GaussRational(ints[j], ints[j + 1]) for j in range(0, len(ints), 2)], d
+    return ints, d
+
+
+def exact_quotient(x, y):
+    """x / y for ring elements of ring_row when y divides x."""
+    if isinstance(y, GaussRational):
+        z, n = x * y.conjugate(), y.abs2()
+        return GaussRational(z.re // n, z.im // n)
+    return x // y
+
+
+def quotient(x, y, scale: int = 1):
+    """scale * x / y as a field scalar, for ring elements of ring_row, y nonzero."""
+    if isinstance(y, GaussRational):
+        x, y = x * y.conjugate(), y.abs2()
+    if isinstance(x, GaussRational):
+        return gauss(x.re * scale, x.im * scale, y)
+    return rational(x * scale, y)
+
+
 def iroot(k: int, n: int) -> int | None:
     """Exact integer n-th root of k >= 0, or None."""
     if k < 0:

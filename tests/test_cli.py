@@ -1,11 +1,14 @@
 """Command line contract: JSON reports, digests, exit codes."""
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import localaut
 from localaut.cli import main, parse_group
 from localaut.localcheck import samples_from_automorphism
 from localaut.matrices import GroupTag, random_gl
@@ -94,7 +97,14 @@ def test_selftest_subset(capsys):
     assert [c["number"] for c in rep["criteria"]] == [8]
 
 
-def test_subprocess_oracle(tmp_path, capsys):
+@pytest.fixture
+def child_imports_package(monkeypatch):
+    """Child processes import the package under test, however pytest found it."""
+    src = str(Path(localaut.__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_subprocess_oracle(tmp_path, capsys, child_imports_package):
     phi = tmp_path / "phi.py"
     phi.write_text(
         "import json, sys\n"
@@ -115,22 +125,50 @@ def test_subprocess_oracle(tmp_path, capsys):
     assert rep["auto"]["t"]["entries"] == [["1", "2", "0"], ["0", "1", "0"], ["3", "0", "1"]]
 
 
-def test_console_script_smoke(tmp_path):
+@pytest.mark.parametrize(
+    "reply",
+    ['"not json {"', 'json.dumps({"regime": "QR"})', "json.dumps([[1, 0], [0, 1]])"],
+    ids=["garbage", "no-entries", "bare-list"],
+)
+def test_malformed_oracle_reply_is_error_json(tmp_path, capsys, reply):
+    child = tmp_path / "child.py"
+    child.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        f"    print({reply}, flush=True)\n"
+    )
+    code, rep = run_cli(
+        capsys, "recover", "--group", "sl-r-3", "--oracle-cmd", f"{sys.executable} {child}",
+    )
+    assert code == 4
+    assert rep["error"] == "ResidualFail"
+    assert "not a matrix" in rep["message"]
+
+
+def test_selftest_digest_ignores_timings(capsys, monkeypatch):
+    import localaut.acceptance as acceptance
+
+    reports = []
+    for scale in (0.5, 7.25):
+        results = [acceptance.CriterionResult(k, f"criterion {k}", True, "ok", scale * k) for k in (1, 2)]
+        monkeypatch.setattr(acceptance, "run_all", lambda seed, numbers=None, results=results: results)
+        code, rep = run_cli(capsys, "selftest")
+        assert code == 0
+        reports.append(rep)
+    first, second = reports
+    assert first["digest"] == second["digest"]
+    assert [c["seconds"] for c in first["criteria"]] == [0.5, 1.0]
+    assert [c["seconds"] for c in second["criteria"]] == [7.25, 14.5]
+
+
+def test_console_script_smoke(child_imports_package):
     """The installed console script, or the module entry point of the
     package under test when the script is not on PATH."""
-    import os
     import shutil
-    from pathlib import Path
-
-    import localaut
 
     exe = shutil.which("localaut")
     cmd = [exe] if exe else [sys.executable, "-m", "localaut.cli"]
-    src = str(Path(localaut.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        cmd + ["gallery", "additive-r"], capture_output=True, text=True, timeout=120, env=env
-    )
+    proc = subprocess.run(cmd + ["gallery", "additive-r"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["claim"] == "IsLocalNotGlobal"
 

@@ -1,5 +1,6 @@
 """Scalar map classes: membership screens, the power-class property and the
 pairwise domain checks."""
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localaut.errors import BadParameters
-from localaut.mullattice import hom_on_lattice, make_lattice
+from localaut.mullattice import CircleHom, CircleLattice, angle_gen, hom_on_lattice, make_lattice
 from localaut.scalarmaps import (
     CIRCLE,
     CSTAR,
     RSTAR,
+    CircleHomFunc,
     ClassMap,
     LatticeFunc,
     PowerConjFunc,
@@ -44,6 +46,15 @@ def test_circle_powers():
         assert not check_Mu(PowerFunc(F(k), "same", CIRCLE), 3).ok
     with pytest.raises(BadParameters):
         PowerFunc(F(1, 2), "same", CIRCLE)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 2])
+def test_circle_hom_free_part_follows_the_power_rule(k):
+    """g = z^k on a free generator gives f = z^(3k + 1): onto only for k = 0."""
+    lat = CircleLattice((angle_gen("z", witness=cmath.exp(1j)),))
+    g = CircleHomFunc(CircleHom(lat, ((k,),)))
+    assert check_Mu(g, 3).ok == (k == 0)
+    assert check_Mu(g, 3).ok == check_Mu(PowerFunc(F(k), "same", CIRCLE), 3).ok
 
 
 def test_power_func_evaluation_exact():
