@@ -45,7 +45,7 @@ from .matrices import (
     trace,
     transpose,
 )
-from .mullattice import hom_on_lattice, make_lattice
+from .mullattice import factor, hom_on_lattice, make_lattice
 from .recover import (
     AutomorphismOracle,
     functional_ratio,
@@ -408,15 +408,7 @@ _PRIMES = (2, 3, 5, 7, 11)
 
 @lru_cache(maxsize=None)
 def _prime_exps(q: Fraction) -> tuple[tuple[int, int], ...]:
-    from sympy import factorint
-
-    a = abs(q)
-    out: dict[int, int] = {}
-    for p, e in factorint(a.numerator).items():
-        out[p] = out.get(p, 0) + e
-    for p, e in factorint(a.denominator).items():
-        out[p] = out.get(p, 0) - e
-    return tuple(sorted((p, e) for p, e in out.items() if e))
+    return factor(q).factors
 
 
 def _class_ratio(a: Fraction, b: Fraction) -> Fraction | None:

@@ -16,6 +16,7 @@ import random
 import shlex
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from .autos import Automorphism, apply, make_automorphism
@@ -23,6 +24,7 @@ from .errors import FileFormatError, LocalautError, NoEngine
 from .gallery import GALLERY, build_entry, verify_entry
 from .localcheck import check_map
 from .matrices import (
+    C64,
     GroupTag,
     Mat,
     close,
@@ -31,6 +33,7 @@ from .matrices import (
     random_pool,
     random_su,
     random_unitary,
+    to_c64,
 )
 from .recover import AutomorphismOracle, SampleOracle, SubprocessOracle, recover
 from .scalarmaps import CIRCLE, PowerConjFunc, PowerFunc
@@ -191,6 +194,13 @@ def _cmd_verify_auto(args) -> dict:
     group = auto.group
     rng = random.Random(args.seed)
     pool = random_pool(group, rng, min(24, max(4, args.pairs // 8)))
+    if pool[0].regime != auto.t.regime:
+        # T and the samples sit in the two regimes of C: lift the exact side
+        # and check in C64
+        if auto.t.regime == C64:
+            pool = [to_c64(a) for a in pool]
+        else:
+            auto = replace(auto, t=to_c64(auto.t), _tinv=to_c64(auto.tinv))
     failures = []
     for k in range(args.pairs):
         a = pool[rng.randrange(len(pool))]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import (
     BadParameters,
@@ -29,15 +31,183 @@ def factor(q: Fraction) -> "SignedFactored":
         raise ZeroInput("0 is not in R*")
     if abs(q.numerator) > _FACTOR_LIMIT or q.denominator > _FACTOR_LIMIT:
         raise DomainNotFactorable(f"refusing to factor rationals beyond {_FACTOR_LIMIT}")
-    from sympy import factorint
-
-    exps: dict[int, int] = {}
-    for p, e in factorint(abs(q.numerator)).items():
-        exps[int(p)] = exps.get(int(p), 0) + int(e)
+    exps = factorint(abs(q.numerator))
     for p, e in factorint(q.denominator).items():
-        exps[int(p)] = exps.get(int(p), 0) - int(e)
+        exps[p] = exps.get(p, 0) - e
     sign = 1 if q > 0 else -1
     return SignedFactored(sign, tuple(sorted((p, e) for p, e in exps.items() if e != 0)))
+
+
+# ---------------------------------------------------------------------------
+# integer factorization: trial division, a proven primality test, rho
+
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, isqrt(p) + 1)))
+# Miller-Rabin with the first 13 prime bases is deterministic below psi_13
+# (Sorenson and Webster 2015); from there up to _FACTOR_LIMIT the test is BPSW.
+_MR_BASES = _SMALL_PRIMES[:13]
+_PSI_13 = 3317044064679887385961981
+# Pollard-Brent steps allowed per factorization: enough to split off a prime
+# factor up to about 10**12, about a second of pure Python at that size.
+_RHO_BUDGET = 1 << 21
+
+
+def factorint(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p**e for 1 <= n <= _FACTOR_LIMIT.
+
+    Raises DomainNotFactorable above the limit, and when the rho budget runs
+    out, which takes a composite whose two smallest prime factors both exceed
+    about 10**12.
+    """
+    if n > _FACTOR_LIMIT:
+        raise DomainNotFactorable(f"refusing to factor integers beyond {_FACTOR_LIMIT}")
+    exps: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            exps[p] = e
+    if n == 1:
+        return exps
+    if n < _TRIAL_BOUND * _TRIAL_BOUND:
+        exps[n] = exps.get(n, 0) + 1
+        return exps
+    budget = _RHO_BUDGET
+    pending = [(n, 1)]
+    while pending:
+        m, k = pending.pop()
+        if _is_prime(m):
+            exps[m] = exps.get(m, 0) + k
+            continue
+        root, e = _perfect_power(m)
+        if e > 1:
+            pending.append((root, k * e))
+            continue
+        d, budget = _pollard_brent(m, budget)
+        pending += [(d, k), (m // d, k)]
+    return exps
+
+
+def _is_prime(n: int) -> bool:
+    """Primality for n with no prime factor below _TRIAL_BOUND: deterministic
+    Miller-Rabin below psi_13, BPSW above."""
+    if n < _PSI_13:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    out = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (Baillie and Wagstaff
+    1980) for odd n > 1 with no small prime factor."""
+    if isqrt(n) ** 2 == n:
+        return False  # Selfridge's search for D never ends on a square
+    dd = 5
+    while (j := _jacobi(dd, n)) != -1:
+        if j == 0:
+            return False  # |dd| < n shares a factor with n
+        dd = -dd - 2 if dd > 0 else -dd + 2
+    p, q = 1, (1 - dd) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    u, v, qk = 1, p, q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (p * u + v) * half % n, (dd * u + p * v) * half % n, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, e) with n = r**e and e as large as possible, for n with no prime
+    factor below _TRIAL_BOUND (so e * log2(_TRIAL_BOUND) < bit length)."""
+    for e in range(n.bit_length() // 9, 1, -1):
+        r = _iroot(n, e)
+        if r**e == n:
+            return r, e
+    return n, 1
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
+    """(d, budget left) with d a proper factor of the odd composite n, not a
+    perfect power, by Brent's variant of Pollard rho with batched gcds."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if 2 * r > budget:
+                raise DomainNotFactorable(f"{n} has no prime factor the rho budget can reach")
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
 
 
 @dataclass(frozen=True)

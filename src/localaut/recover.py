@@ -852,10 +852,9 @@ def det_relation_refutations(table) -> list[dict]:
     for a, v in items:
         if a <= 0 or v <= 0:
             raise BadParameters("the relation detector expects positive data")
-    primes = sorted({p for a, _ in items for p in factor(a).exponents()})
-    rows = [
-        [Fraction(factor(a).exponents().get(p, 0)) for a, _ in items] for p in primes
-    ]
+    exps = [factor(a).exponents() for a, _ in items]
+    primes = sorted({p for e in exps for p in e})
+    rows = [[Fraction(e.get(p, 0)) for e in exps] for p in primes]
     if not rows:
         rows = [[Fraction(0)] * len(items)]
     out = []

@@ -275,10 +275,11 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
 def _mul_independent(vals: list[Fraction]) -> bool:
     from .exactlinalg import rank
 
-    primes = sorted({p for v in vals for p in factor(abs(v)).exponents()})
+    exps = [factor(abs(v)).exponents() for v in vals]
+    primes = sorted({p for e in exps for p in e})
     if len(primes) < len(vals):
         return False
-    cols = [[Fraction(factor(abs(v)).exponents().get(p, 0)) for v in vals] for p in primes]
+    cols = [[Fraction(e.get(p, 0)) for e in exps] for p in primes]
     return rank(cols) == len(vals)
 
 

@@ -11,8 +11,9 @@ import pytest
 import localaut
 from localaut.cli import main, parse_group
 from localaut.localcheck import samples_from_automorphism
-from localaut.matrices import GroupTag, random_gl
-from localaut.serialize import auto_from_json, dump_json, load_json, samples_to_json
+from localaut.matrices import C64, QC, GroupTag, mat, random_gl
+from localaut.scalars import GaussRational
+from localaut.serialize import auto_from_json, dump_json, load_json, mat_to_json, samples_to_json
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +174,20 @@ def test_console_script_smoke(child_imports_package):
     assert json.loads(proc.stdout)["certificate"]["claim"] == "IsLocalNotGlobal"
 
 
+def test_cold_factoring_commands_load_no_sympy(tmp_path, child_imports_package):
+    """recover on GL_n(R) factors determinants, in-package."""
+    auto = str(tmp_path / "auto.json")
+    script = (
+        "import sys\n"
+        "from localaut.cli import main\n"
+        f"main(['gen-auto', '--group', 'gl-r-3', '--g', 'power:2', '-o', {auto!r}])\n"
+        f"code = main(['recover', '--group', 'gl-r-3', '--auto', {auto!r}])\n"
+        "print(code, 'sympy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.stderr.split() == ["0", "False"]
+
+
 def _gen(capsys, tmp_path, group, *extra):
     path = str(tmp_path / f"{group}.json")
     code, _ = run_cli(capsys, "gen-auto", "--group", group, *extra, "--seed", "5", "-o", path)
@@ -242,3 +257,31 @@ def test_exact_local_check_digests_are_pinned(tmp_path, capsys, group, gen_extra
     assert code == 0 and rep["status"] == "LocallyConsistent"
     assert {p["witness"]["g"]["type"] for p in rep["pairs"]} == {table}
     assert rep["digest"] == digest
+
+
+_T_C64 = mat([[1 + 0.5j, 0, 2], [0, 1, -1j], [0.5, 0, 1]], C64)
+_T_QC_UNITARY = mat(
+    [[GaussRational(0, 0), GaussRational(1, 0), GaussRational(0, 0)],
+     [GaussRational(0, 1), GaussRational(0, 0), GaussRational(0, 0)],
+     [GaussRational(0, 0), GaussRational(0, 0), GaussRational(1, 0)]],
+    QC,
+)
+
+
+@pytest.mark.parametrize(
+    "group, t, gen_extra",
+    [
+        ("gl-c-3", _T_C64, ["--g", "powerconj:1:1", "--sigma", "conj"]),
+        ("un-3", _T_QC_UNITARY, ["--sigma", "conj"]),
+        ("sun-3", _T_QC_UNITARY, []),
+    ],
+    ids=["gl-c-3-c64", "un-3-qc", "sun-3-qc"],
+)
+def test_verify_auto_across_regimes(tmp_path, capsys, group, t, gen_extra):
+    """T in the other regime of C than the group's samples: checked in C64."""
+    t_file = str(tmp_path / "t.json")
+    dump_json(t_file, mat_to_json(t))
+    auto_file = _gen(capsys, tmp_path, group, "--t", t_file, *gen_extra)
+    code, rep = run_cli(capsys, "verify-auto", auto_file, "--pairs", "24")
+    assert code == 0
+    assert (rep["verdict"], rep["failed_pairs"]) == ("Verified", [])

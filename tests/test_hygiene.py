@@ -1,9 +1,11 @@
 """Source hygiene of the package, checked on its syntax trees.
 
-No certificate may rest on an `assert`, which `python -O` strips, and every
-imported name must be used.
+No certificate may rest on an `assert`, which `python -O` strips, every
+imported name must be used, and numpy is the only third-party import, so a
+cold command line process loads nothing heavier.
 """
 import ast
+import sys
 from pathlib import Path
 
 import localaut
@@ -53,4 +55,30 @@ def test_no_unused_imports():
             continue  # the package root re-exports what it imports
         tree = _parse(path)
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert found == []
+
+
+RUNTIME_DEPENDENCIES = {"numpy"}
+
+
+def _third_party_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in RUNTIME_DEPENDENCIES | {"localaut"}:
+                yield node.lineno, top
+
+
+def test_only_numpy_beyond_the_standard_library():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for line, name in _third_party_imports(_parse(path))
+    ]
     assert found == []
