@@ -80,7 +80,6 @@ from .recover import (
     SampleOracle,
     SubprocessOracle,
     default_budget,
-    det_relation_refutations,
     detect_kind,
     functional_ratio,
     lindep_detector,
@@ -106,6 +105,7 @@ from .scalarmaps import (
     check_M2r,
     check_Mu,
     check_P,
+    det_relation_refutations,
     evaluate,
 )
 from .serialize import (

@@ -18,8 +18,7 @@ from .autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from .errors import OddN, TooFewGenerators
 from .localcheck import SampleMap, check_map
 from .matrices import GroupTag, QR, det, diag_first, identity, mul, random_sl, smul
-from .recover import det_relation_refutations
-from .scalarmaps import PowerFunc, check_M1r
+from .scalarmaps import PowerFunc, check_M1r, det_relation_refutations, induced
 
 H_VALUES = {Fraction(2): Fraction(2), Fraction(3): Fraction(9), Fraction(6): Fraction(6)}
 
@@ -82,7 +81,7 @@ def gl_local_not_global(n: int = 3, seed: int = 0) -> GalleryEntry:
         sample_map=SampleMap(group, samples),
         artifacts={
             "h": {str(k): str(v) for k, v in H_VALUES.items()},
-            "f_table_exact": {d: H_VALUES[d] ** n * d for d in H_VALUES},
+            "f_table_exact": {d: induced(d, H_VALUES[d], n) for d in H_VALUES},
         },
     )
     return entry

@@ -44,6 +44,7 @@ from .scalarmaps import (
     CIRCLE,
     CSTAR,
     TableFunc,
+    pair_ok_cstar,
     pair_ok_mu,
     pair_ok_rclass,
     point_ok_rclass,
@@ -119,9 +120,15 @@ def _gauss_candidates(ratio: GaussRational, n: int) -> tuple[list[GaussRational]
     mag = rational_nth_root(ratio.abs2(), n)
     if mag is None:
         return [], True
+    try:
+        approx = complex(ratio)
+    except OverflowError:
+        approx = 0j
+    if not approx:
+        return [], False  # out of float range: no guess to rationalize
     found = []
     exhaustive = True
-    for z in complex_nth_roots(complex(ratio), n):
+    for z in complex_nth_roots(approx, n):
         fr = Fraction(z.real).limit_denominator(10**9)
         fi = Fraction(z.imag).limit_denominator(10**9)
         cand = GaussRational(fr, fi)
@@ -160,8 +167,8 @@ def _scalar_pair_ok(group, kind, da, ca, db, cb, n, tol) -> tuple[bool, str]:
         return pair_ok_mu(
             complex(da), complex(ca), complex(db), complex(cb), n, None, max(tol, 1e-8)
         )
+    first = kind == STANDARD
     if group.field == "R":
-        first = kind == STANDARD
         if da == db:
             if ca != cb:
                 return False, "one g cannot take two values at one determinant"
@@ -169,43 +176,7 @@ def _scalar_pair_ok(group, kind, da, ca, db, cb, n, tol) -> tuple[bool, str]:
         return pair_ok_rclass(
             (Fraction(da), Fraction(ca)), (Fraction(db), Fraction(cb)), n, first
         )
-    return _cstar_pair_ok(da, ca, db, cb, n)
-
-
-def _cstar_pair_ok(da, ca, db, cb, n) -> tuple[bool, str]:
-    """Necessary conditions for a C* character pair: torsion preservation
-    and magnitude transport. Gaussian rationals carry torsion {1, 2, 4}."""
-    if not isinstance(da, GaussRational):
-        return True, ""
-    fa = (ca**n) * da
-    fb = (cb**n) * db
-    for d, f in ((da, fa), (db, fb)):
-        o = _unit_order(d)
-        if o is not None and _unit_order(f) != o:
-            return False, f"f must preserve the torsion order of {d}"
-        if o is None and d.abs2() == 1 and _unit_order(f) is not None:
-            return False, "infinite-order circle element maps to torsion"
-    from .mullattice import dep_exponent, factor
-
-    da2, db2 = da.abs2(), db.abs2()
-    if da2 != 1 and db2 != 1:
-        q = dep_exponent(da2, db2)
-        if q is not None:
-            ea = factor(fa.abs2()).exponents()
-            eb = factor(fb.abs2()).exponents()
-            if {p: Fraction(e) for p, e in ea.items()} != {
-                p: e * q for p, e in eb.items() if e * q != 0
-            }:
-                return False, "magnitude transport fails"
-    return True, ""
-
-
-def _unit_order(z: GaussRational) -> int | None:
-    one = GaussRational(Fraction(1), Fraction(0))
-    for o in (1, 2, 4):
-        if z**o == one:
-            return o
-    return None
+    return pair_ok_cstar(da, ca, db, cb, n, first)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BadParameters,
@@ -19,7 +19,8 @@ from .errors import (
     TooFewGenerators,
     ZeroInput,
 )
-from .exactlinalg import rank, solve
+from .exactlinalg import nullspace, solve
+from .scalars import iroot
 
 _FACTOR_LIMIT = 10**40
 
@@ -164,20 +165,10 @@ def _perfect_power(n: int) -> tuple[int, int]:
     """(r, e) with n = r**e and e as large as possible, for n with no prime
     factor below _TRIAL_BOUND (so e * log2(_TRIAL_BOUND) < bit length)."""
     for e in range(n.bit_length() // 9, 1, -1):
-        r = _iroot(n, e)
-        if r**e == n:
+        r = iroot(n, e)
+        if r is not None:
             return r, e
     return n, 1
-
-
-def _iroot(n: int, e: int) -> int:
-    """floor(n ** (1/e)) by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + n // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
 
 
 def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
@@ -266,6 +257,26 @@ def dep_exponent(a: Fraction, b: Fraction) -> Fraction | None:
     return q
 
 
+def relations(values) -> list[list[int]]:
+    """Primitive integer relations among the magnitudes of nonzero rationals.
+
+    Each relation e has prod |values[i]|**e[i] = 1 with coprime entries, and
+    together they span all such relations over Q: a nullspace basis of the
+    prime exponent matrix, empty exactly when the magnitudes are
+    multiplicatively independent. values may be given in SignedFactored form.
+    """
+    exps = [(v if isinstance(v, SignedFactored) else factor(v)).exponents() for v in values]
+    primes = sorted({p for e in exps for p in e})
+    rows = [[Fraction(e.get(p, 0)) for e in exps] for p in primes] or [[Fraction(0)] * len(exps)]
+    out = []
+    for rel in nullspace(rows):
+        denom = lcm(*(x.denominator for x in rel))
+        ints = [int(x * denom) for x in rel]
+        g = gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
+
+
 @dataclass(frozen=True)
 class LatticeVector:
     """Exponents of x over a lattice's generators, with the sign split off."""
@@ -294,8 +305,7 @@ class MulLattice:
             raise BadParameters("lattice generators must be positive; the sign -1 is implicit")
         if any(g.is_one_in_magnitude() for g in self.generators):
             raise BadParameters("1 generates nothing")
-        cols = _exponent_columns(self.generators)
-        if rank(_transpose(cols)) != len(self.generators):
+        if relations(self.generators):
             raise BadParameters("generator exponent vectors are Q-linearly dependent")
 
     @property
@@ -309,21 +319,6 @@ class MulLattice:
 def make_lattice(*gens) -> MulLattice:
     """Lattice from positive rationals (Fractions or ints)."""
     return MulLattice(tuple(factor(Fraction(g)) for g in gens))
-
-
-def _exponent_columns(gens) -> list[list[Fraction]]:
-    primes = sorted({p for g in gens for p, _ in g.factors})
-    cols = []
-    for g in gens:
-        e = g.exponents()
-        cols.append([Fraction(e.get(p, 0)) for p in primes])
-    return cols
-
-
-def _transpose(cols: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not cols:
-        return []
-    return [[col[i] for col in cols] for i in range(len(cols[0]))]
 
 
 def lattice_decompose(x: SignedFactored | Fraction, lat: MulLattice) -> LatticeVector | None:

@@ -27,7 +27,6 @@ import cmath
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 
 from .autos import (
     CONTRAGREDIENT,
@@ -84,13 +83,7 @@ from .matrices import (
     transpose,
     zeros,
 )
-from .scalarmaps import (
-    CIRCLE,
-    TableFunc,
-    pair_ok_mu,
-    pair_ok_rclass,
-    point_ok_rclass,
-)
+from .scalarmaps import CIRCLE, TableFunc, det_relation_refutations, induced, screen_rclass
 from .scalars import DEFAULT_TOL, GQ_I
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
@@ -703,14 +696,10 @@ def recover_glnr(
             c = _det_probe(oracle, model, diag_first(n, d, QR), DEFAULT_TOL, str(d))
             g_points.append((d, Fraction(c)))
         first = kind == STANDARD
-        for idx, (d, c) in enumerate(g_points):
-            ok, why = point_ok_rclass(d, c, n, first)
+        for args, ok, why in screen_rclass(g_points, n, first):
             if not ok:
-                raise _Stop(f"scalar class violated at det {d}: {why}")
-            for d2, c2 in g_points[idx + 1 :]:
-                ok, why = pair_ok_rclass((d, c), (d2, c2), n, first)
-                if not ok:
-                    raise _Stop(f"scalar class violated on dets ({d}, {d2}): {why}")
+                where = f"at det {args[0]}" if len(args) == 1 else f"on dets ({args[0]}, {args[1]})"
+                raise _Stop(f"scalar class violated {where}: {why}")
         # signs and d / -d pairs are pinned above; |g| must also respect
         # every multiplicative relation among the |d|
         broken = det_relation_refutations({abs(d): abs(c) for d, c in g_points})
@@ -724,13 +713,10 @@ def recover_glnr(
             for _ in range(verify_probes)
         )
         _verify_exact(oracle, candidate, probes)
-        # the induced determinant map: f(d) = g(d)^n d for the standard kind,
-        # g(d)^n / d for the contragredient
-        eps = -1 if kind == CONTRAGREDIENT else 1
         return {
             "auto": candidate,
             "g_points": [(str(d), str(c)) for d, c in g_points],
-            "f_table": [(d, c**n * d**eps) for d, c in g_points],
+            "f_table": [(d, induced(d, c, n, first)) for d, c in g_points],
         }
 
     return _drive("glnr", oracle, group.family == "GL" and group.field == "R", "GL_n(R)", stages)
@@ -775,11 +761,6 @@ def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: floa
         for zc in CIRCLE_GENERATORS:
             c = _det_probe(oracle, model, diag_first(n, zc, C64), tol, [zc.real, zc.imag])
             g_points.append((zc.conjugate() if sigma == SIGMA_CONJ else zc, complex(c)))
-        for idx, (d, c) in enumerate(g_points):
-            for d2, c2 in g_points[idx + 1 :]:
-                ok, why = pair_ok_mu(d, c, d2, c2, n, None, max(tol, 1e-8))
-                if not ok:
-                    raise _Stop(f"circle class violated: {why}")
         g = TableFunc(tuple(g_points), CIRCLE)
         candidate = make_automorphism(group, STANDARD, sigma, u, g, tol=1e-6)
         residual = 0.0
@@ -795,7 +776,7 @@ def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: floa
             "auto": candidate,
             "residual": residual,
             "g_points": [([d.real, d.imag], [c.real, c.imag]) for d, c in g_points],
-            "f_table": [(d, (c**n) * d) for d, c in g_points],
+            "f_table": [(d, induced(d, c, n)) for d, c in g_points],
             "notes": ["verification is projective: scalars at unprobed determinants stay unchecked"],
         }
 
@@ -834,47 +815,6 @@ def recover(
         return recover_un(oracle, tol=tol, **common)
     label = f"{group.family}-{group.field}-{group.n}".lower()
     raise NoEngine(f"no recovery engine for {label}")
-
-
-# ---------------------------------------------------------------------------
-# global relation detector (independent of the engines)
-
-
-def det_relation_refutations(table) -> list[dict]:
-    """Integer multiplicative relations among the inputs that the outputs
-    violate. table maps positive rationals to positive rationals; each
-    violated relation is a certificate that no single multiplicative map
-    passes through the whole table (pairwise checks cannot see these)."""
-    from .exactlinalg import nullspace
-    from .mullattice import factor
-
-    items = sorted((Fraction(a), Fraction(v)) for a, v in (table.items() if isinstance(table, dict) else table))
-    for a, v in items:
-        if a <= 0 or v <= 0:
-            raise BadParameters("the relation detector expects positive data")
-    exps = [factor(a).exponents() for a, _ in items]
-    primes = sorted({p for e in exps for p in e})
-    rows = [[Fraction(e.get(p, 0)) for e in exps] for p in primes]
-    if not rows:
-        rows = [[Fraction(0)] * len(items)]
-    out = []
-    for rel in nullspace(rows):
-        denom = lcm(*(x.denominator for x in rel))
-        ints = [int(x * denom) for x in rel]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        lhs = Fraction(1)
-        for (a, v), e in zip(items, ints):
-            lhs *= v**e
-        if lhs != 1:
-            out.append(
-                {
-                    "relation": {str(a): e for (a, _), e in zip(items, ints) if e != 0},
-                    "image_product": str(lhs),
-                }
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ f(t) = g(t)^n t an automorphism of R* (class M1r); the contragredient kind
 uses f(t) = g(t)^n / t (class M2r); U_n uses the circle analog (class Mu).
 Local automorphisms only pin g down pairwise, which is decided here exactly
 on factored rationals: class transport for dependent arguments, class
-injectivity for independent ones, and the sign/parity rules.
+injectivity for independent ones, and the sign/parity rules. This is the one
+module that knows these rules: the R*, C* and circle pair screens, the
+finite-table screen and the relation detector all live here.
 """
 from __future__ import annotations
 
@@ -19,10 +21,10 @@ from .mullattice import (
     CircleLattice,
     LatticeHom,
     dep_exponent,
-    factor,
+    relations,
 )
 from .matrices import QR, det, mat
-from .scalars import rational_pow
+from .scalars import GQ_ONE, GaussRational, rational_pow
 
 RSTAR = "Rstar"
 CIRCLE = "Circle"
@@ -113,8 +115,6 @@ def evaluate(g, x):
             return -mag
         return mag
     if isinstance(g, PowerConjFunc):
-        from .scalars import GaussRational
-
         kf, mf = Fraction(g.k), Fraction(g.m)
         if kf.denominator != 1:
             # the |z|^(2k) diagonal with rational k
@@ -145,11 +145,25 @@ class ClassCheck:
 
 
 # ---------------------------------------------------------------------------
+# the induced determinant map and class transport
+
+
+def induced(d, c, n: int, first_kind: bool = True):
+    """f(d) = g(d)^n d, or g(d)^n / d for the contragredient kind, with
+    c = g(d): the map the scalar character induces on determinants."""
+    return c**n * d if first_kind else c**n / d
+
+
+def transport(x: Fraction, hx: Fraction, y: Fraction, hy: Fraction) -> tuple[Fraction | None, bool]:
+    """(q, ok) for a class map h through (x, hx) and (y, hy) on positive
+    rationals: q with x = y^q (None when x and y are independent) and ok
+    whether h(x) = h(y)^q, checked exactly as h(x)^den(q) == h(y)^num(q)."""
+    q = dep_exponent(x, y)
+    return q, q is None or hx**q.denominator == hy**q.numerator
+
+
+# ---------------------------------------------------------------------------
 # single-point and pairwise membership on R*
-
-
-def _h_value(lam: Fraction, v: Fraction, n: int, first_kind: bool) -> Fraction:
-    return v**n * lam if first_kind else v**n / lam
 
 
 def point_ok_rclass(lam: Fraction, v: Fraction, n: int, first_kind: bool) -> tuple[bool, str]:
@@ -160,7 +174,7 @@ def point_ok_rclass(lam: Fraction, v: Fraction, n: int, first_kind: bool) -> tup
         return False, f"g({lam}) must be positive"
     if lam < 0 and n % 2 == 1 and v <= 0:
         return False, f"n odd forces g({lam}) = g({-lam}) > 0"
-    h = _h_value(lam, v, n, first_kind)
+    h = induced(lam, v, n, first_kind)
     if abs(lam) == 1:
         if abs(h) != 1:
             return False, f"|lam| = 1 but |f(lam)| = {abs(h)} != 1"
@@ -189,23 +203,28 @@ def pair_ok_rclass(
         return False, why
     if n % 2 == 0 and lam < 0 and mu < 0 and (v > 0) != (w > 0):
         return False, "a single sign twist must serve all negative arguments"
-    ha = abs(_h_value(lam, v, n, first_kind))
-    hb = abs(_h_value(mu, w, n, first_kind))
+    ha = abs(induced(lam, v, n, first_kind))
+    hb = abs(induced(mu, w, n, first_kind))
     a, b = abs(lam), abs(mu)
     if a == 1 or b == 1:
         return True, ""  # the +-1 classes are pinned by the point conditions
-    qexp = dep_exponent(a, b)
-    if qexp is not None:
-        ea = factor(ha).exponents()
-        eb = factor(hb).exponents()
-        scaled = {pr: e * qexp for pr, e in eb.items()}
-        scaled = {pr: e for pr, e in scaled.items() if e != 0}
-        if {pr: Fraction(e) for pr, e in ea.items()} != scaled:
-            return False, f"transport fails: f({lam}) should be f({mu})^{qexp}"
-        return True, ""
-    if dep_exponent(ha, hb) is not None:
+    q, ok = transport(a, ha, b, hb)
+    if not ok:
+        return False, f"transport fails: f({lam}) should be f({mu})^{q}"
+    if q is None and dep_exponent(ha, hb) is not None:
         return False, "independent arguments map into one class"
     return True, ""
+
+
+def screen_rclass(points, n: int, first_kind: bool):
+    """The class rules on a finite list of (lam, g(lam)) points on R*: every
+    single-point rule, then every pair rule, lazily. Yields (args, ok, why)
+    with args the one or two arguments the rule was checked at."""
+    for lam, v in points:
+        yield (lam,), *point_ok_rclass(lam, v, n, first_kind)
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
+            yield (p[0], q[0]), *pair_ok_rclass(p, q, n, first_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +260,9 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
             return ClassCheck(False, "a multiplicative g on R* is positive on positives")
         if hom.sign_image == -1 and n % 2 == 1:
             return ClassCheck(False, "sign flip on negatives needs even n")
-        fvals = []
-        for gen, img in zip(hom.lattice.generators, hom.images):
-            base = gen.value()
-            fvals.append(img**n * base if first_kind else img**n / base)
-        if not _mul_independent(fvals):
+        gens = hom.lattice.generators
+        fvals = [induced(gen.value(), img, n, first_kind) for gen, img in zip(gens, hom.images)]
+        if relations(fvals):
             return ClassCheck(
                 False,
                 "f images of the generators are multiplicatively dependent",
@@ -258,29 +275,11 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
             extension_assumed=True,
         )
     if isinstance(g, TableFunc):
-        pts = list(g.points)
-        for lam, v in pts:
-            ok, why = point_ok_rclass(lam, v, n, first_kind)
+        for args, ok, why in screen_rclass(list(g.points), n, first_kind):
             if not ok:
-                return ClassCheck(False, why, counterexample=(lam,))
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                ok, why = pair_ok_rclass(pts[i], pts[j], n, first_kind)
-                if not ok:
-                    return ClassCheck(False, why, counterexample=(pts[i][0], pts[j][0]))
+                return ClassCheck(False, why, counterexample=args)
         return ClassCheck(True, f"all pairs admit a common {name} member", on_lattice=True)
     raise BadParameters(f"unsupported MulFunc for {name}: {type(g).__name__}")
-
-
-def _mul_independent(vals: list[Fraction]) -> bool:
-    from .exactlinalg import rank
-
-    exps = [factor(abs(v)).exponents() for v in vals]
-    primes = sorted({p for e in exps for p in e})
-    if len(primes) < len(vals):
-        return False
-    cols = [[Fraction(e.get(p, 0)) for e in exps] for p in primes]
-    return rank(cols) == len(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +314,15 @@ def check_P(k: ClassMap) -> ClassCheck:
             (lam, v), (mu, w) = pts[i], pts[j]
             if lam == 1 or mu == 1:
                 continue
-            qexp = dep_exponent(lam, mu)
-            if qexp is not None:
-                ea = factor(v).exponents()
-                eb = factor(w).exponents()
-                if {p: Fraction(e) for p, e in ea.items()} != {
-                    p: e * qexp for p, e in eb.items() if e * qexp != 0
-                }:
-                    return ClassCheck(
-                        False,
-                        f"transport fails: k({lam}) != k({mu})^{qexp}",
-                        counterexample=(lam, mu),
-                    )
-            else:
-                if dep_exponent(v, w) is not None:
-                    return ClassCheck(
-                        False,
-                        f"{lam} and {mu} are independent but their images are not",
-                        counterexample=(lam, mu),
-                    )
+            q, ok = transport(lam, v, mu, w)
+            if not ok:
+                return ClassCheck(False, f"transport fails: k({lam}) != k({mu})^{q}", counterexample=(lam, mu))
+            if q is None and dep_exponent(v, w) is not None:
+                return ClassCheck(
+                    False,
+                    f"{lam} and {mu} are independent but their images are not",
+                    counterexample=(lam, mu),
+                )
     return ClassCheck(True, "class map has property (P) on its support")
 
 
@@ -375,7 +364,7 @@ def check_LAR(h) -> ClassCheck:
             return ClassCheck(False, "h must keep (0, inf) inside (0, inf)")
         if hom.sign_image != -1:
             return ClassCheck(False, "h(-t) = -h(t) forces the sign image -1")
-        if not _mul_independent(list(hom.images)):
+        if relations(hom.images):
             return ClassCheck(False, "(P) fails: generator images are dependent", on_lattice=True)
         return ClassCheck(True, "(LAR) holds on the lattice", on_lattice=True, extension_assumed=True)
     raise BadParameters(f"unsupported (LAR) input: {type(h).__name__}")
@@ -415,16 +404,11 @@ def _check_lm_domain(f, n: int, domain, first_kind: bool) -> DomainReport:
     pts = sorted(values.items())
     verdicts = []
     failures = []
-    for i in range(len(pts)):
-        ok, why = point_ok_rclass(pts[i][0], pts[i][1], n, first_kind)
+    for args, ok, why in screen_rclass(pts, n, first_kind):
+        if len(args) == 2:
+            verdicts.append((*args, ok, why))
         if not ok:
-            failures.append((pts[i][0], why))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            ok, why = pair_ok_rclass(pts[i], pts[j], n, first_kind)
-            verdicts.append((pts[i][0], pts[j][0], ok, why))
-            if not ok:
-                failures.append(((pts[i][0], pts[j][0]), why))
+            failures.append((args if len(args) == 2 else args[0], why))
     return DomainReport(not failures, n, first_kind, values, verdicts, failures)
 
 
@@ -497,8 +481,8 @@ def pair_ok_mu(
     for z, c in ((d1, c1), (d2, c2)):
         if abs(abs(z) - 1) > tol or abs(abs(c) - 1) > tol:
             return False, "circle data must stay on the circle"
-    h1 = c1**n * d1
-    h2 = c2**n * d2
+    h1 = induced(d1, c1, n)
+    h2 = induced(d2, c2, n)
     if abs(d1 - 1) <= tol and abs(h1 - 1) > tol:
         return False, "f(1) must be 1"
     if abs(d2 - 1) <= tol and abs(h2 - 1) > tol:
@@ -546,3 +530,58 @@ def _integer_relation(e1, e2) -> tuple[int, int] | None:
             return None
     # e1 / e2 = num / den componentwise: den * e1 = num * e2
     return (den, num)
+
+
+# ---------------------------------------------------------------------------
+# C*: necessary conditions on exact Gaussian-rational data
+
+
+def pair_ok_cstar(da, ca, db, cb, n: int, first_kind: bool) -> tuple[bool, str]:
+    """Necessary conditions for a C* character through two det/value pairs:
+    torsion preservation and magnitude transport of the induced f. Gaussian
+    rationals carry torsion {1, 2, 4}; numeric data passes unchecked."""
+    if not isinstance(da, GaussRational):
+        return True, ""
+    fa, fb = induced(da, ca, n, first_kind), induced(db, cb, n, first_kind)
+    for d, f in ((da, fa), (db, fb)):
+        o = _unit_order(d)
+        if o is not None and _unit_order(f) != o:
+            return False, f"f must preserve the torsion order of {d}"
+        if o is None and d.abs2() == 1 and _unit_order(f) is not None:
+            return False, "infinite-order circle element maps to torsion"
+    da2, db2 = da.abs2(), db.abs2()
+    if da2 != 1 and db2 != 1 and not transport(da2, fa.abs2(), db2, fb.abs2())[1]:
+        return False, "magnitude transport fails"
+    return True, ""
+
+
+def _unit_order(z: GaussRational) -> int | None:
+    return next((o for o in (1, 2, 4) if z**o == GQ_ONE), None)
+
+
+# ---------------------------------------------------------------------------
+# global relation detector
+
+
+def det_relation_refutations(table) -> list[dict]:
+    """Integer multiplicative relations among the inputs that the outputs
+    violate. table maps positive rationals to positive rationals; each
+    violated relation is a certificate that no single multiplicative map
+    passes through the whole table (pairwise checks cannot see these)."""
+    items = sorted((Fraction(a), Fraction(v)) for a, v in (table.items() if isinstance(table, dict) else table))
+    for a, v in items:
+        if a <= 0 or v <= 0:
+            raise BadParameters("the relation detector expects positive data")
+    out = []
+    for rel in relations([a for a, _ in items]):
+        lhs = Fraction(1)
+        for (_, v), e in zip(items, rel):
+            lhs *= v**e
+        if lhs != 1:
+            out.append(
+                {
+                    "relation": {str(a): e for (a, _), e in zip(items, rel) if e != 0},
+                    "image_product": str(lhs),
+                }
+            )
+    return out

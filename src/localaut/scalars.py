@@ -186,29 +186,22 @@ def quotient(x, y, scale: int = 1):
 
 
 def iroot(k: int, n: int) -> int | None:
-    """Exact integer n-th root of k >= 0, or None."""
+    """Exact integer n-th root of k >= 0, or None.
+
+    Integer Newton's method from above, so exact at any size of k.
+    """
     if k < 0:
         raise BadParameters("iroot expects k >= 0")
     if n < 1:
         raise BadParameters("iroot expects n >= 1")
-    if k in (0, 1):
+    if k < 2:
         return k
-    r = round(k ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**n == k:
-            return c
-    # float guess can be off for big k; fall back to a bisection
-    lo, hi = 0, 1 << ((k.bit_length() // n) + 2)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid**n
-        if p == k:
-            return mid
-        if p < k:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    x = 1 << -(-k.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + k // x ** (n - 1)) // n
+        if y >= x:
+            return x if x**n == k else None
+        x = y
 
 
 def rational_nth_root(q: Fraction, n: int) -> Fraction | None:

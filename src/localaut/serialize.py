@@ -25,8 +25,10 @@ from .scalarmaps import (
 )
 from .scalars import GaussRational, format_rational, parse_rational
 
-# finite scalar tables on the wire: type string and point regime by ambient
-TABLE_WIRE = {RSTAR: ("table", QR), CSTAR: ("gausstable", QC), CIRCLE: ("circletable", C64)}
+# finite scalar tables on the wire: type string and point regime by ambient;
+# C* tables hold exact or numeric points, so each of their scalars is written
+# as a QC dict or a C64 [re, im] pair by its type and read back by its shape
+TABLE_WIRE = {RSTAR: ("table", QR), CSTAR: ("gausstable", None), CIRCLE: ("circletable", C64)}
 
 
 def canonical_json(obj) -> str:
@@ -131,10 +133,8 @@ def mulfunc_to_json(g) -> dict | None:
         }
     if isinstance(g, TableFunc):
         wire, regime = TABLE_WIRE[g.ambient]
-        return {
-            "type": wire,
-            "points": [[scalar_to_json(a, regime), scalar_to_json(v, regime)] for a, v in g.points],
-        }
+        out = lambda x: scalar_to_json(x, regime or (QC if isinstance(x, GaussRational) else C64))
+        return {"type": wire, "points": [[out(a), out(v)] for a, v in g.points]}
     if isinstance(g, LatticeFunc):
         hom = g.hom
         return {
@@ -171,8 +171,8 @@ def mulfunc_from_json(obj):
             return PowerConjFunc(parse_rational(obj["k"]), parse_rational(obj["m"]))
         for ambient, (wire, regime) in TABLE_WIRE.items():
             if t == wire:
-                pts = tuple((scalar_from_json(a, regime), scalar_from_json(v, regime)) for a, v in obj["points"])
-                return TableFunc(pts, ambient)
+                inp = lambda x: scalar_from_json(x, regime or (QC if isinstance(x, dict) else C64))
+                return TableFunc(tuple((inp(a), inp(v)) for a, v in obj["points"]), ambient)
         if t == "latticehom":
             lat = make_lattice(*[parse_rational(s) for s in obj["generators"]])
             return LatticeFunc(

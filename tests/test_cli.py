@@ -4,16 +4,43 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import localaut
+from localaut.autos import SIGMA_ID, STANDARD, make_automorphism
 from localaut.cli import main, parse_group
-from localaut.localcheck import samples_from_automorphism
-from localaut.matrices import C64, QC, GroupTag, mat, random_gl
+from localaut.localcheck import SampleMap, samples_from_automorphism
+from localaut.matrices import (
+    C64,
+    QC,
+    QR,
+    GroupTag,
+    coerce_scalar,
+    diag_first,
+    equal,
+    identity,
+    mat,
+    mul,
+    random_gl,
+    random_sl,
+    smul,
+)
+from localaut.scalarmaps import PowerFunc
 from localaut.scalars import GaussRational
-from localaut.serialize import auto_from_json, dump_json, load_json, mat_to_json, samples_to_json
+from localaut.serialize import (
+    auto_from_json,
+    auto_to_json,
+    dump_json,
+    load_json,
+    mat_from_json,
+    mat_to_json,
+    mulfunc_from_json,
+    mulfunc_to_json,
+    samples_to_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -285,3 +312,61 @@ def test_verify_auto_across_regimes(tmp_path, capsys, group, t, gen_extra):
     code, rep = run_cli(capsys, "verify-auto", auto_file, "--pairs", "24")
     assert code == 0
     assert (rep["verdict"], rep["failed_pairs"]) == ("Verified", [])
+
+
+def _scaled_map_file(tmp_path, group, regime, dets, scale):
+    """A sample map A -> scale * A on matrices of the given determinants."""
+    rng = random.Random(1)
+    n = parse_group(group).n
+    mats = [mul(random_sl(n, regime, rng), diag_first(n, coerce_scalar(regime, d), regime)) for d in dets]
+    path = str(tmp_path / "scaled.json")
+    pairs = tuple((a, smul(coerce_scalar(regime, scale), a)) for a in mats)
+    dump_json(path, samples_to_json(SampleMap(parse_group(group), pairs)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "group, regime, dets, code, field, value",
+    [
+        ("gl-r-3", QR, [2, 3], 4, "error", "DomainNotFactorable"),
+        ("gl-c-3", QC, [2, GaussRational(1, -1)], 0, "status", "Inconclusive"),
+    ],
+)
+def test_local_check_beyond_float_range(tmp_path, capsys, group, regime, dets, code, field, value):
+    """Outputs 2^400 times their inputs: the n-th roots of the determinant
+    ratios are exact integers far past the float range."""
+    samples_file = _scaled_map_file(tmp_path, group, regime, dets, 2**400)
+    got, rep = run_cli(capsys, "local-check", samples_file)
+    assert (got, rep[field]) == (code, value)
+
+
+def test_apply_square_root_character_beyond_float_range(tmp_path, capsys):
+    group = GroupTag("GL", "R", 3)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, identity(3, QR), PowerFunc(Fraction(1, 2)))
+    auto_file, in_file = str(tmp_path / "auto.json"), str(tmp_path / "in.json")
+    dump_json(auto_file, auto_to_json(auto))
+    a = diag_first(3, Fraction(2**1100), QR)
+    dump_json(in_file, mat_to_json(a))
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
+    assert code == 0
+    assert equal(mat_from_json(rep["images"][0]), smul(Fraction(2**550), a))
+
+
+def test_local_check_numeric_gl_complex_map(tmp_path, capsys):
+    """C64 samples give numeric C* witness tables, written as [re, im] pairs
+    under the gausstable wire type."""
+    t_file = str(tmp_path / "t.json")
+    dump_json(t_file, mat_to_json(_T_C64))
+    auto = auto_from_json(load_json(_gen(capsys, tmp_path, "gl-c-3", "--t", t_file, "--g", "powerconj:1:1")))
+    rng = random.Random(3)
+    samples_file = str(tmp_path / "samples.json")
+    mats = [random_gl(3, C64, rng) for _ in range(3)]
+    dump_json(samples_file, samples_to_json(samples_from_automorphism(auto, mats)))
+    code, rep = run_cli(capsys, "local-check", samples_file, "--seed", "1")
+    assert (code, rep["status"]) == (0, "LocallyConsistent")
+    tables = [p["witness"]["g"] for p in rep["pairs"]]
+    assert {t["type"] for t in tables} == {"gausstable"}
+    for t in tables:
+        g = mulfunc_from_json(t)
+        assert all(isinstance(x, complex) for point in g.points for x in point)
+        assert mulfunc_to_json(g) == t

@@ -8,6 +8,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import localaut
 
 SRC = Path(localaut.__file__).resolve().parent
@@ -82,3 +84,41 @@ def test_only_numpy_beyond_the_standard_library():
         for line, name in _third_party_imports(_parse(path))
     ]
     assert found == []
+
+
+# the scalar-character rules live in scalarmaps on top of mullattice;
+# acceptance keeps its own brute-force reference for criterion 7
+FACTORING_MODULES = {"mullattice.py", "scalarmaps.py", "acceptance.py"}
+
+
+def _calls(tree, names):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                yield node.lineno, name
+
+
+def test_only_the_scalar_layer_factors():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        if path.name not in FACTORING_MODULES
+        for line, name in _calls(_parse(path), {"factor", "dep_exponent"})
+    ]
+    assert found == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield (node.module or "").split(".")[-1]
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["localcheck.py", "gallery.py"])
+def test_checkers_do_not_import_the_recovery_engines(module):
+    assert "recover" not in set(_imported_modules(_parse(SRC / module)))

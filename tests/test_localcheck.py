@@ -14,14 +14,20 @@ from localaut.autos import (
 from localaut.errors import BadParameters
 from localaut.localcheck import SampleMap, check_map, check_pair, samples_from_automorphism
 from localaut.matrices import (
+    QC,
     GroupTag,
     QR,
+    diag_first,
+    equal,
     identity,
+    inv,
     mul,
     random_gl,
     random_sl,
     smul,
+    transpose,
 )
+from localaut.scalars import GaussRational
 
 F = Fraction
 SL3 = GroupTag("SL", "R", 3)
@@ -44,6 +50,23 @@ def test_pair_from_genuine_automorphism_is_interpolable():
 
     assert equal(apply(v.witness, a), apply(auto, a))
     assert equal(apply(v.witness, b), apply(auto, b))
+
+
+def test_contragredient_gl_complex_pair_is_interpolable():
+    """A -> g(det A) T A^-T T^-1 with g(d) = w = (3 + 4i)/5 at d = i / w^3:
+    g(d)^3 d = i is torsion, but the contragredient kind induces
+    f(d) = g(d)^3 / d, which is not, so the scalar passes the C* screen."""
+    group = GroupTag("GL", "C", 3)
+    rng = random.Random(4)
+    g = lambda re, im=0: GaussRational(F(re), F(im))
+    w = g(F(3, 5), F(4, 5))
+    t = mul(random_sl(3, QC, rng), diag_first(3, g(2, 1), QC))
+    phi = lambda a, c: smul(c, mul(mul(t, transpose(inv(a))), inv(t)))
+    a = mul(random_sl(3, QC, rng), diag_first(3, g(0, 1) / w**3, QC))
+    b = mul(random_sl(3, QC, rng), diag_first(3, g(2), QC))
+    v = check_pair(group, (a, phi(a, w)), (b, phi(b, g(1))), seed=1)
+    assert v.status == "Interpolable" and v.witness.kind == CONTRAGREDIENT
+    assert equal(apply(v.witness, a), phi(a, w)) and equal(apply(v.witness, b), phi(b, g(1)))
 
 
 def test_pair_with_wrong_spectrum_is_obstructed():

@@ -23,6 +23,7 @@ from localaut.mullattice import (
     in_subgroup,
     lattice_decompose,
     make_lattice,
+    relations,
 )
 
 nonzero = st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(lambda q: q != 0)
@@ -189,3 +190,20 @@ def test_hom_validation():
         hom_on_lattice(lat, (Fraction(5),))
     with pytest.raises(BadParameters):
         hom_on_lattice(lat, (Fraction(5), Fraction(7)), sign_image=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(nonzero, min_size=1, max_size=5))
+def test_relations_empty_exactly_when_the_exponent_matrix_has_full_rank(values):
+    exps = [sympy.factorint(abs(v.numerator)) for v in values]
+    dens = [sympy.factorint(v.denominator) for v in values]
+    primes = sorted({p for e in exps + dens for p in e})
+    m = sympy.Matrix([[e.get(p, 0) - d.get(p, 0) for e, d in zip(exps, dens)] for p in primes] or [[0] * len(values)])
+    rels = relations(values)
+    assert (rels == []) == (m.rank() == len(values))
+    assert len(rels) == len(values) - m.rank()
+    for rel in rels:
+        prod = Fraction(1)
+        for v, e in zip(values, rel):
+            prod *= abs(v) ** e
+        assert prod == 1 and sympy.gcd_list(rel) == 1

@@ -109,6 +109,23 @@ def test_gl_real_refutes_a_non_multiplicative_character():
     assert rep.refutation["image_product"] == "1/3"
 
 
+@pytest.mark.parametrize(
+    "h",
+    [
+        {F(2): F(1), F(3): F(-1)},
+        # the pair (2, 4) breaks transport, but det 3 fails on its own first
+        {F(2): F(1), F(4): F(2), F(3): F(-1)},
+    ],
+)
+def test_gl_real_screens_every_det_before_any_pair(h):
+    group = GroupTag("GL", "R", 3)
+    conj = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(9)))
+    oracle = FunctionOracle(group, lambda a: smul(h.get(det(a), F(1)), apply(conj, a)))
+    rep = recover_glnr(oracle, dets=list(h), seed=0, verify_probes=10)
+    assert rep.status == "Refuted"
+    assert rep.refutation == {"reason": "scalar class violated at det 3: g(3) must be positive"}
+
+
 def test_su_round_trip_detects_conjugation():
     t = random_unitary(3, seed=21)
     auto = make_automorphism(GroupTag("SUn", "C", 3), STANDARD, SIGMA_CONJ, t)

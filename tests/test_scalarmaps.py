@@ -27,6 +27,8 @@ from localaut.scalarmaps import (
     check_Mu,
     check_P,
     evaluate,
+    pair_ok_cstar,
+    pair_ok_rclass,
 )
 from localaut.scalars import GaussRational
 
@@ -94,6 +96,55 @@ def test_property_P_transport_and_independence():
     assert not check_P(bad_transport).ok
     bad_collapse = ClassMap(((F(2), F(4)), (F(3), F(2))))
     assert not check_P(bad_collapse).ok
+
+
+def test_class_pair_messages():
+    # 2 = 4^(1/2) but f(2) = 2 and f(4) = 2^3 4 = 32, not 2^2
+    assert pair_ok_rclass((F(2), F(1)), (F(4), F(2)), 3, True) == (
+        False,
+        "transport fails: f(2) should be f(4)^1/2",
+    )
+    # 6 and 48 are independent, but f(6) = 6 and f(48) = (1/2)^3 48 = 6
+    assert pair_ok_rclass((F(6), F(1)), (F(48), F(1, 2)), 3, True) == (
+        False,
+        "independent arguments map into one class",
+    )
+    assert pair_ok_rclass((F(2), F(2)), (F(4), F(4)), 3, True) == (True, "")
+    transport = check_P(ClassMap(((F(2), F(4)), (F(4), F(8)))))
+    assert (transport.reason, transport.counterexample) == ("transport fails: k(2) != k(4)^1/2", (F(2), F(4)))
+    collapse = check_P(ClassMap(((F(2), F(4)), (F(3), F(2)))))
+    assert (collapse.reason, collapse.counterexample) == (
+        "2 and 3 are independent but their images are not",
+        (F(2), F(3)),
+    )
+
+
+def test_cstar_pair_screen():
+    g = GaussRational
+    one, i, two, four = g(F(1)), g(F(0), F(1)), g(F(2)), g(F(4))
+    # f(i) = i^3 i = 1 has order 1, i has order 4
+    assert pair_ok_cstar(i, i, two, one, 3, True) == (False, "f must preserve the torsion order of 0+1i")
+    # w = (3 + 4i)/5 has infinite order; f(w^3) = (1/w)^3 w^3 = 1
+    w = g(F(3, 5), F(4, 5))
+    assert pair_ok_cstar(w**3, one / w, two, one, 3, True) == (
+        False,
+        "infinite-order circle element maps to torsion",
+    )
+    # |2|^2 = 4 = 16^(1/2) = (|4|^2)^(1/2), but |f(2)|^2 = 4 and |f(4)|^2 = 1024
+    assert pair_ok_cstar(two, one, four, two, 3, True) == (False, "magnitude transport fails")
+    assert pair_ok_cstar(two, one, four, one, 3, True) == (True, "")
+    assert pair_ok_cstar(i, one, w, one, 3, True) == (True, "")
+    # numeric data is not screened
+    assert pair_ok_cstar(1j, 1j, 2 + 0j, 1 + 0j, 3, True) == (True, "")
+
+
+def test_cstar_pair_screen_follows_the_kind():
+    """The contragredient kind induces f(d) = g(d)^n / d: at d = i / w^3
+    with g(d) = w, g(d)^n d = i is torsion but f(d) = -i w^6 is not."""
+    one, i, w = GaussRational(F(1)), GaussRational(F(0), F(1)), GaussRational(F(3, 5), F(4, 5))
+    d = i / w**3
+    assert pair_ok_cstar(d, w, GaussRational(F(2)), one, 3, False) == (True, "")
+    assert not pair_ok_cstar(d, w, GaussRational(F(2)), one, 3, True)[0]
 
 
 def test_odd_extension_table_checks():
