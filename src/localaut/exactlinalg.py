@@ -1,25 +1,30 @@
 """Exact dense linear algebra over Q and Q(i), list-of-lists based.
 
-Rows hold exact scalars (Fraction or GaussRational). rref works on their
-integer grid (scalars.clear_row) and builds field scalars once at the end;
-the rest is field-generic: truth as the zero test, zero the scalar type
-called with no argument and one it called with Fraction(1). Nothing rounds.
+Rows hold exact scalars (Fraction or GaussRational), or are the int rows
+of an integer grid. The work is done on integer rows (scalar rows are
+cleared by scalars.clear_row), and field scalars are built once at the end
+for scalar rows. Nothing rounds.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import clear_row, field_row, int_width
 
 
-def rref(rows: list[list], aug: int = 0):
+def rref(rows: list[list], aug: int = 0, im: list[list] | None = None):
     """Reduced row echelon form of a copy of rows.
 
     Returns (matrix, pivot_columns). The final `aug` columns are carried along
     but never pivoted on (augmented system). Rows past the rank are zero
     outside the augmented columns, and their augmented entries are nonzero
     exactly when the system is inconsistent.
+
+    rows may also be int rows (the real parts of Gaussian-integer rows,
+    with `im` their imaginary parts). Their matrix is returned as int rows,
+    re and im interleaved over Q(i): each pivot row holds a positive
+    integer p at its pivot and stands for itself divided by p.
 
     Fraction-free Gauss-Jordan on the integer grid of the rows (each row
     scaled by the lcm of its denominators, which leaves the row space alone):
@@ -30,8 +35,14 @@ def rref(rows: list[list], aug: int = 0):
     """
     if not rows or not rows[0]:
         return [list(r) for r in rows], []
-    w = int_width(rows[0][0])
-    m = [clear_row(r)[0] for r in rows]
+    grid = isinstance(rows[0][0], int)
+    if not grid:
+        w = int_width(rows[0][0])
+        m = [clear_row(r)[0] for r in rows]
+    elif im is None:
+        w, m = 1, [list(r) for r in rows]
+    else:
+        w, m = 2, [[x for pair in zip(r, s) for x in pair] for r, s in zip(rows, im)]
     nrows, length = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
@@ -75,6 +86,8 @@ def rref(rows: list[list], aug: int = 0):
             m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    if grid:
+        return m, pivots
     out = [field_row(row, row[w * c], w) for row, c in zip(m, pivots)]
     out += [field_row(row, 1, w) for row in m[r:]]
     return out, pivots
@@ -108,6 +121,8 @@ def solve(a: list[list], b: list):
     """
     if not a or not a[0]:
         return None if any(b) else []
+    if isinstance(a[0][0], int):  # rref reads int rows as a grid; solve reads them as rationals
+        a, b = [[Fraction(x) for x in r] for r in a], [Fraction(x) for x in b]
     aug_rows = [list(r) + [bv] for r, bv in zip(a, b)]
     m, pivots = rref(aug_rows, aug=1)
     for row in m:
@@ -119,19 +134,29 @@ def solve(a: list[list], b: list):
     return x
 
 
-def nullspace(a: list[list]) -> list[list]:
-    """Basis of the kernel of A, exact."""
+def nullspace(a: list[list], im: list[list] | None = None) -> list[list]:
+    """Basis of the kernel of A, exact.
+
+    For int rows (and `im`, as in rref) each kernel vector comes back as
+    (ints, den): the vector ints / den, re and im interleaved over Q(i).
+    """
     if not a or not a[0]:
         return []
-    ncols = len(a[0])
-    field = type(a[0][0])
-    zero, one = field(), field(Fraction(1))
-    m, pivots = rref(a)
+    scalars = not isinstance(a[0][0], int)
+    if scalars:
+        w = int_width(a[0][0])
+        cleared = [clear_row(r)[0] for r in a]
+        a, im = [r[0::w] for r in cleared], None if w == 1 else [r[1::2] for r in cleared]
+    w = 1 if im is None else 2
+    m, pivots = rref(a, im=im)
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[fc] = one
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][fc]
-        basis.append(v)
+    for fc in (c for c in range(len(a[0])) if c not in pivots):
+        # v_fc = 1 and v_c = -(row r at fc) / p_r for the pivot c of row r
+        col = [(c, m[r][w * fc:w * fc + w], m[r][w * c]) for r, c in enumerate(pivots)]
+        den = lcm(*[p for _, x, p in col if any(x)])
+        v = [0] * (w * len(a[0]))
+        v[w * fc] = den
+        for c, x, p in col:
+            v[w * c:w * c + w] = [-t * (den // p) for t in x]
+        basis.append(field_row(v, den, w) if scalars else (v, den))
     return basis

@@ -10,9 +10,12 @@ Exact regimes never see a float; C64 delegates numerics to numpy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from operator import mul as _imul
+from functools import cached_property
+from itertools import chain
+from math import gcd, isqrt, lcm
+from operator import add as _iadd, mul as _imul, neg as _ineg, sub as _isub
 
 from .errors import (
     BadIdempotent,
@@ -20,18 +23,15 @@ from .errors import (
     RegimeMismatch,
     SingularMatrix,
 )
-from .exactlinalg import rref, solve
+from .exactlinalg import rref
 from .scalars import (
     DEFAULT_TOL,
     GQ_ONE,
     GQ_ZERO,
     GaussRational,
     clear_row,
-    exact_quotient,
     gauss,
-    quotient,
     rational,
-    ring_row,
 )
 
 QR = "QR"
@@ -111,24 +111,126 @@ def scalar_close(x, y, tol: float = DEFAULT_TOL) -> bool:
     return abs(x - y) <= tol if isinstance(x, complex) else x == y
 
 
-@dataclass(frozen=True)
-class Mat:
-    n: int
-    regime: str
-    entries: tuple
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise BadParameters(f"unknown regime {self.regime!r}")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+
+class Mat:
+    """An immutable n x n matrix of one regime.
+
+    In QR and QC its exact form is one canonical integer grid (den, re, im):
+    entries = (re + i im) / den for the tuples re and im of n^2 ints laid
+    out row by row, with den > 0 and gcd(den, every int) = 1; im is None
+    over Q. The grid is unique, so ==, hash, equal and close compare grids.
+    `entries` is a view built on first use, and a Mat made from entries is
+    cleared to its grid when a kernel first needs it. C64 keeps entries only.
+    """
+
+    __slots__ = ("n", "regime", "_entries", "_grid")
+
+    def __init__(self, n: int, regime: str, entries: tuple):
+        if regime not in REGIMES:
+            raise BadParameters(f"unknown regime {regime!r}")
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise BadParameters("entries must form an n x n square")
+        _set(self, "n", n)
+        _set(self, "regime", regime)
+        _set(self, "_entries", entries)
+        _set(self, "_grid", None)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            den, re, im = self._grid
+            if im is None:
+                flat = tuple([rational(x, den) for x in re])
+            else:
+                flat = tuple([gauss(x, y, den) for x, y in zip(re, im)])
+            _set(self, "_entries", tuple(_split(flat, self.n)))
+        return self._entries
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+        return self.entries[ij[0]][ij[1]]
 
     def rows(self) -> list[list]:
         return [list(r) for r in self.entries]
+
+    def _key(self):
+        return self.entries if self.regime == C64 else grid(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return self.n == other.n and self.regime == other.regime and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self.n, self.regime, self._key()))
+
+    def __repr__(self):
+        return f"Mat(n={self.n!r}, regime={self.regime!r}, entries={self.entries!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Mat, (self.n, self.regime, self.entries)
+
+
+def grid(a: Mat) -> tuple:
+    """The canonical integer grid (den, re, im) of an exact matrix, cleared
+    from its entries on first use: over the lcm of their denominators the
+    content is 1, as each entry is in lowest terms."""
+    if a._grid is None:
+        if a.regime == C64:
+            raise RegimeMismatch("C64 matrices have no integer grid")
+        flat, den = clear_row([x for r in a._entries for x in r])
+        _set(a, "_grid", (den, *_unzip(flat, a.regime)))
+    return a._grid
+
+
+def from_grid(regime: str, den: int, re, im=None) -> Mat:
+    """The exact matrix (re + i im) / den of n^2 ints laid out row by row,
+    den nonzero and im None over Q."""
+    return _canon(isqrt(len(re)), regime, den, tuple(re), None if im is None else tuple(im))
+
+
+def _split(xs, n: int) -> list:
+    """The rows of n^2 values laid out row by row."""
+    return [xs[i:i + n] for i in range(0, n * n, n)]
+
+
+def _transposed(xs: tuple, n: int) -> tuple:
+    return tuple(chain.from_iterable(xs[j::n] for j in range(n)))
+
+
+def _unzip(flat: list, regime: str) -> tuple:
+    """(re, im) of ints that hold (re, im) pairs laid flat over Q(i)."""
+    return (tuple(flat), None) if regime == QR else (tuple(flat[0::2]), tuple(flat[1::2]))
+
+
+def _grid_mat(n: int, regime: str, grid: tuple) -> Mat:
+    """The Mat of a grid that is already canonical."""
+    m = object.__new__(Mat)
+    _set(m, "n", n)
+    _set(m, "regime", regime)
+    _set(m, "_entries", None)
+    _set(m, "_grid", grid)
+    return m
+
+
+def _canon(n: int, regime: str, den: int, re: tuple, im: tuple | None = None) -> Mat:
+    """The Mat (re + i im) / den for den nonzero, its grid reduced by the
+    content and signed so that den > 0."""
+    if den != 1:
+        g = gcd(den, *re, *(im or ()))
+        if den < 0:
+            g = -g
+        if g != 1:
+            den, re = den // g, tuple([x // g for x in re])
+            if im is not None:
+                im = tuple([x // g for x in im])
+    return _grid_mat(n, regime, (den, re, im))
 
 
 def mat(rows, regime: str) -> Mat:
@@ -159,25 +261,54 @@ def _check_same(a: Mat, b: Mat):
         raise RegimeMismatch("operands must share size and regime")
 
 
-def add(a: Mat, b: Mat) -> Mat:
+def _lincomb(a: Mat, b: Mat, sign: int) -> Mat:
+    """a + sign b, on the grids over the lcm of their denominators."""
     _check_same(a, b)
-    return Mat(a.n, a.regime, tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)))
+    if a.regime == C64:
+        op = _iadd if sign > 0 else _isub
+        return Mat(a.n, C64, tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a.entries, b.entries)))
+    (da, ra, ia), (db, rb, ib) = grid(a), grid(b)
+    g = gcd(da, db)
+    sa, sb = db // g, sign * (da // g)
+
+    def comb(xs, ys):
+        return tuple([x * sa + y * sb for x, y in zip(xs, ys)])
+
+    return _canon(a.n, a.regime, da * sa, comb(ra, rb), None if ia is None else comb(ia, ib))
+
+
+def add(a: Mat, b: Mat) -> Mat:
+    return _lincomb(a, b, 1)
 
 
 def sub(a: Mat, b: Mat) -> Mat:
-    _check_same(a, b)
-    return Mat(a.n, a.regime, tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)))
+    return _lincomb(a, b, -1)
 
 
 def smul(c, a: Mat) -> Mat:
     c = coerce_scalar(a.regime, c)
-    return Mat(a.n, a.regime, tuple(tuple(c * x for x in r) for r in a.entries))
+    if a.regime == C64:
+        return Mat(a.n, C64, tuple(tuple(c * x for x in r) for r in a.entries))
+    den, re, im = grid(a)
+    if im is None:
+        return _canon(a.n, QR, den * c.denominator, tuple([c.numerator * x for x in re]))
+    # c = (p + i s) / q
+    q = lcm(c.re.denominator, c.im.denominator)
+    p, s = c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
+    pairs = list(zip(re, im))
+    re, im = tuple([p * x - s * y for x, y in pairs]), tuple([p * y + s * x for x, y in pairs])
+    return _canon(a.n, QC, den * q, re, im)
+
+
+def _dots(xs, ys) -> tuple:
+    """The integer products of the rows xs with the columns ys, row by row."""
+    return tuple([sum(map(_imul, x, y)) for x in xs for y in ys])
 
 
 def mul(a: Mat, b: Mat) -> Mat:
-    """a b. In the exact regimes each row of a and each column of b is
-    cleared to integers over one denominator, so an entry is one integer
-    dot product (two grids, re and im, over Q(i)) and one scalar built."""
+    """a b. In the exact regimes each entry is one integer dot product of
+    the two grids (two over Q(i), for the re and im parts) over da db,
+    and one gcd reduces the product's grid."""
     _check_same(a, b)
     n = a.n
     if a.regime == C64:
@@ -192,36 +323,32 @@ def mul(a: Mat, b: Mat) -> Mat:
                 row.append(acc)
             rows.append(tuple(row))
         return Mat(n, C64, tuple(rows))
-    ra = [clear_row(r) for r in a.entries]
-    cb = [clear_row(c) for c in zip(*b.entries)]
-    if a.regime == QR:
-        return Mat(n, QR, tuple(
-            tuple(rational(sum(map(_imul, x, y)), dx * dy) for y, dy in cb) for x, dx in ra
-        ))
-    ra = [(x[0::2], x[1::2], dx) for x, dx in ra]
-    cb = [(y[0::2], y[1::2], dy) for y, dy in cb]
-    return Mat(n, QC, tuple(
-        tuple(
-            gauss(
-                sum(map(_imul, xr, yr)) - sum(map(_imul, xi, yi)),
-                sum(map(_imul, xr, yi)) + sum(map(_imul, xi, yr)),
-                dx * dy,
-            )
-            for yr, yi, dy in cb
-        )
-        for xr, xi, dx in ra
-    ))
+    (da, ra, ia), (db, rb, ib) = grid(a), grid(b)
+    cols = [rb[j::n] for j in range(n)]
+    if ia is None:
+        return _canon(n, QR, da * db, _dots(_split(ra, n), cols))
+    # rows (re | im) of a against columns (re | -im) and (im | re) of b
+    xs = [r + i for r, i in zip(_split(ra, n), _split(ia, n))]
+    im_cols = [ib[j::n] for j in range(n)]
+    re_cols = [c + tuple([-x for x in d]) for c, d in zip(cols, im_cols)]
+    return _canon(n, QC, da * db, _dots(xs, re_cols), _dots(xs, [d + c for c, d in zip(cols, im_cols)]))
 
 
 def transpose(a: Mat) -> Mat:
-    return Mat(a.n, a.regime, tuple(zip(*a.entries)))
+    if a.regime == C64:
+        return Mat(a.n, C64, tuple(zip(*a.entries)))
+    den, re, im = grid(a)
+    return _grid_mat(a.n, a.regime, (den, _transposed(re, a.n), im and _transposed(im, a.n)))
 
 
 def conj(a: Mat) -> Mat:
     """Entrywise conjugation (identity on QR)."""
     if a.regime == QR:
         return a
-    return Mat(a.n, a.regime, tuple(tuple(x.conjugate() for x in r) for r in a.entries))
+    if a.regime == C64:
+        return Mat(a.n, C64, tuple(tuple(x.conjugate() for x in r) for r in a.entries))
+    den, re, im = grid(a)
+    return _grid_mat(a.n, QC, (den, re, tuple([-x for x in im])))
 
 
 def conj_transpose(a: Mat) -> Mat:
@@ -237,23 +364,38 @@ def apply_sigma(a: Mat, sigma: str) -> Mat:
 
 
 def trace(a: Mat):
-    t = scalar_zero(a.regime)
-    for i in range(a.n):
-        t = t + a.entries[i][i]
-    return t
+    if a.regime == C64:
+        return sum((a.entries[i][i] for i in range(a.n)), complex(0))
+    den, re, im = grid(a)
+    diag = slice(None, None, a.n + 1)
+    return rational(sum(re[diag]), den) if im is None else gauss(sum(re[diag]), sum(im[diag]), den)
+
+
+def trace_form(a: Mat, b: Mat):
+    """tr(a b) = sum a_ij b_ji, read off the two grids without forming a b."""
+    _check_same(a, b)
+    if a.regime == C64:
+        return trace(mul(a, b))
+    (da, ra, ia), (db, rb, ib) = grid(a), grid(b)
+    rb = _transposed(rb, a.n)
+    if ia is None:
+        return rational(sum(map(_imul, ra, rb)), da * db)
+    ib = _transposed(ib, a.n)
+    re = sum(map(_imul, ra, rb)) - sum(map(_imul, ia, ib))
+    return gauss(re, sum(map(_imul, ra, ib)) + sum(map(_imul, ia, rb)), da * db)
 
 
 def equal(a: Mat, b: Mat) -> bool:
     _check_same(a, b)
     if a.regime == C64:
         raise RegimeMismatch("use close(a, b, tol) in the C64 regime")
-    return a.entries == b.entries
+    return grid(a) == grid(b)
 
 
 def close(a: Mat, b: Mat, tol: float = DEFAULT_TOL) -> bool:
     _check_same(a, b)
     if a.regime != C64:
-        return a.entries == b.entries
+        return grid(a) == grid(b)
     return max(
         abs(x - y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
     ) <= tol
@@ -268,32 +410,42 @@ def det(a: Mat):
 
 
 def _det_bareiss(a: Mat):
-    """Fraction-free determinant: clear each row's denominators, then one
-    Bareiss elimination over Z or Z[i], where every division by the previous
-    pivot is exact."""
+    """Fraction-free determinant of the grid: det a = det(re + i im) / den^n,
+    with det(re + i im) from one Bareiss elimination over Z, or over Z[i] on
+    (re, im) int pairs, where every division by the previous pivot is exact."""
     n = a.n
-    m, denom = [], 1
-    for row in a.entries:
-        xs, d = ring_row(row)
-        m.append(xs)
-        denom *= d
-    sign, prev = 1, None  # prev: the previous pivot, none before the first step
+    den, re, im = grid(a)
+    mr = [list(r) for r in _split(re, n)]
+    mi = None if im is None else [list(r) for r in _split(im, n)]
+    sign, qr, qi, qn = 1, 1, 0, 1  # qr + i qi: the previous pivot, qn its norm
     for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+        if not (mr[k][k] or (mi and mi[k][k])):
+            piv = next((i for i in range(k + 1, n) if mr[i][k] or (mi and mi[i][k])), None)
             if piv is None:
                 return scalar_zero(a.regime)
-            m[k], m[piv] = m[piv], m[k]
+            for m in filter(None, (mr, mi)):
+                m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        mk, p = m[k], m[k][k]
-        for mi in m[k + 1:]:
-            f = mi[k]
+        kr, pr = mr[k], mr[k][k]
+        if mi is None:
+            for ir in mr[k + 1:]:
+                f = ir[k]
+                for j in range(k + 1, n):
+                    ir[j] = (ir[j] * pr - f * kr[j]) // qr
+            qr = pr
+            continue
+        ki, pi = mi[k], mi[k][k]
+        for ir, ii in zip(mr[k + 1:], mi[k + 1:]):
+            fr, fi = ir[k], ii[k]
             for j in range(k + 1, n):
-                x = mi[j] * p - f * mk[j]
-                mi[j] = x if prev is None else exact_quotient(x, prev)
-        prev = p
-    last = m[n - 1][n - 1]
-    return quotient(last if sign > 0 else -last, denom)
+                xr = ir[j] * pr - ii[j] * pi - fr * kr[j] + fi * ki[j]
+                xi = ir[j] * pi + ii[j] * pr - fr * ki[j] - fi * kr[j]
+                # exact division by the previous pivot: times its conjugate, over its norm
+                ir[j] = (xr * qr + xi * qi) // qn
+                ii[j] = (xi * qr - xr * qi) // qn
+        qr, qi, qn = pr, pi, pr * pr + pi * pi
+    last = sign * mr[n - 1][n - 1]
+    return rational(last, den**n) if mi is None else gauss(last, sign * mi[n - 1][n - 1], den**n)
 
 
 def inv(a: Mat) -> Mat:
@@ -304,46 +456,71 @@ def inv(a: Mat) -> Mat:
         if abs(np.linalg.det(m)) < 1e-300:
             raise SingularMatrix("matrix is numerically singular")
         return _from_numpy(np.linalg.inv(m))
+    return _inv_small(a) if a.n <= 3 else _inv_rref(a)
+
+
+def _inv_rref(a: Mat) -> Mat:
+    """rref of [M | den I] on grid rows is [I | a^-1] for a = M / den."""
     n = a.n
-    if n <= 3:
-        return _inv_small(a)
-    one, zero = scalar_one(a.regime), scalar_zero(a.regime)
-    augmented = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(a.entries)]
-    m, pivots = rref(augmented, aug=n)
+    den, re, im = grid(a)
+    rows = [list(r) + [den if i == j else 0 for j in range(n)] for i, r in enumerate(_split(re, n))]
+    m, pivots = rref(rows, aug=n, im=None if im is None else [list(r) + [0] * n for r in _split(im, n)])
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return Mat(n, a.regime, tuple(tuple(m[i][n:]) for i in range(n)))
+    w = 1 if im is None else 2
+    # reduced row i reads p_i e_i | p_i (row i of a^-1), p_i a positive int
+    dens = [m[i][w * i] for i in range(n)]
+    top = lcm(*dens)
+    flat = [x * (top // d) for i, d in enumerate(dens) for x in m[i][w * n:]]
+    return _canon(n, a.regime, top, *_unzip(flat, a.regime))
 
 
 def _inv_small(a: Mat) -> Mat:
-    """Adjugate inverse for n <= 3 on the integer grid: with a = D^-1 M for
-    D the row denominators, a^-1 = adj(M) D / det(M)."""
-    rows = [ring_row(r) for r in a.entries]
-    e = [xs for xs, _ in rows]
-    dens = [d for _, d in rows]
+    """Adjugate inverse for n <= 3 on the grid: a = M / den has
+    a^-1 = den adj(M) / det(M), with adj(M) over Z, or over Z[i] on
+    (re, im) int pairs."""
     n = a.n
+    den, re, im = grid(a)
+    if im is None:
+        e, one, zero, times, plus, neg = _split(re, n), 1, 0, _imul, _iadd, _ineg
+    else:
+        e, one, zero = [list(zip(r, s)) for r, s in zip(_split(re, n), _split(im, n))], (1, 0), (0, 0)
+
+        def times(x, y):
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def plus(x, y):
+            return x[0] + y[0], x[1] + y[1]
+
+        def neg(x):
+            return -x[0], -x[1]
+
     if n == 1:
-        adj = [[GaussRational(1, 0) if a.regime == QC else 1]]
+        adj = [[one]]
     elif n == 2:
-        adj = [[e[1][1], -e[0][1]], [-e[1][0], e[0][0]]]
+        adj = [[e[1][1], neg(e[0][1])], [neg(e[1][0]), e[0][0]]]
     else:
         idx = ((1, 2), (0, 2), (0, 1))
 
         def cof(i, j):
             r1, r2 = idx[i]
             c1, c2 = idx[j]
-            m = e[r1][c1] * e[r2][c2] - e[r1][c2] * e[r2][c1]
-            return m if (i + j) % 2 == 0 else -m
+            m = plus(times(e[r1][c1], e[r2][c2]), neg(times(e[r1][c2], e[r2][c1])))
+            return m if (i + j) % 2 == 0 else neg(m)
 
         adj = [[cof(j, i) for j in range(3)] for i in range(3)]
-    d = e[0][0] * adj[0][0]
+    d = times(e[0][0], adj[0][0])
     for k in range(1, n):
-        d = d + e[0][k] * adj[k][0]
-    if not d:
+        d = plus(d, times(e[0][k], adj[k][0]))
+    if d == zero:
         raise SingularMatrix("matrix is singular")
-    return Mat(n, a.regime, tuple(
-        tuple(quotient(adj[i][j], d, dens[j]) for j in range(n)) for i in range(n)
-    ))
+    flat = [x for r in adj for x in r]
+    if im is None:
+        return _canon(n, QR, d, tuple([den * x for x in flat]))
+    # den adj / d = den adj conj(d) / |d|^2
+    dr, di = d
+    re = tuple([den * (x * dr + y * di) for x, y in flat])
+    return _canon(n, QC, dr * dr + di * di, re, tuple([den * (y * dr - x * di) for x, y in flat]))
 
 
 def rank_of(a: Mat, tol: float = DEFAULT_TOL) -> int:
@@ -351,7 +528,8 @@ def rank_of(a: Mat, tol: float = DEFAULT_TOL) -> int:
         import numpy as np
 
         return int(np.linalg.matrix_rank(_to_numpy(a), tol=tol))
-    _, pivots = rref(a.rows())
+    _, re, im = grid(a)
+    _, pivots = rref(_split(re, a.n), im=im and _split(im, a.n))
     return len(pivots)
 
 
@@ -384,10 +562,7 @@ def charpoly(a: Mat) -> list:
         c = -trace(m) * coerce_scalar(a.regime, Fraction(1, k))
         coeffs_desc.append(c)
         if k < n:
-            shifted = tuple(
-                tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m.entries)
-            )
-            m = mul(a, Mat(n, a.regime, shifted))
+            m = mul(a, add(m, smul(c, identity(n, a.regime))))
     return list(reversed(coeffs_desc))
 
 
@@ -562,19 +737,27 @@ class Basis:
     mats: tuple[Mat, ...]
 
     def gram(self) -> Mat:
+        """The trace form tr(X Y) on the basis; symmetric, so each pair once."""
         m = len(self.mats)
-        rows = [[trace(mul(self.mats[j], self.mats[k])) for k in range(m)] for j in range(m)]
-        return Mat(m, QR, tuple(tuple(r) for r in rows))
+        rows = [[None] * m for _ in range(m)]
+        for j in range(m):
+            for k in range(j, m):
+                rows[j][k] = rows[k][j] = trace_form(self.mats[j], self.mats[k])
+        return Mat(m, QR, tuple(map(tuple, rows)))
 
-    def coordinates(self, x: Mat) -> list[Fraction] | None:
-        """Coefficients of x in the basis, or None if x is outside the span."""
-        cols = [_flatten(b) for b in self.mats]
-        a = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-        return solve(a, _flatten(x))
+    @cached_property
+    def _inverse(self) -> Mat:
+        """The inverse of the basis matrix, whose column k is member k laid
+        flat; the n^2 members span M_n."""
+        flat = [[x for r in b.entries for x in r] for b in self.mats]
+        return _inv_rref(Mat(len(flat), QR, tuple(zip(*flat))))
 
-
-def _flatten(a: Mat) -> list:
-    return [x for row in a.entries for x in row]
+    def coordinates(self, x: Mat) -> list[Fraction]:
+        """Coefficients of x in the basis: one product of x's grid with the
+        inverse basis matrix, which is factored once per Basis."""
+        _check_same(self.mats[0], x)
+        (den, inverse, _), (dx, v, _) = grid(self._inverse), grid(x)
+        return [rational(sum(map(_imul, row, v)), den * dx) for row in _split(inverse, len(self.mats))]
 
 
 def build_basis(kind: str, n: int) -> Basis:

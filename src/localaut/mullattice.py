@@ -11,7 +11,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import (
     BadParameters,
@@ -237,24 +237,44 @@ def dep_exponent(a: Fraction, b: Fraction) -> Fraction | None:
     """q with a = b**q for positive rationals, or None when independent.
 
     The relation "a ~ b iff a = b**q for some rational q != 0" partitions the
-    positive rationals into classes; this computes the witness exponent.
+    positive rationals into classes; this computes the witness exponent
+    without factoring: the exponents of a and b over a coprime base of their
+    numerators and denominators must be proportional.
     """
     if a <= 0 or b <= 0:
         raise BadParameters("dep_exponent is defined on positive rationals")
-    ea = factor(a).exponents()
-    eb = factor(b).exponents()
-    if not ea and not eb:
-        return Fraction(1)  # both are 1
-    if not ea or not eb:
-        return None  # exactly one is 1: no q in Q* relates them
-    if set(ea) != set(eb):
-        return None
-    items = sorted(ea)
-    q = Fraction(ea[items[0]], eb[items[0]])
-    for p in items[1:]:
-        if Fraction(ea[p], eb[p]) != q:
-            return None
-    return q
+    base = _coprime_base((a.numerator, a.denominator, b.numerator, b.denominator))
+    ea, eb = ([_valuation(x.numerator, p) - _valuation(x.denominator, p) for p in base] for x in (a, b))
+    if not any(ea) or not any(eb):
+        return Fraction(1) if ea == eb else None  # 1 ~ 1 only
+    q = next(Fraction(x, y) for x, y in zip(ea, eb) if y)
+    return q if all(x == q * y for x, y in zip(ea, eb)) else None
+
+
+def _coprime_base(xs) -> list[int]:
+    """Pairwise coprime ints > 1 whose powers multiply to each x in xs.
+    Splitting two members with a common factor g into g and the cofactors
+    lowers the product of all members, so this ends."""
+    base: list[int] = []
+    todo = [x for x in xs if x > 1]
+    while todo:
+        x = todo.pop()
+        y = next((y for y in base if gcd(x, y) > 1), None)
+        if y is None:
+            base.append(x)
+        else:
+            g = gcd(x, y)
+            base.remove(y)
+            todo += [z for z in (g, x // g, y // g) if z > 1]
+    return base
+
+
+def _valuation(x: int, p: int) -> int:
+    """The largest e with p**e dividing x, for x >= 1 and p > 1."""
+    e = 0
+    while x % p == 0:
+        x, e = x // p, e + 1
+    return e
 
 
 def relations(values) -> list[list[int]]:
@@ -267,13 +287,11 @@ def relations(values) -> list[list[int]]:
     """
     exps = [(v if isinstance(v, SignedFactored) else factor(v)).exponents() for v in values]
     primes = sorted({p for e in exps for p in e})
-    rows = [[Fraction(e.get(p, 0)) for e in exps] for p in primes] or [[Fraction(0)] * len(exps)]
+    rows = [[e.get(p, 0) for e in exps] for p in primes] or [[0] * len(exps)]
     out = []
-    for rel in nullspace(rows):
-        denom = lcm(*(x.denominator for x in rel))
-        ints = [int(x * denom) for x in rel]
-        g = gcd(*ints)
-        out.append([x // g for x in ints])
+    for rel, _ in nullspace(rows):
+        g = gcd(*rel)
+        out.append([x // g for x in rel])
     return out
 
 

@@ -79,7 +79,7 @@ from .matrices import (
     scalar_zero,
     smul,
     sub,
-    trace,
+    trace_form,
     transpose,
     zeros,
 )
@@ -472,11 +472,12 @@ def _fit_basis(oracle: Oracle, kind: str, seed: int) -> Mat:
         probe = b if d == 1 else smul(Fraction(-1), b)
         raw = _unwrap(kind, oracle.query(probe))
         images.append(raw if d == 1 else smul(Fraction(-1), raw))
-    # trace-form certificate: tr(psi(B_i) psi(B_j)) must equal tr(B_i B_j)
+    # trace-form certificate: tr(psi(B_i) psi(B_j)) must equal tr(B_i B_j),
+    # symmetric in i and j
     gram_src = basis.gram()
     for i in range(n * n):
-        for j in range(n * n):
-            if trace(mul(images[i], images[j])) != gram_src[i, j]:
+        for j in range(i, n * n):
+            if trace_form(images[i], images[j]) != gram_src[i, j]:
                 raise _Stop("trace form is not preserved on the basis")
     # linear extension on the idempotent spanning family
     pairs = []

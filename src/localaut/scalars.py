@@ -116,10 +116,11 @@ def gq(re, im=0) -> GaussRational:
 # ---------------------------------------------------------------------------
 # integer grids: the exact kernels compute over Z and Z[i]
 #
-# A row of exact scalars is cleared once to integers over one common
-# denominator d. A rational x becomes the int x*d; a Gaussian rational
-# becomes the (re, im) int pair of x*d, laid flat, so a row of k Gaussian
-# rationals is 2k ints. Field scalars are built back once per output entry.
+# A matrix keeps its own grid (matrices.Mat). A row of exact scalars given
+# to exactlinalg.rref is cleared once to integers over one common
+# denominator d: a rational x becomes the int x*d, a Gaussian rational the
+# (re, im) int pair of x*d, laid flat, so a row of k Gaussian rationals is
+# 2k ints. Field scalars are built back once per output entry.
 
 _Q0 = Fraction(0)
 
@@ -156,33 +157,6 @@ def field_row(ints: list[int], den: int, width: int) -> list:
     if width == 1:
         return [rational(x, den) for x in ints]
     return [gauss(ints[j], ints[j + 1], den) for j in range(0, len(ints), 2)]
-
-
-def ring_row(row) -> tuple[list, int]:
-    """(xs, d) with row = xs / d: xs are ints over Q and Gaussian integers
-    over Q(i), held as GaussRational with int parts (its +, -, * and
-    conjugate stay on them)."""
-    ints, d = clear_row(row)
-    if isinstance(row[0], GaussRational):
-        return [GaussRational(ints[j], ints[j + 1]) for j in range(0, len(ints), 2)], d
-    return ints, d
-
-
-def exact_quotient(x, y):
-    """x / y for ring elements of ring_row when y divides x."""
-    if isinstance(y, GaussRational):
-        z, n = x * y.conjugate(), y.abs2()
-        return GaussRational(z.re // n, z.im // n)
-    return x // y
-
-
-def quotient(x, y, scale: int = 1):
-    """scale * x / y as a field scalar, for ring elements of ring_row, y nonzero."""
-    if isinstance(y, GaussRational):
-        x, y = x * y.conjugate(), y.abs2()
-    if isinstance(x, GaussRational):
-        return gauss(x.re * scale, x.im * scale, y)
-    return rational(x * scale, y)
 
 
 def iroot(k: int, n: int) -> int | None:

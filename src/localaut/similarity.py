@@ -17,11 +17,13 @@ from .errors import BadParameters, RegimeMismatch, ResidualFail
 from .exactlinalg import nullspace
 from .matrices import (
     C64,
+    QR,
     Mat,
     close,
     det,
+    from_grid,
+    grid,
     mul,
-    scalar_zero,
     smul,
     add,
     zeros,
@@ -42,31 +44,38 @@ class SimilarityResult:
 
 
 def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
-    """Exact basis of {S : S A_i = B_i S}."""
+    """Exact basis of {S : S A_i = B_i S}.
+
+    The equation at (p, q) is sum_k S_pk A_kq - B_pk S_kq = 0; times
+    da db it has integer coefficients, read off the grids of A = ra / da
+    and B = rb / db (re and im parts apart over Q(i))."""
     if not pairs:
         raise BadParameters("at least one pair is required")
     n = pairs[0][0].n
     regime = pairs[0][0].regime
     if regime == C64:
         raise RegimeMismatch("exact regimes only; use numeric_intertwiner_basis")
-    zero = scalar_zero(regime)
-    rows: list[list] = []
+    rows: list[list[int]] = []
+    ims: list[list[int]] | None = None if regime == QR else []
     for a, b in pairs:
         if a.n != n or b.n != n or a.regime != regime or b.regime != regime:
             raise RegimeMismatch("all pairs must share size and regime")
-        for p in range(n):
-            for q in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    row[p * n + k] = row[p * n + k] + a.entries[k][q]
-                    row[k * n + q] = row[k * n + q] - b.entries[p][k]
-                rows.append(row)
-    basis_vecs = nullspace(rows)
-    out = []
-    for v in basis_vecs:
-        ent = tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
-        out.append(Mat(n, regime, ent))
-    return out
+        da, ra, ia = grid(a)
+        db, rb, ib = grid(b)
+        for xa, xb, system in ((ra, rb, rows), (ia, ib, ims)):
+            if system is None:
+                continue
+            for p in range(n):
+                for q in range(n):
+                    row = [0] * (n * n)
+                    for k in range(n):
+                        row[p * n + k] += xa[k * n + q] * db
+                        row[k * n + q] -= xb[p * n + k] * da
+                    system.append(row)
+    # kernel vectors hold (re, im) pairs laid flat over Q(i)
+    w = 1 if ims is None else 2
+    kernel = nullspace(rows, im=ims)
+    return [from_grid(regime, den, v[0::w], v[1::2] if ims else None) for v, den in kernel]
 
 
 def _combine(basis: list[Mat], coeffs) -> Mat:

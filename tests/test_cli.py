@@ -328,7 +328,7 @@ def _scaled_map_file(tmp_path, group, regime, dets, scale):
 @pytest.mark.parametrize(
     "group, regime, dets, code, field, value",
     [
-        ("gl-r-3", QR, [2, 3], 4, "error", "DomainNotFactorable"),
+        ("gl-r-3", QR, [2, 3], 0, "status", "LocallyConsistent"),
         ("gl-c-3", QC, [2, GaussRational(1, -1)], 0, "status", "Inconclusive"),
     ],
 )

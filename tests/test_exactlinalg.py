@@ -44,6 +44,14 @@ def test_solve_inconsistent_is_none():
     assert solve(a, [Fraction(1), Fraction(3)]) is None
 
 
+def test_int_rows_are_grid_rows_except_to_solve():
+    a = [[2, 4], [1, 3]]
+    assert solve(a, [2, 1]) == solve([[Fraction(x) for x in r] for r in a], [Fraction(2), Fraction(1)]) == [1, 0]
+    assert rref(a) == ([[1, 0], [0, 1]], [0, 1])
+    assert nullspace([[2, 4]]) == [([-2, 1], 1)]
+    assert nullspace([[1, 0]], im=[[0, 2]]) == [([0, -2, 1, 0], 1)]
+
+
 def test_nullspace_vectors_annihilate():
     rng = random.Random(3)
     for _ in range(20):

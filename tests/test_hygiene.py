@@ -122,3 +122,44 @@ def _imported_modules(tree):
 @pytest.mark.parametrize("module", ["localcheck.py", "gallery.py"])
 def test_checkers_do_not_import_the_recovery_engines(module):
     assert "recover" not in set(_imported_modules(_parse(SRC / module)))
+
+
+# Mat's integer grid belongs to matrices; the grid helpers of scalars serve
+# the two kernel modules; the ring helpers the grid superseded are gone
+GRID_SLOTS = {"_grid", "_entries"}
+GRID_PRIVATE = {"_grid_mat", "_canon"}
+SCALAR_GRID_HELPERS = {"clear_row", "field_row", "int_width", "rational", "gauss"}
+SUPERSEDED = {"ring_row", "exact_quotient", "quotient"}
+
+
+def _imports_from(tree, module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def test_only_matrices_touches_the_grid():
+    found = []
+    for path in MODULES:
+        if path.name == "matrices.py":
+            continue
+        tree = _parse(path)
+        found += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in GRID_SLOTS
+        ]
+        found += [f"{path.name}:{line} {name}" for line, name in _imports_from(tree, "matrices") if name in GRID_PRIVATE]
+    assert found == []
+
+
+def test_grid_helpers_serve_the_kernels_and_the_ring_helpers_are_gone():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for line, name in _imports_from(_parse(path), "scalars")
+        if name in SUPERSEDED or (name in SCALAR_GRID_HELPERS and path.name not in {"matrices.py", "exactlinalg.py"})
+    ]
+    assert found == []
+    defined = {node.name for path in MODULES for node in ast.walk(_parse(path)) if isinstance(node, ast.FunctionDef)}
+    assert defined & SUPERSEDED == set()

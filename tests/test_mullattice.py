@@ -150,6 +150,35 @@ def test_dep_exponent_cases():
     assert dep_exponent(Fraction(12), Fraction(18)) is None
 
 
+def test_dep_exponent_past_the_factoring_limit():
+    assert dep_exponent(Fraction(2**1201), Fraction(3 * 2**1200)) is None
+    assert dep_exponent(Fraction(2**1201), Fraction(2**2402)) == Fraction(1, 2)
+    assert dep_exponent(Fraction(6**90, 35**90), Fraction(35**60, 6**60)) == Fraction(-3, 2)
+
+
+def _dep_by_factoring(a, b):
+    """The exponent q with a = b**q read off the prime factorizations."""
+    ea, eb = factor(a).exponents(), factor(b).exponents()
+    if not ea or not eb:
+        return Fraction(1) if ea == eb else None
+    if set(ea) != set(eb):
+        return None
+    qs = {Fraction(ea[p], eb[p]) for p in ea}
+    return qs.pop() if len(qs) == 1 else None
+
+
+positive = st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40).filter(lambda q: q > 0)
+power = st.integers(-6, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive, positive, power, power, st.booleans())
+def test_dep_exponent_agrees_with_factoring(r, s, i, j, related):
+    # related pairs share a base r; the others are two independent draws
+    a, b = (r**i, r**j) if related else (r**i, s**j)
+    assert dep_exponent(a, b) == _dep_by_factoring(a, b)
+
+
 def test_lattice_rejects_dependent_generators():
     with pytest.raises(BadParameters):
         make_lattice(2, 4)
