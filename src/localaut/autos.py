@@ -81,10 +81,6 @@ class Automorphism:
             self._tinv = inv(self.t)
         return self._tinv
 
-    def describe(self) -> str:
-        gbit = "trivial g" if self.g is None else f"g={type(self.g).__name__}"
-        return f"{self.group.family}_{self.group.n}({self.group.field}) {self.kind}, sigma={self.sigma}, {gbit}"
-
 
 def make_automorphism(
     group: GroupTag,
@@ -231,7 +227,7 @@ def compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
     return make_automorphism(group, kind, sigma, t, g)
 
 
-def _power_data(g, n: int, kind: str, circle: bool):
+def _power_data(g, n: int, kind: str):
     """(c, flip, e) for power-type g: the exponent of g, the sign twist, and
     the exponent of the induced determinant map f."""
     if g is None:
@@ -263,8 +259,8 @@ def _compose_scalars(outer: Automorphism, inner: Automorphism, n: int):
         if k == 0:
             return None
         return PowerFunc(Fraction(k), ambient=CIRCLE)
-    c1, flip1, e1 = _power_data(inner.g, n, inner.kind, circle=False)
-    c2, flip2, e2 = _power_data(outer.g, n, outer.kind, circle=False)
+    c1, flip1, e1 = _power_data(inner.g, n, inner.kind)
+    c2, flip2, e2 = _power_data(outer.g, n, outer.kind)
     # det phi1(A) = f1(det A); the outer scalar sees it, the inner scalar
     # passes through the outer conjugation (inverted by a contragredient)
     eps = -1 if outer.kind == CONTRAGREDIENT else 1
@@ -309,7 +305,7 @@ def invert(auto: Automorphism) -> Automorphism:
         kp = -k * e  # solves e * kp + k = 0 against f inverse exponent 1/e = e
         g = PowerFunc(Fraction(kp), ambient=CIRCLE) if kp else None
         return make_automorphism(group, STANDARD, sigma, s, g)
-    c, flip, e = _power_data(auto.g, n, auto.kind, circle=False)
+    c, flip, e = _power_data(auto.g, n, auto.kind)
     if e == 0:
         raise BadParameters("scalar map is not invertible")
     if auto.kind == STANDARD:

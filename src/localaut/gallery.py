@@ -17,7 +17,7 @@ from fractions import Fraction
 from .autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from .errors import OddN, TooFewGenerators
 from .localcheck import SampleMap, check_map
-from .matrices import GroupTag, QR, det, diag_first, identity, mul, random_sl, smul
+from .matrices import GroupTag, QR, det, diag_first, equal, identity, mul, random_sl, smul
 from .scalarmaps import PowerFunc, check_M1r, det_relation_refutations, induced
 
 H_VALUES = {Fraction(2): Fraction(2), Fraction(3): Fraction(9), Fraction(6): Fraction(6)}
@@ -255,7 +255,7 @@ def verify_entry(entry: GalleryEntry, seed: int = 0) -> dict:
         h2, h3, h6 = (H_VALUES[Fraction(d)] for d in (2, 3, 6))
         identity_violated = h2 * h3 != h6
         (b2, o2), (b3, o3), (b6, o6) = entry.sample_map.samples
-        product_violated = equal_mats(mul(b2, b3), b6) and not equal_mats(mul(o2, o3), o6)
+        product_violated = equal(mul(b2, b3), b6) and not equal(mul(o2, o3), o6)
         refs = det_relation_refutations(entry.artifacts["f_table_exact"])
         return {
             "ok": pairwise_ok and identity_violated and product_violated and bool(refs),
@@ -293,14 +293,8 @@ def verify_entry(entry: GalleryEntry, seed: int = 0) -> dict:
         for _ in range(20):
             a = mul(random_sl(n, QR, rng), diag_first(n, Fraction(rng.choice([-2, -1, 1, 3])), QR))
             b = mul(random_sl(n, QR, rng), diag_first(n, Fraction(rng.choice([-3, -1, 1, 2])), QR))
-            if not equal_mats(apply(auto, mul(a, b)), mul(apply(auto, a), apply(auto, b))):
+            if not equal(apply(auto, mul(a, b)), mul(apply(auto, a), apply(auto, b))):
                 hom_ok = False
                 break
         return {"ok": class_ok and hom_ok, "class_check": class_ok, "homomorphism": hom_ok}
     raise KeyError(f"unknown gallery entry {entry.name!r}")
-
-
-def equal_mats(a, b) -> bool:
-    from .matrices import equal
-
-    return equal(a, b)

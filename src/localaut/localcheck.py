@@ -164,9 +164,7 @@ def _candidates(group: GroupTag, ratio_a, ratio_b, n: int):
 
 def _scalar_pair_ok(group, kind, da, ca, db, cb, n, tol) -> tuple[bool, str]:
     if group.family == "Un":
-        return pair_ok_mu(
-            complex(da), complex(ca), complex(db), complex(cb), n, None, max(tol, 1e-8)
-        )
+        return pair_ok_mu(complex(da), complex(ca), complex(db), complex(cb), n, max(tol, 1e-8))
     first = kind == STANDARD
     if group.field == "R":
         if da == db:

@@ -823,17 +823,14 @@ def random_sl(n: int, regime: str, rng: random.Random, length: int = 3) -> Mat:
     return out
 
 
-def random_gl(n: int, regime: str, rng: random.Random, dets=None) -> Mat:
+def random_gl(n: int, regime: str, rng: random.Random) -> Mat:
     a = random_sl(n, regime, rng)
-    if dets is None:
-        if regime == QR:
-            d = rng.choice([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1), Fraction(-2), Fraction(4)])
-        elif regime == QC:
-            d = rng.choice([GaussRational(Fraction(1), Fraction(1)), GaussRational(Fraction(0), Fraction(2)), GaussRational(Fraction(2)), GaussRational(Fraction(1), Fraction(-1))])
-        else:
-            d = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+    if regime == QR:
+        d = rng.choice([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1), Fraction(-2), Fraction(4)])
+    elif regime == QC:
+        d = rng.choice([GaussRational(Fraction(1), Fraction(1)), GaussRational(Fraction(0), Fraction(2)), GaussRational(Fraction(2)), GaussRational(Fraction(1), Fraction(-1))])
     else:
-        d = rng.choice(list(dets))
+        d = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
     rows = a.rows()
     rows[0] = [coerce_scalar(regime, d) * v for v in rows[0]]
     return Mat(n, regime, tuple(tuple(r) for r in rows))

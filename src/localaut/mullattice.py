@@ -330,9 +330,6 @@ class MulLattice:
     def rank(self) -> int:
         return len(self.generators)
 
-    def generator_values(self) -> list[Fraction]:
-        return [g.value() for g in self.generators]
-
 
 def make_lattice(*gens) -> MulLattice:
     """Lattice from positive rationals (Fractions or ints)."""
@@ -389,14 +386,6 @@ class LatticeHom:
         out = Fraction(1) if vec.sign == 1 else Fraction(self.sign_image)
         for img, e in zip(self.images, vec.exps):
             out *= img ** int(e)
-        return out
-
-    def table_on(self, points) -> dict[Fraction, Fraction]:
-        out = {}
-        for x in points:
-            v = self.evaluate(Fraction(x))
-            if v is not None:
-                out[Fraction(x)] = v
         return out
 
 
@@ -468,15 +457,6 @@ class CircleLattice:
             out *= g.witness ** int(e)
         return out
 
-    def angle_exact(self, exps) -> Fraction | None:
-        """Total angle in turns when every generator is rational-angle."""
-        total = Fraction(0)
-        for g, e in zip(self.generators, exps):
-            if g.angle is None:
-                return None
-            total += g.angle * int(e)
-        return total % 1
-
     def match(self, z: complex, bound: int = 6, tol: float = 1e-9) -> tuple[int, ...] | None:
         """Bounded search for exponents with value ~ z, used to read dets back."""
         m = len(self.generators)
@@ -530,6 +510,3 @@ class CircleHom:
 
     def evaluate(self, exps) -> complex:
         return self.lattice.value(self.apply_exponents(exps))
-
-    def exponent_matrix(self) -> list[list[int]]:
-        return [list(r) for r in self.images]

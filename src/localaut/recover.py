@@ -7,8 +7,9 @@ automorphism. The workhorse observations:
 
 * a probe with spectrum {s, t, ..., t} distinguishes A from the
   contragredient transpose-inverse, whose spectrum is inverted;
-* shear images phi(I + E_ij) - I are the rank-one matrices
-  (T e_i)(e_j^t T^-1), so their coherent factorization reads T off directly;
+* the shears I + E_ij generate M_n, so the intertwiner space of the
+  shears and their images is one line of invertible matrices, which
+  gives T, or zero, which refutes every automorphism;
 * diagonal determinant probes isolate scalar character values entrywise.
 
 Every engine is one pipeline run by `_drive`: detect the kind (or sigma),
@@ -62,7 +63,6 @@ from .matrices import (
     det,
     diag_first,
     equal,
-    identity,
     inv,
     is_rank_one_idempotent,
     make_E,
@@ -78,7 +78,6 @@ from .matrices import (
     scalar_one,
     scalar_zero,
     smul,
-    sub,
     trace_form,
     transpose,
     zeros,
@@ -305,7 +304,7 @@ def _ratio(observed: Mat, model: Mat, tol: float, reason: str, **extra):
 # stage: detect the kind
 
 
-def detect_kind(oracle: Oracle, tol: float = DEFAULT_TOL):
+def detect_kind(oracle: Oracle):
     """Probe with spectrum {(1/2)^(n-1), 2, ..., 2}; the contragredient
     inverts it. Returns (kind, note) or a refutation string."""
     n = oracle.group.n
@@ -352,77 +351,32 @@ def _shear(n, regime, i, j, value=Fraction(1)) -> Mat:
 
 def _fit_shears(oracle: Oracle, kind: str, regime: str) -> Mat:
     """The normalized S with unwrapped image S A_sigma S^-1, read off the
-    n^2 - n shear images I + E_ij."""
-    # after the contragredient unwrap the map is S A_sigma S^-1 with
-    # S = (T^t)^-1, so every shear block lands at its own (i, j)
+    n^2 - n shear images I + E_ij as their intertwiner.
+
+    The fit is a certificate. If S A = B S, then A maps ker S into itself,
+    and so does E_ij = A - I for every shear A = I + E_ij. The E_ij with
+    i != j generate M_n as an algebra (E_ij E_ji = E_ii), so ker S is 0 or
+    everything: every nonzero intertwiner is invertible. Two of them, S and
+    S', give S'^-1 S commuting with all of M_n, a scalar. So the intertwiner
+    space is {0}, which refutes every automorphism, or one line of invertible
+    matrices whose first basis element is the answer; the similarity solver
+    never searches.
+    """
+    # shears are real, so sigma fixes them; after the contragredient unwrap
+    # the map is S A_sigma S^-1 with S = (T^t)^-1
     n = oracle.group.n
-    blocks = {}
+    pairs = []
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            img = _unwrap(kind, oracle.query(_shear(n, regime, i, j)))
-            blocks[(i, j)] = sub(img, identity(n, regime))
-    fact = _found(_factor_rank_one_family(blocks, n), "shear images are not rank-one coherent")
-    s_mat = _found(_assemble_t(*fact, regime), "shear factors do not assemble to a similarity")
-    return _normalize_first_nonzero(s_mat)
-
-
-def _factor_rank_one_family(blocks: dict, n: int):
-    """Given M[i,j] = u_i w_j^t for i != j, recover (u, w) exactly or None.
-
-    The gauge (u -> a u, w -> w / a) is harmless: any coherent choice
-    reproduces T X T^-1.
-    """
-    m12 = blocks[(0, 1)]
-    u1 = None
-    for c in range(n):
-        col = [m12[r, c] for r in range(n)]
-        if any(col):
-            u1 = col
-            break
-    if u1 is None:
-        return None
-    r0 = next(r for r in range(n) if u1[r])
-    ws = [None] * n
-    for j in range(1, n):
-        mj = blocks[(0, j)]
-        ws[j] = [mj[r0, c] / u1[r0] for c in range(n)]
-    us = [None] * n
-    us[0] = u1
-    for i in range(1, n):
-        jp = 1 if i != 1 else 2
-        wj = ws[jp]
-        c0 = next((c for c in range(n) if wj[c]), None)
-        if c0 is None:
-            return None
-        mi = blocks[(i, jp)]
-        us[i] = [mi[r, c0] / wj[c0] for r in range(n)]
-    # w_0 comes last, from M[1,0] = u_1 w_0^t
-    m10 = blocks[(1, 0)]
-    r1 = next((r for r in range(n) if us[1][r]), None)
-    if r1 is None:
-        return None
-    ws[0] = [m10[r1, c] / us[1][r1] for c in range(n)]
-    # exact coherence check over every block
-    for (i, j), mij in blocks.items():
-        for r in range(n):
-            for c in range(n):
-                if mij[r, c] != us[i][r] * ws[j][c]:
-                    return None
-    return us, ws
-
-
-def _assemble_t(us, ws, regime) -> Mat | None:
-    """Columns u_i and rows w_j with W T = c I give T and T^-1 = W / c."""
-    n = len(us)
-    t = mat([[us[j][i] for j in range(n)] for i in range(n)], regime)
-    w = mat([ws[i] for i in range(n)], regime)
-    prod = mul(w, t)
-    c = prod[0, 0]
-    if not c or not close(prod, smul(c, identity(n, regime))):
-        return None
-    return t
+            if i != j:
+                shear = _shear(n, regime, i, j)
+                pairs.append((shear, _unwrap(kind, oracle.query(shear))))
+    res = simultaneous_similarity(pairs)
+    if res.status == "NoSolution":
+        raise _Stop(f"shear images admit no similarity: {res.note}")
+    if res.status != "Solved":
+        raise _Stop(f"shear images gave no similarity: {res.note}", status="Inconclusive")
+    return _normalize_first_nonzero(res.s)
 
 
 def _normalize_first_nonzero(t: Mat) -> Mat:
@@ -434,19 +388,14 @@ def _normalize_first_nonzero(t: Mat) -> Mat:
 
 
 def _detect_sigma_exact(oracle, kind, s_mat, n, regime) -> str | None:
-    """Probe I + i E_12; after unwrap the image is I + sigma(i) S E_12 S^-1."""
+    """The sigma whose model S sigma(P) S^-1 equals the unwrapped image of
+    the probe P = I + i E_12, or None."""
     probe = _shear(n, regime, 0, 1, GQ_I)
     img = _unwrap(kind, oracle.query(probe))
-    m = sub(img, identity(n, regime))
-    model = mul(mul(s_mat, _e_matrix(n, regime, 0, 1)), inv(s_mat))
-    try:
-        c = scalar_ratio(m, model)
-    except ResidualFail:
-        return None
-    if c == GQ_I:
-        return SIGMA_ID
-    if c == GQ_I.conjugate():
-        return SIGMA_CONJ
+    s_inv = inv(s_mat)
+    for sigma in (SIGMA_ID, SIGMA_CONJ):
+        if equal(img, mul(mul(s_mat, apply_sigma(probe, sigma)), s_inv)):
+            return sigma
     return None
 
 

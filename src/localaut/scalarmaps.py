@@ -16,13 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import AmbientMismatch, BadParameters, ZeroInput
-from .mullattice import (
-    CircleHom,
-    CircleLattice,
-    LatticeHom,
-    dep_exponent,
-    relations,
-)
+from .mullattice import CircleHom, LatticeHom, dep_exponent, relations
 from .matrices import QR, det, mat
 from .scalars import GQ_ONE, GaussRational, rational_pow
 
@@ -463,73 +457,19 @@ def check_Mu(g, n: int) -> ClassCheck:
     raise BadParameters(f"unsupported MulFunc for Mu: {type(g).__name__}")
 
 
-def pair_ok_mu(
-    d1: complex,
-    c1: complex,
-    d2: complex,
-    c2: complex,
-    n: int,
-    lattice: CircleLattice | None = None,
-    tol: float = 1e-8,
-) -> tuple[bool, str]:
+def pair_ok_mu(d1: complex, c1: complex, d2: complex, c2: complex, n: int, tol: float = 1e-8) -> tuple[bool, str]:
     """Evidence-grade circle pair check for g in Mu through two det/value pairs.
 
-    Certifiable necessary conditions only: unit moduli, h-transport along
-    integer dependence relations the declared lattice exposes, and torsion
-    order preservation for rational-angle determinants.
+    Certifiable necessary conditions only: unit moduli, and f(1) = 1 for the
+    induced f.
     """
     for z, c in ((d1, c1), (d2, c2)):
         if abs(abs(z) - 1) > tol or abs(abs(c) - 1) > tol:
             return False, "circle data must stay on the circle"
-    h1 = induced(d1, c1, n)
-    h2 = induced(d2, c2, n)
-    if abs(d1 - 1) <= tol and abs(h1 - 1) > tol:
-        return False, "f(1) must be 1"
-    if abs(d2 - 1) <= tol and abs(h2 - 1) > tol:
-        return False, "f(1) must be 1"
-    if lattice is None:
-        return True, "no lattice declared; nothing further is certifiable"
-    e1 = lattice.match(d1, tol=tol)
-    e2 = lattice.match(d2, tol=tol)
-    if e1 is None or e2 is None:
-        return True, "determinants outside the declared lattice; nothing further is certifiable"
-    rel = _integer_relation(e1, e2)
-    if rel is not None:
-        k1, k2 = rel
-        if abs(h1**k1 - h2**k2) > 10 * tol:
-            return False, f"transport fails along {k1} * exps(d1) = {k2} * exps(d2)"
-    ang1 = lattice.angle_exact(e1)
-    if ang1 is not None and ang1 != 0:
-        order = ang1.denominator
-        if abs(h1**order - 1) > 10 * tol:
-            return False, "torsion order is not preserved"
-    ang2 = lattice.angle_exact(e2)
-    if ang2 is not None and ang2 != 0:
-        order = ang2.denominator
-        if abs(h2**order - 1) > 10 * tol:
-            return False, "torsion order is not preserved"
+    for z, c in ((d1, c1), (d2, c2)):
+        if abs(z - 1) <= tol and abs(induced(z, c, n) - 1) > tol:
+            return False, "f(1) must be 1"
     return True, ""
-
-
-def _integer_relation(e1, e2) -> tuple[int, int] | None:
-    """Smallest (k1, k2) with k1 * e1 = k2 * e2, if a relation exists."""
-    if all(v == 0 for v in e1) and all(v == 0 for v in e2):
-        return (1, 1)
-    if all(v == 0 for v in e1) or all(v == 0 for v in e2):
-        return None
-    num = den = None
-    for a, b in zip(e1, e2):
-        if a == 0 and b == 0:
-            continue
-        if a == 0 or b == 0:
-            return None
-        r = Fraction(a, b)
-        if num is None:
-            num, den = r.numerator, r.denominator
-        elif Fraction(num, den) != r:
-            return None
-    # e1 / e2 = num / den componentwise: den * e1 = num * e2
-    return (den, num)
 
 
 # ---------------------------------------------------------------------------

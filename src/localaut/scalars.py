@@ -79,9 +79,6 @@ class GaussRational:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 

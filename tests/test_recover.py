@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localaut.autos import (
     CONTRAGREDIENT,
@@ -30,6 +32,7 @@ from localaut.matrices import (
     random_sl,
     random_unitary,
     smul,
+    transpose,
 )
 from localaut.recover import (
     AutomorphismOracle,
@@ -46,6 +49,7 @@ from localaut.recover import (
     recover_un,
 )
 from localaut.scalarmaps import PowerFunc, evaluate
+from localaut.similarity import intertwiner_basis
 
 F = Fraction
 
@@ -124,6 +128,72 @@ def test_gl_real_screens_every_det_before_any_pair(h):
     rep = recover_glnr(oracle, dets=list(h), seed=0, verify_probes=10)
     assert rep.status == "Refuted"
     assert rep.refutation == {"reason": "scalar class violated at det 3: g(3) must be positive"}
+
+
+def _shear(n, regime, i, j, value=1):
+    return mat([[F(int(r == c)) + (value if (r, c) == (i, j) else 0) for c in range(n)] for r in range(n)], regime)
+
+
+def _shear_pairs(auto):
+    """(I + E_ij, unwrapped image) for every shear: the pairs the shear fit solves."""
+    n, regime = auto.group.n, auto.t.regime
+    pairs = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                shear = _shear(n, regime, i, j)
+                img = apply(auto, shear)
+                pairs.append((shear, img if auto.kind == STANDARD else transpose(inv(img))))
+    return pairs
+
+
+@st.composite
+def _shear_cases(draw):
+    regime = draw(st.sampled_from((QR, QC)))
+    sigma = draw(st.sampled_from((SIGMA_ID, SIGMA_CONJ))) if regime == QC else SIGMA_ID
+    kind = draw(st.sampled_from((STANDARD, CONTRAGREDIENT)))
+    n = draw(st.integers(3, 5))
+    return regime, n, kind, sigma, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_shear_cases())
+def test_shear_intertwiners_of_an_automorphism_are_one_line(case):
+    """The shears generate M_n, so an automorphism's shear pairs have a
+    one-dimensional intertwiner space, and the fit reads T off it."""
+    regime, n, kind, sigma, seed = case
+    t = random_gl(n, regime, random.Random(seed))
+    group = GroupTag("SL", "R" if regime == QR else "C", n)
+    auto = make_automorphism(group, kind, sigma, t)
+    assert len(intertwiner_basis(_shear_pairs(auto))) == 1
+    rep = recover_sln_common(AutomorphismOracle(auto), seed=0, verify_probes=2)
+    assert rep.status == "Recovered"
+    assert (rep.auto.kind, rep.auto.sigma) == (kind, sigma)
+    assert _scalar_ratio_ok(rep.auto.t, t)
+
+
+def test_incoherent_shear_scaling_is_refuted():
+    """I + E_ij -> I + d_i E_ij with d = (2, 1, 1): each shear image is a
+    shear, but no single similarity moves them all."""
+    group, d = GroupTag("SL", "R", 3), (2, 1, 1)
+    shears = {(i, j): _shear(3, QR, i, j) for i in range(3) for j in range(3) if i != j}
+
+    def fn(a):
+        hit = next((ij for ij, s in shears.items() if equal(a, s)), None)
+        return a if hit is None else _shear(3, QR, *hit, value=d[hit[0]])
+
+    pairs = [(s, fn(s)) for s in shears.values()]
+    assert intertwiner_basis(pairs) == []
+    rep = recover_sln_common(FunctionOracle(group, fn), seed=0, verify_probes=5)
+    assert rep.status == "Refuted"
+    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
+
+
+@pytest.mark.parametrize("engine, spec", [(recover_sln_common, ("SL", "C", 3)), (recover_glnr, ("GL", "R", 3))])
+def test_transpose_is_refuted_at_the_shear_fit(engine, spec):
+    rep = engine(FunctionOracle(GroupTag(*spec), transpose), seed=0, verify_probes=5)
+    assert rep.status == "Refuted"
+    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
 
 
 def test_su_round_trip_detects_conjugation():

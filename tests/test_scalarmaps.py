@@ -28,6 +28,7 @@ from localaut.scalarmaps import (
     check_P,
     evaluate,
     pair_ok_cstar,
+    pair_ok_mu,
     pair_ok_rclass,
 )
 from localaut.scalars import GaussRational
@@ -207,3 +208,13 @@ def test_table_func_lookup():
     assert evaluate(c, 1j + 1e-12) == -1j
     assert c.lookup(1j + 1e-6) is None and c.lookup(1j + 1e-6, tol=1e-5) == -1j
     assert evaluate(c, 1 + 0j) is None
+
+
+def test_circle_pair_screen_checks_moduli_then_f_of_one():
+    off = cmath.exp(2j * cmath.pi / 5)  # g(1)^3 != 1
+    cube = cmath.exp(2j * cmath.pi / 3)  # g(1)^3 = 1
+    assert pair_ok_mu(2, 1, 1j, 1, 3) == (False, "circle data must stay on the circle")
+    assert pair_ok_mu(1, off, 1j, 2, 3) == (False, "circle data must stay on the circle")
+    assert pair_ok_mu(1, off, 1j, 1, 3) == (False, "f(1) must be 1")
+    assert pair_ok_mu(1j, 1, 1, off, 3) == (False, "f(1) must be 1")
+    assert pair_ok_mu(1, cube, 1j, off, 3) == (True, "")
