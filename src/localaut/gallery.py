@@ -238,11 +238,11 @@ GALLERY = ("gl_local_not_global", "additive_r", "sign_twist")
 def build_entry(name: str, n: int | None = None, seed: int = 0) -> GalleryEntry:
     key = name.replace("-", "_")
     if key == "gl_local_not_global":
-        return gl_local_not_global(n or 3, seed)
+        return gl_local_not_global(3 if n is None else n, seed)
     if key == "additive_r":
-        return additive_r(n or 2)
+        return additive_r(2 if n is None else n)
     if key == "sign_twist":
-        return sign_twist(n or 4, seed)
+        return sign_twist(4 if n is None else n, seed)
     raise KeyError(f"unknown gallery entry {name!r}; have {list(GALLERY)}")
 
 

@@ -11,6 +11,7 @@ conjugated matrix has a nonzero entry.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -155,6 +156,8 @@ def _candidates(group: GroupTag, ratio_a, ratio_b, n: int):
         cb, eb = _gauss_candidates(ratio_b, n)
         return ca, cb, ea and eb, "Gaussian n-th roots"
     za, zb = complex(ratio_a), complex(ratio_b)
+    if not (cmath.isfinite(za) and cmath.isfinite(zb)):
+        return [], [], False, "numeric ratio outside the float range"
     return complex_nth_roots(za, n), complex_nth_roots(zb, n), False, "numeric n-th roots"
 
 

@@ -7,9 +7,10 @@ automorphism. The workhorse observations:
 
 * a probe with spectrum {s, t, ..., t} distinguishes A from the
   contragredient transpose-inverse, whose spectrum is inverted;
-* the shears I + E_ij generate M_n, so the intertwiner space of the
-  shears and their images is one line of invertible matrices, which
-  gives T, or zero, which refutes every automorphism;
+* the shears I + E_ij, like the basis B, generate M_n as an algebra, so
+  the intertwiner space of such a family and its images is one line of
+  invertible matrices, which gives T, or zero, which refutes every
+  automorphism (`_fit_t`);
 * diagonal determinant probes isolate scalar character values entrywise.
 
 Every engine is one pipeline run by `_drive`: detect the kind (or sigma),
@@ -44,7 +45,6 @@ from .errors import (
     LocalautError,
     NoEngine,
     NotInGroup,
-    OddN,
     OracleIncomplete,
     RegimeMismatch,
     ResidualFail,
@@ -54,17 +54,14 @@ from .matrices import (
     QR,
     GroupTag,
     Mat,
-    add,
     apply_sigma,
     build_basis,
     charpoly,
     close,
     coerce_scalar,
-    det,
     diag_first,
     equal,
     inv,
-    is_rank_one_idempotent,
     make_E,
     make_Es,
     mat,
@@ -78,9 +75,7 @@ from .matrices import (
     scalar_one,
     scalar_zero,
     smul,
-    trace_form,
     transpose,
-    zeros,
 )
 from .scalarmaps import CIRCLE, TableFunc, det_relation_refutations, induced, screen_rclass
 from .scalars import DEFAULT_TOL, GQ_I
@@ -90,6 +85,7 @@ DEFAULT_DETS = (Fraction(2), Fraction(3))
 SU_SAMPLES = 4  # random SU_n samples the unitary intertwiner is fitted on
 CIRCLE_GENERATORS = (1j,)  # determinant probes of the U_n character
 LINDEP_PROBES = 25  # random directions lindep_detector tries first
+CHILD_GRACE_S = 2  # seconds an oracle child may take to exit after stdin closes
 
 
 def default_budget(n: int) -> int:
@@ -199,9 +195,17 @@ class SubprocessOracle(Oracle):
             raise ResidualFail(f"oracle subprocess sent a reply that is not a matrix: {line.strip()[:200]!r}") from exc
 
     def close(self):
+        """Close the child's stdin, give it CHILD_GRACE_S to exit, then kill
+        it: a lingering child must not cost a finished recovery its report."""
+        import subprocess
+
         if self.proc.stdin:
             self.proc.stdin.close()
-        self.proc.wait(timeout=10)
+        try:
+            self.proc.wait(timeout=CHILD_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +344,7 @@ def _t_of(kind: str, s_mat: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# stage: fit T from shear images (SL_n over both fields, GL_n(R))
+# stage: fit T from the images of an algebra-generating family
 
 
 def _shear(n, regime, i, j, value=Fraction(1)) -> Mat:
@@ -349,33 +353,32 @@ def _shear(n, regime, i, j, value=Fraction(1)) -> Mat:
     return mat(rows, regime)
 
 
-def _fit_shears(oracle: Oracle, kind: str, regime: str) -> Mat:
-    """The normalized S with unwrapped image S A_sigma S^-1, read off the
-    n^2 - n shear images I + E_ij as their intertwiner.
+def _shears(n, regime) -> list[Mat]:
+    """The n^2 - n shears I + E_ij, i != j, row by row."""
+    return [_shear(n, regime, i, j) for i in range(n) for j in range(n) if i != j]
 
-    The fit is a certificate. If S A = B S, then A maps ker S into itself,
-    and so does E_ij = A - I for every shear A = I + E_ij. The E_ij with
-    i != j generate M_n as an algebra (E_ij E_ji = E_ii), so ker S is 0 or
-    everything: every nonzero intertwiner is invertible. Two of them, S and
-    S', give S'^-1 S commuting with all of M_n, a scalar. So the intertwiner
-    space is {0}, which refutes every automorphism, or one line of invertible
-    matrices whose first basis element is the answer; the similarity solver
-    never searches.
+
+def _fit_t(oracle: Oracle, kind: str, probes, what: str) -> Mat:
+    """The normalized S with unwrapped image S A_sigma S^-1, read off the
+    probes' (probe, unwrapped image) pairs as their intertwiner.
+
+    The fit is a certificate whenever the probes generate M_n as an
+    algebra, as the shears do (E_ij = (I + E_ij) - I and E_ij E_ji = E_ii)
+    and the basis B does (it spans M_n). If S A = B S for every probe A,
+    then ker S is invariant under every probe, hence under all of M_n, so
+    it is 0 or everything: every nonzero intertwiner is invertible. Two of
+    them, S and S', give S'^-1 S commuting with all of M_n, a scalar
+    (Schur's lemma). So the intertwiner space is {0}, which refutes every
+    automorphism, or one line of invertible matrices whose first basis
+    element is the answer; the similarity solver never searches.
     """
-    # shears are real, so sigma fixes them; after the contragredient unwrap
-    # the map is S A_sigma S^-1 with S = (T^t)^-1
-    n = oracle.group.n
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                shear = _shear(n, regime, i, j)
-                pairs.append((shear, _unwrap(kind, oracle.query(shear))))
-    res = simultaneous_similarity(pairs)
+    # the probes are real, so sigma fixes them; after the contragredient
+    # unwrap the map is S A_sigma S^-1 with S = (T^t)^-1
+    res = simultaneous_similarity([(p, _unwrap(kind, oracle.query(p))) for p in probes])
     if res.status == "NoSolution":
-        raise _Stop(f"shear images admit no similarity: {res.note}")
+        raise _Stop(f"{what} images admit no similarity: {res.note}")
     if res.status != "Solved":
-        raise _Stop(f"shear images gave no similarity: {res.note}", status="Inconclusive")
+        raise _Stop(f"{what} images gave no similarity: {res.note}", status="Inconclusive")
     return _normalize_first_nonzero(res.s)
 
 
@@ -397,56 +400,6 @@ def _detect_sigma_exact(oracle, kind, s_mat, n, regime) -> str | None:
         if equal(img, mul(mul(s_mat, apply_sigma(probe, sigma)), s_inv)):
             return sigma
     return None
-
-
-def _e_matrix(n, regime, i, j) -> Mat:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[i][j] = Fraction(1)
-    return mat(rows, regime)
-
-
-# ---------------------------------------------------------------------------
-# stage: fit T from basis images (SL_n(R), odd n)
-
-
-def _fit_basis(oracle: Oracle, kind: str, seed: int) -> Mat:
-    """The normalized S of the unwrapped map, from the images of the basis B:
-    certify the trace form, extend linearly to the idempotents E_ii and
-    E_ii + E_ij, and solve the simultaneous similarity."""
-    n = oracle.group.n
-    basis = build_basis("B", n)
-    images = []
-    for b in basis.mats:
-        d = det(b)
-        probe = b if d == 1 else smul(Fraction(-1), b)
-        raw = _unwrap(kind, oracle.query(probe))
-        images.append(raw if d == 1 else smul(Fraction(-1), raw))
-    # trace-form certificate: tr(psi(B_i) psi(B_j)) must equal tr(B_i B_j),
-    # symmetric in i and j
-    gram_src = basis.gram()
-    for i in range(n * n):
-        for j in range(i, n * n):
-            if trace_form(images[i], images[j]) != gram_src[i, j]:
-                raise _Stop("trace form is not preserved on the basis")
-    # linear extension on the idempotent spanning family
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            p = _e_matrix(n, QR, i, i)
-            if i != j:
-                p = add(p, _e_matrix(n, QR, i, j))
-            coords = basis.coordinates(p)
-            q = zeros(n, QR)
-            for c, img in zip(coords, images):
-                if c != 0:
-                    q = add(q, smul(c, img))
-            if not is_rank_one_idempotent(q):
-                raise _Stop("linear extension breaks idempotents", idempotent=[i, j])
-            pairs.append((p, q))
-    res = simultaneous_similarity(pairs, seed=seed)
-    if res.status != "Solved":
-        raise _Stop(f"idempotent family admits no similarity: {res.note}")
-    return _normalize_first_nonzero(res.s)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +531,7 @@ def recover_sln_common(
 
     def stages():
         kind = _found(*detect_kind(oracle))
-        s_mat = _fit_shears(oracle, kind, regime)
+        s_mat = _fit_t(oracle, kind, _shears(n, regime), "shear")
         sigma = SIGMA_ID
         if group.field == "C":
             sigma = _found(
@@ -594,21 +547,19 @@ def recover_sln_common(
 
 
 def recover_slnr_short(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
-    """Basis-probe engine for SL_n(R), odd n.
+    """Basis-probe engine for SL_n(R), any n.
 
-    Probes an invertible spanning basis, certifies that the trace form is
-    preserved, extends linearly, and reads T off the idempotent images via
-    simultaneous similarity. Even n is rejected: half the basis has
-    determinant -1 and cannot be sign-corrected into SL.
+    Probe schedule: one spectrum probe for the kind, the n^2 members of the
+    basis B (each of determinant 1, together spanning M_n) for T, then
+    fresh verification probes. `recover` sends only odd n here.
     """
     group = oracle.group
     n = group.n
 
     def stages():
-        if n % 2 == 0:
-            raise OddN("the basis-probe engine needs odd n; use the shear engine")
         kind = _found(*detect_kind(oracle))
-        candidate = make_automorphism(group, kind, SIGMA_ID, _t_of(kind, _fit_basis(oracle, kind, seed)))
+        s_mat = _fit_t(oracle, kind, build_basis("B", n).mats, "basis")
+        candidate = make_automorphism(group, kind, SIGMA_ID, _t_of(kind, s_mat))
         rng = random.Random(seed)
         _verify_exact(oracle, candidate, (random_sl(n, QR, rng) for _ in range(verify_probes)))
         return {"auto": candidate}
@@ -636,7 +587,7 @@ def recover_glnr(
 
     def stages():
         kind = _found(*detect_kind(oracle))
-        t = _t_of(kind, _fit_shears(oracle, kind, QR))
+        t = _t_of(kind, _fit_t(oracle, kind, _shears(n, QR), "shear"))
         model = make_automorphism(group, kind, SIGMA_ID, t)
         gens = [Fraction(d) for d in dets]
         g_points: list[tuple[Fraction, Fraction]] = []
@@ -768,8 +719,8 @@ def recover(
 
 
 # ---------------------------------------------------------------------------
-# small linear-algebra detectors used inside the engines (and exported:
-# they are exact statements worth testing on their own)
+# small exact linear-algebra detectors, exported on their own; no engine
+# calls them
 
 
 @dataclass

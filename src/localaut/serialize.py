@@ -11,7 +11,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .errors import FileFormatError
+from .errors import BadParameters, FileFormatError
 from .matrices import C64, QC, QR, REGIMES, GroupTag, Mat, coerce_scalar, mat
 from .scalarmaps import (
     CIRCLE,
@@ -64,7 +64,7 @@ def scalar_from_json(obj, regime: str):
         if regime == QC:
             return GaussRational(parse_rational(obj["re"]), parse_rational(obj["im"]))
         return complex(obj[0], obj[1])
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, BadParameters) as exc:
         raise FileFormatError(f"bad scalar for regime {regime}: {obj!r}") from exc
 
 
@@ -241,6 +241,8 @@ def samples_from_json(obj):
         raise
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"sample map object missing field: {exc}") from exc
+    except ValueError as exc:
+        raise FileFormatError(f"each sample must be an [input, output] pair: {exc}") from exc
     return SampleMap(group, pairs)
 
 

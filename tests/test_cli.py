@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,6 +119,15 @@ def test_domain_errors_surface_with_their_names(capsys):
     assert code == 4 and rep["error"] == "OddN"
 
 
+@pytest.mark.parametrize(
+    "item, error",
+    [("gl-local-not-global", "TooFewGenerators"), ("additive-r", "TooFewGenerators"), ("sign-twist", "BadParameters")],
+)
+def test_gallery_size_zero_is_refused_not_defaulted(capsys, item, error):
+    code, rep = run_cli(capsys, "gallery", item, "--n", "0")
+    assert code == 4 and rep["error"] == error
+
+
 def test_selftest_subset(capsys):
     code, rep = run_cli(capsys, "selftest", "--only", "8")
     assert code == 0
@@ -132,7 +142,9 @@ def child_imports_package(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_subprocess_oracle(tmp_path, capsys, child_imports_package):
+def _recover_through_child(tmp_path, capsys, tail=""):
+    """recover sl-r-3 through a child answering with a fixed automorphism;
+    tail runs in the child after its stdin closes."""
     phi = tmp_path / "phi.py"
     phi.write_text(
         "import json, sys\n"
@@ -143,12 +155,25 @@ def test_subprocess_oracle(tmp_path, capsys, child_imports_package):
         "AUTO = make_automorphism(GroupTag('SL', 'R', 3), 'standard', 'id', T)\n"
         "for line in sys.stdin:\n"
         "    a = mat_from_json(json.loads(line))\n"
-        "    print(json.dumps(mat_to_json(apply(AUTO, a))), flush=True)\n"
+        "    print(json.dumps(mat_to_json(apply(AUTO, a))), flush=True)\n" + tail
     )
     code, rep = run_cli(
         capsys, "recover", "--group", "sl-r-3",
         "--oracle-cmd", f"{sys.executable} {phi}", "--seed", "1",
     )
+    return code, rep
+
+
+def test_subprocess_oracle(tmp_path, capsys, child_imports_package):
+    code, rep = _recover_through_child(tmp_path, capsys)
+    assert code == 0 and rep["status"] == "Recovered"
+    assert rep["auto"]["t"]["entries"] == [["1", "2", "0"], ["0", "1", "0"], ["3", "0", "1"]]
+
+
+def test_lingering_oracle_child_is_killed_after_the_recovery(tmp_path, capsys, child_imports_package):
+    start = time.monotonic()
+    code, rep = _recover_through_child(tmp_path, capsys, tail="import time\ntime.sleep(12)\n")
+    assert time.monotonic() - start < 10
     assert code == 0 and rep["status"] == "Recovered"
     assert rep["auto"]["t"]["entries"] == [["1", "2", "0"], ["0", "1", "0"], ["3", "0", "1"]]
 
@@ -338,6 +363,19 @@ def test_local_check_beyond_float_range(tmp_path, capsys, group, regime, dets, c
     samples_file = _scaled_map_file(tmp_path, group, regime, dets, 2**400)
     got, rep = run_cli(capsys, "local-check", samples_file)
     assert (got, rep[field]) == (code, value)
+
+
+def test_local_check_c64_ratio_beyond_float_range(tmp_path, capsys):
+    """diag(1e300, 1, 1) -> diag(1e300 + 1e300 i, 1, 1): the contragredient
+    determinant ratio is infinite, so that branch has no scalar candidates."""
+    pairs = tuple(
+        (diag_first(3, x, C64), diag_first(3, y, C64)) for x, y in ((1e300, 1e300 + 1e300j), (2.0, 2.0))
+    )
+    path = str(tmp_path / "huge.json")
+    dump_json(path, samples_to_json(SampleMap(GroupTag("GL", "C", 3), pairs)))
+    code, rep = run_cli(capsys, "local-check", path)
+    assert code == 0
+    assert [p["status"] for p in rep["pairs"]] == ["Inconclusive"]
 
 
 def test_apply_square_root_character_beyond_float_range(tmp_path, capsys):

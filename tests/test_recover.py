@@ -19,6 +19,7 @@ from localaut.errors import BadParameters, BudgetExceeded, NoEngine, OracleIncom
 from localaut.matrices import (
     C64,
     add,
+    build_basis,
     det,
     GroupTag,
     QC,
@@ -61,15 +62,18 @@ def _scalar_ratio_ok(t_rec, t_true):
 
 
 def test_sl_real_round_trip_both_kinds():
-    for i, kind in enumerate((STANDARD, CONTRAGREDIENT)):
-        rng = random.Random(40 + i)
-        t = random_gl(3, QR, rng)
-        auto = make_automorphism(GroupTag("SL", "R", 3), kind, SIGMA_ID, t)
-        rep = recover_slnr_short(AutomorphismOracle(auto), seed=i, verify_probes=25)
-        assert rep.status == "Recovered"
-        assert rep.auto.kind == kind
-        assert _scalar_ratio_ok(rep.auto.t, t)
-        assert rep.residual == 0.0
+    """`recover` sends only odd n to the basis engine, but it recovers even n
+    too: every member of the basis B has determinant 1."""
+    for n in (3, 4):
+        for i, kind in enumerate((STANDARD, CONTRAGREDIENT)):
+            rng = random.Random(40 + i + 10 * (n - 3))
+            t = random_gl(n, QR, rng)
+            auto = make_automorphism(GroupTag("SL", "R", n), kind, SIGMA_ID, t)
+            rep = recover_slnr_short(AutomorphismOracle(auto), seed=i, verify_probes=25)
+            assert rep.status == "Recovered"
+            assert rep.auto.kind == kind
+            assert _scalar_ratio_ok(rep.auto.t, t)
+            assert rep.residual == 0.0
 
 
 def test_sl_complex_round_trip_with_conjugation():
@@ -134,17 +138,17 @@ def _shear(n, regime, i, j, value=1):
     return mat([[F(int(r == c)) + (value if (r, c) == (i, j) else 0) for c in range(n)] for r in range(n)], regime)
 
 
-def _shear_pairs(auto):
-    """(I + E_ij, unwrapped image) for every shear: the pairs the shear fit solves."""
-    n, regime = auto.group.n, auto.t.regime
+def _fit_pairs(auto, probes):
+    """(probe, unwrapped image) for every probe: the pairs the T fit solves."""
     pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                shear = _shear(n, regime, i, j)
-                img = apply(auto, shear)
-                pairs.append((shear, img if auto.kind == STANDARD else transpose(inv(img))))
+    for probe in probes:
+        img = apply(auto, probe)
+        pairs.append((probe, img if auto.kind == STANDARD else transpose(inv(img))))
     return pairs
+
+
+def _shears(n, regime):
+    return [_shear(n, regime, i, j) for i in range(n) for j in range(n) if i != j]
 
 
 @st.composite
@@ -159,13 +163,16 @@ def _shear_cases(draw):
 @settings(max_examples=20, deadline=None)
 @given(_shear_cases())
 def test_shear_intertwiners_of_an_automorphism_are_one_line(case):
-    """The shears generate M_n, so an automorphism's shear pairs have a
-    one-dimensional intertwiner space, and the fit reads T off it."""
+    """The shears, like the basis B, generate M_n, so an automorphism's
+    shear pairs and its basis pairs have a one-dimensional intertwiner
+    space, and the fit reads T off it."""
     regime, n, kind, sigma, seed = case
     t = random_gl(n, regime, random.Random(seed))
     group = GroupTag("SL", "R" if regime == QR else "C", n)
     auto = make_automorphism(group, kind, sigma, t)
-    assert len(intertwiner_basis(_shear_pairs(auto))) == 1
+    assert len(intertwiner_basis(_fit_pairs(auto, _shears(n, regime)))) == 1
+    if regime == QR:
+        assert len(intertwiner_basis(_fit_pairs(auto, build_basis("B", n).mats))) == 1
     rep = recover_sln_common(AutomorphismOracle(auto), seed=0, verify_probes=2)
     assert rep.status == "Recovered"
     assert (rep.auto.kind, rep.auto.sigma) == (kind, sigma)
@@ -189,11 +196,33 @@ def test_incoherent_shear_scaling_is_refuted():
     assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
 
 
-@pytest.mark.parametrize("engine, spec", [(recover_sln_common, ("SL", "C", 3)), (recover_glnr, ("GL", "R", 3))])
+@pytest.mark.parametrize(
+    "engine, spec",
+    [(recover_sln_common, ("SL", "C", 3)), (recover_glnr, ("GL", "R", 3)), (recover_slnr_short, ("SL", "R", 3))],
+)
 def test_transpose_is_refuted_at_the_shear_fit(engine, spec):
+    what = "basis" if engine is recover_slnr_short else "shear"
     rep = engine(FunctionOracle(GroupTag(*spec), transpose), seed=0, verify_probes=5)
     assert rep.status == "Refuted"
-    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
+    assert rep.refutation == {"reason": f"{what} images admit no similarity: intertwiner space is zero"}
+
+
+def test_switching_automorphism_is_refuted_at_the_basis_fit():
+    """An oracle that answers with one automorphism for 3 probes, then with
+    another: the basis images admit no similarity."""
+    group = GroupTag("SL", "R", 3)
+    first, then = (
+        make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(s))) for s in (1, 2)
+    )
+    calls = []
+
+    def fn(a):
+        calls.append(a)
+        return apply(first if len(calls) <= 3 else then, a)
+
+    rep = recover_slnr_short(FunctionOracle(group, fn), seed=0, verify_probes=5)
+    assert rep.status == "Refuted"
+    assert rep.refutation == {"reason": "basis images admit no similarity: intertwiner space is zero"}
 
 
 def test_su_round_trip_detects_conjugation():

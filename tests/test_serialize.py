@@ -100,3 +100,13 @@ def test_malformed_objects_raise_file_format_error():
         auto_from_json({"kind": "standard"})
     with pytest.raises(FileFormatError):
         samples_from_json({"samples": "nope"})
+    one = mat_to_json(random_sl(3, QR, random.Random(1)))
+    group = {"family": "SL", "field": "R", "n": 3}
+    for sample in ([one], [one, one, one]):
+        with pytest.raises(FileFormatError):
+            samples_from_json({"group": group, "samples": [sample]})
+    for bad in ("x", 1.5):
+        with pytest.raises(FileFormatError):
+            mat_from_json({"regime": "QR", "entries": [[bad, "0"], ["0", "1"]]})
+        with pytest.raises(FileFormatError):
+            mat_from_json({"regime": "QC", "entries": [[{"re": bad, "im": "0"}]]})
