@@ -427,7 +427,7 @@ def _class_ratio(a: Fraction, b: Fraction) -> Fraction | None:
 
 
 def _word_samples(hom) -> list[tuple[Fraction, Fraction]]:
-    gens = [g.value() for g in hom.lattice.generators]
+    gens = list(hom.lattice.generators)
     images = list(hom.images)
     m = len(gens)
     vecs = set(itertools.product((-1, 0, 1), repeat=m))

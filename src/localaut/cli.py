@@ -365,10 +365,14 @@ def _cmd_selftest(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
-    common.add_argument("--budget", type=int, default=None, help="oracle probe budget")
+    # each subcommand declares only the options it reads, so an unread one
+    # is an argparse error (exit 2) instead of being ignored
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=None, help="oracle probe budget")
 
     p = argparse.ArgumentParser(
         prog="localaut",
@@ -376,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-auto", parents=[common], help="build and serialize an automorphism")
+    g = sub.add_parser("gen-auto", parents=[seed, tol], help="build and serialize an automorphism")
     g.add_argument("--group", required=True, help="gl-r-3, sl-c-3, un-3, sun-3 ...")
     g.add_argument("--kind", default="standard", choices=("standard", "contragredient"))
     g.add_argument("--sigma", default="id", choices=("id", "conj"))
@@ -385,22 +389,22 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--out", default=None, help="write the automorphism JSON here")
     g.set_defaults(func=_cmd_gen_auto)
 
-    a = sub.add_parser("apply", parents=[common], help="apply a stored automorphism to matrices")
+    a = sub.add_parser("apply", parents=[tol], help="apply a stored automorphism to matrices")
     a.add_argument("--auto", required=True, help="automorphism JSON file")
     a.add_argument("--in", dest="inp", required=True, help="matrix JSON file (object or list)")
     a.add_argument("-o", "--out", default=None)
     a.set_defaults(func=_cmd_apply)
 
-    v = sub.add_parser("verify-auto", parents=[common], help="check the homomorphism law on random pairs")
+    v = sub.add_parser("verify-auto", parents=[seed, tol], help="check the homomorphism law on random pairs")
     v.add_argument("auto", help="automorphism JSON file")
     v.add_argument("--pairs", type=int, default=200)
     v.set_defaults(func=_cmd_verify_auto)
 
-    lc = sub.add_parser("local-check", parents=[common], help="pairwise interpolation check of a sample map")
+    lc = sub.add_parser("local-check", parents=[seed, tol], help="pairwise interpolation check of a sample map")
     lc.add_argument("samples", help="sample map JSON file")
     lc.set_defaults(func=_cmd_local_check)
 
-    r = sub.add_parser("recover", parents=[common], help="reconstruct an automorphism from an oracle")
+    r = sub.add_parser("recover", parents=[seed, tol, budget], help="reconstruct an automorphism from an oracle")
     r.add_argument("--group", required=True)
     r.add_argument("--samples", default=None, help="sample map JSON file used as a finite oracle")
     r.add_argument("--oracle-cmd", default=None, help="stateless child process, one matrix JSON per line")
@@ -410,13 +414,13 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("-o", "--out", default=None, help="write the recovered automorphism JSON here")
     r.set_defaults(func=_cmd_recover)
 
-    ga = sub.add_parser("gallery", parents=[common], help="emit a named separating example")
+    ga = sub.add_parser("gallery", parents=[seed], help="emit a named separating example")
     ga.add_argument("item", help="gl-local-not-global | additive-r | sign-twist")
     ga.add_argument("--n", type=int, default=None, help="size (or generator count for additive-r)")
     ga.add_argument("-o", "--out", default=None)
     ga.set_defaults(func=_cmd_gallery)
 
-    st = sub.add_parser("selftest", parents=[common], help="run the acceptance criteria")
+    st = sub.add_parser("selftest", parents=[seed], help="run the acceptance criteria")
     st.add_argument("--only", default=None, help="comma separated criterion numbers")
     st.set_defaults(func=_cmd_selftest)
     return p

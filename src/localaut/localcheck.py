@@ -213,7 +213,7 @@ def check_pair(
                 verdict.status = "Interpolable"
                 verdict.witness = br.witness
                 if group.field == "C" and not group.unitary:
-                    verdict.notes.append("scalar class screened by necessary conditions on C*")
+                    verdict.notes.append("C* screen: torsion orders, and |f| along relations up to roots of unity")
                 return verdict
             if br.outcome == "inconclusive":
                 inconclusive = True

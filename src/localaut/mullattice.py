@@ -3,15 +3,15 @@
 Hidden scalar characters live on all of R* or S^1; everything computable here
 happens on finitely generated subgroups ("lattices") where membership,
 dependence and homomorphism evaluation reduce to exact integer linear algebra
-on prime exponent vectors (R*) or on generator exponents (circle).
+on exponent vectors: over a coprime base of the values (R*) or over the
+generators (circle). Nothing here factors into primes.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     BadParameters,
@@ -20,202 +20,42 @@ from .errors import (
     ZeroInput,
 )
 from .exactlinalg import nullspace, solve
-from .scalars import iroot
 
-_FACTOR_LIMIT = 10**40
+_TRIAL_BOUND = 10**6  # the largest trial divisor factor tries
 
 
 def factor(q: Fraction) -> "SignedFactored":
-    """Factor a nonzero rational into sign and prime exponents."""
+    """Factor a nonzero rational into sign and prime exponents by trial
+    division: the brute-force reference for criterion 7 and the tests. The
+    lattices themselves never factor (see `_coprime_base`).
+
+    Raises DomainNotFactorable when a cofactor above _TRIAL_BOUND**2 has no
+    prime factor up to _TRIAL_BOUND, so every prime factor but the largest
+    must be at most _TRIAL_BOUND."""
     q = Fraction(q)
     if q == 0:
         raise ZeroInput("0 is not in R*")
-    if abs(q.numerator) > _FACTOR_LIMIT or q.denominator > _FACTOR_LIMIT:
-        raise DomainNotFactorable(f"refusing to factor rationals beyond {_FACTOR_LIMIT}")
-    exps = factorint(abs(q.numerator))
-    for p, e in factorint(q.denominator).items():
-        exps[p] = exps.get(p, 0) - e
-    sign = 1 if q > 0 else -1
-    return SignedFactored(sign, tuple(sorted((p, e) for p, e in exps.items() if e != 0)))
-
-
-# ---------------------------------------------------------------------------
-# integer factorization: trial division, a proven primality test, rho
-
-_TRIAL_BOUND = 1000
-_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, isqrt(p) + 1)))
-# Miller-Rabin with the first 13 prime bases is deterministic below psi_13
-# (Sorenson and Webster 2015); from there up to _FACTOR_LIMIT the test is BPSW.
-_MR_BASES = _SMALL_PRIMES[:13]
-_PSI_13 = 3317044064679887385961981
-# Pollard-Brent steps allowed per factorization: enough to split off a prime
-# factor up to about 10**12, about a second of pure Python at that size.
-_RHO_BUDGET = 1 << 21
-
-
-def factorint(n: int) -> dict[int, int]:
-    """{p: e} with n = prod p**e for 1 <= n <= _FACTOR_LIMIT.
-
-    Raises DomainNotFactorable above the limit, and when the rho budget runs
-    out, which takes a composite whose two smallest prime factors both exceed
-    about 10**12.
-    """
-    if n > _FACTOR_LIMIT:
-        raise DomainNotFactorable(f"refusing to factor integers beyond {_FACTOR_LIMIT}")
     exps: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
+    for n, sign in ((abs(q.numerator), 1), (q.denominator, -1)):
+        p = 2
+        while p * p <= n:
+            if p > _TRIAL_BOUND:
+                raise DomainNotFactorable(f"{n} has no prime factor up to {_TRIAL_BOUND}")
             while n % p == 0:
                 n //= p
-                e += 1
-            exps[p] = e
-    if n == 1:
-        return exps
-    if n < _TRIAL_BOUND * _TRIAL_BOUND:
-        exps[n] = exps.get(n, 0) + 1
-        return exps
-    budget = _RHO_BUDGET
-    pending = [(n, 1)]
-    while pending:
-        m, k = pending.pop()
-        if _is_prime(m):
-            exps[m] = exps.get(m, 0) + k
-            continue
-        root, e = _perfect_power(m)
-        if e > 1:
-            pending.append((root, k * e))
-            continue
-        d, budget = _pollard_brent(m, budget)
-        pending += [(d, k), (m // d, k)]
-    return exps
-
-
-def _is_prime(n: int) -> bool:
-    """Primality for n with no prime factor below _TRIAL_BOUND: deterministic
-    Miller-Rabin below psi_13, BPSW above."""
-    if n < _PSI_13:
-        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
-
-
-def _strong_probable_prime(n: int, a: int) -> bool:
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    a %= n
-    out = 1
-    while a:
-        while not a & 1:
-            a >>= 1
-            if n & 7 in (3, 5):
-                out = -out
-        a, n = n, a
-        if a & 3 == 3 and n & 3 == 3:
-            out = -out
-        a %= n
-    return out if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameters (Baillie and Wagstaff
-    1980) for odd n > 1 with no small prime factor."""
-    if isqrt(n) ** 2 == n:
-        return False  # Selfridge's search for D never ends on a square
-    dd = 5
-    while (j := _jacobi(dd, n)) != -1:
-        if j == 0:
-            return False  # |dd| < n shares a factor with n
-        dd = -dd - 2 if dd > 0 else -dd + 2
-    p, q = 1, (1 - dd) // 4
-    d, s = n + 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    half = (n + 1) // 2  # the inverse of 2 mod n
-    u, v, qk = 1, p, q % n  # U_1, V_1, Q^1
-    for bit in bin(d)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
-        if bit == "1":
-            u, v, qk = (p * u + v) * half % n, (dd * u + p * v) * half % n, qk * q % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-        if v == 0:
-            return True
-    return False
-
-
-def _perfect_power(n: int) -> tuple[int, int]:
-    """(r, e) with n = r**e and e as large as possible, for n with no prime
-    factor below _TRIAL_BOUND (so e * log2(_TRIAL_BOUND) < bit length)."""
-    for e in range(n.bit_length() // 9, 1, -1):
-        r = iroot(n, e)
-        if r is not None:
-            return r, e
-    return n, 1
-
-
-def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
-    """(d, budget left) with d a proper factor of the odd composite n, not a
-    perfect power, by Brent's variant of Pollard rho with batched gcds."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            if 2 * r > budget:
-                raise DomainNotFactorable(f"{n} has no prime factor the rho budget can reach")
-            budget -= 2 * r
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: step through it again one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g, budget
+                exps[p] = exps.get(p, 0) + sign
+            p += 1 if p == 2 else 2
+        if n > 1:
+            exps[n] = exps.get(n, 0) + sign
+    return SignedFactored(1 if q > 0 else -1, tuple(sorted((p, e) for p, e in exps.items() if e != 0)))
 
 
 @dataclass(frozen=True)
 class SignedFactored:
-    """sign * prod p**e, the exact exponent-vector form of a nonzero rational."""
+    """sign * prod p**e, the prime exponent-vector form of a nonzero rational."""
 
     sign: int
     factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise BadParameters("sign must be +1 or -1")
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(set(primes)):
-            raise BadParameters("factors must be sorted with distinct primes")
-        if any(e == 0 for _, e in self.factors):
-            raise BadParameters("zero exponents must be dropped")
 
     def value(self) -> Fraction:
         v = Fraction(self.sign)
@@ -225,12 +65,6 @@ class SignedFactored:
 
     def exponents(self) -> dict[int, int]:
         return dict(self.factors)
-
-    def is_positive(self) -> bool:
-        return self.sign == 1
-
-    def is_one_in_magnitude(self) -> bool:
-        return not self.factors
 
 
 def dep_exponent(a: Fraction, b: Fraction) -> Fraction | None:
@@ -243,12 +77,26 @@ def dep_exponent(a: Fraction, b: Fraction) -> Fraction | None:
     """
     if a <= 0 or b <= 0:
         raise BadParameters("dep_exponent is defined on positive rationals")
-    base = _coprime_base((a.numerator, a.denominator, b.numerator, b.denominator))
-    ea, eb = ([_valuation(x.numerator, p) - _valuation(x.denominator, p) for p in base] for x in (a, b))
+    ea, eb = _exponents([a, b])
     if not any(ea) or not any(eb):
         return Fraction(1) if ea == eb else None  # 1 ~ 1 only
     q = next(Fraction(x, y) for x, y in zip(ea, eb) if y)
     return q if all(x == q * y for x, y in zip(ea, eb)) else None
+
+
+def _exponents(values) -> list[list[int]]:
+    """The exponents of each |value| over one coprime base of all their
+    numerators and denominators, one list per value.
+
+    Pairwise coprime integers > 1 are multiplicatively independent, so these
+    vectors satisfy exactly the linear relations of the prime exponent
+    vectors: every question about dependence reads the same answer off them.
+    """
+    values = [Fraction(v) for v in values]
+    if any(v == 0 for v in values):
+        raise ZeroInput("0 is not in R*")
+    base = _coprime_base([x for v in values for x in (abs(v.numerator), v.denominator)])
+    return [[_valuation(abs(v.numerator), p) - _valuation(v.denominator, p) for p in base] for v in values]
 
 
 def _coprime_base(xs) -> list[int]:
@@ -282,12 +130,12 @@ def relations(values) -> list[list[int]]:
 
     Each relation e has prod |values[i]|**e[i] = 1 with coprime entries, and
     together they span all such relations over Q: a nullspace basis of the
-    prime exponent matrix, empty exactly when the magnitudes are
-    multiplicatively independent. values may be given in SignedFactored form.
+    exponent matrix over a coprime base, which has the kernel, and so the
+    basis, of the prime exponent matrix. It is empty exactly when the
+    magnitudes are multiplicatively independent.
     """
-    exps = [(v if isinstance(v, SignedFactored) else factor(v)).exponents() for v in values]
-    primes = sorted({p for e in exps for p in e})
-    rows = [[e.get(p, 0) for e in exps] for p in primes] or [[0] * len(exps)]
+    exps = _exponents(values)
+    rows = [list(col) for col in zip(*exps)] or [[0] * len(exps)]
     out = []
     for rel, _ in nullspace(rows):
         g = gcd(*rel)
@@ -310,18 +158,18 @@ class LatticeVector:
 class MulLattice:
     """Finitely generated subgroup of R*: {+-1} x <g_1, ..., g_m>, g_i > 0.
 
-    Generators must have Q-linearly independent prime exponent vectors, which
-    is certified exactly at construction time.
+    Generators are positive rationals and must be multiplicatively
+    independent, which is certified exactly at construction time.
     """
 
-    generators: tuple[SignedFactored, ...]
+    generators: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not self.generators:
             raise TooFewGenerators("a lattice needs at least one generator")
-        if any(not g.is_positive() for g in self.generators):
+        if any(g <= 0 for g in self.generators):
             raise BadParameters("lattice generators must be positive; the sign -1 is implicit")
-        if any(g.is_one_in_magnitude() for g in self.generators):
+        if any(g == 1 for g in self.generators):
             raise BadParameters("1 generates nothing")
         if relations(self.generators):
             raise BadParameters("generator exponent vectors are Q-linearly dependent")
@@ -333,28 +181,22 @@ class MulLattice:
 
 def make_lattice(*gens) -> MulLattice:
     """Lattice from positive rationals (Fractions or ints)."""
-    return MulLattice(tuple(factor(Fraction(g)) for g in gens))
+    return MulLattice(tuple(Fraction(g) for g in gens))
 
 
-def lattice_decompose(x: SignedFactored | Fraction, lat: MulLattice) -> LatticeVector | None:
+def lattice_decompose(x: Fraction, lat: MulLattice) -> LatticeVector | None:
     """Solve x = sign * prod gen_i**v_i with rational v_i, or None (NotInLattice).
 
     Rational exponents cover the divisible hull, which is what class transport
     (lambda = mu**q) needs; integral vectors mean genuine subgroup membership.
+    The system is read over a coprime base of the generators and x.
     """
-    sf = x if isinstance(x, SignedFactored) else factor(Fraction(x))
-    primes = sorted(
-        {p for g in lat.generators for p, _ in g.factors} | {p for p, _ in sf.factors}
-    )
-    a = [
-        [Fraction(g.exponents().get(p, 0)) for g in lat.generators]
-        for p in primes
-    ]
-    b = [Fraction(sf.exponents().get(p, 0)) for p in primes]
-    v = solve(a, b)
+    x = Fraction(x)
+    *gens, ex = _exponents([*lat.generators, x])
+    v = solve([list(row) for row in zip(*gens)], ex)
     if v is None:
         return None
-    return LatticeVector(sf.sign, tuple(v))
+    return LatticeVector(1 if x > 0 else -1, tuple(v))
 
 
 def in_subgroup(x: Fraction, lat: MulLattice) -> bool:

@@ -86,6 +86,7 @@ SU_SAMPLES = 4  # random SU_n samples the unitary intertwiner is fitted on
 CIRCLE_GENERATORS = (1j,)  # determinant probes of the U_n character
 LINDEP_PROBES = 25  # random directions lindep_detector tries first
 CHILD_GRACE_S = 2  # seconds an oracle child may take to exit after stdin closes
+ORACLE_REPLY_S = 30  # seconds an oracle child may take to answer one probe
 
 
 def default_budget(n: int) -> int:
@@ -171,28 +172,44 @@ class SubprocessOracle(Oracle):
         import subprocess
 
         super().__init__(group, budget, tol)
-        self.proc = subprocess.Popen(
-            cmd,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._pending = b""
 
     def _call(self, a: Mat) -> Mat:
         import json
 
         from .serialize import mat_from_json, mat_to_json
 
-        self.proc.stdin.write(json.dumps(mat_to_json(a)) + "\n")
+        self.proc.stdin.write(json.dumps(mat_to_json(a)).encode() + b"\n")
         self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
+        line = self._reply()
         if not line:
             raise ResidualFail("oracle subprocess closed its output")
         try:
             return mat_from_json(json.loads(line))
         except (ValueError, TypeError, LocalautError) as exc:
             raise ResidualFail(f"oracle subprocess sent a reply that is not a matrix: {line.strip()[:200]!r}") from exc
+
+    def _reply(self) -> str:
+        """The child's next line ("" once it closed its output), waiting at
+        most ORACLE_REPLY_S on the pipe: a stalled child ends the recovery
+        in ResidualFail instead of hanging it."""
+        import os
+        import select
+        import time
+
+        fd = self.proc.stdout.fileno()
+        deadline = time.monotonic() + ORACLE_REPLY_S
+        while b"\n" not in self._pending:
+            ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+            if not ready:
+                raise ResidualFail(f"oracle subprocess sent no reply within {ORACLE_REPLY_S} s")
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                break
+            self._pending += chunk
+        line, newline, self._pending = self._pending.partition(b"\n")
+        return (line + newline).decode(errors="replace")
 
     def close(self):
         """Close the child's stdin, give it CHILD_GRACE_S to exit, then kill

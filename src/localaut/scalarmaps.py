@@ -255,7 +255,7 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
         if hom.sign_image == -1 and n % 2 == 1:
             return ClassCheck(False, "sign flip on negatives needs even n")
         gens = hom.lattice.generators
-        fvals = [induced(gen.value(), img, n, first_kind) for gen, img in zip(gens, hom.images)]
+        fvals = [induced(gen, img, n, first_kind) for gen, img in zip(gens, hom.images)]
         if relations(fvals):
             return ClassCheck(
                 False,
@@ -479,7 +479,12 @@ def pair_ok_mu(d1: complex, c1: complex, d2: complex, c2: complex, n: int, tol: 
 def pair_ok_cstar(da, ca, db, cb, n: int, first_kind: bool) -> tuple[bool, str]:
     """Necessary conditions for a C* character through two det/value pairs:
     torsion preservation and magnitude transport of the induced f. Gaussian
-    rationals carry torsion {1, 2, 4}; numeric data passes unchecked."""
+    rationals carry torsion {1, 2, 4}; numeric data passes unchecked.
+
+    |f| follows |d| only along a relation between d_a and d_b themselves:
+    with |d_a|^2 = |d_b|^(2q), |f(d_a)|^2 = |f(d_b)|^(2q) is forced only
+    when d_a^den(q) / d_b^num(q) is a root of unity. An infinite-order
+    quotient on the circle may go anywhere under f."""
     if not isinstance(da, GaussRational):
         return True, ""
     fa, fb = induced(da, ca, n, first_kind), induced(db, cb, n, first_kind)
@@ -490,8 +495,10 @@ def pair_ok_cstar(da, ca, db, cb, n: int, first_kind: bool) -> tuple[bool, str]:
         if o is None and d.abs2() == 1 and _unit_order(f) is not None:
             return False, "infinite-order circle element maps to torsion"
     da2, db2 = da.abs2(), db.abs2()
-    if da2 != 1 and db2 != 1 and not transport(da2, fa.abs2(), db2, fb.abs2())[1]:
-        return False, "magnitude transport fails"
+    if da2 != 1 and db2 != 1:
+        q, ok = transport(da2, fa.abs2(), db2, fb.abs2())
+        if not ok and _unit_order(da**q.denominator / db**q.numerator) is not None:
+            return False, "magnitude transport fails"
     return True, ""
 
 

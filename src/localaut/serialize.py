@@ -139,7 +139,7 @@ def mulfunc_to_json(g) -> dict | None:
         hom = g.hom
         return {
             "type": "latticehom",
-            "generators": [format_rational(s.value()) for s in hom.lattice.generators],
+            "generators": [format_rational(s) for s in hom.lattice.generators],
             "images": [format_rational(v) for v in hom.images],
             "sign_image": hom.sign_image,
         }

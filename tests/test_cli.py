@@ -198,6 +198,21 @@ def test_malformed_oracle_reply_is_error_json(tmp_path, capsys, reply):
     assert "not a matrix" in rep["message"]
 
 
+def test_stalled_oracle_child_ends_in_error_json(tmp_path, capsys, monkeypatch):
+    import localaut.recover as recover
+
+    monkeypatch.setattr(recover, "ORACLE_REPLY_S", 1)
+    child = tmp_path / "child.py"
+    child.write_text("import sys, time\nsys.stdin.readline()\ntime.sleep(30)\n")
+    start = time.monotonic()
+    code, rep = run_cli(
+        capsys, "recover", "--group", "sl-r-3", "--oracle-cmd", f"{sys.executable} {child}",
+    )
+    assert time.monotonic() - start < 10
+    assert code == 4 and rep["error"] == "ResidualFail"
+    assert rep["message"] == "oracle subprocess sent no reply within 1 s"
+
+
 def test_selftest_digest_ignores_timings(capsys, monkeypatch):
     import localaut.acceptance as acceptance
 
@@ -227,7 +242,7 @@ def test_console_script_smoke(child_imports_package):
 
 
 def test_cold_factoring_commands_load_no_sympy(tmp_path, child_imports_package):
-    """recover on GL_n(R) factors determinants, in-package."""
+    """recover on GL_n(R) reads determinant relations in-package."""
     auto = str(tmp_path / "auto.json")
     script = (
         "import sys\n"
@@ -408,3 +423,32 @@ def test_local_check_numeric_gl_complex_map(tmp_path, capsys):
         g = mulfunc_from_json(t)
         assert all(isinstance(x, complex) for point in g.points for x in point)
         assert mulfunc_to_json(g) == t
+
+
+def test_recover_reads_relations_among_determinants_beyond_10_to_the_40(tmp_path, capsys):
+    auto_file = str(tmp_path / "auto.json")
+    code, _ = run_cli(capsys, "gen-auto", "--group", "gl-r-3", "--g", "power:2", "--seed", "1", "-o", auto_file)
+    assert code == 0
+    big = 10**41 + 3
+    code, rep = run_cli(
+        capsys, "recover", "--group", "gl-r-3", "--auto", auto_file, "--dets", f"2,{big},3", "--seed", "1",
+    )
+    assert code == 0 and rep["status"] == "Recovered"
+    assert rep["g_points"] == [["2", "4"], [str(big), str(big**2)], ["3", "9"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--auto", "a.json", "--in", "m.json", "--budget", "3"],
+        ["apply", "--auto", "a.json", "--in", "m.json", "--seed", "3"],
+        ["gallery", "additive-r", "--tol", "1e-6"],
+        ["selftest", "--budget", "3"],
+    ],
+    ids=["apply-budget", "apply-seed", "gallery-tol", "selftest-budget"],
+)
+def test_unread_options_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

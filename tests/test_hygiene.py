@@ -110,6 +110,18 @@ def test_only_the_scalar_layer_factors():
     assert found == []
 
 
+def test_only_the_criterion_7_reference_factors():
+    """Relations and lattices read exponents over a coprime base; prime
+    factoring is left to acceptance's brute-force reference."""
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        if path.name != "acceptance.py"
+        for line, name in _calls(_parse(path), {"factor"})
+    ]
+    assert found == []
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -121,3 +121,21 @@ def test_sample_map_validates_shapes():
     a = random_sl(3, QR, random.Random(7))
     with pytest.raises(BadParameters):
         SampleMap(GroupTag("SL", "R", 4), ((a, a),))
+
+
+def test_cstar_pair_with_conjugate_determinants_is_interpolable():
+    """Samples of phi(A) = g(det A) A, with g = 1 on the roots of unity and
+    on 1 + i and 2 + i, g(2 - i) = (1 + i)^2, extended Q-linearly over a
+    complement of the roots of unity: f(z) = g(z)^4 z is id + 4G with
+    G^2 = 0, a bijection, so phi is an automorphism of GL_4(C). As
+    3 +- 4i = (2 +- i)^2, g(3 + 4i) = 1 and g(3 - 4i) = (1 + i)^4 = -4.
+    |3 + 4i| = |3 - 4i|, but their quotient has infinite order, so |f| may
+    differ on them."""
+    gl4c = GroupTag("GL", "C", 4)
+    rng = random.Random(0)
+    za, zb = GaussRational(F(3), F(4)), GaussRational(F(3), F(-4))
+    a = mul(random_sl(4, QC, rng), diag_first(4, za, QC))
+    b = mul(random_sl(4, QC, rng), diag_first(4, zb, QC))
+    v = check_pair(gl4c, (a, a), (b, smul(GaussRational(F(-4)), b)))
+    assert v.status == "Interpolable"
+    assert v.witness.g.points == ((za, GaussRational(F(1))), (zb, GaussRational(F(-4))))

@@ -1,5 +1,5 @@
-"""Multiplicative lattices: factorization, decomposition and hom evaluation."""
-import random
+"""Multiplicative lattices: relations, decomposition and hom evaluation."""
+import math
 import time
 from fractions import Fraction
 
@@ -7,24 +7,18 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from localaut.errors import BadParameters, DomainNotFactorable, TooFewGenerators
 from localaut.mullattice import (
-    _FACTOR_LIMIT,
-    _MR_BASES,
-    _PSI_13,
-    _strong_lucas_probable_prime,
-    _strong_probable_prime,
     dep_exponent,
     factor,
-    factorint,
     hom_on_lattice,
     in_subgroup,
     lattice_decompose,
     make_lattice,
     relations,
 )
+from localaut.scalarmaps import det_relation_refutations
 
 nonzero = st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(lambda q: q != 0)
 
@@ -39,99 +33,6 @@ def test_factor_reconstructs(q):
     for p, e in sympy.factorint(abs(q).denominator).items():
         want[p] = want.get(p, 0) - e
     assert sf.exponents() == {p: e for p, e in want.items() if e}
-
-
-def test_factorint_matches_sympy_up_to_20000():
-    assert [factorint(n) for n in range(1, 20001)] == [sympy.factorint(n) for n in range(1, 20001)]
-
-
-def test_factorint_matches_sympy_on_random_values():
-    rng = random.Random(2024)
-    for _ in range(80):
-        n = rng.randrange(2, 10 ** rng.randrange(7, 25))
-        assert factorint(n) == sympy.factorint(n), n
-
-
-def _chernick_carmichaels():
-    """(6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael number."""
-    for start in (1, 10**3, 10**5, 10**6):
-        k = start
-        while not all(sympy.isprime(m * k + 1) for m in (6, 12, 18)):
-            k += 1
-        yield (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
-
-
-@pytest.mark.parametrize(
-    "n",
-    [
-        2**132,
-        3**83,
-        1009**13,
-        65537**8,
-        (10**6 + 3) ** 6,
-        (10**12 + 39) ** 3,
-        (2**61 - 1) ** 2,
-        2**5 * 1009**3 * (10**6 + 3) ** 2,
-        561,
-        41041,
-        825265,
-        321197185,
-        5394826801,
-        *_chernick_carmichaels(),
-    ],
-)
-def test_factorint_prime_powers_and_carmichael_numbers(n):
-    assert factorint(n) == sympy.factorint(n)
-
-
-PSI_12 = 318665857834031151167461
-
-
-@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, PSI_12])
-def test_factorint_strong_pseudoprimes(n):
-    assert not sympy.isprime(n)
-    assert factorint(n) == sympy.factorint(n)
-
-
-def test_psi_12_needs_the_thirteenth_base():
-    assert all(_strong_probable_prime(PSI_12, a) for a in _MR_BASES[:12])
-    assert _MR_BASES[12] == 41 and not _strong_probable_prime(PSI_12, 41)
-
-
-def test_factorint_above_psi_13_takes_the_bpsw_path():
-    big_prime = sympy.nextprime(10**39)
-    for p in (2**89 - 1, 2**127 - 1, big_prime):
-        assert p > _PSI_13
-        assert factorint(p) == {p: 1}
-    assert factorint(1000003 * (2**89 - 1)) == {1000003: 1, 2**89 - 1: 1}
-    assert factorint(7**3 * sympy.nextprime(10**37)) == {7: 3, sympy.nextprime(10**37): 1}
-    # a base-2 strong pseudoprime above psi_13: only the Lucas half of BPSW rejects it
-    spsp2 = 82096237 * 164192473 * 246288709
-    assert spsp2 > _PSI_13 and _strong_probable_prime(spsp2, 2)
-    assert factorint(spsp2) == sympy.factorint(spsp2) == {82096237: 1, 164192473: 1, 246288709: 1}
-
-
-def test_strong_lucas_test_matches_sympy():
-    """The range holds strong Lucas pseudoprimes such as 5459 = 53 * 103."""
-    assert _strong_lucas_probable_prime(5459) and _strong_lucas_probable_prime(5777)
-    odd = range(1001, 60001, 2)
-    assert [_strong_lucas_probable_prime(n) for n in odd] == [bool(is_strong_lucas_prp(n)) for n in odd]
-
-
-def test_factor_refuses_values_beyond_the_limit():
-    for q in (Fraction(_FACTOR_LIMIT + 1), Fraction(-1, _FACTOR_LIMIT + 1)):
-        with pytest.raises(DomainNotFactorable):
-            factor(q)
-    with pytest.raises(DomainNotFactorable):
-        factorint(_FACTOR_LIMIT + 1)
-    assert factor(Fraction(_FACTOR_LIMIT)).exponents() == {2: 40, 5: 40}
-
-
-def test_factor_splits_two_factors_near_10_to_the_12():
-    assert factor(Fraction(999999000001 * 1000000000039)).exponents() == {
-        999999000001: 1,
-        1000000000039: 1,
-    }
 
 
 def test_factor_gives_up_on_two_20_digit_primes_within_seconds():
@@ -236,3 +137,56 @@ def test_relations_empty_exactly_when_the_exponent_matrix_has_full_rank(values):
         for v, e in zip(values, rel):
             prod *= abs(v) ** e
         assert prod == 1 and sympy.gcd_list(rel) == 1
+
+
+def _relations_by_factoring(values):
+    """Primitive nullspace vectors of the prime exponent matrix, by sympy."""
+    exps = [sympy.factorint(abs(v.numerator)) for v in values]
+    dens = [sympy.factorint(v.denominator) for v in values]
+    primes = sorted({p for e in exps + dens for p in e})
+    m = sympy.Matrix([[e.get(p, 0) - d.get(p, 0) for e, d in zip(exps, dens)] for p in primes] or [[0] * len(values)])
+    out = []
+    for vec in m.nullspace():
+        den = math.lcm(*[int(x.q) for x in vec])
+        ints = [int(x * den) for x in vec]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
+
+
+# small primes, shared factors and powers, so that relations are common
+word = st.builds(
+    lambda es, sign: sign * Fraction(2) ** es[0] * Fraction(3) ** es[1] * Fraction(5) ** es[2] * Fraction(7) ** es[3],
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.sampled_from([1, -1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(word, nonzero), min_size=1, max_size=6))
+def test_relations_are_the_prime_factorization_nullspace(values):
+    assert relations(values) == _relations_by_factoring(values)
+
+
+P19, Q19 = 10000000000000000051, 10000000000000000087  # primes near 10**19
+
+
+def test_relations_of_a_product_of_two_19_digit_primes():
+    assert sympy.isprime(P19) and sympy.isprime(Q19)
+    assert relations([Fraction(P19 * Q19), Fraction(P19), Fraction(Q19)]) == [[-1, 1, 1]]
+    assert relations([Fraction(P19 * Q19), Fraction(P19), Fraction(3)]) == []
+    refuted = det_relation_refutations({P19 * Q19: 6, P19: 2, Q19: 4})
+    assert refuted == [{"relation": {str(P19): -1, str(Q19): -1, str(P19 * Q19): 1}, "image_product": "3/4"}]
+    assert det_relation_refutations({P19 * Q19: 8, P19: 2, Q19: 4}) == []
+
+
+def test_lattice_with_a_generator_beyond_10_to_the_40():
+    big = 10**41 + 3
+    lat = make_lattice(2, big)
+    v = lattice_decompose(Fraction(-8 * big**2, 1), lat)
+    assert v.sign == -1 and v.exps == (3, 2) and v.is_integral()
+    assert lattice_decompose(Fraction(big, 2), lat).exps == (-1, 1)
+    assert not in_subgroup(Fraction(2 * big**3, 3), lat)
+    assert lattice_decompose(Fraction(3), lat) is None
+    with pytest.raises(BadParameters):
+        make_lattice(big, big**2 * 4, 2)
