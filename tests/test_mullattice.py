@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from localaut.errors import BadParameters, DomainNotFactorable, TooFewGenerators
 from localaut.mullattice import (
+    _TRIAL_BOUND,
     dep_exponent,
     factor,
     hom_on_lattice,
@@ -33,6 +34,64 @@ def test_factor_reconstructs(q):
     for p, e in sympy.factorint(abs(q).denominator).items():
         want[p] = want.get(p, 0) - e
     assert sf.exponents() == {p: e for p, e in want.items() if e}
+
+
+# The factorint tests below keep their names; they now check factor's
+# trial division on every value it does not refuse.
+
+
+def test_factorint_matches_sympy_up_to_20000():
+    assert [factor(Fraction(n)).exponents() for n in range(1, 20001)] == [
+        sympy.factorint(n) for n in range(1, 20001)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**132,
+        3**83,
+        1009**13,
+        65537**8,
+        561,
+        1729,
+        41041,
+        825265,
+        321197185,
+        5394826801,
+        1396066334401,
+    ],
+)
+def test_factorint_prime_powers_and_carmichael_numbers(n):
+    assert factor(Fraction(n)).exponents() == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_factorint_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert factor(Fraction(n)).exponents() == sympy.factorint(n)
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+
+
+def test_factor_refuses_values_beyond_the_limit():
+    """A cofactor above _TRIAL_BOUND**2 with no prime factor up to the bound
+    is refused, in a numerator or a denominator."""
+    for q in (
+        Fraction(PSI_12),
+        Fraction(-1, (10**6 + 3) ** 2),
+        Fraction(2**5 * 1009**3 * (10**6 + 3) ** 2),
+        Fraction(7, (2**61 - 1) ** 2),
+        Fraction((10**12 + 39) ** 3),
+        Fraction(1307351018993397769),  # Carmichael, 3 factors near 10^6
+        Fraction(1, 1296198694153288947529),  # Carmichael, 3 factors above 10^6
+    ):
+        with pytest.raises(DomainNotFactorable):
+            factor(q)
+    assert _TRIAL_BOUND**2 < PSI_12
+    assert factor(Fraction(10**40)).exponents() == {2: 40, 5: 40}
+    assert factor(Fraction(-3, 10**6 + 3)).exponents() == {3: 1, 10**6 + 3: -1}
 
 
 def test_factor_gives_up_on_two_20_digit_primes_within_seconds():
