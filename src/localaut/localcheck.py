@@ -4,10 +4,13 @@ check_pair decides whether one automorphism in canonical form passes through
 two input/output samples at once; check_map runs every unordered pair of a
 sampled map. Over the rationals the verdicts are certificates: a witness
 automorphism on the positive side, an exhaustive branch refutation on the
-negative side. Interpolation branches are indexed by kind, sigma, and the
-finitely many values g can take at the sample determinants: n-th roots of
-determinant ratios, which must stay in the ground field because the
-conjugated matrix has a nonzero entry.
+negative side. Interpolation branches are indexed by kind and sigma. In a GL
+branch each sample A -> out fixes its scalar c = g(det A): out = c T op(A)
+T^-1 gives c = tr(out) / tr(op(A)), exact, and the branch is refuted unless
+c^n = det(out) / det(op(A)). A sample with tr(op(A)) = 0 gives c^g for some
+g dividing n through a higher power sum; only then are roots taken, and a
+root outside the ground field leaves the branch inconclusive. Numeric (C64)
+samples take the n-th roots of the determinant ratio and certify nothing.
 """
 from __future__ import annotations
 
@@ -36,9 +39,11 @@ from .matrices import (
     det,
     inv,
     member,
+    mul,
     scalar_one,
     smul,
     to_c64,
+    trace,
     transpose,
 )
 from .scalarmaps import (
@@ -52,6 +57,8 @@ from .scalarmaps import (
 )
 from .scalars import (
     DEFAULT_TOL,
+    GQ_I,
+    GQ_ONE,
     GaussRational,
     complex_nth_roots,
     rational_nth_root,
@@ -108,75 +115,109 @@ def _charpolys_match(x: Mat, y: Mat) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# scalar candidate extraction
+# the scalar of each sample
 
 
-def _gauss_candidates(ratio: GaussRational, n: int) -> tuple[list[GaussRational], bool]:
-    """Gaussian rational solutions of c^n = ratio with an exhaustiveness flag.
+def _trace_scalars(x: Mat, y: Mat, ratio, n: int) -> tuple[list, bool, str]:
+    """The ground-field values c with y = c S x S^-1 for some S, as far as
+    traces and determinants decide them: (candidates, exhaustive, why none).
 
-    |c|^2 must be the rational n-th root of |ratio|^2, which kills most
-    branches exactly; surviving numeric roots are rationalized and verified
-    by exact powering.
+    Such a c satisfies c^n = det y / det x = ratio and tr(y^k) = c^k tr(x^k)
+    for every k. When tr x != 0 that is one exact candidate, refuted unless
+    c^n = ratio. When tr x = 0, some p_k = tr(x^k) with k <= n is nonzero,
+    as x is invertible (Newton's identities): c^k = tr(y^k) / p_k and
+    c^n = ratio fix c^g for g = gcd(k, n), and c is one of its g-th roots.
+    Such a root may lie outside the ground field, with S outside it too, so
+    the list is exhaustive only when it holds every root in R or C.
     """
-    mag = rational_nth_root(ratio.abs2(), n)
-    if mag is None:
-        return [], True
+    px = trace(x)
+    if px:
+        c = trace(y) / px
+        if c**n != ratio:
+            return [], True, f"trace scalar {c}: c^{n} = {c**n} != det ratio {ratio}"
+        return [c], True, ""
+    xk, yk = x, y
+    for k in range(2, n + 1):
+        if trace(yk):
+            return [], True, f"tr(out^{k - 1}) = {trace(yk)} but tr(op(A)^{k - 1}) = 0"
+        xk, yk = mul(xk, x), mul(yk, y)
+        px = trace(xk)
+        if px:
+            break
+    ck = trace(yk) / px
+    g, u, v = _bezout(k, n)
+    if not ck or ck ** (n // g) != ratio ** (k // g):
+        return [], True, f"c^{k} = {ck} from traces contradicts c^{n} = det ratio {ratio}"
+    w = ck**u * ratio**v
+    why = f"no exact root c of c^{g} = {w}"
+    if isinstance(w, Fraction):
+        roots = real_nth_root_candidates(w, g)
+        # no real root at all refutes; an irrational one stays open
+        return roots, bool(roots) or (g % 2 == 0 and w < 0), why
+    roots = _gauss_roots(w, g)
+    # from one root in Q(i), every complex g-th root is in Q(i) iff g | 4
+    return roots, bool(roots) and 4 % g == 0, why
+
+
+def _bezout(k: int, n: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(k, n) = u k + v n."""
+    if n == 0:
+        return k, 1, 0
+    g, u, v = _bezout(n, k % n)
+    return g, v, u - (k // n) * v
+
+
+def _gauss_roots(w: GaussRational, g: int) -> list:
+    """The Gaussian rational solutions of c^g = w that a numeric root
+    rationalizes to, possibly none.
+
+    |c|^2 must be the rational g-th root of |w|^2. One exact root c0 gives
+    all of them, as the roots of unity in Q(i) are the fourth roots: c0 z
+    for z^4 = z^g = 1.
+    """
+    if rational_nth_root(w.abs2(), g) is None:
+        return []
     try:
-        approx = complex(ratio)
+        approx = complex(w)
     except OverflowError:
-        approx = 0j
+        return []
     if not approx:
-        return [], False  # out of float range: no guess to rationalize
-    found = []
-    exhaustive = True
-    for z in complex_nth_roots(approx, n):
-        fr = Fraction(z.real).limit_denominator(10**9)
-        fi = Fraction(z.imag).limit_denominator(10**9)
-        cand = GaussRational(fr, fi)
-        if cand**n == ratio:
-            found.append(cand)
-        else:
-            # a Gaussian root with a denominator beyond the rationalization
-            # bound would be missed, so a refusal here is not a certificate
-            exhaustive = False
-    return found, exhaustive
+        return []
+    for z in complex_nth_roots(approx, g):
+        c0 = GaussRational(Fraction(z.real).limit_denominator(10**9), Fraction(z.imag).limit_denominator(10**9))
+        if c0**g == w:
+            return [c0 * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I) if u**g == GQ_ONE]
+    return []
 
 
-def _candidates(group: GroupTag, ratio_a, ratio_b, n: int):
-    """(cands_a, cands_b, exhaustive, description) for g at the two dets."""
-    if isinstance(ratio_a, Fraction):
-        return (
-            real_nth_root_candidates(ratio_a, n),
-            real_nth_root_candidates(ratio_b, n),
-            True,
-            f"rational n-th roots of {ratio_a} and {ratio_b}",
-        )
-    if isinstance(ratio_a, GaussRational):
-        ca, ea = _gauss_candidates(ratio_a, n)
-        cb, eb = _gauss_candidates(ratio_b, n)
-        return ca, cb, ea and eb, "Gaussian n-th roots"
-    za, zb = complex(ratio_a), complex(ratio_b)
-    if not (cmath.isfinite(za) and cmath.isfinite(zb)):
-        return [], [], False, "numeric ratio outside the float range"
-    return complex_nth_roots(za, n), complex_nth_roots(zb, n), False, "numeric n-th roots"
+def _numeric_scalars(ratio: complex, n: int) -> tuple[list, bool, str]:
+    """The numeric n-th roots of the determinant ratio: never a certificate."""
+    z = complex(ratio)
+    if not cmath.isfinite(z):
+        return [], False, "numeric ratio outside the float range"
+    return complex_nth_roots(z, n), False, ""
 
 
 # ---------------------------------------------------------------------------
 # scalar class screening per family
 
 
-def _scalar_pair_ok(group, kind, da, ca, db, cb, n, tol) -> tuple[bool, str]:
+def _scalar_pair_ok(group, kind, sigma, da, ca, db, cb, n, tol) -> tuple[bool, str]:
     if group.family == "Un":
         return pair_ok_mu(complex(da), complex(ca), complex(db), complex(cb), n, max(tol, 1e-8))
     first = kind == STANDARD
+    if da == db and ca != cb:
+        return False, "one g cannot take two values at one determinant"
     if group.field == "R":
         if da == db:
-            if ca != cb:
-                return False, "one g cannot take two values at one determinant"
             return point_ok_rclass(Fraction(da), Fraction(ca), n, first)
         return pair_ok_rclass(
             (Fraction(da), Fraction(ca)), (Fraction(db), Fraction(cb)), n, first
         )
+    if sigma == SIGMA_CONJ:
+        # det phi(A) = g(d)^n conj(d)^(+-1): the induced map reads conj(d),
+        # which has the torsion order and modulus of d
+        da, db = da.conjugate(), db.conjugate()
     return pair_ok_cstar(da, ca, db, cb, n, first)
 
 
@@ -232,25 +273,28 @@ def _try_branch(group, kind, sigma, p1, p2, seed, tol) -> BranchReport:
     if group.family in ("SL", "SUn"):
         return _similarity_step(group, kind, sigma, [(a_op, a_out), (b_op, b_out)], None, (p1, p2), seed, tol)
     da, db = det(a), det(b)
+    # det op(A) = sigma(det A)^(+-1)
+    eps = -1 if kind == CONTRAGREDIENT else 1
+    dop_a, dop_b = ((d.conjugate() if sigma == SIGMA_CONJ else d) ** eps for d in (da, db))
     if group.family == "Un" and sigma == SIGMA_CONJ:
         da, db = da.conjugate(), db.conjugate()
-    if group.family == "Un":
-        ratio_a = det(a_out) / da
-        ratio_b = det(b_out) / db
-    else:
-        eps = -1 if kind == CONTRAGREDIENT else 1
-        ratio_a = det(a_out) / (da**eps)
-        ratio_b = det(b_out) / (db**eps)
     n = group.n
-    cands_a, cands_b, exhaustive, how = _candidates(group, ratio_a, ratio_b, n)
-    if not cands_a or not cands_b:
-        outcome = "refuted" if exhaustive else "inconclusive"
-        return BranchReport(kind, sigma, outcome, f"no scalar values ({how})")
+    if a.regime == C64:
+        found = [_numeric_scalars(det(y) / d, n) for y, d in ((a_out, dop_a), (b_out, dop_b))]
+    else:
+        found = [_trace_scalars(x, y, det(y) / d, n) for x, y, d in ((a_op, a_out, dop_a), (b_op, b_out, dop_b))]
+    (cands_a, _, _), (cands_b, _, _) = found
+    empty = [(exhaustive, why) for cands, exhaustive, why in found if not cands]
+    if empty:
+        # one sample with no value at all refutes the branch, if its list is complete
+        refuted = any(exhaustive for exhaustive, _ in empty)
+        why = next(why for exhaustive, why in empty if exhaustive == refuted)
+        return BranchReport(kind, sigma, "refuted" if refuted else "inconclusive", f"no scalar values ({why})")
     pending_inconclusive = None
     refusals = []
     for ca in cands_a:
         for cb in cands_b:
-            ok, why = _scalar_pair_ok(group, kind, da, ca, db, cb, n, tol)
+            ok, why = _scalar_pair_ok(group, kind, sigma, da, ca, db, cb, n, tol)
             if not ok:
                 refusals.append(f"g({da})={ca}, g({db})={cb}: {why}")
                 continue
@@ -265,9 +309,9 @@ def _try_branch(group, kind, sigma, p1, p2, seed, tol) -> BranchReport:
                 refusals.append(f"scalars ({ca}, {cb}): {br.detail}")
     if pending_inconclusive is not None:
         return pending_inconclusive
-    if not exhaustive:
+    if not all(exhaustive for _, exhaustive, _ in found):
         return BranchReport(kind, sigma, "inconclusive", "scalar candidates may be incomplete")
-    return BranchReport(kind, sigma, "refuted", "; ".join(refusals) or "no admissible scalars")
+    return BranchReport(kind, sigma, "refuted", "; ".join(refusals))
 
 
 def _similarity_step(group, kind, sigma, pairs, scalars, originals, seed, tol) -> BranchReport:

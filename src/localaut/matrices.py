@@ -550,20 +550,46 @@ def to_c64(a: Mat) -> Mat:
 def charpoly(a: Mat) -> list:
     """Characteristic polynomial det(tI - A), ascending coefficients, exact.
 
-    Faddeev-LeVerrier: only divisions by integers occur, so the result is exact
-    over QR and QC.
+    Faddeev-LeVerrier on the grid M = den A, over Z, or over Z[i] on
+    (re, im) int pairs: B_1 = M, c_k = -tr(B_k) / k, B_(k+1) = M (B_k + c_k I).
+    The c_k are the coefficients of det(tI - M), integers over Z or Z[i],
+    so each division by k is exact; the t^(n-k) coefficient of A is
+    c_k / den^k.
     """
     if a.regime == C64:
         raise RegimeMismatch("charpoly is an exact-regime tool")
     n = a.n
-    coeffs_desc = [scalar_one(a.regime)]  # leading t^n
-    m = a
+    den, re, im = grid(a)
+    diag = range(0, n * n, n + 1)
+    rows = _split(re, n) if im is None else [r + i for r, i in zip(_split(re, n), _split(im, n))]
+    br, bi = re, im
+    coeffs = [scalar_one(a.regime)]  # t^n, then descending
     for k in range(1, n + 1):
-        c = -trace(m) * coerce_scalar(a.regime, Fraction(1, k))
-        coeffs_desc.append(c)
-        if k < n:
-            m = mul(a, add(m, smul(c, identity(n, a.regime))))
-    return list(reversed(coeffs_desc))
+        cr = -sum(br[j] for j in diag) // k
+        if im is None:
+            coeffs.append(rational(cr, den**k))
+        else:
+            ci = -sum(bi[j] for j in diag) // k
+            coeffs.append(gauss(cr, ci, den**k))
+        if k == n:
+            break
+        br = list(br)
+        for j in diag:
+            br[j] += cr
+        cols = [br[j::n] for j in range(n)]
+        if im is None:
+            br = _dots(rows, cols)
+            continue
+        bi = list(bi)
+        for j in diag:
+            bi[j] += ci
+        # rows (re | im) of M against columns (re | -im) and (im | re) of B + c I
+        im_cols = [bi[j::n] for j in range(n)]
+        br, bi = (
+            _dots(rows, [c + [-x for x in d] for c, d in zip(cols, im_cols)]),
+            _dots(rows, [d + c for c, d in zip(cols, im_cols)]),
+        )
+    return coeffs[::-1]
 
 
 def poly_from_roots(roots, regime: str) -> list:

@@ -2,16 +2,17 @@
 
 The intertwiner space L = {S : S A_i = B_i S} is computed exactly (nullspace
 of a linear system over Q or Q(i)); an invertible element is then hunted by a
-seeded randomized search plus a deterministic grid sweep. The solver is sound:
-a returned S is verified by direct multiplication, NoSolution is certified
-(L = {0}, or the determinant polynomial vanishes on a full grid whose size
-bounds its degree), and anything else is Inconclusive.
+seeded randomized search plus a deterministic sweep of the simplex lattice
+K_1 + sum y_i K_i, y >= 0, sum y_i <= n. The solver is sound: a returned S
+is verified by direct multiplication, NoSolution is certified (L = {0}, or
+the determinant, a polynomial of total degree n on that affine slice,
+vanishes on the whole lattice), and anything else is Inconclusive.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from math import comb, lcm
 
 from .errors import BadParameters, RegimeMismatch, ResidualFail
 from .exactlinalg import nullspace
@@ -24,9 +25,6 @@ from .matrices import (
     from_grid,
     grid,
     mul,
-    smul,
-    add,
-    zeros,
     _to_numpy,
     _from_numpy,
 )
@@ -78,12 +76,21 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
     return [from_grid(regime, den, v[0::w], v[1::2] if ims else None) for v, den in kernel]
 
 
-def _combine(basis: list[Mat], coeffs) -> Mat:
-    out = zeros(basis[0].n, basis[0].regime)
-    for c, k in zip(coeffs, basis):
-        if c:
-            out = add(out, smul(c, k))
-    return out
+def _combiner(basis: list[Mat]):
+    """The map from int coefficients c to sum c_i K_i, on the grids of the
+    basis put over one common denominator once."""
+    grids = [grid(k) for k in basis]
+    den = lcm(*[g[0] for g in grids])
+    scaled = [(den // g[0], g[1], g[2]) for g in grids]
+    regime, cells = basis[0].regime, range(basis[0].n ** 2)
+
+    def combine(coeffs) -> Mat:
+        terms = [(c * f, re, im) for c, (f, re, im) in zip(coeffs, scaled) if c]
+        re = [sum(w * r[j] for w, r, _ in terms) for j in cells]
+        im = None if regime == QR else [sum(w * i[j] for w, _, i in terms) for j in cells]
+        return from_grid(regime, den, re, im)
+
+    return combine
 
 
 def verify_intertwines(s: Mat, pairs: list[tuple[Mat, Mat]], tol: float = DEFAULT_TOL) -> bool:
@@ -116,21 +123,25 @@ def simultaneous_similarity(
         s = try_candidate(k)
         if s is not None:
             return SimilarityResult("Solved", s=s, dim=d)
+    combine = _combiner(basis)
     rng = random.Random(seed)
     for _ in range(attempts):
         coeffs = [rng.randint(-5, 5) for _ in range(d)]
         if all(c == 0 for c in coeffs):
             continue
-        s = try_candidate(_combine(basis, coeffs))
+        s = try_candidate(combine(coeffs))
         if s is not None:
             return SimilarityResult("Solved", s=s, dim=d)
-    # deterministic sweep; det has per-coordinate degree <= n, so vanishing on
-    # a full (n+1)^d grid certifies that every element of L is singular
-    if (n + 1) ** d <= GRID_CAP:
-        for coeffs in itertools.product(range(n + 1), repeat=d):
-            if all(c == 0 for c in coeffs):
-                continue
-            s = try_candidate(_combine(basis, coeffs))
+    # det(sum x_i K_i) is homogeneous of degree n in x, so it vanishes on L
+    # iff P(y) = det(K_1 + sum_{i>=2} y_i K_i) does, and P has total degree
+    # <= n. A polynomial of total degree <= n that vanishes on the simplex
+    # lattice {y in Z>=0^(d-1) : sum y_i <= n} is zero: its part at y_1 = 0
+    # is zero by induction on d, so P = y_1 Q with Q of degree <= n - 1 zero
+    # on the simplex lattice shifted by y_1 = 1, zero by induction on n. So
+    # C(n + d - 1, n) evaluations certify that every element of L is singular.
+    if comb(n + d - 1, n) <= GRID_CAP:
+        for y in _simplex(d - 1, n):
+            s = try_candidate(combine((1, *y)))
             if s is not None:
                 return SimilarityResult("Solved", s=s, dim=d)
         return SimilarityResult(
@@ -139,6 +150,16 @@ def simultaneous_similarity(
             note="determinant vanishes identically on the intertwiner space",
         )
     return SimilarityResult("Inconclusive", dim=d, note="search exhausted without certificate")
+
+
+def _simplex(k: int, total: int):
+    """Every y in Z>=0^k with sum(y) <= total."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _simplex(k - 1, total - first):
+            yield (first, *rest)
 
 
 def numeric_intertwiner_basis(pairs: list[tuple[Mat, Mat]], tol: float = DEFAULT_TOL) -> list[Mat]:

@@ -311,7 +311,7 @@ def test_budget_stop_reports_partial_progress(tmp_path, capsys):
         ("gl-c-3", ["--g", "powerconj:1:1"], "gausstable",
          "7013b7b150c275b8aeaec55497f141482c83096c971fb795892bccf03cbbc597"),
         ("gl-r-3", ["--g", "power:2", "--kind", "contragredient"], "table",
-         "363dd54d576bbb842c58931b98c8b9c39576b57f71251e58f23556c0f0a027cf"),
+         "08e38e307d5dc6d5f86479d4d375ffc82f82c130dd29408d98fb1616fb1031b1"),
     ],
 )
 def test_exact_local_check_digests_are_pinned(tmp_path, capsys, group, gen_extra, table, digest):
@@ -369,12 +369,14 @@ def _scaled_map_file(tmp_path, group, regime, dets, scale):
     "group, regime, dets, code, field, value",
     [
         ("gl-r-3", QR, [2, 3], 0, "status", "LocallyConsistent"),
-        ("gl-c-3", QC, [2, GaussRational(1, -1)], 0, "status", "Inconclusive"),
+        ("gl-c-3", QC, [2, GaussRational(1, -1)], 0, "status", "Obstructed"),
     ],
 )
 def test_local_check_beyond_float_range(tmp_path, capsys, group, regime, dets, code, field, value):
-    """Outputs 2^400 times their inputs: the n-th roots of the determinant
-    ratios are exact integers far past the float range."""
+    """Outputs 2^400 times their inputs: the trace scalars are exact
+    integers far past the float range. Over C the pair is a certificate:
+    2 = i (1 - i)^2 with i torsion, so |f(2)| = |f(1 - i)|^2 for the
+    induced f(d) = g(d)^3 d, yet g = 2^400 at both gives 2^1201 != 2^2401."""
     samples_file = _scaled_map_file(tmp_path, group, regime, dets, 2**400)
     got, rep = run_cli(capsys, "local-check", samples_file)
     assert (got, rep[field]) == (code, value)

@@ -2,6 +2,7 @@
 against a naive reference in Fraction / GaussRational arithmetic."""
 import copy
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
@@ -238,3 +239,33 @@ def test_intertwiner_basis_matches_the_scalar_reference(ab, conjugate):
     assert got == _ref_intertwiners(a, b)
     for s in got:
         assert mul(s, a) == mul(b, s)
+
+
+def _sympy_charpoly(a):
+    """det(tI - A) by sympy, ascending, as Fraction / GaussRational."""
+    import sympy
+
+    def to_sympy(x):
+        if isinstance(x, Fraction):
+            return sympy.Rational(x.numerator, x.denominator)
+        return to_sympy(x.re) + sympy.I * to_sympy(x.im)
+
+    def from_sympy(z):
+        re, im = (Fraction(int(sympy.fraction(p)[0]), int(sympy.fraction(p)[1])) for p in z.as_real_imag())
+        return re if a.regime == QR else GaussRational(re, im)
+
+    m = sympy.Matrix([[to_sympy(x) for x in r] for r in a.entries])
+    return [from_sympy(sympy.expand(c)) for c in reversed(m.charpoly().all_coeffs())]
+
+
+@pytest.mark.parametrize("regime", [QR, QC])
+@pytest.mark.parametrize("n", [5, 6])
+def test_charpoly_matches_sympy_with_denominators(regime, n):
+    """Faddeev-LeVerrier on the grid divides by k exactly; entries over
+    denominators up to 12 put den^k far from 1 in every coefficient."""
+    rng = random.Random(10 * n + (regime == QC))
+    q = lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12]))
+    rows = [[q() if regime == QR else GaussRational(q(), q()) for _ in range(n)] for _ in range(n)]
+    a = mat(rows, regime)
+    assert grid(a)[0] > 1
+    assert charpoly(a) == _sympy_charpoly(a)

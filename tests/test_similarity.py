@@ -2,18 +2,24 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localaut.similarity as similarity
 from localaut.errors import LocalautError
 
+from localaut.localcheck import check_pair
 from localaut.matrices import (
     C64,
     QR,
+    GroupTag,
     close,
     conj_transpose,
     equal,
     identity,
     inv,
+    mat,
     mul,
     random_gl,
     random_sl,
@@ -21,6 +27,7 @@ from localaut.matrices import (
     transpose,
 )
 from localaut.similarity import (
+    intertwiner_basis,
     simultaneous_similarity,
     unitary_intertwiner,
     verify_intertwines,
@@ -99,3 +106,49 @@ def test_a_non_intertwining_candidate_raises_a_package_error(monkeypatch):
     monkeypatch.setattr(similarity, "intertwiner_basis", lambda pairs: [identity(3, QR)])
     with pytest.raises(LocalautError):
         simultaneous_similarity(pairs)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shear_to_identity_is_obstructed(n):
+    """No automorphism of SL_n(R) sends I + E_12 to I: every S with
+    S (I + E_12) = S has a zero first column. The simplex lattice certifies
+    it with C(n + d - 1, n) determinants; at n = 4 the old (n + 1)^d grid
+    was past the cap."""
+    eye = identity(n, QR)
+    rows = eye.rows()
+    rows[0][1] = 1
+    shear = mat(rows, QR)
+    res = simultaneous_similarity([(shear, eye), (eye, eye)])
+    assert (res.status, res.dim) == ("NoSolution", n * n - n)
+    v = check_pair(GroupTag("SL", "R", n), (shear, eye), (eye, eye))
+    assert v.status == "Obstructed"
+    assert {b.detail for b in v.branches} == {"determinant vanishes identically on the intertwiner space"}
+
+
+@st.composite
+def _triangular(draw, n=3):
+    """Upper triangular integer matrices with eigenvalues in {1, 2}: many
+    share eigenvalues and differ in Jordan type, so their intertwiners are
+    often all singular."""
+    diag = [draw(st.sampled_from([1, 2])) for _ in range(n)]
+    return mat(
+        [[diag[i] if i == j else (draw(st.integers(0, 1)) if j > i else 0) for j in range(n)] for i in range(n)],
+        QR,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_triangular(), _triangular()), min_size=1, max_size=2))
+def test_solver_agrees_with_the_symbolic_determinant(pairs):
+    """Solved iff det(sum x_i K_i) is not the zero polynomial, by sympy."""
+    basis = intertwiner_basis(pairs)
+    xs = sympy.symbols(f"x0:{len(basis)}")
+    generic = sympy.zeros(3, 3)
+    for x, k in zip(xs, basis):
+        generic += x * sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in k.entries])
+    singular = sympy.expand(generic.det()) == 0
+    res = simultaneous_similarity(pairs)
+    assert res.dim == len(basis)
+    assert res.status == ("NoSolution" if singular else "Solved")
+    if res.status == "Solved":
+        assert verify_intertwines(res.s, pairs)
