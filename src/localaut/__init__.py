@@ -57,7 +57,6 @@ from .matrices import (
     identity,
     inv,
     make_E,
-    make_Es,
     mat,
     member,
     mul,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .autos import CONTRAGREDIENT, SIGMA_CONJ, SIGMA_ID, STANDARD, apply, make_automorphism
+from .autos import CONTRAGREDIENT, SIGMA_CONJ, SIGMA_ID, STANDARD, apply, make_automorphism, op
 from .errors import BadParameters
 from .exactlinalg import nullspace, rank
 from .gallery import additive_r, gl_local_not_global, verify_entry
@@ -43,7 +43,6 @@ from .matrices import (
     rank_one_with_trace,
     smul,
     trace_form,
-    transpose,
 )
 from .mullattice import factor, hom_on_lattice, make_lattice
 from .recover import (
@@ -208,15 +207,6 @@ def criterion_2(seed: int = 0) -> CriterionResult:
 # criterion 3: the two spanning bases and their trace-Gram matrices
 
 
-def _oracle_image(auto, m: Mat) -> Mat:
-    img = apply(auto, m)
-    if auto.kind == CONTRAGREDIENT:
-        # the transpose-inverse unwrap turns the second kind back into a
-        # similarity, which is what makes the Gram comparison meaningful
-        return transpose(inv(img))
-    return img
-
-
 def criterion_3(seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     rng = random.Random(seed + 307)
@@ -249,7 +239,9 @@ def criterion_3(seed: int = 0) -> CriterionResult:
             problems.append(f"{kind}: trace-Gram matrix is singular")
             continue
         for auto in oracles[kind]:
-            imgs = [_oracle_image(auto, m) for m in basis.mats]
+            # the contragredient unwrap op(phi(A), kind, id) turns the second
+            # kind back into a similarity, which keeps the trace form
+            imgs = [op(apply(auto, m), auto.kind, SIGMA_ID) for m in basis.mats]
             for i in range(9):
                 for j in range(i, 9):
                     if trace_form(imgs[i], imgs[j]) != gram[i, j]:

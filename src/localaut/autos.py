@@ -159,6 +159,13 @@ def _validate_scalar(group: GroupTag, kind: str, g) -> None:
         raise IllegalScalarClass(res.reason)
 
 
+def op(a: Mat, kind: str, sigma: str) -> Mat:
+    """The branch (kind, sigma) of A: sigma(A), transposed and inverted for
+    the contragredient kind. Every canonical form conjugates it by T."""
+    b = apply_sigma(a, sigma)
+    return transpose(inv(b)) if kind == CONTRAGREDIENT else b
+
+
 def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = True) -> Mat:
     """phi(A). Raises NotInGroup for inputs outside the carrier group and
     DetOutsideLattice when g has no exact value at det A. check=False skips
@@ -170,10 +177,7 @@ def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = Tr
         raise RegimeMismatch(f"matrix regime {a.regime} vs T regime {auto.t.regime}")
     if check and not member(a, auto.group, tol):
         raise NotInGroup(f"input is not in {auto.group.family}_{auto.group.n}")
-    b = apply_sigma(a, auto.sigma)
-    if auto.kind == CONTRAGREDIENT:
-        b = transpose(inv(b))
-    out = mul(mul(auto.t, b), auto.tinv)
+    out = mul(mul(auto.t, op(a, auto.kind, auto.sigma)), auto.tinv)
     if auto.g is None:
         return out
     d = det(a)
@@ -217,12 +221,8 @@ def compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
     n = group.n
     sigma = SIGMA_CONJ if (outer.sigma != inner.sigma) else SIGMA_ID
     kind = STANDARD if (outer.kind == inner.kind) else CONTRAGREDIENT
-    # conjugating matrix: T = T2 * op2(sigma2(T1)) where op2 is the
-    # contragredient twist of the outer map
-    t1 = apply_sigma(inner.t, outer.sigma)
-    if outer.kind == CONTRAGREDIENT:
-        t1 = transpose(inv(t1))
-    t = mul(outer.t, t1)
+    # conjugating matrix: T = T2 op2(T1), op2 the outer map's branch
+    t = mul(outer.t, op(inner.t, outer.kind, outer.sigma))
     g = _compose_scalars(outer, inner, n)
     return make_automorphism(group, kind, sigma, t, g)
 

@@ -26,6 +26,7 @@ from .autos import (
     Automorphism,
     apply,
     make_automorphism,
+    op,
 )
 from .errors import BadParameters, NotInGroup, RegimeMismatch
 from .matrices import (
@@ -33,18 +34,15 @@ from .matrices import (
     QC,
     GroupTag,
     Mat,
-    apply_sigma,
-    charpoly,
+    charpolys_match,
     close,
     det,
-    inv,
     member,
     mul,
     scalar_one,
     smul,
     to_c64,
     trace,
-    transpose,
 )
 from .scalarmaps import (
     CIRCLE,
@@ -94,33 +92,14 @@ def _group_branches(group: GroupTag) -> tuple[list[str], list[str]]:
     return kinds, sigmas
 
 
-def _op(a: Mat, kind: str, sigma: str) -> Mat:
-    b = apply_sigma(a, sigma)
-    if kind == CONTRAGREDIENT:
-        b = transpose(inv(b))
-    return b
-
-
-def _charpolys_match(x: Mat, y: Mat) -> bool:
-    if x.regime == C64:
-        import numpy as np
-
-        from .matrices import _to_numpy
-
-        cx = np.poly(_to_numpy(x))
-        cy = np.poly(_to_numpy(y))
-        scale = max(1.0, max(abs(c) for c in cx))
-        return all(abs(p - q) <= 1e-6 * scale for p, q in zip(cx, cy))
-    return charpoly(x) == charpoly(y)
-
-
 # ---------------------------------------------------------------------------
 # the scalar of each sample
 
 
-def _trace_scalars(x: Mat, y: Mat, ratio, n: int) -> tuple[list, bool, str]:
-    """The ground-field values c with y = c S x S^-1 for some S, as far as
-    traces and determinants decide them: (candidates, exhaustive, why none).
+def _trace_scalars(x: Mat, y: Mat, ratio, n: int, d) -> tuple[list, bool, str]:
+    """The ground-field values c = g(d) with y = c S x S^-1 for some S, as
+    far as traces and determinants decide them: (candidates, exhaustive,
+    why none).
 
     Such a c satisfies c^n = det y / det x = ratio and tr(y^k) = c^k tr(x^k)
     for every k. When tr x != 0 that is one exact candidate, refuted unless
@@ -128,7 +107,10 @@ def _trace_scalars(x: Mat, y: Mat, ratio, n: int) -> tuple[list, bool, str]:
     as x is invertible (Newton's identities): c^k = tr(y^k) / p_k and
     c^n = ratio fix c^g for g = gcd(k, n), and c is one of its g-th roots.
     Such a root may lie outside the ground field, with S outside it too, so
-    the list is exhaustive only when it holds every root in R or C.
+    the list is exhaustive only when it holds every root in R or C. Over R
+    an odd g with w = c^g < 0 leaves one real root, which is negative; it
+    is refuted when g(d) must be positive, as it must be at d > 0 (a square)
+    and everywhere for odd n (g(-1) = -1 would give f(-1) = f(1)).
     """
     px = trace(x)
     if px:
@@ -152,6 +134,8 @@ def _trace_scalars(x: Mat, y: Mat, ratio, n: int) -> tuple[list, bool, str]:
     why = f"no exact root c of c^{g} = {w}"
     if isinstance(w, Fraction):
         roots = real_nth_root_candidates(w, g)
+        if not roots and g % 2 and w < 0 and (d > 0 or n % 2):
+            return [], True, f"c^{g} = {w} has only a negative real root, but g({d}) > 0"
         # no real root at all refutes; an irrational one stays open
         return roots, bool(roots) or (g % 2 == 0 and w < 0), why
     roots = _gauss_roots(w, g)
@@ -244,11 +228,13 @@ def check_pair(
         p2 = (to_c64(b), to_c64(b_out))
         return check_pair(group, p1, p2, seed, max(tol, 1e-8))
     kinds, sigmas = _group_branches(group)
+    # every GL and U_n branch reads these four determinants; SL and SU_n ones none
+    dets = None if group.family in ("SL", "SUn") else tuple(det(x) for x in (a, a_out, b, b_out))
     verdict = PairVerdict("Obstructed", None)
     inconclusive = False
     for kind in kinds:
         for sigma in sigmas:
-            br = _try_branch(group, kind, sigma, (a, a_out), (b, b_out), seed, tol)
+            br = _try_branch(group, kind, sigma, (a, a_out), (b, b_out), dets, seed, tol)
             verdict.branches.append(br)
             if br.outcome == "witness":
                 verdict.status = "Interpolable"
@@ -265,14 +251,14 @@ def check_pair(
     return verdict
 
 
-def _try_branch(group, kind, sigma, p1, p2, seed, tol) -> BranchReport:
+def _try_branch(group, kind, sigma, p1, p2, dets, seed, tol) -> BranchReport:
     a, a_out = p1
     b, b_out = p2
-    a_op = _op(a, kind, sigma)
-    b_op = _op(b, kind, sigma)
+    a_op = op(a, kind, sigma)
+    b_op = op(b, kind, sigma)
     if group.family in ("SL", "SUn"):
         return _similarity_step(group, kind, sigma, [(a_op, a_out), (b_op, b_out)], None, (p1, p2), seed, tol)
-    da, db = det(a), det(b)
+    da, da_out, db, db_out = dets
     # det op(A) = sigma(det A)^(+-1)
     eps = -1 if kind == CONTRAGREDIENT else 1
     dop_a, dop_b = ((d.conjugate() if sigma == SIGMA_CONJ else d) ** eps for d in (da, db))
@@ -280,9 +266,12 @@ def _try_branch(group, kind, sigma, p1, p2, seed, tol) -> BranchReport:
         da, db = da.conjugate(), db.conjugate()
     n = group.n
     if a.regime == C64:
-        found = [_numeric_scalars(det(y) / d, n) for y, d in ((a_out, dop_a), (b_out, dop_b))]
+        found = [_numeric_scalars(dy / dx, n) for dx, dy in ((dop_a, da_out), (dop_b, db_out))]
     else:
-        found = [_trace_scalars(x, y, det(y) / d, n) for x, y, d in ((a_op, a_out, dop_a), (b_op, b_out, dop_b))]
+        found = [
+            _trace_scalars(x, y, dy / dx, n, d)
+            for x, y, dx, dy, d in ((a_op, a_out, dop_a, da_out, da), (b_op, b_out, dop_b, db_out, db))
+        ]
     (cands_a, _, _), (cands_b, _, _) = found
     empty = [(exhaustive, why) for cands, exhaustive, why in found if not cands]
     if empty:
@@ -316,7 +305,7 @@ def _try_branch(group, kind, sigma, p1, p2, seed, tol) -> BranchReport:
 
 def _similarity_step(group, kind, sigma, pairs, scalars, originals, seed, tol) -> BranchReport:
     for x, y in pairs:
-        if not _charpolys_match(x, y):
+        if not charpolys_match(x, y):
             return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ", scalars or ())
     if group.unitary:
         u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-8))

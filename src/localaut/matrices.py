@@ -244,16 +244,15 @@ def identity(n: int, regime: str) -> Mat:
     return Mat(n, regime, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
 
-def zeros(n: int, regime: str) -> Mat:
+def diagonal(values, regime: str) -> Mat:
+    """The diagonal matrix with the given diagonal entries."""
     zero = scalar_zero(regime)
-    return Mat(n, regime, tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+    return mat([[v if i == j else zero for j in range(len(values))] for i, v in enumerate(values)], regime)
 
 
 def diag_first(n: int, d, regime: str) -> Mat:
     """diag(d, 1, ..., 1): determinant d, the scalar-character probe."""
-    rows = identity(n, regime).rows()
-    rows[0][0] = d
-    return mat(rows, regime)
+    return diagonal([d] + [1] * (n - 1), regime)
 
 
 def _check_same(a: Mat, b: Mat):
@@ -592,6 +591,18 @@ def charpoly(a: Mat) -> list:
     return coeffs[::-1]
 
 
+def charpolys_match(x: Mat, y: Mat) -> bool:
+    """Do x and y have one characteristic polynomial? Exact in QR and QC; in
+    C64 the numpy coefficients agree within 1e-6 of the largest of x's."""
+    if x.regime != C64:
+        return charpoly(x) == charpoly(y)
+    import numpy as np
+
+    cx, cy = np.poly(_to_numpy(x)), np.poly(_to_numpy(y))
+    scale = max(1.0, max(abs(c) for c in cx))
+    return all(abs(p - q) <= 1e-6 * scale for p, q in zip(cx, cy))
+
+
 def poly_from_roots(roots, regime: str) -> list:
     """prod (t - r), ascending coefficients."""
     coeffs = [scalar_one(regime)]
@@ -722,34 +733,6 @@ def make_E(p: Mat) -> Mat:
     small = Fraction(1, 2) ** (n - 1)
     i = identity(n, p.regime)
     return add(smul(small, p), smul(2, sub(i, p)))
-
-
-def make_Es(p: Mat, alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> Mat:
-    """alpha P + beta (I - P) with P a rank-one Hermitian projection; in SU_n.
-
-    Constraints checked: alpha^n != 1, alpha beta^(n-1) = 1, and the spectrum
-    {alpha, beta} is not conjugation-invariant. These make the element a
-    conj-twist detector for SU_n.
-    """
-    n = p.n
-    if p.regime != C64:
-        p = to_c64(p)
-    if not is_rank_one_idempotent(p, tol) or not close(p, conj_transpose(p), tol):
-        raise BadIdempotent("make_Es needs a rank-one Hermitian projection")
-    if abs(alpha**n - 1) <= tol:
-        raise BadParameters("alpha^n must differ from 1")
-    if abs(alpha * beta ** (n - 1) - 1) > tol:
-        raise BadParameters("alpha beta^(n-1) = 1 is required for det 1")
-    spec = {_round_c(alpha), _round_c(beta)}
-    conj_spec = {_round_c(alpha.conjugate()), _round_c(beta.conjugate())}
-    if spec == conj_spec:
-        raise BadParameters("spectrum must not be conjugation-invariant")
-    i = identity(n, C64)
-    return add(smul(alpha, p), smul(beta, sub(i, p)))
-
-
-def _round_c(z: complex, nd: int = 7) -> tuple:
-    return (round(z.real, nd), round(z.imag, nd))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ with a deterministic schedule of structured matrices and reconstruct the
 (kind, sigma, T, g) data, or refute that the oracle is implemented by any
 automorphism. The workhorse observations:
 
-* a probe with spectrum {s, t, ..., t} distinguishes A from the
-  contragredient transpose-inverse, whose spectrum is inverted;
+* one diagonal probe decides the branch: the kind (exact groups) or
+  sigma (unitary groups) is the one branch (kind, sigma) whose
+  op(probe) = sigma(probe)^(+-) has the image's characteristic
+  polynomial (`_detect`);
 * the shears I + E_ij, like the basis B, generate M_n as an algebra, so
-  the intertwiner space of such a family and its images is one line of
-  invertible matrices, which gives T, or zero, which refutes every
-  automorphism (`_fit_t`);
+  the intertwiner space of such a family and its images (unwrapped to
+  op(image, kind, id), the transpose-inverse for the contragredient kind)
+  is one line of invertible matrices, which gives T, or zero, which
+  refutes every automorphism (`_fit_t`);
 * diagonal determinant probes isolate scalar character values entrywise.
 
 Every engine is one pipeline run by `_drive`: detect the kind (or sigma),
@@ -38,6 +41,7 @@ from .autos import (
     Automorphism,
     apply,
     make_automorphism,
+    op,
 )
 from .errors import (
     BadParameters,
@@ -54,28 +58,23 @@ from .matrices import (
     QR,
     GroupTag,
     Mat,
-    apply_sigma,
     build_basis,
-    charpoly,
+    charpolys_match,
     close,
     coerce_scalar,
     diag_first,
+    diagonal,
     equal,
     inv,
-    make_E,
-    make_Es,
     mat,
     member,
     mul,
-    poly_from_roots,
-    rank_one_idempotent,
     random_sl,
     random_su,
     scalar_close,
     scalar_one,
     scalar_zero,
     smul,
-    transpose,
 )
 from .scalarmaps import CIRCLE, TableFunc, det_relation_refutations, induced, screen_rclass
 from .scalars import DEFAULT_TOL, GQ_I
@@ -322,42 +321,33 @@ def _ratio(observed: Mat, model: Mat, tol: float, reason: str, **extra):
 
 
 # ---------------------------------------------------------------------------
-# stage: detect the kind
+# stage: detect the branch
+
+
+def _detect(oracle: Oracle, probe: Mat, branches, what: str):
+    """Query probe; return (branch, None) for the one (kind, sigma) in
+    branches whose op(probe) has the image's characteristic polynomial, or
+    (None, refutation) when none does or several do."""
+    img = oracle.query(probe)
+    hits = [b for b in branches if charpolys_match(op(probe, *b), img)]
+    if len(hits) == 1:
+        return hits[0], None
+    return None, f"spectrum probe matches neither {what}"
 
 
 def detect_kind(oracle: Oracle):
-    """Probe with spectrum {(1/2)^(n-1), 2, ..., 2}; the contragredient
-    inverts it. Returns (kind, note) or a refutation string."""
+    """Probe diag((1/2)^(n-1), 2, ..., 2); the contragredient inverts its
+    spectrum. Returns (kind, None) or (None, refutation)."""
     n = oracle.group.n
-    regime = oracle.group.regimes()[0]
-    e_probe = make_E(rank_one_idempotent(_e1(n), _e1(n), regime).matrix())
-    img = oracle.query(e_probe)
-    small = Fraction(1, 2) ** (n - 1)
-    spec_std = [small] + [Fraction(2)] * (n - 1)
-    spec_con = [Fraction(1) / small] + [Fraction(1, 2)] * (n - 1)
-    cp = charpoly(img)
-    if cp == poly_from_roots(spec_std, regime):
-        return STANDARD, None
-    if cp == poly_from_roots(spec_con, regime):
-        return CONTRAGREDIENT, None
-    return None, "spectrum probe matches neither kind"
-
-
-def _e1(n):
-    return [Fraction(1) if i == 0 else Fraction(0) for i in range(n)]
-
-
-def _unwrap(kind: str, img: Mat) -> Mat:
-    """Reduce a contragredient image to standard form: (phi(A)^-1)^t."""
-    if kind == STANDARD:
-        return img
-    return transpose(inv(img))
+    probe = diagonal([Fraction(1, 2) ** (n - 1)] + [2] * (n - 1), oracle.group.regimes()[0])
+    hit, why = _detect(oracle, probe, [(STANDARD, SIGMA_ID), (CONTRAGREDIENT, SIGMA_ID)], "kind")
+    return hit and hit[0], why
 
 
 def _t_of(kind: str, s_mat: Mat) -> Mat:
     """T from the similarity S of the unwrapped map: S itself for the
     standard kind, (S^t)^-1 for the contragredient."""
-    return s_mat if kind == STANDARD else _normalize_first_nonzero(inv(transpose(s_mat)))
+    return s_mat if kind == STANDARD else _normalize_first_nonzero(op(s_mat, kind, SIGMA_ID))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +380,8 @@ def _fit_t(oracle: Oracle, kind: str, probes, what: str) -> Mat:
     element is the answer; the similarity solver never searches.
     """
     # the probes are real, so sigma fixes them; after the contragredient
-    # unwrap the map is S A_sigma S^-1 with S = (T^t)^-1
-    res = simultaneous_similarity([(p, _unwrap(kind, oracle.query(p))) for p in probes])
+    # unwrap op(phi(A), kind, id) the map is S A_sigma S^-1 with S = (T^t)^-1
+    res = simultaneous_similarity([(p, op(oracle.query(p), kind, SIGMA_ID)) for p in probes])
     if res.status == "NoSolution":
         raise _Stop(f"{what} images admit no similarity: {res.note}")
     if res.status != "Solved":
@@ -411,10 +401,10 @@ def _detect_sigma_exact(oracle, kind, s_mat, n, regime) -> str | None:
     """The sigma whose model S sigma(P) S^-1 equals the unwrapped image of
     the probe P = I + i E_12, or None."""
     probe = _shear(n, regime, 0, 1, GQ_I)
-    img = _unwrap(kind, oracle.query(probe))
+    img = op(oracle.query(probe), kind, SIGMA_ID)
     s_inv = inv(s_mat)
     for sigma in (SIGMA_ID, SIGMA_CONJ):
-        if equal(img, mul(mul(s_mat, apply_sigma(probe, sigma)), s_inv)):
+        if equal(img, mul(mul(s_mat, op(probe, STANDARD, sigma)), s_inv)):
             return sigma
     return None
 
@@ -432,51 +422,15 @@ def _spectrum_probe_su(n: int):
     return alpha, beta
 
 
-def _eig_multiset(m: Mat):
-    import numpy as np
-
-    from .matrices import _to_numpy
-
-    return sorted(np.linalg.eigvals(_to_numpy(m)), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-
-
-def _multiset_close(xs, ys, tol) -> bool:
-    if len(xs) != len(ys):
-        return False
-    used = [False] * len(ys)
-    for x in xs:
-        hit = next(
-            (k for k, y in enumerate(ys) if not used[k] and abs(x - y) <= tol), None
-        )
-        if hit is None:
-            return False
-        used[hit] = True
-    return True
-
-
-def detect_sigma_unitary(oracle: Oracle, tol: float = 1e-6):
+def detect_sigma_unitary(oracle: Oracle):
     """Probe diag(alpha, beta, ..., beta) in SU_n; conjugation flips the
-    spectrum to its conjugate, similarity does not."""
+    spectrum to its conjugate, similarity does not. Returns (sigma, None)
+    or (None, refutation)."""
     n = oracle.group.n
     alpha, beta = _spectrum_probe_su(n)
-    p = _hermitian_e11(n)
-    es = make_Es(p, alpha, beta)
-    img = oracle.query(es)
-    eigs = _eig_multiset(img)
-    spec = [alpha] + [beta] * (n - 1)
-    spec_c = [x.conjugate() for x in spec]
-    id_match = _multiset_close(eigs, spec, tol)
-    conj_match = _multiset_close(eigs, spec_c, tol)
-    if id_match and not conj_match:
-        return SIGMA_ID, None
-    if conj_match and not id_match:
-        return SIGMA_CONJ, None
-    return None, "spectrum probe matches neither sigma"
-
-
-def _hermitian_e11(n: int) -> Mat:
-    rows = [[complex(1 if (i == j == 0) else 0) for j in range(n)] for i in range(n)]
-    return mat(rows, C64)
+    probe = diagonal([alpha] + [beta] * (n - 1), C64)
+    hit, why = _detect(oracle, probe, [(STANDARD, SIGMA_ID), (STANDARD, SIGMA_CONJ)], "sigma")
+    return hit and hit[1], why
 
 
 def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float, note: str) -> Mat:
@@ -486,7 +440,7 @@ def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float, note: str) -> Mat
     for k in range(SU_SAMPLES):
         a = random_su(oracle.group.n, seed=seed * 101 + k)
         img = oracle.query(a)
-        pairs.append((apply_sigma(a, sigma), img))
+        pairs.append((op(a, STANDARD, sigma), img))
     u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-7))
     if u is None:
         raise _Stop(note, status="Inconclusive")
@@ -646,7 +600,7 @@ def recover_sun(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: flo
     group = oracle.group
 
     def stages():
-        sigma = _found(*detect_sigma_unitary(oracle, tol))
+        sigma = _found(*detect_sigma_unitary(oracle))
         u = _fit_su(oracle, sigma, seed, tol, "no unitary intertwiner through the sampled pairs")
         candidate = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
         residual = 0.0
@@ -672,7 +626,7 @@ def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: floa
     n = group.n
 
     def stages():
-        sigma = _found(*detect_sigma_unitary(oracle, tol))
+        sigma = _found(*detect_sigma_unitary(oracle))
         u = _fit_su(oracle, sigma, seed, tol, "no unitary intertwiner through the SU samples")
         model = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
         g_points = []

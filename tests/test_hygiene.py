@@ -175,3 +175,44 @@ def test_grid_helpers_serve_the_kernels_and_the_ring_helpers_are_gone():
     assert found == []
     defined = {node.name for path in MODULES for node in ast.walk(_parse(path)) if isinstance(node, ast.FunctionDef)}
     assert defined & SUPERSEDED == set()
+
+
+# a branch (kind, sigma) acts as autos.op; numeric spectra are compared by
+# matrices.charpolys_match
+def _owned_calls(node, owner=""):
+    """(name of the innermost enclosing def, call) for every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _owned_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _owned_calls(child, owner)
+
+
+def _call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_autos_op_transposes_an_inverse():
+    found = [
+        f"{path.name}:{call.lineno} {owner}"
+        for path in MODULES
+        for owner, call in _owned_calls(_parse(path))
+        if call.args
+        and isinstance(call.args[0], ast.Call)
+        and {_call_name(call), _call_name(call.args[0])} == {"transpose", "inv"}
+        and (path.name, owner) != ("autos.py", "op")
+    ]
+    assert found == []
+
+
+def test_only_matrices_computes_numeric_spectra():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        if path.name != "matrices.py"
+        for line, name in _calls(_parse(path), {"poly", "eigvals"})
+    ]
+    assert found == []

@@ -244,6 +244,24 @@ def test_irrational_scalar_is_never_refuted():
     assert [(br.kind, br.outcome) for br in v.branches] == [(STANDARD, "inconclusive"), (CONTRAGREDIENT, "refuted")]
 
 
+@pytest.mark.parametrize("det_a", [2, -2], ids=["positive-det", "odd-n"])
+def test_negative_real_root_is_refuted_where_g_is_positive(det_a):
+    """A, the companion of t^3 - det_a, goes to -D or D (D the companion of
+    t^3 - 4), so that det(out) / det A = -2, and b -> b for
+    b = diag(2, 1/2, 1). On the standard branch the traces give c^3 = -2,
+    whose one real root -2^(1/3) is negative, while g(det A) > 0: 2 is a
+    square, and odd n forces g(-1) = 1. So the branch is refuted, though
+    the root is irrational."""
+    a = mat([[0, 0, det_a], [1, 0, 0], [0, 1, 0]], QR)
+    d = mat([[0, 0, 4], [1, 0, 0], [0, 1, 0]], QR)
+    b = mat([[2, 0, 0], [0, F(1, 2), 0], [0, 0, 1]], QR)
+    v = check_pair(GL3, (a, smul(-det_a // 2, d)), (b, b))
+    assert v.status == "Obstructed"
+    assert v.refusal_reasons()[0] == (
+        f"standard/id: no scalar values (c^3 = -2 has only a negative real root, but g({det_a}) > 0)"
+    )
+
+
 @st.composite
 def _automorphisms(draw):
     """A canonical-form automorphism of GL or SL over R or C, n = 3 or 4,

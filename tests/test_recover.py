@@ -1,4 +1,5 @@
 """Recovery engines and the small detection tools they are built from."""
+import cmath
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from localaut.matrices import (
     C64,
     add,
     build_basis,
+    close,
     det,
     GroupTag,
     QC,
@@ -223,6 +225,37 @@ def test_switching_automorphism_is_refuted_at_the_basis_fit():
     rep = recover_slnr_short(FunctionOracle(group, fn), seed=0, verify_probes=5)
     assert rep.status == "Refuted"
     assert rep.refutation == {"reason": "basis images admit no similarity: intertwiner space is zero"}
+
+
+@pytest.mark.parametrize(
+    "spec, what",
+    [
+        (("SL", "R", 3), "kind"),
+        (("SL", "C", 3), "kind"),
+        (("GL", "R", 3), "kind"),
+        (("SUn", "C", 3), "sigma"),
+        (("Un", "C", 3), "sigma"),
+    ],
+)
+def test_constant_identity_oracle_is_refuted_at_the_spectrum_probe(spec, what):
+    """A -> I gives the spectrum probe the spectrum {1, 1, 1}, which no
+    branch gives it. The probe is diag((1/2)^(n-1), 2, ..., 2) for the kind
+    and diag(alpha, beta, ..., beta), beta = exp(2 pi i / 7),
+    alpha = beta^(1-n), for sigma."""
+    group = GroupTag(*spec)
+    oracle = FunctionOracle(group, lambda a: identity(a.n, a.regime))
+    rep = recover(oracle, seed=0, verify_probes=5)
+    assert rep.status == "Refuted"
+    assert rep.refutation == {"reason": f"spectrum probe matches neither {what}"}
+    assert rep.probes_used == 1
+    if what == "kind":
+        entries = [F(1, 4), F(2), F(2)]
+    else:
+        beta = cmath.exp(2j * cmath.pi / 7)
+        entries = [beta ** (1 - 3), beta, beta]
+    regime = group.regimes()[0] if what == "kind" else C64
+    want = mat([[x if i == j else 0 for j in range(3)] for i, x in enumerate(entries)], regime)
+    assert close(oracle.transcript[0][0], want, 0.0)
 
 
 def test_su_round_trip_detects_conjugation():
