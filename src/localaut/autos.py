@@ -95,8 +95,6 @@ def make_automorphism(
         raise BadParameters(f"unknown kind {kind!r}")
     if sigma not in (SIGMA_ID, SIGMA_CONJ):
         raise IllegalSigma(f"unknown sigma {sigma!r}")
-    if not group.is_group:
-        raise GroupMismatch(f"{group.family} is not an automorphism carrier here")
     if group.field == "R" and sigma == SIGMA_CONJ:
         raise IllegalSigma("conjugation is trivial on R; use sigma='id'")
     if t.n != group.n:

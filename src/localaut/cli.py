@@ -12,6 +12,7 @@ misbehaving oracles) reported as machine-readable error JSON.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import shlex
 import sys
@@ -135,6 +136,19 @@ def _jsonable(x):
     if converted is not None:
         return converted
     return str(x)
+
+
+def _check_numbers(args) -> None:
+    """Refuse numeric options under which a verdict would check nothing or
+    a probe could never be in the group."""
+    opts = vars(args)
+    tol = opts.get("tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadArgs(f"--tol must be a finite number >= 0, got {tol}")
+    if opts.get("pairs", 1) < 1:
+        raise BadArgs(f"--pairs must be at least 1, got {args.pairs}")
+    if opts.get("verify_probes", 0) < 0:
+        raise BadArgs(f"--verify-probes must be at least 0, got {args.verify_probes}")
 
 
 def _load_mats(path: str) -> tuple[list[Mat], bool]:
@@ -445,6 +459,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_numbers(args)
         report = args.func(args)
     except (BadArgs, NoEngine) as exc:
         _error("BadArgs", str(exc))

@@ -37,7 +37,7 @@ from .matrices import (
     charpolys_match,
     close,
     det,
-    member,
+    member_det,
     mul,
     scalar_one,
     smul,
@@ -219,17 +219,23 @@ def check_pair(
     """Is there one canonical-form automorphism through both samples?"""
     a, a_out = pair1
     b, b_out = pair2
-    for x in (a, a_out, b, b_out):
-        if not member(x, group, tol):
+    samples, read = (a, a_out, b, b_out), []
+    for x in samples:
+        ok, d = member_det(x, group, tol)
+        if not ok:
             raise NotInGroup(f"sample outside {group.family}_{group.n}({group.field})")
+        read.append(d)
     if group.unitary and a.regime == QC:
         # unitary witnesses need polar factors, which live in ApproxC
         p1 = (to_c64(a), to_c64(a_out))
         p2 = (to_c64(b), to_c64(b_out))
         return check_pair(group, p1, p2, seed, max(tol, 1e-8))
     kinds, sigmas = _group_branches(group)
-    # every GL and U_n branch reads these four determinants; SL and SU_n ones none
-    dets = None if group.family in ("SL", "SUn") else tuple(det(x) for x in (a, a_out, b, b_out))
+    # every GL and U_n branch reads these four determinants, SL and SU_n ones
+    # none; the GL membership test has read them already
+    dets = None
+    if group.family in ("GL", "Un"):
+        dets = tuple(det(x) if d is None else d for x, d in zip(samples, read))
     verdict = PairVerdict("Obstructed", None)
     inconclusive = False
     for kind in kinds:

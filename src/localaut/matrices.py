@@ -39,7 +39,7 @@ QC = "QC"
 C64 = "C64"
 REGIMES = (QR, QC, C64)
 
-FAMILIES = ("GL", "SL", "SLminus", "Un", "SUn")
+FAMILIES = ("GL", "SL", "Un", "SUn")
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class GroupTag:
             raise BadParameters("n >= 3 is required throughout")
         if self.family in ("Un", "SUn") and self.field != "C":
             raise BadParameters(f"{self.family} lives over C")
-
-    @property
-    def is_group(self) -> bool:
-        return self.family != "SLminus"
 
     @property
     def unitary(self) -> bool:
@@ -620,20 +616,25 @@ def poly_from_roots(roots, regime: str) -> list:
 # group membership
 
 
-def member(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL) -> bool:
+def member_det(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL):
+    """(a in g, det a), with None for det a where the test does not read
+    it: a U_n test, or a unitary test that fails before the determinant."""
     if a.n != g.n:
         raise RegimeMismatch("size mismatch")
     if a.regime not in g.regimes():
         raise RegimeMismatch(f"regime {a.regime} does not model field {g.field}")
-    if g.family in ("GL", "SL", "SLminus"):
-        d = det(a)
-        if g.family == "GL":
-            return not scalar_close(d, _ZERO[a.regime], tol) and d == d  # a NaN det fails too
-        return scalar_close(d, _ONE[a.regime] if g.family == "SL" else -_ONE[a.regime], tol)
-    gram = mul(conj_transpose(a), a)
-    if not close(gram, identity(a.n, a.regime), tol):
-        return False
-    return g.family == "Un" or scalar_close(det(a), _ONE[a.regime], tol)
+    if g.unitary and not close(mul(conj_transpose(a), a), identity(a.n, a.regime), tol):
+        return False, None
+    if g.family == "Un":
+        return True, None
+    d = det(a)
+    if g.family == "GL":
+        return not scalar_close(d, _ZERO[a.regime], tol) and d == d, d  # a NaN det fails too
+    return scalar_close(d, _ONE[a.regime], tol), d
+
+
+def member(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL) -> bool:
+    return member_det(a, g, tol)[0]
 
 
 # ---------------------------------------------------------------------------

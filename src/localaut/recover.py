@@ -1,30 +1,30 @@
 """Recovery of canonical-form data from oracle access to a sampled map.
 
-Engines probe an oracle (black-box callable, sample file, or subprocess)
-with a deterministic schedule of structured matrices and reconstruct the
-(kind, sigma, T, g) data, or refute that the oracle is implemented by any
-automorphism. The workhorse observations:
+`recover` probes an oracle (black-box callable, sample file, or
+subprocess) with a deterministic schedule of structured matrices and
+reconstructs the (kind, sigma, T, g) of A -> g(det A) T sigma(A)^(+-) T^-1,
+or refutes that any automorphism implements the oracle. One pipeline runs
+every group, with the stages its canonical form needs:
 
-* one diagonal probe decides the branch: the kind (exact groups) or
-  sigma (unitary groups) is the one branch (kind, sigma) whose
-  op(probe) = sigma(probe)^(+-) has the image's characteristic
-  polynomial (`_detect`);
-* the shears I + E_ij, like the basis B, generate M_n as an algebra, so
-  the intertwiner space of such a family and its images (unwrapped to
-  op(image, kind, id), the transpose-inverse for the contragredient kind)
-  is one line of invertible matrices, which gives T, or zero, which
-  refutes every automorphism (`_fit_t`);
-* diagonal determinant probes isolate scalar character values entrywise.
+* detect the branch: one diagonal probe, whose image has the
+  characteristic polynomial of op(probe) = sigma(probe)^(+-) for exactly
+  one branch, gives the kind (exact groups) or sigma (unitary groups);
+* fit T: the shears I + E_ij generate M_n as an algebra, so their
+  intertwiner space with their unwrapped images is one line of invertible
+  matrices, which gives T, or zero, which refutes every automorphism; SU_n
+  and U_n fit a unitary intertwiner on random SU_n samples instead;
+* over C, one complex shear decides the exact sigma;
+* fit g where the form carries it: diag(d, 1, ..., 1) probes isolate g(d),
+  on R* for GL_n(R) and on the circle for U_n;
+* verify on fresh probes: exactly for SL_n and GL_n(R), by the residual
+  for SU_n, projectively for U_n.
 
-Every engine is one pipeline run by `_drive`: detect the kind (or sigma),
-fit T, fit g by determinant probes, verify on fresh probes. A stage that
-sees the oracle contradict every automorphism raises `_Stop`, which the
-driver turns into the Refuted (or Inconclusive) report. `recover` picks
-the engine for the oracle's group.
-
-All probe counts are charged against an oracle budget (default
-10 n^2 + 200); exceeding it raises BudgetExceeded with partial progress
-attached.
+A stage that sees the oracle contradict every automorphism raises `_Stop`,
+which becomes the Refuted (or Inconclusive) report. The report's engine
+label follows the group (`ENGINE_LABELS`), and each public engine name is
+`recover` restricted to one group. Probes are charged against an oracle
+budget (default 10 n^2 + 200); exceeding it raises BudgetExceeded with
+partial progress attached.
 """
 from __future__ import annotations
 
@@ -58,7 +58,6 @@ from .matrices import (
     QR,
     GroupTag,
     Mat,
-    build_basis,
     charpolys_match,
     close,
     coerce_scalar,
@@ -225,7 +224,7 @@ class SubprocessOracle(Oracle):
 
 
 # ---------------------------------------------------------------------------
-# reports, the pipeline driver, shared steps
+# reports and shared steps
 
 
 @dataclass
@@ -241,12 +240,6 @@ class RecoveryReport:
     notes: list[str] = field(default_factory=list)
     refutation: dict | None = None
 
-    def summary(self) -> str:
-        base = f"{self.engine}: {self.status} after {self.probes_used} probes"
-        if self.auto is not None:
-            base += f" ({self.auto.kind}, sigma={self.auto.sigma})"
-        return base
-
 
 class _Stop(Exception):
     """An early verdict from a stage: Refuted with a reason and extra
@@ -257,29 +250,6 @@ class _Stop(Exception):
         self.reason, self.status, self.extra = reason, status, extra
 
 
-def _drive(engine: str, oracle: Oracle, accepts: bool, carrier: str, stages) -> RecoveryReport:
-    """Run an engine's stages on oracle and report.
-
-    stages() returns the fields of the Recovered report. A _Stop becomes
-    the Refuted or Inconclusive report; an exhausted budget re-raises with
-    the engine and probe count attached as `partial`.
-    """
-    if not accepts:
-        raise BadParameters(f"this engine recovers {carrier} automorphisms")
-    try:
-        status, fields = "Recovered", stages()
-    except _Stop as stop:
-        status = stop.status
-        if status == "Inconclusive":
-            fields = {"notes": [stop.reason]}
-        else:
-            fields = {"refutation": {"reason": stop.reason, **stop.extra}}
-    except BudgetExceeded as exc:
-        exc.partial = {"engine": engine, "probes_used": oracle.count}
-        raise
-    return RecoveryReport(status, oracle.group, engine, probes_used=oracle.count, **fields)
-
-
 def _found(value, reason: str):
     """value, or a refutation with reason when a detector found nothing."""
     if value is None:
@@ -287,37 +257,32 @@ def _found(value, reason: str):
     return value
 
 
-def scalar_ratio(observed: Mat, model: Mat, tol: float = DEFAULT_TOL):
-    """c with observed = c * model, or raise ResidualFail."""
-    n = model.n
-    if model.regime == C64:
-        best, bv = None, 0.0
-        for i in range(n):
-            for j in range(n):
-                if abs(model[i, j]) > bv:
-                    bv, best = abs(model[i, j]), (i, j)
-        if best is None:
-            raise ResidualFail("model matrix is zero")
-        c = observed[best[0], best[1]] / model[best[0], best[1]]
-        scaled = smul(c, model)
-        if not close(observed, scaled, max(tol, 1e-7) * max(1.0, bv)):
-            raise ResidualFail("observed image is not a scalar multiple of the model")
-        return c
-    pivot = next(((i, j) for i in range(n) for j in range(n) if model[i, j]), None)
-    if pivot is None:
-        raise ResidualFail("model matrix is zero")
-    c = observed[pivot[0], pivot[1]] / model[pivot[0], pivot[1]]
-    if not equal(observed, smul(c, model)):
-        raise ResidualFail("observed image is not a scalar multiple of the model")
-    return c
+def _pivot(m: Mat):
+    """The (i, j) a scalar is read at: the first nonzero entry in the exact
+    regimes, the first of largest modulus in C64; None when m is zero."""
+    cells = [(i, j) for i in range(m.n) for j in range(m.n) if m[i, j]]
+    if m.regime == C64:
+        return max(cells, key=lambda ij: abs(m[ij]), default=None)
+    return cells[0] if cells else None
+
+
+def _normalize(m: Mat) -> Mat:
+    """Invertible m scaled so that its pivot is 1 (exact T) or real and
+    positive (a unitary U, which the fit pins down only up to a phase)."""
+    z = m[_pivot(m)]
+    return smul(abs(z) / z if m.regime == C64 else scalar_one(m.regime) / z, m)
 
 
 def _ratio(observed: Mat, model: Mat, tol: float, reason: str, **extra):
-    """scalar_ratio, with a refutation when there is no such scalar."""
-    try:
-        return scalar_ratio(observed, model, tol)
-    except ResidualFail:
-        raise _Stop(reason, **extra) from None
+    """c with observed = c * model (in C64 within tol relative to the
+    pivot), or a refutation with reason when there is no such scalar."""
+    p = _pivot(model)
+    if p is not None:
+        c = observed[p] / model[p]
+        slack = max(tol, 1e-7) * max(1.0, abs(model[p])) if model.regime == C64 else 0.0
+        if close(observed, smul(c, model), slack):
+            return c
+    raise _Stop(reason, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +309,8 @@ def detect_kind(oracle: Oracle):
     return hit and hit[0], why
 
 
-def _t_of(kind: str, s_mat: Mat) -> Mat:
-    """T from the similarity S of the unwrapped map: S itself for the
-    standard kind, (S^t)^-1 for the contragredient."""
-    return s_mat if kind == STANDARD else _normalize_first_nonzero(op(s_mat, kind, SIGMA_ID))
-
-
 # ---------------------------------------------------------------------------
-# stage: fit T from the images of an algebra-generating family
+# stage: fit T from the images of the shears (exact groups)
 
 
 def _shear(n, regime, i, j, value=Fraction(1)) -> Mat:
@@ -360,66 +319,46 @@ def _shear(n, regime, i, j, value=Fraction(1)) -> Mat:
     return mat(rows, regime)
 
 
-def _shears(n, regime) -> list[Mat]:
-    """The n^2 - n shears I + E_ij, i != j, row by row."""
-    return [_shear(n, regime, i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def _fit_t(oracle: Oracle, kind: str, probes, what: str) -> Mat:
+def _fit_t(oracle: Oracle, kind: str) -> Mat:
     """The normalized S with unwrapped image S A_sigma S^-1, read off the
-    probes' (probe, unwrapped image) pairs as their intertwiner.
+    n^2 - n shears I + E_ij (i != j, row by row) and their unwrapped images
+    as their intertwiner.
 
-    The fit is a certificate whenever the probes generate M_n as an
-    algebra, as the shears do (E_ij = (I + E_ij) - I and E_ij E_ji = E_ii)
-    and the basis B does (it spans M_n). If S A = B S for every probe A,
-    then ker S is invariant under every probe, hence under all of M_n, so
-    it is 0 or everything: every nonzero intertwiner is invertible. Two of
-    them, S and S', give S'^-1 S commuting with all of M_n, a scalar
-    (Schur's lemma). So the intertwiner space is {0}, which refutes every
-    automorphism, or one line of invertible matrices whose first basis
-    element is the answer; the similarity solver never searches.
+    The fit is a certificate because the shears generate M_n as an algebra
+    (E_ij = (I + E_ij) - I and E_ij E_ji = E_ii). If S A = B S for every
+    shear A, then ker S is invariant under every shear, hence under all of
+    M_n, so it is 0 or everything: every nonzero intertwiner is invertible. Two of them, S and S', give S'^-1 S
+    commuting with all of M_n, a scalar (Schur's lemma). So the
+    intertwiner space is {0}, which refutes every automorphism, or one line
+    of invertible matrices whose first basis element is the answer; the
+    similarity solver never searches.
     """
-    # the probes are real, so sigma fixes them; after the contragredient
+    n, regime = oracle.group.n, oracle.group.regimes()[0]
+    shears = [_shear(n, regime, i, j) for i in range(n) for j in range(n) if i != j]
+    # the shears are real, so sigma fixes them; after the contragredient
     # unwrap op(phi(A), kind, id) the map is S A_sigma S^-1 with S = (T^t)^-1
-    res = simultaneous_similarity([(p, op(oracle.query(p), kind, SIGMA_ID)) for p in probes])
+    res = simultaneous_similarity([(p, op(oracle.query(p), kind, SIGMA_ID)) for p in shears])
     if res.status == "NoSolution":
-        raise _Stop(f"{what} images admit no similarity: {res.note}")
+        raise _Stop(f"shear images admit no similarity: {res.note}")
     if res.status != "Solved":
-        raise _Stop(f"{what} images gave no similarity: {res.note}", status="Inconclusive")
-    return _normalize_first_nonzero(res.s)
+        raise _Stop(f"shear images gave no similarity: {res.note}", status="Inconclusive")
+    return _normalize(res.s)
 
 
-def _normalize_first_nonzero(t: Mat) -> Mat:
-    for i in range(t.n):
-        for j in range(t.n):
-            if t[i, j]:
-                return smul(scalar_one(t.regime) / t[i, j], t)
-    return t
-
-
-def _detect_sigma_exact(oracle, kind, s_mat, n, regime) -> str | None:
+def _detect_sigma_exact(oracle: Oracle, kind: str, s_mat: Mat) -> str:
     """The sigma whose model S sigma(P) S^-1 equals the unwrapped image of
-    the probe P = I + i E_12, or None."""
-    probe = _shear(n, regime, 0, 1, GQ_I)
+    the probe P = I + i E_12; a refutation when neither does."""
+    probe = _shear(oracle.group.n, s_mat.regime, 0, 1, GQ_I)
     img = op(oracle.query(probe), kind, SIGMA_ID)
     s_inv = inv(s_mat)
     for sigma in (SIGMA_ID, SIGMA_CONJ):
         if equal(img, mul(mul(s_mat, op(probe, STANDARD, sigma)), s_inv)):
             return sigma
-    return None
+    raise _Stop("complex shear probe matches neither sigma")
 
 
 # ---------------------------------------------------------------------------
 # stage: fit T from SU samples (SU_n, U_n)
-
-
-def _spectrum_probe_su(n: int):
-    q = 7
-    while (n % q == 0) or ((n - 1) % q == 0):
-        q = {7: 11, 11: 13, 13: 17}[q]
-    beta = cmath.exp(2j * cmath.pi / q)
-    alpha = beta ** (1 - n)
-    return alpha, beta
 
 
 def detect_sigma_unitary(oracle: Oracle):
@@ -427,15 +366,16 @@ def detect_sigma_unitary(oracle: Oracle):
     spectrum to its conjugate, similarity does not. Returns (sigma, None)
     or (None, refutation)."""
     n = oracle.group.n
-    alpha, beta = _spectrum_probe_su(n)
-    probe = diagonal([alpha] + [beta] * (n - 1), C64)
+    # beta = exp(2 pi i / q) for the first prime q dividing neither n nor n - 1
+    beta = cmath.exp(2j * cmath.pi / next(q for q in (7, 11, 13, 17) if n % q and (n - 1) % q))
+    probe = diagonal([beta ** (1 - n)] + [beta] * (n - 1), C64)
     hit, why = _detect(oracle, probe, [(STANDARD, SIGMA_ID), (STANDARD, SIGMA_CONJ)], "sigma")
     return hit and hit[1], why
 
 
-def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float, note: str) -> Mat:
+def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float) -> Mat:
     """The phase-normalized unitary U with phi(A) = U sigma(A) U^-1 on
-    random SU_n samples; Inconclusive with note when none is found."""
+    random SU_n samples; Inconclusive when none is found."""
     pairs = []
     for k in range(SU_SAMPLES):
         a = random_su(oracle.group.n, seed=seed * 101 + k)
@@ -443,18 +383,8 @@ def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float, note: str) -> Mat
         pairs.append((op(a, STANDARD, sigma), img))
     u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-7))
     if u is None:
-        raise _Stop(note, status="Inconclusive")
-    return _normalize_phase(u)
-
-
-def _normalize_phase(u: Mat) -> Mat:
-    best, bv = (0, 0), 0.0
-    for i in range(u.n):
-        for j in range(u.n):
-            if abs(u[i, j]) > bv:
-                bv, best = abs(u[i, j]), (i, j)
-    z = u[best[0], best[1]]
-    return smul(abs(z) / z, u)
+        raise _Stop("no unitary intertwiner through the SU samples", status="Inconclusive")
+    return _normalize(u)
 
 
 def _frob_dist(a: Mat, b: Mat) -> float:
@@ -462,7 +392,7 @@ def _frob_dist(a: Mat, b: Mat) -> float:
 
 
 # ---------------------------------------------------------------------------
-# stages: fit g, verify
+# stage: fit g (GL_n(R), U_n)
 
 
 def _det_probe(oracle: Oracle, model: Automorphism, probe: Mat, tol: float, det_label):
@@ -477,216 +407,210 @@ def _det_probe(oracle: Oracle, model: Automorphism, probe: Mat, tol: float, det_
     )
 
 
-def _verify_exact(oracle: Oracle, candidate: Automorphism, probes) -> None:
-    """Every fresh probe's image must equal the candidate's, exactly."""
-    for probe in probes:
+def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
+    """g on R* from diag(d, 1, ..., 1) probes, which isolate g(d) entrywise.
+
+    The table is screened against the scalar class of the kind, each det
+    and then each pair, and |g| along every multiplicative relation among
+    the |d|; a violation is Refuted with the offending dets.
+    """
+    if not dets:
+        raise BadParameters("GL_n(R) recovery needs at least one determinant probe")
+    n = model.group.n
+    g_points: list[tuple[Fraction, Fraction]] = []
+    for d in dets:
+        if d == 0:
+            raise BadParameters("0 is not a determinant of an invertible matrix")
+        c = _det_probe(oracle, model, diag_first(n, d, QR), tol, str(d))
+        g_points.append((d, Fraction(c)))
+    first = model.kind == STANDARD
+    for args, ok, why in screen_rclass(g_points, n, first):
+        if not ok:
+            where = f"at det {args[0]}" if len(args) == 1 else f"on dets ({args[0]}, {args[1]})"
+            raise _Stop(f"scalar class violated {where}: {why}")
+    # signs and d / -d pairs are pinned above; |g| must also respect
+    # every multiplicative relation among the |d|
+    broken = det_relation_refutations({abs(d): abs(c) for d, c in g_points})
+    if broken:
+        raise _Stop("scalar class violated: |g| breaks a relation among the dets", **broken[0])
+    g = TableFunc(tuple(sorted(g_points)))
+    return {
+        "auto": make_automorphism(model.group, model.kind, SIGMA_ID, model.t, g),
+        "g_points": [(str(d), str(c)) for d, c in g_points],
+        "f_table": [(d, induced(d, c, n, first)) for d, c in g_points],
+    }
+
+
+def _fit_g_circle(oracle: Oracle, model: Automorphism, tol: float) -> dict:
+    """g on the circle from diag(z, 1, ..., 1) probes at the generators."""
+    n = model.group.n
+    g_points = []
+    for zc in CIRCLE_GENERATORS:
+        c = _det_probe(oracle, model, diag_first(n, zc, C64), tol, [zc.real, zc.imag])
+        g_points.append((zc.conjugate() if model.sigma == SIGMA_CONJ else zc, complex(c)))
+    g = TableFunc(tuple(g_points), CIRCLE)
+    return {
+        "auto": make_automorphism(model.group, STANDARD, model.sigma, model.t, g, tol=1e-6),
+        "g_points": [([d.real, d.imag], [c.real, c.imag]) for d, c in g_points],
+        "f_table": [(d, induced(d, c, n)) for d, c in g_points],
+        "notes": ["verification is projective: scalars at unprobed determinants stay unchecked"],
+    }
+
+
+# ---------------------------------------------------------------------------
+# stage: verify on fresh probes
+
+
+def _verify_exact(oracle: Oracle, candidate: Automorphism, seed: int, count: int, dets) -> None:
+    """Every fresh probe's image must equal the candidate's, exactly. The
+    probes are random SL_n members, for GL_n(R) each times diag(d, 1, ..., 1)
+    at a probed determinant d."""
+    group = candidate.group
+    n, regime = group.n, group.regimes()[0]
+    rng = random.Random(seed)
+    for _ in range(count):
+        probe = random_sl(n, regime, rng)
+        if group.family == "GL":
+            probe = mul(probe, diag_first(n, rng.choice(dets), regime))
         if not equal(oracle.query(probe), apply(candidate, probe)):
             raise _Stop("verification probe disagrees with the recovered automorphism")
 
 
+def _verify_su(oracle: Oracle, candidate: Automorphism, seed: int, count: int, tol: float) -> float:
+    """The largest Frobenius distance between a fresh SU_n probe's image
+    and the candidate's; Refuted beyond 50 tol."""
+    residual = 0.0
+    for k in range(count):
+        probe = random_su(candidate.group.n, seed=seed * 413 + 57 + k)
+        residual = max(residual, _frob_dist(oracle.query(probe), apply(candidate, probe, 1e-6)))
+    if residual > tol * 50:
+        raise _Stop(f"verification residual {residual:.3e} exceeds tolerance")
+    return residual
+
+
+def _verify_projective(oracle: Oracle, model: Automorphism, seed: int, count: int, tol: float) -> float:
+    """Each fresh U_n probe's image must be a circle scalar c times
+    U sigma(P) U^-1; the residual is the largest Frobenius distance between
+    the two."""
+    n, residual = model.group.n, 0.0
+    for k in range(count):
+        # an SU_n sample times diag(z, 1, ..., 1) for a random phase z
+        z = cmath.exp(2j * cmath.pi * random.Random(seed * 733 + 91 + k).random())
+        probe = mul(random_su(n, seed=seed * 733 + 91 + k), diag_first(n, z, C64))
+        got = oracle.query(probe)
+        want = apply(model, probe, check=False)
+        c = _ratio(got, want, max(tol, 1e-7), "verification probe is not conjugation followed by a scalar")
+        if abs(abs(complex(c)) - 1) > tol * 10:
+            raise _Stop("verification scalar leaves the circle")
+        residual = max(residual, _frob_dist(got, smul(c, want)))
+    return residual
+
+
 # ---------------------------------------------------------------------------
-# engines
+# the pipeline
 
-
-def recover_sln_common(
-    oracle: Oracle, seed: int = 0, verify_probes: int = 50
-) -> RecoveryReport:
-    """Shear-probe engine for SL_n over the exact regimes (both fields).
-
-    Probe schedule: one spectrum probe for the kind, the n^2 - n shears for
-    T, one complex shear for sigma, then fresh verification probes.
-    """
-    group = oracle.group
-    n = group.n
-    regime = group.regimes()[0]
-
-    def stages():
-        kind = _found(*detect_kind(oracle))
-        s_mat = _fit_t(oracle, kind, _shears(n, regime), "shear")
-        sigma = SIGMA_ID
-        if group.field == "C":
-            sigma = _found(
-                _detect_sigma_exact(oracle, kind, s_mat, n, regime),
-                "complex shear probe matches neither sigma",
-            )
-        candidate = make_automorphism(group, kind, sigma, _t_of(kind, s_mat))
-        rng = random.Random(seed)
-        _verify_exact(oracle, candidate, (random_sl(n, regime, rng) for _ in range(verify_probes)))
-        return {"auto": candidate}
-
-    return _drive("sln_common", oracle, group.family == "SL", "SL", stages)
-
-
-def recover_slnr_short(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
-    """Basis-probe engine for SL_n(R), any n.
-
-    Probe schedule: one spectrum probe for the kind, the n^2 members of the
-    basis B (each of determinant 1, together spanning M_n) for T, then
-    fresh verification probes. `recover` sends only odd n here.
-    """
-    group = oracle.group
-    n = group.n
-
-    def stages():
-        kind = _found(*detect_kind(oracle))
-        s_mat = _fit_t(oracle, kind, build_basis("B", n).mats, "basis")
-        candidate = make_automorphism(group, kind, SIGMA_ID, _t_of(kind, s_mat))
-        rng = random.Random(seed)
-        _verify_exact(oracle, candidate, (random_sl(n, QR, rng) for _ in range(verify_probes)))
-        return {"auto": candidate}
-
-    return _drive(
-        "slnr_short", oracle, group.family == "SL" and group.field == "R", "SL_n(R)", stages
-    )
-
-
-def recover_glnr(
-    oracle: Oracle,
-    dets=DEFAULT_DETS,
-    seed: int = 0,
-    verify_probes: int = 50,
-) -> RecoveryReport:
-    """SL restriction via shears, then direct determinant probes for g.
-
-    diag(d, 1, ..., 1) probes isolate g(d) entrywise; the collected table is
-    screened pairwise against the scalar class of the detected kind. A probe
-    table violating the class yields a Refuted report with the offending
-    determinant pair.
-    """
-    group = oracle.group
-    n = group.n
-
-    def stages():
-        kind = _found(*detect_kind(oracle))
-        t = _t_of(kind, _fit_t(oracle, kind, _shears(n, QR), "shear"))
-        model = make_automorphism(group, kind, SIGMA_ID, t)
-        gens = [Fraction(d) for d in dets]
-        g_points: list[tuple[Fraction, Fraction]] = []
-        for d in gens:
-            if d == 0:
-                raise BadParameters("0 is not a determinant of an invertible matrix")
-            c = _det_probe(oracle, model, diag_first(n, d, QR), DEFAULT_TOL, str(d))
-            g_points.append((d, Fraction(c)))
-        first = kind == STANDARD
-        for args, ok, why in screen_rclass(g_points, n, first):
-            if not ok:
-                where = f"at det {args[0]}" if len(args) == 1 else f"on dets ({args[0]}, {args[1]})"
-                raise _Stop(f"scalar class violated {where}: {why}")
-        # signs and d / -d pairs are pinned above; |g| must also respect
-        # every multiplicative relation among the |d|
-        broken = det_relation_refutations({abs(d): abs(c) for d, c in g_points})
-        if broken:
-            raise _Stop("scalar class violated: |g| breaks a relation among the dets", **broken[0])
-        g = TableFunc(tuple(sorted(g_points))) if g_points else None
-        candidate = make_automorphism(group, kind, SIGMA_ID, t, g)
-        rng = random.Random(seed)
-        probes = (
-            mul(random_sl(n, QR, rng), diag_first(n, gens[rng.randrange(len(gens))] if gens else 1, QR))
-            for _ in range(verify_probes)
-        )
-        _verify_exact(oracle, candidate, probes)
-        return {
-            "auto": candidate,
-            "g_points": [(str(d), str(c)) for d, c in g_points],
-            "f_table": [(d, induced(d, c, n, first)) for d, c in g_points],
-        }
-
-    return _drive("glnr", oracle, group.family == "GL" and group.field == "R", "GL_n(R)", stages)
-
-
-def recover_sun(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
-    """SU_n engine: sigma from a spectrum probe, then a unitary intertwiner
-    fitted over random special unitary samples."""
-    group = oracle.group
-
-    def stages():
-        sigma = _found(*detect_sigma_unitary(oracle))
-        u = _fit_su(oracle, sigma, seed, tol, "no unitary intertwiner through the sampled pairs")
-        candidate = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
-        residual = 0.0
-        for k in range(verify_probes):
-            probe = random_su(group.n, seed=seed * 413 + 57 + k)
-            residual = max(residual, _frob_dist(oracle.query(probe), apply(candidate, probe, 1e-6)))
-        if residual > tol * 50:
-            raise _Stop(f"verification residual {residual:.3e} exceeds tolerance")
-        return {"auto": candidate, "residual": residual}
-
-    return _drive("sun", oracle, group.family == "SUn", "SU_n", stages)
-
-
-def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
-    """U_n engine: the SU restriction pins sigma and U; determinant probes
-    diag(z, 1, ..., 1) then tabulate the circle character g.
-
-    Verification is projective: each fresh probe's image must be a circle
-    scalar c times U sigma(P) U^-1, and the residual is the largest
-    Frobenius distance between the two.
-    """
-    group = oracle.group
-    n = group.n
-
-    def stages():
-        sigma = _found(*detect_sigma_unitary(oracle))
-        u = _fit_su(oracle, sigma, seed, tol, "no unitary intertwiner through the SU samples")
-        model = make_automorphism(group, STANDARD, sigma, u, tol=1e-6)
-        g_points = []
-        for zc in CIRCLE_GENERATORS:
-            c = _det_probe(oracle, model, diag_first(n, zc, C64), tol, [zc.real, zc.imag])
-            g_points.append((zc.conjugate() if sigma == SIGMA_CONJ else zc, complex(c)))
-        g = TableFunc(tuple(g_points), CIRCLE)
-        candidate = make_automorphism(group, STANDARD, sigma, u, g, tol=1e-6)
-        residual = 0.0
-        for k in range(verify_probes):
-            probe = mat_from_su_scaled(n, seed * 733 + 91 + k)
-            got = oracle.query(probe)
-            want = apply(model, probe, check=False)
-            c = _ratio(got, want, max(tol, 1e-7), "verification probe is not conjugation followed by a scalar")
-            if abs(abs(complex(c)) - 1) > tol * 10:
-                raise _Stop("verification scalar leaves the circle")
-            residual = max(residual, _frob_dist(got, smul(c, want)))
-        return {
-            "auto": candidate,
-            "residual": residual,
-            "g_points": [([d.real, d.imag], [c.real, c.imag]) for d, c in g_points],
-            "f_table": [(d, induced(d, c, n)) for d, c in g_points],
-            "notes": ["verification is projective: scalars at unprobed determinants stay unchecked"],
-        }
-
-    return _drive("un", oracle, group.family == "Un", "U_n", stages)
-
-
-def mat_from_su_scaled(n: int, seed: int) -> Mat:
-    """A random unitary probe: SU sample times a diagonal phase."""
-    base = random_su(n, seed=seed)
-    rng = random.Random(seed)
-    z = cmath.exp(2j * cmath.pi * rng.random())
-    return mul(base, diag_first(n, z, C64))
+# (family, field) -> the engine label a report carries
+ENGINE_LABELS = {
+    ("SL", "R"): "sln_common",
+    ("SL", "C"): "sln_common",
+    ("GL", "R"): "glnr",
+    ("SUn", "C"): "sun",
+    ("Un", "C"): "un",
+}
 
 
 def recover(
     oracle: Oracle, seed: int = 0, verify_probes: int = 50, dets=None, tol: float = 1e-6
 ) -> RecoveryReport:
-    """Recover with the engine for oracle.group.
+    """Recover oracle's map through the pipeline for oracle.group and report.
 
-    SL_n(R) with odd n goes to the basis engine, every other SL_n to the
-    shear engine, GL_n(R), SU_n and U_n to their own engines. dets (default
-    2 and 3) feeds the GL_n(R) determinant probes, tol the unitary engines.
-    Raises NoEngine for GL_n(C).
+    dets (default 2 and 3) feeds the GL_n(R) determinant probes, tol the
+    unitary stages. A _Stop from a stage becomes the Refuted or
+    Inconclusive report; an exhausted budget re-raises with the engine
+    label and probe count attached as `partial`. Raises NoEngine for
+    GL_n(C).
     """
     group = oracle.group
-    common = {"seed": seed, "verify_probes": verify_probes}
-    if group.family == "SL":
-        if group.field == "R" and group.n % 2:
-            return recover_slnr_short(oracle, **common)
-        return recover_sln_common(oracle, **common)
-    if group.family == "GL" and group.field == "R":
-        return recover_glnr(oracle, dets=DEFAULT_DETS if dets is None else dets, **common)
+    engine = ENGINE_LABELS.get((group.family, group.field))
+    if engine is None:
+        label = f"{group.family}-{group.field}-{group.n}".lower()
+        raise NoEngine(f"no recovery engine for {label}")
+    try:
+        fields = _pipeline(oracle, seed, verify_probes, DEFAULT_DETS if dets is None else dets, tol)
+        status = "Recovered"
+    except _Stop as stop:
+        status = stop.status
+        if status == "Inconclusive":
+            fields = {"notes": [stop.reason]}
+        else:
+            fields = {"refutation": {"reason": stop.reason, **stop.extra}}
+    except BudgetExceeded as exc:
+        exc.partial = {"engine": engine, "probes_used": oracle.count}
+        raise
+    return RecoveryReport(status, group, engine, probes_used=oracle.count, **fields)
+
+
+def _pipeline(oracle: Oracle, seed, verify_probes, dets, tol) -> dict:
+    """detect -> fit T -> (sigma over C) -> fit g -> verify, each as the
+    group's canonical form needs it; returns the Recovered report's fields."""
+    group = oracle.group
+    if group.unitary:
+        kind, sigma = STANDARD, _found(*detect_sigma_unitary(oracle))
+        t = _fit_su(oracle, sigma, seed, tol)
+    else:
+        kind = _found(*detect_kind(oracle))
+        s_mat = _fit_t(oracle, kind)
+        sigma = _detect_sigma_exact(oracle, kind, s_mat) if group.field == "C" else SIGMA_ID
+        # T is S for the standard kind, (S^t)^-1 for the contragredient
+        t = s_mat if kind == STANDARD else _normalize(op(s_mat, kind, SIGMA_ID))
+    model = make_automorphism(group, kind, sigma, t, tol=1e-6)
+    if group.family == "GL":
+        dets = [Fraction(d) for d in dets]
+        fields = _fit_g_real(oracle, model, dets, tol)
+    elif group.family == "Un":
+        fields = _fit_g_circle(oracle, model, tol)
+    else:
+        fields = {"auto": model}
     if group.family == "SUn":
-        return recover_sun(oracle, tol=tol, **common)
-    if group.family == "Un":
-        return recover_un(oracle, tol=tol, **common)
-    label = f"{group.family}-{group.field}-{group.n}".lower()
-    raise NoEngine(f"no recovery engine for {label}")
+        fields["residual"] = _verify_su(oracle, model, seed, verify_probes, tol)
+    elif group.family == "Un":
+        fields["residual"] = _verify_projective(oracle, model, seed, verify_probes, tol)
+    else:
+        _verify_exact(oracle, fields["auto"], seed, verify_probes, dets)
+    return fields
+
+
+# The engine names below are `recover` restricted to one group.
+
+
+def _only(oracle: Oracle, carrier: str, family: str, field: str | None = None) -> None:
+    if oracle.group.family != family or field not in (None, oracle.group.field):
+        raise BadParameters(f"this engine recovers {carrier} automorphisms")
+
+
+def recover_sln_common(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
+    _only(oracle, "SL", "SL")
+    return recover(oracle, seed, verify_probes)
+
+
+def recover_slnr_short(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
+    _only(oracle, "SL_n(R)", "SL", "R")
+    return recover(oracle, seed, verify_probes)
+
+
+def recover_glnr(oracle: Oracle, dets=DEFAULT_DETS, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
+    _only(oracle, "GL_n(R)", "GL", "R")
+    return recover(oracle, seed, verify_probes, dets)
+
+
+def recover_sun(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
+    _only(oracle, "SU_n", "SUn")
+    return recover(oracle, seed, verify_probes, tol=tol)
+
+
+def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
+    _only(oracle, "U_n", "Un")
+    return recover(oracle, seed, verify_probes, tol=tol)
 
 
 # ---------------------------------------------------------------------------

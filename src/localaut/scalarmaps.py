@@ -373,11 +373,6 @@ class DomainReport:
     pair_verdicts: list  # (lam, mu, ok, reason)
     failures: list
 
-    def summary(self) -> str:
-        status = "passes" if self.ok else "fails"
-        cls = "LM1r" if self.first_kind else "LM2r"
-        return f"{cls} pairwise check {status} on {len(self.values)} points"
-
 
 def check_LM1r_on_domain(f, n: int, domain) -> DomainReport:
     return _check_lm_domain(f, n, domain, first_kind=True)

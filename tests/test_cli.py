@@ -114,6 +114,14 @@ def test_broken_json_is_file_format(tmp_path, capsys):
     assert code == 3 and rep["error"] == "FileFormat"
 
 
+def test_slminus_group_file_is_file_format(tmp_path, capsys):
+    """SLminus is no family: a sample file naming it is malformed."""
+    path = tmp_path / "slminus.json"
+    path.write_text(json.dumps({"group": {"family": "SLminus", "field": "R", "n": 3}, "samples": []}))
+    code, rep = run_cli(capsys, "local-check", str(path))
+    assert code == 3 and rep["error"] == "FileFormat"
+
+
 def test_domain_errors_surface_with_their_names(capsys):
     code, rep = run_cli(capsys, "gallery", "sign-twist", "--n", "3")
     assert code == 4 and rep["error"] == "OddN"
@@ -280,7 +288,7 @@ def test_recover_gl_complex_has_no_engine(tmp_path, capsys):
     "group, gen_extra, rec_extra, digest",
     [
         ("sl-r-3", ["--kind", "contragredient"], [],
-         "a5bdae289008541e2117b8bff17b4ede312f704487856a98c77c703bef4dcffb"),
+         "ac302a08a5e57a5be3aeb40a5e1a6157cdae76510e84314cb1deb42fa15f88ab"),
         ("sl-c-3", ["--sigma", "conj"], [],
          "e26aff69f78ce153c69c8797c9e4a6d7b3d1ef30e5a2862d05b6c5b7938b93aa"),
         ("gl-r-3", ["--g", "power:2"], ["--dets", "2,3,-5"],
@@ -303,6 +311,32 @@ def test_budget_stop_reports_partial_progress(tmp_path, capsys):
     )
     assert code == 4 and rep["error"] == "BudgetExceeded"
     assert rep["partial"] == {"engine": "glnr", "probes_used": 4}
+
+
+def test_recover_with_an_empty_det_list_is_refused(tmp_path, capsys):
+    """`--dets ,` would leave every verification probe at det 1."""
+    auto_file = _gen(capsys, tmp_path, "gl-r-3", "--g", "power:1")
+    code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", auto_file, "--dets", ",")
+    assert code == 4 and rep["error"] == "BadParameters"
+    assert "at least one determinant probe" in rep["message"]
+
+
+@pytest.mark.parametrize(
+    "command, group, option, value",
+    [
+        ("verify-auto", "gl-r-3", "--pairs", "0"),
+        ("verify-auto", "gl-r-3", "--pairs", "-3"),
+        ("recover", "gl-r-3", "--verify-probes", "-1"),
+        ("recover", "un-3", "--tol", "-1"),
+        ("recover", "gl-r-3", "--tol", "nan"),
+    ],
+)
+def test_numeric_options_that_check_nothing_are_bad_args(tmp_path, capsys, command, group, option, value):
+    auto_file = _gen(capsys, tmp_path, group)
+    args = [auto_file] if command == "verify-auto" else ["--group", group, "--auto", auto_file]
+    code, rep = run_cli(capsys, command, *args, option, value)
+    assert code == 2 and rep["error"] == "BadArgs"
+    assert rep["message"].startswith(option)
 
 
 @pytest.mark.parametrize(

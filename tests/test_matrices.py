@@ -29,6 +29,7 @@ from localaut.matrices import (
     make_E,
     mat,
     member,
+    member_det,
     mul,
     poly_from_roots,
     random_gl,
@@ -103,6 +104,16 @@ def test_membership():
     assert member(random_unitary(3, seed=4), GroupTag("Un", "C", 3), tol=1e-9)
     assert member(random_su(3, seed=4), GroupTag("SUn", "C", 3), tol=1e-9)
     assert member(random_gl(3, QC, rng), GroupTag("GL", "C", 3))
+
+
+def test_member_det_returns_the_det_it_tested():
+    rng = random.Random(2)
+    a = smul(F(2), random_sl(3, QR, rng))
+    assert member_det(a, GroupTag("GL", "R", 3)) == (True, F(8))
+    assert member_det(a, GroupTag("SL", "R", 3)) == (False, F(8))
+    ok, d = member_det(random_su(3, seed=4), GroupTag("SUn", "C", 3), tol=1e-9)
+    assert ok and abs(d - 1) < 1e-9
+    assert member_det(random_unitary(3, seed=4), GroupTag("Un", "C", 3), tol=1e-9) == (True, None)
 
 
 def test_rank_one_idempotent_requires_unit_pairing():

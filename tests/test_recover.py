@@ -64,8 +64,8 @@ def _scalar_ratio_ok(t_rec, t_true):
 
 
 def test_sl_real_round_trip_both_kinds():
-    """`recover` sends only odd n to the basis engine, but it recovers even n
-    too: every member of the basis B has determinant 1."""
+    """`recover_slnr_short` is `recover` on SL_n(R): the shear fit certifies
+    T at odd and even n alike."""
     for n in (3, 4):
         for i, kind in enumerate((STANDARD, CONTRAGREDIENT)):
             rng = random.Random(40 + i + 10 * (n - 3))
@@ -136,6 +136,16 @@ def test_gl_real_screens_every_det_before_any_pair(h):
     assert rep.refutation == {"reason": "scalar class violated at det 3: g(3) must be positive"}
 
 
+def test_gl_real_needs_a_determinant_probe():
+    """With no dets every verification probe has det 1, so g would go
+    unchecked: the g stage refuses to run."""
+    group = GroupTag("GL", "R", 3)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(9)), PowerFunc(F(1)))
+    for call in (lambda o: recover_glnr(o, dets=[]), lambda o: recover(o, dets=[])):
+        with pytest.raises(BadParameters, match="at least one determinant probe"):
+            call(AutomorphismOracle(auto))
+
+
 def _shear(n, regime, i, j, value=1):
     return mat([[F(int(r == c)) + (value if (r, c) == (i, j) else 0) for c in range(n)] for r in range(n)], regime)
 
@@ -203,15 +213,14 @@ def test_incoherent_shear_scaling_is_refuted():
     [(recover_sln_common, ("SL", "C", 3)), (recover_glnr, ("GL", "R", 3)), (recover_slnr_short, ("SL", "R", 3))],
 )
 def test_transpose_is_refuted_at_the_shear_fit(engine, spec):
-    what = "basis" if engine is recover_slnr_short else "shear"
     rep = engine(FunctionOracle(GroupTag(*spec), transpose), seed=0, verify_probes=5)
     assert rep.status == "Refuted"
-    assert rep.refutation == {"reason": f"{what} images admit no similarity: intertwiner space is zero"}
+    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
 
 
 def test_switching_automorphism_is_refuted_at_the_basis_fit():
     """An oracle that answers with one automorphism for 3 probes, then with
-    another: the basis images admit no similarity."""
+    another: the shear images admit no similarity."""
     group = GroupTag("SL", "R", 3)
     first, then = (
         make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(s))) for s in (1, 2)
@@ -224,7 +233,7 @@ def test_switching_automorphism_is_refuted_at_the_basis_fit():
 
     rep = recover_slnr_short(FunctionOracle(group, fn), seed=0, verify_probes=5)
     assert rep.status == "Refuted"
-    assert rep.refutation == {"reason": "basis images admit no similarity: intertwiner space is zero"}
+    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
 
 
 @pytest.mark.parametrize(
