@@ -56,12 +56,9 @@ from .matrices import (
     equal,
     identity,
     inv,
-    make_E,
     mat,
     member,
     mul,
-    rank_one_idempotent,
-    rank_one_with_trace,
     random_gl,
     random_sl,
     random_su,
@@ -80,8 +77,6 @@ from .recover import (
     SubprocessOracle,
     default_budget,
     detect_kind,
-    functional_ratio,
-    lindep_detector,
     recover_glnr,
     recover_sln_common,
     recover_slnr_short,

@@ -147,8 +147,8 @@ def _check_numbers(args) -> None:
         raise BadArgs(f"--tol must be a finite number >= 0, got {tol}")
     if opts.get("pairs", 1) < 1:
         raise BadArgs(f"--pairs must be at least 1, got {args.pairs}")
-    if opts.get("verify_probes", 0) < 0:
-        raise BadArgs(f"--verify-probes must be at least 0, got {args.verify_probes}")
+    if opts.get("verify_probes", 1) < 1:
+        raise BadArgs(f"--verify-probes must be at least 1, got {args.verify_probes}")
 
 
 def _load_mats(path: str) -> tuple[list[Mat], bool]:
@@ -275,7 +275,11 @@ def _make_oracle(args, group: GroupTag):
             )
         return SampleOracle(group, sample_map.samples, budget=args.budget, tol=args.tol)
     if args.oracle_cmd:
-        return SubprocessOracle(group, shlex.split(args.oracle_cmd), budget=args.budget, tol=args.tol)
+        try:
+            cmd = shlex.split(args.oracle_cmd)
+        except ValueError as exc:
+            raise BadArgs(f"cannot parse --oracle-cmd {args.oracle_cmd!r}: {exc}") from exc
+        return SubprocessOracle(group, cmd, budget=args.budget, tol=args.tol)
     auto = auto_from_json(load_json(args.auto))
     if auto.group != group:
         raise BadArgs("automorphism file group does not match --group")
@@ -347,12 +351,12 @@ def _cmd_selftest(args) -> dict:
     from .acceptance import run_all
 
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = [int(tok) for tok in args.only.split(",") if tok.strip()]
         except ValueError as exc:
             raise BadArgs(f"cannot parse --only {args.only!r}") from exc
-        if any(k < 1 or k > 10 for k in numbers):
+        if not numbers or any(k < 1 or k > 10 for k in numbers):
             raise BadArgs("--only takes criterion numbers between 1 and 10")
     results = run_all(args.seed, numbers=numbers)
     for r in results:

@@ -50,10 +50,6 @@ class SingularMatrix(LocalautError):
     pass
 
 
-class BadIdempotent(LocalautError):
-    pass
-
-
 class NotInGroup(LocalautError):
     pass
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from .errors import OddN, TooFewGenerators
 from .localcheck import SampleMap, check_map
-from .matrices import GroupTag, QR, det, diag_first, equal, identity, mul, random_sl, smul
+from .matrices import GroupTag, QR, det, diag_first, equal, identity, mul, random_sl, ratio, smul
 from .scalarmaps import PowerFunc, check_M1r, det_relation_refutations, induced
 
 H_VALUES = {Fraction(2): Fraction(2), Fraction(3): Fraction(9), Fraction(6): Fraction(6)}
@@ -156,18 +156,6 @@ def _vec_add(x: tuple, y: tuple) -> tuple:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def _dep_scalar(x: tuple, y: tuple):
-    """q with y = q x, or None if the vectors are Q-independent."""
-    if all(c == 0 for c in x):
-        return None
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            if x[i] * y[j] != x[j] * y[i]:
-                return None
-    piv = next(i for i, c in enumerate(x) if c != 0)
-    return y[piv] / x[piv]
-
-
 def _additive_violations(pairs) -> list:
     img = {p: q for p, q in pairs}
     out = []
@@ -191,13 +179,13 @@ def additive_pair_ok(x: tuple, fx: tuple, y: tuple, fy: tuple) -> tuple[bool, st
         return False, "a bijection cannot kill a nonzero point"
     if any(c != 0 for c in y) and all(c == 0 for c in fy):
         return False, "a bijection cannot kill a nonzero point"
-    q = _dep_scalar(x, y)
+    q = ratio(y, x)
     if q is not None:
         want = tuple(q * c for c in fx)
         if want != tuple(fy):
             return False, f"dependent points need the same ratio {q}"
         return True, "dependent pair transported"
-    if _dep_scalar(fx, fy) is not None:
+    if ratio(fy, fx) is not None:
         return False, "independent points with dependent images"
     return True, "independent pair, free extension"
 

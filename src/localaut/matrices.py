@@ -17,12 +17,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add as _iadd, mul as _imul, neg as _ineg, sub as _isub
 
-from .errors import (
-    BadIdempotent,
-    BadParameters,
-    RegimeMismatch,
-    SingularMatrix,
-)
+from .errors import BadParameters, RegimeMismatch, SingularMatrix
 from .exactlinalg import rref
 from .scalars import (
     DEFAULT_TOL,
@@ -599,19 +594,6 @@ def charpolys_match(x: Mat, y: Mat) -> bool:
     return all(abs(p - q) <= 1e-6 * scale for p, q in zip(cx, cy))
 
 
-def poly_from_roots(roots, regime: str) -> list:
-    """prod (t - r), ascending coefficients."""
-    coeffs = [scalar_one(regime)]
-    for r in roots:
-        r = coerce_scalar(regime, r)
-        nxt = [scalar_zero(regime)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - r * c
-        coeffs = nxt
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # group membership
 
@@ -638,102 +620,36 @@ def member(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectors, idempotents, the E-sets
+# proportionality
 
 
-def outer(x, y, regime: str) -> Mat:
-    n = len(x)
-    x = [coerce_scalar(regime, v) for v in x]
-    y = [coerce_scalar(regime, v) for v in y]
-    return Mat(n, regime, tuple(tuple(x[i] * y[j] for j in range(n)) for i in range(n)))
+def flat(a: Mat) -> list:
+    """a's n^2 entries, row by row."""
+    return [x for row in a.entries for x in row]
 
 
-@dataclass(frozen=True)
-class RankOneIdem:
-    """P = x y^t with y^t x = 1 (no conjugation: an algebra idempotent)."""
-
-    x: tuple
-    y: tuple
-    regime: str
-
-    def matrix(self) -> Mat:
-        return outer(self.x, self.y, self.regime)
+def pivot(xs):
+    """The index a ratio is read at: of the first nonzero entry of xs in the
+    exact regimes, of the first of largest modulus in C64; None when xs is
+    zero."""
+    cells = [k for k, x in enumerate(xs) if x]
+    if cells and isinstance(xs[cells[0]], complex):
+        return max(cells, key=lambda k: abs(xs[k]))
+    return cells[0] if cells else None
 
 
-def rank_one_idempotent(x, y, regime: str) -> RankOneIdem:
-    x = tuple(coerce_scalar(regime, v) for v in x)
-    y = tuple(coerce_scalar(regime, v) for v in y)
-    pairing = sum((a * b for a, b in zip(y, x)), scalar_zero(regime))
-    if not scalar_close(pairing, scalar_one(regime)):
-        raise BadIdempotent("y^t x must equal 1")
-    return RankOneIdem(x, y, regime)
-
-
-def is_rank_one_idempotent(p: Mat, tol: float = DEFAULT_TOL) -> bool:
-    return close(mul(p, p), p, tol) and rank_of(p, tol) == 1
-
-
-def rank_one_with_trace(c: Mat, target) -> RankOneIdem:
-    """A rank-one idempotent P = x y^t with tr(P c) = target, exactly.
-
-    tr(x y^t c) = y^t c x, so it suffices to find x with x and c x
-    independent (which exists unless c is scalar: a matrix fixing the lines
-    of every e_i and e_i + e_j is diagonal with equal entries) and then
-    solve the two linear conditions y^t x = 1, y^t (c x) = target on a
-    2 x 2 invertible coordinate pair.
-    """
-    if c.regime == C64:
-        raise RegimeMismatch("the trace-target search is exact; use QR or QC")
-    n = c.n
-    one, zero = scalar_one(c.regime), scalar_zero(c.regime)
-    candidates = []
-    for i in range(n):
-        e = [zero] * n
-        e[i] = one
-        candidates.append(e)
-        for j in range(i + 1, n):
-            s = [zero] * n
-            s[i] = one
-            s[j] = one
-            candidates.append(s)
-    for x in candidates:
-        cx = [sum((c[i, k] * x[k] for k in range(n)), zero) for i in range(n)]
-        piv = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if x[i] * cx[j] != x[j] * cx[i]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            continue
-        i, j = piv
-        detm = x[i] * cx[j] - x[j] * cx[i]
-        tgt = coerce_scalar(c.regime, target)
-        # invert [[x_i, x_j], [cx_i, cx_j]] for (y_i, y_j); other y_k = 0
-        yi = (cx[j] * one - x[j] * tgt) / detm
-        yj = (x[i] * tgt - cx[i] * one) / detm
-        y = [zero] * n
-        y[i], y[j] = yi, yj
-        return rank_one_idempotent(x, y, c.regime)
-    raise BadParameters("tr(P c) is constant: c is a scalar matrix")
-
-
-def make_E(p: Mat) -> Mat:
-    """(1/2)^(n-1) P + 2 (I - P) for a rank-one idempotent P; lies in SL_n.
-
-    Its spectrum is the kind-detection dichotomy: (1/2)^(n-1) once and 2 with
-    multiplicity n-1, while transpose-inverting it swaps to 2^(n-1) and 1/2.
-    """
-    if p.regime == C64:
-        raise RegimeMismatch("make_E is exact; use QR or QC")
-    if not is_rank_one_idempotent(p):
-        raise BadIdempotent("make_E needs a rank-one idempotent")
-    n = p.n
-    small = Fraction(1, 2) ** (n - 1)
-    i = identity(n, p.regime)
-    return add(smul(small, p), smul(2, sub(i, p)))
+def ratio(ys, xs, tol: float = DEFAULT_TOL):
+    """The c with ys = c xs for two equal-length scalar sequences: exact in
+    QR and QC, in C64 within tol times max(1, |pivot|) entry by entry. None
+    when there is no such c or xs is zero."""
+    if len(ys) != len(xs):
+        raise BadParameters("a ratio needs two sequences of one length")
+    k = pivot(xs)
+    if k is None:
+        return None
+    c = ys[k] / xs[k]
+    slack = tol * max(1.0, abs(xs[k])) if isinstance(xs[k], complex) else 0.0
+    return c if all(scalar_close(y, c * x, slack) for x, y in zip(xs, ys)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +675,8 @@ class Basis:
     def _inverse(self) -> Mat:
         """The inverse of the basis matrix, whose column k is member k laid
         flat; the n^2 members span M_n."""
-        flat = [[x for r in b.entries for x in r] for b in self.mats]
-        return _inv_rref(Mat(len(flat), QR, tuple(zip(*flat))))
+        cols = [flat(b) for b in self.mats]
+        return _inv_rref(Mat(len(cols), QR, tuple(zip(*cols))))
 
     def coordinates(self, x: Mat) -> list[Fraction]:
         """Coefficients of x in the basis: one product of x's grid with the

@@ -50,7 +50,6 @@ from .errors import (
     NoEngine,
     NotInGroup,
     OracleIncomplete,
-    RegimeMismatch,
     ResidualFail,
 )
 from .matrices import (
@@ -59,20 +58,19 @@ from .matrices import (
     GroupTag,
     Mat,
     charpolys_match,
-    close,
-    coerce_scalar,
     diag_first,
     diagonal,
     equal,
+    flat,
     inv,
     mat,
     member,
     mul,
+    pivot,
     random_sl,
     random_su,
-    scalar_close,
+    ratio,
     scalar_one,
-    scalar_zero,
     smul,
 )
 from .scalarmaps import CIRCLE, TableFunc, det_relation_refutations, induced, screen_rclass
@@ -82,7 +80,6 @@ from .similarity import simultaneous_similarity, unitary_intertwiner
 DEFAULT_DETS = (Fraction(2), Fraction(3))
 SU_SAMPLES = 4  # random SU_n samples the unitary intertwiner is fitted on
 CIRCLE_GENERATORS = (1j,)  # determinant probes of the U_n character
-LINDEP_PROBES = 25  # random directions lindep_detector tries first
 CHILD_GRACE_S = 2  # seconds an oracle child may take to exit after stdin closes
 ORACLE_REPLY_S = 30  # seconds an oracle child may take to answer one probe
 
@@ -257,32 +254,20 @@ def _found(value, reason: str):
     return value
 
 
-def _pivot(m: Mat):
-    """The (i, j) a scalar is read at: the first nonzero entry in the exact
-    regimes, the first of largest modulus in C64; None when m is zero."""
-    cells = [(i, j) for i in range(m.n) for j in range(m.n) if m[i, j]]
-    if m.regime == C64:
-        return max(cells, key=lambda ij: abs(m[ij]), default=None)
-    return cells[0] if cells else None
-
-
 def _normalize(m: Mat) -> Mat:
     """Invertible m scaled so that its pivot is 1 (exact T) or real and
     positive (a unitary U, which the fit pins down only up to a phase)."""
-    z = m[_pivot(m)]
+    xs = flat(m)
+    z = xs[pivot(xs)]
     return smul(abs(z) / z if m.regime == C64 else scalar_one(m.regime) / z, m)
 
 
 def _ratio(observed: Mat, model: Mat, tol: float, reason: str, **extra):
-    """c with observed = c * model (in C64 within tol relative to the
-    pivot), or a refutation with reason when there is no such scalar."""
-    p = _pivot(model)
-    if p is not None:
-        c = observed[p] / model[p]
-        slack = max(tol, 1e-7) * max(1.0, abs(model[p])) if model.regime == C64 else 0.0
-        if close(observed, smul(c, model), slack):
-            return c
-    raise _Stop(reason, **extra)
+    """c with observed = c * model, or a refutation with reason."""
+    c = ratio(flat(observed), flat(model), max(tol, 1e-7))
+    if c is None:
+        raise _Stop(reason, **extra)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +285,14 @@ def _detect(oracle: Oracle, probe: Mat, branches, what: str):
     return None, f"spectrum probe matches neither {what}"
 
 
+def kind_probe(n: int, regime: str) -> Mat:
+    """diag((1/2)^(n-1), 2, ..., 2); the contragredient inverts its spectrum."""
+    return diagonal([Fraction(1, 2) ** (n - 1)] + [2] * (n - 1), regime)
+
+
 def detect_kind(oracle: Oracle):
-    """Probe diag((1/2)^(n-1), 2, ..., 2); the contragredient inverts its
-    spectrum. Returns (kind, None) or (None, refutation)."""
-    n = oracle.group.n
-    probe = diagonal([Fraction(1, 2) ** (n - 1)] + [2] * (n - 1), oracle.group.regimes()[0])
+    """Probe kind_probe. Returns (kind, None) or (None, refutation)."""
+    probe = kind_probe(oracle.group.n, oracle.group.regimes()[0])
     hit, why = _detect(oracle, probe, [(STANDARD, SIGMA_ID), (CONTRAGREDIENT, SIGMA_ID)], "kind")
     return hit and hit[0], why
 
@@ -528,8 +516,11 @@ def recover(
     unitary stages. A _Stop from a stage becomes the Refuted or
     Inconclusive report; an exhausted budget re-raises with the engine
     label and probe count attached as `partial`. Raises NoEngine for
-    GL_n(C).
+    GL_n(C), and BadParameters for verify_probes < 1: a verdict on no
+    fresh probe would certify nothing.
     """
+    if verify_probes < 1:
+        raise BadParameters(f"a recovery needs at least 1 verification probe, got {verify_probes}")
     group = oracle.group
     engine = ENGINE_LABELS.get((group.family, group.field))
     if engine is None:
@@ -611,77 +602,3 @@ def recover_sun(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: flo
 def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
     _only(oracle, "U_n", "Un")
     return recover(oracle, seed, verify_probes, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# small exact linear-algebra detectors, exported on their own; no engine
-# calls them
-
-
-@dataclass
-class LinDepResult:
-    status: str  # "GloballyDependent" | "Independent"
-    ratio: object | None = None  # lambda with A = lambda B
-    witness: list | None = None  # x with Ax, Bx independent
-
-
-def _vectors_dependent(ax, bx, tol) -> bool:
-    n = len(ax)
-    return all(scalar_close(ax[i] * bx[j], ax[j] * bx[i], tol) for i in range(n) for j in range(i + 1, n))
-
-
-def lindep_detector(a: Mat, b: Mat, seed: int = 0, tol: float = DEFAULT_TOL) -> LinDepResult:
-    """Decide whether A = lambda B from directional probes.
-
-    If Ax and Bx are parallel for every standard basis vector and every sum
-    e_i + e_j, then B^-1 A fixes all their lines, hence is scalar; random
-    probes only shortcut to an early witness. The returned verdict is exact
-    in the exact regimes: a GloballyDependent answer carries the verified
-    lambda, an Independent answer carries a witness direction.
-    """
-    n = a.n
-    if b.n != n or a.regime != b.regime:
-        raise RegimeMismatch("the detector needs matrices of one shape and regime")
-    regime = a.regime
-    rng = random.Random(seed)
-    probes_list = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(LINDEP_PROBES)]
-    for i in range(n):
-        probes_list.append([int(k == i) for k in range(n)])
-        probes_list += [[int(k in (i, j)) for k in range(n)] for j in range(i + 1, n)]
-    probes_list = [[coerce_scalar(regime, x) for x in v] for v in probes_list]
-    zero = scalar_zero(regime)
-    mv = lambda m, v: [sum((m[i, k] * v[k] for k in range(n)), zero) for i in range(n)]
-    for x in probes_list:
-        if not _vectors_dependent(mv(a, x), mv(b, x), tol):
-            return LinDepResult("Independent", witness=x)
-    pivot = next(
-        ((i, j) for i in range(n) for j in range(n) if not scalar_close(b[i, j], zero, tol)), None
-    )
-    if pivot is None:
-        raise BadParameters("B is the zero matrix")
-    lam = a[pivot[0], pivot[1]] / b[pivot[0], pivot[1]]
-    if not close(a, smul(lam, b), max(tol, 1e-7)):
-        # cannot happen for exact regimes: the basis and sum probes force
-        # B^-1 A scalar; kept as a guard for noisy C64 inputs
-        return LinDepResult("Independent", witness=probes_list[-1])
-    return LinDepResult("GloballyDependent", ratio=lam)
-
-
-def functional_ratio(phi1, phi2):
-    """The constant c with phi2 = c phi1 for functionals with equal kernels.
-
-    Both inputs are coefficient rows. Picking u with phi1(u) = 1 supported
-    on a pivot coordinate gives c = phi2(u); the proportionality is then
-    verified on every coordinate, and a mismatch means the kernels differ.
-    """
-    phi1, phi2 = list(phi1), list(phi2)
-    if len(phi1) != len(phi2):
-        raise BadParameters("the functionals act on different spaces")
-    k = next((i for i, x in enumerate(phi1) if x), None)
-    if k is None:
-        raise BadParameters("phi1 is the zero functional")
-    c = phi2[k] / phi1[k]
-    for x, y in zip(phi1, phi2):
-        if y != c * x:
-            raise BadParameters("the kernels differ: no proportionality constant exists")
-    return c

@@ -143,6 +143,13 @@ def test_selftest_subset(capsys):
     assert [c["number"] for c in rep["criteria"]] == [8]
 
 
+@pytest.mark.parametrize("only", [",", ""])
+def test_selftest_only_selecting_nothing_is_bad_args(capsys, only):
+    """An empty selection would report all_passed over zero criteria."""
+    code, rep = run_cli(capsys, "selftest", "--only", only)
+    assert code == 2 and rep["error"] == "BadArgs"
+
+
 @pytest.fixture
 def child_imports_package(monkeypatch):
     """Child processes import the package under test, however pytest found it."""
@@ -219,6 +226,12 @@ def test_stalled_oracle_child_ends_in_error_json(tmp_path, capsys, monkeypatch):
     assert time.monotonic() - start < 10
     assert code == 4 and rep["error"] == "ResidualFail"
     assert rep["message"] == "oracle subprocess sent no reply within 1 s"
+
+
+def test_unparsable_oracle_cmd_is_bad_args(capsys):
+    code, rep = run_cli(capsys, "recover", "--group", "sl-r-3", "--oracle-cmd", "'unbalanced")
+    assert code == 2 and rep["error"] == "BadArgs"
+    assert rep["message"].startswith("cannot parse --oracle-cmd")
 
 
 def test_selftest_digest_ignores_timings(capsys, monkeypatch):
@@ -327,6 +340,7 @@ def test_recover_with_an_empty_det_list_is_refused(tmp_path, capsys):
         ("verify-auto", "gl-r-3", "--pairs", "0"),
         ("verify-auto", "gl-r-3", "--pairs", "-3"),
         ("recover", "gl-r-3", "--verify-probes", "-1"),
+        ("recover", "sl-r-3", "--verify-probes", "0"),
         ("recover", "un-3", "--tol", "-1"),
         ("recover", "gl-r-3", "--tol", "nan"),
     ],

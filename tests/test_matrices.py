@@ -1,5 +1,5 @@
-"""Matrix layer: exact arithmetic, group membership, the distinguished
-idempotent shifts and the two spanning bases.
+"""Matrix layer: exact arithmetic, group membership, the one
+proportionality rule `ratio` and the two spanning bases.
 
 The frozen rational values below were computed independently with sympy
 (det, inv, charpoly, Gram determinants) and then pinned.
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localaut.errors import BadIdempotent, BadParameters, RegimeMismatch, SingularMatrix
+from localaut.errors import BadParameters, RegimeMismatch, SingularMatrix
 from localaut.matrices import (
     C64,
     QC,
@@ -21,26 +21,24 @@ from localaut.matrices import (
     build_basis,
     charpoly,
     close,
+    coerce_scalar,
     det,
     equal,
+    flat,
     identity,
     inv,
-    is_rank_one_idempotent,
-    make_E,
     mat,
     member,
     member_det,
     mul,
-    poly_from_roots,
+    pivot,
     random_gl,
     random_sl,
     random_su,
     random_unitary,
-    rank_one_idempotent,
-    rank_one_with_trace,
+    ratio,
     smul,
     sub,
-    trace,
     transpose,
 )
 from localaut.scalars import GaussRational
@@ -116,39 +114,70 @@ def test_member_det_returns_the_det_it_tested():
     assert member_det(random_unitary(3, seed=4), GroupTag("Un", "C", 3), tol=1e-9) == (True, None)
 
 
-def test_rank_one_idempotent_requires_unit_pairing():
-    p = rank_one_idempotent([1, 0, 0], [1, 2, 3], QR)
-    assert is_rank_one_idempotent(p.matrix())
-    with pytest.raises(BadIdempotent):
-        rank_one_idempotent([1, 0, 0], [0, 1, 0], QR)
+def _scalars(regime):
+    """Small scalars of regime, zero included."""
+    q = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+    if regime == QR:
+        return q
+    if regime == QC:
+        return st.builds(GaussRational, q, q)
+    return st.builds(lambda x, y: complex(x, y), q.map(float), q.map(float))
 
 
-def test_make_E_spectrum_and_det():
-    p = rank_one_idempotent([1, 2, 0], [1, 0, F(1, 2)], QR).matrix()
-    e = make_E(p)
-    assert det(e) == 1
-    assert charpoly(e) == poly_from_roots([F(1, 4), F(2), F(2)], QR)
+@st.composite
+def _ratio_cases(draw):
+    """(regime, xs, c): xs nonzero, c nonzero, xs a plain sequence or a
+    flattened Mat."""
+    regime = draw(st.sampled_from((QR, QC, C64)))
+    c = draw(_scalars(regime).filter(bool))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        m = mat([draw(st.lists(_scalars(regime), min_size=n, max_size=n)) for _ in range(n)], regime)
+        xs = flat(m)
+        if not any(xs):
+            xs[draw(st.integers(0, n * n - 1))] = coerce_scalar(regime, 1)
+        return regime, xs, c
+    xs = draw(st.lists(_scalars(regime), min_size=1, max_size=9).filter(any))
+    return regime, xs, c
 
 
-def test_make_E_rejects_non_idempotents():
-    with pytest.raises(BadIdempotent):
-        make_E(identity(3, QR))
+@settings(max_examples=200, deadline=None)
+@given(_ratio_cases(), st.data())
+def test_ratio_reads_the_scalar_and_nothing_else(case, data):
+    regime, xs, c = case
+    ys = [c * x for x in xs]
+    tol = 1e-6
+    got = ratio(ys, xs, tol)
+    if regime == C64:
+        assert abs(got - c) <= 1e-12 * abs(c)
+    else:
+        assert got == c
+    assert ratio(ys, [coerce_scalar(regime, 0)] * len(xs), tol) is None
+    # one entry besides the pivot moved off the line: None
+    others = [k for k in range(len(xs)) if k != pivot(xs)]
+    if not others:
+        return
+    j = data.draw(st.sampled_from(others))
+    scale = max(1.0, max(abs(complex(x)) for x in xs)) if regime == C64 else 1
+    moved = list(ys)
+    moved[j] = ys[j] + coerce_scalar(regime, 4 * tol * scale / 3 if regime == C64 else F(1, 3))
+    assert ratio(moved, xs, tol) is None
+    if regime == C64:
+        # within the relative tol of the pivot, the ratio still holds
+        moved[j] = ys[j] + tol * scale / 4
+        assert abs(ratio(moved, xs, tol) - c) <= 1e-12 * abs(c)
 
 
-def test_rank_one_with_trace_hits_target():
-    rng = random.Random(11)
-    c = random_sl(3, QR, rng)
-    for target in (F(1), F(-2), F(5, 3)):
-        p = rank_one_with_trace(c, target).matrix()
-        assert trace(mul(p, c)) == target
-        assert is_rank_one_idempotent(p)
-
-
-def test_rank_one_with_trace_rejects_scalars():
+def test_ratio_of_matrices_and_functionals():
+    rng = random.Random(3)
+    for regime in (QR, QC):
+        a = random_sl(3, regime, rng)
+        assert ratio(flat(smul(F(3, 5), a)), flat(a)) == coerce_scalar(regime, F(3, 5))
+        assert ratio(flat(a), flat(random_sl(3, regime, rng))) is None
+    assert ratio((F(3), F(0), F(-3, 2)), (F(2), F(0), F(-1))) == F(3, 2)
+    assert ratio((F(0), F(1)), (F(1), F(0))) is None
     with pytest.raises(BadParameters):
-        rank_one_with_trace(smul(F(3), identity(3, QR)), F(1))
-    with pytest.raises(RegimeMismatch):
-        rank_one_with_trace(identity(3, C64), 1.0)
+        ratio((F(1),), (F(1), F(2)))
 
 
 def test_basis_gram_determinants_frozen():

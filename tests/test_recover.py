@@ -1,4 +1,5 @@
-"""Recovery engines and the small detection tools they are built from."""
+"""Recovery: the one pipeline behind every engine name, its certificates
+(round trips, refutations, budgets) and the oracles it probes."""
 import cmath
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from localaut.matrices import (
     QC,
     QR,
     equal,
+    flat,
     identity,
     inv,
     mat,
@@ -34,6 +36,7 @@ from localaut.matrices import (
     random_gl,
     random_sl,
     random_unitary,
+    ratio,
     smul,
     transpose,
 )
@@ -42,8 +45,6 @@ from localaut.recover import (
     FunctionOracle,
     SampleOracle,
     det_relation_refutations,
-    functional_ratio,
-    lindep_detector,
     recover,
     recover_glnr,
     recover_slnr_short,
@@ -59,8 +60,7 @@ F = Fraction
 
 def _scalar_ratio_ok(t_rec, t_true):
     r = mul(t_rec, inv(t_true))
-    lam = r[0, 0]
-    return lam != 0 and equal(r, smul(lam, identity(r.n, r.regime)))
+    return bool(ratio(flat(r), flat(identity(r.n, r.regime))))
 
 
 def test_sl_real_round_trip_both_kinds():
@@ -218,6 +218,28 @@ def test_transpose_is_refuted_at_the_shear_fit(engine, spec):
     assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
 
 
+def test_verification_needs_a_fresh_probe():
+    """An oracle that answers like an automorphism for the 7 probes of the
+    kind and T fits, then by transpose: a recovery with no verification
+    probe would certify it, one probe refutes it."""
+    group = GroupTag("SL", "R", 3)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(1)))
+
+    def switching():
+        calls = []
+
+        def fn(a):
+            calls.append(a)
+            return apply(auto, a) if len(calls) <= 7 else transpose(a)
+
+        return FunctionOracle(group, fn)
+
+    with pytest.raises(BadParameters, match="at least 1 verification probe"):
+        recover(switching(), verify_probes=0)
+    rep = recover(switching(), verify_probes=1)
+    assert (rep.status, rep.probes_used) == ("Refuted", 8)
+
+
 def test_switching_automorphism_is_refuted_at_the_basis_fit():
     """An oracle that answers with one automorphism for 3 probes, then with
     another: the shear images admit no similarity."""
@@ -324,24 +346,3 @@ def test_det_relation_refutations_frozen():
     assert refs == [{"relation": {"2": -1, "3": -1, "6": 1}, "image_product": "1/27"}]
     consistent = {d: evaluate(PowerFunc(F(1)), d) ** 3 * d for d in (F(2), F(3), F(6))}
     assert det_relation_refutations(consistent) == []
-
-
-def test_lindep_detector_both_verdicts():
-    rng = random.Random(3)
-    for regime in (QR, QC):
-        a = random_sl(3, regime, rng)
-        dep = lindep_detector(a, smul(F(3, 5), a), seed=0)
-        assert dep.status == "GloballyDependent"
-        assert equal(a, smul(dep.ratio, smul(F(3, 5), a)))
-        b = random_sl(3, regime, rng)
-        ind = lindep_detector(a, b, seed=0)
-        assert ind.status == "Independent"
-        assert ind.witness is not None
-
-
-def test_functional_ratio():
-    phi1 = (F(2), F(0), F(-1))
-    phi2 = (F(3), F(0), F(-3, 2))
-    assert functional_ratio(phi1, phi2) == F(3, 2)
-    with pytest.raises(BadParameters):
-        functional_ratio((F(1), F(0)), (F(0), F(1)))
