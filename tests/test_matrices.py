@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localaut.errors import BadParameters, RegimeMismatch, SingularMatrix
+from localaut.errors import RegimeMismatch, SingularMatrix
 from localaut.matrices import (
     C64,
     QC,
@@ -166,18 +166,6 @@ def test_ratio_reads_the_scalar_and_nothing_else(case, data):
         # within the relative tol of the pivot, the ratio still holds
         moved[j] = ys[j] + tol * scale / 4
         assert abs(ratio(moved, xs, tol) - c) <= 1e-12 * abs(c)
-
-
-def test_ratio_of_matrices_and_functionals():
-    rng = random.Random(3)
-    for regime in (QR, QC):
-        a = random_sl(3, regime, rng)
-        assert ratio(flat(smul(F(3, 5), a)), flat(a)) == coerce_scalar(regime, F(3, 5))
-        assert ratio(flat(a), flat(random_sl(3, regime, rng))) is None
-    assert ratio((F(3), F(0), F(-3, 2)), (F(2), F(0), F(-1))) == F(3, 2)
-    assert ratio((F(0), F(1)), (F(1), F(0))) is None
-    with pytest.raises(BadParameters):
-        ratio((F(1),), (F(1), F(2)))
 
 
 def test_basis_gram_determinants_frozen():

@@ -23,6 +23,7 @@ from localaut.matrices import (
     add,
     build_basis,
     close,
+    coerce_scalar,
     det,
     GroupTag,
     QC,
@@ -338,6 +339,27 @@ def test_sample_oracle_reports_missing_probe():
     with pytest.raises(OracleIncomplete) as exc:
         recover_slnr_short(oracle, seed=0)
     assert hasattr(exc.value, "missing_probe")
+
+
+def test_lindep_detector_both_verdicts():
+    # the matrix proportionality the pipeline reads T off with: ratio over flat
+    rng = random.Random(3)
+    for regime in (QR, QC):
+        a = random_sl(3, regime, rng)
+        c = ratio(flat(a), flat(smul(F(3, 5), a)))
+        assert c is not None
+        assert equal(a, smul(c, smul(F(3, 5), a)))
+        assert ratio(flat(smul(F(3, 5), a)), flat(a)) == coerce_scalar(regime, F(3, 5))
+        assert ratio(flat(a), flat(random_sl(3, regime, rng))) is None
+
+
+def test_functional_ratio():
+    phi1 = (F(2), F(0), F(-1))
+    phi2 = (F(3), F(0), F(-3, 2))
+    assert ratio(phi2, phi1) == F(3, 2)
+    assert ratio((F(1), F(0)), (F(0), F(1))) is None
+    with pytest.raises(BadParameters):
+        ratio((F(1),), (F(1), F(2)))
 
 
 def test_det_relation_refutations_frozen():
