@@ -93,8 +93,6 @@ from .scalarmaps import (
     PowerFunc,
     TableFunc,
     check_LAR,
-    check_LM1r_on_domain,
-    check_LM2r_on_domain,
     check_M1r,
     check_M2r,
     check_Mu,

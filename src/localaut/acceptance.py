@@ -47,7 +47,7 @@ from .scalarmaps import (
     PowerConjFunc,
     PowerFunc,
     check_LAR,
-    check_LM1r_on_domain,
+    check_M1r,
     check_Mu,
     evaluate,
 )
@@ -326,9 +326,9 @@ def criterion_5(seed: int = 0) -> CriterionResult:
             if gtable.get(d) != evaluate(g, d):
                 problems.append(f"case {n},{c},{neg}: g({d}) wrong")
                 break
-        dom = check_LM1r_on_domain(gtable, n, dets)
-        if not dom.ok:
-            problems.append(f"case {n},{c},{neg}: domain check failed: {dom.failures[:1]}")
+        screen = check_M1r(rep.auto.g, n)
+        if not screen.ok:
+            problems.append(f"case {n},{c},{neg}: class screen failed at {screen.counterexample}")
     detail = (
         f"6 characters recovered over {len(dets)} determinants, recovered tables match the "
         f"oracle character exactly and pass the pairwise class screen, {len(problems)} problems"

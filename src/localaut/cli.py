@@ -149,6 +149,8 @@ def _check_numbers(args) -> None:
         raise BadArgs(f"--pairs must be at least 1, got {args.pairs}")
     if opts.get("verify_probes", 1) < 1:
         raise BadArgs(f"--verify-probes must be at least 1, got {args.verify_probes}")
+    if opts.get("budget") is not None and args.budget < 1:
+        raise BadArgs(f"--budget must be at least 1, got {args.budget}")
 
 
 def _load_mats(path: str) -> tuple[list[Mat], bool]:
@@ -358,6 +360,8 @@ def _cmd_selftest(args) -> dict:
             raise BadArgs(f"cannot parse --only {args.only!r}") from exc
         if not numbers or any(k < 1 or k > 10 for k in numbers):
             raise BadArgs("--only takes criterion numbers between 1 and 10")
+        if len(set(numbers)) < len(numbers):
+            raise BadArgs(f"--only names a criterion more than once: {args.only!r}")
     results = run_all(args.seed, numbers=numbers)
     for r in results:
         print(r.line(), file=sys.stderr)

@@ -513,16 +513,6 @@ def _inv_small(a: Mat) -> Mat:
     return _canon(n, QC, dr * dr + di * di, re, tuple([den * (y * dr - x * di) for x, y in flat]))
 
 
-def rank_of(a: Mat, tol: float = DEFAULT_TOL) -> int:
-    if a.regime == C64:
-        import numpy as np
-
-        return int(np.linalg.matrix_rank(_to_numpy(a), tol=tol))
-    _, re, im = grid(a)
-    _, pivots = rref(_split(re, a.n), im=im and _split(im, a.n))
-    return len(pivots)
-
-
 def _to_numpy(a: Mat):
     import numpy as np
 

@@ -199,11 +199,6 @@ def lattice_decompose(x: Fraction, lat: MulLattice) -> LatticeVector | None:
     return LatticeVector(1 if x > 0 else -1, tuple(v))
 
 
-def in_subgroup(x: Fraction, lat: MulLattice) -> bool:
-    vec = lattice_decompose(x, lat)
-    return vec is not None and vec.is_integral()
-
-
 @dataclass(frozen=True)
 class LatticeHom:
     """Multiplicative map on a MulLattice: gen_i -> image_i, -1 -> sign_image."""

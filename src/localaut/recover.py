@@ -73,7 +73,7 @@ from .matrices import (
     scalar_one,
     smul,
 )
-from .scalarmaps import CIRCLE, TableFunc, det_relation_refutations, induced, screen_rclass
+from .scalarmaps import CIRCLE, TableFunc, check_M1r, check_M2r, det_relation_refutations, induced
 from .scalars import DEFAULT_TOL, GQ_I
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
@@ -412,10 +412,11 @@ def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
         c = _det_probe(oracle, model, diag_first(n, d, QR), tol, str(d))
         g_points.append((d, Fraction(c)))
     first = model.kind == STANDARD
-    for args, ok, why in screen_rclass(g_points, n, first):
-        if not ok:
-            where = f"at det {args[0]}" if len(args) == 1 else f"on dets ({args[0]}, {args[1]})"
-            raise _Stop(f"scalar class violated {where}: {why}")
+    screen = (check_M1r if first else check_M2r)(TableFunc(tuple(g_points)), n)
+    if not screen.ok:
+        args = screen.counterexample
+        where = f"at det {args[0]}" if len(args) == 1 else f"on dets ({args[0]}, {args[1]})"
+        raise _Stop(f"scalar class violated {where}: {screen.reason}")
     # signs and d / -d pairs are pinned above; |g| must also respect
     # every multiplicative relation among the |d|
     broken = det_relation_refutations({abs(d): abs(c) for d, c in g_points})

@@ -6,8 +6,10 @@ uses f(t) = g(t)^n / t (class M2r); U_n uses the circle analog (class Mu).
 Local automorphisms only pin g down pairwise, which is decided here exactly
 on factored rationals: class transport for dependent arguments, class
 injectivity for independent ones, and the sign/parity rules. This is the one
-module that knows these rules: the R*, C* and circle pair screens, the
-finite-table screen and the relation detector all live here.
+module that knows these rules: which character each group carries, the
+exponent algebra of power characters under composition and inversion, the
+R*, C* and circle pair screens, the finite-table screen and the relation
+detector all live here.
 """
 from __future__ import annotations
 
@@ -15,9 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import AmbientMismatch, BadParameters, ZeroInput
+from .errors import (
+    AmbientMismatch,
+    BadParameters,
+    DetOutsideLattice,
+    IllegalScalarClass,
+    RegimeMismatch,
+    ZeroInput,
+)
 from .mullattice import CircleHom, LatticeHom, dep_exponent, relations
-from .matrices import QR, det, mat
+from .matrices import C64, QR, det, mat
 from .scalars import GQ_ONE, GaussRational, rational_pow
 
 RSTAR = "Rstar"
@@ -38,6 +47,8 @@ class PowerFunc:
             raise BadParameters("neg must be 'same' or 'flip'")
         if self.ambient == CIRCLE and self.c.denominator != 1:
             raise BadParameters("circle powers need integer exponents")
+        if self.ambient == CIRCLE and self.neg == "flip":
+            raise BadParameters("the sign twist lives on R*; circle powers take neg='same'")
         if self.ambient not in (RSTAR, CIRCLE):
             raise AmbientMismatch("PowerFunc lives on Rstar or Circle")
 
@@ -129,6 +140,130 @@ def evaluate(g, x):
     raise BadParameters(f"not a MulFunc: {type(g).__name__}")
 
 
+def character_value(g, d, regime: str, tol: float):
+    """g at the determinant d of a matrix in regime, for applying an
+    automorphism: numeric circle data match d within tol, everything else
+    evaluates exactly. Raises DetOutsideLattice where g has no value."""
+    if isinstance(g, TableFunc) and g.ambient == CIRCLE:
+        if regime != C64:
+            raise RegimeMismatch("numeric circle tables need the ApproxC regime")
+        val = g.lookup(d, tol=max(tol, 1e-8))
+        if val is None:
+            raise DetOutsideLattice(f"g has no recorded value near det = {d}")
+        return val
+    if isinstance(g, CircleHomFunc):
+        lat = g.hom.lattice
+        exps = lat.match(complex(d))
+        if exps is None:
+            raise DetOutsideLattice(f"det = {d} is outside the declared circle lattice")
+        if regime != C64:
+            raise RegimeMismatch("circle lattice characters evaluate numerically")
+        return g.hom.evaluate(exps)
+    val = evaluate(g, d)
+    if val is None:
+        raise DetOutsideLattice(f"g has no exact value at det = {d}")
+    return val
+
+
+# ---------------------------------------------------------------------------
+# power characters: one exponent reader and its algebra
+
+
+def power_exponent(g) -> tuple[Fraction, bool]:
+    """(c, flip) for a power-type character: g(t) = |t|^c, negated on
+    negative t when flip, on R*; z -> z^c on the circle; c = 2k for
+    g(z) = |z|^(2k) = PowerConjFunc(k, k) on C*. No character reads as
+    (0, False)."""
+    if g is None:
+        return Fraction(0), False
+    if isinstance(g, PowerFunc):
+        return Fraction(g.c), g.neg == "flip"
+    if isinstance(g, PowerConjFunc) and g.k == g.m:
+        return 2 * Fraction(g.k), False
+    raise BadParameters(f"{type(g).__name__} does not compose in closed form")
+
+
+def f_exponent(c, n: int, first_kind: bool = True):
+    """e with f(t) = t^e for g = t^c: n c + 1, or n c - 1 for the
+    contragredient kind (the exponent form of `induced`)."""
+    return n * c + (1 if first_kind else -1)
+
+
+def power_character(c, flip: bool, group):
+    """The power-type character (c, flip) on group's ambient, None when trivial."""
+    if c == 0 and not flip:
+        return None
+    if group.field == "R":
+        return PowerFunc(c, "flip" if flip else "same")
+    if group.unitary:
+        return PowerFunc(c, ambient=CIRCLE)
+    return PowerConjFunc(c / 2, c / 2)
+
+
+def compose_powers(group, outer, first_outer: bool, inner, first_inner: bool):
+    """The character of phi2 after phi1 for power-type characters g2 (outer)
+    and g1 (inner). det phi1(A) = (det A)^e1 reaches g2, while g1 passes
+    through the outer branch, which a contragredient inverts:
+    c = e1 c2 +- c1. Sign twists add mod 2, since a reciprocal keeps the
+    sign."""
+    c1, flip1 = power_exponent(inner)
+    c2, flip2 = power_exponent(outer)
+    c = f_exponent(c1, group.n, first_inner) * c2 + (c1 if first_outer else -c1)
+    return power_character(c, flip1 != flip2, group)
+
+
+def invert_power(group, g, first_kind: bool):
+    """The character of phi^-1 for a power-type g: c' solves e c' + c = 0,
+    or e c' = c for the contragredient kind; the sign twist stays. On U_n,
+    e = nk + 1 = +-1, so c' = -ke is again an integer."""
+    c, flip = power_exponent(g)
+    e = f_exponent(c, group.n, first_kind)
+    if e == 0:
+        raise BadParameters("scalar map is not invertible")
+    return power_character((-c if first_kind else c) / e, flip, group)
+
+
+# ---------------------------------------------------------------------------
+# which character each group carries
+
+
+def validate_character(group, first_kind: bool, g) -> None:
+    """Raise IllegalScalarClass unless g may scale an automorphism of group
+    of the given kind: nothing on SL and SU, M1r or M2r on GL_n(R), the
+    |z|^(2k) family with bijective f on GL_n(C), Mu on U_n. Finite tables
+    on C* and the circle are witness-grade partial data, verified against
+    samples by their callers."""
+    n = group.n
+    if group.family in ("SL", "SUn"):
+        if g is not None:
+            raise IllegalScalarClass(f"{group.family} automorphisms carry no scalar character")
+        return
+    if g is None:
+        return
+    if group.family == "GL" and group.field == "R":
+        if getattr(g, "ambient", None) != RSTAR:
+            raise IllegalScalarClass("GL over R needs a scalar map on R*")
+        res = _check_rclass(g, n, first_kind)
+    elif group.family == "GL":
+        if isinstance(g, TableFunc) and g.ambient == CSTAR:
+            return
+        if not isinstance(g, PowerConjFunc):
+            raise IllegalScalarClass("GL over C supports the |z|^(2k) family here")
+        if g.k != g.m:
+            raise IllegalScalarClass("g(z) = z^k conj(z)^m needs k = m for f to stay bijective")
+        if f_exponent(power_exponent(g)[0], n, first_kind) == 0:
+            raise IllegalScalarClass("f collapses all magnitudes: |z|^0")
+        return
+    else:
+        if isinstance(g, TableFunc) and g.ambient == CIRCLE:
+            return
+        if getattr(g, "ambient", None) != CIRCLE:
+            raise IllegalScalarClass("U_n needs a scalar map on the circle")
+        res = check_Mu(g, n)
+    if not res.ok:
+        raise IllegalScalarClass(res.reason)
+
+
 @dataclass
 class ClassCheck:
     ok: bool
@@ -210,17 +345,6 @@ def pair_ok_rclass(
     return True, ""
 
 
-def screen_rclass(points, n: int, first_kind: bool):
-    """The class rules on a finite list of (lam, g(lam)) points on R*: every
-    single-point rule, then every pair rule, lazily. Yields (args, ok, why)
-    with args the one or two arguments the rule was checked at."""
-    for lam, v in points:
-        yield (lam,), *point_ok_rclass(lam, v, n, first_kind)
-    for i, p in enumerate(points):
-        for q in points[i + 1 :]:
-            yield (p[0], q[0]), *pair_ok_rclass(p, q, n, first_kind)
-
-
 # ---------------------------------------------------------------------------
 # class membership checks
 
@@ -242,10 +366,11 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
     if getattr(g, "ambient", None) == CSTAR:
         raise AmbientMismatch(f"{name} lives on R*, not C*")
     if isinstance(g, PowerFunc):
-        exponent = n * g.c + (1 if first_kind else -1)
+        c, flip = power_exponent(g)
+        exponent = f_exponent(c, n, first_kind)
         if exponent == 0:
             return ClassCheck(False, f"f(t) = t^{exponent} is not a bijection of (0, inf)")
-        if g.neg == "flip" and n % 2 == 1:
+        if flip and n % 2 == 1:
             return ClassCheck(False, "sign flip on negatives needs even n")
         return ClassCheck(True, f"f(t) = t^{exponent} with valid parity")
     if isinstance(g, LatticeFunc):
@@ -269,15 +394,22 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
             extension_assumed=True,
         )
     if isinstance(g, TableFunc):
-        for args, ok, why in screen_rclass(list(g.points), n, first_kind):
+        points = g.points
+        for lam, v in points:
+            ok, why = point_ok_rclass(lam, v, n, first_kind)
             if not ok:
-                return ClassCheck(False, why, counterexample=args)
+                return ClassCheck(False, why, counterexample=(lam,))
+        for i, p in enumerate(points):
+            for q in points[i + 1 :]:
+                ok, why = pair_ok_rclass(p, q, n, first_kind)
+                if not ok:
+                    return ClassCheck(False, why, counterexample=(p[0], q[0]))
         return ClassCheck(True, f"all pairs admit a common {name} member", on_lattice=True)
     raise BadParameters(f"unsupported MulFunc for {name}: {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# property (P), (LAR) and the local closure on domains
+# property (P) and (LAR)
 
 
 @dataclass(frozen=True)
@@ -347,11 +479,12 @@ def check_LAR(h) -> ClassCheck:
     if isinstance(h, PowerFunc):
         if h.ambient != RSTAR:
             raise AmbientMismatch("(LAR) lives on R*")
-        if h.c == 0:
+        c, flip = power_exponent(h)
+        if c == 0:
             return ClassCheck(False, "t -> 1 collapses every class")
-        if h.neg != "flip":
+        if not flip:
             return ClassCheck(False, "h(-t) = -h(t) fails without the sign flip")
-        return ClassCheck(True, f"t -> t^{h.c} is odd with (P)")
+        return ClassCheck(True, f"t -> t^{c} is odd with (P)")
     if isinstance(h, LatticeFunc):
         hom = h.hom
         if any(v <= 0 for v in hom.images):
@@ -364,43 +497,6 @@ def check_LAR(h) -> ClassCheck:
     raise BadParameters(f"unsupported (LAR) input: {type(h).__name__}")
 
 
-@dataclass
-class DomainReport:
-    ok: bool
-    n: int
-    first_kind: bool
-    values: dict
-    pair_verdicts: list  # (lam, mu, ok, reason)
-    failures: list
-
-
-def check_LM1r_on_domain(f, n: int, domain) -> DomainReport:
-    return _check_lm_domain(f, n, domain, first_kind=True)
-
-
-def check_LM2r_on_domain(f, n: int, domain) -> DomainReport:
-    return _check_lm_domain(f, n, domain, first_kind=False)
-
-
-def _check_lm_domain(f, n: int, domain, first_kind: bool) -> DomainReport:
-    values: dict[Fraction, Fraction] = {}
-    for x in domain:
-        lam = Fraction(x)
-        v = f.get(lam) if isinstance(f, dict) else evaluate(f, lam)
-        if v is None:
-            raise BadParameters(f"f is undefined at {lam}")
-        values[lam] = Fraction(v)
-    pts = sorted(values.items())
-    verdicts = []
-    failures = []
-    for args, ok, why in screen_rclass(pts, n, first_kind):
-        if len(args) == 2:
-            verdicts.append((*args, ok, why))
-        if not ok:
-            failures.append((args if len(args) == 2 else args[0], why))
-    return DomainReport(not failures, n, first_kind, values, verdicts, failures)
-
-
 # ---------------------------------------------------------------------------
 # the circle class Mu
 
@@ -410,10 +506,7 @@ def check_Mu(g, n: int) -> ClassCheck:
     if n < 3:
         raise BadParameters("n >= 3 is required")
     if isinstance(g, PowerFunc) and g.ambient == CIRCLE:
-        if Fraction(g.c).denominator != 1:
-            raise BadParameters("only integer powers are single-valued on the circle")
-        k = int(g.c)
-        e = n * k + 1
+        e = f_exponent(power_exponent(g)[0], n)
         if abs(e) == 1:
             return ClassCheck(True, f"f(z) = z^{e} is an automorphism")
         return ClassCheck(False, f"f(z) = z^{e} is not injective on the circle")
@@ -424,12 +517,12 @@ def check_Mu(g, n: int) -> ClassCheck:
         free_idx = [i for i, gen in enumerate(lat.generators) if gen.order() is None]
         tors_idx = [i for i in range(m) if i not in free_idx]
         for i in tors_idx:
-            e = hom.images[i][i]
+            e = f_exponent(hom.images[i][i], n)
             order = lat.generators[i].order()
-            if gcd(n * e + 1, order) != 1:
+            if gcd(e, order) != 1:
                 return ClassCheck(
                     False,
-                    f"f has exponent {n * e + 1} on a torsion generator of order {order}",
+                    f"f has exponent {e} on a torsion generator of order {order}",
                     on_lattice=True,
                 )
         if free_idx:

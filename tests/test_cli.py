@@ -150,6 +150,14 @@ def test_selftest_only_selecting_nothing_is_bad_args(capsys, only):
     assert code == 2 and rep["error"] == "BadArgs"
 
 
+@pytest.mark.parametrize("only", ["8,8", "3,8,3"])
+def test_selftest_only_naming_a_criterion_twice_is_bad_args(capsys, only):
+    """A repeated number would run and list its criterion twice."""
+    code, rep = run_cli(capsys, "selftest", "--only", only)
+    assert code == 2 and rep["error"] == "BadArgs"
+    assert "more than once" in rep["message"]
+
+
 @pytest.fixture
 def child_imports_package(monkeypatch):
     """Child processes import the package under test, however pytest found it."""
@@ -326,6 +334,37 @@ def test_budget_stop_reports_partial_progress(tmp_path, capsys):
     assert rep["partial"] == {"engine": "glnr", "probes_used": 4}
 
 
+def test_unset_budget_is_the_default_and_one_probe_is_a_budget(tmp_path, capsys, monkeypatch):
+    oracles = []
+
+    class Recording(localaut.cli.AutomorphismOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            oracles.append(self)
+
+    monkeypatch.setattr(localaut.cli, "AutomorphismOracle", Recording)
+    auto_file = _gen(capsys, tmp_path, "gl-r-3", "--g", "power:2")
+    code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", auto_file)
+    assert code == 0 and rep["status"] == "Recovered"
+    assert oracles[0].budget == 10 * 3**2 + 200
+    code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", auto_file, "--budget", "1")
+    assert code == 4 and rep["error"] == "BudgetExceeded"
+    assert rep["partial"]["probes_used"] == 1
+
+
+def test_circle_power_with_a_sign_twist_is_file_format(tmp_path, capsys):
+    """The sign twist lives on R*; on the circle it would be ignored by
+    evaluation yet written back by serialization."""
+    obj = load_json(_gen(capsys, tmp_path, "un-3", "--g", "circle-power:0"))
+    assert obj["g"] == {"type": "power", "ambient": "Circle", "c": "0", "neg": "same"}
+    obj["g"]["neg"] = "flip"
+    path = str(tmp_path / "flip.json")
+    dump_json(path, obj)
+    code, rep = run_cli(capsys, "verify-auto", path)
+    assert code == 3 and rep["error"] == "FileFormat"
+    assert "sign twist" in rep["message"]
+
+
 def test_recover_with_an_empty_det_list_is_refused(tmp_path, capsys):
     """`--dets ,` would leave every verification probe at det 1."""
     auto_file = _gen(capsys, tmp_path, "gl-r-3", "--g", "power:1")
@@ -343,6 +382,8 @@ def test_recover_with_an_empty_det_list_is_refused(tmp_path, capsys):
         ("recover", "sl-r-3", "--verify-probes", "0"),
         ("recover", "un-3", "--tol", "-1"),
         ("recover", "gl-r-3", "--tol", "nan"),
+        ("recover", "gl-r-3", "--budget", "0"),
+        ("recover", "sl-r-3", "--budget", "-1"),
     ],
 )
 def test_numeric_options_that_check_nothing_are_bad_args(tmp_path, capsys, command, group, option, value):

@@ -216,3 +216,33 @@ def test_only_matrices_computes_numeric_spectra():
         for line, name in _calls(_parse(path), {"poly", "eigvals"})
     ]
     assert found == []
+
+
+# a scalar character is read only where its class rules live (scalarmaps)
+# and where it crosses the wire (serialize); every other module asks those
+CHARACTER_FIELDS = {"c", "k", "m", "neg", "ambient"}
+CHARACTER_READERS = {"scalarmaps.py", "serialize.py"}
+
+
+def _field_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in CHARACTER_FIELDS:
+            yield node.lineno, node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and _call_name(node) in {"getattr", "hasattr"}
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in CHARACTER_FIELDS
+        ):
+            yield node.lineno, node.args[1].value
+
+
+def test_only_the_scalar_layer_reads_character_fields():
+    found = [
+        f"{path.name}:{line} .{name}"
+        for path in MODULES
+        if path.name not in CHARACTER_READERS
+        for line, name in _field_reads(_parse(path))
+    ]
+    assert found == []

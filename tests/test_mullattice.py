@@ -14,7 +14,6 @@ from localaut.mullattice import (
     dep_exponent,
     factor,
     hom_on_lattice,
-    in_subgroup,
     lattice_decompose,
     make_lattice,
     relations,
@@ -154,11 +153,13 @@ def test_decompose_and_membership():
     lat = make_lattice(2, 3)
     v = lattice_decompose(Fraction(12), lat)
     assert v is not None and v.is_integral()
-    assert in_subgroup(Fraction(-8, 27), lat)
-    assert not in_subgroup(Fraction(5), lat)
+    assert lattice_decompose(Fraction(-8, 27), lat).is_integral()
+    assert lattice_decompose(Fraction(5), lat) is None
     assert lattice_decompose(Fraction(10), lat) is None
     # 6 = 2 * 3 lies in <2, 3> even though it is neither generator
-    assert in_subgroup(Fraction(6), lat)
+    assert lattice_decompose(Fraction(6), lat).is_integral()
+    # 2 = 4^(1/2) is in the divisible hull of <4, 9> but not in the subgroup
+    assert not lattice_decompose(Fraction(2), make_lattice(4, 9)).is_integral()
 
 
 def test_hom_evaluation_is_multiplicative():
@@ -245,7 +246,7 @@ def test_lattice_with_a_generator_beyond_10_to_the_40():
     v = lattice_decompose(Fraction(-8 * big**2, 1), lat)
     assert v.sign == -1 and v.exps == (3, 2) and v.is_integral()
     assert lattice_decompose(Fraction(big, 2), lat).exps == (-1, 1)
-    assert not in_subgroup(Fraction(2 * big**3, 3), lat)
+    assert lattice_decompose(Fraction(2 * big**3, 3), lat) is None
     assert lattice_decompose(Fraction(3), lat) is None
     with pytest.raises(BadParameters):
         make_lattice(big, big**2 * 4, 2)

@@ -20,8 +20,6 @@ from localaut.scalarmaps import (
     PowerFunc,
     TableFunc,
     check_LAR,
-    check_LM1r_on_domain,
-    check_LM2r_on_domain,
     check_M1r,
     check_M2r,
     check_Mu,
@@ -49,6 +47,8 @@ def test_circle_powers():
         assert not check_Mu(PowerFunc(F(k), "same", CIRCLE), 3).ok
     with pytest.raises(BadParameters):
         PowerFunc(F(1, 2), "same", CIRCLE)
+    with pytest.raises(BadParameters):
+        PowerFunc(F(0), "flip", CIRCLE)
 
 
 @pytest.mark.parametrize("k", [-1, 0, 1, 2])
@@ -170,27 +170,32 @@ def test_odd_extension_on_lattices():
     assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(-5), F(7)), -1))).ok
 
 
+def _table(points):
+    return TableFunc(tuple((F(a), F(v)) for a, v in points))
+
+
 def test_domain_check_accepts_class_members():
     dom = [F(2), F(3), F(6), F(-2), F(1, 2)]
-    table = {d: evaluate(PowerFunc(F(1)), d) for d in dom}
-    assert check_LM1r_on_domain(table, 3, dom).ok
+    res = check_M1r(_table((d, evaluate(PowerFunc(F(1)), d)) for d in dom), 3)
+    assert res.ok and res.counterexample is None
 
 
 def test_domain_check_rejects_induced_collisions():
     # g(2) = 2 and g(16) = 1 force f(2) = f(16) = 16, killing injectivity
-    dom = {F(2): F(2), F(16): F(1)}
-    rep = check_LM1r_on_domain(dom, 3, list(dom))
-    assert not rep.ok and rep.failures
-    dom2 = {F(2): F(2), F(1, 16): F(1)}
-    assert not check_LM2r_on_domain(dom2, 3, list(dom2)).ok
+    res = check_M1r(_table([(2, 2), (16, 1)]), 3)
+    assert not res.ok and res.counterexample == (2, 16)
+    assert res.reason == "transport fails: f(2) should be f(16)^1/4"
+    assert not check_M2r(_table([(2, 2), (F(1, 16), 1)]), 3).ok
 
 
 def test_domain_check_parity():
-    assert not check_LM1r_on_domain({F(2): F(-2)}, 3, [F(2)]).ok
-    flip = {F(2): F(2), F(-2): F(-2)}
-    assert check_LM1r_on_domain(flip, 4, list(flip)).ok
-    assert not check_LM1r_on_domain(flip, 3, list(flip)).ok
-    assert not check_LM1r_on_domain({F(2): F(2), F(-2): F(-3)}, 4, [F(2), F(-2)]).ok
+    res = check_M1r(_table([(2, -2)]), 3)
+    assert (res.ok, res.counterexample, res.reason) == (False, (2,), "g(2) must be positive")
+    flip = [(2, 2), (-2, -2)]
+    assert check_M1r(_table(flip), 4).ok
+    assert check_M1r(_table(flip), 3).counterexample == (-2,)
+    res = check_M1r(_table([(2, 2), (-2, -3)]), 4)
+    assert not res.ok and res.counterexample == (2, -2)
 
 
 def test_table_func_lookup():
