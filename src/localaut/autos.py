@@ -43,7 +43,7 @@ from .matrices import (
     smul,
     transpose,
 )
-from .scalarmaps import character_value, compose_powers, invert_power, validate_character
+from .scalarmaps import character_point, character_value, compose_powers, invert_power, validate_character
 from .scalars import DEFAULT_TOL
 
 STANDARD = "standard"
@@ -123,9 +123,7 @@ def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = Tr
     out = mul(mul(auto.t, op(a, auto.kind, auto.sigma)), auto.tinv)
     if auto.g is None:
         return out
-    d = det(a)
-    if auto.group.family == "Un" and auto.sigma == SIGMA_CONJ:
-        d = d.conjugate()
+    d = character_point(auto.group, auto.sigma, det(a))
     return smul(character_value(auto.g, d, a.regime, tol), out)
 
 

@@ -21,7 +21,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .autos import Automorphism, apply, make_automorphism
-from .errors import FileFormatError, LocalautError, NoEngine
+from .errors import BadParameters, FileFormatError, LocalautError, NoEngine
 from .gallery import GALLERY, build_entry, verify_entry
 from .localcheck import check_map
 from .matrices import (
@@ -37,7 +37,7 @@ from .matrices import (
     to_c64,
 )
 from .recover import AutomorphismOracle, SampleOracle, SubprocessOracle, recover
-from .scalarmaps import CIRCLE, PowerConjFunc, PowerFunc
+from .scalarmaps import CIRCLE, RSTAR, PowerConjFunc, PowerFunc, ambient
 from .serialize import (
     auto_from_json,
     auto_to_json,
@@ -100,7 +100,7 @@ def parse_gspec(text: str | None, group: GroupTag):
             return PowerConjFunc(Fraction(parts[1]), Fraction(parts[2]))
         if parts[0] == "circle-power":
             return PowerFunc(Fraction(parts[1]), "same", CIRCLE)
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError, BadParameters) as exc:
         raise BadArgs(f"cannot parse scalar spec {text!r}: {exc}") from exc
     raise BadArgs(f"unknown scalar spec {text!r}")
 
@@ -290,13 +290,18 @@ def _make_oracle(args, group: GroupTag):
 
 def _cmd_recover(args) -> dict:
     group = parse_group(args.group)
+    if args.dets is not None and ambient(group) != RSTAR:
+        raise BadArgs("--dets feeds the determinant probes of gl-r-n only")
+    dets = _fraction_list(args.dets) if args.dets else None
+    if dets and len(set(dets)) < len(dets):
+        raise BadArgs(f"--dets names a determinant more than once: {args.dets!r}")
     oracle = _make_oracle(args, group)
     try:
         rep = recover(
             oracle,
             seed=args.seed,
             verify_probes=args.verify_probes,
-            dets=_fraction_list(args.dets) if args.dets else None,
+            dets=dets,
             tol=max(args.tol, 1e-9),
         )
     finally:
@@ -431,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--samples", default=None, help="sample map JSON file used as a finite oracle")
     r.add_argument("--oracle-cmd", default=None, help="stateless child process, one matrix JSON per line")
     r.add_argument("--auto", default=None, help="automorphism JSON file used as the oracle")
-    r.add_argument("--dets", default=None, help="comma separated determinant probes for gl-r-n")
+    r.add_argument("--dets", default=None, help="comma separated distinct determinant probes, gl-r-n only")
     r.add_argument("--verify-probes", type=int, default=50)
     r.add_argument("-o", "--out", default=None, help="write the recovered automorphism JSON here")
     r.set_defaults(func=_cmd_recover)

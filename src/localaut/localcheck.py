@@ -44,15 +44,7 @@ from .matrices import (
     to_c64,
     trace,
 )
-from .scalarmaps import (
-    CIRCLE,
-    CSTAR,
-    TableFunc,
-    pair_ok_cstar,
-    pair_ok_mu,
-    pair_ok_rclass,
-    point_ok_rclass,
-)
+from .scalarmaps import ambient, character_point, pair_screen, witness_character
 from .scalars import (
     DEFAULT_TOL,
     GQ_I,
@@ -71,7 +63,6 @@ class BranchReport:
     sigma: str
     outcome: str  # "witness" | "refuted" | "inconclusive"
     detail: str
-    scalars: tuple = ()
     witness: Automorphism | None = None
 
 
@@ -183,29 +174,6 @@ def _numeric_scalars(ratio: complex, n: int) -> tuple[list, bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# scalar class screening per family
-
-
-def _scalar_pair_ok(group, kind, sigma, da, ca, db, cb, n, tol) -> tuple[bool, str]:
-    if group.family == "Un":
-        return pair_ok_mu(complex(da), complex(ca), complex(db), complex(cb), n, max(tol, 1e-8))
-    first = kind == STANDARD
-    if da == db and ca != cb:
-        return False, "one g cannot take two values at one determinant"
-    if group.field == "R":
-        if da == db:
-            return point_ok_rclass(Fraction(da), Fraction(ca), n, first)
-        return pair_ok_rclass(
-            (Fraction(da), Fraction(ca)), (Fraction(db), Fraction(cb)), n, first
-        )
-    if sigma == SIGMA_CONJ:
-        # det phi(A) = g(d)^n conj(d)^(+-1): the induced map reads conj(d),
-        # which has the torsion order and modulus of d
-        da, db = da.conjugate(), db.conjugate()
-    return pair_ok_cstar(da, ca, db, cb, n, first)
-
-
-# ---------------------------------------------------------------------------
 # the pair check
 
 
@@ -231,10 +199,10 @@ def check_pair(
         p2 = (to_c64(b), to_c64(b_out))
         return check_pair(group, p1, p2, seed, max(tol, 1e-8))
     kinds, sigmas = _group_branches(group)
-    # every GL and U_n branch reads these four determinants, SL and SU_n ones
-    # none; the GL membership test has read them already
+    # the branches of a group with a character read these four determinants;
+    # the GL membership test has read them already
     dets = None
-    if group.family in ("GL", "Un"):
+    if ambient(group) is not None:
         dets = tuple(det(x) if d is None else d for x, d in zip(samples, read))
     verdict = PairVerdict("Obstructed", None)
     inconclusive = False
@@ -262,14 +230,13 @@ def _try_branch(group, kind, sigma, p1, p2, dets, seed, tol) -> BranchReport:
     b, b_out = p2
     a_op = op(a, kind, sigma)
     b_op = op(b, kind, sigma)
-    if group.family in ("SL", "SUn"):
+    if ambient(group) is None:
         return _similarity_step(group, kind, sigma, [(a_op, a_out), (b_op, b_out)], None, (p1, p2), seed, tol)
     da, da_out, db, db_out = dets
     # det op(A) = sigma(det A)^(+-1)
     eps = -1 if kind == CONTRAGREDIENT else 1
     dop_a, dop_b = ((d.conjugate() if sigma == SIGMA_CONJ else d) ** eps for d in (da, db))
-    if group.family == "Un" and sigma == SIGMA_CONJ:
-        da, db = da.conjugate(), db.conjugate()
+    da, db = (character_point(group, sigma, d) for d in (da, db))
     n = group.n
     if a.regime == C64:
         found = [_numeric_scalars(dy / dx, n) for dx, dy in ((dop_a, da_out), (dop_b, db_out))]
@@ -289,13 +256,13 @@ def _try_branch(group, kind, sigma, p1, p2, dets, seed, tol) -> BranchReport:
     refusals = []
     for ca in cands_a:
         for cb in cands_b:
-            ok, why = _scalar_pair_ok(group, kind, sigma, da, ca, db, cb, n, tol)
+            ok, why = pair_screen(group, kind == STANDARD, sigma, (da, ca), (db, cb), tol)
             if not ok:
                 refusals.append(f"g({da})={ca}, g({db})={cb}: {why}")
                 continue
             one = scalar_one(a_out.regime)
             pairs = [(a_op, smul(one / ca, a_out)), (b_op, smul(one / cb, b_out))]
-            br = _similarity_step(group, kind, sigma, pairs, (da, ca, db, cb), (p1, p2), seed, tol)
+            br = _similarity_step(group, kind, sigma, pairs, [(da, ca), (db, cb)], (p1, p2), seed, tol)
             if br.outcome == "witness":
                 return br
             if br.outcome == "inconclusive":
@@ -309,55 +276,36 @@ def _try_branch(group, kind, sigma, p1, p2, dets, seed, tol) -> BranchReport:
     return BranchReport(kind, sigma, "refuted", "; ".join(refusals))
 
 
-def _similarity_step(group, kind, sigma, pairs, scalars, originals, seed, tol) -> BranchReport:
+def _similarity_step(group, kind, sigma, pairs, points, originals, seed, tol) -> BranchReport:
     for x, y in pairs:
         if not charpolys_match(x, y):
-            return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ", scalars or ())
+            return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
     if group.unitary:
         u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-8))
         if u is None:
-            return BranchReport(kind, sigma, "inconclusive", "no unitary intertwiner found", scalars or ())
-        return _witness_report(group, kind, sigma, u, scalars, originals, tol, "unitary intertwiner")
+            return BranchReport(kind, sigma, "inconclusive", "no unitary intertwiner found")
+        return _witness_report(group, kind, sigma, u, points, originals, tol, "unitary intertwiner")
     res = simultaneous_similarity(pairs, seed=seed, tol=tol)
     if res.status == "Solved":
         return _witness_report(
-            group, kind, sigma, res.s, scalars, originals, tol, f"intertwiner space dim {res.dim}"
+            group, kind, sigma, res.s, points, originals, tol, f"intertwiner space dim {res.dim}"
         )
     if res.status == "NoSolution":
-        return BranchReport(kind, sigma, "refuted", res.note, scalars or ())
-    return BranchReport(kind, sigma, "inconclusive", res.note, scalars or ())
+        return BranchReport(kind, sigma, "refuted", res.note)
+    return BranchReport(kind, sigma, "inconclusive", res.note)
 
 
-def _witness_report(group, kind, sigma, t, scalars, originals, tol, detail) -> BranchReport:
-    g = _witness_scalar(group, scalars)
+def _witness_report(group, kind, sigma, t, points, originals, tol, detail) -> BranchReport:
+    g = None if points is None else witness_character(group, points)
     try:
         witness = make_automorphism(group, kind, sigma, t, g, tol=max(tol, 1e-8))
     except Exception as exc:
-        return BranchReport(kind, sigma, "inconclusive", f"witness rejected: {exc}", scalars or ())
+        return BranchReport(kind, sigma, "inconclusive", f"witness rejected: {exc}")
     vtol = max(tol, 1e-7)  # exact regimes compare exactly whatever the tol
     for a, a_out in originals:
         if not close(apply(witness, a, vtol), a_out, vtol):
-            return BranchReport(
-                kind, sigma, "inconclusive", "witness failed sample verification", scalars or ()
-            )
-    return BranchReport(kind, sigma, "witness", detail, scalars or (), witness)
-
-
-def _witness_scalar(group, scalars):
-    if scalars is None:
-        return None
-    da, ca, db, cb = scalars
-    if group.family == "Un":
-        pts = [(complex(da), complex(ca))]
-        if abs(complex(da) - complex(db)) > 1e-12:
-            pts.append((complex(db), complex(cb)))
-        return TableFunc(tuple(pts), CIRCLE)
-    if isinstance(da, Fraction):
-        return TableFunc(tuple(sorted({da: ca, db: cb}.items())))
-    pts = [(da, ca)]
-    if db != da:
-        pts.append((db, cb))
-    return TableFunc(tuple(pts), CSTAR)
+            return BranchReport(kind, sigma, "inconclusive", "witness failed sample verification")
+    return BranchReport(kind, sigma, "witness", detail, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import cmath
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .autos import (
     CONTRAGREDIENT,
@@ -73,7 +74,7 @@ from .matrices import (
     scalar_one,
     smul,
 )
-from .scalarmaps import CIRCLE, TableFunc, check_M1r, check_M2r, det_relation_refutations, induced
+from .scalarmaps import character_point, det_relation_refutations, induced, pair_screen, witness_character
 from .scalars import DEFAULT_TOL, GQ_I
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
@@ -404,6 +405,8 @@ def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
     """
     if not dets:
         raise BadParameters("GL_n(R) recovery needs at least one determinant probe")
+    if len(set(dets)) < len(dets):
+        raise BadParameters("each determinant is probed once; the dets repeat one")
     n = model.group.n
     g_points: list[tuple[Fraction, Fraction]] = []
     for d in dets:
@@ -412,17 +415,17 @@ def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
         c = _det_probe(oracle, model, diag_first(n, d, QR), tol, str(d))
         g_points.append((d, Fraction(c)))
     first = model.kind == STANDARD
-    screen = (check_M1r if first else check_M2r)(TableFunc(tuple(g_points)), n)
-    if not screen.ok:
-        args = screen.counterexample
-        where = f"at det {args[0]}" if len(args) == 1 else f"on dets ({args[0]}, {args[1]})"
-        raise _Stop(f"scalar class violated {where}: {screen.reason}")
+    for p, q in [(p, p) for p in g_points] + list(combinations(g_points, 2)):
+        ok, why = pair_screen(model.group, first, SIGMA_ID, p, q, tol)
+        if not ok:
+            where = f"at det {p[0]}" if p is q else f"on dets ({p[0]}, {q[0]})"
+            raise _Stop(f"scalar class violated {where}: {why}")
     # signs and d / -d pairs are pinned above; |g| must also respect
     # every multiplicative relation among the |d|
     broken = det_relation_refutations({abs(d): abs(c) for d, c in g_points})
     if broken:
         raise _Stop("scalar class violated: |g| breaks a relation among the dets", **broken[0])
-    g = TableFunc(tuple(sorted(g_points)))
+    g = witness_character(model.group, g_points)
     return {
         "auto": make_automorphism(model.group, model.kind, SIGMA_ID, model.t, g),
         "g_points": [(str(d), str(c)) for d, c in g_points],
@@ -436,8 +439,8 @@ def _fit_g_circle(oracle: Oracle, model: Automorphism, tol: float) -> dict:
     g_points = []
     for zc in CIRCLE_GENERATORS:
         c = _det_probe(oracle, model, diag_first(n, zc, C64), tol, [zc.real, zc.imag])
-        g_points.append((zc.conjugate() if model.sigma == SIGMA_CONJ else zc, complex(c)))
-    g = TableFunc(tuple(g_points), CIRCLE)
+        g_points.append((character_point(model.group, model.sigma, zc), complex(c)))
+    g = witness_character(model.group, g_points)
     return {
         "auto": make_automorphism(model.group, STANDARD, model.sigma, model.t, g, tol=1e-6),
         "g_points": [([d.real, d.imag], [c.real, c.imag]) for d, c in g_points],

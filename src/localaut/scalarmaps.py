@@ -6,10 +6,11 @@ uses f(t) = g(t)^n / t (class M2r); U_n uses the circle analog (class Mu).
 Local automorphisms only pin g down pairwise, which is decided here exactly
 on factored rationals: class transport for dependent arguments, class
 injectivity for independent ones, and the sign/parity rules. This is the one
-module that knows these rules: which character each group carries, the
-exponent algebra of power characters under composition and inversion, the
-R*, C* and circle pair screens, the finite-table screen and the relation
-detector all live here.
+module that knows these rules: which character each group carries and the
+point it reads (`ambient`, `character_point`), the exponent algebra of power
+characters under composition and inversion, the R*, C* and circle pair
+screens behind `pair_screen`, the finite-table screen, the witness tables
+of `witness_character` and the relation detector all live here.
 """
 from __future__ import annotations
 
@@ -193,11 +194,10 @@ def power_character(c, flip: bool, group):
     """The power-type character (c, flip) on group's ambient, None when trivial."""
     if c == 0 and not flip:
         return None
-    if group.field == "R":
-        return PowerFunc(c, "flip" if flip else "same")
-    if group.unitary:
-        return PowerFunc(c, ambient=CIRCLE)
-    return PowerConjFunc(c / 2, c / 2)
+    side = ambient(group)
+    if side == CSTAR:
+        return PowerConjFunc(c / 2, c / 2)
+    return PowerFunc(c, "flip" if flip else "same", side)
 
 
 def compose_powers(group, outer, first_outer: bool, inner, first_inner: bool):
@@ -224,7 +224,21 @@ def invert_power(group, g, first_kind: bool):
 
 
 # ---------------------------------------------------------------------------
-# which character each group carries
+# which character each group carries, and where it is read
+
+# (family, field) -> the ambient of the group's character; SL_n and SU_n carry none
+_AMBIENTS = {("GL", "R"): RSTAR, ("GL", "C"): CSTAR, ("Un", "C"): CIRCLE}
+
+
+def ambient(group):
+    """RSTAR (GL_n(R)), CSTAR (GL_n(C)), CIRCLE (U_n), or None."""
+    return _AMBIENTS.get((group.family, group.field))
+
+
+def character_point(group, sigma: str, d):
+    """The point g reads on a matrix of determinant d: conj(d) on U_n under
+    sigma = conj, whose form is g(det sigma(A)), and d otherwise."""
+    return d.conjugate() if sigma == "conj" and ambient(group) == CIRCLE else d
 
 
 def validate_character(group, first_kind: bool, g) -> None:
@@ -233,20 +247,16 @@ def validate_character(group, first_kind: bool, g) -> None:
     |z|^(2k) family with bijective f on GL_n(C), Mu on U_n. Finite tables
     on C* and the circle are witness-grade partial data, verified against
     samples by their callers."""
-    n = group.n
-    if group.family in ("SL", "SUn"):
-        if g is not None:
-            raise IllegalScalarClass(f"{group.family} automorphisms carry no scalar character")
+    n, side = group.n, ambient(group)
+    if g is None or (isinstance(g, TableFunc) and side in (CSTAR, CIRCLE) and g.ambient == side):
         return
-    if g is None:
-        return
-    if group.family == "GL" and group.field == "R":
+    if side is None:
+        raise IllegalScalarClass(f"{group.family} automorphisms carry no scalar character")
+    if side == RSTAR:
         if getattr(g, "ambient", None) != RSTAR:
             raise IllegalScalarClass("GL over R needs a scalar map on R*")
         res = _check_rclass(g, n, first_kind)
-    elif group.family == "GL":
-        if isinstance(g, TableFunc) and g.ambient == CSTAR:
-            return
+    elif side == CSTAR:
         if not isinstance(g, PowerConjFunc):
             raise IllegalScalarClass("GL over C supports the |z|^(2k) family here")
         if g.k != g.m:
@@ -255,13 +265,47 @@ def validate_character(group, first_kind: bool, g) -> None:
             raise IllegalScalarClass("f collapses all magnitudes: |z|^0")
         return
     else:
-        if isinstance(g, TableFunc) and g.ambient == CIRCLE:
-            return
         if getattr(g, "ambient", None) != CIRCLE:
             raise IllegalScalarClass("U_n needs a scalar map on the circle")
         res = check_Mu(g, n)
     if not res.ok:
         raise IllegalScalarClass(res.reason)
+
+
+def pair_screen(group, first_kind: bool, sigma: str, p, q, tol: float) -> tuple[bool, str]:
+    """(ok, why): can one character of the branch's class take the values
+    p = (da, ca) and q = (db, cb) at the points `character_point` gives?
+    Exact on R*; necessary conditions only on C* and the circle."""
+    (da, ca), (db, cb) = p, q
+    n, side = group.n, ambient(group)
+    if side == CIRCLE:
+        return pair_ok_mu(complex(da), complex(ca), complex(db), complex(cb), n, max(tol, 1e-8))
+    if da == db and ca != cb:
+        return False, "one g cannot take two values at one determinant"
+    if side == RSTAR:
+        if da == db:
+            return point_ok_rclass(Fraction(da), Fraction(ca), n, first_kind)
+        return pair_ok_rclass((Fraction(da), Fraction(ca)), (Fraction(db), Fraction(cb)), n, first_kind)
+    if sigma == "conj":
+        # det phi(A) = g(d)^n conj(d)^(+-1): the induced map reads conj(d),
+        # which has the torsion order and modulus of d
+        da, db = da.conjugate(), db.conjugate()
+    return pair_ok_cstar(da, ca, db, cb, n, first_kind)
+
+
+def witness_character(group, points) -> TableFunc:
+    """The table through points [(d, g(d)), ...] that passed `pair_screen`,
+    on group's ambient, one entry per point: sorted on R*, in the given order
+    on C* and the circle, where points within 1e-12 of an earlier one drop."""
+    side = ambient(group)
+    if side != CIRCLE:
+        table = dict(points).items()
+        return TableFunc(tuple(sorted(table) if side == RSTAR else table), side)
+    table = []
+    for d, c in points:
+        if all(abs(complex(d) - e) > 1e-12 for e, _ in table):
+            table.append((complex(d), complex(c)))
+    return TableFunc(tuple(table), CIRCLE)
 
 
 @dataclass

@@ -365,6 +365,38 @@ def test_circle_power_with_a_sign_twist_is_file_format(tmp_path, capsys):
     assert "sign twist" in rep["message"]
 
 
+@pytest.mark.parametrize(
+    "spec, code, error",
+    [
+        ("power:x", 2, "BadArgs"),
+        ("power:1:bogus", 2, "BadArgs"),
+        ("circle-power:1/2", 2, "BadArgs"),
+        ("powerconj:1/2:1", 2, "BadArgs"),
+        ("power:-1/4", 4, "IllegalScalarClass"),
+    ],
+)
+def test_malformed_scalar_specs_are_bad_args(capsys, spec, code, error):
+    """A spec that no character constructor accepts is a command line
+    error; a well-formed character outside the group's class is not."""
+    got, rep = run_cli(capsys, "gen-auto", "--group", "gl-r-4", "--g", spec)
+    assert (got, rep["error"]) == (code, error)
+
+
+@pytest.mark.parametrize(
+    "group, dets, message",
+    [
+        ("gl-r-3", "2,2", "--dets names a determinant more than once: '2,2'"),
+        ("gl-r-3", "2,3,4/2", "--dets names a determinant more than once: '2,3,4/2'"),
+        ("sl-r-3", "2,3", "--dets feeds the determinant probes of gl-r-n only"),
+        ("un-3", "2", "--dets feeds the determinant probes of gl-r-n only"),
+    ],
+)
+def test_dets_that_check_nothing_are_bad_args(tmp_path, capsys, group, dets, message):
+    auto_file = _gen(capsys, tmp_path, group)
+    code, rep = run_cli(capsys, "recover", "--group", group, "--auto", auto_file, "--dets", dets)
+    assert code == 2 and rep == {"error": "BadArgs", "message": message}
+
+
 def test_recover_with_an_empty_det_list_is_refused(tmp_path, capsys):
     """`--dets ,` would leave every verification probe at det 1."""
     auto_file = _gen(capsys, tmp_path, "gl-r-3", "--g", "power:1")
@@ -401,6 +433,10 @@ def test_numeric_options_that_check_nothing_are_bad_args(tmp_path, capsys, comma
          "7013b7b150c275b8aeaec55497f141482c83096c971fb795892bccf03cbbc597"),
         ("gl-r-3", ["--g", "power:2", "--kind", "contragredient"], "table",
          "08e38e307d5dc6d5f86479d4d375ffc82f82c130dd29408d98fb1616fb1031b1"),
+        ("gl-c-3", ["--g", "powerconj:1:1", "--sigma", "conj"], "gausstable",
+         "274c7062a5d2980291397d21d8c161a9eac7198ccddf8f42ccd024534de6949c"),
+        ("gl-c-3", ["--g", "powerconj:1:1", "--sigma", "conj", "--kind", "contragredient"], "gausstable",
+         "46d414910426552ef4b00276c852fd86dfcc5e6aa9041c80e5f1bfa4a1e6ab0c"),
     ],
 )
 def test_exact_local_check_digests_are_pinned(tmp_path, capsys, group, gen_extra, table, digest):

@@ -246,3 +246,27 @@ def test_only_the_scalar_layer_reads_character_fields():
         for line, name in _field_reads(_parse(path))
     ]
     assert found == []
+
+
+# which ambient a group's character lives on, the point it reads, its pair
+# screen and its witness table are decided in scalarmaps alone; the modules
+# that check, apply and recover automorphisms ask it through `ambient`,
+# `character_point`, `pair_screen` and `witness_character`
+AMBIENT_NAMES = {
+    "RSTAR", "CSTAR", "CIRCLE", "TableFunc",
+    "point_ok_rclass", "pair_ok_rclass", "pair_ok_cstar", "pair_ok_mu",
+}
+
+
+@pytest.mark.parametrize("module", ["localcheck.py", "autos.py", "recover.py"])
+def test_only_the_scalar_layer_decides_the_ambient(module):
+    tree = _parse(SRC / module)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert names & AMBIENT_NAMES == set()

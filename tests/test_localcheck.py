@@ -22,6 +22,7 @@ from localaut.matrices import (
     GroupTag,
     QR,
     conj,
+    det,
     diag_first,
     equal,
     identity,
@@ -30,6 +31,7 @@ from localaut.matrices import (
     mul,
     random_gl,
     random_sl,
+    random_unitary,
     smul,
     transpose,
 )
@@ -190,6 +192,27 @@ def test_conj_branch_screens_the_conjugated_determinant():
     v = check_pair(group, (a, phi(a, e)), (b, phi(b, GaussRational(F(1)))))
     assert v.status == "Interpolable" and v.witness.sigma == SIGMA_CONJ
     assert v.witness.g.points == ((d, e), (GaussRational(F(2)), GaussRational(F(1))))
+
+
+def test_unitary_conj_witness_reads_g_at_the_conjugate_determinant():
+    """U_3 under sigma = conj has the form A -> g(det conj(A)) T conj(A) T^-1,
+    so the witness table holds g at conj(det A), not at det A."""
+    group = GroupTag("Un", "C", 3)
+    auto = make_automorphism(group, STANDARD, SIGMA_CONJ, random_unitary(3, seed=5))
+    a, b = random_unitary(3, seed=6), random_unitary(3, seed=7)
+    turn = complex(0.6, 0.8)
+    sample_a = (a, smul(turn, apply(auto, a)))
+    v = check_pair(group, sample_a, (b, apply(auto, b)))
+    assert v.status == "Interpolable" and v.witness.sigma == SIGMA_CONJ
+    (pa, ca), (pb, cb) = v.witness.g.points
+    da, db = complex(det(a)), complex(det(b))
+    assert abs(pa - da.conjugate()) < 1e-9 and abs(pb - db.conjugate()) < 1e-9
+    assert abs(pa - da) > 1e-3 and abs(pb - db) > 1e-3
+    assert abs(ca - turn) < 1e-9 and abs(cb - 1) < 1e-9
+    # a sample paired with itself gives the table one point
+    v = check_pair(group, sample_a, sample_a)
+    assert v.status == "Interpolable" and len(v.witness.g.points) == 1
+    assert abs(v.witness.g.points[0][0] - da.conjugate()) < 1e-9
 
 
 @pytest.mark.parametrize("field", ["R", "C"])

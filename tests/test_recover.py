@@ -147,6 +147,15 @@ def test_gl_real_needs_a_determinant_probe():
             call(AutomorphismOracle(auto))
 
 
+def test_gl_real_probes_each_determinant_once():
+    """A repeated det would put a second, unchecked value into the table."""
+    group = GroupTag("GL", "R", 3)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(9)), PowerFunc(F(1)))
+    for dets in ([F(2), F(2)], [F(2), F(3), F(4, 2)]):
+        with pytest.raises(BadParameters, match="each determinant is probed once"):
+            recover(AutomorphismOracle(auto), dets=dets)
+
+
 def _shear(n, regime, i, j, value=1):
     return mat([[F(int(r == c)) + (value if (r, c) == (i, j) else 0) for c in range(n)] for r in range(n)], regime)
 
