@@ -87,7 +87,6 @@ from .scalarmaps import (
     CIRCLE,
     CSTAR,
     RSTAR,
-    CircleHomFunc,
     LatticeFunc,
     PowerConjFunc,
     PowerFunc,

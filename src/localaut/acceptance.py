@@ -44,12 +44,12 @@ from .recover import AutomorphismOracle, kind_probe, recover_glnr, recover_slnr_
 from .scalarmaps import (
     CIRCLE,
     LatticeFunc,
-    PowerConjFunc,
     PowerFunc,
     check_LAR,
     check_M1r,
     check_Mu,
     evaluate,
+    power_character,
 )
 
 
@@ -94,8 +94,9 @@ def _random_auto(group: GroupTag, i: int, rng: random.Random):
     t = random_gl(group.n, group.regimes()[0], rng)
     g = None
     if group.family == "GL":
+        # |t|^c on R*, |z|^(2c) on C*; None for c = 0
         c = Fraction(i % 3)
-        g = PowerFunc(c) if group.field == "R" else PowerConjFunc(c, c)
+        g = power_character(c if group.field == "R" else 2 * c, False, group)
     return make_automorphism(group, kind, sigma, t, g)
 
 

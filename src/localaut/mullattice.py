@@ -1,14 +1,13 @@
-"""Finitely generated multiplicative lattices in R* and the circle group.
+"""Finitely generated multiplicative lattices in R*.
 
-Hidden scalar characters live on all of R* or S^1; everything computable here
+The GL_n(R) scalar character lives on all of R*; everything computable here
 happens on finitely generated subgroups ("lattices") where membership,
 dependence and homomorphism evaluation reduce to exact integer linear algebra
-on exponent vectors: over a coprime base of the values (R*) or over the
-generators (circle). Nothing here factors into primes.
+on exponent vectors over a coprime base of the values. The lattices never
+factor into primes; `factor` is the brute-force reference.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -228,122 +227,3 @@ class LatticeHom:
 
 def hom_on_lattice(lat: MulLattice, images, sign_image: int = 1) -> LatticeHom:
     return LatticeHom(lat, tuple(Fraction(v) for v in images), sign_image)
-
-
-# ---------------------------------------------------------------------------
-# circle lattices
-
-
-@dataclass(frozen=True)
-class AngleGen:
-    """Unit-circle generator: exact rational angle (turns) or a symbolic one.
-
-    `angle` is the fraction of a full turn for torsion generators and None for
-    symbolic irrational angles; `witness` is the numeric value used in the
-    ApproxC regime.
-    """
-
-    label: str
-    angle: Fraction | None
-    witness: complex
-
-    def __post_init__(self):
-        if abs(abs(self.witness) - 1.0) > 1e-9:
-            raise BadParameters(f"witness for {self.label!r} is off the unit circle")
-        if self.angle is not None:
-            expected = cmath.exp(2j * cmath.pi * float(self.angle))
-            if abs(expected - self.witness) > 1e-9:
-                raise BadParameters(f"witness for {self.label!r} disagrees with its angle")
-
-    def order(self) -> int | None:
-        """Torsion order, or None for symbolic (declared torsion-free) generators."""
-        if self.angle is None:
-            return None
-        return self.angle.denominator
-
-
-def angle_gen(label: str, angle: Fraction | None = None, witness: complex | None = None) -> AngleGen:
-    if angle is not None:
-        angle = Fraction(angle) % 1
-        witness = cmath.exp(2j * cmath.pi * float(angle))
-    elif witness is None:
-        raise BadParameters("symbolic generators need a numeric witness")
-    return AngleGen(label, angle, witness)
-
-
-@dataclass(frozen=True)
-class CircleLattice:
-    """Finitely generated subgroup of S^1 with declared independent generators."""
-
-    generators: tuple[AngleGen, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise TooFewGenerators("a circle lattice needs at least one generator")
-        labels = [g.label for g in self.generators]
-        if len(set(labels)) != len(labels):
-            raise BadParameters("generator labels must be distinct")
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    def value(self, exps) -> complex:
-        out = complex(1.0)
-        for g, e in zip(self.generators, exps):
-            out *= g.witness ** int(e)
-        return out
-
-    def match(self, z: complex, bound: int = 6, tol: float = 1e-9) -> tuple[int, ...] | None:
-        """Bounded search for exponents with value ~ z, used to read dets back."""
-        m = len(self.generators)
-        if bound ** m > 200000:
-            bound = max(1, int(200000 ** (1.0 / m)) // 2)
-        exps = [0] * m
-
-        def rec(i: int):
-            if i == m:
-                if abs(self.value(exps) - z) <= tol:
-                    return tuple(exps)
-                return None
-            for e in range(-bound, bound + 1):
-                exps[i] = e
-                hit = rec(i + 1)
-                if hit is not None:
-                    return hit
-            exps[i] = 0
-            return None
-
-        return rec(0)
-
-
-@dataclass(frozen=True)
-class CircleHom:
-    """Endomorphism data on a circle lattice: gen_j -> prod gen_i**M[j][i]."""
-
-    lattice: CircleLattice
-    images: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        m = self.lattice.rank
-        if len(self.images) != m or any(len(row) != m for row in self.images):
-            raise BadParameters("images must be an m x m integer exponent matrix")
-        for j, g in enumerate(self.lattice.generators):
-            if g.order() is not None:
-                row = self.images[j]
-                onto_self = all(row[i] == 0 for i in range(m) if i != j)
-                if not (onto_self and abs(row[j]) == 1):
-                    raise BadParameters(
-                        f"torsion generator {g.label!r} must map to itself with exponent +-1"
-                    )
-
-    def apply_exponents(self, exps) -> tuple[int, ...]:
-        m = self.lattice.rank
-        out = [0] * m
-        for j, e in enumerate(exps):
-            for i in range(m):
-                out[i] += int(e) * self.images[j][i]
-        return tuple(out)
-
-    def evaluate(self, exps) -> complex:
-        return self.lattice.value(self.apply_exponents(exps))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     AmbientMismatch,
@@ -26,8 +25,8 @@ from .errors import (
     RegimeMismatch,
     ZeroInput,
 )
-from .mullattice import CircleHom, LatticeHom, dep_exponent, relations
-from .matrices import C64, QR, det, mat
+from .mullattice import LatticeHom, dep_exponent, relations
+from .matrices import C64
 from .scalars import GQ_ONE, GaussRational, rational_pow
 
 RSTAR = "Rstar"
@@ -81,12 +80,6 @@ class LatticeFunc:
 
 
 @dataclass(frozen=True)
-class CircleHomFunc:
-    hom: CircleHom
-    ambient: str = CIRCLE
-
-
-@dataclass(frozen=True)
 class TableFunc:
     """Finite table of (point, value) pairs: the witness-grade partial
     scalar map. Exact Fraction points on R*, exact GaussRational points on
@@ -103,7 +96,7 @@ class TableFunc:
         return next((v for a, v in self.points if a == x), None)
 
 
-MulFunc = PowerFunc | PowerConjFunc | LatticeFunc | CircleHomFunc | TableFunc
+MulFunc = PowerFunc | PowerConjFunc | LatticeFunc | TableFunc
 
 
 def evaluate(g, x):
@@ -136,14 +129,12 @@ def evaluate(g, x):
         return g.hom.evaluate(Fraction(x))
     if isinstance(g, TableFunc):
         return g.lookup(x)
-    if isinstance(g, CircleHomFunc):
-        raise BadParameters("CircleHomFunc evaluates on exponent vectors; use evaluate_exponents")
     raise BadParameters(f"not a MulFunc: {type(g).__name__}")
 
 
 def character_value(g, d, regime: str, tol: float):
     """g at the determinant d of a matrix in regime, for applying an
-    automorphism: numeric circle data match d within tol, everything else
+    automorphism: numeric circle tables match d within tol, everything else
     evaluates exactly. Raises DetOutsideLattice where g has no value."""
     if isinstance(g, TableFunc) and g.ambient == CIRCLE:
         if regime != C64:
@@ -152,14 +143,6 @@ def character_value(g, d, regime: str, tol: float):
         if val is None:
             raise DetOutsideLattice(f"g has no recorded value near det = {d}")
         return val
-    if isinstance(g, CircleHomFunc):
-        lat = g.hom.lattice
-        exps = lat.match(complex(d))
-        if exps is None:
-            raise DetOutsideLattice(f"det = {d} is outside the declared circle lattice")
-        if regime != C64:
-            raise RegimeMismatch("circle lattice characters evaluate numerically")
-        return g.hom.evaluate(exps)
     val = evaluate(g, d)
     if val is None:
         raise DetOutsideLattice(f"g has no exact value at det = {d}")
@@ -546,7 +529,10 @@ def check_LAR(h) -> ClassCheck:
 
 
 def check_Mu(g, n: int) -> ClassCheck:
-    """Is f(z) = g(z)^n z an automorphism of the circle (on the given data)?"""
+    """Is f(z) = g(z)^n z an automorphism of the circle? Decided for the
+    power characters z^k, where f(z) = z^(nk + 1) is one exactly when
+    nk + 1 = +-1. Finite circle tables are witness data, screened pairwise
+    by `pair_ok_mu` instead."""
     if n < 3:
         raise BadParameters("n >= 3 is required")
     if isinstance(g, PowerFunc) and g.ambient == CIRCLE:
@@ -554,36 +540,6 @@ def check_Mu(g, n: int) -> ClassCheck:
         if abs(e) == 1:
             return ClassCheck(True, f"f(z) = z^{e} is an automorphism")
         return ClassCheck(False, f"f(z) = z^{e} is not injective on the circle")
-    if isinstance(g, CircleHomFunc):
-        hom = g.hom
-        lat = hom.lattice
-        m = lat.rank
-        free_idx = [i for i, gen in enumerate(lat.generators) if gen.order() is None]
-        tors_idx = [i for i in range(m) if i not in free_idx]
-        for i in tors_idx:
-            e = f_exponent(hom.images[i][i], n)
-            order = lat.generators[i].order()
-            if gcd(e, order) != 1:
-                return ClassCheck(
-                    False,
-                    f"f has exponent {e} on a torsion generator of order {order}",
-                    on_lattice=True,
-                )
-        if free_idx:
-            block = [
-                [n * hom.images[j][i] + (1 if i == j else 0) for j in free_idx]
-                for i in free_idx
-            ]
-            # f is onto the free part only when its exponent block is
-            # invertible over Z, the rank-one rule |n k + 1| = 1
-            if abs(det(mat(block, QR))) != 1:
-                return ClassCheck(False, "f exponent matrix is not unimodular on the free part", on_lattice=True)
-        return ClassCheck(
-            True,
-            "f injective on the lattice",
-            on_lattice=True,
-            extension_assumed=not tors_idx,
-        )
     if isinstance(g, (PowerConjFunc, LatticeFunc)) or (isinstance(g, TableFunc) and g.ambient != CIRCLE):
         raise AmbientMismatch("Mu lives on the circle")
     raise BadParameters(f"unsupported MulFunc for Mu: {type(g).__name__}")

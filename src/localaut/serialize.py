@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from .errors import BadParameters, FileFormatError
 from .matrices import C64, QC, QR, REGIMES, GroupTag, Mat, coerce_scalar, mat
+from .mullattice import hom_on_lattice, make_lattice
 from .scalarmaps import (
     CIRCLE,
     CSTAR,
     RSTAR,
-    CircleHomFunc,
     LatticeFunc,
     PowerConjFunc,
     PowerFunc,
@@ -143,24 +143,10 @@ def mulfunc_to_json(g) -> dict | None:
             "images": [format_rational(v) for v in hom.images],
             "sign_image": hom.sign_image,
         }
-    if isinstance(g, CircleHomFunc):
-        hom = g.hom
-        gens = []
-        for gen in hom.lattice.generators:
-            gens.append(
-                {
-                    "label": gen.label,
-                    "angle": None if gen.angle is None else format_rational(gen.angle),
-                    "witness": [gen.witness.real, gen.witness.imag],
-                }
-            )
-        return {"type": "circlehom", "generators": gens, "images": [list(r) for r in hom.images]}
     raise FileFormatError(f"cannot serialize scalar map {type(g).__name__}")
 
 
 def mulfunc_from_json(obj):
-    from .mullattice import CircleLattice, angle_gen, hom_on_lattice, make_lattice
-    from .mullattice import CircleHom
     if obj is None:
         return None
     try:
@@ -178,15 +164,6 @@ def mulfunc_from_json(obj):
             return LatticeFunc(
                 hom_on_lattice(lat, [parse_rational(s) for s in obj["images"]], obj["sign_image"])
             )
-        if t == "circlehom":
-            gens = []
-            for gobj in obj["generators"]:
-                ang = None if gobj["angle"] is None else parse_rational(gobj["angle"])
-                gens.append(
-                    angle_gen(gobj["label"], ang, complex(gobj["witness"][0], gobj["witness"][1]))
-                )
-            lat = CircleLattice(tuple(gens))
-            return CircleHomFunc(CircleHom(lat, tuple(tuple(r) for r in obj["images"])))
     except FileFormatError:
         raise
     except Exception as exc:

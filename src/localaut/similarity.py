@@ -31,6 +31,7 @@ from .matrices import (
 from .scalars import DEFAULT_TOL
 
 GRID_CAP = 4096
+ATTEMPTS = 50  # seeded random combinations of the intertwiner basis tried
 
 
 @dataclass
@@ -100,12 +101,11 @@ def verify_intertwines(s: Mat, pairs: list[tuple[Mat, Mat]], tol: float = DEFAUL
 def simultaneous_similarity(
     pairs: list[tuple[Mat, Mat]],
     seed: int = 0,
-    attempts: int = 50,
     tol: float = DEFAULT_TOL,
 ) -> SimilarityResult:
     regime = pairs[0][0].regime
     if regime == C64:
-        return _numeric_similarity(pairs, seed, attempts, tol)
+        return _numeric_similarity(pairs, seed, ATTEMPTS, tol)
     basis = intertwiner_basis(pairs)
     d = len(basis)
     if d == 0:
@@ -125,7 +125,7 @@ def simultaneous_similarity(
             return SimilarityResult("Solved", s=s, dim=d)
     combine = _combiner(basis)
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         coeffs = [rng.randint(-5, 5) for _ in range(d)]
         if all(c == 0 for c in coeffs):
             continue

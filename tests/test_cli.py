@@ -365,6 +365,23 @@ def test_circle_power_with_a_sign_twist_is_file_format(tmp_path, capsys):
     assert "sign twist" in rep["message"]
 
 
+def test_circle_lattice_character_is_file_format(tmp_path, capsys):
+    """U_n characters travel as `power` or `circletable`; the retired
+    `circlehom` wire type is an unknown scalar map type."""
+    obj = load_json(_gen(capsys, tmp_path, "un-3", "--g", "circle-power:0"))
+    obj["g"] = {
+        "type": "circlehom",
+        "generators": [{"label": "z", "angle": None, "witness": [0.5403023058681398, 0.8414709848078965]}],
+        "images": [[0]],
+    }
+    auto_file, in_file = str(tmp_path / "circlehom.json"), str(tmp_path / "in.json")
+    dump_json(auto_file, obj)
+    dump_json(in_file, mat_to_json(identity(3, C64)))
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
+    assert code == 3 and rep["error"] == "FileFormat"
+    assert "circlehom" in rep["message"]
+
+
 @pytest.mark.parametrize(
     "spec, code, error",
     [

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localaut.errors import BadParameters
-from localaut.mullattice import CircleHom, CircleLattice, angle_gen, hom_on_lattice, make_lattice
+from localaut.mullattice import hom_on_lattice, make_lattice
 from localaut.scalarmaps import (
     CIRCLE,
     CSTAR,
     RSTAR,
-    CircleHomFunc,
     ClassMap,
     LatticeFunc,
     PowerConjFunc,
@@ -49,15 +48,6 @@ def test_circle_powers():
         PowerFunc(F(1, 2), "same", CIRCLE)
     with pytest.raises(BadParameters):
         PowerFunc(F(0), "flip", CIRCLE)
-
-
-@pytest.mark.parametrize("k", [-1, 0, 1, 2])
-def test_circle_hom_free_part_follows_the_power_rule(k):
-    """g = z^k on a free generator gives f = z^(3k + 1): onto only for k = 0."""
-    lat = CircleLattice((angle_gen("z", witness=cmath.exp(1j)),))
-    g = CircleHomFunc(CircleHom(lat, ((k,),)))
-    assert check_Mu(g, 3).ok == (k == 0)
-    assert check_Mu(g, 3).ok == check_Mu(PowerFunc(F(k), "same", CIRCLE), 3).ok
 
 
 def test_power_func_evaluation_exact():
@@ -168,6 +158,19 @@ def test_odd_extension_on_lattices():
     assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(2), F(4)), -1))).ok
     assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(5), F(7)), 1))).ok
     assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(-5), F(7)), -1))).ok
+
+
+def test_lattice_class_membership():
+    """g(2) = 4, g(3) = 9 on <2, 3> induces f(2) = 2^7 and f(3) = 3^7 at
+    n = 3, independent images; a negative image or a sign twist at odd n
+    is refused."""
+    lat = make_lattice(2, 3)
+    res = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(4), F(9)))), 3)
+    assert res.ok and res.on_lattice and res.extension_assumed
+    negative = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(-4), F(9)))), 3)
+    assert (negative.ok, negative.reason) == (False, "a multiplicative g on R* is positive on positives")
+    twisted = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(4), F(9)), -1)), 3)
+    assert (twisted.ok, twisted.reason) == (False, "sign flip on negatives needs even n")
 
 
 def _table(points):

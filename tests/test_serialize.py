@@ -7,8 +7,21 @@ import pytest
 from localaut.autos import CONTRAGREDIENT, SIGMA_CONJ, SIGMA_ID, STANDARD, apply, make_automorphism
 from localaut.errors import FileFormatError
 from localaut.localcheck import samples_from_automorphism
-from localaut.matrices import GroupTag, QC, QR, close, equal, random_gl, random_sl, random_unitary
-from localaut.scalarmaps import CIRCLE, CSTAR, PowerConjFunc, PowerFunc, TableFunc
+from localaut.matrices import (
+    QC,
+    QR,
+    GroupTag,
+    close,
+    diag_first,
+    equal,
+    identity,
+    random_gl,
+    random_sl,
+    random_unitary,
+    smul,
+)
+from localaut.mullattice import hom_on_lattice, make_lattice
+from localaut.scalarmaps import CIRCLE, CSTAR, LatticeFunc, PowerConjFunc, PowerFunc, TableFunc
 from localaut.scalars import GaussRational
 from localaut.serialize import (
     auto_from_json,
@@ -41,6 +54,9 @@ def test_matrix_round_trip_floats():
 
 def test_automorphism_round_trip_with_characters():
     rng = random.Random(3)
+    # g(2) = 4, g(3) = 9 on the lattice <2, 3>
+    lattice_g = LatticeFunc(hom_on_lattice(make_lattice(2, 3), (F(4), F(9))))
+    lattice_auto = make_automorphism(GroupTag("GL", "R", 3), STANDARD, SIGMA_ID, identity(3, QR), lattice_g)
     cases = [
         make_automorphism(
             GroupTag("GL", "R", 3), STANDARD, SIGMA_ID, random_gl(3, QR, rng), PowerFunc(F(2))
@@ -53,12 +69,17 @@ def test_automorphism_round_trip_with_characters():
             PowerConjFunc(1, 1),
         ),
         make_automorphism(GroupTag("SL", "R", 3), CONTRAGREDIENT, SIGMA_ID, random_gl(3, QR, rng)),
+        lattice_auto,
     ]
     for auto in cases:
         back = auto_from_json(auto_to_json(auto))
         assert back.group == auto.group and back.kind == auto.kind and back.sigma == auto.sigma
+        assert back.g == auto.g
         sample = random_sl(3, QR if auto.group.field == "R" else QC, rng)
         assert equal(apply(back, sample), apply(auto, sample))
+    assert auto_to_json(lattice_auto)["g"]["type"] == "latticehom"
+    six = diag_first(3, F(6), QR)
+    assert equal(apply(auto_from_json(auto_to_json(lattice_auto)), six), smul(F(36), six))
 
 
 def test_table_func_round_trip_in_every_ambient():

@@ -13,7 +13,12 @@ timings prints the same object on both trees. The grid covers:
 * `recover` through every engine, with and without `--dets`, and through
   oracle children whose scalar refutes the class at a det, on a pair and
   on a relation;
-* the three `gallery` items.
+* the three `gallery` items;
+* `apply` and `verify-auto` over automorphism files of every character
+  wire type (`power` on R* and the circle, `powerconj`, `table`,
+  `gausstable`, `circletable`, `latticehom`), written from literal JSON
+  so both trees read the same bytes, applied to inputs whose
+  determinants lie inside and outside the finite characters' domains.
 
 Run from the repository root, against the tree on PYTHONPATH:
 
@@ -115,6 +120,71 @@ CHILDREN = [
 ]
 
 
+# matrices and character files for the apply and verify-auto rows
+I, ONE, ZERO = [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]
+GLR3 = {"family": "GL", "field": "R", "n": 3}
+GLC3 = {"family": "GL", "field": "C", "n": 3}
+U3 = {"family": "Un", "field": "C", "n": 3}
+T_QR = {"regime": "QR", "entries": [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2"]]}
+T_QC = {
+    "regime": "QC",
+    "entries": [
+        [{"re": "1", "im": "0"}, {"re": "0", "im": "1"}, {"re": "0", "im": "0"}],
+        [{"re": "0", "im": "0"}, {"re": "1", "im": "0"}, {"re": "0", "im": "0"}],
+        [{"re": "0", "im": "0"}, {"re": "0", "im": "0"}, {"re": "2", "im": "0"}],
+    ],
+}
+T_C64 = {"regime": "C64", "entries": [[ZERO, I, ZERO], [ZERO, ZERO, ONE], [ONE, ZERO, ZERO]]}
+
+
+def _qr_diag(d):
+    return {"regime": "QR", "entries": [[d, "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+
+
+def _qc_diag(re, im):
+    zero, one = {"re": "0", "im": "0"}, {"re": "1", "im": "0"}
+    return {"regime": "QC", "entries": [[{"re": re, "im": im}, zero, zero], [zero, one, zero], [zero, zero, one]]}
+
+
+def _c64_diag(z):
+    return {"regime": "C64", "entries": [[z, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]}
+
+
+# input file -> one matrix or a list of them
+INPUTS = {
+    "glr-in.json": [_qr_diag("2"), _qr_diag("3"), _qr_diag("-2")],
+    "glr-six.json": _qr_diag("6"),
+    "glr-five.json": [_qr_diag("2"), _qr_diag("5")],
+    "glc-in.json": [_qc_diag("1", "1"), _qc_diag("2", "0"), _qc_diag("0", "1")],
+    "glc-out.json": _qc_diag("3", "0"),
+    "un-in.json": [_c64_diag(ONE), _c64_diag(I), _c64_diag([-1.0, 0.0])],
+    "un-out.json": _c64_diag([0.0, -1.0]),
+}
+
+# (character file, group, kind, sigma, t, g, input files)
+CHARACTERS = [
+    ("power-rstar", GLR3, "standard", "id", T_QR,
+     {"type": "power", "ambient": "Rstar", "c": "2", "neg": "same"}, ["glr-in", "glr-six", "glr-five"]),
+    ("power-circle", U3, "standard", "conj", T_C64,
+     {"type": "power", "ambient": "Circle", "c": "0", "neg": "same"}, ["un-in", "un-out"]),
+    ("powerconj", GLC3, "contragredient", "conj", T_QC,
+     {"type": "powerconj", "k": "1", "m": "1"}, ["glc-in", "glc-out"]),
+    ("table", GLR3, "standard", "id", T_QR,
+     {"type": "table", "points": [["-2", "4"], ["2", "4"], ["3", "9"]]}, ["glr-in", "glr-six", "glr-five"]),
+    ("gausstable", GLC3, "standard", "id", T_QC,
+     {"type": "gausstable", "points": [
+         [{"re": "1", "im": "1"}, {"re": "2", "im": "0"}],
+         [{"re": "2", "im": "0"}, {"re": "4", "im": "0"}],
+         [{"re": "0", "im": "1"}, {"re": "1", "im": "0"}],
+     ]}, ["glc-in", "glc-out"]),
+    ("circletable", U3, "standard", "id", T_C64,
+     {"type": "circletable", "points": [[ONE, ONE], [I, [-1.0, 0.0]], [[-1.0, 0.0], ONE]]}, ["un-in", "un-out"]),
+    ("latticehom", GLR3, "contragredient", "id", T_QR,
+     {"type": "latticehom", "generators": ["2", "3"], "images": ["4", "9"], "sign_image": 1},
+     ["glr-in", "glr-six", "glr-five"]),
+]
+
+
 def _mats(group, count, rng):
     if group.family == "Un":
         return [random_unitary(group.n, seed=rng.randrange(10**6)) for _ in range(count)]
@@ -189,6 +259,15 @@ def grid() -> dict:
         entry = load_json(f"gl-local-not-global-{seed}.json")
         dump_json("gallery.samples.json", {"group": entry["group"], "samples": entry["samples"]})
         _run(["local-check", "gallery.samples.json", "--seed", seed], digests)
+    for path, obj in INPUTS.items():
+        Path(path).write_text(json.dumps(obj))
+    for name, group, kind, sigma, t, g, inputs in CHARACTERS:
+        auto = {"group": group, "kind": kind, "sigma": sigma, "t": t, "g": g}
+        Path(f"{name}.json").write_text(json.dumps(auto))
+        for inp in inputs:
+            _run(["apply", "--auto", f"{name}.json", "--in", f"{inp}.json"], digests)
+        for seed in ("0", "1"):
+            _run(["verify-auto", f"{name}.json", "--pairs", "20", "--seed", seed], digests)
     return digests
 
 
