@@ -16,10 +16,7 @@ from .autos import (
     SIGMA_ID,
     STANDARD,
     Automorphism,
-    agree_on,
     apply,
-    compose,
-    invert,
     make_automorphism,
 )
 from .errors import LocalautError
@@ -48,7 +45,6 @@ from .matrices import (
     Basis,
     GroupTag,
     Mat,
-    add,
     build_basis,
     charpoly,
     close,
@@ -64,7 +60,6 @@ from .matrices import (
     random_su,
     random_unitary,
     smul,
-    sub,
     trace,
     transpose,
 )
@@ -91,11 +86,8 @@ from .scalarmaps import (
     PowerConjFunc,
     PowerFunc,
     TableFunc,
-    check_LAR,
     check_M1r,
-    check_M2r,
     check_Mu,
-    check_P,
     det_relation_refutations,
     evaluate,
 )

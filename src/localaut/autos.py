@@ -13,8 +13,8 @@ multiplicative scalar character g applied to the determinant:
 
 The unitary families absorb the contragredient kind into sigma, so it is
 rejected there rather than silently normalized. Which character a group
-may carry, its value at det A and the exponent algebra of `compose` and
-`invert` are decided in scalarmaps; this module does no class arithmetic.
+may carry and its value at det A are decided in scalarmaps; this module
+does no class arithmetic.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BadParameters,
-    GroupMismatch,
     IllegalSigma,
     NonUnitaryT,
     NotInGroup,
@@ -43,7 +42,7 @@ from .matrices import (
     smul,
     transpose,
 )
-from .scalarmaps import character_point, character_value, compose_powers, invert_power, validate_character
+from .scalarmaps import character_point, character_value, validate_character
 from .scalars import DEFAULT_TOL
 
 STANDARD = "standard"
@@ -125,40 +124,4 @@ def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = Tr
         return out
     d = character_point(auto.group, auto.sigma, det(a))
     return smul(character_value(auto.g, d, a.regime, tol), out)
-
-
-def compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
-    """outer after inner, in canonical form again.
-
-    Closed under composition only for power-type scalar characters; lattice
-    and table data would need values at new points, so those raise.
-    """
-    if outer.group != inner.group:
-        raise GroupMismatch("can only compose automorphisms of the same group")
-    group = outer.group
-    sigma = SIGMA_CONJ if (outer.sigma != inner.sigma) else SIGMA_ID
-    kind = STANDARD if (outer.kind == inner.kind) else CONTRAGREDIENT
-    # conjugating matrix: T = T2 op2(T1), op2 the outer map's branch
-    t = mul(outer.t, op(inner.t, outer.kind, outer.sigma))
-    g = compose_powers(group, outer.g, outer.kind == STANDARD, inner.g, inner.kind == STANDARD)
-    return make_automorphism(group, kind, sigma, t, g)
-
-
-def invert(auto: Automorphism) -> Automorphism:
-    """The inverse automorphism, again in canonical form (power-type g only)."""
-    sigma = auto.sigma
-    if auto.kind == STANDARD:
-        s = apply_sigma(auto.tinv, sigma)
-    else:
-        s = apply_sigma(transpose(auto.t), sigma)
-    g = invert_power(auto.group, auto.g, auto.kind == STANDARD)
-    return make_automorphism(auto.group, auto.kind, sigma, s, g)
-
-
-def agree_on(auto1: Automorphism, auto2: Automorphism, samples, tol: float = DEFAULT_TOL) -> bool:
-    """Do two automorphisms take the same values on every sample?"""
-    for a in samples:
-        if not close(apply(auto1, a, tol), apply(auto2, a, tol), tol):
-            return False
-    return True
 

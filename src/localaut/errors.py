@@ -54,10 +54,6 @@ class NotInGroup(LocalautError):
     pass
 
 
-class GroupMismatch(LocalautError):
-    pass
-
-
 class IllegalSigma(LocalautError):
     pass
 

@@ -87,7 +87,7 @@ def gl_local_not_global(n: int = 3, seed: int = 0) -> GalleryEntry:
     return entry
 
 
-def additive_r(k: int = 2, scales=None, swap: bool = False) -> GalleryEntry:
+def additive_r(k: int = 2, scales=None) -> GalleryEntry:
     """A sampled self-map of a rank-k rational subspace of (R, +).
 
     The generators are formal symbols standing for Q-independent reals;
@@ -96,7 +96,7 @@ def additive_r(k: int = 2, scales=None, swap: bool = False) -> GalleryEntry:
     untouched) each pair of points is still matched by a Q-linear
     bijection, but phi(g1) + phi(g2) = g1 + 2 g2 differs from
     phi(g1 + g2) = g1 + g2. All scales 1 gives the identity, a global
-    automorphism; swap exchanges the first two lines instead.
+    automorphism.
     """
     if k < 2:
         raise TooFewGenerators("the additive example needs at least 2 generators")
@@ -119,17 +119,7 @@ def additive_r(k: int = 2, scales=None, swap: bool = False) -> GalleryEntry:
     if any(s == 0 for s in scales):
         raise TooFewGenerators("zero scales collapse a line")
 
-    def line_image(idx: int, p: tuple) -> tuple:
-        if swap and idx == 0:
-            return tuple(Fraction(1) if t == 1 else Fraction(0) for t in range(k))
-        if swap and idx == 1:
-            return tuple(Fraction(1) if t == 0 else Fraction(0) for t in range(k))
-        return p
-
-    pairs = [
-        (p, tuple(scales[i] * c for c in line_image(i, p)))
-        for i, p in enumerate(points)
-    ]
+    pairs = [(p, tuple(s * c for c in p)) for s, p in zip(scales, points)]
     violations = _additive_violations(pairs)
     claim = "IsAutomorphism" if not violations else "IsLocalNotGlobal"
     evidence = [{"kind": "pairwise", "expect": "every pair matched by a Q-linear bijection"}]
@@ -144,7 +134,7 @@ def additive_r(k: int = 2, scales=None, swap: bool = False) -> GalleryEntry:
         name="additive_r",
         description="line-scaled map of a rational subspace of (R, +)",
         certificate=Certificate(claim=claim, evidence=evidence),
-        artifacts={"k": k, "pairs": pairs, "swap": swap},
+        artifacts={"k": k, "pairs": pairs},
     )
 
 

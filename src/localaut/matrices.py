@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import add as _iadd, mul as _imul, neg as _ineg, sub as _isub
+from operator import add as _iadd, mul as _imul, neg as _ineg
 
 from .errors import BadParameters, RegimeMismatch, SingularMatrix
 from .exactlinalg import rref
@@ -249,30 +249,6 @@ def diag_first(n: int, d, regime: str) -> Mat:
 def _check_same(a: Mat, b: Mat):
     if a.regime != b.regime or a.n != b.n:
         raise RegimeMismatch("operands must share size and regime")
-
-
-def _lincomb(a: Mat, b: Mat, sign: int) -> Mat:
-    """a + sign b, on the grids over the lcm of their denominators."""
-    _check_same(a, b)
-    if a.regime == C64:
-        op = _iadd if sign > 0 else _isub
-        return Mat(a.n, C64, tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a.entries, b.entries)))
-    (da, ra, ia), (db, rb, ib) = grid(a), grid(b)
-    g = gcd(da, db)
-    sa, sb = db // g, sign * (da // g)
-
-    def comb(xs, ys):
-        return tuple([x * sa + y * sb for x, y in zip(xs, ys)])
-
-    return _canon(a.n, a.regime, da * sa, comb(ra, rb), None if ia is None else comb(ia, ib))
-
-
-def add(a: Mat, b: Mat) -> Mat:
-    return _lincomb(a, b, 1)
-
-
-def sub(a: Mat, b: Mat) -> Mat:
-    return _lincomb(a, b, -1)
 
 
 def smul(c, a: Mat) -> Mat:

@@ -56,15 +56,6 @@ class SignedFactored:
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def value(self) -> Fraction:
-        v = Fraction(self.sign)
-        for p, e in self.factors:
-            v *= Fraction(p) ** e
-        return v
-
-    def exponents(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 def dep_exponent(a: Fraction, b: Fraction) -> Fraction | None:
     """q with a = b**q for positive rationals, or None when independent.
@@ -172,10 +163,6 @@ class MulLattice:
             raise BadParameters("1 generates nothing")
         if relations(self.generators):
             raise BadParameters("generator exponent vectors are Q-linearly dependent")
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
 
 
 def make_lattice(*gens) -> MulLattice:

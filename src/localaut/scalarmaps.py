@@ -7,10 +7,10 @@ Local automorphisms only pin g down pairwise, which is decided here exactly
 on factored rationals: class transport for dependent arguments, class
 injectivity for independent ones, and the sign/parity rules. This is the one
 module that knows these rules: which character each group carries and the
-point it reads (`ambient`, `character_point`), the exponent algebra of power
-characters under composition and inversion, the R*, C* and circle pair
-screens behind `pair_screen`, the finite-table screen, the witness tables
-of `witness_character` and the relation detector all live here.
+point it reads (`ambient`, `character_point`), the exponent reader of power
+characters, the R*, C* and circle pair screens behind `pair_screen`, the
+finite-table screen, the witness tables of `witness_character` and the
+relation detector all live here.
 """
 from __future__ import annotations
 
@@ -150,21 +150,18 @@ def character_value(g, d, regime: str, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# power characters: one exponent reader and its algebra
+# power characters: one exponent reader
 
 
 def power_exponent(g) -> tuple[Fraction, bool]:
     """(c, flip) for a power-type character: g(t) = |t|^c, negated on
     negative t when flip, on R*; z -> z^c on the circle; c = 2k for
-    g(z) = |z|^(2k) = PowerConjFunc(k, k) on C*. No character reads as
-    (0, False)."""
-    if g is None:
-        return Fraction(0), False
+    g(z) = |z|^(2k) = PowerConjFunc(k, k) on C*."""
     if isinstance(g, PowerFunc):
         return Fraction(g.c), g.neg == "flip"
     if isinstance(g, PowerConjFunc) and g.k == g.m:
         return 2 * Fraction(g.k), False
-    raise BadParameters(f"{type(g).__name__} does not compose in closed form")
+    raise BadParameters(f"{type(g).__name__} is not a power character")
 
 
 def f_exponent(c, n: int, first_kind: bool = True):
@@ -181,29 +178,6 @@ def power_character(c, flip: bool, group):
     if side == CSTAR:
         return PowerConjFunc(c / 2, c / 2)
     return PowerFunc(c, "flip" if flip else "same", side)
-
-
-def compose_powers(group, outer, first_outer: bool, inner, first_inner: bool):
-    """The character of phi2 after phi1 for power-type characters g2 (outer)
-    and g1 (inner). det phi1(A) = (det A)^e1 reaches g2, while g1 passes
-    through the outer branch, which a contragredient inverts:
-    c = e1 c2 +- c1. Sign twists add mod 2, since a reciprocal keeps the
-    sign."""
-    c1, flip1 = power_exponent(inner)
-    c2, flip2 = power_exponent(outer)
-    c = f_exponent(c1, group.n, first_inner) * c2 + (c1 if first_outer else -c1)
-    return power_character(c, flip1 != flip2, group)
-
-
-def invert_power(group, g, first_kind: bool):
-    """The character of phi^-1 for a power-type g: c' solves e c' + c = 0,
-    or e c' = c for the contragredient kind; the sign twist stays. On U_n,
-    e = nk + 1 = +-1, so c' = -ke is again an integer."""
-    c, flip = power_exponent(g)
-    e = f_exponent(c, group.n, first_kind)
-    if e == 0:
-        raise BadParameters("scalar map is not invertible")
-    return power_character((-c if first_kind else c) / e, flip, group)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +269,6 @@ def witness_character(group, points) -> TableFunc:
 class ClassCheck:
     ok: bool
     reason: str = ""
-    on_lattice: bool = False
-    extension_assumed: bool = False
     counterexample: tuple | None = None
 
 
@@ -380,10 +352,6 @@ def check_M1r(g, n: int) -> ClassCheck:
     return _check_rclass(g, n, first_kind=True)
 
 
-def check_M2r(g, n: int) -> ClassCheck:
-    return _check_rclass(g, n, first_kind=False)
-
-
 def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
     if n < 3:
         raise BadParameters("n >= 3 is required")
@@ -409,17 +377,8 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
         gens = hom.lattice.generators
         fvals = [induced(gen, img, n, first_kind) for gen, img in zip(gens, hom.images)]
         if relations(fvals):
-            return ClassCheck(
-                False,
-                "f images of the generators are multiplicatively dependent",
-                on_lattice=True,
-            )
-        return ClassCheck(
-            True,
-            "f injective on the lattice; global extension by a Hamel-basis argument",
-            on_lattice=True,
-            extension_assumed=True,
-        )
+            return ClassCheck(False, "f images of the generators are multiplicatively dependent")
+        return ClassCheck(True, "f injective on the lattice; global extension by a Hamel-basis argument")
     if isinstance(g, TableFunc):
         points = g.points
         for lam, v in points:
@@ -431,97 +390,38 @@ def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
                 ok, why = pair_ok_rclass(p, q, n, first_kind)
                 if not ok:
                     return ClassCheck(False, why, counterexample=(p[0], q[0]))
-        return ClassCheck(True, f"all pairs admit a common {name} member", on_lattice=True)
+        # signs and d / -d pairs are pinned above; |g| must also respect
+        # every multiplicative relation among the |d|, which pairs cannot see
+        broken = det_relation_refutations({abs(lam): abs(v) for lam, v in points})
+        if broken:
+            rel, product = broken[0]["relation"], broken[0]["image_product"]
+            return ClassCheck(
+                False,
+                f"|g| breaks the relation {rel} among the dets: its image product is {product}, not 1",
+                counterexample=tuple(Fraction(d) for d in rel),
+            )
+        return ClassCheck(True, f"all pairs admit a common {name} member")
     raise BadParameters(f"unsupported MulFunc for {name}: {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# property (P) and (LAR)
+# (LAR) on a lattice
 
 
-@dataclass(frozen=True)
-class ClassMap:
-    """Finite positive data (lam, k(lam)) standing for a map of ~-classes."""
-
-    points: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        seen = {}
-        for lam, v in self.points:
-            if lam in seen and seen[lam] != v:
-                raise BadParameters(f"contradictory values at {lam}")
-            seen[lam] = v
-
-
-def check_P(k: ClassMap) -> ClassCheck:
-    """k(1) = 1, exact exponent transport inside classes, distinct classes
-    land in distinct classes."""
-    pts = list(k.points)
-    for lam, v in pts:
-        if lam <= 0 or v <= 0:
-            return ClassCheck(False, "property (P) data lives on (0, inf)", counterexample=(lam,))
-        if (lam == 1) != (v == 1):
-            return ClassCheck(False, "the class of 1 is fixed and nothing else maps to it", counterexample=(lam,))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            (lam, v), (mu, w) = pts[i], pts[j]
-            if lam == 1 or mu == 1:
-                continue
-            q, ok = transport(lam, v, mu, w)
-            if not ok:
-                return ClassCheck(False, f"transport fails: k({lam}) != k({mu})^{q}", counterexample=(lam, mu))
-            if q is None and dep_exponent(v, w) is not None:
-                return ClassCheck(
-                    False,
-                    f"{lam} and {mu} are independent but their images are not",
-                    counterexample=(lam, mu),
-                )
-    return ClassCheck(True, "class map has property (P) on its support")
-
-
-def check_LAR(h) -> ClassCheck:
-    """(LAR): h keeps (0, inf) inside (0, inf), the restriction has (P), and
-    h(-t) = -h(t). Accepts a MulFunc or a finite exact table {t: h(t)}."""
-    if isinstance(h, dict):
-        items = sorted(h.items())
-        for x, v in items:
-            if x == 0 or v == 0:
-                return ClassCheck(False, "0 is outside R*", counterexample=(x,))
-            if (x > 0) != (v > 0):
-                return ClassCheck(False, f"sign not preserved at {x}", counterexample=(x,))
-        if Fraction(1) in h and h[Fraction(1)] != 1:
-            return ClassCheck(False, "h(1) must be 1", counterexample=(1,))
-        if Fraction(-1) in h and h[Fraction(-1)] != -1:
-            return ClassCheck(False, "h(-1) must be -1", counterexample=(-1,))
-        for x, v in items:
-            if -x in h and h[-x] != -v:
-                return ClassCheck(False, f"h is not odd at {x}", counterexample=(x, -x))
-        mag: dict[Fraction, Fraction] = {}
-        for x, v in items:
-            a, m = abs(x), abs(v)
-            if a in mag and mag[a] != m:
-                return ClassCheck(False, f"|h| ill-defined at |{x}|", counterexample=(x,))
-            mag[a] = m
-        return check_P(ClassMap(tuple(sorted(mag.items()))))
-    if isinstance(h, PowerFunc):
-        if h.ambient != RSTAR:
-            raise AmbientMismatch("(LAR) lives on R*")
-        c, flip = power_exponent(h)
-        if c == 0:
-            return ClassCheck(False, "t -> 1 collapses every class")
-        if not flip:
-            return ClassCheck(False, "h(-t) = -h(t) fails without the sign flip")
-        return ClassCheck(True, f"t -> t^{c} is odd with (P)")
-    if isinstance(h, LatticeFunc):
-        hom = h.hom
-        if any(v <= 0 for v in hom.images):
-            return ClassCheck(False, "h must keep (0, inf) inside (0, inf)")
-        if hom.sign_image != -1:
-            return ClassCheck(False, "h(-t) = -h(t) forces the sign image -1")
-        if relations(hom.images):
-            return ClassCheck(False, "(P) fails: generator images are dependent", on_lattice=True)
-        return ClassCheck(True, "(LAR) holds on the lattice", on_lattice=True, extension_assumed=True)
-    raise BadParameters(f"unsupported (LAR) input: {type(h).__name__}")
+def check_LAR(h: LatticeFunc) -> ClassCheck:
+    """(LAR) for a lattice homomorphism: h keeps (0, inf) inside (0, inf),
+    the generator images are independent, which is property (P) on the
+    lattice, and h(-t) = -h(t)."""
+    if not isinstance(h, LatticeFunc):
+        raise BadParameters(f"unsupported (LAR) input: {type(h).__name__}")
+    hom = h.hom
+    if any(v <= 0 for v in hom.images):
+        return ClassCheck(False, "h must keep (0, inf) inside (0, inf)")
+    if hom.sign_image != -1:
+        return ClassCheck(False, "h(-t) = -h(t) forces the sign image -1")
+    if relations(hom.images):
+        return ClassCheck(False, "(P) fails: generator images are dependent")
+    return ClassCheck(True, "(LAR) holds on the lattice")
 
 
 # ---------------------------------------------------------------------------

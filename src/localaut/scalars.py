@@ -106,10 +106,6 @@ GQ_ONE = GaussRational(Fraction(1))
 GQ_I = GaussRational(Fraction(0), Fraction(1))
 
 
-def gq(re, im=0) -> GaussRational:
-    return GaussRational(Fraction(re), Fraction(im))
-
-
 # ---------------------------------------------------------------------------
 # integer grids: the exact kernels compute over Z and Z[i]
 #

@@ -29,7 +29,7 @@ from localaut.matrices import (
     random_sl,
     smul,
 )
-from localaut.scalarmaps import PowerFunc
+from localaut.scalarmaps import PowerFunc, TableFunc
 from localaut.scalars import GaussRational
 from localaut.serialize import (
     auto_from_json,
@@ -380,6 +380,20 @@ def test_circle_lattice_character_is_file_format(tmp_path, capsys):
     code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
     assert code == 3 and rep["error"] == "FileFormat"
     assert "circlehom" in rep["message"]
+
+
+def test_table_breaking_a_relation_among_the_dets_is_refused(tmp_path, capsys):
+    """A GL_3(R) file whose table g(2) = 2, g(3) = 9, g(6) = 6 passes every
+    pair screen but breaks g(2) g(3) = g(6) names no automorphism."""
+    obj = load_json(_gen(capsys, tmp_path, "gl-r-3", "--g", "power:1"))
+    points = tuple((Fraction(d), Fraction(v)) for d, v in ((2, 2), (3, 9), (6, 6)))
+    obj["g"] = mulfunc_to_json(TableFunc(points))
+    auto_file, in_file = str(tmp_path / "table.json"), str(tmp_path / "in.json")
+    dump_json(auto_file, obj)
+    dump_json(in_file, mat_to_json(diag_first(3, Fraction(6), QR)))
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
+    assert (code, rep["error"]) == (4, "IllegalScalarClass")
+    assert "relation {'2': -1, '3': -1, '6': 1}" in rep["message"]
 
 
 @pytest.mark.parametrize(

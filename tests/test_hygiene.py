@@ -6,6 +6,7 @@ cold command line process loads nothing heavier.
 """
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -270,3 +271,46 @@ def test_only_the_scalar_layer_decides_the_ambient(module):
         for alias in node.names
     }
     assert names & AMBIENT_NAMES == set()
+
+
+# every definition of the package is called, or bound by name, from outside
+# its own body: by another definition of the package (the root's re-exports
+# do not count), or by the benchmark and the tools, which call it by name
+ROOT = Path(__file__).resolve().parent.parent
+CALLER_FILES = [path for path in MODULES if path.name != "__init__.py"]
+CALLER_FILES += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+
+
+def _named(node):
+    """Each name that node's subtree mentions, once per mention."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.value
+
+
+def _definitions(tree):
+    """(qualified name, name, node) for each module-level function and class
+    and each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_every_definition_has_a_caller():
+    mentions = Counter(name for path in CALLER_FILES for name in _named(_parse(path)))
+    found = [
+        f"{path.name} {qualified}"
+        for path in CALLER_FILES
+        if path.parent == SRC
+        for qualified, name, node in _definitions(_parse(path))
+        if mentions[name] == Counter(_named(node))[name]
+    ]
+    assert found == []

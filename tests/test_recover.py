@@ -13,14 +13,12 @@ from localaut.autos import (
     SIGMA_CONJ,
     SIGMA_ID,
     STANDARD,
-    agree_on,
     apply,
     make_automorphism,
 )
 from localaut.errors import BadParameters, BudgetExceeded, NoEngine, OracleIncomplete
 from localaut.matrices import (
     C64,
-    add,
     build_basis,
     close,
     coerce_scalar,
@@ -86,8 +84,9 @@ def test_sl_complex_round_trip_with_conjugation():
     rep = recover_sln_common(AutomorphismOracle(auto), seed=0, verify_probes=20)
     assert rep.status == "Recovered"
     assert rep.auto.kind == CONTRAGREDIENT and rep.auto.sigma == SIGMA_CONJ
-    samples = [random_sl(3, QC, random.Random(100 + k)) for k in range(5)]
-    assert agree_on(rep.auto, auto, samples)
+    for k in range(5):
+        a = random_sl(3, QC, random.Random(100 + k))
+        assert close(apply(rep.auto, a), apply(auto, a))
 
 
 def test_gl_real_splits_character():
@@ -319,8 +318,13 @@ def test_un_round_trip():
 def test_un_residual_is_measured():
     t = random_unitary(3, seed=22)
     auto = make_automorphism(GroupTag("Un", "C", 3), STANDARD, SIGMA_ID, t)
-    nudge = mat([[1e-10 if (i, j) == (0, 1) else 0 for j in range(3)] for i in range(3)], C64)
-    oracle = FunctionOracle(auto.group, lambda a: add(apply(auto, a), nudge))
+
+    def nudged(a):
+        rows = apply(auto, a).rows()
+        rows[0][1] += 1e-10
+        return mat(rows, C64)
+
+    oracle = FunctionOracle(auto.group, nudged)
     rep = recover_un(oracle, seed=0, verify_probes=20)
     assert rep.status == "Recovered"
     assert 0 < rep.residual < 1e-6

@@ -1,4 +1,4 @@
-"""Scalar map classes: membership screens, the power-class property and the
+"""Scalar map classes: membership screens, (LAR) on lattices and the
 pairwise domain checks."""
 import cmath
 from fractions import Fraction
@@ -7,35 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localaut.errors import BadParameters
+from localaut.errors import BadParameters, IllegalScalarClass
+from localaut.matrices import GroupTag
 from localaut.mullattice import hom_on_lattice, make_lattice
 from localaut.scalarmaps import (
     CIRCLE,
     CSTAR,
     RSTAR,
-    ClassMap,
     LatticeFunc,
     PowerConjFunc,
     PowerFunc,
     TableFunc,
     check_LAR,
     check_M1r,
-    check_M2r,
     check_Mu,
-    check_P,
     evaluate,
     pair_ok_cstar,
     pair_ok_mu,
     pair_ok_rclass,
+    validate_character,
 )
 from localaut.scalars import GaussRational
 
 F = Fraction
+GL3 = GroupTag("GL", "R", 3)
 
 
 def test_power_class_membership_by_parity():
     assert check_M1r(PowerFunc(F(2)), 3).ok
-    assert check_M2r(PowerFunc(F(1)), 3).ok
+    validate_character(GL3, False, PowerFunc(F(1)))
     assert not check_M1r(PowerFunc(F(1), "flip"), 3).ok
     assert check_M1r(PowerFunc(F(1), "flip"), 4).ok
 
@@ -80,15 +80,6 @@ def test_powerconj_on_gauss_rationals():
     assert evaluate(diag, GaussRational(F(2))) == 8
 
 
-def test_property_P_transport_and_independence():
-    good = ClassMap(((F(2), F(4)), (F(4), F(16)), (F(3), F(9))))
-    assert check_P(good).ok
-    bad_transport = ClassMap(((F(2), F(4)), (F(4), F(8))))
-    assert not check_P(bad_transport).ok
-    bad_collapse = ClassMap(((F(2), F(4)), (F(3), F(2))))
-    assert not check_P(bad_collapse).ok
-
-
 def test_class_pair_messages():
     # 2 = 4^(1/2) but f(2) = 2 and f(4) = 2^3 4 = 32, not 2^2
     assert pair_ok_rclass((F(2), F(1)), (F(4), F(2)), 3, True) == (
@@ -101,13 +92,6 @@ def test_class_pair_messages():
         "independent arguments map into one class",
     )
     assert pair_ok_rclass((F(2), F(2)), (F(4), F(4)), 3, True) == (True, "")
-    transport = check_P(ClassMap(((F(2), F(4)), (F(4), F(8)))))
-    assert (transport.reason, transport.counterexample) == ("transport fails: k(2) != k(4)^1/2", (F(2), F(4)))
-    collapse = check_P(ClassMap(((F(2), F(4)), (F(3), F(2)))))
-    assert (collapse.reason, collapse.counterexample) == (
-        "2 and 3 are independent but their images are not",
-        (F(2), F(3)),
-    )
 
 
 def test_cstar_pair_screen():
@@ -138,23 +122,10 @@ def test_cstar_pair_screen_follows_the_kind():
     assert not pair_ok_cstar(d, w, GaussRational(F(2)), one, 3, True)[0]
 
 
-def test_odd_extension_table_checks():
-    assert check_LAR({F(2): F(3), F(-2): F(-3), F(1): F(1)}).ok
-    assert not check_LAR({F(2): F(3), F(-2): F(3)}).ok
-    assert not check_LAR({F(1): F(2)}).ok
-    assert not check_LAR({F(2): F(-3)}).ok
-
-
-def test_odd_extension_power_forms():
-    assert check_LAR(PowerFunc(F(2), "flip")).ok
-    assert not check_LAR(PowerFunc(F(2))).ok
-    assert not check_LAR(PowerFunc(F(0), "flip")).ok
-
-
 def test_odd_extension_on_lattices():
     lat = make_lattice(2, 3)
     good = check_LAR(LatticeFunc(hom_on_lattice(lat, (F(5), F(7)), -1)))
-    assert good.ok and good.extension_assumed
+    assert good.ok
     assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(2), F(4)), -1))).ok
     assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(5), F(7)), 1))).ok
     assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(-5), F(7)), -1))).ok
@@ -166,7 +137,7 @@ def test_lattice_class_membership():
     is refused."""
     lat = make_lattice(2, 3)
     res = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(4), F(9)))), 3)
-    assert res.ok and res.on_lattice and res.extension_assumed
+    assert res.ok
     negative = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(-4), F(9)))), 3)
     assert (negative.ok, negative.reason) == (False, "a multiplicative g on R* is positive on positives")
     twisted = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(4), F(9)), -1)), 3)
@@ -188,7 +159,8 @@ def test_domain_check_rejects_induced_collisions():
     res = check_M1r(_table([(2, 2), (16, 1)]), 3)
     assert not res.ok and res.counterexample == (2, 16)
     assert res.reason == "transport fails: f(2) should be f(16)^1/4"
-    assert not check_M2r(_table([(2, 2), (F(1, 16), 1)]), 3).ok
+    with pytest.raises(IllegalScalarClass):
+        validate_character(GL3, False, _table([(2, 2), (F(1, 16), 1)]))
 
 
 def test_domain_check_parity():
