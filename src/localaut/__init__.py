@@ -86,8 +86,7 @@ from .scalarmaps import (
     PowerConjFunc,
     PowerFunc,
     TableFunc,
-    check_M1r,
-    check_Mu,
+    check_character,
     det_relation_refutations,
     evaluate,
 )

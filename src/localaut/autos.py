@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BadParameters,
+    IllegalScalarClass,
     IllegalSigma,
     NonUnitaryT,
     NotInGroup,
@@ -42,7 +43,7 @@ from .matrices import (
     smul,
     transpose,
 )
-from .scalarmaps import character_point, character_value, validate_character
+from .scalarmaps import character_point, character_value, check_character
 from .scalars import DEFAULT_TOL
 
 STANDARD = "standard"
@@ -97,7 +98,9 @@ def make_automorphism(
             )
         if not close(mul(conj_transpose(t), t), identity(t.n, t.regime), tol):
             raise NonUnitaryT("T must be unitary for the isometry groups")
-    validate_character(group, kind == STANDARD, g)
+    res = check_character(group, kind == STANDARD, g)
+    if not res.ok:
+        raise IllegalScalarClass(res.reason)
     return Automorphism(group, kind, sigma, t, g, tinv)
 
 

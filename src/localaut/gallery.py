@@ -18,7 +18,7 @@ from .autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from .errors import OddN, TooFewGenerators
 from .localcheck import SampleMap, check_map
 from .matrices import GroupTag, QR, det, diag_first, equal, identity, mul, random_sl, ratio, smul
-from .scalarmaps import PowerFunc, check_M1r, det_relation_refutations, induced
+from .scalarmaps import PowerFunc, check_character, det_relation_refutations, induced
 
 H_VALUES = {Fraction(2): Fraction(2), Fraction(3): Fraction(9), Fraction(6): Fraction(6)}
 
@@ -265,7 +265,7 @@ def verify_entry(entry: GalleryEntry, seed: int = 0) -> dict:
     if entry.name == "sign_twist":
         auto = entry.artifacts["auto"]
         n = entry.artifacts["n"]
-        class_ok = check_M1r(entry.artifacts["g"], n).ok
+        class_ok = check_character(auto.group, auto.kind == STANDARD, entry.artifacts["g"]).ok
         rng = random.Random(seed)
         hom_ok = True
         for _ in range(20):

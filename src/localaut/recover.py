@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 
 from .autos import (
     CONTRAGREDIENT,
@@ -74,7 +73,7 @@ from .matrices import (
     scalar_one,
     smul,
 )
-from .scalarmaps import character_point, det_relation_refutations, induced, pair_screen, witness_character
+from .scalarmaps import character_point, induced, table_screen, witness_character
 from .scalars import DEFAULT_TOL, GQ_I
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
@@ -399,9 +398,9 @@ def _det_probe(oracle: Oracle, model: Automorphism, probe: Mat, tol: float, det_
 def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
     """g on R* from diag(d, 1, ..., 1) probes, which isolate g(d) entrywise.
 
-    The table is screened against the scalar class of the kind, each det
-    and then each pair, and |g| along every multiplicative relation among
-    the |d|; a violation is Refuted with the offending dets.
+    The table is screened against the scalar class of the kind, once, in
+    probe order by `table_screen`; a violation is Refuted with the
+    offending dets.
     """
     if not dets:
         raise BadParameters("GL_n(R) recovery needs at least one determinant probe")
@@ -415,22 +414,28 @@ def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
         c = _det_probe(oracle, model, diag_first(n, d, QR), tol, str(d))
         g_points.append((d, Fraction(c)))
     first = model.kind == STANDARD
-    for p, q in [(p, p) for p in g_points] + list(combinations(g_points, 2)):
-        ok, why = pair_screen(model.group, first, SIGMA_ID, p, q, tol)
-        if not ok:
-            where = f"at det {p[0]}" if p is q else f"on dets ({p[0]}, {q[0]})"
-            raise _Stop(f"scalar class violated {where}: {why}")
-    # signs and d / -d pairs are pinned above; |g| must also respect
-    # every multiplicative relation among the |d|
-    broken = det_relation_refutations({abs(d): abs(c) for d, c in g_points})
-    if broken:
-        raise _Stop("scalar class violated: |g| breaks a relation among the dets", **broken[0])
-    g = witness_character(model.group, g_points)
+    res = table_screen(model.group, first, g_points)
+    if not res.ok:
+        raise _class_stop(res)
+    # the screen is the class verdict on g, and the model's T, kind and
+    # sigma are checked already, so g joins the model without a second screen
     return {
-        "auto": make_automorphism(model.group, model.kind, SIGMA_ID, model.t, g),
+        "auto": replace(model, g=witness_character(model.group, g_points)),
         "g_points": [(str(d), str(c)) for d, c in g_points],
         "f_table": [(d, induced(d, c, n, first)) for d, c in g_points],
     }
+
+
+def _class_stop(res) -> _Stop:
+    """The refutation of a g table that `table_screen` refused: at a det or
+    on a pair of dets, or with the relation that |g| breaks or f keeps."""
+    if res.evidence:
+        broken = "image_product" in res.evidence
+        what = "|g| breaks a relation among the dets" if broken else "f is not injective on the dets"
+        return _Stop(f"scalar class violated: {what}", **res.evidence)
+    where = res.counterexample
+    at = f"at det {where[0]}" if len(where) == 1 else f"on dets ({where[0]}, {where[1]})"
+    return _Stop(f"scalar class violated {at}: {res.reason}")
 
 
 def _fit_g_circle(oracle: Oracle, model: Automorphism, tol: float) -> dict:

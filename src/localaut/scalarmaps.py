@@ -8,9 +8,10 @@ on factored rationals: class transport for dependent arguments, class
 injectivity for independent ones, and the sign/parity rules. This is the one
 module that knows these rules: which character each group carries and the
 point it reads (`ambient`, `character_point`), the exponent reader of power
-characters, the R*, C* and circle pair screens behind `pair_screen`, the
-finite-table screen, the witness tables of `witness_character` and the
-relation detector all live here.
+characters, the one class verdict `check_character` with its R* table
+screen, the R*, C* and circle pair screens behind `pair_screen`, the
+witness tables of `witness_character` and the relation detector all live
+here.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .errors import (
     AmbientMismatch,
     BadParameters,
     DetOutsideLattice,
-    IllegalScalarClass,
     RegimeMismatch,
     ZeroInput,
 )
@@ -198,37 +198,6 @@ def character_point(group, sigma: str, d):
     return d.conjugate() if sigma == "conj" and ambient(group) == CIRCLE else d
 
 
-def validate_character(group, first_kind: bool, g) -> None:
-    """Raise IllegalScalarClass unless g may scale an automorphism of group
-    of the given kind: nothing on SL and SU, M1r or M2r on GL_n(R), the
-    |z|^(2k) family with bijective f on GL_n(C), Mu on U_n. Finite tables
-    on C* and the circle are witness-grade partial data, verified against
-    samples by their callers."""
-    n, side = group.n, ambient(group)
-    if g is None or (isinstance(g, TableFunc) and side in (CSTAR, CIRCLE) and g.ambient == side):
-        return
-    if side is None:
-        raise IllegalScalarClass(f"{group.family} automorphisms carry no scalar character")
-    if side == RSTAR:
-        if getattr(g, "ambient", None) != RSTAR:
-            raise IllegalScalarClass("GL over R needs a scalar map on R*")
-        res = _check_rclass(g, n, first_kind)
-    elif side == CSTAR:
-        if not isinstance(g, PowerConjFunc):
-            raise IllegalScalarClass("GL over C supports the |z|^(2k) family here")
-        if g.k != g.m:
-            raise IllegalScalarClass("g(z) = z^k conj(z)^m needs k = m for f to stay bijective")
-        if f_exponent(power_exponent(g)[0], n, first_kind) == 0:
-            raise IllegalScalarClass("f collapses all magnitudes: |z|^0")
-        return
-    else:
-        if getattr(g, "ambient", None) != CIRCLE:
-            raise IllegalScalarClass("U_n needs a scalar map on the circle")
-        res = check_Mu(g, n)
-    if not res.ok:
-        raise IllegalScalarClass(res.reason)
-
-
 def pair_screen(group, first_kind: bool, sigma: str, p, q, tol: float) -> tuple[bool, str]:
     """(ok, why): can one character of the branch's class take the values
     p = (da, ca) and q = (db, cb) at the points `character_point` gives?
@@ -267,9 +236,13 @@ def witness_character(group, points) -> TableFunc:
 
 @dataclass
 class ClassCheck:
+    """A class verdict: on refusal, why, the points it rests on and, for a
+    relation step of `table_screen`, the relation with its broken product."""
+
     ok: bool
     reason: str = ""
     counterexample: tuple | None = None
+    evidence: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -345,63 +318,98 @@ def pair_ok_rclass(
 
 
 # ---------------------------------------------------------------------------
-# class membership checks
+# the class verdict
 
 
-def check_M1r(g, n: int) -> ClassCheck:
-    return _check_rclass(g, n, first_kind=True)
-
-
-def _check_rclass(g, n: int, first_kind: bool) -> ClassCheck:
-    if n < 3:
-        raise BadParameters("n >= 3 is required")
-    name = "M1r" if first_kind else "M2r"
-    if getattr(g, "ambient", None) == CIRCLE:
-        raise AmbientMismatch(f"{name} lives on R*")
-    if getattr(g, "ambient", None) == CSTAR:
-        raise AmbientMismatch(f"{name} lives on R*, not C*")
+def check_character(group, first_kind: bool, g) -> ClassCheck:
+    """May g scale an automorphism of group of the given kind? Nothing on
+    SL and SU. On GL_n(R), f(t) = g(t)^n t^(+-1) must be a bijection of R*
+    (class M1r, or M2r for the contragredient kind): read off the exponent
+    of a power character, screened by `table_screen` for a finite table and
+    for a lattice character, as the table of its generators and -1. On
+    GL_n(C), the |z|^(2k) family with bijective f; on U_n, z^k with
+    f(z) = z^(nk + 1) an automorphism of the circle. Finite tables on C*
+    and the circle are witness-grade partial data, verified against samples
+    by their callers."""
+    n, side = group.n, ambient(group)
+    if g is None or (isinstance(g, TableFunc) and side in (CSTAR, CIRCLE) and g.ambient == side):
+        return ClassCheck(True)
+    if side is None:
+        return ClassCheck(False, f"{group.family} automorphisms carry no scalar character")
+    if side == CSTAR:
+        if not isinstance(g, PowerConjFunc):
+            return ClassCheck(False, "GL over C supports the |z|^(2k) family here")
+        if g.k != g.m:
+            return ClassCheck(False, "g(z) = z^k conj(z)^m needs k = m for f to stay bijective")
+        if f_exponent(power_exponent(g)[0], n, first_kind) == 0:
+            return ClassCheck(False, "f collapses all magnitudes: |z|^0")
+        return ClassCheck(True)
+    if getattr(g, "ambient", None) != side:
+        why = "GL over R needs a scalar map on R*" if side == RSTAR else "U_n needs a scalar map on the circle"
+        return ClassCheck(False, why)
+    if side == CIRCLE:
+        e = f_exponent(power_exponent(g)[0], n, first_kind)
+        if abs(e) == 1:
+            return ClassCheck(True)
+        return ClassCheck(False, f"f(z) = z^{e} is not injective on the circle")
     if isinstance(g, PowerFunc):
         c, flip = power_exponent(g)
-        exponent = f_exponent(c, n, first_kind)
-        if exponent == 0:
-            return ClassCheck(False, f"f(t) = t^{exponent} is not a bijection of (0, inf)")
+        e = f_exponent(c, n, first_kind)
+        if e == 0:
+            return ClassCheck(False, f"f(t) = t^{e} is not a bijection of (0, inf)")
         if flip and n % 2 == 1:
             return ClassCheck(False, "sign flip on negatives needs even n")
-        return ClassCheck(True, f"f(t) = t^{exponent} with valid parity")
+        return ClassCheck(True)
     if isinstance(g, LatticeFunc):
         hom = g.hom
-        if any(v <= 0 for v in hom.images):
-            return ClassCheck(False, "a multiplicative g on R* is positive on positives")
-        if hom.sign_image == -1 and n % 2 == 1:
-            return ClassCheck(False, "sign flip on negatives needs even n")
-        gens = hom.lattice.generators
-        fvals = [induced(gen, img, n, first_kind) for gen, img in zip(gens, hom.images)]
-        if relations(fvals):
-            return ClassCheck(False, "f images of the generators are multiplicatively dependent")
-        return ClassCheck(True, "f injective on the lattice; global extension by a Hamel-basis argument")
-    if isinstance(g, TableFunc):
-        points = g.points
-        for lam, v in points:
-            ok, why = point_ok_rclass(lam, v, n, first_kind)
+        points = (*zip(hom.lattice.generators, hom.images), (Fraction(-1), Fraction(hom.sign_image)))
+        return table_screen(group, first_kind, points)
+    return table_screen(group, first_kind, g.points)
+
+
+def table_screen(group, first_kind: bool, points) -> ClassCheck:
+    """The class verdict on a GL_n(R) character through the table points
+    [(d, g(d)), ...], in the order given: every point, then every pair,
+    which decide tables of one and two points exactly. On three or more
+    points, |g| must then keep every relation among the |d|, and f must be
+    injective: with the relations of the |d| kept, |f| may keep no other."""
+    n = group.n
+    for lam, v in points:
+        ok, why = point_ok_rclass(lam, v, n, first_kind)
+        if not ok:
+            return ClassCheck(False, why, counterexample=(lam,))
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
+            ok, why = pair_ok_rclass(p, q, n, first_kind)
             if not ok:
-                return ClassCheck(False, why, counterexample=(lam,))
-        for i, p in enumerate(points):
-            for q in points[i + 1 :]:
-                ok, why = pair_ok_rclass(p, q, n, first_kind)
-                if not ok:
-                    return ClassCheck(False, why, counterexample=(p[0], q[0]))
-        # signs and d / -d pairs are pinned above; |g| must also respect
-        # every multiplicative relation among the |d|, which pairs cannot see
-        broken = det_relation_refutations({abs(lam): abs(v) for lam, v in points})
-        if broken:
-            rel, product = broken[0]["relation"], broken[0]["image_product"]
+                return ClassCheck(False, why, counterexample=(p[0], q[0]))
+    if len(points) < 3:
+        return ClassCheck(True)
+    # signs and d / -d pairs are pinned above, so magnitudes decide the rest
+    broken = det_relation_refutations({abs(lam): abs(v) for lam, v in points})
+    if broken:
+        rel, product = broken[0]["relation"], broken[0]["image_product"]
+        return ClassCheck(
+            False,
+            f"|g| breaks the relation {rel} among the dets: its image product is {product}, not 1",
+            counterexample=tuple(Fraction(d) for d in rel),
+            evidence=broken[0],
+        )
+    fs = sorted({abs(lam): abs(induced(lam, v, n, first_kind)) for lam, v in points}.items())
+    for exps in relations([f for _, f in fs]):
+        product = Fraction(1)
+        for (a, _), e in zip(fs, exps):
+            product *= a**e
+        if product != 1:
+            rel = {str(a): e for (a, _), e in zip(fs, exps) if e != 0}
             return ClassCheck(
                 False,
-                f"|g| breaks the relation {rel} among the dets: its image product is {product}, not 1",
+                f"f is not injective: it keeps the relation {rel} among the dets, "
+                f"whose product is {product}, not 1",
                 counterexample=tuple(Fraction(d) for d in rel),
+                evidence={"relation": rel, "det_product": str(product)},
             )
-        return ClassCheck(True, f"all pairs admit a common {name} member")
-    raise BadParameters(f"unsupported MulFunc for {name}: {type(g).__name__}")
+    return ClassCheck(True)
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +434,6 @@ def check_LAR(h: LatticeFunc) -> ClassCheck:
 
 # ---------------------------------------------------------------------------
 # the circle class Mu
-
-
-def check_Mu(g, n: int) -> ClassCheck:
-    """Is f(z) = g(z)^n z an automorphism of the circle? Decided for the
-    power characters z^k, where f(z) = z^(nk + 1) is one exactly when
-    nk + 1 = +-1. Finite circle tables are witness data, screened pairwise
-    by `pair_ok_mu` instead."""
-    if n < 3:
-        raise BadParameters("n >= 3 is required")
-    if isinstance(g, PowerFunc) and g.ambient == CIRCLE:
-        e = f_exponent(power_exponent(g)[0], n)
-        if abs(e) == 1:
-            return ClassCheck(True, f"f(z) = z^{e} is an automorphism")
-        return ClassCheck(False, f"f(z) = z^{e} is not injective on the circle")
-    if isinstance(g, (PowerConjFunc, LatticeFunc)) or (isinstance(g, TableFunc) and g.ambient != CIRCLE):
-        raise AmbientMismatch("Mu lives on the circle")
-    raise BadParameters(f"unsupported MulFunc for Mu: {type(g).__name__}")
 
 
 def pair_ok_mu(d1: complex, c1: complex, d2: complex, c2: complex, n: int, tol: float = 1e-8) -> tuple[bool, str]:

@@ -396,6 +396,20 @@ def test_table_breaking_a_relation_among_the_dets_is_refused(tmp_path, capsys):
     assert "relation {'2': -1, '3': -1, '6': 1}" in rep["message"]
 
 
+def test_table_whose_f_is_not_injective_is_refused(tmp_path, capsys):
+    """g(2/5) = 2/3, g(5/3) = 5/2, g(30) = 3/10 on GL_3(R) passes every
+    point, pair and det relation, but f(2/5)^14 f(5/3)^10 f(30)^13 = 1."""
+    obj = load_json(_gen(capsys, tmp_path, "gl-r-3", "--g", "power:1"))
+    points = tuple((Fraction(d), Fraction(v)) for d, v in (("2/5", "2/3"), ("5/3", "5/2"), (30, "3/10")))
+    obj["g"] = mulfunc_to_json(TableFunc(points))
+    auto_file, in_file = str(tmp_path / "table.json"), str(tmp_path / "in.json")
+    dump_json(auto_file, obj)
+    dump_json(in_file, mat_to_json(diag_first(3, Fraction(30), QR)))
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
+    assert (code, rep["error"]) == (4, "IllegalScalarClass")
+    assert "relation {'2/5': 14, '5/3': 10, '30': 13}" in rep["message"]
+
+
 @pytest.mark.parametrize(
     "spec, code, error",
     [

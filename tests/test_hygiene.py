@@ -259,9 +259,8 @@ AMBIENT_NAMES = {
 }
 
 
-@pytest.mark.parametrize("module", ["localcheck.py", "autos.py", "recover.py"])
-def test_only_the_scalar_layer_decides_the_ambient(module):
-    tree = _parse(SRC / module)
+def _names(tree):
+    """Every name, attribute and imported name that tree mentions."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {
@@ -270,7 +269,18 @@ def test_only_the_scalar_layer_decides_the_ambient(module):
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert names & AMBIENT_NAMES == set()
+    return names
+
+
+@pytest.mark.parametrize("module", ["localcheck.py", "autos.py", "recover.py"])
+def test_only_the_scalar_layer_decides_the_ambient(module):
+    assert _names(_parse(SRC / module)) & AMBIENT_NAMES == set()
+
+
+# recovery screens its g table with `table_screen`, the one R* table screen
+# behind `check_character`, and keeps no pair loop or relation check of its own
+def test_recovery_has_no_class_screen_of_its_own():
+    assert _names(_parse(SRC / "recover.py")) & {"pair_screen", "det_relation_refutations"} == set()
 
 
 # every definition of the package is called, or bound by name, from outside

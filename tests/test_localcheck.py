@@ -35,7 +35,7 @@ from localaut.matrices import (
     smul,
     transpose,
 )
-from localaut.scalarmaps import PowerConjFunc, PowerFunc, check_M1r
+from localaut.scalarmaps import PowerConjFunc, PowerFunc, check_character
 from localaut.scalars import GaussRational
 
 F = Fraction
@@ -259,7 +259,7 @@ def test_irrational_scalar_is_never_refuted():
     T = diag(1, 2^(-1/3), 2^(-2/3)), takes both samples to their outputs,
     with g(2) = 2^(1/3) irrational. So the standard branch, whose exact
     data give only c^3 = 2, must stay inconclusive, not refuted."""
-    assert check_M1r(PowerFunc(F(1, 3)), 3).ok
+    assert check_character(GL3, True, PowerFunc(F(1, 3))).ok
     d = mat([[0, 0, 4], [1, 0, 0], [0, 1, 0]], QR)
     b = mat([[2, 0, 0], [0, F(1, 2), 0], [0, 0, 1]], QR)
     v = check_pair(GL3, (COMPANION, d), (b, b))

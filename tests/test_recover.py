@@ -43,7 +43,6 @@ from localaut.recover import (
     AutomorphismOracle,
     FunctionOracle,
     SampleOracle,
-    det_relation_refutations,
     recover,
     recover_glnr,
     recover_slnr_short,
@@ -51,7 +50,7 @@ from localaut.recover import (
     recover_sun,
     recover_un,
 )
-from localaut.scalarmaps import PowerFunc, evaluate
+from localaut.scalarmaps import PowerFunc, det_relation_refutations, evaluate
 from localaut.similarity import intertwiner_basis
 
 F = Fraction
@@ -117,6 +116,23 @@ def test_gl_real_refutes_a_non_multiplicative_character():
     assert rep.status == "Refuted" and rep.auto is None
     assert rep.refutation["relation"] == {"2": -1, "3": -1, "6": 1}
     assert rep.refutation["image_product"] == "1/3"
+
+
+def test_gl_real_refutes_a_character_whose_f_is_not_injective():
+    """A -> h(det A) T A T^-1 with h(2/5) = 2/3, h(5/3) = 5/2, h(30) = 3/10:
+    the dets are independent and every pair passes the class screen, but
+    f(2/5)^14 f(5/3)^10 f(30)^13 = 1, so f is not injective."""
+    group = GroupTag("GL", "R", 3)
+    conj = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(9)))
+    h = {F(2, 5): F(2, 3), F(5, 3): F(5, 2), F(30): F(3, 10)}
+    oracle = FunctionOracle(group, lambda a: smul(h.get(det(a), F(1)), apply(conj, a)))
+    rep = recover(oracle, seed=1, dets=list(h))
+    assert rep.status == "Refuted" and rep.auto is None
+    assert rep.refutation == {
+        "reason": "scalar class violated: f is not injective on the dets",
+        "relation": {"2/5": 14, "5/3": 10, "30": 13},
+        "det_product": str(F(2, 5) ** 14 * F(5, 3) ** 10 * 30**13),
+    }
 
 
 @pytest.mark.parametrize(

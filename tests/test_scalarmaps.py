@@ -4,12 +4,12 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localaut.errors import BadParameters, IllegalScalarClass
+from localaut.errors import BadParameters
 from localaut.matrices import GroupTag
-from localaut.mullattice import hom_on_lattice, make_lattice
+from localaut.mullattice import hom_on_lattice, make_lattice, relations
 from localaut.scalarmaps import (
     CIRCLE,
     CSTAR,
@@ -19,31 +19,32 @@ from localaut.scalarmaps import (
     PowerFunc,
     TableFunc,
     check_LAR,
-    check_M1r,
-    check_Mu,
+    check_character,
     evaluate,
+    induced,
     pair_ok_cstar,
     pair_ok_mu,
     pair_ok_rclass,
-    validate_character,
 )
 from localaut.scalars import GaussRational
 
 F = Fraction
 GL3 = GroupTag("GL", "R", 3)
+GL4 = GroupTag("GL", "R", 4)
+U3 = GroupTag("Un", "C", 3)
 
 
 def test_power_class_membership_by_parity():
-    assert check_M1r(PowerFunc(F(2)), 3).ok
-    validate_character(GL3, False, PowerFunc(F(1)))
-    assert not check_M1r(PowerFunc(F(1), "flip"), 3).ok
-    assert check_M1r(PowerFunc(F(1), "flip"), 4).ok
+    assert check_character(GL3, True, PowerFunc(F(2))).ok
+    assert check_character(GL3, False, PowerFunc(F(1))).ok
+    assert not check_character(GL3, True, PowerFunc(F(1), "flip")).ok
+    assert check_character(GL4, True, PowerFunc(F(1), "flip")).ok
 
 
 def test_circle_powers():
-    assert check_Mu(PowerFunc(F(0), "same", CIRCLE), 3).ok
+    assert check_character(U3, True, PowerFunc(F(0), "same", CIRCLE)).ok
     for k in (-3, -1, 1, 2, 5):
-        assert not check_Mu(PowerFunc(F(k), "same", CIRCLE), 3).ok
+        assert not check_character(U3, True, PowerFunc(F(k), "same", CIRCLE)).ok
     with pytest.raises(BadParameters):
         PowerFunc(F(1, 2), "same", CIRCLE)
     with pytest.raises(BadParameters):
@@ -136,40 +137,89 @@ def test_lattice_class_membership():
     n = 3, independent images; a negative image or a sign twist at odd n
     is refused."""
     lat = make_lattice(2, 3)
-    res = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(4), F(9)))), 3)
+    res = check_character(GL3, True, LatticeFunc(hom_on_lattice(lat, (F(4), F(9)))))
     assert res.ok
-    negative = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(-4), F(9)))), 3)
-    assert (negative.ok, negative.reason) == (False, "a multiplicative g on R* is positive on positives")
-    twisted = check_M1r(LatticeFunc(hom_on_lattice(lat, (F(4), F(9)), -1)), 3)
-    assert (twisted.ok, twisted.reason) == (False, "sign flip on negatives needs even n")
+    negative = check_character(GL3, True, LatticeFunc(hom_on_lattice(lat, (F(-4), F(9)))))
+    assert (negative.ok, negative.reason) == (False, "g(2) must be positive")
+    twisted = check_character(GL3, True, LatticeFunc(hom_on_lattice(lat, (F(4), F(9)), -1)))
+    assert (twisted.ok, twisted.reason) == (False, "n odd forces g(-1) = g(1) > 0")
+
+
+# generators and images over the primes 2, 3, 5 with small exponents
+_SMALL = [F(2**a * 3**b * 5**c) for a in range(-2, 3) for b in range(-1, 2) for c in range(-1, 2)]
+
+
+@st.composite
+def _lattice_cases(draw):
+    """(g, n, first_kind): a random lattice character, and half the time one
+    whose last generator is placed where its f image is a product of powers
+    of the others' f images, so that f is not injective on the lattice."""
+    n, first_kind = draw(st.integers(3, 5)), draw(st.booleans())
+    gens = draw(st.lists(st.sampled_from([x for x in _SMALL if x > 1]), min_size=1, max_size=3, unique=True))
+    images = [draw(st.sampled_from(_SMALL)) * draw(st.sampled_from((1, 1, 1, -1))) for _ in gens]
+    if len(gens) > 1 and draw(st.booleans()):
+        target = F(1)
+        for gen, img in zip(gens[:-1], images):
+            target *= abs(induced(gen, img, n, first_kind)) ** draw(st.integers(-2, 2))
+        power = abs(images[-1]) ** n
+        gens[-1] = target / power if first_kind else power / target
+    assume(1 not in gens and not relations(gens))
+    g = LatticeFunc(hom_on_lattice(make_lattice(*gens), images, draw(st.sampled_from((1, -1)))))
+    return g, n, first_kind
+
+
+def _lattice_rule(hom, n, first_kind):
+    """The class rule on a lattice character, written out on its own terms:
+    positive images, a sign twist only at even n, and no relation among the
+    f images of the generators."""
+    if any(v <= 0 for v in hom.images) or (hom.sign_image == -1 and n % 2 == 1):
+        return False
+    gens = hom.lattice.generators
+    return not relations([induced(gen, img, n, first_kind) for gen, img in zip(gens, hom.images)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_cases())
+def test_lattice_characters_are_screened_as_their_generator_tables(case):
+    g, n, first_kind = case
+    assert check_character(GroupTag("GL", "R", n), first_kind, g).ok == _lattice_rule(g.hom, n, first_kind)
 
 
 def _table(points):
     return TableFunc(tuple((F(a), F(v)) for a, v in points))
 
 
+def test_table_whose_f_is_not_injective_is_refused():
+    """g(2/5) = 2/3, g(5/3) = 5/2, g(30) = 3/10: the dets are independent,
+    every pair passes and |g| breaks no relation among the dets, but
+    f(2/5)^14 f(5/3)^10 f(30)^13 = 1."""
+    res = check_character(GL3, True, _table([(F(2, 5), F(2, 3)), (F(5, 3), F(5, 2)), (30, F(3, 10))]))
+    assert not res.ok and res.counterexample == (F(2, 5), F(5, 3), 30)
+    assert res.evidence["relation"] == {"2/5": 14, "5/3": 10, "30": 13}
+    assert "relation {'2/5': 14, '5/3': 10, '30': 13}" in res.reason
+
+
 def test_domain_check_accepts_class_members():
     dom = [F(2), F(3), F(6), F(-2), F(1, 2)]
-    res = check_M1r(_table((d, evaluate(PowerFunc(F(1)), d)) for d in dom), 3)
+    res = check_character(GL3, True, _table((d, evaluate(PowerFunc(F(1)), d)) for d in dom))
     assert res.ok and res.counterexample is None
 
 
 def test_domain_check_rejects_induced_collisions():
     # g(2) = 2 and g(16) = 1 force f(2) = f(16) = 16, killing injectivity
-    res = check_M1r(_table([(2, 2), (16, 1)]), 3)
+    res = check_character(GL3, True, _table([(2, 2), (16, 1)]))
     assert not res.ok and res.counterexample == (2, 16)
     assert res.reason == "transport fails: f(2) should be f(16)^1/4"
-    with pytest.raises(IllegalScalarClass):
-        validate_character(GL3, False, _table([(2, 2), (F(1, 16), 1)]))
+    assert not check_character(GL3, False, _table([(2, 2), (F(1, 16), 1)])).ok
 
 
 def test_domain_check_parity():
-    res = check_M1r(_table([(2, -2)]), 3)
+    res = check_character(GL3, True, _table([(2, -2)]))
     assert (res.ok, res.counterexample, res.reason) == (False, (2,), "g(2) must be positive")
     flip = [(2, 2), (-2, -2)]
-    assert check_M1r(_table(flip), 4).ok
-    assert check_M1r(_table(flip), 3).counterexample == (-2,)
-    res = check_M1r(_table([(2, 2), (-2, -3)]), 4)
+    assert check_character(GL4, True, _table(flip)).ok
+    assert check_character(GL3, True, _table(flip)).counterexample == (-2,)
+    res = check_character(GL4, True, _table([(2, 2), (-2, -3)]))
     assert not res.ok and res.counterexample == (2, -2)
 
 
