@@ -1,10 +1,12 @@
-"""Finitely generated multiplicative lattices in R*.
+"""Exponent arithmetic on the magnitudes of nonzero rationals.
 
 The GL_n(R) scalar character lives on all of R*; everything computable here
-happens on finitely generated subgroups ("lattices") where membership,
-dependence and homomorphism evaluation reduce to exact integer linear algebra
-on exponent vectors over a coprime base of the values. The lattices never
-factor into primes; `factor` is the brute-force reference.
+happens on finitely generated subgroups ("lattices"), where dependence
+(`dep_exponent`, `relations`) and membership (`subgroup_exponents`, the
+integral exponents that a lattice character `scalarmaps.LatticeFunc` is
+evaluated by) reduce to exact integer linear algebra on exponent vectors
+over a coprime base of the values. Nothing here factors into primes but
+`factor`, the brute-force reference.
 """
 from __future__ import annotations
 
@@ -12,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    BadParameters,
-    DomainNotFactorable,
-    TooFewGenerators,
-    ZeroInput,
-)
+from .errors import BadParameters, DomainNotFactorable, ZeroInput
 from .exactlinalg import nullspace, solve
 
 _TRIAL_BOUND = 10**6  # the largest trial divisor factor tries
@@ -133,84 +130,13 @@ def relations(values) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """Exponents of x over a lattice's generators, with the sign split off."""
-
-    sign: int
-    exps: tuple[Fraction, ...]
-
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.exps)
-
-
-@dataclass(frozen=True)
-class MulLattice:
-    """Finitely generated subgroup of R*: {+-1} x <g_1, ..., g_m>, g_i > 0.
-
-    Generators are positive rationals and must be multiplicatively
-    independent, which is certified exactly at construction time.
-    """
-
-    generators: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise TooFewGenerators("a lattice needs at least one generator")
-        if any(g <= 0 for g in self.generators):
-            raise BadParameters("lattice generators must be positive; the sign -1 is implicit")
-        if any(g == 1 for g in self.generators):
-            raise BadParameters("1 generates nothing")
-        if relations(self.generators):
-            raise BadParameters("generator exponent vectors are Q-linearly dependent")
-
-
-def make_lattice(*gens) -> MulLattice:
-    """Lattice from positive rationals (Fractions or ints)."""
-    return MulLattice(tuple(Fraction(g) for g in gens))
-
-
-def lattice_decompose(x: Fraction, lat: MulLattice) -> LatticeVector | None:
-    """Solve x = sign * prod gen_i**v_i with rational v_i, or None (NotInLattice).
-
-    Rational exponents cover the divisible hull, which is what class transport
-    (lambda = mu**q) needs; integral vectors mean genuine subgroup membership.
-    The system is read over a coprime base of the generators and x.
-    """
-    x = Fraction(x)
-    *gens, ex = _exponents([*lat.generators, x])
+def subgroup_exponents(x: Fraction, generators) -> list[int] | None:
+    """The integers e with |x| = prod generators[i]**e[i], or None when |x|
+    lies outside the subgroup of the multiplicatively independent positive
+    generators, in its divisible hull or beyond. The system is read over a
+    coprime base of the generators and x."""
+    *gens, ex = _exponents([*generators, x])
     v = solve([list(row) for row in zip(*gens)], ex)
-    if v is None:
+    if v is None or any(e.denominator != 1 for e in v):
         return None
-    return LatticeVector(1 if x > 0 else -1, tuple(v))
-
-
-@dataclass(frozen=True)
-class LatticeHom:
-    """Multiplicative map on a MulLattice: gen_i -> image_i, -1 -> sign_image."""
-
-    lattice: MulLattice
-    images: tuple[Fraction, ...]
-    sign_image: int = 1
-
-    def __post_init__(self):
-        if len(self.images) != len(self.lattice.generators):
-            raise BadParameters("one image per generator required")
-        if any(v == 0 for v in self.images):
-            raise ZeroInput("images must be nonzero")
-        if self.sign_image not in (+1, -1):
-            raise BadParameters("sign image must be +1 or -1")
-
-    def evaluate(self, x: Fraction) -> Fraction | None:
-        """Exact value at a lattice element; None when x is outside the subgroup."""
-        vec = lattice_decompose(x, self.lattice)
-        if vec is None or not vec.is_integral():
-            return None
-        out = Fraction(1) if vec.sign == 1 else Fraction(self.sign_image)
-        for img, e in zip(self.images, vec.exps):
-            out *= img ** int(e)
-        return out
-
-
-def hom_on_lattice(lat: MulLattice, images, sign_image: int = 1) -> LatticeHom:
-    return LatticeHom(lat, tuple(Fraction(v) for v in images), sign_image)
+    return [int(e) for e in v]

@@ -402,15 +402,9 @@ def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
     probe order by `table_screen`; a violation is Refuted with the
     offending dets.
     """
-    if not dets:
-        raise BadParameters("GL_n(R) recovery needs at least one determinant probe")
-    if len(set(dets)) < len(dets):
-        raise BadParameters("each determinant is probed once; the dets repeat one")
     n = model.group.n
     g_points: list[tuple[Fraction, Fraction]] = []
     for d in dets:
-        if d == 0:
-            raise BadParameters("0 is not a determinant of an invertible matrix")
         c = _det_probe(oracle, model, diag_first(n, d, QR), tol, str(d))
         g_points.append((d, Fraction(c)))
     first = model.kind == STANDARD
@@ -525,8 +519,9 @@ def recover(
     unitary stages. A _Stop from a stage becomes the Refuted or
     Inconclusive report; an exhausted budget re-raises with the engine
     label and probe count attached as `partial`. Raises NoEngine for
-    GL_n(C), and BadParameters for verify_probes < 1: a verdict on no
-    fresh probe would certify nothing.
+    GL_n(C), and BadParameters before the first probe for verify_probes < 1
+    (a verdict on no fresh probe would certify nothing) and, on GL_n(R),
+    for empty, repeated or zero dets.
     """
     if verify_probes < 1:
         raise BadParameters(f"a recovery needs at least 1 verification probe, got {verify_probes}")
@@ -535,8 +530,17 @@ def recover(
     if engine is None:
         label = f"{group.family}-{group.field}-{group.n}".lower()
         raise NoEngine(f"no recovery engine for {label}")
+    dets = DEFAULT_DETS if dets is None else dets
+    if group.family == "GL":
+        dets = [Fraction(d) for d in dets]
+        if not dets:
+            raise BadParameters("GL_n(R) recovery needs at least one determinant probe")
+        if len(set(dets)) < len(dets):
+            raise BadParameters("each determinant is probed once; the dets repeat one")
+        if 0 in dets:
+            raise BadParameters("0 is not a determinant of an invertible matrix")
     try:
-        fields = _pipeline(oracle, seed, verify_probes, DEFAULT_DETS if dets is None else dets, tol)
+        fields = _pipeline(oracle, seed, verify_probes, dets, tol)
         status = "Recovered"
     except _Stop as stop:
         status = stop.status
@@ -565,7 +569,6 @@ def _pipeline(oracle: Oracle, seed, verify_probes, dets, tol) -> dict:
         t = s_mat if kind == STANDARD else _normalize(op(s_mat, kind, SIGMA_ID))
     model = make_automorphism(group, kind, sigma, t, tol=1e-6)
     if group.family == "GL":
-        dets = [Fraction(d) for d in dets]
         fields = _fit_g_real(oracle, model, dets, tol)
     elif group.family == "Un":
         fields = _fit_g_circle(oracle, model, tol)

@@ -23,9 +23,10 @@ from .errors import (
     BadParameters,
     DetOutsideLattice,
     RegimeMismatch,
+    TooFewGenerators,
     ZeroInput,
 )
-from .mullattice import LatticeHom, dep_exponent, relations
+from .mullattice import dep_exponent, relations, subgroup_exponents
 from .matrices import C64
 from .scalars import GQ_ONE, GaussRational, rational_pow
 
@@ -65,7 +66,7 @@ class PowerConjFunc:
 
     k: Fraction | int
     m: Fraction | int
-    ambient: str = CSTAR
+    ambient = CSTAR  # a class constant, not a field
 
     def __post_init__(self):
         kf, mf = Fraction(self.k), Fraction(self.m)
@@ -75,8 +76,35 @@ class PowerConjFunc:
 
 @dataclass(frozen=True)
 class LatticeFunc:
-    hom: LatticeHom
-    ambient: str = RSTAR
+    """The multiplicative g on {+-1} x <generators> in R* with
+    g(generators[i]) = images[i] and g(-1) = sign_image: the computable
+    piece of a GL_n(R) character. The generators are positive and
+    certified multiplicatively independent here; generators and images are
+    stored as Fractions (ints are accepted)."""
+
+    generators: tuple[Fraction, ...]
+    images: tuple[Fraction, ...]
+    sign_image: int = 1
+    ambient = RSTAR  # a class constant, not a field
+
+    def __post_init__(self):
+        gens = tuple(Fraction(x) for x in self.generators)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "images", tuple(Fraction(v) for v in self.images))
+        if not gens:
+            raise TooFewGenerators("a lattice needs at least one generator")
+        if any(x <= 0 for x in gens):
+            raise BadParameters("lattice generators must be positive; the sign -1 is implicit")
+        if any(x == 1 for x in gens):
+            raise BadParameters("1 generates nothing")
+        if relations(gens):
+            raise BadParameters("generator exponent vectors are Q-linearly dependent")
+        if len(self.images) != len(gens):
+            raise BadParameters("one image per generator required")
+        if any(v == 0 for v in self.images):
+            raise ZeroInput("images must be nonzero")
+        if self.sign_image not in (+1, -1):
+            raise BadParameters("sign image must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -126,7 +154,14 @@ def evaluate(g, x):
         z = complex(x)
         return (z**k) * (z.conjugate() ** m)
     if isinstance(g, LatticeFunc):
-        return g.hom.evaluate(Fraction(x))
+        lam = Fraction(x)
+        exps = subgroup_exponents(lam, g.generators)
+        if exps is None:
+            return None
+        out = Fraction(1) if lam > 0 else Fraction(g.sign_image)
+        for img, e in zip(g.images, exps):
+            out *= img**e
+        return out
     if isinstance(g, TableFunc):
         return g.lookup(x)
     raise BadParameters(f"not a MulFunc: {type(g).__name__}")
@@ -361,8 +396,7 @@ def check_character(group, first_kind: bool, g) -> ClassCheck:
             return ClassCheck(False, "sign flip on negatives needs even n")
         return ClassCheck(True)
     if isinstance(g, LatticeFunc):
-        hom = g.hom
-        points = (*zip(hom.lattice.generators, hom.images), (Fraction(-1), Fraction(hom.sign_image)))
+        points = (*zip(g.generators, g.images), (Fraction(-1), Fraction(g.sign_image)))
         return table_screen(group, first_kind, points)
     return table_screen(group, first_kind, g.points)
 
@@ -420,14 +454,11 @@ def check_LAR(h: LatticeFunc) -> ClassCheck:
     """(LAR) for a lattice homomorphism: h keeps (0, inf) inside (0, inf),
     the generator images are independent, which is property (P) on the
     lattice, and h(-t) = -h(t)."""
-    if not isinstance(h, LatticeFunc):
-        raise BadParameters(f"unsupported (LAR) input: {type(h).__name__}")
-    hom = h.hom
-    if any(v <= 0 for v in hom.images):
+    if any(v <= 0 for v in h.images):
         return ClassCheck(False, "h must keep (0, inf) inside (0, inf)")
-    if hom.sign_image != -1:
+    if h.sign_image != -1:
         return ClassCheck(False, "h(-t) = -h(t) forces the sign image -1")
-    if relations(hom.images):
+    if relations(h.images):
         return ClassCheck(False, "(P) fails: generator images are dependent")
     return ClassCheck(True, "(LAR) holds on the lattice")
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .errors import BadParameters, FileFormatError
 from .matrices import C64, QC, QR, REGIMES, GroupTag, Mat, coerce_scalar, mat
-from .mullattice import hom_on_lattice, make_lattice
 from .scalarmaps import (
     CIRCLE,
     CSTAR,
@@ -136,12 +135,11 @@ def mulfunc_to_json(g) -> dict | None:
         out = lambda x: scalar_to_json(x, regime or (QC if isinstance(x, GaussRational) else C64))
         return {"type": wire, "points": [[out(a), out(v)] for a, v in g.points]}
     if isinstance(g, LatticeFunc):
-        hom = g.hom
         return {
             "type": "latticehom",
-            "generators": [format_rational(s) for s in hom.lattice.generators],
-            "images": [format_rational(v) for v in hom.images],
-            "sign_image": hom.sign_image,
+            "generators": [format_rational(s) for s in g.generators],
+            "images": [format_rational(v) for v in g.images],
+            "sign_image": g.sign_image,
         }
     raise FileFormatError(f"cannot serialize scalar map {type(g).__name__}")
 
@@ -160,9 +158,10 @@ def mulfunc_from_json(obj):
                 inp = lambda x: scalar_from_json(x, regime or (QC if isinstance(x, dict) else C64))
                 return TableFunc(tuple((inp(a), inp(v)) for a, v in obj["points"]), ambient)
         if t == "latticehom":
-            lat = make_lattice(*[parse_rational(s) for s in obj["generators"]])
             return LatticeFunc(
-                hom_on_lattice(lat, [parse_rational(s) for s in obj["images"]], obj["sign_image"])
+                tuple(parse_rational(s) for s in obj["generators"]),
+                tuple(parse_rational(v) for v in obj["images"]),
+                obj["sign_image"],
             )
     except FileFormatError:
         raise

@@ -1,24 +1,17 @@
-"""Multiplicative lattices: relations, decomposition and hom evaluation."""
+"""Multiplicative lattices: relations, subgroup exponents and lattice
+character evaluation."""
 import math
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localaut.errors import BadParameters, DomainNotFactorable, TooFewGenerators
-from localaut.mullattice import (
-    _TRIAL_BOUND,
-    dep_exponent,
-    factor,
-    hom_on_lattice,
-    lattice_decompose,
-    make_lattice,
-    relations,
-)
-from localaut.scalarmaps import det_relation_refutations
+from localaut.errors import BadParameters, DomainNotFactorable, TooFewGenerators, ZeroInput
+from localaut.mullattice import _TRIAL_BOUND, dep_exponent, factor, relations, subgroup_exponents
+from localaut.scalarmaps import LatticeFunc, det_relation_refutations, evaluate
 
 nonzero = st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(lambda q: q != 0)
 
@@ -142,47 +135,77 @@ def test_dep_exponent_agrees_with_factoring(r, s, i, j, related):
 
 
 def test_lattice_rejects_dependent_generators():
-    with pytest.raises(BadParameters):
-        make_lattice(2, 4)
-    with pytest.raises(BadParameters):
-        make_lattice(2, 3, 6)
-    with pytest.raises(BadParameters):
-        make_lattice(1)
+    with pytest.raises(BadParameters, match="Q-linearly dependent"):
+        LatticeFunc((2, 4), (3, 5))
+    with pytest.raises(BadParameters, match="Q-linearly dependent"):
+        LatticeFunc((2, 3, 6), (5, 7, 11))
+    with pytest.raises(BadParameters, match="1 generates nothing"):
+        LatticeFunc((1,), (2,))
+    with pytest.raises(BadParameters, match="must be positive"):
+        LatticeFunc((-2,), (2,))
     with pytest.raises(TooFewGenerators):
-        make_lattice()
+        LatticeFunc((), ())
 
 
 def test_decompose_and_membership():
-    lat = make_lattice(2, 3)
-    v = lattice_decompose(Fraction(12), lat)
-    assert v is not None and v.is_integral()
-    assert lattice_decompose(Fraction(-8, 27), lat).is_integral()
-    assert lattice_decompose(Fraction(5), lat) is None
-    assert lattice_decompose(Fraction(10), lat) is None
+    g = LatticeFunc((2, 3), (5, 7))
+    assert g.generators == (Fraction(2), Fraction(3)) and g.images == (Fraction(5), Fraction(7))
+    assert subgroup_exponents(Fraction(12), g.generators) == [2, 1]
+    assert subgroup_exponents(Fraction(-8, 27), g.generators) == [3, -3]
+    assert evaluate(g, Fraction(5)) is None
+    assert evaluate(g, Fraction(10)) is None
     # 6 = 2 * 3 lies in <2, 3> even though it is neither generator
-    assert lattice_decompose(Fraction(6), lat).is_integral()
+    assert evaluate(g, Fraction(6)) == 35
     # 2 = 4^(1/2) is in the divisible hull of <4, 9> but not in the subgroup
-    assert not lattice_decompose(Fraction(2), make_lattice(4, 9)).is_integral()
+    assert evaluate(LatticeFunc((4, 9), (2, 3)), Fraction(2)) is None
+    assert subgroup_exponents(Fraction(2), (Fraction(4), Fraction(9))) is None
 
 
-def test_hom_evaluation_is_multiplicative():
-    lat = make_lattice(2, 3)
-    hom = hom_on_lattice(lat, (Fraction(5), Fraction(7)), sign_image=-1)
-    assert hom.evaluate(Fraction(2)) == 5
-    assert hom.evaluate(Fraction(3)) == 7
-    assert hom.evaluate(Fraction(12)) == 5 * 5 * 7
-    assert hom.evaluate(Fraction(-2, 3)) == Fraction(-5, 7)
-    assert hom.evaluate(Fraction(5)) is None
-    for x, y in ((Fraction(2), Fraction(3)), (Fraction(4), Fraction(-9, 2))):
-        assert hom.evaluate(x * y) == hom.evaluate(x) * hom.evaluate(y)
+# independent generators over 2, 3, 5, 7; no word in them has the factor 11
+_GENS = [Fraction(2**a * 3**b, 5**c * 7**d) for a in range(3) for b in range(2) for c in range(2) for d in range(2)]
+
+
+@st.composite
+def _words(draw):
+    gens = draw(st.lists(st.sampled_from([x for x in _GENS if x != 1]), min_size=1, max_size=3, unique=True))
+    assume(not relations(gens))
+    images = [draw(nonzero) for _ in gens]
+    sign_image = draw(st.sampled_from((1, -1)))
+    word = [draw(st.integers(-3, 3)) for _ in gens]
+    return LatticeFunc(gens, images, sign_image), draw(st.sampled_from((1, -1))), word
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words())
+def test_hom_evaluation_is_multiplicative(case):
+    g, s, word = case
+    x, want = Fraction(s), Fraction(g.sign_image if s < 0 else 1)
+    for gen, img, w in zip(g.generators, g.images, word):
+        x, want = x * gen**w, want * img**w
+    assert evaluate(g, x) == want
+    assert evaluate(g, x * 11) is None
+    # x lies in the divisible hull of the squares' subgroup, and in the
+    # subgroup itself exactly when every exponent is even
+    squares = LatticeFunc([gen**2 for gen in g.generators], g.images, g.sign_image)
+    halved = Fraction(g.sign_image if s < 0 else 1)
+    for img, w in zip(g.images, word):
+        halved *= img ** (w // 2)
+    assert evaluate(squares, x) == (None if any(w % 2 for w in word) else halved)
+    fixed = LatticeFunc((2, 3), (5, 7), sign_image=-1)
+    assert evaluate(fixed, Fraction(-2, 3)) == Fraction(-5, 7)
+    for a, b in ((Fraction(2), Fraction(3)), (Fraction(4), Fraction(-9, 2))):
+        assert evaluate(fixed, a * b) == evaluate(fixed, a) * evaluate(fixed, b)
 
 
 def test_hom_validation():
-    lat = make_lattice(2, 3)
-    with pytest.raises(BadParameters):
-        hom_on_lattice(lat, (Fraction(5),))
-    with pytest.raises(BadParameters):
-        hom_on_lattice(lat, (Fraction(5), Fraction(7)), sign_image=2)
+    with pytest.raises(BadParameters, match="one image per generator"):
+        LatticeFunc((2, 3), (5,))
+    with pytest.raises(BadParameters, match="sign image"):
+        LatticeFunc((2, 3), (5, 7), sign_image=2)
+    with pytest.raises(ZeroInput, match="images must be nonzero"):
+        LatticeFunc((2, 3), (5, 0))
+    with pytest.raises(ZeroInput):
+        evaluate(LatticeFunc((2, 3), (5, 7)), 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,11 +268,11 @@ def test_relations_of_a_product_of_two_19_digit_primes():
 
 def test_lattice_with_a_generator_beyond_10_to_the_40():
     big = 10**41 + 3
-    lat = make_lattice(2, big)
-    v = lattice_decompose(Fraction(-8 * big**2, 1), lat)
-    assert v.sign == -1 and v.exps == (3, 2) and v.is_integral()
-    assert lattice_decompose(Fraction(big, 2), lat).exps == (-1, 1)
-    assert lattice_decompose(Fraction(2 * big**3, 3), lat) is None
-    assert lattice_decompose(Fraction(3), lat) is None
+    g = LatticeFunc((2, big), (5, 7), sign_image=-1)
+    assert subgroup_exponents(Fraction(-8 * big**2, 1), g.generators) == [3, 2]
+    assert evaluate(g, Fraction(-8 * big**2, 1)) == -(5**3) * 7**2
+    assert subgroup_exponents(Fraction(big, 2), g.generators) == [-1, 1]
+    assert evaluate(g, Fraction(2 * big**3, 3)) is None
+    assert evaluate(g, Fraction(3)) is None
     with pytest.raises(BadParameters):
-        make_lattice(big, big**2 * 4, 2)
+        LatticeFunc((big, big**2 * 4, 2), (5, 7, 11))

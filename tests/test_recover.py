@@ -171,6 +171,27 @@ def test_gl_real_probes_each_determinant_once():
             recover(AutomorphismOracle(auto), dets=dets)
 
 
+@pytest.mark.parametrize(
+    "dets, why",
+    [
+        ([F(2), F(0)], "0 is not a determinant"),
+        ([F(0), F(2)], "0 is not a determinant"),
+        ([F(2), F(2)], "each determinant is probed once"),
+        ([], "at least one determinant probe"),
+    ],
+)
+@pytest.mark.parametrize("budget", [None, 5])
+def test_gl_real_dets_are_refused_before_the_first_probe(dets, why, budget):
+    """The dets are checked with the other arguments, so a bad list spends
+    no probe and is not mistaken for an exhausted budget."""
+    group = GroupTag("GL", "R", 3)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(9)), PowerFunc(F(1)))
+    oracle = AutomorphismOracle(auto, budget=budget)
+    with pytest.raises(BadParameters, match=why):
+        recover(oracle, dets=dets)
+    assert oracle.count == 0
+
+
 def _shear(n, regime, i, j, value=1):
     return mat([[F(int(r == c)) + (value if (r, c) == (i, j) else 0) for c in range(n)] for r in range(n)], regime)
 

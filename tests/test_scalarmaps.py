@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from localaut.errors import BadParameters
 from localaut.matrices import GroupTag
-from localaut.mullattice import hom_on_lattice, make_lattice, relations
+from localaut.mullattice import relations
 from localaut.scalarmaps import (
     CIRCLE,
     CSTAR,
@@ -124,24 +124,22 @@ def test_cstar_pair_screen_follows_the_kind():
 
 
 def test_odd_extension_on_lattices():
-    lat = make_lattice(2, 3)
-    good = check_LAR(LatticeFunc(hom_on_lattice(lat, (F(5), F(7)), -1)))
+    good = check_LAR(LatticeFunc((2, 3), (F(5), F(7)), -1))
     assert good.ok
-    assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(2), F(4)), -1))).ok
-    assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(5), F(7)), 1))).ok
-    assert not check_LAR(LatticeFunc(hom_on_lattice(lat, (F(-5), F(7)), -1))).ok
+    assert not check_LAR(LatticeFunc((2, 3), (F(2), F(4)), -1)).ok
+    assert not check_LAR(LatticeFunc((2, 3), (F(5), F(7)), 1)).ok
+    assert not check_LAR(LatticeFunc((2, 3), (F(-5), F(7)), -1)).ok
 
 
 def test_lattice_class_membership():
     """g(2) = 4, g(3) = 9 on <2, 3> induces f(2) = 2^7 and f(3) = 3^7 at
     n = 3, independent images; a negative image or a sign twist at odd n
     is refused."""
-    lat = make_lattice(2, 3)
-    res = check_character(GL3, True, LatticeFunc(hom_on_lattice(lat, (F(4), F(9)))))
+    res = check_character(GL3, True, LatticeFunc((2, 3), (F(4), F(9))))
     assert res.ok
-    negative = check_character(GL3, True, LatticeFunc(hom_on_lattice(lat, (F(-4), F(9)))))
+    negative = check_character(GL3, True, LatticeFunc((2, 3), (F(-4), F(9))))
     assert (negative.ok, negative.reason) == (False, "g(2) must be positive")
-    twisted = check_character(GL3, True, LatticeFunc(hom_on_lattice(lat, (F(4), F(9)), -1)))
+    twisted = check_character(GL3, True, LatticeFunc((2, 3), (F(4), F(9)), -1))
     assert (twisted.ok, twisted.reason) == (False, "n odd forces g(-1) = g(1) > 0")
 
 
@@ -164,25 +162,24 @@ def _lattice_cases(draw):
         power = abs(images[-1]) ** n
         gens[-1] = target / power if first_kind else power / target
     assume(1 not in gens and not relations(gens))
-    g = LatticeFunc(hom_on_lattice(make_lattice(*gens), images, draw(st.sampled_from((1, -1)))))
+    g = LatticeFunc(gens, images, draw(st.sampled_from((1, -1))))
     return g, n, first_kind
 
 
-def _lattice_rule(hom, n, first_kind):
+def _lattice_rule(g, n, first_kind):
     """The class rule on a lattice character, written out on its own terms:
     positive images, a sign twist only at even n, and no relation among the
     f images of the generators."""
-    if any(v <= 0 for v in hom.images) or (hom.sign_image == -1 and n % 2 == 1):
+    if any(v <= 0 for v in g.images) or (g.sign_image == -1 and n % 2 == 1):
         return False
-    gens = hom.lattice.generators
-    return not relations([induced(gen, img, n, first_kind) for gen, img in zip(gens, hom.images)])
+    return not relations([induced(gen, img, n, first_kind) for gen, img in zip(g.generators, g.images)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_lattice_cases())
 def test_lattice_characters_are_screened_as_their_generator_tables(case):
     g, n, first_kind = case
-    assert check_character(GroupTag("GL", "R", n), first_kind, g).ok == _lattice_rule(g.hom, n, first_kind)
+    assert check_character(GroupTag("GL", "R", n), first_kind, g).ok == _lattice_rule(g, n, first_kind)
 
 
 def _table(points):

@@ -20,7 +20,6 @@ from localaut.matrices import (
     random_unitary,
     smul,
 )
-from localaut.mullattice import hom_on_lattice, make_lattice
 from localaut.scalarmaps import CIRCLE, CSTAR, LatticeFunc, PowerConjFunc, PowerFunc, TableFunc
 from localaut.scalars import GaussRational
 from localaut.serialize import (
@@ -55,7 +54,7 @@ def test_matrix_round_trip_floats():
 def test_automorphism_round_trip_with_characters():
     rng = random.Random(3)
     # g(2) = 4, g(3) = 9 on the lattice <2, 3>
-    lattice_g = LatticeFunc(hom_on_lattice(make_lattice(2, 3), (F(4), F(9))))
+    lattice_g = LatticeFunc((2, 3), (4, 9))
     lattice_auto = make_automorphism(GroupTag("GL", "R", 3), STANDARD, SIGMA_ID, identity(3, QR), lattice_g)
     cases = [
         make_automorphism(

@@ -18,7 +18,11 @@ timings prints the same object on both trees. The grid covers:
   wire type (`power` on R* and the circle, `powerconj`, `table`,
   `gausstable`, `circletable`, `latticehom`), written from literal JSON
   so both trees read the same bytes, applied to inputs whose
-  determinants lie inside and outside the finite characters' domains.
+  determinants lie inside and outside the finite characters' domains;
+* the `latticehom` record on <4, 9>: dets 2 and 6 in its divisible hull
+  but outside the subgroup, det 36 inside it, a sign twist at odd n, and
+  malformed files (dependent generators, an image short, a sign image 2,
+  a zero image).
 
 Run from the repository root, against the tree on PYTHONPATH:
 
@@ -155,11 +159,16 @@ INPUTS = {
     "glr-in.json": [_qr_diag("2"), _qr_diag("3"), _qr_diag("-2")],
     "glr-six.json": _qr_diag("6"),
     "glr-five.json": [_qr_diag("2"), _qr_diag("5")],
+    "glr-two.json": _qr_diag("2"),
+    "glr-thirty-six.json": _qr_diag("36"),
     "glc-in.json": [_qc_diag("1", "1"), _qc_diag("2", "0"), _qc_diag("0", "1")],
     "glc-out.json": _qc_diag("3", "0"),
     "un-in.json": [_c64_diag(ONE), _c64_diag(I), _c64_diag([-1.0, 0.0])],
     "un-out.json": _c64_diag([0.0, -1.0]),
 }
+
+# g(4) = 2, g(9) = 3 on <4, 9>: 2 and 6 lie in the divisible hull only
+LATTICE = {"type": "latticehom", "generators": ["4", "9"], "images": ["2", "3"], "sign_image": 1}
 
 # (character file, group, kind, sigma, t, g, input files)
 CHARACTERS = [
@@ -182,6 +191,12 @@ CHARACTERS = [
     ("latticehom", GLR3, "contragredient", "id", T_QR,
      {"type": "latticehom", "generators": ["2", "3"], "images": ["4", "9"], "sign_image": 1},
      ["glr-in", "glr-six", "glr-five"]),
+    ("lattice-hull", GLR3, "standard", "id", T_QR, LATTICE, ["glr-two", "glr-six", "glr-thirty-six"]),
+    ("lattice-twisted", GLR3, "standard", "id", T_QR, {**LATTICE, "sign_image": -1}, ["glr-thirty-six"]),
+    ("lattice-dependent", GLR3, "standard", "id", T_QR, {**LATTICE, "generators": ["2", "4"]}, ["glr-two"]),
+    ("lattice-short", GLR3, "standard", "id", T_QR, {**LATTICE, "images": ["2"]}, ["glr-two"]),
+    ("lattice-sign-2", GLR3, "standard", "id", T_QR, {**LATTICE, "sign_image": 2}, ["glr-two"]),
+    ("lattice-zero-image", GLR3, "standard", "id", T_QR, {**LATTICE, "images": ["0", "3"]}, ["glr-two"]),
 ]
 
 
