@@ -5,7 +5,9 @@ Matrices are immutable, square, regime-homogeneous. Regimes:
   QC  - Gaussian rational entries, exact
   C64 - machine complex entries, tolerance-based
 
-Exact regimes never see a float; C64 delegates numerics to numpy.
+Exact regimes never see a float; C64 delegates numerics to numpy. Exact
+shears I + q E_ij, and so the seeded samplers built from them, are made
+straight on their canonical integer grid, never from Fraction rows.
 """
 from __future__ import annotations
 
@@ -246,6 +248,35 @@ def diag_first(n: int, d, regime: str) -> Mat:
     return diagonal([d] + [1] * (n - 1), regime)
 
 
+def _gauss_grid(c: GaussRational) -> tuple:
+    """(q, p, s) with c = (p + i s) / q in lowest terms, q > 0."""
+    q = lcm(c.re.denominator, c.im.denominator)
+    return q, c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
+
+
+def shear(n: int, regime: str, i: int, j: int, q) -> Mat:
+    """I + q E_ij for i != j. In the exact regimes it is built on its
+    canonical grid: den(q) on the diagonal and q's numerator at (i, j)."""
+    if i == j:
+        raise BadParameters("a shear needs i != j")
+    q = coerce_scalar(regime, q)
+    if regime == C64:
+        rows = identity(n, C64).rows()
+        rows[i][j] = q
+        return Mat(n, C64, tuple(map(tuple, rows)))
+    if regime == QR:
+        den, num, im = q.denominator, q.numerator, None
+    else:
+        den, num, s = _gauss_grid(q)
+        im = [0] * (n * n)
+        im[i * n + j] = s
+        im = tuple(im)
+    re = [0] * (n * n)
+    re[::n + 1] = [den] * n
+    re[i * n + j] = num
+    return _grid_mat(n, regime, (den, tuple(re), im))
+
+
 def _check_same(a: Mat, b: Mat):
     if a.regime != b.regime or a.n != b.n:
         raise RegimeMismatch("operands must share size and regime")
@@ -258,9 +289,7 @@ def smul(c, a: Mat) -> Mat:
     den, re, im = grid(a)
     if im is None:
         return _canon(a.n, QR, den * c.denominator, tuple([c.numerator * x for x in re]))
-    # c = (p + i s) / q
-    q = lcm(c.re.denominator, c.im.denominator)
-    p, s = c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
+    q, p, s = _gauss_grid(c)
     pairs = list(zip(re, im))
     re, im = tuple([p * x - s * y for x, y in pairs]), tuple([p * y + s * x for x, y in pairs])
     return _canon(a.n, QC, den * q, re, im)
@@ -703,14 +732,15 @@ def random_shear(n: int, regime: str, rng: random.Random) -> Mat:
             q = GQ_ONE
     else:
         q = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    rows = identity(n, regime).rows()
-    rows[i][j] = rows[i][j] + coerce_scalar(regime, q)
-    return Mat(n, regime, tuple(tuple(r) for r in rows))
+    return shear(n, regime, i, j, q)
 
 
 def random_sl(n: int, regime: str, rng: random.Random, length: int = 3) -> Mat:
-    out = identity(n, regime)
-    for _ in range(length):
+    """The product of length random shears; the identity for length 0."""
+    if length < 1:
+        return identity(n, regime)
+    out = random_shear(n, regime, rng)
+    for _ in range(length - 1):
         out = mul(out, random_shear(n, regime, rng))
     return out
 

@@ -63,7 +63,6 @@ from .matrices import (
     equal,
     flat,
     inv,
-    mat,
     member,
     mul,
     pivot,
@@ -71,6 +70,7 @@ from .matrices import (
     random_su,
     ratio,
     scalar_one,
+    shear,
     smul,
 )
 from .scalarmaps import character_point, induced, table_screen, witness_character
@@ -133,7 +133,8 @@ class AutomorphismOracle(Oracle):
         self.auto = auto
 
     def _call(self, a: Mat) -> Mat:
-        return apply(self.auto, a, max(self.tol, 1e-9))
+        # query has checked the probe's membership, at a tolerance no looser
+        return apply(self.auto, a, max(self.tol, 1e-9), check=False)
 
 
 class SampleOracle(Oracle):
@@ -301,12 +302,6 @@ def detect_kind(oracle: Oracle):
 # stage: fit T from the images of the shears (exact groups)
 
 
-def _shear(n, regime, i, j, value=Fraction(1)) -> Mat:
-    rows = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-    rows[i][j] = value
-    return mat(rows, regime)
-
-
 def _fit_t(oracle: Oracle, kind: str) -> Mat:
     """The normalized S with unwrapped image S A_sigma S^-1, read off the
     n^2 - n shears I + E_ij (i != j, row by row) and their unwrapped images
@@ -322,7 +317,7 @@ def _fit_t(oracle: Oracle, kind: str) -> Mat:
     similarity solver never searches.
     """
     n, regime = oracle.group.n, oracle.group.regimes()[0]
-    shears = [_shear(n, regime, i, j) for i in range(n) for j in range(n) if i != j]
+    shears = [shear(n, regime, i, j, 1) for i in range(n) for j in range(n) if i != j]
     # the shears are real, so sigma fixes them; after the contragredient
     # unwrap op(phi(A), kind, id) the map is S A_sigma S^-1 with S = (T^t)^-1
     res = simultaneous_similarity([(p, op(oracle.query(p), kind, SIGMA_ID)) for p in shears])
@@ -336,7 +331,7 @@ def _fit_t(oracle: Oracle, kind: str) -> Mat:
 def _detect_sigma_exact(oracle: Oracle, kind: str, s_mat: Mat) -> str:
     """The sigma whose model S sigma(P) S^-1 equals the unwrapped image of
     the probe P = I + i E_12; a refutation when neither does."""
-    probe = _shear(oracle.group.n, s_mat.regime, 0, 1, GQ_I)
+    probe = shear(oracle.group.n, s_mat.regime, 0, 1, GQ_I)
     img = op(oracle.query(probe), kind, SIGMA_ID)
     s_inv = inv(s_mat)
     for sigma in (SIGMA_ID, SIGMA_CONJ):
@@ -455,7 +450,8 @@ def _fit_g_circle(oracle: Oracle, model: Automorphism, tol: float) -> dict:
 def _verify_exact(oracle: Oracle, candidate: Automorphism, seed: int, count: int, dets) -> None:
     """Every fresh probe's image must equal the candidate's, exactly. The
     probes are random SL_n members, for GL_n(R) each times diag(d, 1, ..., 1)
-    at a probed determinant d."""
+    at a probed determinant d. `query` tests each probe's membership, so
+    the candidate applies it unchecked."""
     group = candidate.group
     n, regime = group.n, group.regimes()[0]
     rng = random.Random(seed)
@@ -463,17 +459,18 @@ def _verify_exact(oracle: Oracle, candidate: Automorphism, seed: int, count: int
         probe = random_sl(n, regime, rng)
         if group.family == "GL":
             probe = mul(probe, diag_first(n, rng.choice(dets), regime))
-        if not equal(oracle.query(probe), apply(candidate, probe)):
+        if not equal(oracle.query(probe), apply(candidate, probe, check=False)):
             raise _Stop("verification probe disagrees with the recovered automorphism")
 
 
 def _verify_su(oracle: Oracle, candidate: Automorphism, seed: int, count: int, tol: float) -> float:
     """The largest Frobenius distance between a fresh SU_n probe's image
-    and the candidate's; Refuted beyond 50 tol."""
+    and the candidate's; Refuted beyond 50 tol. `query` tests each probe's
+    membership, so the candidate applies it unchecked."""
     residual = 0.0
     for k in range(count):
         probe = random_su(candidate.group.n, seed=seed * 413 + 57 + k)
-        residual = max(residual, _frob_dist(oracle.query(probe), apply(candidate, probe, 1e-6)))
+        residual = max(residual, _frob_dist(oracle.query(probe), apply(candidate, probe, 1e-6, check=False)))
     if residual > tol * 50:
         raise _Stop(f"verification residual {residual:.3e} exceeds tolerance")
     return residual

@@ -12,7 +12,7 @@ import pytest
 
 import localaut
 from localaut.autos import SIGMA_ID, STANDARD, make_automorphism
-from localaut.cli import main, parse_group
+from localaut.cli import MAX_N, BadArgs, main, parse_group
 from localaut.localcheck import SampleMap, samples_from_automorphism
 from localaut.matrices import (
     C64,
@@ -55,6 +55,21 @@ def test_parse_group_forms():
     assert parse_group("sl-c-4") == GroupTag("SL", "C", 4)
     assert parse_group("un-3") == GroupTag("Un", "C", 3)
     assert parse_group("su-5") == GroupTag("SUn", "C", 5)
+
+
+def test_group_above_the_ceiling_is_refused(capsys):
+    """n above MAX_N is BadArgs before anything is built; the 10^6 case is
+    only parsed, since a command that accepted it would never end."""
+    assert parse_group(f"sl-r-{MAX_N}") == GroupTag("SL", "R", MAX_N)
+    with pytest.raises(BadArgs, match=f"n = 1000000, above the ceiling n <= {MAX_N}"):
+        parse_group("sl-r-1000000")
+    big = f"gl-r-{MAX_N + 1}"
+    message = f"group {big!r} has n = {MAX_N + 1}, above the ceiling n <= {MAX_N}"
+    for argv in (["gen-auto", "--group", big], ["recover", "--group", big, "--auto", "missing.json"]):
+        assert run_cli(capsys, *argv) == (2, {"error": "BadArgs", "message": message})
+    for text in (f"un-{MAX_N + 1}", f"su-{MAX_N + 1}", f"sl-c-{MAX_N + 1}"):
+        with pytest.raises(BadArgs, match="above the ceiling"):
+            parse_group(text)
 
 
 def test_gen_verify_recover_round_trip(tmp_path, capsys):

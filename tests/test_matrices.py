@@ -6,12 +6,13 @@ The frozen rational values below were computed independently with sympy
 """
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localaut.errors import RegimeMismatch, SingularMatrix
+from localaut.errors import BadParameters, RegimeMismatch, SingularMatrix
 from localaut.matrices import (
     C64,
     QC,
@@ -32,14 +33,16 @@ from localaut.matrices import (
     mul,
     pivot,
     random_gl,
+    random_shear,
     random_sl,
     random_su,
     random_unitary,
     ratio,
+    shear,
     smul,
     transpose,
 )
-from localaut.scalars import GaussRational
+from localaut.scalars import GQ_ONE, GaussRational
 
 F = Fraction
 
@@ -110,6 +113,71 @@ def test_member_det_returns_the_det_it_tested():
     ok, d = member_det(random_su(3, seed=4), GroupTag("SUn", "C", 3), tol=1e-9)
     assert ok and abs(d - 1) < 1e-9
     assert member_det(random_unitary(3, seed=4), GroupTag("Un", "C", 3), tol=1e-9) == (True, None)
+
+
+# The samplers before they were built on the grid: Fraction rows through
+# mat and mul, drawing from the rng in the same order.
+
+
+def _reference_shear(n, regime, rng):
+    i = rng.randrange(n)
+    j = rng.randrange(n - 1)
+    if j >= i:
+        j += 1
+    if regime == QR:
+        q = F(rng.choice([1, -1, 2, -2, 1, -1]), rng.choice([1, 1, 2]))
+    else:
+        q = GaussRational(F(rng.randint(-2, 2)), F(rng.randint(-2, 2))) or GQ_ONE
+    rows = [[F(r == c) for c in range(n)] for r in range(n)]
+    rows[i][j] = q
+    return mat(rows, regime)
+
+
+def _reference_sl(n, regime, rng, length=3):
+    out = identity(n, regime)
+    for _ in range(length):
+        out = mul(out, _reference_shear(n, regime, rng))
+    return out
+
+
+def _reference_gl(n, regime, rng):
+    rows = _reference_sl(n, regime, rng).rows()
+    if regime == QR:
+        d = rng.choice([F(2), F(3), F(1, 2), F(-1), F(-2), F(4)])
+    else:
+        d = rng.choice([GaussRational(F(1), F(1)), GaussRational(F(0), F(2)), GaussRational(F(2)), GaussRational(F(1), F(-1))])
+    rows[0] = [d * v for v in rows[0]]
+    return mat(rows, regime)
+
+
+SAMPLERS = {
+    "shear": (random_shear, _reference_shear),
+    "gl": (random_gl, _reference_gl),
+    **{f"sl-{k}": (partial(random_sl, length=k), partial(_reference_sl, length=k)) for k in (0, 1, 3, 8)},
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SAMPLERS)), st.integers(3, 7), st.sampled_from((QR, QC)), st.integers(0, 2**32))
+def test_grid_built_samplers_match_the_fraction_row_reference(name, n, regime, seed):
+    sampler, reference = SAMPLERS[name]
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got, want = sampler(n, regime, rng), reference(n, regime, ref_rng)
+    assert got == want and got.entries == want.entries
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_shear_is_built_on_its_canonical_grid():
+    half = shear(4, QR, 2, 0, F(-3, 2))
+    rows = [[F(r == c) for c in range(4)] for r in range(4)]
+    rows[2][0] = F(-3, 2)
+    assert half == mat(rows, QR) and half.entries == mat(rows, QR).entries
+    q = GaussRational(F(1, 2), F(-1, 3))
+    rows = [[GaussRational(F(r == c)) for c in range(3)] for r in range(3)]
+    rows[0][1] = q
+    assert shear(3, QC, 0, 1, q).entries == mat(rows, QC).entries
+    with pytest.raises(BadParameters):
+        shear(3, QR, 1, 1, F(1))
 
 
 def _scalars(regime):

@@ -16,7 +16,8 @@ from localaut.autos import (
     apply,
     make_automorphism,
 )
-from localaut.errors import BadParameters, BudgetExceeded, NoEngine, OracleIncomplete
+from localaut import matrices
+from localaut.errors import BadParameters, BudgetExceeded, NoEngine, NotInGroup, OracleIncomplete
 from localaut.matrices import (
     C64,
     build_basis,
@@ -34,6 +35,7 @@ from localaut.matrices import (
     mul,
     random_gl,
     random_sl,
+    random_su,
     random_unitary,
     ratio,
     smul,
@@ -43,6 +45,8 @@ from localaut.recover import (
     AutomorphismOracle,
     FunctionOracle,
     SampleOracle,
+    _verify_exact,
+    _verify_su,
     recover,
     recover_glnr,
     recover_slnr_short,
@@ -380,6 +384,64 @@ def test_budget_is_enforced():
     auto = make_automorphism(GroupTag("SL", "R", 3), STANDARD, SIGMA_ID, identity(3, QR))
     with pytest.raises(BudgetExceeded):
         recover_slnr_short(AutomorphismOracle(auto, budget=3), seed=0)
+
+
+def test_probe_outside_the_group_is_refused_before_the_map_runs():
+    calls = []
+    oracle = FunctionOracle(GroupTag("SL", "R", 3), lambda a: calls.append(a) or a)
+    with pytest.raises(BadParameters, match="probe outside the group"):
+        oracle.query(smul(F(2), identity(3, QR)))
+    assert (calls, oracle.count, oracle.transcript) == ([], 0, [])
+
+
+def test_output_outside_the_group_is_refused():
+    oracle = FunctionOracle(GroupTag("SL", "R", 3), lambda a: smul(F(2), a))
+    with pytest.raises(NotInGroup, match="left the group"):
+        oracle.query(random_sl(3, QR, random.Random(1)))
+    assert oracle.transcript == []
+
+
+@pytest.fixture
+def membership_tests(monkeypatch):
+    """Every matrix whose membership is decided, in order."""
+    seen = []
+    decide = matrices.member_det
+
+    def counted(a, *args):
+        seen.append(a)
+        return decide(a, *args)
+
+    monkeypatch.setattr(matrices, "member_det", counted)
+    return seen
+
+
+def _once_each(seen, transcript):
+    """Each probe and each output of transcript was tested exactly once."""
+    assert len(seen) == 2 * len(transcript)
+    for probe, out in transcript:
+        assert sum(a is probe for a in seen) == 1
+        assert sum(a is out for a in seen) == 1
+
+
+@pytest.mark.parametrize("spec", [("SL", "R", 4), ("GL", "R", 3), ("SL", "C", 3)])
+def test_each_exact_probe_is_tested_for_membership_once(spec, membership_tests):
+    group = GroupTag(*spec)
+    g = PowerFunc(F(1)) if group.family == "GL" else None
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(group.n, group.regimes()[0], random.Random(3)), g)
+    oracle = AutomorphismOracle(auto)
+    oracle.query(random_sl(group.n, group.regimes()[0], random.Random(4)))
+    _once_each(membership_tests, oracle.transcript)
+    _verify_exact(oracle, auto, seed=1, count=6, dets=[F(2), F(-3)])
+    assert oracle.count == 7
+    _once_each(membership_tests, oracle.transcript)
+
+
+def test_each_su_probe_is_tested_for_membership_once(membership_tests):
+    auto = make_automorphism(GroupTag("SUn", "C", 3), STANDARD, SIGMA_CONJ, random_su(3, seed=2))
+    oracle = AutomorphismOracle(auto)
+    assert _verify_su(oracle, auto, seed=1, count=4, tol=1e-6) < 1e-9
+    assert oracle.count == 4
+    _once_each(membership_tests, oracle.transcript)
 
 
 def test_sample_oracle_reports_missing_probe():

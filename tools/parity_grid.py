@@ -10,7 +10,9 @@ timings prints the same object on both trees. The grid covers:
 * `local-check` of genuine, mixed-source, repeated-sample and one-sample
   maps on GL_3(R), GL_3(C) (sigma id and conj, both kinds), SL_3(R),
   SL_3(C), U_3 (sigma id and conj) and SU_3;
-* `recover` through every engine, with and without `--dets`, and through
+* `recover` through every engine, with and without `--dets`, at n = 3
+  and, both kinds each, on SL_4(R), SL_5(R), SL_4(C) and GL_5(R), so the
+  verification sampler runs above n = 3; and through
   oracle children whose scalar refutes the class at a det, on a pair and
   on a relation;
 * the three `gallery` items;
@@ -70,6 +72,14 @@ AUTOS = [
     ("un-none", "un-3", ["--sigma", "conj"]),
     ("sun-id", "sun-3", []),
     ("sun-conj", "sun-3", ["--sigma", "conj"]),
+    ("slr4", "sl-r-4", []),
+    ("slr4-con", "sl-r-4", ["--kind", "contragredient"]),
+    ("slr5", "sl-r-5", []),
+    ("slr5-con", "sl-r-5", ["--kind", "contragredient"]),
+    ("slc4", "sl-c-4", []),
+    ("slc4-con", "sl-c-4", ["--kind", "contragredient", "--sigma", "conj"]),
+    ("glr5", "gl-r-5", ["--g", "power:2"]),
+    ("glr5-con", "gl-r-5", ["--g", "power:2", "--kind", "contragredient"]),
 ]
 
 # local-check sample maps: (name, automorphism stems, one per sample,
@@ -256,7 +266,9 @@ def grid() -> dict:
         ("gl-r-3", "glr-std", []), ("gl-r-3", "glr-con", ["--dets", "3,-5,2"]),
         ("gl-r-4", "glr4-flip", ["--dets", "2,-3"]), ("sun-3", "sun-id", []),
         ("sun-3", "sun-conj", []), ("un-3", "un-id", []), ("un-3", "un-conj", []),
-        ("un-3", "un-none", []),
+        ("un-3", "un-none", []), ("sl-r-4", "slr4", []), ("sl-r-4", "slr4-con", []),
+        ("sl-r-5", "slr5", []), ("sl-r-5", "slr5-con", []), ("sl-c-4", "slc4", []),
+        ("sl-c-4", "slc4-con", []), ("gl-r-5", "glr5", []), ("gl-r-5", "glr5-con", []),
     ]
     for group, stem, extra in recoveries:
         for seed in ("1", "2"):
