@@ -326,7 +326,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
             if gtable.get(d) != evaluate(g, d):
                 problems.append(f"case {n},{c},{neg}: g({d}) wrong")
                 break
-        screen = check_character(rep.auto.group, True, rep.auto.g)
+        screen = check_character(rep.auto.group, True, rep.auto.sigma, rep.auto.g)
         if not screen.ok:
             problems.append(f"case {n},{c},{neg}: class screen failed at {screen.counterexample}")
     detail = (
@@ -494,7 +494,7 @@ def criterion_8(seed: int = 0) -> CriterionResult:
     bad = []
     for n in (3, 4, 5):
         for k in range(-5, 6):
-            ok = check_character(GroupTag("Un", "C", n), True, PowerFunc(Fraction(k), "same", CIRCLE)).ok
+            ok = check_character(GroupTag("Un", "C", n), True, SIGMA_ID, PowerFunc(Fraction(k), "same", CIRCLE)).ok
             if ok != (k == 0):
                 bad.append((n, k, ok))
     detail = (

@@ -98,7 +98,7 @@ def make_automorphism(
             )
         if not close(mul(conj_transpose(t), t), identity(t.n, t.regime), tol):
             raise NonUnitaryT("T must be unitary for the isometry groups")
-    res = check_character(group, kind == STANDARD, g)
+    res = check_character(group, kind == STANDARD, sigma, g)
     if not res.ok:
         raise IllegalScalarClass(res.reason)
     return Automorphism(group, kind, sigma, t, g, tinv)

@@ -144,8 +144,9 @@ def _jsonable(x):
 
 
 def _check_numbers(args) -> None:
-    """Refuse numeric options under which a verdict would check nothing or
-    a probe could never be in the group."""
+    """Refuse numeric options under which a verdict would check nothing, a
+    probe could never be in the group or a gallery item would outgrow the
+    size ceiling."""
     opts = vars(args)
     tol = opts.get("tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
@@ -156,6 +157,8 @@ def _check_numbers(args) -> None:
         raise BadArgs(f"--verify-probes must be at least 1, got {args.verify_probes}")
     if opts.get("budget") is not None and args.budget < 1:
         raise BadArgs(f"--budget must be at least 1, got {args.budget}")
+    if opts.get("n") is not None and args.n > MAX_N:
+        raise BadArgs(f"--n is {args.n}, above the ceiling n <= {MAX_N}")
 
 
 def _load_mats(path: str) -> tuple[list[Mat], bool]:

@@ -265,7 +265,7 @@ def verify_entry(entry: GalleryEntry, seed: int = 0) -> dict:
     if entry.name == "sign_twist":
         auto = entry.artifacts["auto"]
         n = entry.artifacts["n"]
-        class_ok = check_character(auto.group, auto.kind == STANDARD, entry.artifacts["g"]).ok
+        class_ok = check_character(auto.group, auto.kind == STANDARD, auto.sigma, entry.artifacts["g"]).ok
         rng = random.Random(seed)
         hom_ok = True
         for _ in range(20):

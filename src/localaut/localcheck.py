@@ -15,7 +15,7 @@ samples take the n-th roots of the determinant ratio and certify nothing.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .autos import (
@@ -296,11 +296,14 @@ def _similarity_step(group, kind, sigma, pairs, points, originals, seed, tol) ->
 
 
 def _witness_report(group, kind, sigma, t, points, originals, tol, detail) -> BranchReport:
-    g = None if points is None else witness_character(group, points)
     try:
-        witness = make_automorphism(group, kind, sigma, t, g, tol=max(tol, 1e-8))
+        witness = make_automorphism(group, kind, sigma, t, tol=max(tol, 1e-8))
     except Exception as exc:
         return BranchReport(kind, sigma, "inconclusive", f"witness rejected: {exc}")
+    if points is not None:
+        # `pair_screen` passed the two points, which is the table screen of
+        # their table, so g joins the witness without a second screen
+        witness = replace(witness, g=witness_character(group, points))
     vtol = max(tol, 1e-7)  # exact regimes compare exactly whatever the tol
     for a, a_out in originals:
         if not close(apply(witness, a, vtol), a_out, vtol):

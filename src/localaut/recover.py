@@ -54,7 +54,6 @@ from .errors import (
 )
 from .matrices import (
     C64,
-    QR,
     GroupTag,
     Mat,
     charpolys_match,
@@ -390,29 +389,36 @@ def _det_probe(oracle: Oracle, model: Automorphism, probe: Mat, tol: float, det_
     )
 
 
-def _fit_g_real(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
-    """g on R* from diag(d, 1, ..., 1) probes, which isolate g(d) entrywise.
+def _fit_g(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
+    """g from diag(d, 1, ..., 1) probes at dets, which isolate g(d)
+    entrywise: on R* for GL_n(R), at `CIRCLE_GENERATORS` for U_n.
 
-    The table is screened against the scalar class of the kind, once, in
+    The table is screened against the scalar class of the branch, once, in
     probe order by `table_screen`; a violation is Refuted with the
     offending dets.
     """
-    n = model.group.n
-    g_points: list[tuple[Fraction, Fraction]] = []
-    for d in dets:
-        c = _det_probe(oracle, model, diag_first(n, d, QR), tol, str(d))
-        g_points.append((d, Fraction(c)))
+    n, sigma, regime = model.group.n, model.sigma, model.t.regime
     first = model.kind == STANDARD
-    res = table_screen(model.group, first, g_points)
+    g_points = []
+    for d in dets:
+        c = _det_probe(oracle, model, diag_first(n, d, regime), tol, _wire(d))
+        g_points.append((character_point(model.group, sigma, d), c))
+    res = table_screen(model.group, first, sigma, g_points, tol)
     if not res.ok:
         raise _class_stop(res)
     # the screen is the class verdict on g, and the model's T, kind and
     # sigma are checked already, so g joins the model without a second screen
     return {
         "auto": replace(model, g=witness_character(model.group, g_points)),
-        "g_points": [(str(d), str(c)) for d, c in g_points],
+        "g_points": [(_wire(d), _wire(c)) for d, c in g_points],
         "f_table": [(d, induced(d, c, n, first)) for d, c in g_points],
     }
+
+
+def _wire(x):
+    """A probed det or g value as the report carries it: a numeric circle
+    point as [re, im], an exact one as its string."""
+    return [x.real, x.imag] if isinstance(x, complex) else str(x)
 
 
 def _class_stop(res) -> _Stop:
@@ -425,22 +431,6 @@ def _class_stop(res) -> _Stop:
     where = res.counterexample
     at = f"at det {where[0]}" if len(where) == 1 else f"on dets ({where[0]}, {where[1]})"
     return _Stop(f"scalar class violated {at}: {res.reason}")
-
-
-def _fit_g_circle(oracle: Oracle, model: Automorphism, tol: float) -> dict:
-    """g on the circle from diag(z, 1, ..., 1) probes at the generators."""
-    n = model.group.n
-    g_points = []
-    for zc in CIRCLE_GENERATORS:
-        c = _det_probe(oracle, model, diag_first(n, zc, C64), tol, [zc.real, zc.imag])
-        g_points.append((character_point(model.group, model.sigma, zc), complex(c)))
-    g = witness_character(model.group, g_points)
-    return {
-        "auto": make_automorphism(model.group, STANDARD, model.sigma, model.t, g, tol=1e-6),
-        "g_points": [([d.real, d.imag], [c.real, c.imag]) for d, c in g_points],
-        "f_table": [(d, induced(d, c, n)) for d, c in g_points],
-        "notes": ["verification is projective: scalars at unprobed determinants stay unchecked"],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +556,10 @@ def _pipeline(oracle: Oracle, seed, verify_probes, dets, tol) -> dict:
         t = s_mat if kind == STANDARD else _normalize(op(s_mat, kind, SIGMA_ID))
     model = make_automorphism(group, kind, sigma, t, tol=1e-6)
     if group.family == "GL":
-        fields = _fit_g_real(oracle, model, dets, tol)
+        fields = _fit_g(oracle, model, dets, tol)
     elif group.family == "Un":
-        fields = _fit_g_circle(oracle, model, tol)
+        fields = _fit_g(oracle, model, CIRCLE_GENERATORS, tol)
+        fields["notes"] = ["verification is projective: scalars at unprobed determinants stay unchecked"]
     else:
         fields = {"auto": model}
     if group.family == "SUn":

@@ -8,10 +8,10 @@ on factored rationals: class transport for dependent arguments, class
 injectivity for independent ones, and the sign/parity rules. This is the one
 module that knows these rules: which character each group carries and the
 point it reads (`ambient`, `character_point`), the exponent reader of power
-characters, the one class verdict `check_character` with its R* table
-screen, the R*, C* and circle pair screens behind `pair_screen`, the
-witness tables of `witness_character` and the relation detector all live
-here.
+characters, the one class verdict `check_character` with its one table
+screen `table_screen` on every ambient, the R*, C* and circle pair screens
+behind `pair_screen`, the witness tables of `witness_character` and the
+relation detector all live here.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .mullattice import dep_exponent, relations, subgroup_exponents
 from .matrices import C64
-from .scalars import GQ_ONE, GaussRational, rational_pow
+from .scalars import DEFAULT_TOL, GQ_ONE, GaussRational, rational_pow
 
 RSTAR = "Rstar"
 CIRCLE = "Circle"
@@ -356,21 +356,26 @@ def pair_ok_rclass(
 # the class verdict
 
 
-def check_character(group, first_kind: bool, g) -> ClassCheck:
-    """May g scale an automorphism of group of the given kind? Nothing on
-    SL and SU. On GL_n(R), f(t) = g(t)^n t^(+-1) must be a bijection of R*
-    (class M1r, or M2r for the contragredient kind): read off the exponent
-    of a power character, screened by `table_screen` for a finite table and
-    for a lattice character, as the table of its generators and -1. On
-    GL_n(C), the |z|^(2k) family with bijective f; on U_n, z^k with
-    f(z) = z^(nk + 1) an automorphism of the circle. Finite tables on C*
-    and the circle are witness-grade partial data, verified against samples
-    by their callers."""
+def check_character(group, first_kind: bool, sigma: str, g) -> ClassCheck:
+    """May g scale an automorphism of group of the given kind and sigma?
+    Nothing on SL and SU. On GL_n(R), f(t) = g(t)^n t^(+-1) must be a
+    bijection of R* (class M1r, or M2r for the contragredient kind): read
+    off the exponent of a power character. On GL_n(C), the |z|^(2k) family
+    with bijective f; on U_n, z^k with f(z) = z^(nk + 1) an automorphism of
+    the circle. A finite table on the group's ambient, and a lattice
+    character as the table of its generators and -1, go through
+    `table_screen`."""
     n, side = group.n, ambient(group)
-    if g is None or (isinstance(g, TableFunc) and side in (CSTAR, CIRCLE) and g.ambient == side):
+    if g is None:
         return ClassCheck(True)
     if side is None:
         return ClassCheck(False, f"{group.family} automorphisms carry no scalar character")
+    if isinstance(g, (TableFunc, LatticeFunc)) and g.ambient == side:
+        if isinstance(g, TableFunc):
+            points = g.points
+        else:
+            points = (*zip(g.generators, g.images), (Fraction(-1), Fraction(g.sign_image)))
+        return table_screen(group, first_kind, sigma, points, DEFAULT_TOL)
     if side == CSTAR:
         if not isinstance(g, PowerConjFunc):
             return ClassCheck(False, "GL over C supports the |z|^(2k) family here")
@@ -382,43 +387,39 @@ def check_character(group, first_kind: bool, g) -> ClassCheck:
     if getattr(g, "ambient", None) != side:
         why = "GL over R needs a scalar map on R*" if side == RSTAR else "U_n needs a scalar map on the circle"
         return ClassCheck(False, why)
+    c, flip = power_exponent(g)
+    e = f_exponent(c, n, first_kind)
     if side == CIRCLE:
-        e = f_exponent(power_exponent(g)[0], n, first_kind)
         if abs(e) == 1:
             return ClassCheck(True)
         return ClassCheck(False, f"f(z) = z^{e} is not injective on the circle")
-    if isinstance(g, PowerFunc):
-        c, flip = power_exponent(g)
-        e = f_exponent(c, n, first_kind)
-        if e == 0:
-            return ClassCheck(False, f"f(t) = t^{e} is not a bijection of (0, inf)")
-        if flip and n % 2 == 1:
-            return ClassCheck(False, "sign flip on negatives needs even n")
-        return ClassCheck(True)
-    if isinstance(g, LatticeFunc):
-        points = (*zip(g.generators, g.images), (Fraction(-1), Fraction(g.sign_image)))
-        return table_screen(group, first_kind, points)
-    return table_screen(group, first_kind, g.points)
+    if e == 0:
+        return ClassCheck(False, f"f(t) = t^{e} is not a bijection of (0, inf)")
+    if flip and n % 2 == 1:
+        return ClassCheck(False, "sign flip on negatives needs even n")
+    return ClassCheck(True)
 
 
-def table_screen(group, first_kind: bool, points) -> ClassCheck:
-    """The class verdict on a GL_n(R) character through the table points
-    [(d, g(d)), ...], in the order given: every point, then every pair,
-    which decide tables of one and two points exactly. On three or more
-    points, |g| must then keep every relation among the |d|, and f must be
-    injective: with the relations of the |d| kept, |f| may keep no other."""
-    n = group.n
-    for lam, v in points:
-        ok, why = point_ok_rclass(lam, v, n, first_kind)
+def table_screen(group, first_kind: bool, sigma: str, points, tol: float) -> ClassCheck:
+    """The class verdict on a character of group through the table points
+    [(d, g(d)), ...], read at `character_point`, in the order given: every
+    point, then every pair, through `pair_screen`. That decides tables of
+    one and two points exactly on R*, and gives necessary conditions on C*
+    and the circle. On R* with three or more points, |g| must then keep
+    every relation among the |d|, and f must be injective: with the
+    relations of the |d| kept, |f| may keep no other."""
+    for p in points:
+        ok, why = pair_screen(group, first_kind, sigma, p, p, tol)
         if not ok:
-            return ClassCheck(False, why, counterexample=(lam,))
+            return ClassCheck(False, why, counterexample=(p[0],))
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
-            ok, why = pair_ok_rclass(p, q, n, first_kind)
+            ok, why = pair_screen(group, first_kind, sigma, p, q, tol)
             if not ok:
                 return ClassCheck(False, why, counterexample=(p[0], q[0]))
-    if len(points) < 3:
+    if ambient(group) != RSTAR or len(points) < 3:
         return ClassCheck(True)
+    n = group.n
     # signs and d / -d pairs are pinned above, so magnitudes decide the rest
     broken = det_relation_refutations({abs(lam): abs(v) for lam, v in points})
     if broken:

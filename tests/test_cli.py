@@ -1,4 +1,5 @@
 """Command line contract: JSON reports, digests, exit codes."""
+import cmath
 import json
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 
 import localaut
 from localaut.autos import SIGMA_ID, STANDARD, make_automorphism
-from localaut.cli import MAX_N, BadArgs, main, parse_group
+from localaut.cli import MAX_N, BadArgs, _build_parser, _check_numbers, main, parse_group
 from localaut.localcheck import SampleMap, samples_from_automorphism
 from localaut.matrices import (
     C64,
@@ -29,7 +30,7 @@ from localaut.matrices import (
     random_sl,
     smul,
 )
-from localaut.scalarmaps import PowerFunc, TableFunc
+from localaut.scalarmaps import CIRCLE, CSTAR, PowerFunc, TableFunc
 from localaut.scalars import GaussRational
 from localaut.serialize import (
     auto_from_json,
@@ -70,6 +71,17 @@ def test_group_above_the_ceiling_is_refused(capsys):
     for text in (f"un-{MAX_N + 1}", f"su-{MAX_N + 1}", f"sl-c-{MAX_N + 1}"):
         with pytest.raises(BadArgs, match="above the ceiling"):
             parse_group(text)
+
+
+@pytest.mark.parametrize("item", ["gl-local-not-global", "additive-r", "sign-twist"])
+def test_gallery_size_above_the_ceiling_is_refused(capsys, item):
+    """`gallery --n` above MAX_N is BadArgs before any sample is built; the
+    10^6 case is only parsed and checked, never run."""
+    big = str(MAX_N + 1)
+    message = f"--n is {big}, above the ceiling n <= {MAX_N}"
+    assert run_cli(capsys, "gallery", item, "--n", big) == (2, {"error": "BadArgs", "message": message})
+    with pytest.raises(BadArgs, match=f"--n is 1000000, above the ceiling n <= {MAX_N}"):
+        _check_numbers(_build_parser().parse_args(["gallery", item, "--n", "1000000"]))
 
 
 def test_gen_verify_recover_round_trip(tmp_path, capsys):
@@ -423,6 +435,29 @@ def test_table_whose_f_is_not_injective_is_refused(tmp_path, capsys):
     code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
     assert (code, rep["error"]) == (4, "IllegalScalarClass")
     assert "relation {'2/5': 14, '5/3': 10, '30': 13}" in rep["message"]
+
+
+@pytest.mark.parametrize(
+    "group, table, identity_regime, reason",
+    [
+        ("gl-c-3", TableFunc(((GaussRational(1), GaussRational(2)),), CSTAR), QC,
+         "f must preserve the torsion order of 1+0i"),
+        ("un-3", TableFunc(((1 + 0j, cmath.exp(0.5j)),), CIRCLE), C64, "f(1) must be 1"),
+    ],
+    ids=["gausstable", "circletable"],
+)
+def test_table_off_the_class_at_one_is_refused(tmp_path, capsys, group, table, identity_regime, reason):
+    """A gausstable g(1) = 2 on GL_3(C) with T = I would map I to 2I, and a
+    circletable g(1) = e^{0.5i} on U_3 would give f(1) = e^{1.5i}; the class
+    screen refuses both files before anything is applied."""
+    obj = load_json(_gen(capsys, tmp_path, group))
+    obj["t"] = mat_to_json(identity(3, identity_regime))
+    obj["g"] = mulfunc_to_json(table)
+    auto_file, in_file = str(tmp_path / "table.json"), str(tmp_path / "in.json")
+    dump_json(auto_file, obj)
+    dump_json(in_file, mat_to_json(identity(3, identity_regime)))
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
+    assert (code, rep["error"], rep["message"]) == (4, "IllegalScalarClass", reason)
 
 
 @pytest.mark.parametrize(

@@ -277,10 +277,24 @@ def test_only_the_scalar_layer_decides_the_ambient(module):
     assert _names(_parse(SRC / module)) & AMBIENT_NAMES == set()
 
 
-# recovery screens its g table with `table_screen`, the one R* table screen
-# behind `check_character`, and keeps no pair loop or relation check of its own
+# recovery screens its g table with `table_screen`, the one table screen
+# behind `check_character`, in its one g stage, and keeps no pair loop or
+# relation check of its own; recovery and the local check build their models
+# and witnesses without g, which joins only after its one screen
 def test_recovery_has_no_class_screen_of_its_own():
-    assert _names(_parse(SRC / "recover.py")) & {"pair_screen", "det_relation_refutations"} == set()
+    recover = _parse(SRC / "recover.py")
+    assert _names(recover) & {"pair_screen", "det_relation_refutations"} == set()
+    stages = {node.name for node in ast.walk(recover) if isinstance(node, ast.FunctionDef)}
+    assert {name for name in stages if name.startswith("_fit_g")} == {"_fit_g"}
+    for module in ("recover.py", "localcheck.py"):
+        builds = [
+            node
+            for node in ast.walk(_parse(SRC / module))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "make_automorphism"
+        ]
+        assert builds, module
+        for node in builds:
+            assert len(node.args) <= 4 and "g" not in {kw.arg for kw in node.keywords}, (module, node.lineno)
 
 
 # every definition of the package is called, or bound by name, from outside

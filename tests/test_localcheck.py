@@ -35,6 +35,7 @@ from localaut.matrices import (
     smul,
     transpose,
 )
+from localaut import scalarmaps
 from localaut.scalarmaps import PowerConjFunc, PowerFunc, check_character
 from localaut.scalars import GaussRational
 
@@ -259,7 +260,7 @@ def test_irrational_scalar_is_never_refuted():
     T = diag(1, 2^(-1/3), 2^(-2/3)), takes both samples to their outputs,
     with g(2) = 2^(1/3) irrational. So the standard branch, whose exact
     data give only c^3 = 2, must stay inconclusive, not refuted."""
-    assert check_character(GL3, True, PowerFunc(F(1, 3))).ok
+    assert check_character(GL3, True, SIGMA_ID, PowerFunc(F(1, 3))).ok
     d = mat([[0, 0, 4], [1, 0, 0], [0, 1, 0]], QR)
     b = mat([[2, 0, 0], [0, F(1, 2), 0], [0, 0, 1]], QR)
     v = check_pair(GL3, (COMPANION, d), (b, b))
@@ -283,6 +284,25 @@ def test_negative_real_root_is_refuted_where_g_is_positive(det_a):
     assert v.refusal_reasons()[0] == (
         f"standard/id: no scalar values (c^3 = -2 has only a negative real root, but g({det_a}) > 0)"
     )
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_the_witness_table_is_screened_once(field, monkeypatch):
+    """`pair_screen` on a pair's two points is the table screen of their
+    witness table, so the witness never reaches `table_screen`: with that
+    screen made to raise, genuine GL_3 samples still read Interpolable."""
+    group = GroupTag("GL", field, 3)
+    regime, g = (QR, PowerFunc(F(2))) if field == "R" else (QC, PowerConjFunc(1, 1))
+    rng = random.Random(4)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, regime, rng), g)
+    a, b = random_gl(3, regime, rng), random_gl(3, regime, rng)
+
+    def screen_again(*args):
+        raise RuntimeError("the witness table was screened a second time")
+
+    monkeypatch.setattr(scalarmaps, "table_screen", screen_again)
+    v = check_pair(group, (a, apply(auto, a)), (b, apply(auto, b)))
+    assert v.status == "Interpolable"
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from localaut.autos import SIGMA_CONJ, SIGMA_ID
 from localaut.errors import BadParameters
 from localaut.matrices import GroupTag
 from localaut.mullattice import relations
@@ -31,20 +32,21 @@ from localaut.scalars import GaussRational
 F = Fraction
 GL3 = GroupTag("GL", "R", 3)
 GL4 = GroupTag("GL", "R", 4)
+GLC3 = GroupTag("GL", "C", 3)
 U3 = GroupTag("Un", "C", 3)
 
 
 def test_power_class_membership_by_parity():
-    assert check_character(GL3, True, PowerFunc(F(2))).ok
-    assert check_character(GL3, False, PowerFunc(F(1))).ok
-    assert not check_character(GL3, True, PowerFunc(F(1), "flip")).ok
-    assert check_character(GL4, True, PowerFunc(F(1), "flip")).ok
+    assert check_character(GL3, True, SIGMA_ID, PowerFunc(F(2))).ok
+    assert check_character(GL3, False, SIGMA_ID, PowerFunc(F(1))).ok
+    assert not check_character(GL3, True, SIGMA_ID, PowerFunc(F(1), "flip")).ok
+    assert check_character(GL4, True, SIGMA_ID, PowerFunc(F(1), "flip")).ok
 
 
 def test_circle_powers():
-    assert check_character(U3, True, PowerFunc(F(0), "same", CIRCLE)).ok
+    assert check_character(U3, True, SIGMA_ID, PowerFunc(F(0), "same", CIRCLE)).ok
     for k in (-3, -1, 1, 2, 5):
-        assert not check_character(U3, True, PowerFunc(F(k), "same", CIRCLE)).ok
+        assert not check_character(U3, True, SIGMA_ID, PowerFunc(F(k), "same", CIRCLE)).ok
     with pytest.raises(BadParameters):
         PowerFunc(F(1, 2), "same", CIRCLE)
     with pytest.raises(BadParameters):
@@ -135,11 +137,11 @@ def test_lattice_class_membership():
     """g(2) = 4, g(3) = 9 on <2, 3> induces f(2) = 2^7 and f(3) = 3^7 at
     n = 3, independent images; a negative image or a sign twist at odd n
     is refused."""
-    res = check_character(GL3, True, LatticeFunc((2, 3), (F(4), F(9))))
+    res = check_character(GL3, True, SIGMA_ID, LatticeFunc((2, 3), (F(4), F(9))))
     assert res.ok
-    negative = check_character(GL3, True, LatticeFunc((2, 3), (F(-4), F(9))))
+    negative = check_character(GL3, True, SIGMA_ID, LatticeFunc((2, 3), (F(-4), F(9))))
     assert (negative.ok, negative.reason) == (False, "g(2) must be positive")
-    twisted = check_character(GL3, True, LatticeFunc((2, 3), (F(4), F(9)), -1))
+    twisted = check_character(GL3, True, SIGMA_ID, LatticeFunc((2, 3), (F(4), F(9)), -1))
     assert (twisted.ok, twisted.reason) == (False, "n odd forces g(-1) = g(1) > 0")
 
 
@@ -179,7 +181,8 @@ def _lattice_rule(g, n, first_kind):
 @given(_lattice_cases())
 def test_lattice_characters_are_screened_as_their_generator_tables(case):
     g, n, first_kind = case
-    assert check_character(GroupTag("GL", "R", n), first_kind, g).ok == _lattice_rule(g, n, first_kind)
+    res = check_character(GroupTag("GL", "R", n), first_kind, SIGMA_ID, g)
+    assert res.ok == _lattice_rule(g, n, first_kind)
 
 
 def _table(points):
@@ -190,7 +193,7 @@ def test_table_whose_f_is_not_injective_is_refused():
     """g(2/5) = 2/3, g(5/3) = 5/2, g(30) = 3/10: the dets are independent,
     every pair passes and |g| breaks no relation among the dets, but
     f(2/5)^14 f(5/3)^10 f(30)^13 = 1."""
-    res = check_character(GL3, True, _table([(F(2, 5), F(2, 3)), (F(5, 3), F(5, 2)), (30, F(3, 10))]))
+    res = check_character(GL3, True, SIGMA_ID, _table([(F(2, 5), F(2, 3)), (F(5, 3), F(5, 2)), (30, F(3, 10))]))
     assert not res.ok and res.counterexample == (F(2, 5), F(5, 3), 30)
     assert res.evidence["relation"] == {"2/5": 14, "5/3": 10, "30": 13}
     assert "relation {'2/5': 14, '5/3': 10, '30': 13}" in res.reason
@@ -198,26 +201,79 @@ def test_table_whose_f_is_not_injective_is_refused():
 
 def test_domain_check_accepts_class_members():
     dom = [F(2), F(3), F(6), F(-2), F(1, 2)]
-    res = check_character(GL3, True, _table((d, evaluate(PowerFunc(F(1)), d)) for d in dom))
+    res = check_character(GL3, True, SIGMA_ID, _table((d, evaluate(PowerFunc(F(1)), d)) for d in dom))
     assert res.ok and res.counterexample is None
 
 
 def test_domain_check_rejects_induced_collisions():
     # g(2) = 2 and g(16) = 1 force f(2) = f(16) = 16, killing injectivity
-    res = check_character(GL3, True, _table([(2, 2), (16, 1)]))
+    res = check_character(GL3, True, SIGMA_ID, _table([(2, 2), (16, 1)]))
     assert not res.ok and res.counterexample == (2, 16)
     assert res.reason == "transport fails: f(2) should be f(16)^1/4"
-    assert not check_character(GL3, False, _table([(2, 2), (F(1, 16), 1)])).ok
+    assert not check_character(GL3, False, SIGMA_ID, _table([(2, 2), (F(1, 16), 1)])).ok
 
 
 def test_domain_check_parity():
-    res = check_character(GL3, True, _table([(2, -2)]))
+    res = check_character(GL3, True, SIGMA_ID, _table([(2, -2)]))
     assert (res.ok, res.counterexample, res.reason) == (False, (2,), "g(2) must be positive")
     flip = [(2, 2), (-2, -2)]
-    assert check_character(GL4, True, _table(flip)).ok
-    assert check_character(GL3, True, _table(flip)).counterexample == (-2,)
-    res = check_character(GL4, True, _table([(2, 2), (-2, -3)]))
+    assert check_character(GL4, True, SIGMA_ID, _table(flip)).ok
+    assert check_character(GL3, True, SIGMA_ID, _table(flip)).counterexample == (-2,)
+    res = check_character(GL4, True, SIGMA_ID, _table([(2, 2), (-2, -3)]))
     assert not res.ok and res.counterexample == (2, -2)
+
+
+@pytest.mark.parametrize(
+    "group, table, reason",
+    [
+        (GL3, TableFunc(((F(1), F(2)),)), "|lam| = 1 but |f(lam)| = 8 != 1"),
+        (GLC3, TableFunc(((GaussRational(F(1)), GaussRational(F(2))),), CSTAR),
+         "f must preserve the torsion order of 1+0i"),
+        (U3, TableFunc(((1 + 0j, cmath.exp(0.5j)),), CIRCLE), "f(1) must be 1"),
+    ],
+    ids=[RSTAR, CSTAR, CIRCLE],
+)
+def test_a_table_off_the_class_is_refused_on_every_ambient(group, table, reason):
+    """g(1) must have f(1) = g(1)^n = 1 on every ambient: g(1) = 2 on R* and
+    C*, and g(1) = e^{0.5i} on the circle, are no characters of the class."""
+    res = check_character(group, True, SIGMA_ID, table)
+    assert (res.ok, res.reason, res.counterexample) == (False, reason, (table.points[0][0],))
+
+
+_GAUSS_PARTS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+_GAUSS_DETS = st.one_of(
+    st.sampled_from([GaussRational(F(re), F(im)) for re, im in ((1, 0), (-1, 0), (0, 1), (0, -1), (3, 4))]),
+    st.builds(GaussRational, _GAUSS_PARTS, _GAUSS_PARTS).filter(lambda z: z.abs2() != 0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.booleans(),
+    st.sampled_from([SIGMA_ID, SIGMA_CONJ]),
+    st.integers(-3, 3),
+    st.lists(_GAUSS_DETS, min_size=1, max_size=4, unique_by=lambda z: (z.re, z.im)),
+)
+def test_the_table_of_a_genuine_cstar_character_is_never_refused(n, first_kind, sigma, k, dets):
+    """g(z) = |z|^(2k) at a few Gaussian-rational dets: wherever the class
+    takes g itself, the table screen takes its table."""
+    group, g = GroupTag("GL", "C", n), PowerConjFunc(k, k)
+    assume(check_character(group, first_kind, sigma, g).ok)
+    table = TableFunc(tuple((d, evaluate(g, d)) for d in dets), CSTAR)
+    assert check_character(group, first_kind, sigma, table).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.sampled_from([SIGMA_ID, SIGMA_CONJ]),
+    st.lists(st.one_of(st.just(0.0), st.floats(-cmath.pi, cmath.pi)), min_size=1, max_size=4),
+)
+def test_the_table_of_the_trivial_circle_character_is_never_refused(n, sigma, angles):
+    """g = 1 on U_n, the one character of its class, at random circle points."""
+    table = TableFunc(tuple((cmath.exp(1j * a), 1 + 0j) for a in angles), CIRCLE)
+    assert check_character(GroupTag("Un", "C", n), True, sigma, table).ok
 
 
 def test_table_func_lookup():

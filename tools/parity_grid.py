@@ -21,6 +21,10 @@ timings prints the same object on both trees. The grid covers:
   `gausstable`, `circletable`, `latticehom`), written from literal JSON
   so both trees read the same bytes, applied to inputs whose
   determinants lie inside and outside the finite characters' domains;
+* two finite tables the class screen refuses, applied to I: the
+  `gausstable` g(1) = 2 on GL_3(C) with T = I, whose f(1) = 8 leaves
+  the torsion order of 1, and the `circletable` g(1) = e^{0.5i} on U_3,
+  whose f(1) = e^{1.5i} is not 1;
 * the `latticehom` record on <4, 9>: dets 2 and 6 in its divisible hull
   but outside the subgroup, det 36 inside it, a sign twist at odd n, and
   malformed files (dependent generators, an image short, a sign image 2,
@@ -149,6 +153,7 @@ T_QC = {
     ],
 }
 T_C64 = {"regime": "C64", "entries": [[ZERO, I, ZERO], [ZERO, ZERO, ONE], [ONE, ZERO, ZERO]]}
+HALF_RADIAN = [0.8775825618903728, 0.479425538604203]  # e^{0.5i}
 
 
 def _qr_diag(d):
@@ -173,8 +178,10 @@ INPUTS = {
     "glr-thirty-six.json": _qr_diag("36"),
     "glc-in.json": [_qc_diag("1", "1"), _qc_diag("2", "0"), _qc_diag("0", "1")],
     "glc-out.json": _qc_diag("3", "0"),
+    "glc-one.json": _qc_diag("1", "0"),
     "un-in.json": [_c64_diag(ONE), _c64_diag(I), _c64_diag([-1.0, 0.0])],
     "un-out.json": _c64_diag([0.0, -1.0]),
+    "un-one.json": _c64_diag(ONE),
 }
 
 # g(4) = 2, g(9) = 3 on <4, 9>: 2 and 6 lie in the divisible hull only
@@ -198,6 +205,10 @@ CHARACTERS = [
      ]}, ["glc-in", "glc-out"]),
     ("circletable", U3, "standard", "id", T_C64,
      {"type": "circletable", "points": [[ONE, ONE], [I, [-1.0, 0.0]], [[-1.0, 0.0], ONE]]}, ["un-in", "un-out"]),
+    ("gausstable-refused", GLC3, "standard", "id", _qc_diag("1", "0"),
+     {"type": "gausstable", "points": [[{"re": "1", "im": "0"}, {"re": "2", "im": "0"}]]}, ["glc-one"]),
+    ("circletable-refused", U3, "standard", "id", T_C64,
+     {"type": "circletable", "points": [[ONE, HALF_RADIAN]]}, ["un-one"]),
     ("latticehom", GLR3, "contragredient", "id", T_QR,
      {"type": "latticehom", "generators": ["2", "3"], "images": ["4", "9"], "sign_image": 1},
      ["glr-in", "glr-six", "glr-five"]),
