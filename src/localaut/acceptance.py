@@ -28,6 +28,7 @@ from .matrices import (
     det,
     equal,
     flat,
+    grid,
     identity,
     inv,
     mul,
@@ -396,15 +397,11 @@ def _word_samples(hom) -> list[tuple[Fraction, Fraction]]:
     # exponent vector lies in the kernel of the image exponent matrix, so
     # those words are added explicitly
     primes = sorted({p for im in images for p, _ in _prime_exps(im)})
-    rows = [
-        [Fraction(dict(_prime_exps(images[j])).get(p, 0)) for j in range(m)] for p in primes
-    ]
+    rows = [[dict(_prime_exps(images[j])).get(p, 0) for j in range(m)] for p in primes]
     if rows:
-        for v in nullspace(rows):
-            den = math.lcm(*(f.denominator for f in v))
-            iv = tuple(int(f * den) for f in v)
-            if any(iv):
-                vecs.add(iv)
+        for v, _ in nullspace(rows):
+            g = math.gcd(*v)
+            vecs.add(tuple(x // g for x in v))
     samples: dict[Fraction, Fraction] = {}
     for v in sorted(vecs):
         x, h = Fraction(1), Fraction(1)
@@ -552,7 +549,7 @@ def criterion_10(seed: int = 0) -> CriterionResult:
             b = smul(rng.choice(scalars), a)
         else:
             b = random_sl(3, QR, rng)
-        truth = rank([flat(a), flat(b)]) == 1
+        truth = rank([list(grid(a)[1]), list(grid(b)[1])]) == 1
         c = ratio(flat(a), flat(b))
         if (c is not None) != truth:
             problems.append(f"dependence {i}: ratio {c}, exact rank says {truth}")

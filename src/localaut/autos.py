@@ -58,14 +58,8 @@ class Automorphism:
     kind: str
     sigma: str
     t: Mat
+    tinv: Mat = field(repr=False, compare=False)
     g: object | None = None
-    _tinv: Mat | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def tinv(self) -> Mat:
-        if self._tinv is None:
-            self._tinv = inv(self.t)
-        return self._tinv
 
 
 def make_automorphism(
@@ -101,7 +95,7 @@ def make_automorphism(
     res = check_character(group, kind == STANDARD, sigma, g)
     if not res.ok:
         raise IllegalScalarClass(res.reason)
-    return Automorphism(group, kind, sigma, t, g, tinv)
+    return Automorphism(group, kind, sigma, t, tinv, g)
 
 
 def op(a: Mat, kind: str, sigma: str) -> Mat:

@@ -51,6 +51,7 @@ from .serialize import (
     samples_from_json,
     sha256_digest,
 )
+from .scalars import parse_rational
 
 
 class BadArgs(Exception):
@@ -100,11 +101,11 @@ def parse_gspec(text: str | None, group: GroupTag):
     try:
         if parts[0] == "power":
             neg = parts[2] if len(parts) > 2 else "same"
-            return PowerFunc(Fraction(parts[1]), neg)
+            return PowerFunc(parse_rational(parts[1]), neg)
         if parts[0] == "powerconj":
-            return PowerConjFunc(Fraction(parts[1]), Fraction(parts[2]))
+            return PowerConjFunc(parse_rational(parts[1]), parse_rational(parts[2]))
         if parts[0] == "circle-power":
-            return PowerFunc(Fraction(parts[1]), "same", CIRCLE)
+            return PowerFunc(parse_rational(parts[1]), "same", CIRCLE)
     except (ValueError, IndexError, ZeroDivisionError, BadParameters) as exc:
         raise BadArgs(f"cannot parse scalar spec {text!r}: {exc}") from exc
     raise BadArgs(f"unknown scalar spec {text!r}")
@@ -112,8 +113,8 @@ def parse_gspec(text: str | None, group: GroupTag):
 
 def _fraction_list(text: str) -> list[Fraction]:
     try:
-        return [Fraction(tok) for tok in text.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+        return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+    except BadParameters as exc:
         raise BadArgs(f"cannot parse rational list {text!r}: {exc}") from exc
 
 
@@ -224,7 +225,7 @@ def _cmd_verify_auto(args) -> dict:
         if auto.t.regime == C64:
             pool = [to_c64(a) for a in pool]
         else:
-            auto = replace(auto, t=to_c64(auto.t), _tinv=to_c64(auto.tinv))
+            auto = replace(auto, t=to_c64(auto.t), tinv=to_c64(auto.tinv))
     failures = []
     for k in range(args.pairs):
         a = pool[rng.randrange(len(pool))]
@@ -476,6 +477,9 @@ def _error(code: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values print at any size; input literals are bounded on reading
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()

@@ -1,45 +1,34 @@
-"""Exact dense linear algebra over Q and Q(i), list-of-lists based.
+"""Exact dense linear algebra on integer rows, over Q and Q(i).
 
-Rows hold exact scalars (Fraction or GaussRational), or are the int rows
-of an integer grid. The work is done on integer rows (scalar rows are
-cleared by scalars.clear_row), and field scalars are built once at the end
-for scalar rows. Nothing rounds.
+Every solver reads the int rows of an integer grid: a row stands for the
+line it spans over Q, and with `im` (the imaginary parts) for its line over
+Q(i). Callers with field scalars clear their own rows. Nothing rounds.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import clear_row, field_row, int_width
 
-
-def rref(rows: list[list], aug: int = 0, im: list[list] | None = None):
-    """Reduced row echelon form of a copy of rows.
+def rref(rows: list[list[int]], aug: int = 0, im: list[list[int]] | None = None):
+    """Reduced row echelon form of a copy of the int rows.
 
     Returns (matrix, pivot_columns). The final `aug` columns are carried along
     but never pivoted on (augmented system). Rows past the rank are zero
     outside the augmented columns, and their augmented entries are nonzero
-    exactly when the system is inconsistent.
+    exactly when the system is inconsistent. With `im` the rows are Gaussian
+    integers, and the matrix holds re and im interleaved. Each pivot row
+    holds a positive integer p at its pivot and stands for itself divided
+    by p.
 
-    rows may also be int rows (the real parts of Gaussian-integer rows,
-    with `im` their imaginary parts). Their matrix is returned as int rows,
-    re and im interleaved over Q(i): each pivot row holds a positive
-    integer p at its pivot and stands for itself divided by p.
-
-    Fraction-free Gauss-Jordan on the integer grid of the rows (each row
-    scaled by the lcm of its denominators, which leaves the row space alone):
-    rows are combined by cross-multiplying and kept divided by their integer
-    content. Over Q(i) each pivot row is first multiplied by the conjugate
-    of its pivot, so every pivot is a positive integer; the division by the
-    pivot happens once, when the field scalars are built.
+    Fraction-free Gauss-Jordan: rows are combined by cross-multiplying and
+    kept divided by their integer content. Over Q(i) each pivot row is first
+    multiplied by the conjugate of its pivot, so every pivot is a positive
+    integer.
     """
     if not rows or not rows[0]:
         return [list(r) for r in rows], []
-    grid = isinstance(rows[0][0], int)
-    if not grid:
-        w = int_width(rows[0][0])
-        m = [clear_row(r)[0] for r in rows]
-    elif im is None:
+    if im is None:
         w, m = 1, [list(r) for r in rows]
     else:
         w, m = 2, [[x for pair in zip(r, s) for x in pair] for r, s in zip(rows, im)]
@@ -86,11 +75,7 @@ def rref(rows: list[list], aug: int = 0, im: list[list] | None = None):
             m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    if grid:
-        return m, pivots
-    out = [field_row(row, row[w * c], w) for row, c in zip(m, pivots)]
-    out += [field_row(row, 1, w) for row in m[r:]]
-    return out, pivots
+    return m, pivots
 
 
 def _unit_pivot(row: list[int], lo: int, w: int) -> list[int]:
@@ -109,44 +94,36 @@ def _unit_pivot(row: list[int], lo: int, w: int) -> list[int]:
     return [x // g for x in row] if g != 1 else row
 
 
-def rank(rows: list[list]) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
+def rank(rows: list[list[int]], im: list[list[int]] | None = None) -> int:
+    return len(rref(rows, im=im)[1])
 
 
-def solve(a: list[list], b: list):
-    """One solution x of A x = b, or None if inconsistent.
+def solve(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
+    """One rational solution x of A x = b over Q, or None if inconsistent.
 
-    Free variables are set to zero. Exact.
+    Free variables are set to zero; each pivot variable is read off its
+    pivot row as x_c = row[-1] / row[c]. Exact.
     """
     if not a or not a[0]:
         return None if any(b) else []
-    if isinstance(a[0][0], int):  # rref reads int rows as a grid; solve reads them as rationals
-        a, b = [[Fraction(x) for x in r] for r in a], [Fraction(x) for x in b]
-    aug_rows = [list(r) + [bv] for r, bv in zip(a, b)]
-    m, pivots = rref(aug_rows, aug=1)
-    for row in m:
-        if row[-1] and not any(row[:-1]):
-            return None
-    x = [type(a[0][0])()] * len(a[0])
-    for r, c in enumerate(pivots):
-        x[c] = m[r][-1]
+    m, pivots = rref([list(r) + [bv] for r, bv in zip(a, b)], aug=1)
+    if any(row[-1] for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * len(a[0])
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[-1], row[c])
     return x
 
 
-def nullspace(a: list[list], im: list[list] | None = None) -> list[list]:
-    """Basis of the kernel of A, exact.
+def nullspace(a: list[list[int]], im: list[list[int]] | None = None) -> list[tuple[list[int], int]]:
+    """Basis of the kernel of A, exact, one vector per free column.
 
-    For int rows (and `im`, as in rref) each kernel vector comes back as
-    (ints, den): the vector ints / den, re and im interleaved over Q(i).
+    Each kernel vector comes back as (ints, den): the vector ints / den,
+    re and im interleaved over Q(i) (with `im`, as in rref), and 1 at its
+    free column.
     """
     if not a or not a[0]:
         return []
-    scalars = not isinstance(a[0][0], int)
-    if scalars:
-        w = int_width(a[0][0])
-        cleared = [clear_row(r)[0] for r in a]
-        a, im = [r[0::w] for r in cleared], None if w == 1 else [r[1::2] for r in cleared]
     w = 1 if im is None else 2
     m, pivots = rref(a, im=im)
     basis = []
@@ -158,5 +135,5 @@ def nullspace(a: list[list], im: list[list] | None = None) -> list[list]:
         v[w * fc] = den
         for c, x, p in col:
             v[w * c:w * c + w] = [-t * (den // p) for t in x]
-        basis.append(field_row(v, den, w) if scalars else (v, den))
+        basis.append((v, den))
     return basis

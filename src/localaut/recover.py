@@ -74,6 +74,7 @@ from .matrices import (
 )
 from .scalarmaps import character_point, induced, table_screen, witness_character
 from .scalars import DEFAULT_TOL, GQ_I
+from .serialize import mat_from_json, mat_to_json
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
 DEFAULT_DETS = (Fraction(2), Fraction(3))
@@ -142,22 +143,15 @@ class SampleOracle(Oracle):
     the sample file and retry."""
 
     def __init__(self, group, samples, budget=None, tol=DEFAULT_TOL):
-        from .serialize import mat_key
-
         super().__init__(group, budget, tol)
-        self.table = {}
-        for a, out in samples:
-            self.table[mat_key(a)] = out
+        self.table = dict(samples)
 
     def _call(self, a: Mat) -> Mat:
-        from .serialize import mat_key, mat_to_json
-
-        key = mat_key(a)
-        if key not in self.table:
+        if a not in self.table:
             raise OracleIncomplete(
                 "sample file has no answer for a required probe", missing_probe=mat_to_json(a)
             )
-        return self.table[key]
+        return self.table[a]
 
 
 class SubprocessOracle(Oracle):
@@ -172,8 +166,6 @@ class SubprocessOracle(Oracle):
 
     def _call(self, a: Mat) -> Mat:
         import json
-
-        from .serialize import mat_from_json, mat_to_json
 
         self.proc.stdin.write(json.dumps(mat_to_json(a)).encode() + b"\n")
         self.proc.stdin.flush()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AmbientMismatch,
@@ -33,6 +34,7 @@ from .scalars import DEFAULT_TOL, GQ_ONE, GaussRational, rational_pow
 RSTAR = "Rstar"
 CIRCLE = "Circle"
 CSTAR = "Cstar"
+MAX_POWER_BITS = 1 << 17  # the largest exact power evaluate computes, in bits
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,33 @@ class TableFunc:
 MulFunc = PowerFunc | PowerConjFunc | LatticeFunc | TableFunc
 
 
+def _check_power(x, e) -> None:
+    """Raise BadParameters, before the exact x**e is computed, when it
+    would pass MAX_POWER_BITS bits. For x = (a + b i) / d in lowest terms
+    the gauge is |e| log2 max(|a + b i|, d), read off the bit length of
+    max(a^2 + b^2, d^2); powers of +-1 and +-i always pass. Float scalars
+    are not gauged."""
+    if isinstance(x, complex):
+        return
+    re, im = (x.re, x.im) if isinstance(x, GaussRational) else (Fraction(x), Fraction(0))
+    d = lcm(re.denominator, im.denominator)
+    a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    bits2 = max(a * a + b * b, d * d).bit_length() - 1
+    if abs(e.numerator) * bits2 > 2 * MAX_POWER_BITS * e.denominator:
+        raise BadParameters(f"g's exponent {e} takes its exact value past {MAX_POWER_BITS} bits")
+
+
 def evaluate(g, x):
-    """Value of g at x; None when x is outside g's exact domain."""
+    """Value of g at x; None when x is outside g's exact domain. Exact
+    powers past MAX_POWER_BITS bits are refused."""
     if isinstance(g, PowerFunc):
         if g.ambient == CIRCLE:
+            _check_power(x, int(g.c))
             return x ** int(g.c)
         lam = Fraction(x)
         if lam == 0:
             raise ZeroInput("0 is outside R*")
+        _check_power(lam, g.c)
         mag = rational_pow(abs(lam), g.c)
         if mag is None:
             return None
@@ -146,10 +167,12 @@ def evaluate(g, x):
         if kf.denominator != 1:
             # the |z|^(2k) diagonal with rational k
             if isinstance(x, GaussRational):
+                _check_power(x.abs2(), kf)
                 return rational_pow(x.abs2(), kf)
             return abs(complex(x)) ** (2 * float(kf))
         k, m = int(kf), int(mf)
         if isinstance(x, GaussRational):
+            _check_power(x, abs(k) + abs(m))
             return (x**k) * (x.conjugate() ** m)
         z = complex(x)
         return (z**k) * (z.conjugate() ** m)
@@ -160,6 +183,7 @@ def evaluate(g, x):
             return None
         out = Fraction(1) if lam > 0 else Fraction(g.sign_image)
         for img, e in zip(g.images, exps):
+            _check_power(img, e)
             out *= img**e
         return out
     if isinstance(g, TableFunc):

@@ -13,14 +13,18 @@ from fractions import Fraction
 from .errors import BadParameters, ZeroInput
 
 DEFAULT_TOL = 1e-9
+MAX_LITERAL = 4300  # characters in an exact literal read from input, Python's default int digit limit
 
 
 def parse_rational(s: str | int) -> Fraction:
-    """Parse "p/q" or "p" (also accepts ints)."""
+    """Parse "p/q" or "p" of at most MAX_LITERAL characters (also accepts
+    ints)."""
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
         raise BadParameters(f"rational expected as string or int, got {type(s).__name__}")
+    if len(s) > MAX_LITERAL:
+        raise BadParameters(f"rational literal of {len(s)} characters, above the ceiling {MAX_LITERAL}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -109,18 +113,12 @@ GQ_I = GaussRational(Fraction(0), Fraction(1))
 # ---------------------------------------------------------------------------
 # integer grids: the exact kernels compute over Z and Z[i]
 #
-# A matrix keeps its own grid (matrices.Mat). A row of exact scalars given
-# to exactlinalg.rref is cleared once to integers over one common
-# denominator d: a rational x becomes the int x*d, a Gaussian rational the
-# (re, im) int pair of x*d, laid flat, so a row of k Gaussian rationals is
-# 2k ints. Field scalars are built back once per output entry.
+# A matrix keeps its own grid (matrices.Mat): its exact scalars cleared
+# once to integers over one common denominator d. A rational x becomes the
+# int x*d, a Gaussian rational the (re, im) int pair of x*d, laid flat, so a
+# row of k Gaussian rationals is 2k ints.
 
 _Q0 = Fraction(0)
-
-
-def int_width(x) -> int:
-    """Ints per scalar on an integer grid: 1 over Q, 2 over Q(i)."""
-    return 2 if isinstance(x, GaussRational) else 1
 
 
 def clear_row(row) -> tuple[list[int], int]:
@@ -143,13 +141,6 @@ def rational(num: int, den: int) -> Fraction:
 def gauss(re: int, im: int, den: int) -> GaussRational:
     """(re + i im) / den for ints, den nonzero."""
     return GaussRational(rational(re, den), rational(im, den))
-
-
-def field_row(ints: list[int], den: int, width: int) -> list:
-    """The field scalars ints / den of a grid row of the given width."""
-    if width == 1:
-        return [rational(x, den) for x in ints]
-    return [gauss(ints[j], ints[j + 1], den) for j in range(0, len(ints), 2)]
 
 
 def iroot(k: int, n: int) -> int | None:

@@ -22,7 +22,7 @@ from .scalarmaps import (
     PowerFunc,
     TableFunc,
 )
-from .scalars import GaussRational, format_rational, parse_rational
+from .scalars import MAX_LITERAL, GaussRational, format_rational, parse_rational
 
 # finite scalar tables on the wire: type string and point regime by ambient;
 # C* tables hold exact or numeric points, so each of their scalars is written
@@ -90,11 +90,6 @@ def mat_from_json(obj) -> Mat:
     if not rows or any(len(r) != len(rows) for r in rows):
         raise FileFormatError("entries must form a square matrix")
     return mat(rows, regime)
-
-
-def mat_key(a: Mat) -> str:
-    """Canonical lookup key for exact-match sample oracles."""
-    return canonical_json(mat_to_json(a))
 
 
 def group_to_json(g: GroupTag) -> dict:
@@ -222,11 +217,18 @@ def samples_from_json(obj):
     return SampleMap(group, pairs)
 
 
+def _bounded_int(literal: str) -> int:
+    if len(literal) > MAX_LITERAL:
+        raise ValueError(f"integer literal of {len(literal)} digits, above the ceiling {MAX_LITERAL}")
+    return int(literal)
+
+
 def load_json(path: str):
+    """The JSON in path, with number literals bounded like parse_rational's."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, parse_int=_bounded_int)
+    except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

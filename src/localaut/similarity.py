@@ -1,17 +1,23 @@
 """Simultaneous similarity: find invertible S with S A_i = B_i S for all i.
 
-The intertwiner space L = {S : S A_i = B_i S} is computed exactly (nullspace
-of a linear system over Q or Q(i)); an invertible element is then hunted by a
-seeded randomized search plus a deterministic sweep of the simplex lattice
-K_1 + sum y_i K_i, y >= 0, sum y_i <= n. The solver is sound: a returned S
-is verified by direct multiplication, NoSolution is certified (L = {0}, or
-the determinant, a polynomial of total degree n on that affine slice,
-vanishes on the whole lattice), and anything else is Inconclusive.
+In QR and QC the intertwiner space L = {S : S A_i = B_i S} is computed
+exactly (nullspace of the integer system read off the grids of the pairs);
+an invertible element is then hunted by a seeded randomized search plus a
+deterministic sweep of the simplex lattice K_1 + sum y_i K_i, y >= 0,
+sum y_i <= n. The solver is sound: a returned S is verified by direct
+multiplication, NoSolution is certified (L = {0}, or the determinant, a
+polynomial of total degree n on that affine slice, vanishes on the whole
+lattice), and anything else is Inconclusive.
+
+In C64 the search stays in numpy: L is the null space of an SVD, and only
+a well-conditioned candidate becomes a Mat, to be verified. Every random
+search tries the same ATTEMPTS seeded combinations.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, lcm
 
 from .errors import BadParameters, RegimeMismatch, ResidualFail
@@ -31,7 +37,7 @@ from .matrices import (
 from .scalars import DEFAULT_TOL
 
 GRID_CAP = 4096
-ATTEMPTS = 50  # seeded random combinations of the intertwiner basis tried
+ATTEMPTS = 50  # seeded random combinations of the intertwiner basis tried, in every search
 
 
 @dataclass
@@ -105,7 +111,7 @@ def simultaneous_similarity(
 ) -> SimilarityResult:
     regime = pairs[0][0].regime
     if regime == C64:
-        return _numeric_similarity(pairs, seed, ATTEMPTS, tol)
+        return _numeric_similarity(pairs, seed, tol)
     basis = intertwiner_basis(pairs)
     d = len(basis)
     if d == 0:
@@ -162,43 +168,36 @@ def _simplex(k: int, total: int):
             yield (first, *rest)
 
 
-def numeric_intertwiner_basis(pairs: list[tuple[Mat, Mat]], tol: float = DEFAULT_TOL) -> list[Mat]:
+def numeric_intertwiner_basis(pairs: list[tuple[Mat, Mat]], tol: float = DEFAULT_TOL) -> list:
+    """Numeric basis of {S : S A_i = B_i S} as n x n complex arrays.
+
+    S A - B S is (kron(I, A^T) - kron(B, I)) vec(S) for S read row by row;
+    the basis is the right singular vectors of the stacked systems whose
+    singular values lie below the cutoff."""
     import numpy as np
 
     n = pairs[0][0].n
-    blocks = []
-    for a, b in pairs:
-        am, bm = _to_numpy(a), _to_numpy(b)
-        sys = np.zeros((n * n, n * n), dtype=complex)
-        for p in range(n):
-            for q in range(n):
-                row = np.zeros((n, n), dtype=complex)
-                row[p, :] += am[:, q]
-                row[:, q] -= bm[p, :]
-                sys[p * n + q] = row.reshape(-1)
-        blocks.append(sys)
-    big = np.vstack(blocks)
+    eye = np.eye(n)
+    big = np.vstack([np.kron(eye, _to_numpy(a).T) - np.kron(_to_numpy(b), eye) for a, b in pairs])
     _, sv, vh = np.linalg.svd(big)
     cutoff = max(tol, (sv[0] if len(sv) else 1.0) * 1e-12)
     # null vectors are columns of V, i.e. conjugated rows of V^H
-    null_rows = [vh[i].conj() for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
-    return [_from_numpy(v.reshape(n, n)) for v in null_rows]
+    return [vh[i].conj().reshape(n, n) for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
 
 
-def _numeric_similarity(pairs, seed: int, attempts: int, tol: float) -> SimilarityResult:
+def _numeric_similarity(pairs, seed: int, tol: float) -> SimilarityResult:
+    """The basis elements, then ATTEMPTS seeded combinations of them, each
+    drawn only when it is tried; a well-conditioned one that intertwines
+    within tol is Solved."""
     import numpy as np
 
     basis = numeric_intertwiner_basis(pairs, tol)
     d = len(basis)
     if d == 0:
         return SimilarityResult("NoSolution", dim=0, note="numeric intertwiner space is zero")
-    n = basis[0].n
-    mats = [_to_numpy(k) for k in basis]
     rng = np.random.default_rng(seed)
-    candidates = mats + [
-        sum(c * k for c, k in zip(rng.normal(size=d), mats)) for _ in range(attempts)
-    ]
-    for sm in candidates:
+    draws = (sum(c * k for c, k in zip(rng.normal(size=d), basis)) for _ in range(ATTEMPTS))
+    for sm in chain(basis, draws):
         if np.linalg.cond(sm) < 1e8:
             s = _from_numpy(sm)
             if verify_intertwines(s, pairs, tol):
@@ -214,7 +213,7 @@ def unitary_intertwiner(pairs: list[tuple[Mat, Mat]], seed: int = 0, tol: float 
     """
     import numpy as np
 
-    res = _numeric_similarity(pairs, seed, attempts=60, tol=tol)
+    res = _numeric_similarity(pairs, seed, tol)
     if res.status != "Solved":
         return None
     sm = _to_numpy(res.s)

@@ -30,8 +30,8 @@ from localaut.matrices import (
     random_sl,
     smul,
 )
-from localaut.scalarmaps import CIRCLE, CSTAR, PowerFunc, TableFunc
-from localaut.scalars import GaussRational
+from localaut.scalarmaps import CIRCLE, CSTAR, MAX_POWER_BITS, PowerFunc, TableFunc
+from localaut.scalars import MAX_LITERAL, GaussRational
 from localaut.serialize import (
     auto_from_json,
     auto_to_json,
@@ -625,6 +625,72 @@ def test_apply_square_root_character_beyond_float_range(tmp_path, capsys):
     code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
     assert code == 0
     assert equal(mat_from_json(rep["images"][0]), smul(Fraction(2**550), a))
+
+
+def _power_auto_file(tmp_path, c):
+    """GL_3(R), T = I, g = |t|^c."""
+    auto = make_automorphism(GroupTag("GL", "R", 3), STANDARD, SIGMA_ID, identity(3, QR), PowerFunc(Fraction(c)))
+    path = str(tmp_path / f"power-{c}.json")
+    dump_json(path, auto_to_json(auto))
+    return path
+
+
+def _mat_file(tmp_path, name, a):
+    """A matrix file holding a, or the list a of matrices."""
+    path = str(tmp_path / name)
+    dump_json(path, [mat_to_json(m) for m in a] if isinstance(a, list) else mat_to_json(a))
+    return path
+
+
+def test_exact_values_past_the_int_digit_limit_print(tmp_path, capsys):
+    """g = |t|^20000 at det 2 gives entries of over 6,000 digits, past
+    Python's default int-to-str limit of 4,300; apply and recover print them.
+    Such an output is past the input literal ceiling, so it is read here as
+    text."""
+    auto_file = _power_auto_file(tmp_path, 20000)
+    a = diag_first(3, Fraction(2), QR)
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", _mat_file(tmp_path, "in.json", a))
+    assert code == 0
+    entries = rep["images"][0]["entries"]
+    assert [entries[0][0], entries[1][1], entries[0][1]] == [str(2**20001), str(2**20000), "0"]
+    code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", auto_file, "--dets", "2")
+    assert (code, rep["status"]) == (0, "Recovered")
+
+
+def test_a_power_past_the_bit_ceiling_is_refused_before_it_is_computed(tmp_path, capsys):
+    """2^(10^10) would take minutes and gigabytes; g at det 2 is refused at
+    once, while g at det +-1 still evaluates."""
+    auto_file = _power_auto_file(tmp_path, 10**10)
+    a = diag_first(3, Fraction(2), QR)
+    t0 = time.perf_counter()
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", _mat_file(tmp_path, "in.json", a))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, rep["error"]) == (4, "BadParameters")
+    assert str(MAX_POWER_BITS) in rep["message"]
+    ones = [identity(3, QR), diag_first(3, Fraction(-1), QR)]
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", _mat_file(tmp_path, "ones.json", ones))
+    assert code == 0
+    assert [mat_from_json(m) for m in rep["images"]] == ones
+
+
+def test_literals_past_the_digit_ceiling_are_file_format(tmp_path, capsys):
+    """A group n of 5,001 digits and a matrix entry of 4,301 characters."""
+    samples_file = str(tmp_path / "samples.json")
+    with open(samples_file, "w") as fh:
+        fh.write('{"group": {"family": "GL", "field": "R", "n": ' + "9" * 5001 + '}, "samples": []}')
+    code, rep = run_cli(capsys, "local-check", samples_file)
+    assert (code, rep["error"]) == (3, "FileFormat")
+    assert "5001 digits" in rep["message"]
+    obj = mat_to_json(identity(3, QR))
+    obj["entries"][0][0] = "1" + "0" * (MAX_LITERAL)
+    in_file = str(tmp_path / "in.json")
+    dump_json(in_file, obj)
+    code, rep = run_cli(capsys, "apply", "--auto", _power_auto_file(tmp_path, 1), "--in", in_file)
+    assert (code, rep["error"]) == (3, "FileFormat")
+    obj["entries"][0][0] = "1" + "0" * (MAX_LITERAL - 1)
+    dump_json(in_file, obj)
+    code, rep = run_cli(capsys, "apply", "--auto", _power_auto_file(tmp_path, 1), "--in", in_file)
+    assert code == 0
 
 
 def test_local_check_numeric_gl_complex_map(tmp_path, capsys):

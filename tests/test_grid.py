@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localaut.errors import SingularMatrix
-from localaut.exactlinalg import nullspace
 from localaut.matrices import (
     C64,
     QC,
@@ -36,6 +35,7 @@ from localaut.matrices import (
 )
 from localaut.scalars import GaussRational
 from localaut.similarity import intertwiner_basis
+from test_exactlinalg import ref_nullspace
 
 rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6))
 
@@ -214,7 +214,7 @@ def test_kernels_match_the_scalar_reference(ab, c):
 
 def _ref_intertwiners(a, b):
     """The Kronecker system of S A = B S in field scalars, solved by the
-    list-of-lists nullspace."""
+    textbook Gauss-Jordan of the row-reduction tests."""
     n, zero = a.n, scalar_zero(a.regime)
     rows = []
     for p in range(n):
@@ -224,7 +224,7 @@ def _ref_intertwiners(a, b):
                 row[p * n + k] = row[p * n + k] + a.entries[k][q]
                 row[k * n + q] = row[k * n + q] - b.entries[p][k]
             rows.append(row)
-    return [mat([v[i * n:(i + 1) * n] for i in range(n)], a.regime) for v in nullspace(rows)]
+    return [mat([v[i * n:(i + 1) * n] for i in range(n)], a.regime) for v in ref_nullspace(rows)]
 
 
 @settings(max_examples=40, deadline=None)

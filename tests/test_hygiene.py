@@ -138,11 +138,12 @@ def test_checkers_do_not_import_the_recovery_engines(module):
 
 
 # Mat's integer grid belongs to matrices; the grid helpers of scalars serve
-# the two kernel modules; the ring helpers the grid superseded are gone
+# the kernel module; the ring and field-row helpers the grid superseded are
+# gone, and exactlinalg reads int rows only
 GRID_SLOTS = {"_grid", "_entries"}
 GRID_PRIVATE = {"_grid_mat", "_canon"}
-SCALAR_GRID_HELPERS = {"clear_row", "field_row", "int_width", "rational", "gauss"}
-SUPERSEDED = {"ring_row", "exact_quotient", "quotient"}
+SCALAR_GRID_HELPERS = {"clear_row", "rational", "gauss"}
+SUPERSEDED = {"ring_row", "exact_quotient", "quotient", "field_row", "int_width"}
 
 
 def _imports_from(tree, module):
@@ -171,9 +172,10 @@ def test_grid_helpers_serve_the_kernels_and_the_ring_helpers_are_gone():
         f"{path.name}:{line} {name}"
         for path in MODULES
         for line, name in _imports_from(_parse(path), "scalars")
-        if name in SUPERSEDED or (name in SCALAR_GRID_HELPERS and path.name not in {"matrices.py", "exactlinalg.py"})
+        if name in SUPERSEDED or (name in SCALAR_GRID_HELPERS and path.name != "matrices.py")
     ]
     assert found == []
+    assert list(_imports_from(_parse(SRC / "exactlinalg.py"), "scalars")) == []
     defined = {node.name for path in MODULES for node in ast.walk(_parse(path)) if isinstance(node, ast.FunctionDef)}
     assert defined & SUPERSEDED == set()
 

@@ -14,6 +14,7 @@ from localaut.mullattice import relations
 from localaut.scalarmaps import (
     CIRCLE,
     CSTAR,
+    MAX_POWER_BITS,
     RSTAR,
     LatticeFunc,
     PowerConjFunc,
@@ -301,3 +302,29 @@ def test_circle_pair_screen_checks_moduli_then_f_of_one():
     assert pair_ok_mu(1, off, 1j, 1, 3) == (False, "f(1) must be 1")
     assert pair_ok_mu(1j, 1, 1, off, 3) == (False, "f(1) must be 1")
     assert pair_ok_mu(1, cube, 1j, off, 3) == (True, "")
+
+
+BIG = 10**10  # 2**BIG would need over a gigabyte
+
+
+@pytest.mark.parametrize(
+    "g, x",
+    [
+        (PowerFunc(Fraction(BIG)), Fraction(2)),
+        (PowerFunc(Fraction(BIG), ambient=CIRCLE), GaussRational(Fraction(3, 5), Fraction(4, 5))),
+        (PowerConjFunc(BIG, 0), GaussRational(Fraction(1), Fraction(1))),
+        (PowerConjFunc(Fraction(BIG, 3), Fraction(BIG, 3)), GaussRational(Fraction(2))),
+        (LatticeFunc((2,), (3**1000,)), Fraction(2**100)),
+    ],
+    ids=["power", "circle-power", "powerconj", "powerconj-diagonal", "latticehom"],
+)
+def test_evaluate_refuses_a_power_past_the_bit_ceiling(g, x):
+    with pytest.raises(BadParameters, match=str(MAX_POWER_BITS)):
+        evaluate(g, x)
+
+
+def test_evaluate_takes_any_power_of_a_unit():
+    i = GaussRational(Fraction(0), Fraction(1))
+    assert evaluate(PowerFunc(Fraction(BIG), "flip"), Fraction(-1)) == -1
+    assert evaluate(PowerFunc(Fraction(BIG + 1), ambient=CIRCLE), i) == i
+    assert evaluate(PowerConjFunc(BIG, 1), i) == i.conjugate()

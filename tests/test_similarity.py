@@ -99,6 +99,30 @@ def test_unitary_intertwiner_numeric():
         assert close(mul(u, a), mul(b, u), 1e-7)
 
 
+def test_numeric_search_draws_only_the_combinations_it_tries(monkeypatch):
+    """Generic unitary conjugates have a one-dimensional intertwiner space,
+    so the first basis element verifies and no seeded combination is drawn."""
+    import numpy as np
+
+    draws = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def normal(self, *args, **kwargs):
+            draws.append(kwargs.get("size"))
+            return self.rng.normal(*args, **kwargs)
+
+    t = random_unitary(3, seed=12)
+    pairs = _conjugates(t, [random_unitary(3, seed=100 + k) for k in range(4)])
+    assert len(similarity.numeric_intertwiner_basis(pairs)) == 1
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    assert unitary_intertwiner(pairs, seed=0) is not None
+    assert draws == []
+
+
 def test_a_non_intertwining_candidate_raises_a_package_error(monkeypatch):
     """The S A = B S check is explicit, so it holds under python -O too."""
     rng = random.Random(5)
