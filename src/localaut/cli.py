@@ -477,15 +477,19 @@ def _error(code: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact values print at any size; input literals are bounded on reading
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
+    # exact values print at any size while the command runs, and every input
+    # literal is bounded on reading (scalars.MAX_LITERAL); 0 where no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         _check_numbers(args)
         report = args.func(args)
+        report["_t0"] = t0
+        _emit(report)
     except (BadArgs, NoEngine) as exc:
         _error("BadArgs", str(exc))
         return 2
@@ -498,8 +502,9 @@ def main(argv=None) -> int:
     except LocalautError as exc:
         print(pretty_json(exc.payload()))
         return 4
-    report["_t0"] = t0
-    _emit(report)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

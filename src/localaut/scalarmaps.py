@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, log2
 
 from .errors import (
     AmbientMismatch,
@@ -34,7 +34,12 @@ from .scalars import DEFAULT_TOL, GQ_ONE, GaussRational, rational_pow
 RSTAR = "Rstar"
 CIRCLE = "Circle"
 CSTAR = "Cstar"
-MAX_POWER_BITS = 1 << 17  # the largest exact power evaluate computes, in bits
+# the largest exact power evaluate computes, in bits: on a 2-CPU Xeon,
+# verify-auto (200 pairs) of a power character whose values reach 2^19 bits
+# took 12.4 s on gl-r-3 and 14.3 s on gl-r-16 (4.0 s and 5.7 s at 2^18), and
+# past 600 s at 2^22; an n = 16 apply of 153 nonzero entries at 2^19 bits
+# prints its 24 MB report in 62 s (Python's int-to-str is quadratic)
+MAX_POWER_BITS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -132,16 +137,15 @@ MulFunc = PowerFunc | PowerConjFunc | LatticeFunc | TableFunc
 def _check_power(x, e) -> None:
     """Raise BadParameters, before the exact x**e is computed, when it
     would pass MAX_POWER_BITS bits. For x = (a + b i) / d in lowest terms
-    the gauge is |e| log2 max(|a + b i|, d), read off the bit length of
-    max(a^2 + b^2, d^2); powers of +-1 and +-i always pass. Float scalars
-    are not gauged."""
+    the gauge is |e| log2 max(|a + b i|, d), the bit size of the larger of
+    x**e's numerator and denominator; it is 0 for +-1 and +-i, whose
+    powers always pass. Float scalars are not gauged."""
     if isinstance(x, complex):
         return
     re, im = (x.re, x.im) if isinstance(x, GaussRational) else (Fraction(x), Fraction(0))
     d = lcm(re.denominator, im.denominator)
     a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
-    bits2 = max(a * a + b * b, d * d).bit_length() - 1
-    if abs(e.numerator) * bits2 > 2 * MAX_POWER_BITS * e.denominator:
+    if abs(e) * Fraction(log2(max(a * a + b * b, d * d))) > 2 * MAX_POWER_BITS:
         raise BadParameters(f"g's exponent {e} takes its exact value past {MAX_POWER_BITS} bits")
 
 

@@ -7,6 +7,7 @@ Exact regimes never round; the approximate regime compares within a tol.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,21 +15,22 @@ from .errors import BadParameters, ZeroInput
 
 DEFAULT_TOL = 1e-9
 MAX_LITERAL = 4300  # characters in an exact literal read from input, Python's default int digit limit
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/0*[1-9][0-9]*)?\s*")
 
 
 def parse_rational(s: str | int) -> Fraction:
     """Parse "p/q" or "p" of at most MAX_LITERAL characters (also accepts
-    ints)."""
+    ints). Decimal and exponent forms are refused: "1e1000000000" is short
+    but its value is not."""
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
         raise BadParameters(f"rational expected as string or int, got {type(s).__name__}")
     if len(s) > MAX_LITERAL:
         raise BadParameters(f"rational literal of {len(s)} characters, above the ceiling {MAX_LITERAL}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParameters(f"bad rational literal {s!r}") from exc
+    if not _RATIONAL.fullmatch(s):
+        raise BadParameters(f"bad rational literal {s!r}")
+    return Fraction(s)
 
 
 def format_rational(q: Fraction) -> str:

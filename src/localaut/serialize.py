@@ -63,7 +63,7 @@ def scalar_from_json(obj, regime: str):
         if regime == QC:
             return GaussRational(parse_rational(obj["re"]), parse_rational(obj["im"]))
         return complex(obj[0], obj[1])
-    except (KeyError, ValueError, TypeError, IndexError, BadParameters) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, OverflowError, BadParameters) as exc:
         raise FileFormatError(f"bad scalar for regime {regime}: {obj!r}") from exc
 
 
@@ -98,7 +98,8 @@ def group_to_json(g: GroupTag) -> dict:
 
 def group_from_json(obj) -> GroupTag:
     try:
-        return GroupTag(obj["family"], obj["field"], int(obj["n"]))
+        n = obj["n"]
+        return GroupTag(obj["family"], obj["field"], int(_bounded_int(n) if isinstance(n, str) else n))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad group object: {obj!r}") from exc
     except Exception as exc:

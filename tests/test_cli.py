@@ -644,15 +644,22 @@ def _mat_file(tmp_path, name, a):
 
 def test_exact_values_past_the_int_digit_limit_print(tmp_path, capsys):
     """g = |t|^20000 at det 2 gives entries of over 6,000 digits, past
-    Python's default int-to-str limit of 4,300; apply and recover print them.
-    Such an output is past the input literal ceiling, so it is read here as
-    text."""
+    Python's default int-to-str limit of 4,300; apply and recover print them,
+    and the limit is back in force once main returns. Such an output is past
+    the input literal ceiling, so it is read here as text."""
     auto_file = _power_auto_file(tmp_path, 20000)
     a = diag_first(3, Fraction(2), QR)
-    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", _mat_file(tmp_path, "in.json", a))
-    assert code == 0
-    entries = rep["images"][0]["entries"]
-    assert [entries[0][0], entries[1][1], entries[0][1]] == [str(2**20001), str(2**20000), "0"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", _mat_file(tmp_path, "in.json", a))
+        assert sys.get_int_max_str_digits() == 5000
+        assert code == 0
+        entries = rep["images"][0]["entries"]
+        sys.set_int_max_str_digits(0)
+        assert [entries[0][0], entries[1][1], entries[0][1]] == [str(2**20001), str(2**20000), "0"]
+    finally:
+        sys.set_int_max_str_digits(limit)
     code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", auto_file, "--dets", "2")
     assert (code, rep["status"]) == (0, "Recovered")
 
@@ -673,14 +680,29 @@ def test_a_power_past_the_bit_ceiling_is_refused_before_it_is_computed(tmp_path,
     assert [mat_from_json(m) for m in rep["images"]] == ones
 
 
+def test_powers_under_the_bit_ceiling_are_computed(tmp_path, capsys):
+    """g = |t|^100000 reaches 400,000 bits at the det 16 products of
+    verify-auto's pool, under MAX_POWER_BITS, and is checked; apply of
+    diag(6, 1, 1) evaluates 6^100000, about 258,500 bits."""
+    auto_file = _power_auto_file(tmp_path, 100000)
+    code, rep = run_cli(capsys, "verify-auto", auto_file, "--pairs", "4")
+    assert (code, rep["verdict"]) == (0, "Verified")
+    a = diag_first(3, Fraction(6), QR)
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", _mat_file(tmp_path, "in.json", a))
+    assert code == 0
+    assert rep["images"][0]["entries"][0][1] == "0"
+
+
 def test_literals_past_the_digit_ceiling_are_file_format(tmp_path, capsys):
-    """A group n of 5,001 digits and a matrix entry of 4,301 characters."""
+    """A group n of 5,001 digits, as a JSON number or a string, and a matrix
+    entry of 4,301 characters."""
     samples_file = str(tmp_path / "samples.json")
-    with open(samples_file, "w") as fh:
-        fh.write('{"group": {"family": "GL", "field": "R", "n": ' + "9" * 5001 + '}, "samples": []}')
-    code, rep = run_cli(capsys, "local-check", samples_file)
-    assert (code, rep["error"]) == (3, "FileFormat")
-    assert "5001 digits" in rep["message"]
+    for n, message in (("9" * 5001, "5001 digits"), ('"' + "9" * 5001 + '"', "bad group object")):
+        with open(samples_file, "w") as fh:
+            fh.write('{"group": {"family": "GL", "field": "R", "n": ' + n + '}, "samples": []}')
+        code, rep = run_cli(capsys, "local-check", samples_file)
+        assert (code, rep["error"]) == (3, "FileFormat")
+        assert message in rep["message"]
     obj = mat_to_json(identity(3, QR))
     obj["entries"][0][0] = "1" + "0" * (MAX_LITERAL)
     in_file = str(tmp_path / "in.json")
@@ -691,6 +713,46 @@ def test_literals_past_the_digit_ceiling_are_file_format(tmp_path, capsys):
     dump_json(in_file, obj)
     code, rep = run_cli(capsys, "apply", "--auto", _power_auto_file(tmp_path, 1), "--in", in_file)
     assert code == 0
+
+
+HUGE = "1e1000000000"  # twelve characters for 10^(10^9)
+
+
+def test_exponent_literals_are_refused_at_once(tmp_path, capsys):
+    """An exponent form is short but its value is not: as a file entry, a
+    power c or an option it ends in FileFormat or BadArgs without being
+    computed."""
+    t0 = time.perf_counter()
+    obj = mat_to_json(identity(3, QR))
+    obj["entries"][0][0] = HUGE
+    in_file = str(tmp_path / "in.json")
+    dump_json(in_file, obj)
+    code, rep = run_cli(capsys, "apply", "--auto", _power_auto_file(tmp_path, 1), "--in", in_file)
+    assert (code, rep["error"]) == (3, "FileFormat")
+    obj = json.loads(Path(_power_auto_file(tmp_path, 1)).read_text())
+    obj["g"]["c"] = HUGE
+    auto_file = str(tmp_path / "huge.json")
+    dump_json(auto_file, obj)
+    code, rep = run_cli(capsys, "verify-auto", auto_file)
+    assert (code, rep["error"]) == (3, "FileFormat")
+    code, rep = run_cli(capsys, "gen-auto", "--group", "gl-r-3", "--g", "power:" + HUGE)
+    assert (code, rep["error"]) == (2, "BadArgs")
+    code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", _power_auto_file(tmp_path, 1), "--dets", HUGE)
+    assert (code, rep["error"]) == (2, "BadArgs")
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_numeric_entries_past_the_float_range_are_file_format(tmp_path, capsys):
+    """A C64 entry given as an integer past the float range."""
+    obj = mat_to_json(identity(3, C64))
+    obj["entries"][0][0] = [10**400, 0]
+    in_file = str(tmp_path / "in.json")
+    dump_json(in_file, obj)
+    auto = make_automorphism(GroupTag("GL", "C", 3), STANDARD, SIGMA_ID, identity(3, C64), None)
+    auto_file = str(tmp_path / "auto.json")
+    dump_json(auto_file, auto_to_json(auto))
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
+    assert (code, rep["error"]) == (3, "FileFormat")
 
 
 def test_local_check_numeric_gl_complex_map(tmp_path, capsys):

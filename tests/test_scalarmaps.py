@@ -314,7 +314,7 @@ BIG = 10**10  # 2**BIG would need over a gigabyte
         (PowerFunc(Fraction(BIG), ambient=CIRCLE), GaussRational(Fraction(3, 5), Fraction(4, 5))),
         (PowerConjFunc(BIG, 0), GaussRational(Fraction(1), Fraction(1))),
         (PowerConjFunc(Fraction(BIG, 3), Fraction(BIG, 3)), GaussRational(Fraction(2))),
-        (LatticeFunc((2,), (3**1000,)), Fraction(2**100)),
+        (LatticeFunc((2,), (3**1000,)), Fraction(2**1000)),
     ],
     ids=["power", "circle-power", "powerconj", "powerconj-diagonal", "latticehom"],
 )
@@ -328,3 +328,20 @@ def test_evaluate_takes_any_power_of_a_unit():
     assert evaluate(PowerFunc(Fraction(BIG), "flip"), Fraction(-1)) == -1
     assert evaluate(PowerFunc(Fraction(BIG + 1), ambient=CIRCLE), i) == i
     assert evaluate(PowerConjFunc(BIG, 1), i) == i.conjugate()
+
+
+def test_evaluate_computes_a_power_at_the_bit_ceiling():
+    """2^MAX_POWER_BITS is computed and 2^(MAX_POWER_BITS + 1) is not."""
+    two = Fraction(2)
+    assert evaluate(PowerFunc(Fraction(MAX_POWER_BITS)), two) == 2**MAX_POWER_BITS
+    with pytest.raises(BadParameters, match=str(MAX_POWER_BITS)):
+        evaluate(PowerFunc(Fraction(MAX_POWER_BITS + 1)), two)
+    assert evaluate(PowerFunc(Fraction(-MAX_POWER_BITS)), two) == Fraction(1, 2**MAX_POWER_BITS)
+
+
+def test_the_bit_gauge_reads_the_modulus_exactly():
+    """|1 + 2i|^k has k log2(5) / 2, about 1.16 k bits, so k = MAX_POWER_BITS
+    is past the ceiling; the floor of log2(5) would count k bits and let it
+    through."""
+    with pytest.raises(BadParameters, match=str(MAX_POWER_BITS)):
+        evaluate(PowerConjFunc(MAX_POWER_BITS, 0), GaussRational(Fraction(1), Fraction(2)))
