@@ -17,7 +17,7 @@ from fractions import Fraction
 from .autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from .errors import OddN, TooFewGenerators
 from .localcheck import SampleMap, check_map
-from .matrices import GroupTag, QR, det, diag_first, equal, identity, mul, random_sl, ratio, smul
+from .matrices import GroupTag, QR, det, equal, identity, mul, random_sl, ratio, scale_first, smul
 from .scalarmaps import PowerFunc, check_character, det_relation_refutations, induced
 
 H_VALUES = {Fraction(2): Fraction(2), Fraction(3): Fraction(9), Fraction(6): Fraction(6)}
@@ -53,8 +53,8 @@ def gl_local_not_global(n: int = 3, seed: int = 0) -> GalleryEntry:
         raise TooFewGenerators("n >= 3 is required")
     group = GroupTag("GL", "R", n)
     rng = random.Random(seed)
-    b2 = mul(random_sl(n, QR, rng), diag_first(n, Fraction(2), QR))
-    b3 = mul(random_sl(n, QR, rng), diag_first(n, Fraction(3), QR))
+    b2 = scale_first(random_sl(n, QR, rng), Fraction(2), column=True)
+    b3 = scale_first(random_sl(n, QR, rng), Fraction(3), column=True)
     b6 = mul(b2, b3)
     samples = tuple((b, smul(H_VALUES[det(b)], b)) for b in (b2, b3, b6))
     cert = Certificate(
@@ -269,8 +269,8 @@ def verify_entry(entry: GalleryEntry, seed: int = 0) -> dict:
         rng = random.Random(seed)
         hom_ok = True
         for _ in range(20):
-            a = mul(random_sl(n, QR, rng), diag_first(n, Fraction(rng.choice([-2, -1, 1, 3])), QR))
-            b = mul(random_sl(n, QR, rng), diag_first(n, Fraction(rng.choice([-3, -1, 1, 2])), QR))
+            a = scale_first(random_sl(n, QR, rng), Fraction(rng.choice([-2, -1, 1, 3])), column=True)
+            b = scale_first(random_sl(n, QR, rng), Fraction(rng.choice([-3, -1, 1, 2])), column=True)
             if not equal(apply(auto, mul(a, b)), mul(apply(auto, a), apply(auto, b))):
                 hom_ok = False
                 break

@@ -7,7 +7,8 @@ Matrices are immutable, square, regime-homogeneous. Regimes:
 
 Exact regimes never see a float; C64 delegates numerics to numpy. Exact
 shears I + q E_ij, and so the seeded samplers built from them, are made
-straight on their canonical integer grid, never from Fraction rows.
+straight on their canonical integer grid, never from Fraction rows: a
+product of shears is one running grid with a column operation per shear.
 """
 from __future__ import annotations
 
@@ -290,9 +291,38 @@ def smul(c, a: Mat) -> Mat:
     if im is None:
         return _canon(a.n, QR, den * c.denominator, tuple([c.numerator * x for x in re]))
     q, p, s = _gauss_grid(c)
+    return _canon(a.n, QC, den * q, *map(tuple, _gauss_times(p, s, re, im)))
+
+
+def _gauss_times(p: int, s: int, re, im) -> tuple:
+    """(p + i s)(re + i im) of int sequences, as the lists (re, im)."""
     pairs = list(zip(re, im))
-    re, im = tuple([p * x - s * y for x, y in pairs]), tuple([p * y + s * x for x, y in pairs])
-    return _canon(a.n, QC, den * q, re, im)
+    return [p * x - s * y for x, y in pairs], [p * y + s * x for x, y in pairs]
+
+
+def scale_first(a: Mat, d, column: bool = False) -> Mat:
+    """diag(d, 1, ..., 1) a, or a diag(d, 1, ..., 1) when column is set:
+    row (column) 0 of a times d. In the exact regimes it is built on a's
+    grid: for d = (p + i s) / r every other entry is scaled by r and the
+    line by p + i s, and one gcd reduces the result."""
+    d = coerce_scalar(a.regime, d)
+    n = a.n
+    if a.regime == C64:
+        rows = [list(r) for r in a.entries]
+        for k in range(n):
+            i, j = (k, 0) if column else (0, k)
+            rows[i][j] = d * rows[i][j]
+        return Mat(n, C64, tuple(map(tuple, rows)))
+    den, re, im = grid(a)
+    r, p, s = (d.denominator, d.numerator, 0) if im is None else _gauss_grid(d)
+    line = slice(0, None, n) if column else slice(0, n)
+    out_re = [r * x for x in re]
+    if im is None:
+        out_re[line] = [p * x for x in re[line]]
+        return _canon(n, QR, den * r, tuple(out_re))
+    out_im = [r * x for x in im]
+    out_re[line], out_im[line] = _gauss_times(p, s, re[line], im[line])
+    return _canon(n, QC, den * r, tuple(out_re), tuple(out_im))
 
 
 def _dots(xs, ys) -> tuple:
@@ -718,44 +748,75 @@ def build_basis(kind: str, n: int) -> Basis:
 # seeded random elements
 
 
-def random_shear(n: int, regime: str, rng: random.Random) -> Mat:
-    """I + q E_ij with i != j; always in SL_n."""
+def _draw_shear(n: int, regime: str, rng: random.Random) -> tuple:
+    """(i, j, p, s, r) of a random shear I + q E_ij, i != j, with
+    q = (p + i s) / r: ints in the exact regimes (s = 0 over Q, r = 1 over
+    Q(i), q nonzero), floats p and s with r = 1 in C64."""
     i = rng.randrange(n)
     j = rng.randrange(n - 1)
     if j >= i:
         j += 1
     if regime == QR:
-        q = Fraction(rng.choice([1, -1, 2, -2, 1, -1]), rng.choice([1, 1, 2]))
-    elif regime == QC:
-        q = GaussRational(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
-        if not q:
-            q = GQ_ONE
-    else:
-        q = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return i, j, rng.choice([1, -1, 2, -2, 1, -1]), 0, rng.choice([1, 1, 2])
+    if regime == QC:
+        p, s = rng.randint(-2, 2), rng.randint(-2, 2)
+        return i, j, p if p or s else 1, s, 1
+    return i, j, rng.uniform(-1, 1), rng.uniform(-1, 1), 1
+
+
+def random_shear(n: int, regime: str, rng: random.Random) -> Mat:
+    """I + q E_ij with i != j; always in SL_n."""
+    i, j, p, s, r = _draw_shear(n, regime, rng)
+    q = Fraction(p, r) if regime == QR else gauss(p, s, r) if regime == QC else complex(p, s)
     return shear(n, regime, i, j, q)
 
 
 def random_sl(n: int, regime: str, rng: random.Random, length: int = 3) -> Mat:
-    """The product of length random shears; the identity for length 0."""
-    if length < 1:
-        return identity(n, regime)
-    out = random_shear(n, regime, rng)
-    for _ in range(length - 1):
-        out = mul(out, random_shear(n, regime, rng))
-    return out
+    """The product of length random shears; the identity for length 0.
+
+    In the exact regimes the product is one running integer grid: right
+    multiplying by I + ((p + i s) / r) E_ij scales the grid by r and adds
+    p + i s times the old column i to column j, O(n) per shear when r = 1.
+    One gcd reduces the grid at the end."""
+    if regime == C64:
+        if length < 1:
+            return identity(n, C64)
+        out = random_shear(n, C64, rng)
+        for _ in range(length - 1):
+            out = mul(out, random_shear(n, C64, rng))
+        return out
+    den, re = 1, [0] * (n * n)
+    re[::n + 1] = [1] * n
+    im = None if regime == QR else [0] * (n * n)
+    for _ in range(length):
+        i, j, p, s, r = _draw_shear(n, regime, rng)
+        src, dst = slice(i, None, n), slice(j, None, n)
+        if im is None:
+            add_re = [p * x for x in re[src]]
+        else:
+            add_re, add_im = _gauss_times(p, s, re[src], im[src])
+        if r != 1:
+            den *= r
+            re = [r * x for x in re]
+            if im is not None:
+                im = [r * x for x in im]
+        re[dst] = list(map(_iadd, re[dst], add_re))
+        if im is not None:
+            im[dst] = list(map(_iadd, im[dst], add_im))
+    return _canon(n, regime, den, tuple(re), None if im is None else tuple(im))
+
+
+_GL_DETS = {
+    QR: tuple(map(Fraction, (2, 3, Fraction(1, 2), -1, -2, 4))),
+    QC: tuple(GaussRational(Fraction(x), Fraction(y)) for x, y in ((1, 1), (0, 2), (2, 0), (1, -1))),
+}
 
 
 def random_gl(n: int, regime: str, rng: random.Random) -> Mat:
+    """A random SL_n member with its row 0 scaled by a random d."""
     a = random_sl(n, regime, rng)
-    if regime == QR:
-        d = rng.choice([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1), Fraction(-2), Fraction(4)])
-    elif regime == QC:
-        d = rng.choice([GaussRational(Fraction(1), Fraction(1)), GaussRational(Fraction(0), Fraction(2)), GaussRational(Fraction(2)), GaussRational(Fraction(1), Fraction(-1))])
-    else:
-        d = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
-    rows = a.rows()
-    rows[0] = [coerce_scalar(regime, d) * v for v in rows[0]]
-    return Mat(n, regime, tuple(tuple(r) for r in rows))
+    d = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) if regime == C64 else rng.choice(_GL_DETS[regime])
+    return scale_first(a, d)
 
 
 def random_unitary(n: int, seed: int) -> Mat:

@@ -83,13 +83,14 @@ def _exponents(values) -> list[list[int]]:
     if any(v == 0 for v in values):
         raise ZeroInput("0 is not in R*")
     base = _coprime_base([x for v in values for x in (abs(v.numerator), v.denominator)])
-    return [[_valuation(abs(v.numerator), p) - _valuation(v.denominator, p) for p in base] for v in values]
+    return [[_valuation(abs(v.numerator), p)[0] - _valuation(v.denominator, p)[0] for p in base] for v in values]
 
 
 def _coprime_base(xs) -> list[int]:
     """Pairwise coprime ints > 1 whose powers multiply to each x in xs.
     Splitting two members with a common factor g into g and the cofactors
-    lowers the product of all members, so this ends."""
+    left by dividing out every power of g lowers the product of all
+    members, so this ends; a power of g splits in one step."""
     base: list[int] = []
     todo = [x for x in xs if x > 1]
     while todo:
@@ -100,16 +101,28 @@ def _coprime_base(xs) -> list[int]:
         else:
             g = gcd(x, y)
             base.remove(y)
-            todo += [z for z in (g, x // g, y // g) if z > 1]
+            todo += [z for z in (g, _valuation(x, g)[1], _valuation(y, g)[1]) if z > 1]
     return base
 
 
-def _valuation(x: int, p: int) -> int:
-    """The largest e with p**e dividing x, for x >= 1 and p > 1."""
-    e = 0
+def _valuation(x: int, p: int) -> tuple[int, int]:
+    """(e, x / p**e) for the largest e with p**e dividing x, x >= 1, p > 1.
+
+    Divides by p, p^2, p^4, ... while each divides, which leaves a cofactor
+    of valuation below the next power's exponent 2^k, then by the same
+    powers back down, one binary digit of the rest each: O(log e) big-int
+    divisions, where stripping one p at a time takes e."""
+    e, powers = 0, []
     while x % p == 0:
-        x, e = x // p, e + 1
-    return e
+        x //= p
+        e += 1 << len(powers)
+        powers.append(p)
+        p *= p
+    for k in range(len(powers) - 1, -1, -1):
+        if x % powers[k] == 0:
+            x //= powers[k]
+            e += 1 << k
+    return e, x
 
 
 def relations(values) -> list[list[int]]:

@@ -69,6 +69,7 @@ from .matrices import (
     random_su,
     ratio,
     scalar_one,
+    scale_first,
     shear,
     smul,
 )
@@ -429,18 +430,22 @@ def _class_stop(res) -> _Stop:
 # stage: verify on fresh probes
 
 
+def _exact_probe(group: GroupTag, rng: random.Random, dets) -> Mat:
+    """A random SL_n member; on GL_n(R) times diag(d, 1, ..., 1) for a
+    probed determinant d, which scales its column 0 on the same grid."""
+    probe = random_sl(group.n, group.regimes()[0], rng)
+    if group.family == "GL":
+        probe = scale_first(probe, rng.choice(dets), column=True)
+    return probe
+
+
 def _verify_exact(oracle: Oracle, candidate: Automorphism, seed: int, count: int, dets) -> None:
-    """Every fresh probe's image must equal the candidate's, exactly. The
-    probes are random SL_n members, for GL_n(R) each times diag(d, 1, ..., 1)
-    at a probed determinant d. `query` tests each probe's membership, so
-    the candidate applies it unchecked."""
-    group = candidate.group
-    n, regime = group.n, group.regimes()[0]
+    """The image of every fresh `_exact_probe` must equal the candidate's,
+    exactly. `query` tests each probe's membership, so the candidate
+    applies it unchecked."""
     rng = random.Random(seed)
     for _ in range(count):
-        probe = random_sl(n, regime, rng)
-        if group.family == "GL":
-            probe = mul(probe, diag_first(n, rng.choice(dets), regime))
+        probe = _exact_probe(candidate.group, rng, dets)
         if not equal(oracle.query(probe), apply(candidate, probe, check=False)):
             raise _Stop("verification probe disagrees with the recovered automorphism")
 

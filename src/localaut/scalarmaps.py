@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from cmath import inf, isfinite
 from math import lcm, log2
 
 from .errors import (
@@ -151,7 +152,8 @@ def _check_power(x, e) -> None:
 
 def evaluate(g, x):
     """Value of g at x; None when x is outside g's exact domain. Exact
-    powers past MAX_POWER_BITS bits are refused."""
+    powers past MAX_POWER_BITS bits are refused, and so is a float value
+    that overflows or underflows to 0 (both BadParameters)."""
     if isinstance(g, PowerFunc):
         if g.ambient == CIRCLE:
             _check_power(x, int(g.c))
@@ -168,18 +170,27 @@ def evaluate(g, x):
         return mag
     if isinstance(g, PowerConjFunc):
         kf, mf = Fraction(g.k), Fraction(g.m)
-        if kf.denominator != 1:
-            # the |z|^(2k) diagonal with rational k
-            if isinstance(x, GaussRational):
+        if isinstance(x, GaussRational):
+            if kf.denominator != 1:
+                # the |z|^(2k) diagonal with rational k
                 _check_power(x.abs2(), kf)
                 return rational_pow(x.abs2(), kf)
-            return abs(complex(x)) ** (2 * float(kf))
-        k, m = int(kf), int(mf)
-        if isinstance(x, GaussRational):
+            k, m = int(kf), int(mf)
             _check_power(x, abs(k) + abs(m))
             return (x**k) * (x.conjugate() ** m)
         z = complex(x)
-        return (z**k) * (z.conjugate() ** m)
+        try:
+            if kf.denominator != 1:
+                value = abs(z) ** (2 * float(kf))
+            else:
+                value = (z ** int(kf)) * (z.conjugate() ** int(mf))
+        except OverflowError:
+            value = inf
+        # a product past the float range reads inf or nan without raising,
+        # and a power below it reads 0, which no character takes
+        if value == 0 or not isfinite(value):
+            raise BadParameters(f"g's value at {z} leaves the machine float range")
+        return value
     if isinstance(g, LatticeFunc):
         lam = Fraction(x)
         exps = subgroup_exponents(lam, g.generators)

@@ -30,7 +30,7 @@ from localaut.matrices import (
     random_sl,
     smul,
 )
-from localaut.scalarmaps import CIRCLE, CSTAR, MAX_POWER_BITS, PowerFunc, TableFunc
+from localaut.scalarmaps import CIRCLE, CSTAR, MAX_POWER_BITS, PowerConjFunc, PowerFunc, TableFunc
 from localaut.scalars import MAX_LITERAL, GaussRational
 from localaut.serialize import (
     auto_from_json,
@@ -678,6 +678,25 @@ def test_a_power_past_the_bit_ceiling_is_refused_before_it_is_computed(tmp_path,
     code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", _mat_file(tmp_path, "ones.json", ones))
     assert code == 0
     assert [mat_from_json(m) for m in rep["images"]] == ones
+
+
+@pytest.mark.parametrize(
+    "k", [3000, Fraction(3001, 2), 1000, -1000], ids=["z^k-conj-z^m", "abs-z^2k", "product", "underflow"]
+)
+def test_a_c64_power_past_the_float_range_is_bad_parameters(tmp_path, capsys, k):
+    """g(z) = z^3000 conj(z)^3000, or |z|^3001, at det 2 is far past the
+    largest float: apply ends in BadParameters (exit 4), not an
+    OverflowError traceback. At k = m = 1000 each power is a float but
+    their product is not, and apply printed Infinity and NaN entries; at
+    k = m = -1000 the value underflows to 0, and apply printed the zero
+    matrix."""
+    auto = make_automorphism(GroupTag("GL", "C", 3), STANDARD, SIGMA_ID, identity(3, C64), PowerConjFunc(k, k))
+    auto_file = str(tmp_path / "auto.json")
+    dump_json(auto_file, auto_to_json(auto))
+    in_file = _mat_file(tmp_path, "in.json", diag_first(3, 2.0, C64))
+    code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file)
+    assert (code, rep) == (4, {"error": "BadParameters", "message": "g's value at (2+0j) leaves the machine float range"})
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_powers_under_the_bit_ceiling_are_computed(tmp_path, capsys):

@@ -23,6 +23,7 @@ from localaut.matrices import (
     close,
     coerce_scalar,
     det,
+    diag_first,
     equal,
     flat,
     identity,
@@ -38,6 +39,7 @@ from localaut.matrices import (
     random_su,
     random_unitary,
     ratio,
+    scale_first,
     shear,
     smul,
     transpose,
@@ -188,6 +190,24 @@ def _scalars(regime):
     if regime == QC:
         return st.builds(GaussRational, q, q)
     return st.builds(lambda x, y: complex(x, y), q.map(float), q.map(float))
+
+
+@st.composite
+def _scaled_cases(draw):
+    """(a, d, column) for a random exact GL_n member a and nonzero d."""
+    regime = draw(st.sampled_from((QR, QC)))
+    a = random_gl(draw(st.integers(3, 6)), regime, random.Random(draw(st.integers(0, 2**32))))
+    return a, draw(_scalars(regime).filter(bool)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaled_cases())
+def test_scale_first_is_the_product_with_diag_first(case):
+    a, d, column = case
+    dm = diag_first(a.n, d, a.regime)
+    want = mul(a, dm) if column else mul(dm, a)
+    got = scale_first(a, d, column)
+    assert got == want and got.entries == want.entries
 
 
 @st.composite

@@ -24,6 +24,7 @@ from localaut.matrices import (
     close,
     coerce_scalar,
     det,
+    diag_first,
     GroupTag,
     QC,
     QR,
@@ -45,6 +46,7 @@ from localaut.recover import (
     AutomorphismOracle,
     FunctionOracle,
     SampleOracle,
+    _exact_probe,
     _verify_exact,
     _verify_su,
     recover,
@@ -480,3 +482,16 @@ def test_det_relation_refutations_frozen():
     assert refs == [{"relation": {"2": -1, "3": -1, "6": 1}, "image_product": "1/27"}]
     consistent = {d: evaluate(PowerFunc(F(1)), d) ** 3 * d for d in (F(2), F(3), F(6))}
     assert det_relation_refutations(consistent) == []
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_gl_verification_probe_is_the_product_with_diag_first(n):
+    """The grid-scaled GL_n(R) probe is the Mat that multiplying by
+    diag(d, 1, ..., 1) gives, entry for entry, after the same draws."""
+    dets = [F(2), F(-3), F(1, 2), F(-5, 7)]
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = _exact_probe(GroupTag("GL", "R", n), rng, dets)
+        want = mul(random_sl(n, QR, ref), diag_first(n, ref.choice(dets), QR))
+        assert got == want and got.entries == want.entries
+        assert rng.getstate() == ref.getstate()

@@ -14,8 +14,11 @@ timings prints the same object on both trees. The grid covers:
   and, both kinds each, on SL_4(R), SL_5(R), SL_4(C) and GL_5(R), so the
   verification sampler runs above n = 3; and through
   oracle children whose scalar refutes the class at a det, on a pair and
-  on a relation;
+  on a relation; and on GL_4(R) with a fractional det among `--dets`,
+  so the verification probes scale their grid by a denominator;
 * the three `gallery` items;
+* `verify-auto` of generated SL_4(C) and GL_5(R) files, both kinds, so
+  the exact random pool runs above n = 3;
 * `apply` and `verify-auto` over automorphism files of every character
   wire type (`power` on R* and the circle, `powerconj`, `table`,
   `gausstable`, `circletable`, `latticehom`), written from literal JSON
@@ -275,7 +278,8 @@ def grid() -> dict:
     recoveries = [
         ("sl-r-3", "slr", []), ("sl-r-3", "slr-con", []), ("sl-c-3", "slc-conj", []),
         ("gl-r-3", "glr-std", []), ("gl-r-3", "glr-con", ["--dets", "3,-5,2"]),
-        ("gl-r-4", "glr4-flip", ["--dets", "2,-3"]), ("sun-3", "sun-id", []),
+        ("gl-r-4", "glr4-flip", ["--dets", "2,-3"]), ("gl-r-4", "glr4-flip", ["--dets", "2,-3,1/2"]),
+        ("sun-3", "sun-id", []),
         ("sun-3", "sun-conj", []), ("un-3", "un-id", []), ("un-3", "un-conj", []),
         ("un-3", "un-none", []), ("sl-r-4", "slr4", []), ("sl-r-4", "slr4-con", []),
         ("sl-r-5", "slr5", []), ("sl-r-5", "slr5-con", []), ("sl-c-4", "slc4", []),
@@ -297,6 +301,9 @@ def grid() -> dict:
         entry = load_json(f"gl-local-not-global-{seed}.json")
         dump_json("gallery.samples.json", {"group": entry["group"], "samples": entry["samples"]})
         _run(["local-check", "gallery.samples.json", "--seed", seed], digests)
+    for stem in ("slc4", "slc4-con", "glr5", "glr5-con"):
+        for seed in ("0", "1"):
+            _run(["verify-auto", f"{stem}.json", "--pairs", "20", "--seed", seed], digests)
     for path, obj in INPUTS.items():
         Path(path).write_text(json.dumps(obj))
     for name, group, kind, sigma, t, g, inputs in CHARACTERS:
