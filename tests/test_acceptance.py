@@ -4,11 +4,17 @@ The suite runs once per session; each test prints its criterion's verdict
 line and asserts it. Run with -s (or look at captured output on failure)
 to see the lines.
 """
+import json
 import re
+from pathlib import Path
 
 import pytest
 
+import localaut.acceptance as acceptance
 from localaut.acceptance import run_all
+from localaut.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +62,14 @@ def test_details_carry_no_timings(results):
     """Timings vary run to run, so they stay out of the digested detail."""
     for res in results.values():
         assert not re.search(r"\d\.\ds\b", res.detail), res.detail
+
+
+def test_selftest_digest_matches_the_golden_file(results, capsys, monkeypatch):
+    """`selftest --seed 0` over these results prints the digest pinned in
+    tests/golden/selftest.json; a change that moves it on purpose updates
+    that file in the same commit."""
+    monkeypatch.setattr(acceptance, "run_all", lambda seed, numbers=None: list(results.values()))
+    code = main(["selftest", "--seed", "0"])
+    report = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / "selftest.json").read_text())["0"]
+    assert (code, report["all_passed"], report["digest"]) == (0, True, want)
