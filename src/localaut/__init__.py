@@ -71,7 +71,6 @@ from .recover import (
     SampleOracle,
     SubprocessOracle,
     default_budget,
-    detect_kind,
     recover_glnr,
     recover_sln_common,
     recover_slnr_short,

@@ -41,7 +41,7 @@ from .matrices import (
     trace_form,
 )
 from .mullattice import factor
-from .recover import AutomorphismOracle, kind_probe, recover_glnr, recover_slnr_short, recover_sun
+from .recover import AutomorphismOracle, kind_probe, recover
 from .scalarmaps import (
     CIRCLE,
     LatticeFunc,
@@ -246,7 +246,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         kind = STANDARD if i % 2 == 0 else CONTRAGREDIENT
         t_true = random_gl(3, QR, rng)
         auto = make_automorphism(GroupTag("SL", "R", 3), kind, SIGMA_ID, t_true)
-        rep = recover_slnr_short(AutomorphismOracle(auto), seed=i, verify_probes=100)
+        rep = recover(AutomorphismOracle(auto), seed=i, verify_probes=100)
         if rep.status != "Recovered":
             problems.append(f"sl case {i}: {rep.status}")
             continue
@@ -260,7 +260,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         sigma = SIGMA_ID if i % 2 == 0 else SIGMA_CONJ
         t_true = random_unitary(3, seed=seed * 503 + 7 * i + 1)
         auto = make_automorphism(GroupTag("SUn", "C", 3), STANDARD, sigma, t_true)
-        rep = recover_sun(AutomorphismOracle(auto), seed=i, verify_probes=100)
+        rep = recover(AutomorphismOracle(auto), seed=i, verify_probes=100)
         if rep.status != "Recovered":
             problems.append(f"su case {i}: {rep.status}")
             continue
@@ -312,7 +312,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         auto = make_automorphism(
             GroupTag("GL", "R", n), STANDARD, SIGMA_ID, random_gl(n, QR, rng), g
         )
-        rep = recover_glnr(AutomorphismOracle(auto), dets=dets, seed=idx, verify_probes=20)
+        rep = recover(AutomorphismOracle(auto), seed=idx, verify_probes=20, dets=dets)
         if rep.status != "Recovered":
             problems.append(f"case {n},{c},{neg}: {rep.status}")
             continue

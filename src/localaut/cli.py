@@ -146,9 +146,11 @@ def _jsonable(x):
 
 def _check_numbers(args) -> None:
     """Refuse numeric options under which a verdict would check nothing, a
-    probe could never be in the group or a gallery item would outgrow the
-    size ceiling."""
+    probe could never be in the group, a seed could not seed every sampler
+    or a gallery item would outgrow the size ceiling."""
     opts = vars(args)
+    if opts.get("seed", 0) < 0:
+        raise BadArgs(f"--seed must be at least 0, got {args.seed}")
     tol = opts.get("tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0):
         raise BadArgs(f"--tol must be a finite number >= 0, got {tol}")
@@ -498,6 +500,10 @@ def main(argv=None) -> int:
         return 3
     except FileNotFoundError as exc:
         _error("BadArgs", f"{exc.filename}: file not found")
+        return 2
+    except OSError as exc:
+        # a path the command cannot open, read, write or run
+        _error("BadArgs", f"{exc.filename}: {exc.strerror}")
         return 2
     except LocalautError as exc:
         print(pretty_json(exc.payload()))

@@ -9,11 +9,13 @@ every group, with the stages its canonical form needs:
 * detect the branch: one diagonal probe, whose image has the
   characteristic polynomial of op(probe) = sigma(probe)^(+-) for exactly
   one branch, gives the kind (exact groups) or sigma (unitary groups);
-* fit T: the shears I + E_ij generate M_n as an algebra, so their
-  intertwiner space with their unwrapped images is one line of invertible
+* fit T as `localcheck.check_pair` does, from pairs (op(P), phi(P)): the
+  op images of the shears P = I + E_ij generate M_n as an algebra, so
+  their intertwiner space with the images is one line of invertible
   matrices, which gives T, or zero, which refutes every automorphism; SU_n
   and U_n fit a unitary intertwiner on random SU_n samples instead;
-* over C, one complex shear decides the exact sigma;
+* over C, one complex shear P decides the exact sigma by comparing phi(P)
+  with T op(P) T^-1;
 * fit g where the form carries it: diag(d, 1, ..., 1) probes isolate g(d),
   on R* for GL_n(R) and on the circle for U_n;
 * verify on fresh probes: exactly for SL_n and GL_n(R), by the residual
@@ -29,6 +31,7 @@ partial progress attached.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -168,8 +171,11 @@ class SubprocessOracle(Oracle):
     def _call(self, a: Mat) -> Mat:
         import json
 
-        self.proc.stdin.write(json.dumps(mat_to_json(a)).encode() + b"\n")
-        self.proc.stdin.flush()
+        try:
+            self.proc.stdin.write(json.dumps(mat_to_json(a)).encode() + b"\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError as exc:
+            raise ResidualFail("oracle subprocess closed its input") from exc
         line = self._reply()
         if not line:
             raise ResidualFail("oracle subprocess closed its output")
@@ -205,7 +211,9 @@ class SubprocessOracle(Oracle):
         import subprocess
 
         if self.proc.stdin:
-            self.proc.stdin.close()
+            # a child that closed its input leaves the last probe unsent
+            with contextlib.suppress(BrokenPipeError):
+                self.proc.stdin.close()
         try:
             self.proc.wait(timeout=CHILD_GRACE_S)
         except subprocess.TimeoutExpired:
@@ -240,13 +248,6 @@ class _Stop(Exception):
         self.reason, self.status, self.extra = reason, status, extra
 
 
-def _found(value, reason: str):
-    """value, or a refutation with reason when a detector found nothing."""
-    if value is None:
-        raise _Stop(reason)
-    return value
-
-
 def _normalize(m: Mat) -> Mat:
     """Invertible m scaled so that its pivot is 1 (exact T) or real and
     positive (a unitary U, which the fit pins down only up to a phase)."""
@@ -268,14 +269,14 @@ def _ratio(observed: Mat, model: Mat, tol: float, reason: str, **extra):
 
 
 def _detect(oracle: Oracle, probe: Mat, branches, what: str):
-    """Query probe; return (branch, None) for the one (kind, sigma) in
-    branches whose op(probe) has the image's characteristic polynomial, or
-    (None, refutation) when none does or several do."""
+    """Query probe and return the one (kind, sigma) in branches whose
+    op(probe) has the image's characteristic polynomial; a refutation when
+    none does or several do."""
     img = oracle.query(probe)
     hits = [b for b in branches if charpolys_match(op(probe, *b), img)]
-    if len(hits) == 1:
-        return hits[0], None
-    return None, f"spectrum probe matches neither {what}"
+    if len(hits) != 1:
+        raise _Stop(f"spectrum probe matches neither {what}")
+    return hits[0]
 
 
 def kind_probe(n: int, regime: str) -> Mat:
@@ -283,11 +284,12 @@ def kind_probe(n: int, regime: str) -> Mat:
     return diagonal([Fraction(1, 2) ** (n - 1)] + [2] * (n - 1), regime)
 
 
-def detect_kind(oracle: Oracle):
-    """Probe kind_probe. Returns (kind, None) or (None, refutation)."""
-    probe = kind_probe(oracle.group.n, oracle.group.regimes()[0])
-    hit, why = _detect(oracle, probe, [(STANDARD, SIGMA_ID), (CONTRAGREDIENT, SIGMA_ID)], "kind")
-    return hit and hit[0], why
+def _sigma_probe(n: int) -> Mat:
+    """diag(alpha, beta, ..., beta) in SU_n; conjugation flips its spectrum
+    to its conjugate, similarity does not."""
+    # beta = exp(2 pi i / q) for the first prime q dividing neither n nor n - 1
+    beta = cmath.exp(2j * cmath.pi / next(q for q in (7, 11, 13, 17) if n % q and (n - 1) % q))
+    return diagonal([beta ** (1 - n)] + [beta] * (n - 1), C64)
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +297,24 @@ def detect_kind(oracle: Oracle):
 
 
 def _fit_t(oracle: Oracle, kind: str) -> Mat:
-    """The normalized S with unwrapped image S A_sigma S^-1, read off the
-    n^2 - n shears I + E_ij (i != j, row by row) and their unwrapped images
-    as their intertwiner.
+    """The normalized T with phi(P) = T op(P) T^-1, read off the n^2 - n
+    shears P = I + E_ij (i != j, row by row) as the intertwiner of the
+    pairs (op(P), phi(P)), as `localcheck.check_pair` poses it.
 
-    The fit is a certificate because the shears generate M_n as an algebra
-    (E_ij = (I + E_ij) - I and E_ij E_ji = E_ii). If S A = B S for every
-    shear A, then ker S is invariant under every shear, hence under all of
-    M_n, so it is 0 or everything: every nonzero intertwiner is invertible. Two of them, S and S', give S'^-1 S
-    commuting with all of M_n, a scalar (Schur's lemma). So the
-    intertwiner space is {0}, which refutes every automorphism, or one line
-    of invertible matrices whose first basis element is the answer; the
-    similarity solver never searches.
+    The fit is a certificate because the op images generate M_n as an
+    algebra: op(P) - I is E_ij, or -E_ji for the contragredient kind, and
+    E_ij E_ji = E_ii. If T op(P) = phi(P) T for every shear, then ker T is
+    invariant under every op(P), hence under all of M_n, so it is 0 or
+    everything: every nonzero intertwiner is invertible. Two of them, T and
+    T', give T'^-1 T commuting with all of M_n, a scalar (Schur's lemma).
+    So the intertwiner space is {0}, which refutes every automorphism, or
+    one line of invertible matrices whose first basis element is the
+    answer; the similarity solver never searches.
     """
     n, regime = oracle.group.n, oracle.group.regimes()[0]
     shears = [shear(n, regime, i, j, 1) for i in range(n) for j in range(n) if i != j]
-    # the shears are real, so sigma fixes them; after the contragredient
-    # unwrap op(phi(A), kind, id) the map is S A_sigma S^-1 with S = (T^t)^-1
-    res = simultaneous_similarity([(p, op(oracle.query(p), kind, SIGMA_ID)) for p in shears])
+    # the shears are real, so sigma fixes them and op needs no sigma yet
+    res = simultaneous_similarity([(op(p, kind, SIGMA_ID), oracle.query(p)) for p in shears])
     if res.status == "NoSolution":
         raise _Stop(f"shear images admit no similarity: {res.note}")
     if res.status != "Solved":
@@ -320,32 +322,19 @@ def _fit_t(oracle: Oracle, kind: str) -> Mat:
     return _normalize(res.s)
 
 
-def _detect_sigma_exact(oracle: Oracle, kind: str, s_mat: Mat) -> str:
-    """The sigma whose model S sigma(P) S^-1 equals the unwrapped image of
-    the probe P = I + i E_12; a refutation when neither does."""
-    probe = shear(oracle.group.n, s_mat.regime, 0, 1, GQ_I)
-    img = op(oracle.query(probe), kind, SIGMA_ID)
-    s_inv = inv(s_mat)
+def _detect_sigma_exact(oracle: Oracle, kind: str, t: Mat) -> str:
+    """The sigma whose model T op(P) T^-1 equals the image of the probe
+    P = I + i E_12; a refutation when neither does."""
+    probe = shear(oracle.group.n, t.regime, 0, 1, GQ_I)
+    img, t_inv = oracle.query(probe), inv(t)
     for sigma in (SIGMA_ID, SIGMA_CONJ):
-        if equal(img, mul(mul(s_mat, op(probe, STANDARD, sigma)), s_inv)):
+        if equal(img, mul(mul(t, op(probe, kind, sigma)), t_inv)):
             return sigma
     raise _Stop("complex shear probe matches neither sigma")
 
 
 # ---------------------------------------------------------------------------
 # stage: fit T from SU samples (SU_n, U_n)
-
-
-def detect_sigma_unitary(oracle: Oracle):
-    """Probe diag(alpha, beta, ..., beta) in SU_n; conjugation flips the
-    spectrum to its conjugate, similarity does not. Returns (sigma, None)
-    or (None, refutation)."""
-    n = oracle.group.n
-    # beta = exp(2 pi i / q) for the first prime q dividing neither n nor n - 1
-    beta = cmath.exp(2j * cmath.pi / next(q for q in (7, 11, 13, 17) if n % q and (n - 1) % q))
-    probe = diagonal([beta ** (1 - n)] + [beta] * (n - 1), C64)
-    hit, why = _detect(oracle, probe, [(STANDARD, SIGMA_ID), (STANDARD, SIGMA_CONJ)], "sigma")
-    return hit and hit[1], why
 
 
 def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float) -> Mat:
@@ -370,21 +359,11 @@ def _frob_dist(a: Mat, b: Mat) -> float:
 # stage: fit g (GL_n(R), U_n)
 
 
-def _det_probe(oracle: Oracle, model: Automorphism, probe: Mat, tol: float, det_label):
-    """g at det(probe): the scalar c with phi(probe) = c * model(probe),
-    where model is the fitted automorphism without its character."""
-    return _ratio(
-        oracle.query(probe),
-        apply(model, probe, check=False),
-        tol,
-        "determinant probe is not a scalar multiple of the conjugated model",
-        det=det_label,
-    )
-
-
 def _fit_g(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
     """g from diag(d, 1, ..., 1) probes at dets, which isolate g(d)
-    entrywise: on R* for GL_n(R), at `CIRCLE_GENERATORS` for U_n.
+    entrywise: on R* for GL_n(R), at `CIRCLE_GENERATORS` for U_n. g(d) is
+    the scalar c with phi(probe) = c * model(probe), where model is the
+    fitted automorphism without its character.
 
     The table is screened against the scalar class of the branch, once, in
     probe order by `table_screen`; a violation is Refuted with the
@@ -394,7 +373,9 @@ def _fit_g(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
     first = model.kind == STANDARD
     g_points = []
     for d in dets:
-        c = _det_probe(oracle, model, diag_first(n, d, regime), tol, _wire(d))
+        probe = diag_first(n, d, regime)
+        why = "determinant probe is not a scalar multiple of the conjugated model"
+        c = _ratio(oracle.query(probe), apply(model, probe, check=False), tol, why, det=_wire(d))
         g_points.append((character_point(model.group, sigma, d), c))
     res = table_screen(model.group, first, sigma, g_points, tol)
     if not res.ok:
@@ -543,14 +524,14 @@ def _pipeline(oracle: Oracle, seed, verify_probes, dets, tol) -> dict:
     group's canonical form needs it; returns the Recovered report's fields."""
     group = oracle.group
     if group.unitary:
-        kind, sigma = STANDARD, _found(*detect_sigma_unitary(oracle))
+        branches = [(STANDARD, SIGMA_ID), (STANDARD, SIGMA_CONJ)]
+        kind, sigma = _detect(oracle, _sigma_probe(group.n), branches, "sigma")
         t = _fit_su(oracle, sigma, seed, tol)
     else:
-        kind = _found(*detect_kind(oracle))
-        s_mat = _fit_t(oracle, kind)
-        sigma = _detect_sigma_exact(oracle, kind, s_mat) if group.field == "C" else SIGMA_ID
-        # T is S for the standard kind, (S^t)^-1 for the contragredient
-        t = s_mat if kind == STANDARD else _normalize(op(s_mat, kind, SIGMA_ID))
+        branches = [(STANDARD, SIGMA_ID), (CONTRAGREDIENT, SIGMA_ID)]
+        kind, _ = _detect(oracle, kind_probe(group.n, group.regimes()[0]), branches, "kind")
+        t = _fit_t(oracle, kind)
+        sigma = _detect_sigma_exact(oracle, kind, t) if group.field == "C" else SIGMA_ID
     model = make_automorphism(group, kind, sigma, t, tol=1e-6)
     if group.family == "GL":
         fields = _fit_g(oracle, model, dets, tol)

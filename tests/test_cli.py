@@ -1,5 +1,6 @@
 """Command line contract: JSON reports, digests, exit codes."""
 import cmath
+import errno
 import json
 import os
 import random
@@ -14,6 +15,7 @@ import pytest
 import localaut
 from localaut.autos import SIGMA_ID, STANDARD, make_automorphism
 from localaut.cli import MAX_N, BadArgs, _build_parser, _check_numbers, main, parse_group
+from localaut.errors import ResidualFail
 from localaut.localcheck import SampleMap, samples_from_automorphism
 from localaut.matrices import (
     C64,
@@ -132,6 +134,56 @@ def test_bad_group_is_bad_args(capsys):
 def test_missing_file_is_bad_args(capsys):
     code, rep = run_cli(capsys, "local-check", "no-such-file.json")
     assert code == 2 and rep["error"] == "BadArgs"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-auto", "--group", "sl-r-3", "-o", "{dir}"],
+        ["gen-auto", "--group", "sl-r-3", "--t", "{dir}"],
+        ["apply", "--auto", "{dir}", "--in", "{dir}"],
+        ["verify-auto", "{dir}"],
+        ["local-check", "{dir}"],
+        ["recover", "--group", "sl-r-3", "--samples", "{dir}"],
+    ],
+    ids=lambda argv: argv[0] + " " + argv[-2],
+)
+def test_a_directory_for_a_file_is_bad_args(tmp_path, capsys, argv):
+    code, rep = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert (code, rep) == (2, {"error": "BadArgs", "message": f"{tmp_path}: {os.strerror(errno.EISDIR)}"})
+
+
+def test_an_oracle_command_that_cannot_run_is_bad_args(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a program\n")
+    plain.chmod(0o644)
+    code, rep = run_cli(capsys, "recover", "--group", "sl-r-3", "--oracle-cmd", str(plain))
+    assert (code, rep) == (2, {"error": "BadArgs", "message": f"{plain}: {os.strerror(errno.EACCES)}"})
+
+
+def test_an_oracle_child_that_closed_its_input_is_residual_fail():
+    from localaut.recover import SubprocessOracle
+
+    oracle = SubprocessOracle(GroupTag("SL", "R", 3), [sys.executable, "-c", "pass"])
+    oracle.proc.wait()
+    with pytest.raises(ResidualFail, match="oracle subprocess closed its input"):
+        oracle.query(identity(3, QR))
+    oracle.close()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-auto", "--group", "un-3"],
+        ["recover", "--group", "sun-3", "--auto", "sun-3.json"],
+        ["local-check", "su-3.samples.json"],
+        ["selftest", "--only", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_seed_is_bad_args(capsys, argv):
+    code, rep = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, rep) == (2, {"error": "BadArgs", "message": "--seed must be at least 0, got -1"})
 
 
 def test_broken_json_is_file_format(tmp_path, capsys):

@@ -340,3 +340,38 @@ def test_every_definition_has_a_caller():
         if mentions[name] == Counter(_named(node))[name]
     ]
     assert found == []
+
+
+# recovery poses its fits as `localcheck.check_pair` does, on pairs
+# (op(probe), reply): op acts on the probes it chose, never on a reply
+def _is_reply(node, replies):
+    if isinstance(node, ast.Call):
+        return _call_name(node) == "query"
+    return isinstance(node, ast.Name) and node.id in replies
+
+
+def _bound_replies(func):
+    """The names func binds to an oracle reply."""
+    replies = set()
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            unpacked = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+            pairs = zip(target.elts, node.value.elts) if unpacked else [(target, node.value)]
+            replies |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_reply(v, replies)}
+    return replies
+
+
+def test_recovery_never_passes_an_oracle_reply_to_op():
+    found = []
+    for func in ast.walk(_parse(SRC / "recover.py")):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        replies = _bound_replies(func)
+        found += [
+            f"recover.py:{call.lineno} {func.name}"
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call) and _call_name(call) == "op" and call.args and _is_reply(call.args[0], replies)
+        ]
+    assert found == []

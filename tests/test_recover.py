@@ -15,6 +15,7 @@ from localaut.autos import (
     STANDARD,
     apply,
     make_automorphism,
+    op,
 )
 from localaut import matrices
 from localaut.errors import BadParameters, BudgetExceeded, NoEngine, NotInGroup, OracleIncomplete
@@ -203,12 +204,8 @@ def _shear(n, regime, i, j, value=1):
 
 
 def _fit_pairs(auto, probes):
-    """(probe, unwrapped image) for every probe: the pairs the T fit solves."""
-    pairs = []
-    for probe in probes:
-        img = apply(auto, probe)
-        pairs.append((probe, img if auto.kind == STANDARD else transpose(inv(img))))
-    return pairs
+    """(op(probe), image) for every probe: the pairs the T fit solves."""
+    return [(op(probe, auto.kind, auto.sigma), apply(auto, probe)) for probe in probes]
 
 
 def _shears(n, regime):
@@ -229,12 +226,13 @@ def _shear_cases(draw):
 def test_shear_intertwiners_of_an_automorphism_are_one_line(case):
     """The shears, like the basis B, generate M_n, so an automorphism's
     shear pairs and its basis pairs have a one-dimensional intertwiner
-    space, and the fit reads T off it."""
+    space, spanned by T, and the fit reads T off it."""
     regime, n, kind, sigma, seed = case
     t = random_gl(n, regime, random.Random(seed))
     group = GroupTag("SL", "R" if regime == QR else "C", n)
     auto = make_automorphism(group, kind, sigma, t)
-    assert len(intertwiner_basis(_fit_pairs(auto, _shears(n, regime)))) == 1
+    basis = intertwiner_basis(_fit_pairs(auto, _shears(n, regime)))
+    assert len(basis) == 1 and _scalar_ratio_ok(basis[0], t)
     if regime == QR:
         assert len(intertwiner_basis(_fit_pairs(auto, build_basis("B", n).mats))) == 1
     rep = recover_sln_common(AutomorphismOracle(auto), seed=0, verify_probes=2)
