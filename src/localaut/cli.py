@@ -37,7 +37,7 @@ from .matrices import (
     to_c64,
 )
 from .recover import AutomorphismOracle, SampleOracle, SubprocessOracle, recover
-from .scalarmaps import CIRCLE, RSTAR, PowerConjFunc, PowerFunc, ambient
+from .scalarmaps import CIRCLE, RSTAR, MulFunc, PowerConjFunc, PowerFunc, ambient
 from .serialize import (
     auto_from_json,
     auto_to_json,
@@ -128,19 +128,14 @@ def _jsonable(x):
         return str(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, Mat):
-        return mat_to_json(x)
     if isinstance(x, Automorphism):
         return auto_to_json(x)
-    if isinstance(x, GroupTag):
-        return group_to_json(x)
+    if isinstance(x, MulFunc):
+        return mulfunc_to_json(x)
     if isinstance(x, dict):
         return {str(_jsonable(k)): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    converted = mulfunc_to_json(x) if type(x).__name__.endswith("Func") else None
-    if converted is not None:
-        return converted
     return str(x)
 
 

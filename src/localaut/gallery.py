@@ -17,7 +17,7 @@ from fractions import Fraction
 from .autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from .errors import OddN, TooFewGenerators
 from .localcheck import SampleMap, check_map
-from .matrices import GroupTag, QR, det, equal, identity, mul, random_sl, ratio, scale_first, smul
+from .matrices import GroupTag, QR, det, equal, flat, identity, mul, random_sl, ratio, scale_first, smul
 from .scalarmaps import PowerFunc, check_character, det_relation_refutations, induced
 
 H_VALUES = {Fraction(2): Fraction(2), Fraction(3): Fraction(9), Fraction(6): Fraction(6)}
@@ -230,11 +230,13 @@ def verify_entry(entry: GalleryEntry, seed: int = 0) -> dict:
         report = check_map(entry.sample_map, seed=seed)
         counts = report.counts()
         pairwise_ok = report.status == "LocallyConsistent"
-        h2, h3, h6 = (H_VALUES[Fraction(d)] for d in (2, 3, 6))
+        # h(det B) as each sample B -> h(det B) B reads it
+        h = {det(b): ratio(flat(out), flat(b)) for b, out in entry.sample_map.samples}
+        h2, h3, h6 = (h[Fraction(d)] for d in (2, 3, 6))
         identity_violated = h2 * h3 != h6
         (b2, o2), (b3, o3), (b6, o6) = entry.sample_map.samples
         product_violated = equal(mul(b2, b3), b6) and not equal(mul(o2, o3), o6)
-        refs = det_relation_refutations(entry.artifacts["f_table_exact"])
+        refs = det_relation_refutations({d: induced(d, c, entry.group.n) for d, c in h.items()})
         return {
             "ok": pairwise_ok and identity_violated and product_violated and bool(refs),
             "map_status": report.status,

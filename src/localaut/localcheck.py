@@ -71,7 +71,6 @@ class PairVerdict:
     status: str  # "Interpolable" | "Obstructed" | "Inconclusive"
     witness: Automorphism | None
     branches: list[BranchReport] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def refusal_reasons(self) -> list[str]:
         return [f"{b.kind}/{b.sigma}: {b.detail}" for b in self.branches if b.outcome == "refuted"]
@@ -213,15 +212,12 @@ def check_pair(
             if br.outcome == "witness":
                 verdict.status = "Interpolable"
                 verdict.witness = br.witness
-                if group.field == "C" and not group.unitary:
-                    verdict.notes.append("C* screen: torsion orders, and |f| along relations up to roots of unity")
                 return verdict
             if br.outcome == "inconclusive":
                 inconclusive = True
     if inconclusive or a.regime == C64:
+        # numeric refusals are not certificates
         verdict.status = "Inconclusive"
-        if a.regime == C64 and not inconclusive:
-            verdict.notes.append("numeric refusals are not certificates")
     return verdict
 
 
@@ -365,6 +361,6 @@ def check_map(sample_map: SampleMap, seed: int = 0, tol: float = DEFAULT_TOL) ->
     return MapReport(status, verdicts, first_obstruction)
 
 
-def samples_from_automorphism(auto: Automorphism, mats, tol: float = DEFAULT_TOL) -> SampleMap:
-    pairs = tuple((a, apply(auto, a, tol)) for a in mats)
+def samples_from_automorphism(auto: Automorphism, mats) -> SampleMap:
+    pairs = tuple((a, apply(auto, a)) for a in mats)
     return SampleMap(auto.group, pairs)

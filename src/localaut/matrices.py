@@ -5,8 +5,9 @@ Matrices are immutable, square, regime-homogeneous. Regimes:
   QC  - Gaussian rational entries, exact
   C64 - machine complex entries, tolerance-based
 
-Exact regimes never see a float; C64 delegates numerics to numpy. Exact
-shears I + q E_ij, and so the seeded samplers built from them, are made
+Exact regimes never see a float; C64 delegates numerics to numpy. Shears
+I + q E_ij, and so the seeded GL and SL samplers built from them, are
+exact-only (a numeric sample is an exact one lifted with to_c64) and made
 straight on their canonical integer grid, never from Fraction rows: a
 product of shears is one running grid with a column operation per shear.
 """
@@ -256,15 +257,13 @@ def _gauss_grid(c: GaussRational) -> tuple:
 
 
 def shear(n: int, regime: str, i: int, j: int, q) -> Mat:
-    """I + q E_ij for i != j. In the exact regimes it is built on its
-    canonical grid: den(q) on the diagonal and q's numerator at (i, j)."""
+    """I + q E_ij for i != j, exact-only, built on its canonical grid:
+    den(q) on the diagonal and q's numerator at (i, j)."""
     if i == j:
         raise BadParameters("a shear needs i != j")
-    q = coerce_scalar(regime, q)
     if regime == C64:
-        rows = identity(n, C64).rows()
-        rows[i][j] = q
-        return Mat(n, C64, tuple(map(tuple, rows)))
+        raise RegimeMismatch("shear is exact-only: lift an exact shear with to_c64")
+    q = coerce_scalar(regime, q)
     if regime == QR:
         den, num, im = q.denominator, q.numerator, None
     else:
@@ -302,17 +301,11 @@ def _gauss_times(p: int, s: int, re, im) -> tuple:
 
 def scale_first(a: Mat, d, column: bool = False) -> Mat:
     """diag(d, 1, ..., 1) a, or a diag(d, 1, ..., 1) when column is set:
-    row (column) 0 of a times d. In the exact regimes it is built on a's
-    grid: for d = (p + i s) / r every other entry is scaled by r and the
-    line by p + i s, and one gcd reduces the result."""
+    row (column) 0 of a times d, exact-only, built on a's grid: for
+    d = (p + i s) / r every other entry is scaled by r and the line by
+    p + i s, and one gcd reduces the result."""
     d = coerce_scalar(a.regime, d)
     n = a.n
-    if a.regime == C64:
-        rows = [list(r) for r in a.entries]
-        for k in range(n):
-            i, j = (k, 0) if column else (0, k)
-            rows[i][j] = d * rows[i][j]
-        return Mat(n, C64, tuple(map(tuple, rows)))
     den, re, im = grid(a)
     r, p, s = (d.denominator, d.numerator, 0) if im is None else _gauss_grid(d)
     line = slice(0, None, n) if column else slice(0, n)
@@ -396,20 +389,6 @@ def trace(a: Mat):
     return rational(sum(re[diag]), den) if im is None else gauss(sum(re[diag]), sum(im[diag]), den)
 
 
-def trace_form(a: Mat, b: Mat):
-    """tr(a b) = sum a_ij b_ji, read off the two grids without forming a b."""
-    _check_same(a, b)
-    if a.regime == C64:
-        return trace(mul(a, b))
-    (da, ra, ia), (db, rb, ib) = grid(a), grid(b)
-    rb = _transposed(rb, a.n)
-    if ia is None:
-        return rational(sum(map(_imul, ra, rb)), da * db)
-    ib = _transposed(ib, a.n)
-    re = sum(map(_imul, ra, rb)) - sum(map(_imul, ia, ib))
-    return gauss(re, sum(map(_imul, ra, ib)) + sum(map(_imul, ia, rb)), da * db)
-
-
 def equal(a: Mat, b: Mat) -> bool:
     _check_same(a, b)
     if a.regime == C64:
@@ -478,10 +457,10 @@ def inv(a: Mat) -> Mat:
         import numpy as np
 
         m = _to_numpy(a)
-        if abs(np.linalg.det(m)) < 1e-300:
+        if not abs(np.linalg.det(m)) >= 1e-300:  # a NaN determinant is singular too
             raise SingularMatrix("matrix is numerically singular")
         return _from_numpy(np.linalg.inv(m))
-    return _inv_small(a) if a.n <= 3 else _inv_rref(a)
+    return _inv_small(a) if a.n == 3 else _inv_rref(a)
 
 
 def _inv_rref(a: Mat) -> Mat:
@@ -501,15 +480,14 @@ def _inv_rref(a: Mat) -> Mat:
 
 
 def _inv_small(a: Mat) -> Mat:
-    """Adjugate inverse for n <= 3 on the grid: a = M / den has
+    """Adjugate inverse for n = 3 on the grid: a = M / den has
     a^-1 = den adj(M) / det(M), with adj(M) over Z, or over Z[i] on
     (re, im) int pairs."""
-    n = a.n
     den, re, im = grid(a)
     if im is None:
-        e, one, zero, times, plus, neg = _split(re, n), 1, 0, _imul, _iadd, _ineg
+        e, zero, times, plus, neg = _split(re, 3), 0, _imul, _iadd, _ineg
     else:
-        e, one, zero = [list(zip(r, s)) for r, s in zip(_split(re, n), _split(im, n))], (1, 0), (0, 0)
+        e, zero = [list(zip(r, s)) for r, s in zip(_split(re, 3), _split(im, 3))], (0, 0)
 
         def times(x, y):
             return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
@@ -520,32 +498,27 @@ def _inv_small(a: Mat) -> Mat:
         def neg(x):
             return -x[0], -x[1]
 
-    if n == 1:
-        adj = [[one]]
-    elif n == 2:
-        adj = [[e[1][1], neg(e[0][1])], [neg(e[1][0]), e[0][0]]]
-    else:
-        idx = ((1, 2), (0, 2), (0, 1))
+    idx = ((1, 2), (0, 2), (0, 1))
 
-        def cof(i, j):
-            r1, r2 = idx[i]
-            c1, c2 = idx[j]
-            m = plus(times(e[r1][c1], e[r2][c2]), neg(times(e[r1][c2], e[r2][c1])))
-            return m if (i + j) % 2 == 0 else neg(m)
+    def cof(i, j):
+        r1, r2 = idx[i]
+        c1, c2 = idx[j]
+        m = plus(times(e[r1][c1], e[r2][c2]), neg(times(e[r1][c2], e[r2][c1])))
+        return m if (i + j) % 2 == 0 else neg(m)
 
-        adj = [[cof(j, i) for j in range(3)] for i in range(3)]
+    adj = [[cof(j, i) for j in range(3)] for i in range(3)]
     d = times(e[0][0], adj[0][0])
-    for k in range(1, n):
+    for k in range(1, 3):
         d = plus(d, times(e[0][k], adj[k][0]))
     if d == zero:
         raise SingularMatrix("matrix is singular")
     flat = [x for r in adj for x in r]
     if im is None:
-        return _canon(n, QR, d, tuple([den * x for x in flat]))
+        return _canon(3, QR, d, tuple([den * x for x in flat]))
     # den adj / d = den adj conj(d) / |d|^2
     dr, di = d
     re = tuple([den * (x * dr + y * di) for x, y in flat])
-    return _canon(n, QC, dr * dr + di * di, re, tuple([den * (y * dr - x * di) for x, y in flat]))
+    return _canon(3, QC, dr * dr + di * di, re, tuple([den * (y * dr - x * di) for x, y in flat]))
 
 
 def _to_numpy(a: Mat):
@@ -693,7 +666,7 @@ class Basis:
         rows = [[None] * m for _ in range(m)]
         for j in range(m):
             for k in range(j, m):
-                rows[j][k] = rows[k][j] = trace_form(self.mats[j], self.mats[k])
+                rows[j][k] = rows[k][j] = trace(mul(self.mats[j], self.mats[k]))
         return Mat(m, QR, tuple(map(tuple, rows)))
 
     @cached_property
@@ -749,42 +722,28 @@ def build_basis(kind: str, n: int) -> Basis:
 
 
 def _draw_shear(n: int, regime: str, rng: random.Random) -> tuple:
-    """(i, j, p, s, r) of a random shear I + q E_ij, i != j, with
-    q = (p + i s) / r: ints in the exact regimes (s = 0 over Q, r = 1 over
-    Q(i), q nonzero), floats p and s with r = 1 in C64."""
+    """(i, j, p, s, r) of a random exact shear I + q E_ij, i != j, with
+    q = (p + i s) / r nonzero: s = 0 over Q, r = 1 over Q(i)."""
     i = rng.randrange(n)
     j = rng.randrange(n - 1)
     if j >= i:
         j += 1
     if regime == QR:
         return i, j, rng.choice([1, -1, 2, -2, 1, -1]), 0, rng.choice([1, 1, 2])
-    if regime == QC:
-        p, s = rng.randint(-2, 2), rng.randint(-2, 2)
-        return i, j, p if p or s else 1, s, 1
-    return i, j, rng.uniform(-1, 1), rng.uniform(-1, 1), 1
-
-
-def random_shear(n: int, regime: str, rng: random.Random) -> Mat:
-    """I + q E_ij with i != j; always in SL_n."""
-    i, j, p, s, r = _draw_shear(n, regime, rng)
-    q = Fraction(p, r) if regime == QR else gauss(p, s, r) if regime == QC else complex(p, s)
-    return shear(n, regime, i, j, q)
+    p, s = rng.randint(-2, 2), rng.randint(-2, 2)
+    return i, j, p if p or s else 1, s, 1
 
 
 def random_sl(n: int, regime: str, rng: random.Random, length: int = 3) -> Mat:
-    """The product of length random shears; the identity for length 0.
+    """The product of length random shears, exact-only; the identity for
+    length 0.
 
-    In the exact regimes the product is one running integer grid: right
-    multiplying by I + ((p + i s) / r) E_ij scales the grid by r and adds
-    p + i s times the old column i to column j, O(n) per shear when r = 1.
-    One gcd reduces the grid at the end."""
+    The product is one running integer grid: right multiplying by
+    I + ((p + i s) / r) E_ij scales the grid by r and adds p + i s times
+    the old column i to column j, O(n) per shear when r = 1. One gcd
+    reduces the grid at the end."""
     if regime == C64:
-        if length < 1:
-            return identity(n, C64)
-        out = random_shear(n, C64, rng)
-        for _ in range(length - 1):
-            out = mul(out, random_shear(n, C64, rng))
-        return out
+        raise RegimeMismatch("random_sl is exact-only: lift an exact sample with to_c64")
     den, re = 1, [0] * (n * n)
     re[::n + 1] = [1] * n
     im = None if regime == QR else [0] * (n * n)
@@ -813,10 +772,9 @@ _GL_DETS = {
 
 
 def random_gl(n: int, regime: str, rng: random.Random) -> Mat:
-    """A random SL_n member with its row 0 scaled by a random d."""
+    """A random SL_n member with its row 0 scaled by a random d, exact-only."""
     a = random_sl(n, regime, rng)
-    d = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) if regime == C64 else rng.choice(_GL_DETS[regime])
-    return scale_first(a, d)
+    return scale_first(a, rng.choice(_GL_DETS[regime]))
 
 
 def random_unitary(n: int, seed: int) -> Mat:

@@ -572,11 +572,11 @@ def recover_glnr(oracle: Oracle, dets=DEFAULT_DETS, seed: int = 0, verify_probes
     return recover(oracle, seed, verify_probes, dets)
 
 
-def recover_sun(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
+def recover_sun(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
     _only(oracle, "SU_n", "SUn")
-    return recover(oracle, seed, verify_probes, tol=tol)
+    return recover(oracle, seed, verify_probes)
 
 
-def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50, tol: float = 1e-6) -> RecoveryReport:
+def recover_un(oracle: Oracle, seed: int = 0, verify_probes: int = 50) -> RecoveryReport:
     _only(oracle, "U_n", "Un")
-    return recover(oracle, seed, verify_probes, tol=tol)
+    return recover(oracle, seed, verify_probes)

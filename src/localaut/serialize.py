@@ -7,6 +7,7 @@ of identical runs.
 """
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 from fractions import Fraction
@@ -62,7 +63,10 @@ def scalar_from_json(obj, regime: str):
             return parse_rational(obj)
         if regime == QC:
             return GaussRational(parse_rational(obj["re"]), parse_rational(obj["im"]))
-        return complex(obj[0], obj[1])
+        z = complex(obj[0], obj[1])
+        if not cmath.isfinite(z):  # JSON NaN, Infinity and 1e999
+            raise ValueError("a C64 entry must be finite")
+        return z
     except (KeyError, ValueError, TypeError, IndexError, OverflowError, BadParameters) as exc:
         raise FileFormatError(f"bad scalar for regime {regime}: {obj!r}") from exc
 
@@ -99,7 +103,11 @@ def group_to_json(g: GroupTag) -> dict:
 def group_from_json(obj) -> GroupTag:
     try:
         n = obj["n"]
-        return GroupTag(obj["family"], obj["field"], int(_bounded_int(n) if isinstance(n, str) else n))
+        if isinstance(n, str):
+            n = _bounded_int(n)
+        elif isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"n must be an integer, got {n!r}")
+        return GroupTag(obj["family"], obj["field"], n)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad group object: {obj!r}") from exc
     except Exception as exc:

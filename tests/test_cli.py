@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import localaut
-from localaut.autos import SIGMA_ID, STANDARD, make_automorphism
+from localaut.autos import SIGMA_ID, STANDARD, apply, make_automorphism
 from localaut.cli import MAX_N, BadArgs, _build_parser, _check_numbers, main, parse_group
 from localaut.errors import ResidualFail
 from localaut.localcheck import SampleMap, samples_from_automorphism
@@ -31,6 +31,7 @@ from localaut.matrices import (
     random_gl,
     random_sl,
     smul,
+    to_c64,
 )
 from localaut.scalarmaps import CIRCLE, CSTAR, MAX_POWER_BITS, PowerConjFunc, PowerFunc, TableFunc
 from localaut.scalars import MAX_LITERAL, GaussRational
@@ -834,7 +835,7 @@ def test_local_check_numeric_gl_complex_map(tmp_path, capsys):
     auto = auto_from_json(load_json(_gen(capsys, tmp_path, "gl-c-3", "--t", t_file, "--g", "powerconj:1:1")))
     rng = random.Random(3)
     samples_file = str(tmp_path / "samples.json")
-    mats = [random_gl(3, C64, rng) for _ in range(3)]
+    mats = [to_c64(random_gl(3, QC, rng)) for _ in range(3)]
     dump_json(samples_file, samples_to_json(samples_from_automorphism(auto, mats)))
     code, rep = run_cli(capsys, "local-check", samples_file, "--seed", "1")
     assert (code, rep["status"]) == (0, "LocallyConsistent")
@@ -873,3 +874,97 @@ def test_unread_options_are_refused(capsys, argv):
         main(argv)
     assert stop.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
+def _c64_text(token: str) -> str:
+    """The JSON text of the C64 identity with entry (0, 0) read as token."""
+    obj = mat_to_json(identity(3, C64))
+    obj["entries"][0][0] = ["X", 0]
+    return json.dumps(obj).replace('"X"', token)
+
+
+def _refused_as_file_format(capsys, *argv) -> None:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert (code, json.loads(out)["error"]) == (3, "FileFormat")
+    assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("token", _NON_FINITE)
+@pytest.mark.parametrize("group", ["gl-c-3", "sl-c-3"])
+def test_non_finite_t_is_file_format(tmp_path, capsys, group, token):
+    """JSON NaN, Infinity and 1e999 parse as floats; as an entry of T they
+    would print NaN or Infinity, which is not JSON."""
+    t_file = tmp_path / "t.json"
+    t_file.write_text(_c64_text(token))
+    _refused_as_file_format(capsys, "gen-auto", "--group", group, "--t", str(t_file))
+
+
+@pytest.mark.parametrize("token", _NON_FINITE)
+def test_non_finite_sample_is_file_format(tmp_path, capsys, token):
+    in_file = tmp_path / "in.json"
+    in_file.write_text(_c64_text(token))
+    _refused_as_file_format(capsys, "apply", "--auto", _gen(capsys, tmp_path, "gl-c-3"), "--in", str(in_file))
+    one = json.dumps(mat_to_json(identity(3, C64)))
+    samples_file = tmp_path / "samples.json"
+    samples_file.write_text(
+        '{"group": {"family": "GL", "field": "C", "n": 3}, "samples": [[%s, %s]]}' % (_c64_text(token), one)
+    )
+    _refused_as_file_format(capsys, "local-check", str(samples_file))
+
+
+@pytest.mark.parametrize(
+    "group, gspec, message",
+    [
+        ("gl-c-3", "power:2", "GL over C supports the |z|^(2k) family here"),
+        ("gl-c-3", "powerconj:1:2", "g(z) = z^k conj(z)^m needs k = m for f to stay bijective"),
+        ("gl-c-3", "powerconj:-1/6:-1/6", "f collapses all magnitudes: |z|^0"),
+        ("gl-r-3", "circle-power:1", "GL over R needs a scalar map on R*"),
+        ("un-3", "power:1", "U_n needs a scalar map on the circle"),
+    ],
+)
+def test_gen_auto_refuses_a_character_outside_its_class(capsys, group, gspec, message):
+    got = run_cli(capsys, "gen-auto", "--group", group, "--g", gspec)
+    assert got == (4, {"error": "IllegalScalarClass", "message": message})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gallery", "bogus"], "unknown gallery item 'bogus'; have gl-local-not-global, additive-r, sign-twist"),
+        (
+            ["recover", "--group", "gl-r-3", "--auto", "{auto}", "--samples", "{samples}"],
+            "recover needs exactly one of --samples, --oracle-cmd, --auto",
+        ),
+        (["recover", "--group", "sl-r-3", "--samples", "{samples}"], "sample file is for GL-R-3, not sl-r-3"),
+        (["recover", "--group", "sl-r-3", "--auto", "{auto}"], "automorphism file group does not match --group"),
+    ],
+    ids=["gallery-item", "two-oracles", "samples-group", "auto-group"],
+)
+def test_bad_args_refusals(tmp_path, capsys, argv, message):
+    auto_file = _gen(capsys, tmp_path, "gl-r-3")
+    auto = auto_from_json(load_json(auto_file))
+    samples_file = str(tmp_path / "samples.json")
+    dump_json(samples_file, samples_to_json(samples_from_automorphism(auto, [random_gl(3, QR, random.Random(1))])))
+    argv = [a.format(auto=auto_file, samples=samples_file) for a in argv]
+    assert run_cli(capsys, *argv) == (2, {"error": "BadArgs", "message": message})
+
+
+def test_apply_and_recover_write_the_file_they_name(tmp_path, capsys):
+    auto_file = _gen(capsys, tmp_path, "sl-r-3")
+    a = random_sl(3, QR, random.Random(2))
+    for name, payload in (("one.json", mat_to_json(a)), ("list.json", [mat_to_json(a)])):
+        in_file, out_file = str(tmp_path / name), str(tmp_path / f"images-{name}")
+        dump_json(in_file, payload)
+        code, rep = run_cli(capsys, "apply", "--auto", auto_file, "--in", in_file, "-o", out_file)
+        assert (code, rep["written_to"]) == (0, out_file)
+        assert load_json(out_file) == (rep["images"] if isinstance(payload, list) else rep["images"][0])
+    rec_file = str(tmp_path / "recovered.json")
+    code, rep = run_cli(capsys, "recover", "--group", "sl-r-3", "--auto", auto_file, "-o", rec_file)
+    assert (code, rep["status"], rep["written_to"]) == (0, "Recovered", rec_file)
+    assert load_json(rec_file) == rep["auto"]
+    recovered, truth = (auto_from_json(load_json(f)) for f in (rec_file, auto_file))
+    assert equal(apply(recovered, a), apply(truth, a))

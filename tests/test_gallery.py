@@ -1,4 +1,5 @@
 """The curated separating examples and their re-checkable certificates."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from localaut.gallery import (
     sign_twist,
     verify_entry,
 )
-from localaut.localcheck import check_map
-from localaut.matrices import det, equal, mul
+from localaut.localcheck import SampleMap, check_map
+from localaut.matrices import det, equal, mul, smul
 
 F = Fraction
 
@@ -50,6 +51,19 @@ def test_scaling_example_verifies():
     assert res["pair_counts"]["Interpolable"] == 3
     assert res["product_pair_fails_homomorphism"]
     assert res["relation_refutations"]
+
+
+def test_scaling_example_reads_h_from_its_samples():
+    """With the third output rescaled to 18 B the scalings are
+    multiplicative: the verifier must see that in the samples, so the
+    identity holds and no relation is violated."""
+    entry = gl_local_not_global(3, seed=0)
+    (b2, o2), (b3, o3), (b6, _) = entry.sample_map.samples
+    samples = ((b2, o2), (b3, o3), (b6, smul(F(18), b6)))
+    res = verify_entry(replace(entry, sample_map=SampleMap(entry.group, samples)), seed=0)
+    assert res["identity"] == "h(2) h(3) = 18 vs h(6) = 18"
+    assert res["relation_refutations"] == []
+    assert not res["product_pair_fails_homomorphism"] and not res["ok"]
 
 
 def test_scaling_example_is_locally_consistent_under_fresh_seeds():

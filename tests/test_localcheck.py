@@ -33,9 +33,10 @@ from localaut.matrices import (
     random_sl,
     random_unitary,
     smul,
+    to_c64,
     transpose,
 )
-from localaut import scalarmaps
+from localaut import localcheck, scalarmaps
 from localaut.scalarmaps import PowerConjFunc, PowerFunc, check_character
 from localaut.scalars import GaussRational
 
@@ -170,7 +171,7 @@ def test_numeric_gl_complex_conj_map_is_interpolable():
     t = mat([[1 + 0.5j, 0, 2], [0, 1, -1j], [0.5, 0, 1]], C64)
     rng = random.Random(3)
     auto = make_automorphism(group, CONTRAGREDIENT, SIGMA_CONJ, t, PowerConjFunc(1, 1))
-    rep = check_map(samples_from_automorphism(auto, [random_gl(3, C64, rng) for _ in range(4)]), seed=1)
+    rep = check_map(samples_from_automorphism(auto, [to_c64(random_gl(3, QC, rng)) for _ in range(4)]), seed=1)
     assert rep.counts()["Interpolable"] == 6
 
 
@@ -336,3 +337,56 @@ def test_exact_samples_of_an_automorphism_are_interpolable(drawn):
     v = check_pair(auto.group, (a, apply(auto, a)), (b, apply(auto, b)))
     assert v.status == "Interpolable"
     assert equal(apply(v.witness, a), apply(auto, a)) and equal(apply(v.witness, b), apply(auto, b))
+
+
+def _spy(monkeypatch, module, name) -> list:
+    """Patch module.name to record each call's arguments and result."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_exact_unitary_pair_lifts_to_c64(monkeypatch):
+    """Exact QC samples on U_3: the cyclic permutation P and diag(i, -1, i)
+    under A -> P conj(A) P^-1 are lifted to C64 and interpolated there."""
+    lifts = _spy(monkeypatch, localcheck, "to_c64")
+    group = GroupTag("Un", "C", 3)
+    i = GaussRational(F(0), F(1))
+    p = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]], QC)
+    auto = make_automorphism(group, STANDARD, SIGMA_CONJ, p)
+    sm = samples_from_automorphism(auto, [p, mat([[i, 0, 0], [0, -1, 0], [0, 0, i]], QC)])
+    v = check_pair(group, *sm.samples)
+    assert v.status == "Interpolable" and v.witness.sigma == SIGMA_CONJ
+    assert len(lifts) == 4
+
+
+def test_zero_trace_gl_complex_sample_takes_gaussian_roots(monkeypatch):
+    """The companion matrix of t^3 - (2 + i) has tr A = tr A^2 = 0, so its
+    scalar g(det A) = |2 + i|^2 = 5 is read from c^3 = tr(out^3) / tr(A^3)."""
+    roots = _spy(monkeypatch, localcheck, "_gauss_roots")
+    group = GroupTag("GL", "C", 3)
+    rng = random.Random(0)
+    c = mat([[0, 0, GaussRational(F(2), F(1))], [1, 0, 0], [0, 1, 0]], QC)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QC, rng), PowerConjFunc(1, 1))
+    sm = samples_from_automorphism(auto, [c, random_gl(3, QC, rng)])
+    assert check_pair(group, *sm.samples).status == "Interpolable"
+    assert [out for _, out in roots] == [[GaussRational(F(5))]]
+
+
+def test_zero_trace_gl_real_sample_takes_both_real_roots(monkeypatch):
+    """The companion matrix of t^4 - 3 has tr A^k = 0 for k < 4, so under
+    g = |t|^2 its scalar is a real fourth root of g(-3)^4: both 9 and -9."""
+    roots = _spy(monkeypatch, localcheck, "real_nth_root_candidates")
+    group = GroupTag("GL", "R", 4)
+    rng = random.Random(0)
+    c = mat([[0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], QR)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(4, QR, rng), PowerFunc(F(2)))
+    sm = samples_from_automorphism(auto, [c, random_gl(4, QR, rng)])
+    assert check_pair(group, *sm.samples).status == "Interpolable"
+    assert ((F(9**4), 4), [F(9), F(-9)]) in roots

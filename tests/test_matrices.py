@@ -34,7 +34,6 @@ from localaut.matrices import (
     mul,
     pivot,
     random_gl,
-    random_shear,
     random_sl,
     random_su,
     random_unitary,
@@ -76,6 +75,26 @@ def test_singular_inverse_raises():
     # n = 2 is below the group floor but the matrix layer itself allows it
     with pytest.raises(SingularMatrix):
         inv(s)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [float("nan"), complex(float("nan"), 0.0)])
+def test_numeric_inverse_of_a_nan_matrix_is_singular(bad):
+    with pytest.raises(SingularMatrix):
+        inv(mat([[bad, 0, 0], [0, 1, 0], [0, 0, 1]], C64))
+
+
+def test_exact_samplers_refuse_c64():
+    """Shears and the GL and SL samplers are exact-only, and refuse C64
+    before they draw; a numeric sample is an exact one lifted with to_c64."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    for draw in (lambda: shear(3, C64, 0, 1, 1), lambda: random_sl(3, C64, rng), lambda: random_gl(3, C64, rng)):
+        with pytest.raises(RegimeMismatch, match="exact-only.*to_c64"):
+            draw()
+    assert rng.getstate() == state
+    with pytest.raises(RegimeMismatch, match="no integer grid"):
+        scale_first(identity(3, C64), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,7 +172,6 @@ def _reference_gl(n, regime, rng):
 
 
 SAMPLERS = {
-    "shear": (random_shear, _reference_shear),
     "gl": (random_gl, _reference_gl),
     **{f"sl-{k}": (partial(random_sl, length=k), partial(_reference_sl, length=k)) for k in (0, 1, 3, 8)},
 }

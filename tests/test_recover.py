@@ -2,6 +2,7 @@
 (round trips, refutations, budgets) and the oracles it probes."""
 import cmath
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -493,3 +494,34 @@ def test_gl_verification_probe_is_the_product_with_diag_first(n):
         want = mul(random_sl(n, QR, ref), diag_first(n, ref.choice(dets), QR))
         assert got == want and got.entries == want.entries
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("family", ["SUn", "Un"])
+def test_transpose_has_no_unitary_intertwiner(family):
+    """A -> A^t reverses products, so no conjugation explains it."""
+    rep = recover(FunctionOracle(GroupTag(family, "C", 3), transpose), seed=0)
+    assert rep.status == "Inconclusive"
+    assert rep.notes == ["no unitary intertwiner through the SU samples"]
+
+
+@pytest.mark.parametrize(
+    "family, fitted, reason",
+    [
+        ("SUn", 5, "verification residual .* exceeds tolerance"),
+        ("Un", 6, "verification probe is not conjugation followed by a scalar"),
+    ],
+)
+def test_oracle_that_switches_automorphism_after_the_fit_is_refuted(family, fitted, reason):
+    """The first `fitted` answers come from one automorphism, the rest
+    from another: the fit succeeds, and verification refutes it."""
+    group = GroupTag(family, "C", 3)
+    first, later = (make_automorphism(group, STANDARD, SIGMA_ID, random_unitary(3, s)) for s in (5, 6))
+    answered = []
+
+    def switching(a):
+        answered.append(a)
+        return apply(first if len(answered) <= fitted else later, a)
+
+    rep = recover(FunctionOracle(group, switching), seed=0)
+    assert rep.status == "Refuted"
+    assert re.fullmatch(reason, rep.refutation["reason"])

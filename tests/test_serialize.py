@@ -26,6 +26,7 @@ from localaut.serialize import (
     auto_from_json,
     auto_to_json,
     canonical_json,
+    group_from_json,
     mat_from_json,
     mat_to_json,
     mulfunc_from_json,
@@ -111,6 +112,18 @@ def test_sample_map_round_trip():
 def test_canonical_json_is_order_insensitive():
     assert canonical_json({"b": 1, "a": [2, 3]}) == canonical_json({"a": [2, 3], "b": 1})
     assert sha256_digest({"x": "1/2"}) == sha256_digest({"x": "1/2"})
+
+
+@pytest.mark.parametrize("n", [3.5, 16.99, 3.0, True, None, [3], "3.5", "x"])
+def test_group_size_must_be_an_integer(n):
+    """A float n is refused, not truncated: 3.5 would read as 3."""
+    with pytest.raises(FileFormatError):
+        group_from_json({"family": "SL", "field": "R", "n": n})
+
+
+def test_group_size_reads_an_int_or_an_integer_string():
+    for n in (4, "4"):
+        assert group_from_json({"family": "GL", "field": "C", "n": n}) == GroupTag("GL", "C", 4)
 
 
 def test_malformed_objects_raise_file_format_error():
