@@ -473,9 +473,21 @@ def _error(code: str, message: str) -> None:
     print(pretty_json({"error": code, "message": message}))
 
 
+def _join_negative_dets(argv: list[str]) -> list[str]:
+    """argparse reads a value that starts with "-" as an option unless it is
+    one number, so `--dets -1,2` is joined to `--dets=-1,2` before parsing."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--dets" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--dets={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_dets(sys.argv[1:] if argv is None else list(argv)))
     t0 = time.perf_counter()
     # exact values print at any size while the command runs, and every input
     # literal is bounded on reading (scalars.MAX_LITERAL); 0 where no limit

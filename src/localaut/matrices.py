@@ -250,12 +250,6 @@ def diag_first(n: int, d, regime: str) -> Mat:
     return diagonal([d] + [1] * (n - 1), regime)
 
 
-def _gauss_grid(c: GaussRational) -> tuple:
-    """(q, p, s) with c = (p + i s) / q in lowest terms, q > 0."""
-    q = lcm(c.re.denominator, c.im.denominator)
-    return q, c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
-
-
 def shear(n: int, regime: str, i: int, j: int, q) -> Mat:
     """I + q E_ij for i != j, exact-only, built on its canonical grid:
     den(q) on the diagonal and q's numerator at (i, j)."""
@@ -267,7 +261,7 @@ def shear(n: int, regime: str, i: int, j: int, q) -> Mat:
     if regime == QR:
         den, num, im = q.denominator, q.numerator, None
     else:
-        den, num, s = _gauss_grid(q)
+        den, num, s = q.q, q.p, q.s
         im = [0] * (n * n)
         im[i * n + j] = s
         im = tuple(im)
@@ -289,7 +283,7 @@ def smul(c, a: Mat) -> Mat:
     den, re, im = grid(a)
     if im is None:
         return _canon(a.n, QR, den * c.denominator, tuple([c.numerator * x for x in re]))
-    q, p, s = _gauss_grid(c)
+    q, p, s = c.q, c.p, c.s
     return _canon(a.n, QC, den * q, *map(tuple, _gauss_times(p, s, re, im)))
 
 
@@ -307,7 +301,7 @@ def scale_first(a: Mat, d, column: bool = False) -> Mat:
     d = coerce_scalar(a.regime, d)
     n = a.n
     den, re, im = grid(a)
-    r, p, s = (d.denominator, d.numerator, 0) if im is None else _gauss_grid(d)
+    r, p, s = (d.denominator, d.numerator, 0) if im is None else (d.q, d.p, d.s)
     line = slice(0, None, n) if column else slice(0, n)
     out_re = [r * x for x in re]
     if im is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from cmath import inf, isfinite
-from math import lcm, log2
+from math import log2
 
 from .errors import (
     AmbientMismatch,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mullattice import dep_exponent, relations, subgroup_exponents
 from .matrices import C64
-from .scalars import DEFAULT_TOL, GQ_ONE, GaussRational, rational_pow
+from .scalars import DEFAULT_TOL, GaussRational, rational_pow
 
 RSTAR = "Rstar"
 CIRCLE = "Circle"
@@ -143,9 +143,11 @@ def _check_power(x, e) -> None:
     powers always pass. Float scalars are not gauged."""
     if isinstance(x, complex):
         return
-    re, im = (x.re, x.im) if isinstance(x, GaussRational) else (Fraction(x), Fraction(0))
-    d = lcm(re.denominator, im.denominator)
-    a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    if isinstance(x, GaussRational):
+        a, b, d = x.p, x.s, x.q
+    else:
+        x = Fraction(x)
+        a, b, d = x.numerator, 0, x.denominator
     if abs(e) * Fraction(log2(max(a * a + b * b, d * d))) > 2 * MAX_POWER_BITS:
         raise BadParameters(f"g's exponent {e} takes its exact value past {MAX_POWER_BITS} bits")
 
@@ -552,8 +554,13 @@ def pair_ok_cstar(da, ca, db, cb, n: int, first_kind: bool) -> tuple[bool, str]:
     return True, ""
 
 
+# the roots of unity in Q(i) are +-1 and +-i, keyed by their grids (p, s, q)
+_UNIT_ORDERS = {(1, 0, 1): 1, (-1, 0, 1): 2, (0, 1, 1): 4, (0, -1, 1): 4}
+
+
 def _unit_order(z: GaussRational) -> int | None:
-    return next((o for o in (1, 2, 4) if z**o == GQ_ONE), None)
+    """The multiplicative order of z when z is a root of unity, else None."""
+    return _UNIT_ORDERS.get((z.p, z.s, z.q))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,19 @@
 Three regimes are supported everywhere: exact rationals (Python Fraction),
 exact Gaussian rationals, and tolerance-tagged machine complex numbers.
 Exact regimes never round; the approximate regime compares within a tol.
+
+A Gaussian rational is the scalar twin of a matrix grid: the ints (p, s, q)
+with value (p + i s) / q, q > 0 and gcd(p, s, q) = 1. Sums and products are
+cross products over q1 q2, a quotient multiplies by the conjugate over
+q (c^2 + d^2), a power squares the int pair and puts q^k under it, and each
+ends in one gcd; negation and conjugation only flip signs. The Fraction
+views `re` and `im` are built when read.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .errors import BadParameters, ZeroInput
@@ -38,73 +45,125 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-@dataclass(frozen=True, slots=True)
 class GaussRational:
-    """Exact element of Q(i)."""
+    """Exact element of Q(i), kept on its integer grid: (p + i s) / q for
+    the ints p, s and q > 0 with gcd(p, s, q) = 1. The grid is unique, so
+    == and the operations run on ints, each ending in one gcd; `re` and
+    `im` are Fraction views built when read."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("p", "s", "q")
+
+    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
+        re, im = Fraction(re), Fraction(im)
+        q = math.lcm(re.denominator, im.denominator)
+        _set_p(self, re.numerator * (q // re.denominator))
+        _set_s(self, im.numerator * (q // im.denominator))
+        _set_q(self, q)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.s, self.q)
+
+    def __reduce__(self):  # copy and pickle rebuild the grid
+        return _canonical, (self.p, self.s, self.q)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        return self.p == other.p and self.s == other.s and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussRational(re={self.re!r}, im={self.im!r})"
+
+    def __str__(self) -> str:
+        return f"{self.re}{'+' if self.s >= 0 else ''}{self.im}i"
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        q, r = self.q, other.q
+        if q == r:
+            return gauss(self.p + other.p, self.s + other.s, q)
+        return gauss(self.p * r + other.p * q, self.s * r + other.s * q, q * r)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        q, r = self.q, other.q
+        if q == r:
+            return gauss(self.p - other.p, self.s - other.s, q)
+        return gauss(self.p * r - other.p * q, self.s * r - other.s * q, q * r)
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _canonical(-self.p, -self.s, self.q)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
+        p, s, c, d = self.p, self.s, other.p, other.s
         # real entries dominate in practice; skip the dead cross terms
-        if self.im == 0:
-            if other.im == 0:
-                return GaussRational(self.re * other.re, self.im)
-            return GaussRational(self.re * other.re, self.re * other.im)
-        if other.im == 0:
-            return GaussRational(self.re * other.re, self.im * other.re)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if d == 0:
+            return gauss(p * c, s * c, self.q * other.q)
+        if s == 0:
+            return gauss(p * c, p * d, self.q * other.q)
+        return gauss(p * c - s * d, p * d + s * c, self.q * other.q)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
-        d = other.re * other.re + other.im * other.im
+        # (p + i s) / q over (c + i d) / r is r (p + i s)(c - i d) / (q (c^2 + d^2))
+        p, s, c, d, r = self.p, self.s, other.p, other.s, other.q
         if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+            if c == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return gauss(p * r, s * r, self.q * c)
+        return gauss((p * c + s * d) * r, (s * c - p * d) * r, self.q * (c * c + d * d))
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _canonical(self.p, -self.s, self.q)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.p * self.p + self.s * self.s, self.q * self.q)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.p or self.s)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.p / self.q, self.s / self.q)
 
     def __pow__(self, k: int) -> "GaussRational":
         if not isinstance(k, int):
             raise BadParameters("GaussRational powers must be integers")
         if k < 0:
-            return GQ_ONE / self.__pow__(-k)
-        out = GQ_ONE
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            return (GQ_ONE / self) ** -k
+        p, s, den = self.p, self.s, self.q**k
+        if s == 0:  # gcd(p, q) = 1, so gcd(p^k, q^k) = 1
+            return _canonical(p**k, 0, den)
+        a, b = 1, 0
+        while k:
+            if k & 1:
+                a, b = a * p - b * s, a * s + b * p
+            k >>= 1
+            if k:
+                p, s = p * p - s * s, 2 * p * s
+        return gauss(a, b, den)
 
-    def __str__(self) -> str:
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+
+_new = object.__new__
+_set_p, _set_s, _set_q = (GaussRational.__dict__[name].__set__ for name in GaussRational.__slots__)
+
+
+def _canonical(p: int, s: int, q: int) -> GaussRational:
+    """(p + i s) / q for a grid that is canonical already."""
+    z = _new(GaussRational)
+    _set_p(z, p)
+    _set_s(z, s)
+    _set_q(z, q)
+    return z
 
 
 GQ_ZERO = GaussRational()
@@ -126,13 +185,12 @@ _Q0 = Fraction(0)
 def clear_row(row) -> tuple[list[int], int]:
     """(ints, d) with row = ints / d, d the lcm of the row's denominators."""
     if isinstance(row[0], GaussRational):
-        parts = [p for x in row for p in (x.re, x.im)]
-    else:
-        parts = row
-    d = math.lcm(*[p.denominator for p in parts])
+        d = math.lcm(*[x.q for x in row])
+        return [v * (d // x.q) for x in row for v in (x.p, x.s)], d
+    d = math.lcm(*[p.denominator for p in row])
     if d == 1:
-        return [p.numerator for p in parts], 1
-    return [p.numerator * (d // p.denominator) for p in parts], d
+        return [p.numerator for p in row], 1
+    return [p.numerator * (d // p.denominator) for p in row], d
 
 
 def rational(num: int, den: int) -> Fraction:
@@ -141,8 +199,13 @@ def rational(num: int, den: int) -> Fraction:
 
 
 def gauss(re: int, im: int, den: int) -> GaussRational:
-    """(re + i im) / den for ints, den nonzero."""
-    return GaussRational(rational(re, den), rational(im, den))
+    """(re + i im) / den for ints, den nonzero, reduced by one gcd."""
+    g = math.gcd(re, im, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        re, im, den = re // g, im // g, den // g
+    return _canonical(re, im, den)
 
 
 def iroot(k: int, n: int) -> int | None:

@@ -227,16 +227,16 @@ CHARACTER_FIELDS = {"c", "k", "m", "neg", "ambient"}
 CHARACTER_READERS = {"scalarmaps.py", "serialize.py"}
 
 
-def _field_reads(tree):
+def _field_reads(tree, fields=CHARACTER_FIELDS):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in CHARACTER_FIELDS:
+        if isinstance(node, ast.Attribute) and node.attr in fields:
             yield node.lineno, node.attr
         elif (
             isinstance(node, ast.Call)
             and _call_name(node) in {"getattr", "hasattr"}
             and len(node.args) > 1
             and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value in CHARACTER_FIELDS
+            and node.args[1].value in fields
         ):
             yield node.lineno, node.args[1].value
 
@@ -247,6 +247,23 @@ def test_only_the_scalar_layer_reads_character_fields():
         for path in MODULES
         if path.name not in CHARACTER_READERS
         for line, name in _field_reads(_parse(path))
+    ]
+    assert found == []
+
+
+# a Gaussian rational computes on its int grid (p, s, q); its Fraction views
+# re and im are read only where they are built (scalars) and where they cross
+# the wire (serialize), so no kernel goes back through Fractions
+FRACTION_VIEWS = {"re", "im"}
+FRACTION_VIEW_READERS = {"scalars.py", "serialize.py"}
+
+
+def test_only_the_scalar_layer_reads_the_fraction_views():
+    found = [
+        f"{path.name}:{line} .{name}"
+        for path in MODULES
+        if path.name not in FRACTION_VIEW_READERS
+        for line, name in _field_reads(_parse(path), FRACTION_VIEWS)
     ]
     assert found == []
 

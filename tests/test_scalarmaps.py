@@ -20,6 +20,7 @@ from localaut.scalarmaps import (
     PowerConjFunc,
     PowerFunc,
     TableFunc,
+    _unit_order,
     check_LAR,
     check_character,
     evaluate,
@@ -115,6 +116,22 @@ def test_cstar_pair_screen():
     assert pair_ok_cstar(i, one, w, one, 3, True) == (True, "")
     # numeric data is not screened
     assert pair_ok_cstar(1j, 1j, 2 + 0j, 1 + 0j, 3, True) == (True, "")
+
+
+def test_unit_orders_are_those_of_the_roots_of_unity_in_Q_i():
+    """The roots of unity in Q(i) are +-1 and +-i; every other Gaussian
+    rational, on the circle or off it, has infinite order."""
+    one, i = GaussRational(1), GaussRational(0, 1)
+    assert [_unit_order(z) for z in (one, -one, i, -i)] == [1, 2, 4, 4]
+    assert _unit_order(GaussRational(F(3, 5), F(4, 5))) is None
+    assert _unit_order(GaussRational(2)) is None
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            for q in (1, 2, 5):
+                z = GaussRational(F(a, q), F(b, q))
+                if z:
+                    powers = next((o for o in (1, 2, 4) if z**o == one), None)
+                    assert _unit_order(z) == powers, z
 
 
 def test_cstar_pair_screen_follows_the_kind():
