@@ -475,11 +475,12 @@ def _error(code: str, message: str) -> None:
 
 def _join_negative_dets(argv: list[str]) -> list[str]:
     """argparse reads a value that starts with "-" as an option unless it is
-    one number, so `--dets -1,2` is joined to `--dets=-1,2` before parsing."""
+    one number, so `--dets -1,2` is joined to `--dets=-1,2` before parsing;
+    so is each prefix argparse takes for `--dets`, from `--d` on."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--dets" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--dets={arg}"
+        if out and len(out[-1]) >= 3 and "--dets".startswith(out[-1]) and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out

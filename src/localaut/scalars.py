@@ -92,14 +92,10 @@ class GaussRational:
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
         q, r = self.q, other.q
-        if q == r:
-            return gauss(self.p + other.p, self.s + other.s, q)
         return gauss(self.p * r + other.p * q, self.s * r + other.s * q, q * r)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
         q, r = self.q, other.q
-        if q == r:
-            return gauss(self.p - other.p, self.s - other.s, q)
         return gauss(self.p * r - other.p * q, self.s * r - other.s * q, q * r)
 
     def __neg__(self) -> "GaussRational":
@@ -107,20 +103,13 @@ class GaussRational:
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
         p, s, c, d = self.p, self.s, other.p, other.s
-        # real entries dominate in practice; skip the dead cross terms
-        if d == 0:
-            return gauss(p * c, s * c, self.q * other.q)
-        if s == 0:
-            return gauss(p * c, p * d, self.q * other.q)
         return gauss(p * c - s * d, p * d + s * c, self.q * other.q)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         # (p + i s) / q over (c + i d) / r is r (p + i s)(c - i d) / (q (c^2 + d^2))
         p, s, c, d, r = self.p, self.s, other.p, other.s, other.q
-        if d == 0:
-            if c == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return gauss(p * r, s * r, self.q * c)
+        if not (c or d):
+            raise ZeroDivisionError("division by zero Gaussian rational")
         return gauss((p * c + s * d) * r, (s * c - p * d) * r, self.q * (c * c + d * d))
 
     def conjugate(self) -> "GaussRational":
@@ -141,8 +130,6 @@ class GaussRational:
         if k < 0:
             return (GQ_ONE / self) ** -k
         p, s, den = self.p, self.s, self.q**k
-        if s == 0:  # gcd(p, q) = 1, so gcd(p^k, q^k) = 1
-            return _canonical(p**k, 0, den)
         a, b = 1, 0
         while k:
             if k & 1:

@@ -545,10 +545,10 @@ def test_dets_that_check_nothing_are_bad_args(tmp_path, capsys, group, dets, mes
     assert code == 2 and rep == {"error": "BadArgs", "message": message}
 
 
-def test_a_det_list_starting_with_a_minus_sign_parses_in_both_spellings(tmp_path, capsys):
+def test_a_det_list_starting_with_a_minus_sign_parses_in_every_spelling(tmp_path, capsys):
     auto_file = _gen(capsys, tmp_path, "gl-r-3", "--g", "power:1")
     reports = []
-    for dets in (["--dets", "-1,2"], ["--dets=-1,2"]):
+    for dets in (["--dets", "-1,2"], ["--dets=-1,2"], ["--det", "-1,2"], ["--d", "-1,2"]):
         code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", auto_file, *dets)
         assert (code, rep["status"]) == (0, "Recovered")
         rep.pop("elapsed_s")
