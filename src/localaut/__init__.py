@@ -6,8 +6,8 @@ The package decides, with certificates, whether sampled data is consistent
 with a single automorphism in canonical form, whether pairs of samples are
 interpolable by one, and reconstructs the canonical parameters from oracle
 access. Exact rational and Gaussian-rational arithmetic backs every
-certified verdict; floating point appears only for the unitary groups and
-is always reported with its tolerance.
+certified verdict; floating point appears for the unitary groups and C64
+input, judged by the fixed tolerances named in `scalars`.
 """
 
 from .autos import (

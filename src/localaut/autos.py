@@ -44,7 +44,7 @@ from .matrices import (
     transpose,
 )
 from .scalarmaps import character_point, character_value, check_character
-from .scalars import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, FIT_TOL
 
 STANDARD = "standard"
 CONTRAGREDIENT = "contragredient"
@@ -68,9 +68,9 @@ def make_automorphism(
     sigma: str,
     t: Mat,
     g=None,
-    tol: float = DEFAULT_TOL,
 ) -> Automorphism:
-    """Validate the four ingredients against the canonical form for group."""
+    """Validate the four ingredients against the canonical form for group.
+    A unitary T is checked within FIT_TOL: it may be a fitted polar factor."""
     if kind not in (STANDARD, CONTRAGREDIENT):
         raise BadParameters(f"unknown kind {kind!r}")
     if sigma not in (SIGMA_ID, SIGMA_CONJ):
@@ -90,7 +90,7 @@ def make_automorphism(
             raise BadParameters(
                 "unitary groups absorb the contragredient kind; use sigma='conj' instead"
             )
-        if not close(mul(conj_transpose(t), t), identity(t.n, t.regime), tol):
+        if not close(mul(conj_transpose(t), t), identity(t.n, t.regime), FIT_TOL):
             raise NonUnitaryT("T must be unitary for the isometry groups")
     res = check_character(group, kind == STANDARD, sigma, g)
     if not res.ok:
@@ -106,10 +106,10 @@ def op(a: Mat, kind: str, sigma: str) -> Mat:
 
 
 def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = True) -> Mat:
-    """phi(A). Raises NotInGroup for inputs outside the carrier group and
-    DetOutsideLattice when g has no exact value at det A. check=False skips
-    the membership test for callers that already know the input is valid
-    (bulk property suites)."""
+    """phi(A). Raises NotInGroup for inputs outside the carrier group (within
+    tol in C64) and DetOutsideLattice when g has no value at det A.
+    check=False skips the membership test for callers that already know
+    the input is valid (bulk property suites)."""
     if a.n != auto.group.n:
         raise BadParameters(f"matrix is {a.n}x{a.n}, group needs {auto.group.n}")
     if a.regime != auto.t.regime:
@@ -120,5 +120,5 @@ def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = Tr
     if auto.g is None:
         return out
     d = character_point(auto.group, auto.sigma, det(a))
-    return smul(character_value(auto.g, d, a.regime, tol), out)
+    return smul(character_value(auto.g, d, a.regime), out)
 

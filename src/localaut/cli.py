@@ -12,8 +12,8 @@ misbehaving oracles) reported as machine-readable error JSON.
 from __future__ import annotations
 
 import argparse
-import math
 import random
+import re
 import shlex
 import sys
 import time
@@ -51,7 +51,7 @@ from .serialize import (
     samples_from_json,
     sha256_digest,
 )
-from .scalars import parse_rational
+from .scalars import FIT_TOL, parse_rational
 
 
 class BadArgs(Exception):
@@ -66,27 +66,24 @@ class BadArgs(Exception):
 # 10.2 s on sl-c-16 and 6.3 s on sl-r-16, and its time grows as about n^7
 MAX_N = 16
 
+GROUP_FORMS = "gl-r-N, gl-c-N, sl-r-N, sl-c-N, un-N (or u-N) and sun-N (or su-N)"
+_GROUP = re.compile(r"(?:(gl|sl)-([rc])|(un|u|sun|su))-([0-9]+)")
+_FAMILIES = {"gl": "GL", "sl": "SL", "un": "Un", "u": "Un", "sun": "SUn", "su": "SUn"}
+
 
 def parse_group(text: str) -> GroupTag:
-    """gl-r-3, sl-c-4, un-3, sun-3 and the like, with n at most MAX_N."""
-    parts = text.lower().split("-")
+    """The group one of GROUP_FORMS names, in any case, with n at most
+    MAX_N; any other text is BadArgs."""
+    m = _GROUP.fullmatch(text.lower())
+    if m is None:
+        raise BadArgs(f"unknown group {text!r}; the forms are {GROUP_FORMS}")
+    exact, field, unitary, digits = m.groups()
     try:
-        if parts[0] in ("gl", "sl"):
-            if len(parts) == 2:
-                raise BadArgs(f"group {text!r} needs a field: try {parts[0]}-r-{parts[1]}")
-            family, field, n = parts[0].upper(), parts[1].upper(), int(parts[2])
-        elif parts[0] in ("un", "u"):
-            family, field, n = "Un", "C", int(parts[-1])
-        elif parts[0] in ("sun", "su"):
-            family, field, n = "SUn", "C", int(parts[-1])
-        else:
-            raise BadArgs(f"unknown group {text!r}; try gl-r-3, sl-c-3, un-3, sun-3")
+        n = int(digits)
         if n > MAX_N:
             raise BadArgs(f"group {text!r} has n = {n}, above the ceiling n <= {MAX_N}")
-        return GroupTag(family, field, n)
-    except BadArgs:
-        raise
-    except (ValueError, IndexError, LocalautError) as exc:
+        return GroupTag(_FAMILIES[exact or unitary], (field or "c").upper(), n)
+    except (ValueError, LocalautError) as exc:
         raise BadArgs(f"cannot parse group {text!r}: {exc}") from exc
 
 
@@ -146,9 +143,6 @@ def _check_numbers(args) -> None:
     opts = vars(args)
     if opts.get("seed", 0) < 0:
         raise BadArgs(f"--seed must be at least 0, got {args.seed}")
-    tol = opts.get("tol", 0.0)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise BadArgs(f"--tol must be a finite number >= 0, got {tol}")
     if opts.get("pairs", 1) < 1:
         raise BadArgs(f"--pairs must be at least 1, got {args.pairs}")
     if opts.get("verify_probes", 1) < 1:
@@ -183,7 +177,7 @@ def _cmd_gen_auto(args) -> dict:
     else:
         t = random_gl(group.n, group.regimes()[0], rng)
     g = parse_gspec(args.g, group)
-    auto = make_automorphism(group, args.kind, args.sigma, t, g, tol=args.tol)
+    auto = make_automorphism(group, args.kind, args.sigma, t, g)
     payload = auto_to_json(auto)
     if args.out:
         dump_json(args.out, payload)
@@ -199,7 +193,7 @@ def _cmd_gen_auto(args) -> dict:
 def _cmd_apply(args) -> dict:
     auto = auto_from_json(load_json(args.auto))
     mats, was_list = _load_mats(args.inp)
-    images = [apply(auto, m, tol=args.tol) for m in mats]
+    images = [apply(auto, m) for m in mats]
     payload = [mat_to_json(m) for m in images]
     if args.out:
         dump_json(args.out, payload if was_list else payload[0])
@@ -227,9 +221,9 @@ def _cmd_verify_auto(args) -> dict:
     for k in range(args.pairs):
         a = pool[rng.randrange(len(pool))]
         b = pool[rng.randrange(len(pool))]
-        lhs = apply(auto, mul(a, b), tol=args.tol)
-        rhs = mul(apply(auto, a, tol=args.tol), apply(auto, b, tol=args.tol))
-        if not close(lhs, rhs, max(args.tol, 1e-8)):
+        lhs = apply(auto, mul(a, b))
+        rhs = mul(apply(auto, a), apply(auto, b))
+        if not close(lhs, rhs, FIT_TOL):
             failures.append(k)
             if len(failures) >= 3:
                 break
@@ -246,7 +240,7 @@ def _cmd_verify_auto(args) -> dict:
 
 def _cmd_local_check(args) -> dict:
     sample_map = samples_from_json(load_json(args.samples))
-    report = check_map(sample_map, seed=args.seed, tol=args.tol)
+    report = check_map(sample_map, seed=args.seed)
     verdicts = []
     for (i, j), v in report.pair_verdicts:
         entry = {
@@ -281,17 +275,17 @@ def _make_oracle(args, group: GroupTag):
                 f"sample file is for {sample_map.group.family}-{sample_map.group.field}-"
                 f"{sample_map.group.n}, not {args.group}"
             )
-        return SampleOracle(group, sample_map.samples, budget=args.budget, tol=args.tol)
+        return SampleOracle(group, sample_map.samples, budget=args.budget)
     if args.oracle_cmd:
         try:
             cmd = shlex.split(args.oracle_cmd)
         except ValueError as exc:
             raise BadArgs(f"cannot parse --oracle-cmd {args.oracle_cmd!r}: {exc}") from exc
-        return SubprocessOracle(group, cmd, budget=args.budget, tol=args.tol)
+        return SubprocessOracle(group, cmd, budget=args.budget)
     auto = auto_from_json(load_json(args.auto))
     if auto.group != group:
         raise BadArgs("automorphism file group does not match --group")
-    return AutomorphismOracle(auto, budget=args.budget, tol=args.tol)
+    return AutomorphismOracle(auto, budget=args.budget)
 
 
 def _cmd_recover(args) -> dict:
@@ -303,13 +297,7 @@ def _cmd_recover(args) -> dict:
         raise BadArgs(f"--dets names a determinant more than once: {args.dets!r}")
     oracle = _make_oracle(args, group)
     try:
-        rep = recover(
-            oracle,
-            seed=args.seed,
-            verify_probes=args.verify_probes,
-            dets=dets,
-            tol=max(args.tol, 1e-9),
-        )
+        rep = recover(oracle, seed=args.seed, verify_probes=args.verify_probes, dets=dets)
     finally:
         if hasattr(oracle, "close"):
             oracle.close()
@@ -402,8 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # is an argparse error (exit 2) instead of being ignored
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=None, help="oracle probe budget")
 
@@ -413,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-auto", parents=[seed, tol], help="build and serialize an automorphism")
+    g = sub.add_parser("gen-auto", parents=[seed], help="build and serialize an automorphism")
     g.add_argument("--group", required=True, help="gl-r-3, sl-c-3, un-3, sun-3 ...")
     g.add_argument("--kind", default="standard", choices=("standard", "contragredient"))
     g.add_argument("--sigma", default="id", choices=("id", "conj"))
@@ -422,22 +408,22 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--out", default=None, help="write the automorphism JSON here")
     g.set_defaults(func=_cmd_gen_auto)
 
-    a = sub.add_parser("apply", parents=[tol], help="apply a stored automorphism to matrices")
+    a = sub.add_parser("apply", help="apply a stored automorphism to matrices")
     a.add_argument("--auto", required=True, help="automorphism JSON file")
     a.add_argument("--in", dest="inp", required=True, help="matrix JSON file (object or list)")
     a.add_argument("-o", "--out", default=None)
     a.set_defaults(func=_cmd_apply)
 
-    v = sub.add_parser("verify-auto", parents=[seed, tol], help="check the homomorphism law on random pairs")
+    v = sub.add_parser("verify-auto", parents=[seed], help="check the homomorphism law on random pairs")
     v.add_argument("auto", help="automorphism JSON file")
     v.add_argument("--pairs", type=int, default=200)
     v.set_defaults(func=_cmd_verify_auto)
 
-    lc = sub.add_parser("local-check", parents=[seed, tol], help="pairwise interpolation check of a sample map")
+    lc = sub.add_parser("local-check", parents=[seed], help="pairwise interpolation check of a sample map")
     lc.add_argument("samples", help="sample map JSON file")
     lc.set_defaults(func=_cmd_local_check)
 
-    r = sub.add_parser("recover", parents=[seed, tol, budget], help="reconstruct an automorphism from an oracle")
+    r = sub.add_parser("recover", parents=[seed, budget], help="reconstruct an automorphism from an oracle")
     r.add_argument("--group", required=True)
     r.add_argument("--samples", default=None, help="sample map JSON file used as a finite oracle")
     r.add_argument("--oracle-cmd", default=None, help="stateless child process, one matrix JSON per line")

@@ -46,9 +46,9 @@ from .matrices import (
 )
 from .scalarmaps import ambient, character_point, pair_screen, witness_character
 from .scalars import (
-    DEFAULT_TOL,
     GQ_I,
     GQ_ONE,
+    RECHECK_TOL,
     GaussRational,
     complex_nth_roots,
     rational_nth_root,
@@ -181,22 +181,23 @@ def check_pair(
     pair1: tuple[Mat, Mat],
     pair2: tuple[Mat, Mat],
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> PairVerdict:
-    """Is there one canonical-form automorphism through both samples?"""
-    a, a_out = pair1
-    b, b_out = pair2
-    samples, read = (a, a_out, b, b_out), []
+    """Is there one canonical-form automorphism through both samples?
+
+    Each sample's membership is tested within DEFAULT_TOL in C64. A branch
+    fits its witness in floats and checks it against the samples within
+    RECHECK_TOL; in the exact regimes both compare exactly."""
+    samples, read = (*pair1, *pair2), []
     for x in samples:
-        ok, d = member_det(x, group, tol)
+        ok, d = member_det(x, group)
         if not ok:
             raise NotInGroup(f"sample outside {group.family}_{group.n}({group.field})")
         read.append(d)
-    if group.unitary and a.regime == QC:
-        # unitary witnesses need polar factors, which live in ApproxC
-        p1 = (to_c64(a), to_c64(a_out))
-        p2 = (to_c64(b), to_c64(b_out))
-        return check_pair(group, p1, p2, seed, max(tol, 1e-8))
+    if group.unitary and samples[0].regime == QC:
+        # unitary witnesses need polar factors, which live in ApproxC; U_n
+        # reads its determinants off the lifted samples below
+        samples = tuple(to_c64(x) for x in samples)
+    a, a_out, b, b_out = samples
     kinds, sigmas = _group_branches(group)
     # the branches of a group with a character read these four determinants;
     # the GL membership test has read them already
@@ -207,7 +208,7 @@ def check_pair(
     inconclusive = False
     for kind in kinds:
         for sigma in sigmas:
-            br = _try_branch(group, kind, sigma, (a, a_out), (b, b_out), dets, seed, tol)
+            br = _try_branch(group, kind, sigma, (a, a_out), (b, b_out), dets, seed)
             verdict.branches.append(br)
             if br.outcome == "witness":
                 verdict.status = "Interpolable"
@@ -221,13 +222,13 @@ def check_pair(
     return verdict
 
 
-def _try_branch(group, kind, sigma, p1, p2, dets, seed, tol) -> BranchReport:
+def _try_branch(group, kind, sigma, p1, p2, dets, seed) -> BranchReport:
     a, a_out = p1
     b, b_out = p2
     a_op = op(a, kind, sigma)
     b_op = op(b, kind, sigma)
     if ambient(group) is None:
-        return _similarity_step(group, kind, sigma, [(a_op, a_out), (b_op, b_out)], None, (p1, p2), seed, tol)
+        return _similarity_step(group, kind, sigma, [(a_op, a_out), (b_op, b_out)], None, (p1, p2), seed)
     da, da_out, db, db_out = dets
     # det op(A) = sigma(det A)^(+-1)
     eps = -1 if kind == CONTRAGREDIENT else 1
@@ -252,13 +253,13 @@ def _try_branch(group, kind, sigma, p1, p2, dets, seed, tol) -> BranchReport:
     refusals = []
     for ca in cands_a:
         for cb in cands_b:
-            ok, why = pair_screen(group, kind == STANDARD, sigma, (da, ca), (db, cb), tol)
+            ok, why = pair_screen(group, kind == STANDARD, sigma, (da, ca), (db, cb))
             if not ok:
                 refusals.append(f"g({da})={ca}, g({db})={cb}: {why}")
                 continue
             one = scalar_one(a_out.regime)
             pairs = [(a_op, smul(one / ca, a_out)), (b_op, smul(one / cb, b_out))]
-            br = _similarity_step(group, kind, sigma, pairs, [(da, ca), (db, cb)], (p1, p2), seed, tol)
+            br = _similarity_step(group, kind, sigma, pairs, [(da, ca), (db, cb)], (p1, p2), seed)
             if br.outcome == "witness":
                 return br
             if br.outcome == "inconclusive":
@@ -272,37 +273,35 @@ def _try_branch(group, kind, sigma, p1, p2, dets, seed, tol) -> BranchReport:
     return BranchReport(kind, sigma, "refuted", "; ".join(refusals))
 
 
-def _similarity_step(group, kind, sigma, pairs, points, originals, seed, tol) -> BranchReport:
+def _similarity_step(group, kind, sigma, pairs, points, originals, seed) -> BranchReport:
     for x, y in pairs:
         if not charpolys_match(x, y):
             return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
     if group.unitary:
-        u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-8))
+        u = unitary_intertwiner(pairs, seed=seed)
         if u is None:
             return BranchReport(kind, sigma, "inconclusive", "no unitary intertwiner found")
-        return _witness_report(group, kind, sigma, u, points, originals, tol, "unitary intertwiner")
-    res = simultaneous_similarity(pairs, seed=seed, tol=tol)
+        return _witness_report(group, kind, sigma, u, points, originals, "unitary intertwiner")
+    res = simultaneous_similarity(pairs, seed=seed)
     if res.status == "Solved":
-        return _witness_report(
-            group, kind, sigma, res.s, points, originals, tol, f"intertwiner space dim {res.dim}"
-        )
+        return _witness_report(group, kind, sigma, res.s, points, originals, f"intertwiner space dim {res.dim}")
     if res.status == "NoSolution":
         return BranchReport(kind, sigma, "refuted", res.note)
     return BranchReport(kind, sigma, "inconclusive", res.note)
 
 
-def _witness_report(group, kind, sigma, t, points, originals, tol, detail) -> BranchReport:
+def _witness_report(group, kind, sigma, t, points, originals, detail) -> BranchReport:
     try:
-        witness = make_automorphism(group, kind, sigma, t, tol=max(tol, 1e-8))
+        witness = make_automorphism(group, kind, sigma, t)
     except Exception as exc:
         return BranchReport(kind, sigma, "inconclusive", f"witness rejected: {exc}")
     if points is not None:
         # `pair_screen` passed the two points, which is the table screen of
         # their table, so g joins the witness without a second screen
         witness = replace(witness, g=witness_character(group, points))
-    vtol = max(tol, 1e-7)  # exact regimes compare exactly whatever the tol
+    # check_pair has tested every sample's membership
     for a, a_out in originals:
-        if not close(apply(witness, a, vtol), a_out, vtol):
+        if not close(apply(witness, a, check=False), a_out, RECHECK_TOL):
             return BranchReport(kind, sigma, "inconclusive", "witness failed sample verification")
     return BranchReport(kind, sigma, "witness", detail, witness)
 
@@ -337,7 +336,7 @@ class MapReport:
         return out
 
 
-def check_map(sample_map: SampleMap, seed: int = 0, tol: float = DEFAULT_TOL) -> MapReport:
+def check_map(sample_map: SampleMap, seed: int = 0) -> MapReport:
     """Run check_pair over every unordered pair of samples (a single sample
     is paired with itself)."""
     samples = sample_map.samples
@@ -351,7 +350,7 @@ def check_map(sample_map: SampleMap, seed: int = 0, tol: float = DEFAULT_TOL) ->
     first_obstruction = None
     for i, j in idx_pairs:
         sub_seed = seed * 9973 + i * m + j
-        v = check_pair(group, samples[i], samples[j], seed=sub_seed, tol=tol)
+        v = check_pair(group, samples[i], samples[j], seed=sub_seed)
         verdicts.append(((i, j), v))
         if v.status == "Obstructed" and first_obstruction is None:
             first_obstruction = (i, j)

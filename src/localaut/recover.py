@@ -77,7 +77,7 @@ from .matrices import (
     smul,
 )
 from .scalarmaps import character_point, induced, table_screen, witness_character
-from .scalars import DEFAULT_TOL, GQ_I
+from .scalars import ANSWER_TOL, CIRCLE_DRIFT, GQ_I, RECHECK_TOL, SU_RESIDUAL
 from .serialize import mat_from_json, mat_to_json
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
@@ -99,21 +99,20 @@ def default_budget(n: int) -> int:
 class Oracle:
     """Budgeted access to an unknown map on a classical group."""
 
-    def __init__(self, group: GroupTag, budget: int | None = None, tol: float = DEFAULT_TOL):
+    def __init__(self, group: GroupTag, budget: int | None = None):
         self.group = group
         self.budget = default_budget(group.n) if budget is None else budget
-        self.tol = tol
         self.count = 0
         self.transcript: list[tuple[Mat, Mat]] = []
 
     def query(self, a: Mat) -> Mat:
         if self.count >= self.budget:
             raise BudgetExceeded(f"oracle budget {self.budget} exhausted")
-        if not member(a, self.group, self.tol):
+        if not member(a, self.group):
             raise BadParameters("engine bug: probe outside the group")
         self.count += 1
         out = self._call(a)
-        if not member(out, self.group, max(self.tol, 1e-6)):
+        if not member(out, self.group, ANSWER_TOL):
             raise NotInGroup("oracle output left the group")
         self.transcript.append((a, out))
         return out
@@ -123,8 +122,8 @@ class Oracle:
 
 
 class FunctionOracle(Oracle):
-    def __init__(self, group, fn, budget=None, tol=DEFAULT_TOL):
-        super().__init__(group, budget, tol)
+    def __init__(self, group, fn, budget=None):
+        super().__init__(group, budget)
         self.fn = fn
 
     def _call(self, a: Mat) -> Mat:
@@ -132,13 +131,13 @@ class FunctionOracle(Oracle):
 
 
 class AutomorphismOracle(Oracle):
-    def __init__(self, auto: Automorphism, budget=None, tol=DEFAULT_TOL):
-        super().__init__(auto.group, budget, tol)
+    def __init__(self, auto: Automorphism, budget=None):
+        super().__init__(auto.group, budget)
         self.auto = auto
 
     def _call(self, a: Mat) -> Mat:
-        # query has checked the probe's membership, at a tolerance no looser
-        return apply(self.auto, a, max(self.tol, 1e-9), check=False)
+        # query has checked the probe's membership
+        return apply(self.auto, a, check=False)
 
 
 class SampleOracle(Oracle):
@@ -146,8 +145,8 @@ class SampleOracle(Oracle):
     answer raise OracleIncomplete carrying the probe, so a caller can extend
     the sample file and retry."""
 
-    def __init__(self, group, samples, budget=None, tol=DEFAULT_TOL):
-        super().__init__(group, budget, tol)
+    def __init__(self, group, samples, budget=None):
+        super().__init__(group, budget)
         self.table = dict(samples)
 
     def _call(self, a: Mat) -> Mat:
@@ -161,10 +160,10 @@ class SampleOracle(Oracle):
 class SubprocessOracle(Oracle):
     """One JSON object per line on stdin/stdout of a child process."""
 
-    def __init__(self, group, cmd, budget=None, tol=DEFAULT_TOL):
+    def __init__(self, group, cmd, budget=None):
         import subprocess
 
-        super().__init__(group, budget, tol)
+        super().__init__(group, budget)
         self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._pending = b""
 
@@ -256,9 +255,10 @@ def _normalize(m: Mat) -> Mat:
     return smul(abs(z) / z if m.regime == C64 else scalar_one(m.regime) / z, m)
 
 
-def _ratio(observed: Mat, model: Mat, tol: float, reason: str, **extra):
-    """c with observed = c * model, or a refutation with reason."""
-    c = ratio(flat(observed), flat(model), max(tol, 1e-7))
+def _ratio(observed: Mat, model: Mat, reason: str, **extra):
+    """c with observed = c * model (within RECHECK_TOL in C64), or a
+    refutation with reason."""
+    c = ratio(flat(observed), flat(model), RECHECK_TOL)
     if c is None:
         raise _Stop(reason, **extra)
     return c
@@ -337,7 +337,7 @@ def _detect_sigma_exact(oracle: Oracle, kind: str, t: Mat) -> str:
 # stage: fit T from SU samples (SU_n, U_n)
 
 
-def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float) -> Mat:
+def _fit_su(oracle: Oracle, sigma: str, seed: int) -> Mat:
     """The phase-normalized unitary U with phi(A) = U sigma(A) U^-1 on
     random SU_n samples; Inconclusive when none is found."""
     pairs = []
@@ -345,7 +345,7 @@ def _fit_su(oracle: Oracle, sigma: str, seed: int, tol: float) -> Mat:
         a = random_su(oracle.group.n, seed=seed * 101 + k)
         img = oracle.query(a)
         pairs.append((op(a, STANDARD, sigma), img))
-    u = unitary_intertwiner(pairs, seed=seed, tol=max(tol, 1e-7))
+    u = unitary_intertwiner(pairs, seed=seed)
     if u is None:
         raise _Stop("no unitary intertwiner through the SU samples", status="Inconclusive")
     return _normalize(u)
@@ -359,7 +359,7 @@ def _frob_dist(a: Mat, b: Mat) -> float:
 # stage: fit g (GL_n(R), U_n)
 
 
-def _fit_g(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
+def _fit_g(oracle: Oracle, model: Automorphism, dets) -> dict:
     """g from diag(d, 1, ..., 1) probes at dets, which isolate g(d)
     entrywise: on R* for GL_n(R), at `CIRCLE_GENERATORS` for U_n. g(d) is
     the scalar c with phi(probe) = c * model(probe), where model is the
@@ -375,9 +375,9 @@ def _fit_g(oracle: Oracle, model: Automorphism, dets, tol: float) -> dict:
     for d in dets:
         probe = diag_first(n, d, regime)
         why = "determinant probe is not a scalar multiple of the conjugated model"
-        c = _ratio(oracle.query(probe), apply(model, probe, check=False), tol, why, det=_wire(d))
+        c = _ratio(oracle.query(probe), apply(model, probe, check=False), why, det=_wire(d))
         g_points.append((character_point(model.group, sigma, d), c))
-    res = table_screen(model.group, first, sigma, g_points, tol)
+    res = table_screen(model.group, first, sigma, g_points)
     if not res.ok:
         raise _class_stop(res)
     # the screen is the class verdict on g, and the model's T, kind and
@@ -431,23 +431,23 @@ def _verify_exact(oracle: Oracle, candidate: Automorphism, seed: int, count: int
             raise _Stop("verification probe disagrees with the recovered automorphism")
 
 
-def _verify_su(oracle: Oracle, candidate: Automorphism, seed: int, count: int, tol: float) -> float:
+def _verify_su(oracle: Oracle, candidate: Automorphism, seed: int, count: int) -> float:
     """The largest Frobenius distance between a fresh SU_n probe's image
-    and the candidate's; Refuted beyond 50 tol. `query` tests each probe's
-    membership, so the candidate applies it unchecked."""
+    and the candidate's; Refuted beyond SU_RESIDUAL. `query` tests each
+    probe's membership, so the candidate applies it unchecked."""
     residual = 0.0
     for k in range(count):
         probe = random_su(candidate.group.n, seed=seed * 413 + 57 + k)
-        residual = max(residual, _frob_dist(oracle.query(probe), apply(candidate, probe, 1e-6, check=False)))
-    if residual > tol * 50:
+        residual = max(residual, _frob_dist(oracle.query(probe), apply(candidate, probe, check=False)))
+    if residual > SU_RESIDUAL:
         raise _Stop(f"verification residual {residual:.3e} exceeds tolerance")
     return residual
 
 
-def _verify_projective(oracle: Oracle, model: Automorphism, seed: int, count: int, tol: float) -> float:
-    """Each fresh U_n probe's image must be a circle scalar c times
-    U sigma(P) U^-1; the residual is the largest Frobenius distance between
-    the two."""
+def _verify_projective(oracle: Oracle, model: Automorphism, seed: int, count: int) -> float:
+    """Each fresh U_n probe's image must be a scalar c within CIRCLE_DRIFT
+    of the circle times U sigma(P) U^-1; the residual is the largest
+    Frobenius distance between the two."""
     n, residual = model.group.n, 0.0
     for k in range(count):
         # an SU_n sample times diag(z, 1, ..., 1) for a random phase z
@@ -455,8 +455,8 @@ def _verify_projective(oracle: Oracle, model: Automorphism, seed: int, count: in
         probe = mul(random_su(n, seed=seed * 733 + 91 + k), diag_first(n, z, C64))
         got = oracle.query(probe)
         want = apply(model, probe, check=False)
-        c = _ratio(got, want, max(tol, 1e-7), "verification probe is not conjugation followed by a scalar")
-        if abs(abs(complex(c)) - 1) > tol * 10:
+        c = _ratio(got, want, "verification probe is not conjugation followed by a scalar")
+        if abs(abs(complex(c)) - 1) > CIRCLE_DRIFT:
             raise _Stop("verification scalar leaves the circle")
         residual = max(residual, _frob_dist(got, smul(c, want)))
     return residual
@@ -475,15 +475,15 @@ ENGINE_LABELS = {
 }
 
 
-def recover(
-    oracle: Oracle, seed: int = 0, verify_probes: int = 50, dets=None, tol: float = 1e-6
-) -> RecoveryReport:
+def recover(oracle: Oracle, seed: int = 0, verify_probes: int = 50, dets=None) -> RecoveryReport:
     """Recover oracle's map through the pipeline for oracle.group and report.
 
-    dets (default 2 and 3) feeds the GL_n(R) determinant probes, tol the
-    unitary stages. A _Stop from a stage becomes the Refuted or
-    Inconclusive report; an exhausted budget re-raises with the engine
-    label and probe count attached as `partial`. Raises NoEngine for
+    dets (default 2 and 3) feeds the GL_n(R) determinant probes. The exact
+    groups compare exactly, and the unitary stages judge by the tolerances
+    named in `scalars`, so the library and `localaut recover` give one
+    verdict. A _Stop from a stage becomes the Refuted or Inconclusive
+    report; an exhausted budget re-raises with the engine label and probe
+    count attached as `partial`. Raises NoEngine for
     GL_n(C), and BadParameters before the first probe for verify_probes < 1
     (a verdict on no fresh probe would certify nothing) and, on GL_n(R),
     for empty, repeated or zero dets.
@@ -505,7 +505,7 @@ def recover(
         if 0 in dets:
             raise BadParameters("0 is not a determinant of an invertible matrix")
     try:
-        fields = _pipeline(oracle, seed, verify_probes, dets, tol)
+        fields = _pipeline(oracle, seed, verify_probes, dets)
         status = "Recovered"
     except _Stop as stop:
         status = stop.status
@@ -519,31 +519,31 @@ def recover(
     return RecoveryReport(status, group, engine, probes_used=oracle.count, **fields)
 
 
-def _pipeline(oracle: Oracle, seed, verify_probes, dets, tol) -> dict:
+def _pipeline(oracle: Oracle, seed, verify_probes, dets) -> dict:
     """detect -> fit T -> (sigma over C) -> fit g -> verify, each as the
     group's canonical form needs it; returns the Recovered report's fields."""
     group = oracle.group
     if group.unitary:
         branches = [(STANDARD, SIGMA_ID), (STANDARD, SIGMA_CONJ)]
         kind, sigma = _detect(oracle, _sigma_probe(group.n), branches, "sigma")
-        t = _fit_su(oracle, sigma, seed, tol)
+        t = _fit_su(oracle, sigma, seed)
     else:
         branches = [(STANDARD, SIGMA_ID), (CONTRAGREDIENT, SIGMA_ID)]
         kind, _ = _detect(oracle, kind_probe(group.n, group.regimes()[0]), branches, "kind")
         t = _fit_t(oracle, kind)
         sigma = _detect_sigma_exact(oracle, kind, t) if group.field == "C" else SIGMA_ID
-    model = make_automorphism(group, kind, sigma, t, tol=1e-6)
+    model = make_automorphism(group, kind, sigma, t)
     if group.family == "GL":
-        fields = _fit_g(oracle, model, dets, tol)
+        fields = _fit_g(oracle, model, dets)
     elif group.family == "Un":
-        fields = _fit_g(oracle, model, CIRCLE_GENERATORS, tol)
+        fields = _fit_g(oracle, model, CIRCLE_GENERATORS)
         fields["notes"] = ["verification is projective: scalars at unprobed determinants stay unchecked"]
     else:
         fields = {"auto": model}
     if group.family == "SUn":
-        fields["residual"] = _verify_su(oracle, model, seed, verify_probes, tol)
+        fields["residual"] = _verify_su(oracle, model, seed, verify_probes)
     elif group.family == "Un":
-        fields["residual"] = _verify_projective(oracle, model, seed, verify_probes, tol)
+        fields["residual"] = _verify_projective(oracle, model, seed, verify_probes)
     else:
         _verify_exact(oracle, fields["auto"], seed, verify_probes, dets)
     return fields

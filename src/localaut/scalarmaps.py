@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mullattice import dep_exponent, relations, subgroup_exponents
 from .matrices import C64
-from .scalars import DEFAULT_TOL, GaussRational, rational_pow
+from .scalars import FIT_TOL, GaussRational, rational_pow
 
 RSTAR = "Rstar"
 CIRCLE = "Circle"
@@ -124,7 +124,7 @@ class TableFunc:
     points: tuple
     ambient: str = RSTAR
 
-    def lookup(self, x, tol: float = 1e-8):
+    def lookup(self, x, tol: float = FIT_TOL):
         """The value at x, or None: exact on R* and C*, within tol on the circle."""
         if self.ambient == CIRCLE:
             x = complex(x)
@@ -208,14 +208,14 @@ def evaluate(g, x):
     raise BadParameters(f"not a MulFunc: {type(g).__name__}")
 
 
-def character_value(g, d, regime: str, tol: float):
+def character_value(g, d, regime: str):
     """g at the determinant d of a matrix in regime, for applying an
-    automorphism: numeric circle tables match d within tol, everything else
-    evaluates exactly. Raises DetOutsideLattice where g has no value."""
+    automorphism: numeric circle tables match d within FIT_TOL, everything
+    else evaluates exactly. Raises DetOutsideLattice where g has no value."""
     if isinstance(g, TableFunc) and g.ambient == CIRCLE:
         if regime != C64:
             raise RegimeMismatch("numeric circle tables need the ApproxC regime")
-        val = g.lookup(d, tol=max(tol, 1e-8))
+        val = g.lookup(d)
         if val is None:
             raise DetOutsideLattice(f"g has no recorded value near det = {d}")
         return val
@@ -274,14 +274,14 @@ def character_point(group, sigma: str, d):
     return d.conjugate() if sigma == "conj" and ambient(group) == CIRCLE else d
 
 
-def pair_screen(group, first_kind: bool, sigma: str, p, q, tol: float) -> tuple[bool, str]:
+def pair_screen(group, first_kind: bool, sigma: str, p, q) -> tuple[bool, str]:
     """(ok, why): can one character of the branch's class take the values
     p = (da, ca) and q = (db, cb) at the points `character_point` gives?
     Exact on R*; necessary conditions only on C* and the circle."""
     (da, ca), (db, cb) = p, q
     n, side = group.n, ambient(group)
     if side == CIRCLE:
-        return pair_ok_mu(complex(da), complex(ca), complex(db), complex(cb), n, max(tol, 1e-8))
+        return pair_ok_mu(complex(da), complex(ca), complex(db), complex(cb), n)
     if da == db and ca != cb:
         return False, "one g cannot take two values at one determinant"
     if side == RSTAR:
@@ -416,7 +416,7 @@ def check_character(group, first_kind: bool, sigma: str, g) -> ClassCheck:
             points = g.points
         else:
             points = (*zip(g.generators, g.images), (Fraction(-1), Fraction(g.sign_image)))
-        return table_screen(group, first_kind, sigma, points, DEFAULT_TOL)
+        return table_screen(group, first_kind, sigma, points)
     if side == CSTAR:
         if not isinstance(g, PowerConjFunc):
             return ClassCheck(False, "GL over C supports the |z|^(2k) family here")
@@ -441,7 +441,7 @@ def check_character(group, first_kind: bool, sigma: str, g) -> ClassCheck:
     return ClassCheck(True)
 
 
-def table_screen(group, first_kind: bool, sigma: str, points, tol: float) -> ClassCheck:
+def table_screen(group, first_kind: bool, sigma: str, points) -> ClassCheck:
     """The class verdict on a character of group through the table points
     [(d, g(d)), ...], read at `character_point`, in the order given: every
     point, then every pair, through `pair_screen`. That decides tables of
@@ -450,12 +450,12 @@ def table_screen(group, first_kind: bool, sigma: str, points, tol: float) -> Cla
     every relation among the |d|, and f must be injective: with the
     relations of the |d| kept, |f| may keep no other."""
     for p in points:
-        ok, why = pair_screen(group, first_kind, sigma, p, p, tol)
+        ok, why = pair_screen(group, first_kind, sigma, p, p)
         if not ok:
             return ClassCheck(False, why, counterexample=(p[0],))
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
-            ok, why = pair_screen(group, first_kind, sigma, p, q, tol)
+            ok, why = pair_screen(group, first_kind, sigma, p, q)
             if not ok:
                 return ClassCheck(False, why, counterexample=(p[0], q[0]))
     if ambient(group) != RSTAR or len(points) < 3:
@@ -509,17 +509,17 @@ def check_LAR(h: LatticeFunc) -> ClassCheck:
 # the circle class Mu
 
 
-def pair_ok_mu(d1: complex, c1: complex, d2: complex, c2: complex, n: int, tol: float = 1e-8) -> tuple[bool, str]:
+def pair_ok_mu(d1: complex, c1: complex, d2: complex, c2: complex, n: int) -> tuple[bool, str]:
     """Evidence-grade circle pair check for g in Mu through two det/value pairs.
 
     Certifiable necessary conditions only: unit moduli, and f(1) = 1 for the
-    induced f.
+    induced f, each within FIT_TOL.
     """
     for z, c in ((d1, c1), (d2, c2)):
-        if abs(abs(z) - 1) > tol or abs(abs(c) - 1) > tol:
+        if abs(abs(z) - 1) > FIT_TOL or abs(abs(c) - 1) > FIT_TOL:
             return False, "circle data must stay on the circle"
     for z, c in ((d1, c1), (d2, c2)):
-        if abs(z - 1) <= tol and abs(induced(z, c, n) - 1) > tol:
+        if abs(z - 1) <= FIT_TOL and abs(induced(z, c, n) - 1) > FIT_TOL:
             return False, "f(1) must be 1"
     return True, ""
 

@@ -1,8 +1,8 @@
 """Scalar regimes.
 
 Three regimes are supported everywhere: exact rationals (Python Fraction),
-exact Gaussian rationals, and tolerance-tagged machine complex numbers.
-Exact regimes never round; the approximate regime compares within a tol.
+exact Gaussian rationals, and machine complex numbers. Exact regimes never
+round; the approximate regime compares within the tolerances named below.
 
 A Gaussian rational is the scalar twin of a matrix grid: the ints (p, s, q)
 with value (p + i s) / q, q > 0 and gcd(p, s, q) = 1. Sums and products are
@@ -20,7 +20,15 @@ from fractions import Fraction
 
 from .errors import BadParameters, ZeroInput
 
-DEFAULT_TOL = 1e-9
+# The tolerances of the C64 regime, one per decision; the exact regimes
+# compare exactly and read none of them. Each float step a value has been
+# through since the input widens the one it is judged by.
+DEFAULT_TOL = 1e-9  # an input's membership, and C64 equality of given matrices
+FIT_TOL = 1e-8  # a fit in floats: the unitary intertwiner, circle screens and tables, witness unitarity, verify-auto
+RECHECK_TOL = 1e-7  # a fit re-checked after more float steps: a witness, the polar factor, recovery ratios
+ANSWER_TOL = 1e-6  # membership of an oracle's answer, computed by a map the toolkit does not see
+SU_RESIDUAL = 50 * DEFAULT_TOL  # the largest Frobenius distance an SU_n recovery verifies within
+CIRCLE_DRIFT = 10 * DEFAULT_TOL  # how far a U_n verification scalar may leave the circle
 MAX_LITERAL = 4300  # characters in an exact literal read from input, Python's default int digit limit
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/0*[1-9][0-9]*)?\s*")
 

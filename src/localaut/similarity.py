@@ -34,7 +34,7 @@ from .matrices import (
     _to_numpy,
     _from_numpy,
 )
-from .scalars import DEFAULT_TOL
+from .scalars import FIT_TOL, RECHECK_TOL
 
 GRID_CAP = 4096
 ATTEMPTS = 50  # seeded random combinations of the intertwiner basis tried, in every search
@@ -100,18 +100,15 @@ def _combiner(basis: list[Mat]):
     return combine
 
 
-def verify_intertwines(s: Mat, pairs: list[tuple[Mat, Mat]], tol: float = DEFAULT_TOL) -> bool:
-    return all(close(mul(s, a), mul(b, s), tol) for a, b in pairs)
+def verify_intertwines(s: Mat, pairs: list[tuple[Mat, Mat]]) -> bool:
+    """S A = B S for every pair: exactly, or within FIT_TOL in C64."""
+    return all(close(mul(s, a), mul(b, s), FIT_TOL) for a, b in pairs)
 
 
-def simultaneous_similarity(
-    pairs: list[tuple[Mat, Mat]],
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> SimilarityResult:
+def simultaneous_similarity(pairs: list[tuple[Mat, Mat]], seed: int = 0) -> SimilarityResult:
     regime = pairs[0][0].regime
     if regime == C64:
-        return _numeric_similarity(pairs, seed, tol)
+        return _numeric_similarity(pairs, seed)
     basis = intertwiner_basis(pairs)
     d = len(basis)
     if d == 0:
@@ -168,30 +165,30 @@ def _simplex(k: int, total: int):
             yield (first, *rest)
 
 
-def numeric_intertwiner_basis(pairs: list[tuple[Mat, Mat]], tol: float = DEFAULT_TOL) -> list:
+def numeric_intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list:
     """Numeric basis of {S : S A_i = B_i S} as n x n complex arrays.
 
     S A - B S is (kron(I, A^T) - kron(B, I)) vec(S) for S read row by row;
     the basis is the right singular vectors of the stacked systems whose
-    singular values lie below the cutoff."""
+    singular values lie below the cutoff: FIT_TOL, or 1e-12 of the largest."""
     import numpy as np
 
     n = pairs[0][0].n
     eye = np.eye(n)
     big = np.vstack([np.kron(eye, _to_numpy(a).T) - np.kron(_to_numpy(b), eye) for a, b in pairs])
     _, sv, vh = np.linalg.svd(big)
-    cutoff = max(tol, (sv[0] if len(sv) else 1.0) * 1e-12)
+    cutoff = max(FIT_TOL, (sv[0] if len(sv) else 1.0) * 1e-12)
     # null vectors are columns of V, i.e. conjugated rows of V^H
     return [vh[i].conj().reshape(n, n) for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
 
 
-def _numeric_similarity(pairs, seed: int, tol: float) -> SimilarityResult:
+def _numeric_similarity(pairs, seed: int) -> SimilarityResult:
     """The basis elements, then ATTEMPTS seeded combinations of them, each
     drawn only when it is tried; a well-conditioned one that intertwines
-    within tol is Solved."""
+    within FIT_TOL is Solved."""
     import numpy as np
 
-    basis = numeric_intertwiner_basis(pairs, tol)
+    basis = numeric_intertwiner_basis(pairs)
     d = len(basis)
     if d == 0:
         return SimilarityResult("NoSolution", dim=0, note="numeric intertwiner space is zero")
@@ -200,25 +197,25 @@ def _numeric_similarity(pairs, seed: int, tol: float) -> SimilarityResult:
     for sm in chain(basis, draws):
         if np.linalg.cond(sm) < 1e8:
             s = _from_numpy(sm)
-            if verify_intertwines(s, pairs, tol):
+            if verify_intertwines(s, pairs):
                 return SimilarityResult("Solved", s=s, dim=d)
     return SimilarityResult("Inconclusive", dim=d, note="no well-conditioned intertwiner found")
 
 
-def unitary_intertwiner(pairs: list[tuple[Mat, Mat]], seed: int = 0, tol: float = 1e-8) -> Mat | None:
+def unitary_intertwiner(pairs: list[tuple[Mat, Mat]], seed: int = 0) -> Mat | None:
     """Unitary U with U A_i = B_i U, when the A_i, B_i are unitary.
 
     Any invertible intertwiner S of unitary tuples polar-decomposes into
-    S = U P with P commuting with the A_i, so U itself intertwines.
+    S = U P with P commuting with the A_i, so U itself intertwines; the SVD
+    that takes U off S is one more float step, so U is checked within
+    RECHECK_TOL.
     """
     import numpy as np
 
-    res = _numeric_similarity(pairs, seed, tol)
+    res = _numeric_similarity(pairs, seed)
     if res.status != "Solved":
         return None
     sm = _to_numpy(res.s)
     u_, _, vh = np.linalg.svd(sm)
     u = _from_numpy(u_ @ vh)
-    if verify_intertwines(u, pairs, max(tol, 1e-7)):
-        return u
-    return None
+    return u if all(close(mul(u, a), mul(b, u), RECHECK_TOL) for a, b in pairs) else None

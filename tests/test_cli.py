@@ -54,11 +54,17 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_parse_group_forms():
+def test_parse_group_forms(capsys):
     assert parse_group("gl-r-3") == GroupTag("GL", "R", 3)
     assert parse_group("sl-c-4") == GroupTag("SL", "C", 4)
     assert parse_group("un-3") == GroupTag("Un", "C", 3)
     assert parse_group("su-5") == GroupTag("SUn", "C", 5)
+    # a part the form does not have is refused, never ignored
+    for text in ("un-3-4", "un-r-3", "sun-x-y-5", "gl-r-3-9", "sl-c-4-foo", "gl-3", "gl-q-3", "su-"):
+        with pytest.raises(BadArgs, match=f"unknown group {text!r}; the forms are gl-r-N, gl-c-N, sl-r-N"):
+            parse_group(text)
+    code, rep = run_cli(capsys, "gen-auto", "--group", "un-3-4")
+    assert code == 2 and rep["error"] == "BadArgs" and "un-N (or u-N) and sun-N (or su-N)" in rep["message"]
 
 
 def test_group_above_the_ceiling_is_refused(capsys):
@@ -571,8 +577,6 @@ def test_recover_with_an_empty_det_list_is_refused(tmp_path, capsys):
         ("verify-auto", "gl-r-3", "--pairs", "-3"),
         ("recover", "gl-r-3", "--verify-probes", "-1"),
         ("recover", "sl-r-3", "--verify-probes", "0"),
-        ("recover", "un-3", "--tol", "-1"),
-        ("recover", "gl-r-3", "--tol", "nan"),
         ("recover", "gl-r-3", "--budget", "0"),
         ("recover", "sl-r-3", "--budget", "-1"),
     ],
@@ -877,8 +881,16 @@ def test_recover_reads_relations_among_determinants_beyond_10_to_the_40(tmp_path
         ["apply", "--auto", "a.json", "--in", "m.json", "--seed", "3"],
         ["gallery", "additive-r", "--tol", "1e-6"],
         ["selftest", "--budget", "3"],
+        ["gen-auto", "--group", "un-3", "--tol", "1e-6"],
+        ["apply", "--auto", "a.json", "--in", "m.json", "--tol", "1e-6"],
+        ["verify-auto", "a.json", "--tol", "1e-6"],
+        ["local-check", "s.json", "--tol", "1e-6"],
+        ["recover", "--group", "gl-r-3", "--auto", "a.json", "--tol", "nan"],
     ],
-    ids=["apply-budget", "apply-seed", "gallery-tol", "selftest-budget"],
+    ids=[
+        "apply-budget", "apply-seed", "gallery-tol", "selftest-budget",
+        "gen-auto-tol", "apply-tol", "verify-auto-tol", "local-check-tol", "recover-tol",
+    ],
 )
 def test_unread_options_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as stop:

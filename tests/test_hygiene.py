@@ -392,3 +392,53 @@ def test_recovery_never_passes_an_oracle_reply_to_op():
             if isinstance(call, ast.Call) and _call_name(call) == "op" and call.args and _is_reply(call.args[0], replies)
         ]
     assert found == []
+
+
+# one tolerance policy: the numeric thresholds are named once in scalars, and
+# only the comparison primitives take a tol, which no caller floors
+TOL_PRIMITIVES = {
+    ("matrices.py", "close"),
+    ("matrices.py", "scalar_close"),
+    ("matrices.py", "member"),
+    ("matrices.py", "member_det"),
+    ("matrices.py", "ratio"),
+    ("autos.py", "apply"),
+    ("scalarmaps.py", "TableFunc.lookup"),
+}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, def) for every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+
+
+def _is_tol(node):
+    return (isinstance(node, ast.Name) and node.id == "tol") or (isinstance(node, ast.Attribute) and node.attr == "tol")
+
+
+def test_only_the_comparison_primitives_take_a_tol():
+    found = [
+        f"{path.name} {name}"
+        for path in MODULES
+        for name, func in _functions(_parse(path))
+        if "tol" in {a.arg for a in (*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs)}
+        and (path.name, name) not in TOL_PRIMITIVES
+    ]
+    assert found == []
+
+
+def test_no_tol_is_floored():
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in MODULES
+        for call in ast.walk(_parse(path))
+        if isinstance(call, ast.Call)
+        and _call_name(call) == "max"
+        and any(_is_tol(arg) for arg in (*call.args, *(kw.value for kw in call.keywords)))
+    ]
+    assert found == []

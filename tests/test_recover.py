@@ -440,7 +440,7 @@ def test_each_exact_probe_is_tested_for_membership_once(spec, membership_tests):
 def test_each_su_probe_is_tested_for_membership_once(membership_tests):
     auto = make_automorphism(GroupTag("SUn", "C", 3), STANDARD, SIGMA_CONJ, random_su(3, seed=2))
     oracle = AutomorphismOracle(auto)
-    assert _verify_su(oracle, auto, seed=1, count=4, tol=1e-6) < 1e-9
+    assert _verify_su(oracle, auto, seed=1, count=4) < 1e-9
     assert oracle.count == 4
     _once_each(membership_tests, oracle.transcript)
 
@@ -500,6 +500,27 @@ def test_gl_verification_probe_is_the_product_with_diag_first(n):
 def test_transpose_has_no_unitary_intertwiner(family):
     """A -> A^t reverses products, so no conjugation explains it."""
     rep = recover(FunctionOracle(GroupTag(family, "C", 3), transpose), seed=0)
+    assert rep.status == "Inconclusive"
+    assert rep.notes == ["no unitary intertwiner through the SU samples"]
+
+
+@pytest.mark.parametrize("family", ["SUn", "Un"])
+def test_unitary_noise_of_1e_7_is_inconclusive(family):
+    """One set of recovery thresholds: the library reads an oracle whose
+    answers carry 1e-7 of unitary noise as `localaut recover` does, with no
+    unitary intertwiner at the fit's tolerance."""
+    group = GroupTag(family, "C", 3)
+    auto = make_automorphism(group, STANDARD, SIGMA_CONJ, random_unitary(3, seed=3))
+    eps, answered = 1e-7, []
+
+    def noisy(a):
+        # the answer times W diag(e^(i eps), e^(-i eps), 1) W^*, unitary with det 1
+        w = random_unitary(3, seed=100 + len(answered))
+        turn = matrices.diagonal([cmath.exp(1j * eps), cmath.exp(-1j * eps), 1], C64)
+        answered.append(a)
+        return mul(apply(auto, a, check=False), mul(mul(w, turn), matrices.conj_transpose(w)))
+
+    rep = recover(FunctionOracle(group, noisy), seed=1)
     assert rep.status == "Inconclusive"
     assert rep.notes == ["no unitary intertwiner through the SU samples"]
 
