@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from .autos import Automorphism, apply, make_automorphism
 from .errors import BadParameters, FileFormatError, LocalautError, NoEngine
-from .gallery import GALLERY, build_entry, verify_entry
-from .localcheck import check_map
 from .matrices import (
     C64,
     GroupTag,
@@ -36,7 +34,6 @@ from .matrices import (
     random_unitary,
     to_c64,
 )
-from .recover import AutomorphismOracle, SampleOracle, SubprocessOracle, recover
 from .scalarmaps import CIRCLE, RSTAR, MulFunc, PowerConjFunc, PowerFunc, ambient
 from .serialize import (
     auto_from_json,
@@ -239,6 +236,8 @@ def _cmd_verify_auto(args) -> dict:
 
 
 def _cmd_local_check(args) -> dict:
+    from .localcheck import check_map
+
     sample_map = samples_from_json(load_json(args.samples))
     report = check_map(sample_map, seed=args.seed)
     verdicts = []
@@ -265,6 +264,8 @@ def _cmd_local_check(args) -> dict:
 
 
 def _make_oracle(args, group: GroupTag):
+    from .recover import AutomorphismOracle, SampleOracle, SubprocessOracle
+
     sources = [s for s in (args.samples, args.oracle_cmd, args.auto) if s]
     if len(sources) != 1:
         raise BadArgs("recover needs exactly one of --samples, --oracle-cmd, --auto")
@@ -289,6 +290,8 @@ def _make_oracle(args, group: GroupTag):
 
 
 def _cmd_recover(args) -> dict:
+    from .recover import recover
+
     group = parse_group(args.group)
     if args.dets is not None and ambient(group) != RSTAR:
         raise BadArgs("--dets feeds the determinant probes of gl-r-n only")
@@ -322,6 +325,8 @@ def _cmd_recover(args) -> dict:
 
 
 def _cmd_gallery(args) -> dict:
+    from .gallery import GALLERY, build_entry, verify_entry
+
     name = args.item.replace("-", "_")
     if name not in GALLERY:
         raise BadArgs(f"unknown gallery item {args.item!r}; have "

@@ -423,12 +423,12 @@ def test_budget_stop_reports_partial_progress(tmp_path, capsys):
 def test_unset_budget_is_the_default_and_one_probe_is_a_budget(tmp_path, capsys, monkeypatch):
     oracles = []
 
-    class Recording(localaut.cli.AutomorphismOracle):
+    class Recording(localaut.recover.AutomorphismOracle):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             oracles.append(self)
 
-    monkeypatch.setattr(localaut.cli, "AutomorphismOracle", Recording)
+    monkeypatch.setattr(localaut.recover, "AutomorphismOracle", Recording)
     auto_file = _gen(capsys, tmp_path, "gl-r-3", "--g", "power:2")
     code, rep = run_cli(capsys, "recover", "--group", "gl-r-3", "--auto", auto_file)
     assert code == 0 and rep["status"] == "Recovered"
