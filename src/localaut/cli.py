@@ -121,7 +121,8 @@ def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
+        # a numeric circle point, in the [re, im] form of C64 entries
+        return [x.real, x.imag]
     if isinstance(x, Automorphism):
         return auto_to_json(x)
     if isinstance(x, MulFunc):

@@ -883,6 +883,16 @@ def test_recover_reads_relations_among_determinants_beyond_10_to_the_40(tmp_path
     assert rep["g_points"] == [["2", "4"], [str(big), str(big**2)], ["3", "9"]]
 
 
+def test_un_recovery_writes_every_circle_point_as_a_re_im_pair(tmp_path, capsys):
+    """g_points and f_table carry circle points in the [re, im] form of C64 entries."""
+    auto_file = _gen(capsys, tmp_path, "un-3")
+    code, rep = run_cli(capsys, "recover", "--group", "un-3", "--auto", auto_file, "--seed", "1")
+    assert code == 0 and rep["status"] == "Recovered"
+    points = [x for table in ("g_points", "f_table") for pair in rep[table] for x in pair]
+    assert len(points) == 4
+    assert all(isinstance(x, list) and len(x) == 2 and all(isinstance(v, float) for v in x) for x in points)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
