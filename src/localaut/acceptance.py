@@ -26,6 +26,7 @@ from .matrices import (
     charpoly,
     close,
     det,
+    diagonal,
     equal,
     flat,
     grid,
@@ -41,7 +42,7 @@ from .matrices import (
     trace,
 )
 from .mullattice import factor
-from .recover import AutomorphismOracle, kind_probe, recover
+from .recover import AutomorphismOracle, recover
 from .scalarmaps import (
     CIRCLE,
     LatticeFunc,
@@ -153,9 +154,9 @@ def criterion_1(seed: int = 0) -> CriterionResult:
 
 
 def criterion_2(seed: int = 0) -> CriterionResult:
-    """recover's kind probe D = diag(1/4, 2, 2) conjugated by X in SL_3 is the
-    idempotent shift (1/4) P + 2 (I - P) for P = X E_11 X^-1; a standard
-    image keeps D's spectrum, a contragredient one inverts it."""
+    """D = diag(1/4, 2, 2) conjugated by X in SL_3 is the idempotent shift
+    (1/4) P + 2 (I - P) for P = X E_11 X^-1; a standard image keeps D's
+    spectrum, a contragredient one inverts it."""
     t0 = time.perf_counter()
     rng = random.Random(seed + 211)
     group = GroupTag("SL", "R", 3)
@@ -163,7 +164,7 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     con = [
         make_automorphism(group, CONTRAGREDIENT, SIGMA_ID, random_gl(3, QR, rng)) for _ in range(5)
     ]
-    d = kind_probe(3, QR)
+    d = diagonal([Fraction(1, 4), 2, 2], QR)
     want_std, want_con = charpoly(d), charpoly(op(d, CONTRAGREDIENT, SIGMA_ID))
     bad = 0
     for i in range(50):

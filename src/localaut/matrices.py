@@ -250,27 +250,6 @@ def diag_first(n: int, d, regime: str) -> Mat:
     return diagonal([d] + [1] * (n - 1), regime)
 
 
-def shear(n: int, regime: str, i: int, j: int, q) -> Mat:
-    """I + q E_ij for i != j, exact-only, built on its canonical grid:
-    den(q) on the diagonal and q's numerator at (i, j)."""
-    if i == j:
-        raise BadParameters("a shear needs i != j")
-    if regime == C64:
-        raise RegimeMismatch("shear is exact-only: lift an exact shear with to_c64")
-    q = coerce_scalar(regime, q)
-    if regime == QR:
-        den, num, im = q.denominator, q.numerator, None
-    else:
-        den, num, s = q.q, q.p, q.s
-        im = [0] * (n * n)
-        im[i * n + j] = s
-        im = tuple(im)
-    re = [0] * (n * n)
-    re[::n + 1] = [den] * n
-    re[i * n + j] = num
-    return _grid_mat(n, regime, (den, tuple(re), im))
-
-
 def _check_same(a: Mat, b: Mat):
     if a.regime != b.regime or a.n != b.n:
         raise RegimeMismatch("operands must share size and regime")

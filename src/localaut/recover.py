@@ -8,14 +8,15 @@ every group, with the stages its canonical form needs:
 
 * detect the branch: one diagonal probe, whose image has the
   characteristic polynomial of op(probe) = sigma(probe)^(+-) for exactly
-  one branch, gives the kind (exact groups) or sigma (unitary groups);
-* fit T as `localcheck.check_pair` does, from pairs (op(P), phi(P)): the
-  op images of the shears P = I + E_ij generate M_n as an algebra, so
-  their intertwiner space with the images is one line of invertible
-  matrices, which gives T, or zero, which refutes every automorphism; SU_n
-  and U_n fit a unitary intertwiner on random SU_n samples instead;
-* over C, one complex shear P decides the exact sigma by comparing phi(P)
-  with T op(P) T^-1;
+  one branch, gives (kind, sigma) on the exact groups and sigma on the
+  unitary ones;
+* fit T as `localcheck.check_pair` does, from pairs (op(P), phi(P)): on
+  the exact groups the probes are the generating pair D and C of
+  `generating_pair`, the diagonal one being the detection probe, and their
+  op images generate M_n as an algebra, so the intertwiner space of the two
+  pairs is one line of invertible matrices, which gives T, or zero, which
+  refutes every automorphism; SU_n and U_n fit a unitary intertwiner on
+  random SU_n samples instead;
 * fit g where the form carries it: diag(d, 1, ..., 1) probes isolate g(d),
   on R* for GL_n(R) and on the circle for U_n;
 * verify on fresh probes: exactly for SL_n and GL_n(R), by the residual
@@ -35,6 +36,7 @@ import contextlib
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import factorial
 
 from .autos import (
     CONTRAGREDIENT,
@@ -57,14 +59,16 @@ from .errors import (
 )
 from .matrices import (
     C64,
+    QR,
     GroupTag,
     Mat,
     charpolys_match,
+    coerce_scalar,
     diag_first,
     diagonal,
     equal,
     flat,
-    inv,
+    mat,
     member,
     mul,
     pivot,
@@ -73,11 +77,10 @@ from .matrices import (
     ratio,
     scalar_one,
     scale_first,
-    shear,
     smul,
 )
 from .scalarmaps import character_point, induced, table_screen, witness_character
-from .scalars import ANSWER_TOL, CIRCLE_DRIFT, GQ_I, RECHECK_TOL, SU_RESIDUAL
+from .scalars import ANSWER_TOL, CIRCLE_DRIFT, RECHECK_TOL, SU_RESIDUAL, GaussRational
 from .serialize import mat_from_json, mat_to_json
 from .similarity import simultaneous_similarity, unitary_intertwiner
 
@@ -270,18 +273,13 @@ def _ratio(observed: Mat, model: Mat, reason: str, **extra):
 
 def _detect(oracle: Oracle, probe: Mat, branches, what: str):
     """Query probe and return the one (kind, sigma) in branches whose
-    op(probe) has the image's characteristic polynomial; a refutation when
-    none does or several do."""
+    op(probe) has the image's characteristic polynomial, with the image; a
+    refutation when no branch or several do."""
     img = oracle.query(probe)
     hits = [b for b in branches if charpolys_match(op(probe, *b), img)]
     if len(hits) != 1:
         raise _Stop(f"spectrum probe matches neither {what}")
-    return hits[0]
-
-
-def kind_probe(n: int, regime: str) -> Mat:
-    """diag((1/2)^(n-1), 2, ..., 2); the contragredient inverts its spectrum."""
-    return diagonal([Fraction(1, 2) ** (n - 1)] + [2] * (n - 1), regime)
+    return hits[0], img
 
 
 def _sigma_probe(n: int) -> Mat:
@@ -293,44 +291,52 @@ def _sigma_probe(n: int) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# stage: fit T from the images of the shears (exact groups)
+# stage: fit T from a generating pair (exact groups)
 
 
-def _fit_t(oracle: Oracle, kind: str) -> Mat:
-    """The normalized T with phi(P) = T op(P) T^-1, read off the n^2 - n
-    shears P = I + E_ij (i != j, row by row) as the intertwiner of the
-    pairs (op(P), phi(P)), as `localcheck.check_pair` poses it.
+def generating_pair(n: int, regime: str) -> tuple[Mat, Mat]:
+    """The det-1 probes (D, C) of the exact fit: D = diag(h, 3, ..., n,
+    2 / (h n!)) with h = 2 over Q and h = 1 + i over Q(i), and the signed
+    cycle C, 1 on the superdiagonal and (-1)^(n-1) at (n, 1).
 
-    The fit is a certificate because the op images generate M_n as an
-    algebra: op(P) - I is E_ij, or -E_ji for the contragredient kind, and
-    E_ij E_ji = E_ii. If T op(P) = phi(P) T for every shear, then ker T is
-    invariant under every op(P), hence under all of M_n, so it is 0 or
-    everything: every nonzero intertwiner is invertible. Two of them, T and
-    T', give T'^-1 T commuting with all of M_n, a scalar (Schur's lemma).
-    So the intertwiner space is {0}, which refutes every automorphism, or
-    one line of invertible matrices whose first basis element is the
-    answer; the similarity solver never searches.
+    D has n distinct eigenvalues, and its spectrum differs from those of
+    D^-1, and over Q(i) of conj(D) and conj(D)^-1, so the characteristic
+    polynomial of phi(D) names the branch. C is a signed permutation, so
+    op(C) = C on every branch."""
+    h = Fraction(2) if regime == QR else GaussRational(1, 1)
+    tail = coerce_scalar(regime, Fraction(2, factorial(n)))  # 1 / (3 ... n)
+    d = diagonal([h, *range(3, n + 1), tail / h], regime)
+    c = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        c[i][i + 1] = 1
+    c[n - 1][0] = (-1) ** (n - 1)
+    return d, mat(c, regime)
+
+
+def _fit_t(oracle: Oracle, branch, d: Mat, d_img: Mat, c: Mat) -> Mat:
+    """The normalized T with phi(P) = T op(P) T^-1 for P = D and P = C of
+    `generating_pair`, read off as the intertwiner of the pairs
+    (op(P), phi(P)), as `localcheck.check_pair` poses it. D was queried by
+    the branch detection, which passes its image d_img; C is queried here.
+
+    The fit is a certificate because op(D) and op(C) generate M_n as an
+    algebra: op(D) is diagonal with distinct eigenvalues, so polynomials in
+    it give every E_ii; E_ii op(C) E_(i+1)(i+1) is a nonzero multiple of
+    E_i(i+1), and E_n1 likewise, and products along the cycle give every
+    E_ij. If T op(P) = phi(P) T for both probes, then ker T is invariant
+    under both op(P), hence under all of M_n, so it is 0 or everything:
+    every nonzero intertwiner is invertible. Two of them, T and T', give
+    T'^-1 T commuting with all of M_n, a scalar (Schur's lemma). So the
+    intertwiner space is {0}, which refutes every automorphism, or one line
+    of invertible matrices whose first basis element is the answer; the
+    similarity solver never searches.
     """
-    n, regime = oracle.group.n, oracle.group.regimes()[0]
-    shears = [shear(n, regime, i, j, 1) for i in range(n) for j in range(n) if i != j]
-    # the shears are real, so sigma fixes them and op needs no sigma yet
-    res = simultaneous_similarity([(op(p, kind, SIGMA_ID), oracle.query(p)) for p in shears])
+    res = simultaneous_similarity([(op(d, *branch), d_img), (op(c, *branch), oracle.query(c))])
     if res.status == "NoSolution":
-        raise _Stop(f"shear images admit no similarity: {res.note}")
+        raise _Stop(f"probe images admit no similarity: {res.note}")
     if res.status != "Solved":
-        raise _Stop(f"shear images gave no similarity: {res.note}", status="Inconclusive")
+        raise _Stop(f"probe images gave no similarity: {res.note}", status="Inconclusive")
     return _normalize(res.s)
-
-
-def _detect_sigma_exact(oracle: Oracle, kind: str, t: Mat) -> str:
-    """The sigma whose model T op(P) T^-1 equals the image of the probe
-    P = I + i E_12; a refutation when neither does."""
-    probe = shear(oracle.group.n, t.regime, 0, 1, GQ_I)
-    img, t_inv = oracle.query(probe), inv(t)
-    for sigma in (SIGMA_ID, SIGMA_CONJ):
-        if equal(img, mul(mul(t, op(probe, kind, sigma)), t_inv)):
-            return sigma
-    raise _Stop("complex shear probe matches neither sigma")
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +526,19 @@ def recover(oracle: Oracle, seed: int = 0, verify_probes: int = 50, dets=None) -
 
 
 def _pipeline(oracle: Oracle, seed, verify_probes, dets) -> dict:
-    """detect -> fit T -> (sigma over C) -> fit g -> verify, each as the
-    group's canonical form needs it; returns the Recovered report's fields."""
+    """detect -> fit T -> fit g -> verify, each as the group's canonical
+    form needs it; returns the Recovered report's fields."""
     group = oracle.group
     if group.unitary:
         branches = [(STANDARD, SIGMA_ID), (STANDARD, SIGMA_CONJ)]
-        kind, sigma = _detect(oracle, _sigma_probe(group.n), branches, "sigma")
+        (kind, sigma), _ = _detect(oracle, _sigma_probe(group.n), branches, "sigma")
         t = _fit_su(oracle, sigma, seed)
     else:
-        branches = [(STANDARD, SIGMA_ID), (CONTRAGREDIENT, SIGMA_ID)]
-        kind, _ = _detect(oracle, kind_probe(group.n, group.regimes()[0]), branches, "kind")
-        t = _fit_t(oracle, kind)
-        sigma = _detect_sigma_exact(oracle, kind, t) if group.field == "C" else SIGMA_ID
+        sigmas = (SIGMA_ID, SIGMA_CONJ) if group.field == "C" else (SIGMA_ID,)
+        branches = [(k, s) for s in sigmas for k in (STANDARD, CONTRAGREDIENT)]
+        d, c = generating_pair(group.n, group.regimes()[0])
+        (kind, sigma), d_img = _detect(oracle, d, branches, "kind")
+        t = _fit_t(oracle, (kind, sigma), d, d_img, c)
     model = make_automorphism(group, kind, sigma, t)
     if group.family == "GL":
         fields = _fit_g(oracle, model, dets)

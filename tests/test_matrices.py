@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localaut.errors import BadParameters, RegimeMismatch, SingularMatrix
+from localaut.errors import RegimeMismatch, SingularMatrix
 from localaut.matrices import (
     C64,
     QC,
@@ -39,7 +39,6 @@ from localaut.matrices import (
     random_unitary,
     ratio,
     scale_first,
-    shear,
     smul,
     transpose,
 )
@@ -85,11 +84,11 @@ def test_numeric_inverse_of_a_nan_matrix_is_singular(bad):
 
 
 def test_exact_samplers_refuse_c64():
-    """Shears and the GL and SL samplers are exact-only, and refuse C64
-    before they draw; a numeric sample is an exact one lifted with to_c64."""
+    """The GL and SL samplers are exact-only, and refuse C64 before they
+    draw; a numeric sample is an exact one lifted with to_c64."""
     rng = random.Random(0)
     state = rng.getstate()
-    for draw in (lambda: shear(3, C64, 0, 1, 1), lambda: random_sl(3, C64, rng), lambda: random_gl(3, C64, rng)):
+    for draw in (lambda: random_sl(3, C64, rng), lambda: random_gl(3, C64, rng)):
         with pytest.raises(RegimeMismatch, match="exact-only.*to_c64"):
             draw()
     assert rng.getstate() == state
@@ -185,19 +184,6 @@ def test_grid_built_samplers_match_the_fraction_row_reference(name, n, regime, s
     got, want = sampler(n, regime, rng), reference(n, regime, ref_rng)
     assert got == want and got.entries == want.entries
     assert rng.getstate() == ref_rng.getstate()
-
-
-def test_shear_is_built_on_its_canonical_grid():
-    half = shear(4, QR, 2, 0, F(-3, 2))
-    rows = [[F(r == c) for c in range(4)] for r in range(4)]
-    rows[2][0] = F(-3, 2)
-    assert half == mat(rows, QR) and half.entries == mat(rows, QR).entries
-    q = GaussRational(F(1, 2), F(-1, 3))
-    rows = [[GaussRational(F(r == c)) for c in range(3)] for r in range(3)]
-    rows[0][1] = q
-    assert shear(3, QC, 0, 1, q).entries == mat(rows, QC).entries
-    with pytest.raises(BadParameters):
-        shear(3, QR, 1, 1, F(1))
 
 
 def _scalars(regime):
