@@ -381,7 +381,7 @@ def test_recover_even_sl_real_uses_the_shear_engine(tmp_path, capsys):
     auto_file = _gen(capsys, tmp_path, "sl-r-4")
     code, rep = run_cli(capsys, "recover", "--group", "sl-r-4", "--auto", auto_file, "--seed", "1")
     assert code == 0
-    assert (rep["status"], rep["engine"], rep["probes_used"]) == ("Recovered", "sln_common", 63)
+    assert (rep["status"], rep["engine"], rep["probes_used"]) == ("Recovered", "sln_common", 52)
 
 
 def test_recover_gl_complex_has_no_engine(tmp_path, capsys):
@@ -395,11 +395,11 @@ def test_recover_gl_complex_has_no_engine(tmp_path, capsys):
     "group, gen_extra, rec_extra, digest",
     [
         ("sl-r-3", ["--kind", "contragredient"], [],
-         "ac302a08a5e57a5be3aeb40a5e1a6157cdae76510e84314cb1deb42fa15f88ab"),
+         "4485fdf67ddf8182471c3e6039324d81acc49cca4d9ecda91651261bf44e671f"),
         ("sl-c-3", ["--sigma", "conj"], [],
-         "e26aff69f78ce153c69c8797c9e4a6d7b3d1ef30e5a2862d05b6c5b7938b93aa"),
+         "5d2eb91e66343430bdb4ea7e6121bb9fd9e1dd8bcd453baae6746f6019aa67e7"),
         ("gl-r-3", ["--g", "power:2"], ["--dets", "2,3,-5"],
-         "91f70a68680ae5605f35080f033514cf2bd0201b01fe30d5847d0457ffbe9217"),
+         "89dfb2429ef026a8861c377faba19fe12cf837b8a2008a893caf9cb2fbdb5a5e"),
     ],
 )
 def test_exact_recover_digests_are_pinned(tmp_path, capsys, group, gen_extra, rec_extra, digest):

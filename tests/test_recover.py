@@ -51,6 +51,7 @@ from localaut.recover import (
     _exact_probe,
     _verify_exact,
     _verify_su,
+    generating_pair,
     recover,
     recover_glnr,
     recover_slnr_short,
@@ -59,6 +60,7 @@ from localaut.recover import (
     recover_un,
 )
 from localaut.scalarmaps import PowerFunc, det_relation_refutations, evaluate
+from localaut.scalars import GaussRational
 from localaut.similarity import intertwiner_basis
 
 F = Fraction
@@ -70,7 +72,7 @@ def _scalar_ratio_ok(t_rec, t_true):
 
 
 def test_sl_real_round_trip_both_kinds():
-    """`recover_slnr_short` is `recover` on SL_n(R): the shear fit certifies
+    """`recover_slnr_short` is `recover` on SL_n(R): the pair fit certifies
     T at odd and even n alike."""
     for n in (3, 4):
         for i, kind in enumerate((STANDARD, CONTRAGREDIENT)):
@@ -243,36 +245,44 @@ def test_shear_intertwiners_of_an_automorphism_are_one_line(case):
 
 
 def test_incoherent_shear_scaling_is_refuted():
-    """I + E_ij -> I + d_i E_ij with d = (2, 1, 1): each shear image is a
-    shear, but no single similarity moves them all."""
-    group, d = GroupTag("SL", "R", 3), (2, 1, 1)
-    shears = {(i, j): _shear(3, QR, i, j) for i in range(3) for j in range(3) if i != j}
-
-    def fn(a):
-        hit = next((ij for ij, s in shears.items() if equal(a, s)), None)
-        return a if hit is None else _shear(3, QR, *hit, value=d[hit[0]])
-
-    pairs = [(s, fn(s)) for s in shears.values()]
-    assert intertwiner_basis(pairs) == []
+    """D -> D and C -> X C X^-1 for the shear X = I + E_12: each image is
+    similar to its probe, through I and through X, but no single similarity
+    moves both, since only diagonal matrices commute with D."""
+    group = GroupTag("SL", "R", 3)
+    d, c = generating_pair(3, QR)
+    x = _shear(3, QR, 0, 1)
+    moved = mul(mul(x, c), inv(x))
+    fn = lambda a: moved if equal(a, c) else a
+    assert intertwiner_basis([(d, fn(d)), (c, fn(c))]) == []
     rep = recover_sln_common(FunctionOracle(group, fn), seed=0, verify_probes=5)
-    assert rep.status == "Refuted"
-    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
+    assert (rep.status, rep.probes_used) == ("Refuted", 2)
+    assert rep.refutation == {"reason": "probe images admit no similarity: intertwiner space is zero"}
 
 
 @pytest.mark.parametrize(
     "engine, spec",
-    [(recover_sln_common, ("SL", "C", 3)), (recover_glnr, ("GL", "R", 3)), (recover_slnr_short, ("SL", "R", 3))],
+    [
+        (recover_sln_common, ("SL", "C", 3)),
+        (recover_glnr, ("GL", "R", 3)),
+        (recover_slnr_short, ("SL", "R", 3)),
+        (recover_sln_common, ("SL", "R", 4)),
+    ],
 )
 def test_transpose_is_refuted_at_the_shear_fit(engine, spec):
-    rep = engine(FunctionOracle(GroupTag(*spec), transpose), seed=0, verify_probes=5)
-    assert rep.status == "Refuted"
-    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
+    """The fit of T refutes transpose and inverse after its 2 probes:
+    transpose fixes D and inverse gives it the contragredient spectrum, so
+    both pass the detection, and both send C to C^t = C^-1, which no
+    similarity matches with op(C) = C."""
+    for fn in (transpose, inv):
+        rep = engine(FunctionOracle(GroupTag(*spec), fn), seed=0, verify_probes=5)
+        assert (rep.status, rep.probes_used) == ("Refuted", 2), fn.__name__
+        assert rep.refutation == {"reason": "probe images admit no similarity: intertwiner space is zero"}
 
 
 def test_verification_needs_a_fresh_probe():
-    """An oracle that answers like an automorphism for the 7 probes of the
-    kind and T fits, then by transpose: a recovery with no verification
-    probe would certify it, one probe refutes it."""
+    """An oracle that answers like an automorphism for the 2 probes of the
+    pair fit, then by transpose: a recovery with no verification probe
+    would certify it, one probe refutes it."""
     group = GroupTag("SL", "R", 3)
     auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(1)))
 
@@ -281,19 +291,19 @@ def test_verification_needs_a_fresh_probe():
 
         def fn(a):
             calls.append(a)
-            return apply(auto, a) if len(calls) <= 7 else transpose(a)
+            return apply(auto, a) if len(calls) <= 2 else transpose(a)
 
         return FunctionOracle(group, fn)
 
     with pytest.raises(BadParameters, match="at least 1 verification probe"):
         recover(switching(), verify_probes=0)
     rep = recover(switching(), verify_probes=1)
-    assert (rep.status, rep.probes_used) == ("Refuted", 8)
+    assert (rep.status, rep.probes_used) == ("Refuted", 3)
 
 
 def test_switching_automorphism_is_refuted_at_the_basis_fit():
-    """An oracle that answers with one automorphism for 3 probes, then with
-    another: the shear images admit no similarity."""
+    """An oracle that answers D with one automorphism and C with another:
+    the probe images admit no similarity."""
     group = GroupTag("SL", "R", 3)
     first, then = (
         make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QR, random.Random(s))) for s in (1, 2)
@@ -302,11 +312,11 @@ def test_switching_automorphism_is_refuted_at_the_basis_fit():
 
     def fn(a):
         calls.append(a)
-        return apply(first if len(calls) <= 3 else then, a)
+        return apply(first if len(calls) <= 1 else then, a)
 
     rep = recover_slnr_short(FunctionOracle(group, fn), seed=0, verify_probes=5)
-    assert rep.status == "Refuted"
-    assert rep.refutation == {"reason": "shear images admit no similarity: intertwiner space is zero"}
+    assert (rep.status, rep.probes_used) == ("Refuted", 2)
+    assert rep.refutation == {"reason": "probe images admit no similarity: intertwiner space is zero"}
 
 
 @pytest.mark.parametrize(
@@ -321,8 +331,9 @@ def test_switching_automorphism_is_refuted_at_the_basis_fit():
 )
 def test_constant_identity_oracle_is_refuted_at_the_spectrum_probe(spec, what):
     """A -> I gives the spectrum probe the spectrum {1, 1, 1}, which no
-    branch gives it. The probe is diag((1/2)^(n-1), 2, ..., 2) for the kind
-    and diag(alpha, beta, ..., beta), beta = exp(2 pi i / 7),
+    branch gives it. The probe is D = diag(2, 3, 1/6) over Q, and
+    diag(1 + i, 3, 1/(3 (1 + i))) over Q(i), for the branch of the exact
+    groups, and diag(alpha, beta, ..., beta), beta = exp(2 pi i / 7),
     alpha = beta^(1-n), for sigma."""
     group = GroupTag(*spec)
     oracle = FunctionOracle(group, lambda a: identity(a.n, a.regime))
@@ -330,8 +341,10 @@ def test_constant_identity_oracle_is_refuted_at_the_spectrum_probe(spec, what):
     assert rep.status == "Refuted"
     assert rep.refutation == {"reason": f"spectrum probe matches neither {what}"}
     assert rep.probes_used == 1
-    if what == "kind":
-        entries = [F(1, 4), F(2), F(2)]
+    if what == "kind" and group.field == "R":
+        entries = [F(2), F(3), F(1, 6)]
+    elif what == "kind":
+        entries = [GaussRational(1, 1), F(3), GaussRational(F(1, 6), F(-1, 6))]
     else:
         beta = cmath.exp(2j * cmath.pi / 7)
         entries = [beta ** (1 - 3), beta, beta]
