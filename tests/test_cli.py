@@ -33,6 +33,7 @@ from localaut.matrices import (
     smul,
     to_c64,
 )
+from localaut.recover import AutomorphismOracle, recover
 from localaut.scalarmaps import CIRCLE, CSTAR, MAX_POWER_BITS, PowerConjFunc, PowerFunc, TableFunc
 from localaut.scalars import MAX_LITERAL, GaussRational
 from localaut.serialize import (
@@ -409,6 +410,35 @@ def test_exact_recover_digests_are_pinned(tmp_path, capsys, group, gen_extra, re
     )
     assert code == 0 and rep["status"] == "Recovered"
     assert rep["digest"] == digest
+
+
+@pytest.mark.parametrize(
+    "group, gen_extra, rec_extra",
+    [
+        ("sl-r-3", [], []),
+        ("sl-c-3", ["--sigma", "conj", "--kind", "contragredient"], []),
+        ("gl-r-3", ["--g", "power:2"], ["--dets", "3,-5,1/2"]),
+    ],
+)
+def test_recover_replays_the_library_transcript(tmp_path, capsys, group, gen_extra, rec_extra):
+    """A sample file holding the transcript of the library's recovery at
+    the same seed answers every probe `recover --samples` makes, D and C
+    first, and reads as `recover --auto` does."""
+    auto_file = _gen(capsys, tmp_path, group, *gen_extra)
+    dets = [Fraction(d) for d in rec_extra[1].split(",")] if rec_extra else None
+    oracle = AutomorphismOracle(auto_from_json(load_json(auto_file)))
+    recover(oracle, seed=2, dets=dets)
+    samples_file = str(tmp_path / "transcript.json")
+    dump_json(samples_file, samples_to_json(SampleMap(oracle.group, tuple(oracle.transcript))))
+    reports = [
+        run_cli(capsys, "recover", "--group", group, *source, "--seed", "2", *rec_extra)
+        for source in (["--auto", auto_file], ["--samples", samples_file])
+    ]
+    assert [code for code, _ in reports] == [0, 0]
+    (_, by_auto), (_, by_samples) = reports
+    assert by_auto["status"] == "Recovered" and by_auto["probes_used"] == oracle.count
+    for key in ("status", "auto", "probes_used"):
+        assert by_samples[key] == by_auto[key], key
 
 
 def test_budget_stop_reports_partial_progress(tmp_path, capsys):

@@ -19,10 +19,12 @@ from localaut.autos import (
     op,
 )
 from localaut import matrices
+from localaut.cli import MAX_N
 from localaut.errors import BadParameters, BudgetExceeded, NoEngine, NotInGroup, OracleIncomplete
 from localaut.matrices import (
     C64,
     build_basis,
+    charpoly,
     close,
     coerce_scalar,
     det,
@@ -35,6 +37,7 @@ from localaut.matrices import (
     identity,
     inv,
     mat,
+    member,
     mul,
     random_gl,
     random_sl,
@@ -215,6 +218,26 @@ def _shears(n, regime):
     return [_shear(n, regime, i, j) for i in range(n) for j in range(n) if i != j]
 
 
+@pytest.mark.parametrize("regime", [QR, QC])
+def test_the_generating_pair_certifies_the_fit_at_every_n(regime):
+    """For every n the command line accepts: D and C lie in SL_n, on each
+    branch the commutant of {op(D), op(C)} is the scalars, so the pair fit
+    is the certificate `_fit_t` states, and the spectra of op(D) tell the
+    branches apart, so the detection picks one."""
+    field = "R" if regime == QR else "C"
+    sigmas = (SIGMA_ID, SIGMA_CONJ) if regime == QC else (SIGMA_ID,)
+    branches = [(kind, sigma) for sigma in sigmas for kind in (STANDARD, CONTRAGREDIENT)]
+    for n in range(3, MAX_N + 1):
+        d, c = generating_pair(n, regime)
+        assert member(d, GroupTag("SL", field, n)) and member(c, GroupTag("SL", field, n))
+        spectra = []
+        for branch in branches:
+            pairs = [(op(p, *branch), op(p, *branch)) for p in (d, c)]
+            assert len(intertwiner_basis(pairs)) == 1, (n, branch)
+            spectra.append(tuple(charpoly(op(d, *branch))))
+        assert len(set(spectra)) == len(branches), n
+
+
 @st.composite
 def _shear_cases(draw):
     regime = draw(st.sampled_from((QR, QC)))
@@ -227,15 +250,16 @@ def _shear_cases(draw):
 @settings(max_examples=20, deadline=None)
 @given(_shear_cases())
 def test_shear_intertwiners_of_an_automorphism_are_one_line(case):
-    """The shears, like the basis B, generate M_n, so an automorphism's
-    shear pairs and its basis pairs have a one-dimensional intertwiner
-    space, spanned by T, and the fit reads T off it."""
+    """The shears, like the basis B and the generating pair D, C, generate
+    M_n, so an automorphism's pairs on each have a one-dimensional
+    intertwiner space, spanned by T, and the fit reads T off the pair's."""
     regime, n, kind, sigma, seed = case
     t = random_gl(n, regime, random.Random(seed))
     group = GroupTag("SL", "R" if regime == QR else "C", n)
     auto = make_automorphism(group, kind, sigma, t)
-    basis = intertwiner_basis(_fit_pairs(auto, _shears(n, regime)))
-    assert len(basis) == 1 and _scalar_ratio_ok(basis[0], t)
+    for probes in (_shears(n, regime), generating_pair(n, regime)):
+        basis = intertwiner_basis(_fit_pairs(auto, probes))
+        assert len(basis) == 1 and _scalar_ratio_ok(basis[0], t)
     if regime == QR:
         assert len(intertwiner_basis(_fit_pairs(auto, build_basis("B", n).mats))) == 1
     rep = recover_sln_common(AutomorphismOracle(auto), seed=0, verify_probes=2)
