@@ -62,6 +62,7 @@ from .matrices import (
     QR,
     GroupTag,
     Mat,
+    charpoly,
     charpolys_match,
     coerce_scalar,
     diag_first,
@@ -274,9 +275,13 @@ def _ratio(observed: Mat, model: Mat, reason: str, **extra):
 def _detect(oracle: Oracle, probe: Mat, branches, what: str):
     """Query probe and return the one (kind, sigma) in branches whose
     op(probe) has the image's characteristic polynomial, with the image; a
-    refutation when no branch or several do."""
+    refutation, naming what the probe decides, when no branch or several do."""
     img = oracle.query(probe)
-    hits = [b for b in branches if charpolys_match(op(probe, *b), img)]
+    if probe.regime == C64:
+        hits = [b for b in branches if charpolys_match(op(probe, *b), img)]
+    else:  # exact: the image's polynomial once, not once per branch
+        target = charpoly(img)
+        hits = [b for b in branches if charpoly(op(probe, *b)) == target]
     if len(hits) != 1:
         raise _Stop(f"spectrum probe matches neither {what}")
     return hits[0], img
@@ -537,7 +542,8 @@ def _pipeline(oracle: Oracle, seed, verify_probes, dets) -> dict:
         sigmas = (SIGMA_ID, SIGMA_CONJ) if group.field == "C" else (SIGMA_ID,)
         branches = [(k, s) for s in sigmas for k in (STANDARD, CONTRAGREDIENT)]
         d, c = generating_pair(group.n, group.regimes()[0])
-        (kind, sigma), d_img = _detect(oracle, d, branches, "kind")
+        what = "branch" if group.field == "C" else "kind"
+        (kind, sigma), d_img = _detect(oracle, d, branches, what)
         t = _fit_t(oracle, (kind, sigma), d, d_img, c)
     model = make_automorphism(group, kind, sigma, t)
     if group.family == "GL":

@@ -358,12 +358,14 @@ def test_constant_identity_oracle_is_refuted_at_the_spectrum_probe(spec, what):
     branch gives it. The probe is D = diag(2, 3, 1/6) over Q, and
     diag(1 + i, 3, 1/(3 (1 + i))) over Q(i), for the branch of the exact
     groups, and diag(alpha, beta, ..., beta), beta = exp(2 pi i / 7),
-    alpha = beta^(1-n), for sigma."""
+    alpha = beta^(1-n), for sigma. Over Q(i), D decides kind and sigma at
+    once, and the refutation names the branch."""
     group = GroupTag(*spec)
     oracle = FunctionOracle(group, lambda a: identity(a.n, a.regime))
     rep = recover(oracle, seed=0, verify_probes=5)
     assert rep.status == "Refuted"
-    assert rep.refutation == {"reason": f"spectrum probe matches neither {what}"}
+    label = "branch" if what == "kind" and group.field == "C" else what
+    assert rep.refutation == {"reason": f"spectrum probe matches neither {label}"}
     assert rep.probes_used == 1
     if what == "kind" and group.field == "R":
         entries = [F(2), F(3), F(1, 6)]

@@ -1,6 +1,6 @@
 """Time `recover` in process at growing n, on the checkout a path names.
 
-    python3 tools/recover_scaling.py CHECKOUT [--n 3,4,7,12,16]
+    python3 tools/recover_scaling.py CHECKOUT
 
 Imports `localaut` from CHECKOUT/src and recovers, for each n, a standard
 and a contragredient automorphism of SL_n(R), GL_n(R) (with g the power 2)
@@ -30,6 +30,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import hostspeed  # noqa: E402
 
 KERNEL_CALLS = 30
+NS = (3, 4, 7, 12, 16)
 # (label, family, field, g power or None)
 GROUPS = (("sl-r", "SL", "R", None), ("gl-r", "GL", "R", 2), ("sl-c", "SL", "C", None))
 
@@ -44,8 +45,8 @@ def kernel_median() -> float:
     return statistics.median(times)
 
 
-def cases(la, ns):
-    for n in ns:
+def cases(la):
+    for n in NS:
         for label, family, field, power in GROUPS:
             group = la.GroupTag(family, field, n)
             regime = group.regimes()[0]
@@ -55,7 +56,7 @@ def cases(la, ns):
                 yield f"{label}-{n}", la.make_automorphism(group, kind, "id", t, g)
 
 
-def run(checkout: Path, ns) -> dict:
+def run(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     import localaut as la
     from localaut.matrices import flat, ratio
@@ -63,7 +64,7 @@ def run(checkout: Path, ns) -> dict:
 
     before = kernel_median()
     rows = []
-    for label, auto in cases(la, ns):
+    for label, auto in cases(la):
         t0 = time.perf_counter()
         rep = recover(la.AutomorphismOracle(auto), seed=1)
         seconds = time.perf_counter() - t0
@@ -92,10 +93,8 @@ def run(checkout: Path, ns) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
-    parser.add_argument("--n", default="3,4,7,12,16", help="comma-separated sizes (default 3,4,7,12,16)")
     args = parser.parse_args()
-    ns = [int(x) for x in args.n.split(",")]
-    print(json.dumps(run(args.checkout.resolve(), ns), indent=1))
+    print(json.dumps(run(args.checkout.resolve()), indent=1))
     return 0
 
 
