@@ -15,7 +15,10 @@ timings prints the same object on both trees. The grid covers:
   verification sampler runs above n = 3; and through
   oracle children whose scalar refutes the class at a det, on a pair and
   on a relation; and on GL_4(R) with a fractional det among `--dets`,
-  so the verification probes scale their grid by a denominator;
+  so the verification probes scale their grid by a denominator; and
+  through oracle children that no automorphism explains, so the rows pin
+  how recovery refuses: A -> A^t on SL_3(R), SL_3(C) and GL_3(R), and
+  A -> I on SL_3(R), SU_3 and U_3;
 * the three `gallery` items;
 * `verify-auto` of generated SL_4(C) and GL_5(R) files, both kinds, so
   the exact random pool runs above n = 3;
@@ -138,6 +141,22 @@ CHILDREN = [
     ("pair-transport", {"2": "1", "4": "2"}, "4,2"),
     ("relation", {"2": "1", "3": "1", "6": "2"}, "2,3,6"),
     ("legal", {"2": "4", "3": "9"}, "3,-2"),
+]
+
+# A -> A^t or A -> I, in the probe's regime: no automorphism explains either
+REFUSED_CHILD = """\
+import json, sys
+from localaut.matrices import identity, transpose
+from localaut.serialize import mat_from_json, mat_to_json
+for line in sys.stdin:
+    a = mat_from_json(json.loads(line))
+    print(json.dumps(mat_to_json({answer})), flush=True)
+"""
+
+# (name, answer expression, groups)
+REFUSED_CHILDREN = [
+    ("transpose", "transpose(a)", ("sl-r-3", "sl-c-3", "gl-r-3")),
+    ("identity", "identity(a.n, a.regime)", ("sl-r-3", "sun-3", "un-3")),
 ]
 
 
@@ -294,6 +313,10 @@ def grid() -> dict:
         Path(f"{name}.py").write_text(CHILD.format(table=values))
         cmd = f"{sys.executable} {name}.py"
         _run(["recover", "--group", "gl-r-3", "--oracle-cmd", cmd, "--dets", dets, "--seed", "1"], digests)
+    for name, answer, groups in REFUSED_CHILDREN:
+        Path(f"{name}.py").write_text(REFUSED_CHILD.format(answer=answer))
+        for group in groups:
+            _run(["recover", "--group", group, "--oracle-cmd", f"{sys.executable} {name}.py", "--seed", "1"], digests)
     for item in ("gl-local-not-global", "additive-r", "sign-twist"):
         for seed in ("0", "1"):
             _run(["gallery", item, "--seed", seed, "-o", f"{item}-{seed}.json"], digests)
