@@ -1,22 +1,25 @@
-"""Pairwise interpolation tests for sampled maps on classical groups.
+"""Interpolation tests for sampled maps on classical groups.
 
-check_pair decides whether one automorphism in canonical form passes through
-two input/output samples at once; check_map runs every unordered pair of a
-sampled map. Over the rationals the verdicts are certificates: a witness
-automorphism on the positive side, an exhaustive branch refutation on the
-negative side. Interpolation branches are indexed by kind and sigma. In a GL
-branch each sample A -> out fixes its scalar c = g(det A): out = c T op(A)
-T^-1 gives c = tr(out) / tr(op(A)), exact, and the branch is refuted unless
-c^n = det(out) / det(op(A)). A sample with tr(op(A)) = 0 gives c^g for some
-g dividing n through a higher power sum; only then are roots taken, and a
-root outside the ground field leaves the branch inconclusive. Numeric (C64)
-samples take the n-th roots of the determinant ratio and certify nothing.
+fit_map decides whether one automorphism in canonical form passes through
+any number of input/output samples at once, and recovery fits with it;
+check_pair is fit_map on two member samples, and check_map runs it on
+every unordered pair of a sampled map. Over the rationals the verdicts are
+certificates: a witness automorphism on the positive side, an exhaustive
+branch refutation on the negative side. Interpolation branches are indexed
+by kind and sigma. In a GL branch each sample A -> out fixes its scalar
+c = g(det A): out = c T op(A) T^-1 gives c = tr(out) / tr(op(A)), exact,
+and the branch is refuted unless c^n = det(out) / det(op(A)). A sample with
+tr(op(A)) = 0 gives c^g for some g dividing n through a higher power sum;
+only then are roots taken, and a root outside the ground field leaves the
+branch inconclusive. Numeric (C64) samples take the n-th roots of the
+determinant ratio and certify nothing.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 
 from .autos import (
     CONTRAGREDIENT,
@@ -34,6 +37,7 @@ from .matrices import (
     QC,
     GroupTag,
     Mat,
+    charpoly,
     charpolys_match,
     close,
     det,
@@ -44,7 +48,7 @@ from .matrices import (
     to_c64,
     trace,
 )
-from .scalarmaps import ambient, character_point, pair_screen, witness_character
+from .scalarmaps import ambient, character_point, pair_screen, table_screen, witness_character
 from .scalars import (
     GQ_I,
     GQ_ONE,
@@ -173,7 +177,7 @@ def _numeric_scalars(ratio: complex, n: int) -> tuple[list, bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# the pair check
+# the fit through samples
 
 
 def check_pair(
@@ -184,9 +188,8 @@ def check_pair(
 ) -> PairVerdict:
     """Is there one canonical-form automorphism through both samples?
 
-    Each sample's membership is tested within DEFAULT_TOL in C64. A branch
-    fits its witness in floats and checks it against the samples within
-    RECHECK_TOL; in the exact regimes both compare exactly."""
+    Each sample's membership is tested within DEFAULT_TOL in C64, and
+    `fit_map` answers on the two samples."""
     samples, read = (*pair1, *pair2), []
     for x in samples:
         ok, d = member_det(x, group)
@@ -197,18 +200,43 @@ def check_pair(
         # unitary witnesses need polar factors, which live in ApproxC; U_n
         # reads its determinants off the lifted samples below
         samples = tuple(to_c64(x) for x in samples)
-    a, a_out, b, b_out = samples
-    kinds, sigmas = _group_branches(group)
     # the branches of a group with a character read these four determinants;
     # the GL membership test has read them already
     dets = None
     if ambient(group) is not None:
-        dets = tuple(det(x) if d is None else d for x, d in zip(samples, read))
+        da, da_out, db, db_out = (det(x) if d is None else d for x, d in zip(samples, read))
+        dets = [(da, da_out), (db, db_out)]
+    a, a_out, b, b_out = samples
+    return fit_map(group, [(a, a_out), (b, b_out)], seed, dets)
+
+
+def fit_map(group: GroupTag, pairs, seed: int = 0, dets=None) -> PairVerdict:
+    """Is there one canonical-form automorphism through every sample
+    (A, out) of pairs? The samples are taken to be members of group, and
+    dets, one (det A, det out) per sample, is read here when group carries
+    a character and dets is None.
+
+    Each branch (kind, sigma) reads the scalar c_i = g(det A_i) of every
+    sample, screens each tuple of candidates against the class of the
+    branch, and solves one intertwiner of all the pairs (op(A_i), out_i /
+    c_i). A branch fits its witness in floats and checks it against the
+    samples within RECHECK_TOL; in the exact regimes both compare exactly.
+    The first witness is the verdict; a refusal in C64 is not a
+    certificate, so there every refusal reads Inconclusive."""
+    if not pairs:
+        raise BadParameters("a fit needs at least one sample")
+    kinds, sigmas = _group_branches(group)
+    if ambient(group) is not None and dets is None:
+        dets = [(det(a), det(out)) for a, out in pairs]
+    # with no scalar to divide out, each image's polynomial is one per fit
+    targets = None
+    if ambient(group) is None and pairs[0][1].regime != C64:
+        targets = [charpoly(out) for _, out in pairs]
     verdict = PairVerdict("Obstructed", None)
     inconclusive = False
     for kind in kinds:
         for sigma in sigmas:
-            br = _try_branch(group, kind, sigma, (a, a_out), (b, b_out), dets, seed)
+            br = _try_branch(group, kind, sigma, pairs, dets, targets, seed)
             verdict.branches.append(br)
             if br.outcome == "witness":
                 verdict.status = "Interpolable"
@@ -216,33 +244,28 @@ def check_pair(
                 return verdict
             if br.outcome == "inconclusive":
                 inconclusive = True
-    if inconclusive or a.regime == C64:
+    if inconclusive or pairs[0][0].regime == C64:
         # numeric refusals are not certificates
         verdict.status = "Inconclusive"
     return verdict
 
 
-def _try_branch(group, kind, sigma, p1, p2, dets, seed) -> BranchReport:
-    a, a_out = p1
-    b, b_out = p2
-    a_op = op(a, kind, sigma)
-    b_op = op(b, kind, sigma)
+def _try_branch(group, kind, sigma, pairs, dets, targets, seed) -> BranchReport:
+    ops = [op(a, kind, sigma) for a, _ in pairs]
     if ambient(group) is None:
-        return _similarity_step(group, kind, sigma, [(a_op, a_out), (b_op, b_out)], None, (p1, p2), seed)
-    da, da_out, db, db_out = dets
+        fit = [(x, out) for x, (_, out) in zip(ops, pairs)]
+        return _similarity_step(group, kind, sigma, fit, targets, None, pairs, seed)
     # det op(A) = sigma(det A)^(+-1)
     eps = -1 if kind == CONTRAGREDIENT else 1
-    dop_a, dop_b = ((d.conjugate() if sigma == SIGMA_CONJ else d) ** eps for d in (da, db))
-    da, db = (character_point(group, sigma, d) for d in (da, db))
     n = group.n
-    if a.regime == C64:
-        found = [_numeric_scalars(dy / dx, n) for dx, dy in ((dop_a, da_out), (dop_b, db_out))]
-    else:
-        found = [
-            _trace_scalars(x, y, dy / dx, n, d)
-            for x, y, dx, dy, d in ((a_op, a_out, dop_a, da_out, da), (b_op, b_out, dop_b, db_out, db))
-        ]
-    (cands_a, _, _), (cands_b, _, _) = found
+    found, points = [], []
+    for x, (_, out), (d, d_out) in zip(ops, pairs, dets):
+        d_op = (d.conjugate() if sigma == SIGMA_CONJ else d) ** eps
+        points.append(character_point(group, sigma, d))
+        if x.regime == C64:
+            found.append(_numeric_scalars(d_out / d_op, n))
+        else:
+            found.append(_trace_scalars(x, out, d_out / d_op, n, points[-1]))
     empty = [(exhaustive, why) for cands, exhaustive, why in found if not cands]
     if empty:
         # one sample with no value at all refutes the branch, if its list is complete
@@ -251,21 +274,21 @@ def _try_branch(group, kind, sigma, p1, p2, dets, seed) -> BranchReport:
         return BranchReport(kind, sigma, "refuted" if refuted else "inconclusive", f"no scalar values ({why})")
     pending_inconclusive = None
     refusals = []
-    for ca in cands_a:
-        for cb in cands_b:
-            ok, why = pair_screen(group, kind == STANDARD, sigma, (da, ca), (db, cb))
-            if not ok:
-                refusals.append(f"g({da})={ca}, g({db})={cb}: {why}")
-                continue
-            one = scalar_one(a_out.regime)
-            pairs = [(a_op, smul(one / ca, a_out)), (b_op, smul(one / cb, b_out))]
-            br = _similarity_step(group, kind, sigma, pairs, [(da, ca), (db, cb)], (p1, p2), seed)
-            if br.outcome == "witness":
-                return br
-            if br.outcome == "inconclusive":
-                pending_inconclusive = br
-            else:
-                refusals.append(f"scalars ({ca}, {cb}): {br.detail}")
+    one = scalar_one(pairs[0][1].regime)
+    for cs in product(*(cands for cands, _, _ in found)):
+        table = list(zip(points, cs))
+        ok, why = _screen(group, kind == STANDARD, sigma, table)
+        if not ok:
+            refusals.append(", ".join(f"g({d})={c}" for d, c in table) + f": {why}")
+            continue
+        fit = [(x, smul(one / c, out)) for x, (_, out), c in zip(ops, pairs, cs)]
+        br = _similarity_step(group, kind, sigma, fit, None, table, pairs, seed)
+        if br.outcome == "witness":
+            return br
+        if br.outcome == "inconclusive":
+            pending_inconclusive = br
+        else:
+            refusals.append(f"scalars ({', '.join(map(str, cs))}): {br.detail}")
     if pending_inconclusive is not None:
         return pending_inconclusive
     if not all(exhaustive for _, exhaustive, _ in found):
@@ -273,10 +296,23 @@ def _try_branch(group, kind, sigma, p1, p2, dets, seed) -> BranchReport:
     return BranchReport(kind, sigma, "refuted", "; ".join(refusals))
 
 
-def _similarity_step(group, kind, sigma, pairs, points, originals, seed) -> BranchReport:
-    for x, y in pairs:
-        if not charpolys_match(x, y):
-            return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
+def _screen(group, first_kind: bool, sigma: str, table) -> tuple[bool, str]:
+    """(ok, why) for the scalar table [(d, c), ...] of one branch: by
+    `pair_screen` on two points, which names two values at one det before
+    either point's own failure, and by `table_screen` on any other number."""
+    if len(table) == 2:
+        return pair_screen(group, first_kind, sigma, *table)
+    res = table_screen(group, first_kind, sigma, table)
+    return res.ok, res.reason
+
+
+def _similarity_step(group, kind, sigma, pairs, targets, points, originals, seed) -> BranchReport:
+    if targets is None:
+        differ = any(not charpolys_match(x, y) for x, y in pairs)
+    else:
+        differ = any(charpoly(x) != target for (x, _), target in zip(pairs, targets))
+    if differ:
+        return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
     if group.unitary:
         u = unitary_intertwiner(pairs, seed=seed)
         if u is None:
@@ -296,10 +332,9 @@ def _witness_report(group, kind, sigma, t, points, originals, detail) -> BranchR
     except Exception as exc:
         return BranchReport(kind, sigma, "inconclusive", f"witness rejected: {exc}")
     if points is not None:
-        # `pair_screen` passed the two points, which is the table screen of
-        # their table, so g joins the witness without a second screen
+        # the screen passed the points, so g joins the witness without a
+        # second screen
         witness = replace(witness, g=witness_character(group, points))
-    # check_pair has tested every sample's membership
     for a, a_out in originals:
         if not close(apply(witness, a, check=False), a_out, RECHECK_TOL):
             return BranchReport(kind, sigma, "inconclusive", "witness failed sample verification")

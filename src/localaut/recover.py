@@ -6,28 +6,29 @@ reconstructs the (kind, sigma, T, g) of A -> g(det A) T sigma(A)^(+-) T^-1,
 or refutes that any automorphism implements the oracle. One pipeline runs
 every group, with the stages its canonical form needs:
 
-* detect the branch: one diagonal probe, whose image has the
-  characteristic polynomial of op(probe) = sigma(probe)^(+-) for exactly
-  one branch, gives (kind, sigma) on the exact groups and sigma on the
-  unitary ones;
-* fit T as `localcheck.check_pair` does, from pairs (op(P), phi(P)): on
-  the exact groups the probes are the generating pair D and C of
-  `generating_pair`, the diagonal one being the detection probe, and their
-  op images generate M_n as an algebra, so the intertwiner space of the two
-  pairs is one line of invertible matrices, which gives T, or zero, which
-  refutes every automorphism; SU_n and U_n fit a unitary intertwiner on
-  random SU_n samples instead;
+* fit (kind, sigma) and T on the det-1 subgroup of the group, where
+  g(1) = 1 leaves no scalar: query the fit probes and ask
+  `localcheck.fit_map`, the fit `local-check` runs on samples, which
+  automorphism of the subgroup passes through the probes and their images.
+  On the exact groups the probes are the generating pair D and C of
+  `generating_pair`, whose op images generate M_n as an algebra, so on
+  each branch the intertwiner space of the two pairs is one line of
+  invertible matrices, which gives T, or zero, which refutes the branch;
+  SU_n and U_n fit a unitary intertwiner on random SU_n samples, whose
+  spectra decide sigma;
 * fit g where the form carries it: diag(d, 1, ..., 1) probes isolate g(d),
   on R* for GL_n(R) and on the circle for U_n;
 * verify on fresh probes: exactly for SL_n and GL_n(R), by the residual
   for SU_n, projectively for U_n.
 
 A stage that sees the oracle contradict every automorphism raises `_Stop`,
-which becomes the Refuted (or Inconclusive) report. The report's engine
-label follows the group (`ENGINE_LABELS`), and each public engine name is
-`recover` restricted to one group. Probes are charged against an oracle
-budget (default 10 n^2 + 200); exceeding it raises BudgetExceeded with
-partial progress attached.
+which becomes the Refuted (or Inconclusive) report; a fit that no branch
+passes is Refuted when fit_map refuted every branch and Inconclusive when
+it left one open. The report's engine label follows the group
+(`ENGINE_LABELS`), and each public engine name is `recover` restricted to
+one group. Probes are charged against an oracle budget (default
+10 n^2 + 200); exceeding it raises BudgetExceeded with partial progress
+attached.
 """
 from __future__ import annotations
 
@@ -38,16 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
 
-from .autos import (
-    CONTRAGREDIENT,
-    SIGMA_CONJ,
-    SIGMA_ID,
-    STANDARD,
-    Automorphism,
-    apply,
-    make_automorphism,
-    op,
-)
+from .autos import STANDARD, Automorphism, apply, make_automorphism
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -57,13 +49,12 @@ from .errors import (
     OracleIncomplete,
     ResidualFail,
 )
+from .localcheck import fit_map
 from .matrices import (
     C64,
     QR,
     GroupTag,
     Mat,
-    charpoly,
-    charpolys_match,
     coerce_scalar,
     diag_first,
     diagonal,
@@ -83,7 +74,6 @@ from .matrices import (
 from .scalarmaps import character_point, induced, table_screen, witness_character
 from .scalars import ANSWER_TOL, CIRCLE_DRIFT, RECHECK_TOL, SU_RESIDUAL, GaussRational
 from .serialize import mat_from_json, mat_to_json
-from .similarity import simultaneous_similarity, unitary_intertwiner
 
 DEFAULT_DETS = (Fraction(2), Fraction(3))
 SU_SAMPLES = 4  # random SU_n samples the unitary intertwiner is fitted on
@@ -269,34 +259,7 @@ def _ratio(observed: Mat, model: Mat, reason: str, **extra):
 
 
 # ---------------------------------------------------------------------------
-# stage: detect the branch
-
-
-def _detect(oracle: Oracle, probe: Mat, branches, what: str):
-    """Query probe and return the one (kind, sigma) in branches whose
-    op(probe) has the image's characteristic polynomial, with the image; a
-    refutation, naming what the probe decides, when no branch or several do."""
-    img = oracle.query(probe)
-    if probe.regime == C64:
-        hits = [b for b in branches if charpolys_match(op(probe, *b), img)]
-    else:  # exact: the image's polynomial once, not once per branch
-        target = charpoly(img)
-        hits = [b for b in branches if charpoly(op(probe, *b)) == target]
-    if len(hits) != 1:
-        raise _Stop(f"spectrum probe matches neither {what}")
-    return hits[0], img
-
-
-def _sigma_probe(n: int) -> Mat:
-    """diag(alpha, beta, ..., beta) in SU_n; conjugation flips its spectrum
-    to its conjugate, similarity does not."""
-    # beta = exp(2 pi i / q) for the first prime q dividing neither n nor n - 1
-    beta = cmath.exp(2j * cmath.pi / next(q for q in (7, 11, 13, 17) if n % q and (n - 1) % q))
-    return diagonal([beta ** (1 - n)] + [beta] * (n - 1), C64)
-
-
-# ---------------------------------------------------------------------------
-# stage: fit T from a generating pair (exact groups)
+# stage: fit T on the det-1 subgroup
 
 
 def generating_pair(n: int, regime: str) -> tuple[Mat, Mat]:
@@ -307,7 +270,19 @@ def generating_pair(n: int, regime: str) -> tuple[Mat, Mat]:
     D has n distinct eigenvalues, and its spectrum differs from those of
     D^-1, and over Q(i) of conj(D) and conj(D)^-1, so the characteristic
     polynomial of phi(D) names the branch. C is a signed permutation, so
-    op(C) = C on every branch."""
+    op(C) = C on every branch.
+
+    The pair certifies the fit because op(D) and op(C) generate M_n as an
+    algebra: op(D) is diagonal with distinct eigenvalues, so polynomials in
+    it give every E_ii; E_ii op(C) E_(i+1)(i+1) is a nonzero multiple of
+    E_i(i+1), and E_n1 likewise, and products along the cycle give every
+    E_ij. If T op(P) = phi(P) T for both probes, then ker T is invariant
+    under both op(P), hence under all of M_n, so it is 0 or everything:
+    every nonzero intertwiner is invertible. Two of them, T and T', give
+    T'^-1 T commuting with all of M_n, a scalar (Schur's lemma). So on each
+    branch the intertwiner space of the pairs (op(P), phi(P)) is {0}, which
+    refutes the branch, or one line of invertible matrices whose first
+    basis element is the answer; the similarity solver never searches."""
     h = Fraction(2) if regime == QR else GaussRational(1, 1)
     tail = coerce_scalar(regime, Fraction(2, factorial(n)))  # 1 / (3 ... n)
     d = diagonal([h, *range(3, n + 1), tail / h], regime)
@@ -318,48 +293,30 @@ def generating_pair(n: int, regime: str) -> tuple[Mat, Mat]:
     return d, mat(c, regime)
 
 
-def _fit_t(oracle: Oracle, branch, d: Mat, d_img: Mat, c: Mat) -> Mat:
-    """The normalized T with phi(P) = T op(P) T^-1 for P = D and P = C of
-    `generating_pair`, read off as the intertwiner of the pairs
-    (op(P), phi(P)), as `localcheck.check_pair` poses it. D was queried by
-    the branch detection, which passes its image d_img; C is queried here.
+def _fit_model(oracle: Oracle, seed: int) -> Automorphism:
+    """The automorphism, without its character, that `localcheck.fit_map`
+    fits through the fit probes and their images on the det-1 subgroup of
+    oracle's group, where g(1) = 1 leaves no scalar to read: the generating
+    pair on SL_n, `SU_SAMPLES` random SU_n samples on SU_n and U_n. An image
+    outside the subgroup fits no branch. T is normalized (`_normalize`).
 
-    The fit is a certificate because op(D) and op(C) generate M_n as an
-    algebra: op(D) is diagonal with distinct eigenvalues, so polynomials in
-    it give every E_ii; E_ii op(C) E_(i+1)(i+1) is a nonzero multiple of
-    E_i(i+1), and E_n1 likewise, and products along the cycle give every
-    E_ij. If T op(P) = phi(P) T for both probes, then ker T is invariant
-    under both op(P), hence under all of M_n, so it is 0 or everything:
-    every nonzero intertwiner is invertible. Two of them, T and T', give
-    T'^-1 T commuting with all of M_n, a scalar (Schur's lemma). So the
-    intertwiner space is {0}, which refutes every automorphism, or one line
-    of invertible matrices whose first basis element is the answer; the
-    similarity solver never searches.
-    """
-    res = simultaneous_similarity([(op(d, *branch), d_img), (op(c, *branch), oracle.query(c))])
-    if res.status == "NoSolution":
-        raise _Stop(f"probe images admit no similarity: {res.note}")
-    if res.status != "Solved":
-        raise _Stop(f"probe images gave no similarity: {res.note}", status="Inconclusive")
-    return _normalize(res.s)
-
-
-# ---------------------------------------------------------------------------
-# stage: fit T from SU samples (SU_n, U_n)
-
-
-def _fit_su(oracle: Oracle, sigma: str, seed: int) -> Mat:
-    """The phase-normalized unitary U with phi(A) = U sigma(A) U^-1 on
-    random SU_n samples; Inconclusive when none is found."""
-    pairs = []
-    for k in range(SU_SAMPLES):
-        a = random_su(oracle.group.n, seed=seed * 101 + k)
-        img = oracle.query(a)
-        pairs.append((op(a, STANDARD, sigma), img))
-    u = unitary_intertwiner(pairs, seed=seed)
-    if u is None:
-        raise _Stop("no unitary intertwiner through the SU samples", status="Inconclusive")
-    return _normalize(u)
+    With no witness, the recovery is Inconclusive when some branch is, and
+    Refuted otherwise, in C64 too; the reason names each branch's verdict."""
+    group = oracle.group
+    if group.unitary:
+        probes = [random_su(group.n, seed=seed * 101 + k) for k in range(SU_SAMPLES)]
+        subgroup = GroupTag("SUn", "C", group.n)
+    else:
+        probes = generating_pair(group.n, group.regimes()[0])
+        subgroup = GroupTag("SL", group.field, group.n)
+    verdict = fit_map(subgroup, [(p, oracle.query(p)) for p in probes], seed)
+    fit = verdict.witness
+    if fit is not None:
+        return make_automorphism(group, fit.kind, fit.sigma, _normalize(fit.t))
+    if any(b.outcome == "inconclusive" for b in verdict.branches):
+        branches = "; ".join(f"{b.kind}/{b.sigma}: {b.detail}" for b in verdict.branches)
+        raise _Stop(f"no automorphism certified through the fit probes: {branches}", status="Inconclusive")
+    raise _Stop(f"fit probes admit no automorphism: {'; '.join(verdict.refusal_reasons())}")
 
 
 def _frob_dist(a: Mat, b: Mat) -> float:
@@ -531,21 +488,10 @@ def recover(oracle: Oracle, seed: int = 0, verify_probes: int = 50, dets=None) -
 
 
 def _pipeline(oracle: Oracle, seed, verify_probes, dets) -> dict:
-    """detect -> fit T -> fit g -> verify, each as the group's canonical
-    form needs it; returns the Recovered report's fields."""
+    """fit T -> fit g -> verify, each as the group's canonical form needs
+    it; returns the Recovered report's fields."""
     group = oracle.group
-    if group.unitary:
-        branches = [(STANDARD, SIGMA_ID), (STANDARD, SIGMA_CONJ)]
-        (kind, sigma), _ = _detect(oracle, _sigma_probe(group.n), branches, "sigma")
-        t = _fit_su(oracle, sigma, seed)
-    else:
-        sigmas = (SIGMA_ID, SIGMA_CONJ) if group.field == "C" else (SIGMA_ID,)
-        branches = [(k, s) for s in sigmas for k in (STANDARD, CONTRAGREDIENT)]
-        d, c = generating_pair(group.n, group.regimes()[0])
-        what = "branch" if group.field == "C" else "kind"
-        (kind, sigma), d_img = _detect(oracle, d, branches, what)
-        t = _fit_t(oracle, (kind, sigma), d, d_img, c)
-    model = make_automorphism(group, kind, sigma, t)
+    model = _fit_model(oracle, seed)
     if group.family == "GL":
         fields = _fit_g(oracle, model, dets)
     elif group.family == "Un":

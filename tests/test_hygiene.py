@@ -359,39 +359,16 @@ def test_every_definition_has_a_caller():
     assert found == []
 
 
-# recovery poses its fits as `localcheck.check_pair` does, on pairs
-# (op(probe), reply): op acts on the probes it chose, never on a reply
-def _is_reply(node, replies):
-    if isinstance(node, ast.Call):
-        return _call_name(node) == "query"
-    return isinstance(node, ast.Name) and node.id in replies
+# recovery fits only through `localcheck.fit_map`: it names no branch op (so
+# op never acts on an oracle reply there), no spectrum test and no
+# similarity solver of its own
+FIT_NAMES = {"op", "charpoly", "charpolys_match", "simultaneous_similarity", "unitary_intertwiner"}
 
 
-def _bound_replies(func):
-    """The names func binds to an oracle reply."""
-    replies = set()
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            unpacked = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
-            pairs = zip(target.elts, node.value.elts) if unpacked else [(target, node.value)]
-            replies |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_reply(v, replies)}
-    return replies
-
-
-def test_recovery_never_passes_an_oracle_reply_to_op():
-    found = []
-    for func in ast.walk(_parse(SRC / "recover.py")):
-        if not isinstance(func, ast.FunctionDef):
-            continue
-        replies = _bound_replies(func)
-        found += [
-            f"recover.py:{call.lineno} {func.name}"
-            for call in ast.walk(func)
-            if isinstance(call, ast.Call) and _call_name(call) == "op" and call.args and _is_reply(call.args[0], replies)
-        ]
-    assert found == []
+def test_recovery_fits_only_through_the_local_check():
+    recover = _parse(SRC / "recover.py")
+    assert _names(recover) & FIT_NAMES == set()
+    assert [name for _, name in _imports_from(recover, "localcheck")] == ["fit_map"]
 
 
 # one tolerance policy: the numeric thresholds are named once in scalars, and

@@ -15,7 +15,8 @@ from localaut.autos import (
     make_automorphism,
 )
 from localaut.errors import BadParameters, IllegalScalarClass
-from localaut.localcheck import SampleMap, check_map, check_pair, samples_from_automorphism
+from localaut.gallery import gl_local_not_global
+from localaut.localcheck import SampleMap, check_map, check_pair, fit_map, samples_from_automorphism
 from localaut.matrices import (
     C64,
     QC,
@@ -390,3 +391,49 @@ def test_zero_trace_gl_real_sample_takes_both_real_roots(monkeypatch):
     sm = samples_from_automorphism(auto, [c, random_gl(4, QR, rng)])
     assert check_pair(group, *sm.samples).status == "Interpolable"
     assert ((F(9**4), 4), [F(9), F(-9)]) in roots
+
+
+# ---------------------------------------------------------------------------
+# fit_map on k >= 3 samples
+
+
+def test_the_gallery_map_fits_pair_by_pair_and_not_jointly():
+    """`gallery gl-local-not-global` scales dets 2, 3 and 6 by 2, 9 and 6:
+    each pair of its samples fits an automorphism, but one fit through all
+    three must keep 6 = 2 * 3, and |g| breaks that relation."""
+    entry = gl_local_not_global(3, seed=0)
+    group, samples = entry.group, list(entry.sample_map.samples)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert check_pair(group, samples[i], samples[j]).status == "Interpolable", (i, j)
+    v = fit_map(group, samples)
+    assert (v.status, v.witness) == ("Obstructed", None)
+    assert [b.outcome for b in v.branches] == ["refuted", "refuted"]
+    standard = v.branches[0]
+    assert standard.kind == STANDARD
+    assert "|g| breaks the relation {'2': -1, '3': -1, '6': 1} among the dets" in standard.detail
+
+
+@pytest.mark.parametrize(
+    "spec, kind, sigma, g, count",
+    [
+        (("GL", "R", 3), STANDARD, SIGMA_ID, PowerFunc(F(2)), 4),
+        (("GL", "R", 3), CONTRAGREDIENT, SIGMA_ID, PowerFunc(F(1)), 5),
+        (("GL", "C", 3), CONTRAGREDIENT, SIGMA_CONJ, PowerConjFunc(1, 1), 5),
+        (("GL", "C", 3), STANDARD, SIGMA_ID, None, 6),
+        (("SL", "R", 4), CONTRAGREDIENT, SIGMA_ID, None, 4),
+        (("SL", "R", 4), STANDARD, SIGMA_ID, None, 6),
+    ],
+)
+def test_one_witness_reproduces_every_sample_of_an_automorphism(spec, kind, sigma, g, count):
+    group = GroupTag(*spec)
+    regime = group.regimes()[0]
+    rng = random.Random(count)
+    auto = make_automorphism(group, kind, sigma, random_gl(group.n, regime, rng), g)
+    draw = random_sl if group.family == "SL" else random_gl
+    samples = [(a, apply(auto, a)) for a in (draw(group.n, regime, rng) for _ in range(count))]
+    v = fit_map(group, samples, seed=1)
+    assert v.status == "Interpolable"
+    assert (v.witness.kind, v.witness.sigma) == (kind, sigma)
+    for a, out in samples:
+        assert equal(apply(v.witness, a), out)

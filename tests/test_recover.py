@@ -48,6 +48,7 @@ from localaut.matrices import (
     transpose,
 )
 from localaut.recover import (
+    SU_SAMPLES,
     AutomorphismOracle,
     FunctionOracle,
     SampleOracle,
@@ -67,6 +68,16 @@ from localaut.scalars import GaussRational
 from localaut.similarity import intertwiner_basis
 
 F = Fraction
+
+
+def _refusal(*branches):
+    """The refutation of a recovery whose fit probes no branch fits, from
+    (branch, why) in `localcheck.fit_map`'s branch order."""
+    return {"reason": "fit probes admit no automorphism: " + "; ".join(f"{b}: {why}" for b, why in branches)}
+
+
+ZERO_SPACE = "intertwiner space is zero"
+SPECTRA_DIFFER = "characteristic polynomials differ"
 
 
 def _scalar_ratio_ok(t_rec, t_true):
@@ -280,7 +291,7 @@ def test_incoherent_shear_scaling_is_refuted():
     assert intertwiner_basis([(d, fn(d)), (c, fn(c))]) == []
     rep = recover_sln_common(FunctionOracle(group, fn), seed=0, verify_probes=5)
     assert (rep.status, rep.probes_used) == ("Refuted", 2)
-    assert rep.refutation == {"reason": "probe images admit no similarity: intertwiner space is zero"}
+    assert rep.refutation == _refusal(("standard/id", ZERO_SPACE), ("contragredient/id", SPECTRA_DIFFER))
 
 
 @pytest.mark.parametrize(
@@ -295,12 +306,16 @@ def test_incoherent_shear_scaling_is_refuted():
 def test_transpose_is_refuted_at_the_shear_fit(engine, spec):
     """The fit of T refutes transpose and inverse after its 2 probes:
     transpose fixes D and inverse gives it the contragredient spectrum, so
-    both pass the detection, and both send C to C^t = C^-1, which no
-    similarity matches with op(C) = C."""
-    for fn in (transpose, inv):
-        rep = engine(FunctionOracle(GroupTag(*spec), fn), seed=0, verify_probes=5)
+    each passes the spectrum test of one branch, and both send C to
+    C^t = C^-1, which no similarity matches with op(C) = C on that branch."""
+    group = GroupTag(*spec)
+    sigmas = ["id", "conj"] if group.field == "C" else ["id"]
+    for fn, spectral in ((transpose, "standard/id"), (inv, "contragredient/id")):
+        rep = engine(FunctionOracle(group, fn), seed=0, verify_probes=5)
         assert (rep.status, rep.probes_used) == ("Refuted", 2), fn.__name__
-        assert rep.refutation == {"reason": "probe images admit no similarity: intertwiner space is zero"}
+        branches = [f"{kind}/{sigma}" for kind in ("standard", "contragredient") for sigma in sigmas]
+        want = [(b, ZERO_SPACE if b == spectral else SPECTRA_DIFFER) for b in branches]
+        assert rep.refutation == _refusal(*want), fn.__name__
 
 
 def test_verification_needs_a_fresh_probe():
@@ -340,7 +355,7 @@ def test_switching_automorphism_is_refuted_at_the_basis_fit():
 
     rep = recover_slnr_short(FunctionOracle(group, fn), seed=0, verify_probes=5)
     assert (rep.status, rep.probes_used) == ("Refuted", 2)
-    assert rep.refutation == {"reason": "probe images admit no similarity: intertwiner space is zero"}
+    assert rep.refutation == _refusal(("standard/id", ZERO_SPACE), ("contragredient/id", SPECTRA_DIFFER))
 
 
 @pytest.mark.parametrize(
@@ -354,28 +369,28 @@ def test_switching_automorphism_is_refuted_at_the_basis_fit():
     ],
 )
 def test_constant_identity_oracle_is_refuted_at_the_spectrum_probe(spec, what):
-    """A -> I gives the spectrum probe the spectrum {1, 1, 1}, which no
-    branch gives it. The probe is D = diag(2, 3, 1/6) over Q, and
-    diag(1 + i, 3, 1/(3 (1 + i))) over Q(i), for the branch of the exact
-    groups, and diag(alpha, beta, ..., beta), beta = exp(2 pi i / 7),
-    alpha = beta^(1-n), for sigma. Over Q(i), D decides kind and sigma at
-    once, and the refutation names the branch."""
+    """A -> I answers every fit probe with the spectrum {1, ..., 1}, which
+    no branch gives it, so each branch is refuted at the spectrum test. The
+    fit probes are D and C over Q and Q(i), where D = diag(2, 3, 1/6) over Q
+    and diag(1 + i, 3, 1/(3 (1 + i))) over Q(i) decides the kind (and
+    sigma), and `SU_SAMPLES` random SU_n samples, which decide sigma, on
+    SU_n and U_n."""
     group = GroupTag(*spec)
     oracle = FunctionOracle(group, lambda a: identity(a.n, a.regime))
     rep = recover(oracle, seed=0, verify_probes=5)
     assert rep.status == "Refuted"
-    label = "branch" if what == "kind" and group.field == "C" else what
-    assert rep.refutation == {"reason": f"spectrum probe matches neither {label}"}
-    assert rep.probes_used == 1
-    if what == "kind" and group.field == "R":
+    kinds = ["standard"] if what == "sigma" else ["standard", "contragredient"]
+    sigmas = ["id", "conj"] if group.field == "C" else ["id"]
+    assert rep.refutation == _refusal(*((f"{k}/{s}", SPECTRA_DIFFER) for k in kinds for s in sigmas))
+    assert rep.probes_used == (SU_SAMPLES if what == "sigma" else 2)
+    if what == "sigma":
+        assert close(oracle.transcript[0][0], random_su(3, seed=0), 0.0)
+        return
+    if group.field == "R":
         entries = [F(2), F(3), F(1, 6)]
-    elif what == "kind":
-        entries = [GaussRational(1, 1), F(3), GaussRational(F(1, 6), F(-1, 6))]
     else:
-        beta = cmath.exp(2j * cmath.pi / 7)
-        entries = [beta ** (1 - 3), beta, beta]
-    regime = group.regimes()[0] if what == "kind" else C64
-    want = mat([[x if i == j else 0 for j in range(3)] for i, x in enumerate(entries)], regime)
+        entries = [GaussRational(1, 1), F(3), GaussRational(F(1, 6), F(-1, 6))]
+    want = mat([[x if i == j else 0 for j in range(3)] for i, x in enumerate(entries)], group.regimes()[0])
     assert close(oracle.transcript[0][0], want, 0.0)
 
 
@@ -439,6 +454,25 @@ def test_output_outside_the_group_is_refused():
     with pytest.raises(NotInGroup, match="left the group"):
         oracle.query(random_sl(3, QR, random.Random(1)))
     assert oracle.transcript == []
+
+
+@pytest.mark.parametrize(
+    "spec, factor, probes, branches",
+    [
+        (("GL", "R", 3), F(2), 2, ["standard/id", "contragredient/id"]),
+        (("Un", "C", 3), 1j, SU_SAMPLES, ["standard/id", "standard/conj"]),
+    ],
+    ids=["gl-r-3", "un-3"],
+)
+def test_an_answer_outside_the_det_1_subgroup_fits_no_branch(spec, factor, probes, branches):
+    """A -> 2A on GL_3(R) and A -> iA on U_3 answer every det-1 fit probe
+    inside the group but outside its det-1 subgroup, where the fit runs:
+    the answer's spectrum is the probe's scaled, so each branch is refuted
+    at the spectrum test and the recovery ends in a report."""
+    group = GroupTag(*spec)
+    rep = recover(FunctionOracle(group, lambda a: smul(factor, a)), seed=0, verify_probes=5)
+    assert (rep.status, rep.probes_used) == ("Refuted", probes)
+    assert rep.refutation == _refusal(*((b, SPECTRA_DIFFER) for b in branches))
 
 
 @pytest.fixture
@@ -540,7 +574,10 @@ def test_transpose_has_no_unitary_intertwiner(family):
     """A -> A^t reverses products, so no conjugation explains it."""
     rep = recover(FunctionOracle(GroupTag(family, "C", 3), transpose), seed=0)
     assert rep.status == "Inconclusive"
-    assert rep.notes == ["no unitary intertwiner through the SU samples"]
+    assert rep.notes == [
+        "no automorphism certified through the fit probes: standard/id: no unitary intertwiner found; "
+        "standard/conj: characteristic polynomials differ"
+    ]
 
 
 @pytest.mark.parametrize("family", ["SUn", "Un"])
@@ -561,7 +598,10 @@ def test_unitary_noise_of_1e_7_is_inconclusive(family):
 
     rep = recover(FunctionOracle(group, noisy), seed=1)
     assert rep.status == "Inconclusive"
-    assert rep.notes == ["no unitary intertwiner through the SU samples"]
+    assert rep.notes == [
+        "no automorphism certified through the fit probes: standard/id: characteristic polynomials differ; "
+        "standard/conj: no unitary intertwiner found"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,12 @@
 
 Imports `localaut` from CHECKOUT/src and recovers, for each n, a standard
 and a contragredient automorphism of SL_n(R), GL_n(R) (with g the power 2)
-and SL_n(C), each with T = `random_gl(n, regime, random.Random(1))`,
-through `AutomorphismOracle` at seed 1 with the default dets and
-verification probes. Prints one JSON object: per case the raw seconds of
-the `recover` call, `probes_used`, and whether the kind, sigma and T came
-back; and the median time of the `perfbench/hostspeed.py` reference
+and SL_n(C), each with T = `random_gl(n, regime, random.Random(1))`, and a
+sigma = id and a sigma = conj automorphism of SU_n and U_n, each with
+T = `random_unitary(n, seed=1)`, through `AutomorphismOracle` at seed 1
+with the default dets and verification probes. Prints one JSON object: per
+case the raw seconds of the `recover` call, `probes_used`, and whether the
+kind, sigma and T (up to a scalar) came back; and the median time of the `perfbench/hostspeed.py` reference
 kernel of this repository, taken before and after the cases, so two
 checkouts timed on a shared host can be set side by side. Run each
 checkout in its own process: a process imports one `localaut`.
@@ -32,7 +33,15 @@ import hostspeed  # noqa: E402
 KERNEL_CALLS = 30
 NS = (3, 4, 7, 12, 16)
 # (label, family, field, g power or None)
-GROUPS = (("sl-r", "SL", "R", None), ("gl-r", "GL", "R", 2), ("sl-c", "SL", "C", None))
+GROUPS = (
+    ("sl-r", "SL", "R", None),
+    ("gl-r", "GL", "R", 2),
+    ("sl-c", "SL", "C", None),
+    ("sun", "SUn", "C", None),
+    ("un", "Un", "C", None),
+)
+EXACT_BRANCHES = (("standard", "id"), ("contragredient", "id"))
+UNITARY_BRANCHES = (("standard", "id"), ("standard", "conj"))
 
 
 def kernel_median() -> float:
@@ -49,11 +58,13 @@ def cases(la):
     for n in NS:
         for label, family, field, power in GROUPS:
             group = la.GroupTag(family, field, n)
-            regime = group.regimes()[0]
             g = la.PowerFunc(Fraction(power)) if power is not None else None
-            for kind in ("standard", "contragredient"):
-                t = la.random_gl(n, regime, random.Random(1))
-                yield f"{label}-{n}", la.make_automorphism(group, kind, "id", t, g)
+            for kind, sigma in UNITARY_BRANCHES if group.unitary else EXACT_BRANCHES:
+                if group.unitary:
+                    t = la.random_unitary(n, seed=1)
+                else:
+                    t = la.random_gl(n, group.regimes()[0], random.Random(1))
+                yield f"{label}-{n}", la.make_automorphism(group, kind, sigma, t, g)
 
 
 def run(checkout: Path) -> dict:
@@ -77,6 +88,7 @@ def run(checkout: Path) -> dict:
         rows.append({
             "group": label,
             "kind": auto.kind,
+            "sigma": auto.sigma,
             "seconds": round(seconds, 4),
             "probes_used": rep.probes_used,
             "status": rep.status,
