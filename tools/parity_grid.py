@@ -12,7 +12,8 @@ timings prints the same object on both trees. The grid covers:
   SL_3(C), U_3 (sigma id and conj) and SU_3;
 * `recover` through every engine, with and without `--dets`, at n = 3
   and, both kinds each, on SL_4(R), SL_5(R), SL_4(C) and GL_5(R), so the
-  verification sampler runs above n = 3; and through
+  verification sampler runs above n = 3, and sigma id and conj each on
+  SU_5 and U_5, so the unitary fit runs above n = 3; and through
   oracle children whose scalar refutes the class at a det, on a pair and
   on a relation; and on GL_4(R) with a fractional det among `--dets`,
   so the verification probes scale their grid by a denominator; and
@@ -90,6 +91,10 @@ AUTOS = [
     ("slc4-con", "sl-c-4", ["--kind", "contragredient", "--sigma", "conj"]),
     ("glr5", "gl-r-5", ["--g", "power:2"]),
     ("glr5-con", "gl-r-5", ["--g", "power:2", "--kind", "contragredient"]),
+    ("sun5-id", "sun-5", []),
+    ("sun5-conj", "sun-5", ["--sigma", "conj"]),
+    ("un5-id", "un-5", ["--g", "circle-power:0"]),
+    ("un5-conj", "un-5", ["--g", "circle-power:0", "--sigma", "conj"]),
 ]
 
 # local-check sample maps: (name, automorphism stems, one per sample,
@@ -303,6 +308,8 @@ def grid() -> dict:
         ("un-3", "un-none", []), ("sl-r-4", "slr4", []), ("sl-r-4", "slr4-con", []),
         ("sl-r-5", "slr5", []), ("sl-r-5", "slr5-con", []), ("sl-c-4", "slc4", []),
         ("sl-c-4", "slc4-con", []), ("gl-r-5", "glr5", []), ("gl-r-5", "glr5-con", []),
+        ("sun-5", "sun5-id", []), ("sun-5", "sun5-conj", []), ("un-5", "un5-id", []),
+        ("un-5", "un5-conj", []),
     ]
     for group, stem, extra in recoveries:
         for seed in ("1", "2"):
