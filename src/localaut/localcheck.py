@@ -31,7 +31,7 @@ from .autos import (
     make_automorphism,
     op,
 )
-from .errors import BadParameters, NotInGroup, RegimeMismatch
+from .errors import BadParameters, NotInGroup, RegimeMismatch, ZeroInput
 from .matrices import (
     C64,
     QC,
@@ -55,6 +55,7 @@ from .scalars import (
     RECHECK_TOL,
     GaussRational,
     complex_nth_roots,
+    gauss_root,
     rational_nth_root,
     real_nth_root_candidates,
 )
@@ -146,26 +147,31 @@ def _bezout(k: int, n: int) -> tuple[int, int, int]:
 
 
 def _gauss_roots(w: GaussRational, g: int) -> list:
-    """The Gaussian rational solutions of c^g = w that a numeric root
-    rationalizes to, possibly none.
+    """The Gaussian rational solutions of c^g = w, possibly none.
 
-    |c|^2 must be the rational g-th root of |w|^2. One exact root c0 gives
-    all of them, as the roots of unity in Q(i) are the fourth roots: c0 z
-    for z^4 = z^g = 1.
+    One root c0 gives all of them, as the roots of unity in Q(i) are the
+    fourth roots: c0 u for u^4 = u^g = 1, the principal root c0 first. For
+    g = 1, 2 and 4 c0 is exact (`gauss_root`); for any other g it is a
+    numeric root rationalized, which misses a root with large terms.
     """
+    c0 = gauss_root(w, g) if 4 % g == 0 else _rationalized_root(w, g)
+    return [] if c0 is None else [c0 * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I) if u**g == GQ_ONE]
+
+
+def _rationalized_root(w: GaussRational, g: int) -> GaussRational | None:
+    """The first numeric g-th root c of w that rationalizes to an exact one;
+    |c|^2 must be the rational g-th root of |w|^2."""
     if rational_nth_root(w.abs2(), g) is None:
-        return []
+        return None
     try:
-        approx = complex(w)
-    except OverflowError:
-        return []
-    if not approx:
-        return []
-    for z in complex_nth_roots(approx, g):
+        roots = complex_nth_roots(complex(w), g)
+    except (OverflowError, ZeroInput):  # w outside the float range
+        return None
+    for z in roots:
         c0 = GaussRational(Fraction(z.real).limit_denominator(10**9), Fraction(z.imag).limit_denominator(10**9))
         if c0**g == w:
-            return [c0 * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I) if u**g == GQ_ONE]
-    return []
+            return c0
+    return None
 
 
 def _numeric_scalars(ratio: complex, n: int) -> tuple[list, bool, str]:

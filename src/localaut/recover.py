@@ -10,12 +10,11 @@ every group, with the stages its canonical form needs:
   g(1) = 1 leaves no scalar: query the fit probes and ask
   `localcheck.fit_map`, the fit `local-check` runs on samples, which
   automorphism of the subgroup passes through the probes and their images.
-  On the exact groups the probes are the generating pair D and C of
-  `generating_pair`, whose op images generate M_n as an algebra, so on
-  each branch the intertwiner space of the two pairs is one line of
-  invertible matrices, which gives T, or zero, which refutes the branch;
-  SU_n and U_n fit a unitary intertwiner on random SU_n samples, whose
-  spectra decide sigma;
+  The probes are the generating pair D and C of `generating_pair`, whose
+  op images generate M_n as an algebra, so on each branch the intertwiner
+  space of the two pairs is one line of invertible matrices, which gives
+  T, or zero, which refutes the branch; SU_n and U_n ask the pair's C64
+  lifts and fit the unitary element of the line;
 * fit g where the form carries it: diag(d, 1, ..., 1) probes isolate g(d),
   on R* for GL_n(R) and on the circle for U_n;
 * verify on fresh probes: exactly for SL_n and GL_n(R), by the residual
@@ -70,13 +69,14 @@ from .matrices import (
     scalar_one,
     scale_first,
     smul,
+    to_c64,
 )
 from .scalarmaps import character_point, induced, table_screen, witness_character
 from .scalars import ANSWER_TOL, CIRCLE_DRIFT, RECHECK_TOL, SU_RESIDUAL, GaussRational
 from .serialize import mat_from_json, mat_to_json
 
 DEFAULT_DETS = (Fraction(2), Fraction(3))
-SU_SAMPLES = 4  # random SU_n samples the unitary intertwiner is fitted on
+UNITARY_Z = GaussRational(Fraction(3, 5), Fraction(4, 5))  # the unitary D is diag(z, z^2, ...) for this z
 CIRCLE_GENERATORS = (1j,)  # determinant probes of the U_n character
 CHILD_GRACE_S = 2  # seconds an oracle child may take to exit after stdin closes
 ORACLE_REPLY_S = 30  # seconds an oracle child may take to answer one probe
@@ -262,15 +262,18 @@ def _ratio(observed: Mat, model: Mat, reason: str, **extra):
 # stage: fit T on the det-1 subgroup
 
 
-def generating_pair(n: int, regime: str) -> tuple[Mat, Mat]:
-    """The det-1 probes (D, C) of the exact fit: D = diag(h, 3, ..., n,
-    2 / (h n!)) with h = 2 over Q and h = 1 + i over Q(i), and the signed
-    cycle C, 1 on the superdiagonal and (-1)^(n-1) at (n, 1).
+def generating_pair(group: GroupTag) -> tuple[Mat, Mat]:
+    """The det-1 probes (D, C) of the fit on group, exact: the signed cycle
+    C, 1 on the superdiagonal and (-1)^(n-1) at (n, 1), and D = diag(h, 3,
+    ..., n, 2 / (h n!)) with h = 2 over Q and h = 1 + i over Q(i), or on
+    SU_n and U_n the unitary D = diag(z, z^2, ..., z^(n-1), z^(-n(n-1)/2)).
 
-    D has n distinct eigenvalues, and its spectrum differs from those of
-    D^-1, and over Q(i) of conj(D) and conj(D)^-1, so the characteristic
-    polynomial of phi(D) names the branch. C is a signed permutation, so
-    op(C) = C on every branch.
+    D has n distinct eigenvalues (z = (3 + 4i) / 5 is no root of unity, as
+    those in Q(i) are the fourth roots), and its spectrum differs from
+    those of D^-1, and over Q(i) of conj(D) and conj(D)^-1, so the
+    characteristic polynomial of phi(D) names the branch. The unitary D has
+    D^-1 = conj(D), so it names only sigma: enough on SU_n and U_n, not on
+    SL_n(C). C is a signed permutation, so op(C) = C on every branch.
 
     The pair certifies the fit because op(D) and op(C) generate M_n as an
     algebra: op(D) is diagonal with distinct eigenvalues, so polynomials in
@@ -283,32 +286,30 @@ def generating_pair(n: int, regime: str) -> tuple[Mat, Mat]:
     branch the intertwiner space of the pairs (op(P), phi(P)) is {0}, which
     refutes the branch, or one line of invertible matrices whose first
     basis element is the answer; the similarity solver never searches."""
-    h = Fraction(2) if regime == QR else GaussRational(1, 1)
-    tail = coerce_scalar(regime, Fraction(2, factorial(n)))  # 1 / (3 ... n)
-    d = diagonal([h, *range(3, n + 1), tail / h], regime)
-    c = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        c[i][i + 1] = 1
+    n, regime = group.n, group.regimes()[0]
+    if group.unitary:
+        diag = [UNITARY_Z**k for k in range(1, n)] + [UNITARY_Z ** -(n * (n - 1) // 2)]
+    else:
+        h = Fraction(2) if regime == QR else GaussRational(1, 1)
+        tail = coerce_scalar(regime, Fraction(2, factorial(n)))  # 1 / (3 ... n)
+        diag = [h, *range(3, n + 1), tail / h]
+    c = [[int(j == i + 1) for j in range(n)] for i in range(n)]
     c[n - 1][0] = (-1) ** (n - 1)
-    return d, mat(c, regime)
+    return diagonal(diag, regime), mat(c, regime)
 
 
 def _fit_model(oracle: Oracle, seed: int) -> Automorphism:
     """The automorphism, without its character, that `localcheck.fit_map`
-    fits through the fit probes and their images on the det-1 subgroup of
-    oracle's group, where g(1) = 1 leaves no scalar to read: the generating
-    pair on SL_n, `SU_SAMPLES` random SU_n samples on SU_n and U_n. An image
+    fits through the generating pair (its C64 lifts on the unitary groups,
+    whose oracles answer in C64) and its images on the det-1 subgroup of
+    oracle's group, where g(1) = 1 leaves no scalar to read. An image
     outside the subgroup fits no branch. T is normalized (`_normalize`).
 
     With no witness, the recovery is Inconclusive when some branch is, and
     Refuted otherwise, in C64 too; the reason names each branch's verdict."""
     group = oracle.group
-    if group.unitary:
-        probes = [random_su(group.n, seed=seed * 101 + k) for k in range(SU_SAMPLES)]
-        subgroup = GroupTag("SUn", "C", group.n)
-    else:
-        probes = generating_pair(group.n, group.regimes()[0])
-        subgroup = GroupTag("SL", group.field, group.n)
+    subgroup = GroupTag("SUn" if group.unitary else "SL", group.field, group.n)
+    probes = [to_c64(p) if group.unitary else p for p in generating_pair(group)]
     verdict = fit_map(subgroup, [(p, oracle.query(p)) for p in probes], seed)
     fit = verdict.witness
     if fit is not None:

@@ -242,6 +242,22 @@ def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
     return -r if neg else r
 
 
+def gauss_root(w: GaussRational, g: int) -> GaussRational | None:
+    """The principal g-th root of w != 0 for g = 1, 2 or 4 when it lies in
+    Q(i), else None: the principal square root x + iy taken g / 2 times,
+    where x^2 = (|w| + re w) / 2, y^2 = (|w| - re w) / 2, x >= 0 and y has
+    the sign of im w."""
+    for _ in range(g // 2):
+        modulus = rational_nth_root(w.abs2(), 2)
+        if modulus is None:
+            return None
+        x, y = (h and rational_nth_root(h, 2) for h in ((modulus + w.re) / 2, (modulus - w.re) / 2))
+        if x is None or y is None:
+            return None
+        w = GaussRational(x, -y if w.im < 0 else y)
+    return w
+
+
 def rational_pow(q: Fraction, e: Fraction) -> Fraction | None:
     """q**e when the result is rational (q nonzero), else None."""
     if q == 0:

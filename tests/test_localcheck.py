@@ -37,7 +37,7 @@ from localaut.matrices import (
     to_c64,
     transpose,
 )
-from localaut import localcheck, scalarmaps
+from localaut import localcheck, matrices, scalarmaps
 from localaut.scalarmaps import PowerConjFunc, PowerFunc, check_character
 from localaut.scalars import GaussRational
 
@@ -378,6 +378,35 @@ def test_zero_trace_gl_complex_sample_takes_gaussian_roots(monkeypatch):
     sm = samples_from_automorphism(auto, [c, random_gl(3, QC, rng)])
     assert check_pair(group, *sm.samples).status == "Interpolable"
     assert [out for _, out in roots] == [[GaussRational(F(5))]]
+
+
+@pytest.mark.parametrize("m", [10, 10**4])
+@pytest.mark.parametrize("n, entries", [(3, (2, -1, -1)), (4, (3, -1, -1, -1))], ids=["gl-c-3", "gl-c-4"])
+def test_zero_trace_samples_with_large_entries_take_exact_gaussian_roots(n, entries, m):
+    """diag(2m, -m, -m) on GL_3(C) and diag(3m, -m, -m, -m) on GL_4(C) have
+    trace 0 and tr A^2 != 0, so the scalar is read from c^g for g = gcd(2, n),
+    1 and 2. Those roots are exact at every m, so a genuine automorphism's
+    samples are Interpolable however large the entries."""
+    group = GroupTag("GL", "C", n)
+    rng = random.Random(1)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(n, QC, rng), PowerConjFunc(1, 1))
+    a = matrices.diagonal([F(e * m) for e in entries], QC)
+    sm = samples_from_automorphism(auto, [a, random_gl(n, QC, rng)])
+    assert check_pair(group, *sm.samples).status == "Interpolable"
+
+
+@pytest.mark.parametrize("c0", [GaussRational(F(-7, 3), F(5, 2)), GaussRational(F(3, 10**40), F(-10**30))])
+def test_exact_gaussian_roots_list_the_principal_root_first(c0):
+    """For g = 1, 2 and 4 every root of c^g = w in Q(i) is found exactly,
+    the principal one first and then its products with i, -1 and -i."""
+    for g in (1, 2, 4):
+        w = c0**g
+        roots = localcheck._gauss_roots(w, g)
+        principal = complex(w) ** (1 / g)
+        assert abs(complex(roots[0]) - principal) <= 1e-12 * abs(principal)
+        units = [u for u in (1, 1j, -1, -1j) if u**g == 1]
+        assert roots == [roots[0] * GaussRational(F(int(u.real)), F(int(u.imag))) for u in units]
+        assert c0 in roots and all(r**g == w for r in roots)
 
 
 def test_zero_trace_gl_real_sample_takes_both_real_roots(monkeypatch):

@@ -45,10 +45,11 @@ from localaut.matrices import (
     random_unitary,
     ratio,
     smul,
+    to_c64,
     transpose,
 )
 from localaut.recover import (
-    SU_SAMPLES,
+    CIRCLE_GENERATORS,
     AutomorphismOracle,
     FunctionOracle,
     SampleOracle,
@@ -229,18 +230,22 @@ def _shears(n, regime):
     return [_shear(n, regime, i, j) for i in range(n) for j in range(n) if i != j]
 
 
-@pytest.mark.parametrize("regime", [QR, QC])
-def test_the_generating_pair_certifies_the_fit_at_every_n(regime):
-    """For every n the command line accepts: D and C lie in SL_n, on each
-    branch the commutant of {op(D), op(C)} is the scalars, so the pair fit
-    is the certificate `_fit_t` states, and the spectra of op(D) tell the
-    branches apart, so the detection picks one."""
-    field = "R" if regime == QR else "C"
-    sigmas = (SIGMA_ID, SIGMA_CONJ) if regime == QC else (SIGMA_ID,)
-    branches = [(kind, sigma) for sigma in sigmas for kind in (STANDARD, CONTRAGREDIENT)]
+@pytest.mark.parametrize(
+    "family, field", [("SL", "R"), ("SL", "C"), ("SUn", "C"), ("Un", "C")], ids=["QR", "QC", "SUn", "Un"]
+)
+def test_the_generating_pair_certifies_the_fit_at_every_n(family, field):
+    """For every n the command line accepts: D and C lie in SL_n, and the
+    unitary D and C, exact over Q(i), in SU_n and in U_n; on each branch
+    the commutant of {op(D), op(C)} is the scalars, so the pair fit is the
+    certificate `generating_pair` states, and the spectra of op(D) tell the
+    branches apart, so the fit's spectrum test keeps one."""
+    sigmas = (SIGMA_ID, SIGMA_CONJ) if field == "C" else (SIGMA_ID,)
+    kinds = (STANDARD,) if family != "SL" else (STANDARD, CONTRAGREDIENT)
+    branches = [(kind, sigma) for sigma in sigmas for kind in kinds]
     for n in range(3, MAX_N + 1):
-        d, c = generating_pair(n, regime)
-        assert member(d, GroupTag("SL", field, n)) and member(c, GroupTag("SL", field, n))
+        d, c = generating_pair(GroupTag(family, field, n))
+        holders = ("SUn", "Un") if family != "SL" else ("SL",)
+        assert all(member(p, GroupTag(h, field, n)) for h in holders for p in (d, c)), n
         spectra = []
         for branch in branches:
             pairs = [(op(p, *branch), op(p, *branch)) for p in (d, c)]
@@ -268,7 +273,7 @@ def test_shear_intertwiners_of_an_automorphism_are_one_line(case):
     t = random_gl(n, regime, random.Random(seed))
     group = GroupTag("SL", "R" if regime == QR else "C", n)
     auto = make_automorphism(group, kind, sigma, t)
-    for probes in (_shears(n, regime), generating_pair(n, regime)):
+    for probes in (_shears(n, regime), generating_pair(group)):
         basis = intertwiner_basis(_fit_pairs(auto, probes))
         assert len(basis) == 1 and _scalar_ratio_ok(basis[0], t)
     if regime == QR:
@@ -284,7 +289,7 @@ def test_incoherent_shear_scaling_is_refuted():
     similar to its probe, through I and through X, but no single similarity
     moves both, since only diagonal matrices commute with D."""
     group = GroupTag("SL", "R", 3)
-    d, c = generating_pair(3, QR)
+    d, c = generating_pair(group)
     x = _shear(3, QR, 0, 1)
     moved = mul(mul(x, c), inv(x))
     fn = lambda a: moved if equal(a, c) else a
@@ -371,10 +376,10 @@ def test_switching_automorphism_is_refuted_at_the_basis_fit():
 def test_constant_identity_oracle_is_refuted_at_the_spectrum_probe(spec, what):
     """A -> I answers every fit probe with the spectrum {1, ..., 1}, which
     no branch gives it, so each branch is refuted at the spectrum test. The
-    fit probes are D and C over Q and Q(i), where D = diag(2, 3, 1/6) over Q
-    and diag(1 + i, 3, 1/(3 (1 + i))) over Q(i) decides the kind (and
-    sigma), and `SU_SAMPLES` random SU_n samples, which decide sigma, on
-    SU_n and U_n."""
+    fit probes are D and C, where D = diag(2, 3, 1/6) over Q and
+    diag(1 + i, 3, 1/(3 (1 + i))) over Q(i) decides the kind (and sigma),
+    and on SU_n and U_n the C64 lift of D = diag(z, z^2, z^-3) with
+    z = (3 + 4i)/5 decides sigma."""
     group = GroupTag(*spec)
     oracle = FunctionOracle(group, lambda a: identity(a.n, a.regime))
     rep = recover(oracle, seed=0, verify_probes=5)
@@ -382,9 +387,10 @@ def test_constant_identity_oracle_is_refuted_at_the_spectrum_probe(spec, what):
     kinds = ["standard"] if what == "sigma" else ["standard", "contragredient"]
     sigmas = ["id", "conj"] if group.field == "C" else ["id"]
     assert rep.refutation == _refusal(*((f"{k}/{s}", SPECTRA_DIFFER) for k in kinds for s in sigmas))
-    assert rep.probes_used == (SU_SAMPLES if what == "sigma" else 2)
+    assert rep.probes_used == 2
     if what == "sigma":
-        assert close(oracle.transcript[0][0], random_su(3, seed=0), 0.0)
+        z = GaussRational(F(3, 5), F(4, 5))
+        assert close(oracle.transcript[0][0], to_c64(matrices.diagonal([z, z**2, z**-3], QC)), 0.0)
         return
     if group.field == "R":
         entries = [F(2), F(3), F(1, 6)]
@@ -460,7 +466,7 @@ def test_output_outside_the_group_is_refused():
     "spec, factor, probes, branches",
     [
         (("GL", "R", 3), F(2), 2, ["standard/id", "contragredient/id"]),
-        (("Un", "C", 3), 1j, SU_SAMPLES, ["standard/id", "standard/conj"]),
+        (("Un", "C", 3), 1j, 2, ["standard/id", "standard/conj"]),
     ],
     ids=["gl-r-3", "un-3"],
 )
@@ -605,16 +611,20 @@ def test_unitary_noise_of_1e_7_is_inconclusive(family):
 
 
 @pytest.mark.parametrize(
-    "family, fitted, reason",
+    "family, reason",
     [
-        ("SUn", 5, "verification residual .* exceeds tolerance"),
-        ("Un", 6, "verification probe is not conjugation followed by a scalar"),
+        ("SUn", "verification residual .* exceeds tolerance"),
+        ("Un", "verification probe is not conjugation followed by a scalar"),
     ],
+    ids=["SUn", "Un"],
 )
-def test_oracle_that_switches_automorphism_after_the_fit_is_refuted(family, fitted, reason):
-    """The first `fitted` answers come from one automorphism, the rest
-    from another: the fit succeeds, and verification refutes it."""
+def test_oracle_that_switches_automorphism_after_the_fit_is_refuted(family, reason):
+    """The answers to the fit probes (the generating pair, and on U_n the
+    circle probe) come from one automorphism and every later one from
+    another, so the first verification answer is the first to switch: the
+    fit succeeds, and verification refutes it."""
     group = GroupTag(family, "C", 3)
+    fitted = len(generating_pair(group)) + (len(CIRCLE_GENERATORS) if family == "Un" else 0)
     first, later = (make_automorphism(group, STANDARD, SIGMA_ID, random_unitary(3, s)) for s in (5, 6))
     answered = []
 
