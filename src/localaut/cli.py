@@ -59,9 +59,9 @@ class BadArgs(Exception):
 # small converters
 
 
-# the largest n a --group may name: on a 2-CPU Xeon (host-speed kernel
-# 6.8 ms), recover --auto reported elapsed_s 0.15-0.24 s on sl-r-16 and
-# gl-r-16, 0.44-0.57 s on sl-c-16 and 0.58-0.74 s on sun-16 and un-16
+# the largest n a --group may name: recover --auto reported elapsed_s
+# 0.15-0.24 s on sl-r-16 and gl-r-16, 0.44-0.57 s on sl-c-16 (2-CPU Xeon,
+# host-speed kernel 6.8 ms) and 0.32-0.44 s on sun-16 and un-16 (kernel 3-5 ms)
 MAX_N = 16
 
 GROUP_FORMS = "gl-r-N, gl-c-N, sl-r-N, sl-c-N, un-N (or u-N) and sun-N (or su-N)"

@@ -293,24 +293,28 @@ def generating_pair(group: GroupTag) -> tuple[Mat, Mat]:
         h = Fraction(2) if regime == QR else GaussRational(1, 1)
         tail = coerce_scalar(regime, Fraction(2, factorial(n)))  # 1 / (3 ... n)
         diag = [h, *range(3, n + 1), tail / h]
-    c = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    c = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        c[i][i + 1] = 1
     c[n - 1][0] = (-1) ** (n - 1)
     return diagonal(diag, regime), mat(c, regime)
 
 
-def _fit_model(oracle: Oracle, seed: int) -> Automorphism:
+def _fit_model(oracle: Oracle) -> Automorphism:
     """The automorphism, without its character, that `localcheck.fit_map`
     fits through the generating pair (its C64 lifts on the unitary groups,
     whose oracles answer in C64) and its images on the det-1 subgroup of
     oracle's group, where g(1) = 1 leaves no scalar to read. An image
-    outside the subgroup fits no branch. T is normalized (`_normalize`).
+    outside the subgroup fits no branch. Each branch's intertwiner space is
+    {0} or a line (`generating_pair`), so the fit needs no seed. T is
+    normalized (`_normalize`).
 
     With no witness, the recovery is Inconclusive when some branch is, and
     Refuted otherwise, in C64 too; the reason names each branch's verdict."""
     group = oracle.group
     subgroup = GroupTag("SUn" if group.unitary else "SL", group.field, group.n)
     probes = [to_c64(p) if group.unitary else p for p in generating_pair(group)]
-    verdict = fit_map(subgroup, [(p, oracle.query(p)) for p in probes], seed)
+    verdict = fit_map(subgroup, [(p, oracle.query(p)) for p in probes])
     fit = verdict.witness
     if fit is not None:
         return make_automorphism(group, fit.kind, fit.sigma, _normalize(fit.t))
@@ -492,7 +496,7 @@ def _pipeline(oracle: Oracle, seed, verify_probes, dets) -> dict:
     """fit T -> fit g -> verify, each as the group's canonical form needs
     it; returns the Recovered report's fields."""
     group = oracle.group
-    model = _fit_model(oracle, seed)
+    model = _fit_model(oracle)
     if group.family == "GL":
         fields = _fit_g(oracle, model, dets)
     elif group.family == "Un":

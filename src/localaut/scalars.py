@@ -251,7 +251,7 @@ def gauss_root(w: GaussRational, g: int) -> GaussRational | None:
         modulus = rational_nth_root(w.abs2(), 2)
         if modulus is None:
             return None
-        x, y = (h and rational_nth_root(h, 2) for h in ((modulus + w.re) / 2, (modulus - w.re) / 2))
+        x, y = (rational_nth_root(h, 2) if h else h for h in ((modulus + w.re) / 2, (modulus - w.re) / 2))
         if x is None or y is None:
             return None
         w = GaussRational(x, -y if w.im < 0 else y)
