@@ -9,7 +9,10 @@ timings prints the same object on both trees. The grid covers:
 * `gen-auto` of every automorphism the grid uses;
 * `local-check` of genuine, mixed-source, repeated-sample and one-sample
   maps on GL_3(R), GL_3(C) (sigma id and conj, both kinds), SL_3(R),
-  SL_3(C), U_3 (sigma id and conj) and SU_3;
+  SL_3(C), U_3 (sigma id and conj) and SU_3; of the GL_3(C) maps lifted
+  to C64, both kinds and sigma id and conj, so the numeric spectra are
+  pinned; and of exact GL_3(R) and GL_3(C) maps on companion matrices of
+  trace 0, so the scalar is read off a higher coefficient;
 * `recover` through every engine, with and without `--dets`, at n = 3
   and, both kinds each, on SL_4(R), SL_5(R), SL_4(C) and GL_5(R), so the
   verification sampler runs above n = 3, and sigma id and conj each on
@@ -60,8 +63,8 @@ import localaut
 from localaut.cli import main
 from localaut.autos import apply
 from localaut.localcheck import SampleMap
-from localaut.matrices import random_gl, random_sl, random_su, random_unitary, smul
-from localaut.scalars import GQ_I
+from localaut.matrices import mat, random_gl, random_sl, random_su, random_unitary, smul, to_c64
+from localaut.scalars import GQ_I, GaussRational
 from localaut.serialize import auto_from_json, dump_json, load_json, samples_to_json
 
 # (file stem, gen-auto group, gen-auto options)
@@ -126,7 +129,23 @@ MAPS = [
     ("un-conj-turned", ["un-conj"] * 3, 1j),
     ("sun-id", ["sun-id"] * 3, 1),
     ("sun-conj", ["sun-conj"] * 3, 1),
+    ("glc-id-std-c64", ["glc-id-std"] * 3, 1),
+    ("glc-id-con-c64", ["glc-id-con"] * 3, 1),
+    ("glc-conj-std-c64", ["glc-conj-std"] * 3, 1),
+    ("glc-conj-con-c64", ["glc-conj-con"] * 3, 1),
+    ("glr-trace0", ["glr-std"] * 3, 1),
+    ("glc-trace0", ["glc-id-std", "glc-conj-con", "glc-id-std"], 1),
 ]
+
+# maps whose samples and images are lifted to C64
+LIFTED = {"glc-id-std-c64", "glc-id-con-c64", "glc-conj-std-c64", "glc-conj-con-c64"}
+
+# maps on companion matrices of t^3 - a t - b, one (a, b) per sample: each
+# has trace 0 and tr A^2 = 2a, so at a = 0 the scalar is read off tr A^3
+COMPANIONS = {
+    "glr-trace0": [(0, 2), (3, -1), (0, -5)],
+    "glc-trace0": [(0, GaussRational(2, 1)), (GQ_I, 3), (0, GaussRational(-1, -2))],
+}
 
 # A -> h(det A) A on GL_3(R), h a finite table; h is 1 at det +-1
 CHILD = """\
@@ -277,10 +296,16 @@ def _write_maps() -> list[str]:
     files = []
     for name, stems, factor in MAPS:
         group = autos[stems[0]].group
-        mats = _mats(group, len(stems), random.Random(name))
+        if name in COMPANIONS:
+            regime = group.regimes()[0]
+            mats = [mat([[0, 0, b], [1, 0, a], [0, 1, 0]], regime) for a, b in COMPANIONS[name]]
+        else:
+            mats = _mats(group, len(stems), random.Random(name))
         samples = tuple(
             (a, smul(factor, apply(autos[stem], a))) for stem, a in zip(stems, mats)
         )
+        if name in LIFTED:
+            samples = tuple((to_c64(a), to_c64(out)) for a, out in samples)
         variants = {
             name: samples,
             f"{name}-repeat": samples[:2] + samples[:1],
