@@ -6,11 +6,13 @@ check_pair is fit_map on two member samples, and check_map runs it on
 every unordered pair of a sampled map. Over the rationals the verdicts are
 certificates: a witness automorphism on the positive side, an exhaustive
 branch refutation on the negative side. Interpolation branches are indexed
-by kind and sigma. In a GL branch each sample A -> out fixes its scalar
-c = g(det A): out = c T op(A) T^-1 gives c = tr(out) / tr(op(A)), exact,
-and the branch is refuted unless c^n = det(out) / det(op(A)). A sample with
-tr(op(A)) = 0 gives c^g for some g dividing n through a higher power sum;
-only then are roots taken, and a root outside the ground field leaves the
+by kind and sigma, and read each sample's spectra, the characteristic
+polynomials of A and out, computed once per fit. In a GL branch each
+sample A -> out fixes its scalar c = g(det A): out = c T op(A) T^-1
+gives c = tr(out) / tr(op(A)), exact, and the branch is refuted unless
+c^n = det(out) / det(op(A)). A sample with tr(op(A)) = 0 gives c^g for
+some g dividing n through a higher power sum; only then are roots taken,
+exact in Q(i) for every g, and a root outside the ground field leaves the
 branch inconclusive. Numeric (C64) samples take the n-th roots of the
 determinant ratio and certify nothing.
 """
@@ -31,7 +33,7 @@ from .autos import (
     make_automorphism,
     op,
 )
-from .errors import BadParameters, NotInGroup, RegimeMismatch, ZeroInput
+from .errors import BadParameters, NotInGroup, RegimeMismatch
 from .matrices import (
     C64,
     QC,
@@ -42,11 +44,9 @@ from .matrices import (
     close,
     det,
     member_det,
-    mul,
     scalar_one,
     smul,
     to_c64,
-    trace,
 )
 from .scalarmaps import ambient, character_point, pair_screen, table_screen, witness_character
 from .scalars import (
@@ -56,7 +56,6 @@ from .scalars import (
     GaussRational,
     complex_nth_roots,
     gauss_root,
-    rational_nth_root,
     real_nth_root_candidates,
 )
 from .similarity import simultaneous_similarity, unitary_intertwiner
@@ -91,37 +90,32 @@ def _group_branches(group: GroupTag) -> tuple[list[str], list[str]]:
 # the scalar of each sample
 
 
-def _trace_scalars(x: Mat, y: Mat, ratio, n: int, d) -> tuple[list, bool, str]:
+def _trace_scalars(px: list, py: list, ratio, n: int, d) -> tuple[list, bool, str]:
     """The ground-field values c = g(d) with y = c S x S^-1 for some S, as
-    far as traces and determinants decide them: (candidates, exhaustive,
-    why none).
+    far as traces and determinants decide them, read off px = det(tI - x)
+    and py = det(tI - y): (candidates, exhaustive, why none).
 
     Such a c satisfies c^n = det y / det x = ratio and tr(y^k) = c^k tr(x^k)
     for every k. When tr x != 0 that is one exact candidate, refuted unless
     c^n = ratio. When tr x = 0, some p_k = tr(x^k) with k <= n is nonzero,
     as x is invertible (Newton's identities): c^k = tr(y^k) / p_k and
     c^n = ratio fix c^g for g = gcd(k, n), and c is one of its g-th roots.
+    While its lower coefficients are 0, p_k = -k px[n-k] by the same rule.
     Such a root may lie outside the ground field, with S outside it too, so
     the list is exhaustive only when it holds every root in R or C. Over R
     an odd g with w = c^g < 0 leaves one real root, which is negative; it
     is refuted when g(d) must be positive, as it must be at d > 0 (a square)
     and everywhere for odd n (g(-1) = -1 would give f(-1) = f(1)).
     """
-    px = trace(x)
-    if px:
-        c = trace(y) / px
-        if c**n != ratio:
-            return [], True, f"trace scalar {c}: c^{n} = {c**n} != det ratio {ratio}"
-        return [c], True, ""
-    xk, yk = x, y
-    for k in range(2, n + 1):
-        if trace(yk):
-            return [], True, f"tr(out^{k - 1}) = {trace(yk)} but tr(op(A)^{k - 1}) = 0"
-        xk, yk = mul(xk, x), mul(yk, y)
-        px = trace(xk)
-        if px:
-            break
-    ck = trace(yk) / px
+    k = next(k for k in range(1, n + 1) if px[n - k])
+    for j in range(1, k):
+        if py[n - j]:
+            return [], True, f"tr(out^{j}) = {type(py[n])(-j) * py[n - j]} but tr(op(A)^{j}) = 0"
+    ck = py[n - k] / px[n - k]
+    if k == 1:
+        if ck**n != ratio:
+            return [], True, f"trace scalar {ck}: c^{n} = {ck**n} != det ratio {ratio}"
+        return [ck], True, ""
     g, u, v = _bezout(k, n)
     if not ck or ck ** (n // g) != ratio ** (k // g):
         return [], True, f"c^{k} = {ck} from traces contradicts c^{n} = det ratio {ratio}"
@@ -149,29 +143,27 @@ def _bezout(k: int, n: int) -> tuple[int, int, int]:
 def _gauss_roots(w: GaussRational, g: int) -> list:
     """The Gaussian rational solutions of c^g = w, possibly none.
 
-    One root c0 gives all of them, as the roots of unity in Q(i) are the
-    fourth roots: c0 u for u^4 = u^g = 1, the principal root c0 first. For
-    g = 1, 2 and 4 c0 is exact (`gauss_root`); for any other g it is a
-    numeric root rationalized, which misses a root with large terms.
+    One root c0 (`gauss_root`, exact for every g) gives all of them, as the
+    roots of unity in Q(i) are the fourth roots: c0 u for u^4 = u^g = 1,
+    the principal root c0 first when g | 4.
     """
-    c0 = gauss_root(w, g) if 4 % g == 0 else _rationalized_root(w, g)
+    c0 = gauss_root(w, g)
     return [] if c0 is None else [c0 * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I) if u**g == GQ_ONE]
 
 
-def _rationalized_root(w: GaussRational, g: int) -> GaussRational | None:
-    """The first numeric g-th root c of w that rationalizes to an exact one;
-    |c|^2 must be the rational g-th root of |w|^2."""
-    if rational_nth_root(w.abs2(), g) is None:
-        return None
-    try:
-        roots = complex_nth_roots(complex(w), g)
-    except (OverflowError, ZeroInput):  # w outside the float range
-        return None
-    for z in roots:
-        c0 = GaussRational(Fraction(z.real).limit_denominator(10**9), Fraction(z.imag).limit_denominator(10**9))
-        if c0**g == w:
-            return c0
-    return None
+def _op_charpoly(p: list, kind: str, sigma: str) -> list:
+    """det(tI - op(A)) from p = det(tI - A): sigma = conj conjugates p, and
+    the contragredient kind takes det(tI - A^-1) = t^n p(1/t) / p(0)."""
+    if sigma == SIGMA_CONJ:
+        p = [x.conjugate() for x in p]
+    if kind == CONTRAGREDIENT:
+        p = [x / p[0] for x in reversed(p)]
+    return p
+
+
+def _scaled_charpoly(p: list, c) -> list:
+    """det(tI - out / c) from p = det(tI - out): c^(k-n) p[k] at t^k."""
+    return [x * c ** (k - len(p) + 1) for k, x in enumerate(p)]
 
 
 def _numeric_scalars(ratio: complex, n: int) -> tuple[list, bool, str]:
@@ -225,24 +217,22 @@ def fit_map(group: GroupTag, pairs, seed: int = 0, dets=None) -> PairVerdict:
     Each branch (kind, sigma) reads the scalar c_i = g(det A_i) of every
     sample, screens each tuple of candidates against the class of the
     branch, and solves one intertwiner of all the pairs (op(A_i), out_i /
-    c_i). A branch fits its witness in floats and checks it against the
-    samples within RECHECK_TOL; in the exact regimes both compare exactly.
-    The first witness is the verdict; a refusal in C64 is not a
-    certificate, so there every refusal reads Inconclusive."""
+    c_i) whose spectra, read off charpoly(A_i) and charpoly(out_i), agree.
+    A branch fits its witness in floats and checks it against the samples
+    within RECHECK_TOL; in the exact regimes both compare exactly. The
+    first witness is the verdict; a refusal in C64 is not a certificate,
+    so there every refusal reads Inconclusive."""
     if not pairs:
         raise BadParameters("a fit needs at least one sample")
     kinds, sigmas = _group_branches(group)
     if ambient(group) is not None and dets is None:
         dets = [(det(a), det(out)) for a, out in pairs]
-    # with no scalar to divide out, each image's polynomial is one per fit
-    targets = None
-    if ambient(group) is None and pairs[0][1].regime != C64:
-        targets = [charpoly(out) for _, out in pairs]
+    spectra = [(charpoly(a), charpoly(out)) for a, out in pairs]
     verdict = PairVerdict("Obstructed", None)
     inconclusive = False
     for kind in kinds:
         for sigma in sigmas:
-            br = _try_branch(group, kind, sigma, pairs, dets, targets, seed)
+            br = _try_branch(group, kind, sigma, pairs, spectra, dets, seed)
             verdict.branches.append(br)
             if br.outcome == "witness":
                 verdict.status = "Interpolable"
@@ -256,22 +246,34 @@ def fit_map(group: GroupTag, pairs, seed: int = 0, dets=None) -> PairVerdict:
     return verdict
 
 
-def _try_branch(group, kind, sigma, pairs, dets, targets, seed) -> BranchReport:
-    ops = [op(a, kind, sigma) for a, _ in pairs]
+def _try_branch(group, kind, sigma, pairs, spectra, dets, seed) -> BranchReport:
+    polys = [_op_charpoly(p, kind, sigma) for p, _ in spectra]
+    ops = []  # op(A) of every sample, formed when a fit first reaches the solve
+
+    def fit(cs, points) -> BranchReport:
+        """The fit of every (op(A), out / c), with c = 1 when cs is None."""
+        cs = cs or [None] * len(pairs)
+        targets = [q if c is None else _scaled_charpoly(q, c) for (_, q), c in zip(spectra, cs)]
+        if any(not charpolys_match(x, y) for x, y in zip(polys, targets)):
+            return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
+        if not ops:
+            ops.extend(op(a, kind, sigma) for a, _ in pairs)
+        outs = [out if c is None else smul(scalar_one(out.regime) / c, out) for (_, out), c in zip(pairs, cs)]
+        return _similarity_step(group, kind, sigma, list(zip(ops, outs)), points, pairs, seed)
+
     if ambient(group) is None:
-        fit = [(x, out) for x, (_, out) in zip(ops, pairs)]
-        return _similarity_step(group, kind, sigma, fit, targets, None, pairs, seed)
+        return fit(None, None)
     # det op(A) = sigma(det A)^(+-1)
     eps = -1 if kind == CONTRAGREDIENT else 1
     n = group.n
     found, points = [], []
-    for x, (_, out), (d, d_out) in zip(ops, pairs, dets):
+    for (a, _), (_, q), x, (d, d_out) in zip(pairs, spectra, polys, dets):
         d_op = (d.conjugate() if sigma == SIGMA_CONJ else d) ** eps
         points.append(character_point(group, sigma, d))
-        if x.regime == C64:
+        if a.regime == C64:
             found.append(_numeric_scalars(d_out / d_op, n))
         else:
-            found.append(_trace_scalars(x, out, d_out / d_op, n, points[-1]))
+            found.append(_trace_scalars(x, q, d_out / d_op, n, points[-1]))
     empty = [(exhaustive, why) for cands, exhaustive, why in found if not cands]
     if empty:
         # one sample with no value at all refutes the branch, if its list is complete
@@ -280,15 +282,13 @@ def _try_branch(group, kind, sigma, pairs, dets, targets, seed) -> BranchReport:
         return BranchReport(kind, sigma, "refuted" if refuted else "inconclusive", f"no scalar values ({why})")
     pending_inconclusive = None
     refusals = []
-    one = scalar_one(pairs[0][1].regime)
     for cs in product(*(cands for cands, _, _ in found)):
         table = list(zip(points, cs))
         ok, why = _screen(group, kind == STANDARD, sigma, table)
         if not ok:
             refusals.append(", ".join(f"g({d})={c}" for d, c in table) + f": {why}")
             continue
-        fit = [(x, smul(one / c, out)) for x, (_, out), c in zip(ops, pairs, cs)]
-        br = _similarity_step(group, kind, sigma, fit, None, table, pairs, seed)
+        br = fit(cs, table)
         if br.outcome == "witness":
             return br
         if br.outcome == "inconclusive":
@@ -312,13 +312,7 @@ def _screen(group, first_kind: bool, sigma: str, table) -> tuple[bool, str]:
     return res.ok, res.reason
 
 
-def _similarity_step(group, kind, sigma, pairs, targets, points, originals, seed) -> BranchReport:
-    if targets is None:
-        differ = any(not charpolys_match(x, y) for x, y in pairs)
-    else:
-        differ = any(charpoly(x) != target for (x, _), target in zip(pairs, targets))
-    if differ:
-        return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
+def _similarity_step(group, kind, sigma, pairs, points, originals, seed) -> BranchReport:
     if group.unitary:
         u = unitary_intertwiner(pairs, seed=seed)
         if u is None:

@@ -509,16 +509,19 @@ def to_c64(a: Mat) -> Mat:
 
 
 def charpoly(a: Mat) -> list:
-    """Characteristic polynomial det(tI - A), ascending coefficients, exact.
+    """Characteristic polynomial det(tI - A), ascending coefficients; in
+    C64 numpy's, as complex numbers.
 
-    Faddeev-LeVerrier on the grid M = den A, over Z, or over Z[i] on
+    Exact: Faddeev-LeVerrier on the grid M = den A, over Z, or over Z[i] on
     (re, im) int pairs: B_1 = M, c_k = -tr(B_k) / k, B_(k+1) = M (B_k + c_k I).
     The c_k are the coefficients of det(tI - M), integers over Z or Z[i],
     so each division by k is exact; the t^(n-k) coefficient of A is
     c_k / den^k.
     """
     if a.regime == C64:
-        raise RegimeMismatch("charpoly is an exact-regime tool")
+        import numpy as np
+
+        return [complex(c) for c in reversed(np.poly(_to_numpy(a)))]
     n = a.n
     den, re, im = grid(a)
     diag = range(0, n * n, n + 1)
@@ -553,16 +556,13 @@ def charpoly(a: Mat) -> list:
     return coeffs[::-1]
 
 
-def charpolys_match(x: Mat, y: Mat) -> bool:
-    """Do x and y have one characteristic polynomial? Exact in QR and QC; in
-    C64 the numpy coefficients agree within 1e-6 of the largest of x's."""
-    if x.regime != C64:
-        return charpoly(x) == charpoly(y)
-    import numpy as np
-
-    cx, cy = np.poly(_to_numpy(x)), np.poly(_to_numpy(y))
-    scale = max(1.0, max(abs(c) for c in cx))
-    return all(abs(p - q) <= 1e-6 * scale for p, q in zip(cx, cy))
+def charpolys_match(px: list, py: list) -> bool:
+    """Are px and py, coefficients of `charpoly`, one polynomial? Exact in
+    QR and QC; in C64 they agree within 1e-6 of the largest of px's."""
+    if not isinstance(px[0], complex):
+        return px == py
+    scale = max(1.0, max(abs(c) for c in px))
+    return all(abs(p - q) <= 1e-6 * scale for p, q in zip(px, py))
 
 
 # ---------------------------------------------------------------------------

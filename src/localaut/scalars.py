@@ -243,19 +243,25 @@ def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
 
 
 def gauss_root(w: GaussRational, g: int) -> GaussRational | None:
-    """The principal g-th root of w != 0 for g = 1, 2 or 4 when it lies in
-    Q(i), else None: the principal square root x + iy taken g / 2 times,
-    where x^2 = (|w| + re w) / 2, y^2 = (|w| - re w) / 2, x >= 0 and y has
-    the sign of im w."""
-    for _ in range(g // 2):
-        modulus = rational_nth_root(w.abs2(), 2)
-        if modulus is None:
-            return None
-        x, y = (rational_nth_root(h, 2) if h else h for h in ((modulus + w.re) / 2, (modulus - w.re) / 2))
-        if x is None or y is None:
-            return None
-        w = GaussRational(x, -y if w.im < 0 else y)
-    return w
+    """A g-th root of w != 0 in Q(i), the principal one for g | 4, or None.
+
+    A root c of w = (p + i s) / q makes z = c q a Gaussian integer with
+    z^g = N = (p + i s) q^(g-1). Integer Newton in Z[i] runs from each
+    float g-th root of N in turn, principal first, computed on N / 2^(g e)
+    in the float range and scaled back by 2^e; z is taken only if z^g == N."""
+    power = gauss(w.p * w.q ** (g - 1), w.s * w.q ** (g - 1), 1)
+    e = max(0, -(-(max(abs(power.p), abs(power.s)).bit_length() - 60) // g))
+    lower, order = GaussRational(g - 1), GaussRational(g)
+    for r in complex_nth_roots(complex(power.p / (1 << g * e), power.s / (1 << g * e)), g):
+        z = gauss(round(Fraction(r.real) * (1 << e)), round(Fraction(r.imag) * (1 << e)), 1)
+        for _ in range(e.bit_length() + 4):  # each step about doubles the correct bits
+            step = (lower * z + power / z ** (g - 1)) / order
+            z, last = gauss((2 * step.p + step.q) // (2 * step.q), (2 * step.s + step.q) // (2 * step.q), 1), z
+            if z == last or not z:
+                break
+        if z and z**g == power:
+            return gauss(z.p, z.s, w.q)
+    return None
 
 
 def rational_pow(q: Fraction, e: Fraction) -> Fraction | None:

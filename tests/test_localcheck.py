@@ -368,16 +368,18 @@ def test_exact_unitary_pair_lifts_to_c64(monkeypatch):
 
 
 def test_zero_trace_gl_complex_sample_takes_gaussian_roots(monkeypatch):
-    """The companion matrix of t^3 - (2 + i) has tr A = tr A^2 = 0, so its
-    scalar g(det A) = |2 + i|^2 = 5 is read from c^3 = tr(out^3) / tr(A^3)."""
-    roots = _spy(monkeypatch, localcheck, "_gauss_roots")
+    """The companion matrix of t^3 - (2 + i) m has tr A = tr A^2 = 0, so its
+    scalar g(det A) = |2 + i|^2 m^2 = 5 m^2 is read from
+    c^3 = tr(out^3) / tr(A^3), exactly at m = 1 and at m = 1000."""
     group = GroupTag("GL", "C", 3)
-    rng = random.Random(0)
-    c = mat([[0, 0, GaussRational(F(2), F(1))], [1, 0, 0], [0, 1, 0]], QC)
-    auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QC, rng), PowerConjFunc(1, 1))
-    sm = samples_from_automorphism(auto, [c, random_gl(3, QC, rng)])
-    assert check_pair(group, *sm.samples).status == "Interpolable"
-    assert [out for _, out in roots] == [[GaussRational(F(5))]]
+    for m in (1, 1000):
+        roots = _spy(monkeypatch, localcheck, "_gauss_roots")
+        rng = random.Random(0)
+        c = mat([[0, 0, GaussRational(F(2 * m), F(m))], [1, 0, 0], [0, 1, 0]], QC)
+        auto = make_automorphism(group, STANDARD, SIGMA_ID, random_gl(3, QC, rng), PowerConjFunc(1, 1))
+        sm = samples_from_automorphism(auto, [c, random_gl(3, QC, rng)])
+        assert check_pair(group, *sm.samples).status == "Interpolable"
+        assert [out for _, out in roots] == [[GaussRational(F(5 * m * m))]]
 
 
 @pytest.mark.parametrize("m", [10, 10**4])
@@ -407,6 +409,64 @@ def test_exact_gaussian_roots_list_the_principal_root_first(c0):
         units = [u for u in (1, 1j, -1, -1j) if u**g == 1]
         assert roots == [roots[0] * GaussRational(F(int(u.real)), F(int(u.imag))) for u in units]
         assert c0 in roots and all(r**g == w for r in roots)
+
+
+@pytest.mark.parametrize("regime", [QC, C64])
+def test_a_fit_reads_each_spectrum_once_and_forms_op_only_for_a_solve(monkeypatch, regime):
+    """On a GL_3(C) pair from the last branch tried (contragredient, conj),
+    the fit computes det(tI - A) and det(tI - out) once per sample for all
+    4 branches and every candidate scalar, and forms op(A) only on a branch
+    whose spectra let it reach the intertwiner solve."""
+    group = GroupTag("GL", "C", 3)
+    rng = random.Random(3)
+    auto = make_automorphism(group, CONTRAGREDIENT, SIGMA_CONJ, random_gl(3, QC, rng), PowerConjFunc(1, 1))
+    samples = [(a, apply(auto, a)) for a in (random_gl(3, QC, rng), random_gl(3, QC, rng))]
+    if regime == C64:
+        samples = [(to_c64(a), to_c64(out)) for a, out in samples]
+    log = []
+    for name in ("charpoly", "op", "simultaneous_similarity", "unitary_intertwiner"):
+        real = getattr(localcheck, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            log.append((name, args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(localcheck, name, spy)
+    v = fit_map(group, samples)
+    assert v.status == "Interpolable" and (v.witness.kind, v.witness.sigma) == (CONTRAGREDIENT, SIGMA_CONJ)
+    assert len(v.branches) == 4
+    assert [name for name, _ in log[:4]] == ["charpoly"] * 4
+    assert sum(name == "charpoly" for name, _ in log) == 4
+    ops, solved, branch = {}, set(), None
+    for name, args in log[4:]:
+        if name == "op":
+            branch = args[1:]
+            ops[branch] = ops.get(branch, 0) + 1
+        else:
+            solved.add(branch)
+    assert set(ops) == solved and all(count == 2 for count in ops.values())
+    assert (CONTRAGREDIENT, SIGMA_CONJ) in ops and len(ops) < 4
+
+
+@pytest.mark.parametrize("regime", [QR, QC, C64])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_branch_spectra_follow_from_the_sample_spectra(regime, n):
+    """op(A)'s characteristic polynomial read off A's, and out / c's off
+    out's, are the polynomials of the matrices themselves: equal in QR and
+    QC, within `charpolys_match` in C64."""
+    rng = random.Random(n)
+    exact = QR if regime == QR else QC
+    a, out = random_gl(n, exact, rng), random_gl(n, exact, rng)
+    c = F(-7, 3) if exact == QR else GaussRational(F(-7, 3), F(5, 2))
+    if regime == C64:
+        a, out, c = to_c64(a), to_c64(out), complex(c)
+    same = (lambda x, y: x == y) if regime != C64 else matrices.charpolys_match
+    for kind in (STANDARD, CONTRAGREDIENT):
+        for sigma in (SIGMA_ID, SIGMA_CONJ):
+            derived = localcheck._op_charpoly(matrices.charpoly(a), kind, sigma)
+            assert same(derived, matrices.charpoly(localcheck.op(a, kind, sigma)))
+    scaled = localcheck._scaled_charpoly(matrices.charpoly(out), c)
+    assert same(scaled, matrices.charpoly(smul(matrices.scalar_one(regime) / c, out)))
 
 
 def test_zero_trace_gl_real_sample_takes_both_real_roots(monkeypatch):

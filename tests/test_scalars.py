@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localaut.errors import BadParameters
-from localaut.scalars import GQ_ONE, GQ_ZERO, GaussRational, rational_pow
+from localaut.scalars import GQ_ONE, GQ_ZERO, GaussRational, gauss_root, rational_pow
 
 small = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -68,6 +68,21 @@ def test_rational_pow_exact_cases():
 def test_rational_pow_irrational_is_none():
     assert rational_pow(Fraction(2), Fraction(1, 2)) is None
     assert rational_pow(Fraction(3), Fraction(2, 3)) is None
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("c0", [gq(Fraction(-7, 3), Fraction(5, 2)), gq(Fraction(3, 10**40), -(10**30)), gq(10**400 + 1, 3)])
+def test_gauss_root_is_exact_for_every_g_at_any_size(c0, g):
+    """gauss_root finds a g-th root of c0^g, the principal one for g | 4,
+    however large its terms, and no root of c0^g + 1 when it has none."""
+    w = c0**g
+    root = gauss_root(w, g)
+    assert root is not None and root**g == w
+    if 4 % g == 0 and max(abs(c0.p), abs(c0.s), c0.q) < 10**300:  # w in the float range
+        principal = complex(w) ** (1 / g)
+        assert abs(complex(root) - principal) <= 1e-12 * abs(principal)
+    other = gauss_root(w + GQ_ONE, g)
+    assert other is None or other**g == w + GQ_ONE
 
 
 def test_truthiness_is_the_zero_test():
