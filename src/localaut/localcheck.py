@@ -11,7 +11,7 @@ polynomials of A and out, computed once per fit. In a GL branch each
 sample A -> out fixes its scalar c = g(det A): out = c T op(A) T^-1
 gives c = tr(out) / tr(op(A)), exact, and the branch is refuted unless
 c^n = det(out) / det(op(A)). A sample with tr(op(A)) = 0 gives c^g for
-some g dividing n through a higher power sum; only then are roots taken,
+some g dividing n through a lower coefficient; only then are roots taken,
 exact in Q(i) for every g, and a root outside the ground field leaves the
 branch inconclusive. Numeric (C64) samples take the n-th roots of the
 determinant ratio and certify nothing.
@@ -253,8 +253,8 @@ def _try_branch(group, kind, sigma, pairs, spectra, dets, seed) -> BranchReport:
     def fit(cs, points) -> BranchReport:
         """The fit of every (op(A), out / c), with c = 1 when cs is None."""
         cs = cs or [None] * len(pairs)
-        targets = [q if c is None else _scaled_charpoly(q, c) for (_, q), c in zip(spectra, cs)]
-        if any(not charpolys_match(x, y) for x, y in zip(polys, targets)):
+        scaled = [q if c is None else _scaled_charpoly(q, c) for (_, q), c in zip(spectra, cs)]
+        if any(not charpolys_match(x, y) for x, y in zip(polys, scaled)):
             return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
         if not ops:
             ops.extend(op(a, kind, sigma) for a, _ in pairs)
