@@ -11,8 +11,12 @@ timings prints the same object on both trees. The grid covers:
   maps on GL_3(R), GL_3(C) (sigma id and conj, both kinds), SL_3(R),
   SL_3(C), U_3 (sigma id and conj) and SU_3; of the GL_3(C) maps lifted
   to C64, both kinds and sigma id and conj, so the numeric spectra are
-  pinned; and of exact GL_3(R) and GL_3(C) maps on companion matrices of
-  trace 0, so the scalar is read off a higher coefficient;
+  pinned; of exact GL_3(R) and GL_3(C) maps on companion matrices of
+  trace 0, so the scalar is read off a higher coefficient; and of maps
+  whose samples are not cyclic from e_1, so the Krylov basis of the
+  intertwiner solve holds more than one chain: SL_4(R) samples of the
+  default three shears, a GL_3(R) map whose first sample is 2I and an
+  SL_3(C) map whose first sample is I;
 * `recover` through every engine, with and without `--dets`, at n = 3
   and, both kinds each, on SL_4(R), SL_5(R), SL_4(C) and GL_5(R), so the
   verification sampler runs above n = 3, and sigma id and conj each on
@@ -63,7 +67,7 @@ import localaut
 from localaut.cli import main
 from localaut.autos import apply
 from localaut.localcheck import SampleMap
-from localaut.matrices import mat, random_gl, random_sl, random_su, random_unitary, smul, to_c64
+from localaut.matrices import identity, mat, random_gl, random_sl, random_su, random_unitary, smul, to_c64
 from localaut.scalars import GQ_I, GaussRational
 from localaut.serialize import auto_from_json, dump_json, load_json, samples_to_json
 
@@ -135,6 +139,9 @@ MAPS = [
     ("glc-conj-con-c64", ["glc-conj-con"] * 3, 1),
     ("glr-trace0", ["glr-std"] * 3, 1),
     ("glc-trace0", ["glc-id-std", "glc-conj-con", "glc-id-std"], 1),
+    ("slr4-shear", ["slr4"] * 3, 1),
+    ("glr-scalar", ["glr-std"] * 3, 1),
+    ("slc-identity", ["slc-conj"] * 3, 1),
 ]
 
 # maps whose samples and images are lifted to C64
@@ -146,6 +153,10 @@ COMPANIONS = {
     "glr-trace0": [(0, 2), (3, -1), (0, -5)],
     "glc-trace0": [(0, GaussRational(2, 1)), (GQ_I, 3), (0, GaussRational(-1, -2))],
 }
+
+# maps whose first sample is this multiple of I: its Krylov chains from
+# e_1, e_2, ... have length 1
+SCALAR_FIRST = {"glr-scalar": 2, "slc-identity": 1}
 
 # A -> h(det A) A on GL_3(R), h a finite table; h is 1 at det +-1
 CHILD = """\
@@ -301,6 +312,8 @@ def _write_maps() -> list[str]:
             mats = [mat([[0, 0, b], [1, 0, a], [0, 1, 0]], regime) for a, b in COMPANIONS[name]]
         else:
             mats = _mats(group, len(stems), random.Random(name))
+        if name in SCALAR_FIRST:
+            mats[0] = smul(SCALAR_FIRST[name], identity(group.n, group.regimes()[0]))
         samples = tuple(
             (a, smul(factor, apply(autos[stem], a))) for stem, a in zip(stems, mats)
         )
