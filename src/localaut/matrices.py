@@ -235,8 +235,10 @@ def mat(rows, regime: str) -> Mat:
 
 
 def identity(n: int, regime: str) -> Mat:
-    one, zero = scalar_one(regime), scalar_zero(regime)
-    return Mat(n, regime, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+    if regime == C64:
+        return Mat(n, C64, tuple(tuple(complex(i == j) for j in range(n)) for i in range(n)))
+    eye = tuple(int(i == j) for i in range(n) for j in range(n))
+    return _grid_mat(n, regime, (1, eye, None if regime == QR else (0,) * (n * n)))
 
 
 def diagonal(values, regime: str) -> Mat:

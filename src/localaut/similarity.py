@@ -1,13 +1,15 @@
 """Simultaneous similarity: find invertible S with S A_i = B_i S for all i.
 
 In QR and QC the intertwiner space L = {S : S A_i = B_i S} is computed
-exactly (nullspace of the integer system read off the grids of the pairs);
-an invertible element is then hunted by a seeded randomized search plus a
-deterministic sweep of the simplex lattice K_1 + sum y_i K_i, y >= 0,
-sum y_i <= n. The solver is sound: a returned S is verified by direct
-multiplication, NoSolution is certified (L = {0}, or the determinant, a
-polynomial of total degree n on that affine slice, vanishes on the whole
-lattice), and anything else is Inconclusive.
+exactly on the Krylov basis of one sample: S is a linear function of its
+images of the m chain starts, m n unknowns instead of n^2 (m = 1 when e_1
+is cyclic for the sample), and one integer nullspace over every pair's
+equations gives L. An invertible element is then hunted by a seeded
+randomized search plus a deterministic sweep of the simplex lattice
+K_1 + sum y_i K_i, y >= 0, sum y_i <= n. The solver is sound: a returned S
+is verified by direct multiplication, NoSolution is certified (L = {0},
+or the determinant, a polynomial of total degree n on that affine slice,
+vanishes on the whole lattice), and anything else is Inconclusive.
 
 In C64 the search stays in numpy: L is the null space of an SVD, and only
 a well-conditioned candidate becomes a Mat, to be verified. Every random
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb, lcm
+from operator import sub
 
-from .errors import BadParameters, RegimeMismatch, ResidualFail
-from .exactlinalg import nullspace
+from .errors import BadParameters, RegimeMismatch, ResidualFail, SingularMatrix
+from .exactlinalg import nullspace, rref
 from .matrices import (
     C64,
     QR,
@@ -30,7 +33,12 @@ from .matrices import (
     det,
     from_grid,
     grid,
+    identity,
+    inv,
     mul,
+    transpose,
+    _dots,
+    _split,
     _to_numpy,
     _from_numpy,
 )
@@ -49,38 +57,206 @@ class SimilarityResult:
 
 
 def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
-    """Exact basis of {S : S A_i = B_i S}.
+    """Exact basis of {S : S A_i = B_i S}, reduced on vec S read row by
+    row: one element per free entry, 1 there and 0 at the other free
+    entries. The free entries are the last nonzero entries of the
+    intertwiners.
 
-    The equation at (p, q) is sum_k S_pk A_kq - B_pk S_kq = 0; times
-    da db it has integer coefficients, read off the grids of A = ra / da
-    and B = rb / db (re and im parts apart over Q(i))."""
+    Each pair is scaled to integer matrices first, which keeps the space.
+    If S A = B S and U holds chains w_j, A w_j, ..., A^(k_j - 1) w_j, then
+    S U = W(v) has the columns B^t v_j for v_j = S w_j, so S = W(v) U^-1
+    is linear in m n unknowns for m chains. U is the chain of e_1 on the
+    first sample for which e_1 is cyclic (m = 1), else the greedy Krylov
+    basis of the sample with the fewest chains (`_greedy_chains`; m = n
+    for a scalar). Every pair then reads W(v) C_i = B_i W(v) for
+    C_i = U^-1 A_i U, in integers once C_i is cleared of its
+    denominator; on the chosen pair only the columns that end a chain say
+    anything, as A maps every other column of U to the next. One
+    nullspace gives the v."""
     if not pairs:
         raise BadParameters("at least one pair is required")
     n = pairs[0][0].n
     regime = pairs[0][0].regime
     if regime == C64:
         raise RegimeMismatch("exact regimes only; use numeric_intertwiner_basis")
-    rows: list[list[int]] = []
-    ims: list[list[int]] | None = None if regime == QR else []
-    for a, b in pairs:
-        if a.n != n or b.n != n or a.regime != regime or b.regime != regime:
-            raise RegimeMismatch("all pairs must share size and regime")
-        da, ra, ia = grid(a)
-        db, rb, ib = grid(b)
-        for xa, xb, system in ((ra, rb, rows), (ia, ib, ims)):
-            if system is None:
+    if any(x.n != n or x.regime != regime for pair in pairs for x in pair):
+        raise RegimeMismatch("all pairs must share size and regime")
+    pairs = [_integral(a, b) for a, b in pairs]
+    for chosen, (a, _) in enumerate(pairs):
+        chains = [(0, n)]
+        u, tails = _krylov(a, chains)
+        try:
+            u_inv = inv(u)
+            break
+        except SingularMatrix:
+            continue
+    else:
+        chosen, chains = min(enumerate(_greedy_chains(a) for a, _ in pairs), key=lambda c: len(c[1]))
+        u, tails = _krylov(pairs[chosen][0], chains)
+        u_inv = inv(u)
+    lengths = [k for _, k in chains]
+    ends = list(accumulate(lengths))
+    starts = [e - k for e, k in zip(ends, lengths)]
+    owner = [j for j, k in enumerate(lengths) for _ in range(k)]
+    base = pairs[chosen][1]
+    powers = [identity(n, regime)]
+    for _ in range(max(lengths) - 1):
+        powers.append(mul(base, powers[-1]))
+    # column t n + l of [B^0 | B^1 | ...]; and per chain length k, the
+    # cell p n + l of B^0, ..., B^(k-1) as one vector
+    power_cols = [c for x in powers for c in _rows(transpose(x))]
+    width = len(power_cols)
+    grids = [grid(x) for x in powers]
+    stacks = {
+        k: _vectors(list(zip(*[g[1] for g in grids[:k]])), None if regime == QR else list(zip(*[g[2] for g in grids[:k]])))
+        for k in set(lengths)
+    }
+    dc, u_rows = grid(u_inv)[0], _rows(u_inv)
+    rows, ims = [], None if regime == QR else []
+    for i, (a, b) in enumerate(pairs):
+        if i == chosen:
+            columns, targets = [e - 1 for e in ends], tails
+        else:
+            columns, targets = range(n), _rows(transpose(mul(a, u)))
+        # dc C_i at the chosen columns, x-th of them at c * across + x
+        across = len(columns)
+        cre, cim = _products(u_rows, targets)
+        # terms[h][x n^2 + p n + l] = sum_s dc C_i[starts[h] + s][q] B^s[p][l]
+        # for the x-th column q; images[p width + t n + l] = (B_i B^t)[p][l]
+        terms = [
+            _products(
+                [(cre[o * across + x:e * across:across], None if cim is None else cim[o * across + x:e * across:across])
+                 for x in range(across)],
+                stacks[e - o],
+            )
+            for o, e in zip(starts, ends)
+        ]
+        images = _products(_rows(b), power_cols)
+        for part, out in ((0, rows), (1, ims)):
+            if out is None:
                 continue
-            for p in range(n):
-                for q in range(n):
-                    row = [0] * (n * n)
-                    for k in range(n):
-                        row[p * n + k] += xa[k * n + q] * db
-                        row[k * n + q] -= xb[p * n + k] * da
-                    system.append(row)
-    # kernel vectors hold (re, im) pairs laid flat over Q(i)
-    w = 1 if ims is None else 2
-    kernel = nullspace(rows, im=ims)
-    return [from_grid(regime, den, v[0::w], v[1::2] if ims else None) for v, den in kernel]
+            blocks = [term[part] for term in terms]
+            scaled = [dc * y for y in images[part]]
+            for x, q in enumerate(columns):
+                j = owner[q]
+                at = n * (q - starts[j])
+                for p in range(n):
+                    cell = (x * n + p) * n
+                    row = [y for block in blocks for y in block[cell:cell + n]]
+                    image = scaled[p * width + at:p * width + at + n]
+                    row[j * n:j * n + n] = map(sub, row[j * n:j * n + n], image)
+                    out.append(row)
+    b_rows = _rows(base)
+    found = []
+    for v, den in nullspace(rows, im=ims):
+        re, im = (v, None) if ims is None else (v[0::2], v[1::2])
+        cols = [
+            x
+            for j, k in enumerate(lengths)
+            for x in _chain(b_rows, (re[j * n:j * n + n], None if im is None else im[j * n:j * n + n]), k)
+        ]
+        found.append(mul(_from_columns(cols, regime, den), u_inv))
+    return _reduced(found, regime)
+
+
+def _integral(a: Mat, b: Mat) -> tuple[Mat, Mat]:
+    """(m a, m b) for the lcm m of their denominators: integer matrices with
+    the intertwiners of (a, b)."""
+    (da, ra, ia), (db, rb, ib) = grid(a), grid(b)
+    m = lcm(da, db)
+    if m == 1:
+        return a, b
+
+    def scaled(x, d, re, im):
+        f = m // d
+        return from_grid(x.regime, 1, [f * y for y in re], None if im is None else [f * y for y in im])
+
+    return scaled(a, da, ra, ia), scaled(b, db, rb, ib)
+
+
+def _vectors(re: list, im: list | None) -> list[tuple]:
+    """Int vectors as (re, im) pairs, im None over Z."""
+    return list(zip(re, im)) if im is not None else [(r, None) for r in re]
+
+
+def _rows(a: Mat) -> list[tuple]:
+    """The rows of the grid of a as (re, im) pairs."""
+    _, re, im = grid(a)
+    return _vectors(_split(re, a.n), None if im is None else _split(im, a.n))
+
+
+def _products(xs: list[tuple], ys: list[tuple]) -> tuple:
+    """The products of the int rows xs with the int columns ys, row by row,
+    as (re, im) laid flat; over Z[i] with the (re | im) rows of `mul`."""
+    if xs[0][1] is None:
+        return _dots([x for x, _ in xs], [y for y, _ in ys]), None
+    rows = [tuple(r) + tuple(i) for r, i in xs]
+    return (
+        _dots(rows, [tuple(c) + tuple([-z for z in d]) for c, d in ys]),
+        _dots(rows, [tuple(d) + tuple(c) for c, d in ys]),
+    )
+
+
+def _from_columns(cols: list[tuple], regime: str, den: int = 1) -> Mat:
+    """The matrix with these int columns, over den."""
+    n = len(cols)
+    re = [cols[c][0][p] for p in range(n) for c in range(n)]
+    im = None if regime == QR else [cols[c][1][p] for p in range(n) for c in range(n)]
+    return from_grid(regime, den, re, im)
+
+
+def _chain(a_rows: list[tuple], x: tuple, k: int) -> list[tuple]:
+    """x, a x, ..., a^(k-1) x for the rows of a."""
+    out = [x]
+    while len(out) < k:
+        out.append(_products(a_rows, [out[-1]]))
+    return out
+
+
+def _krylov(a: Mat, chains: list[tuple[int, int]]) -> tuple[Mat, list[tuple]]:
+    """U, whose columns are the chains e_j, a e_j, ..., a^(k-1) e_j of the
+    integer matrix a for each (j, k), and the vectors a^k e_j that follow
+    the chains."""
+    a_rows, units = _rows(a), _rows(identity(a.n, a.regime))
+    cols, tails = [], []
+    for j, k in chains:
+        *chain, tail = _chain(a_rows, units[j], k + 1)
+        cols += chain
+        tails.append(tail)
+    return _from_columns(cols, a.regime), tails
+
+
+def _greedy_chains(a: Mat) -> list[tuple[int, int]]:
+    """(j, k) for the chains of the Krylov basis of the integer matrix a
+    grown greedily: e_j, a e_j, ..., a^(k-1) e_j for j = 1, 2, ... in turn,
+    each cut where it falls into the span of the vectors before it. They
+    are the pivot columns of [e_1, a e_1, ..., a^(n-1) e_1, e_2, ...]."""
+    n, a_rows = a.n, _rows(a)
+    vecs = [x for unit in _rows(identity(n, a.regime)) for x in _chain(a_rows, unit, n)]
+    _, pivots = rref(
+        [[v[0][p] for v in vecs] for p in range(n)],
+        im=None if a.regime == QR else [[v[1][p] for v in vecs] for p in range(n)],
+    )
+    starts = sorted({c // n for c in pivots})
+    return [(j, sum(1 for c in pivots if c // n == j)) for j in starts]
+
+
+def _reduced(basis: list[Mat], regime: str) -> list[Mat]:
+    """The reduced basis of the span of independent matrices: rref of their
+    grids with the entries in reverse order, so each pivot is the last
+    nonzero entry of its element."""
+    if not basis:
+        return []
+    grids = [grid(s) for s in basis]
+    m, pivots = rref(
+        [list(g[1][::-1]) for g in grids], im=None if regime == QR else [list(g[2][::-1]) for g in grids]
+    )
+    w = 1 if regime == QR else 2
+    out = [
+        from_grid(regime, row[w * c], row[0::w][::-1], None if w == 1 else row[1::2][::-1])
+        for row, c in zip(m, pivots)
+    ]
+    return out[::-1]
 
 
 def _combiner(basis: list[Mat]):

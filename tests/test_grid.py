@@ -20,12 +20,16 @@ from localaut.matrices import (
     charpoly,
     conj,
     det,
+    diagonal,
     equal,
     from_grid,
     grid,
+    identity,
     inv,
     mat,
     mul,
+    random_gl,
+    random_sl,
     scalar_one,
     scalar_zero,
     smul,
@@ -210,32 +214,63 @@ def test_kernels_match_the_scalar_reference(ab, c):
             inv(a)
 
 
-def _ref_intertwiners(a, b):
-    """The Kronecker system of S A = B S in field scalars, solved by the
-    textbook Gauss-Jordan of the row-reduction tests."""
-    n, zero = a.n, scalar_zero(a.regime)
+def _ref_intertwiners(pairs):
+    """The Kronecker system of S A_i = B_i S over every pair in field
+    scalars, solved by the textbook Gauss-Jordan of the row-reduction
+    tests."""
+    n, regime = pairs[0][0].n, pairs[0][0].regime
+    zero = scalar_zero(regime)
     rows = []
-    for p in range(n):
-        for q in range(n):
-            row = [zero] * (n * n)
-            for k in range(n):
-                row[p * n + k] = row[p * n + k] + a.entries[k][q]
-                row[k * n + q] = row[k * n + q] - b.entries[p][k]
-            rows.append(row)
-    return [mat([v[i * n:(i + 1) * n] for i in range(n)], a.regime) for v in ref_nullspace(rows)]
+    for a, b in pairs:
+        for p in range(n):
+            for q in range(n):
+                row = [zero] * (n * n)
+                for k in range(n):
+                    row[p * n + k] = row[p * n + k] + a.entries[k][q]
+                    row[k * n + q] = row[k * n + q] - b.entries[p][k]
+                rows.append(row)
+    return [mat([v[i * n:(i + 1) * n] for i in range(n)], regime) for v in ref_nullspace(rows)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(pairs(), st.booleans())
-def test_intertwiner_basis_matches_the_scalar_reference(ab, conjugate):
-    a, b = ab
-    if conjugate and det(b):
-        # b a b^-1 makes the space at least one-dimensional
-        b = mul(mul(b, a), inv(b))
-    got = intertwiner_basis([(a, b)])
-    assert got == _ref_intertwiners(a, b)
+@st.composite
+def derogatory(draw, regime, n):
+    """Samples whose Krylov chains from e_1 seldom span: the identity, a
+    scalar, a diagonal with a repeated entry, one shear and a product of
+    three shears (both unipotent); and random matrices, mostly cyclic."""
+    shapes = ["identity", "scalar", "diagonal", "random"] + (["shear", "unipotent"] if n > 1 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "identity":
+        return identity(n, regime)
+    if shape == "scalar":
+        return smul(draw(rationals.filter(bool)), identity(n, regime))
+    if shape == "diagonal":
+        values = [draw(scalars(regime)) for _ in range(n - 1)]
+        return diagonal([*values, values[0] if values else 1], regime)
+    if shape == "random":
+        return draw(matrices(regime, n))
+    return random_sl(n, regime, random.Random(draw(st.integers(0, 999))), 1 if shape == "shear" else 3)
+
+
+@st.composite
+def pair_lists(draw):
+    """1 to 3 pairs at n = 1..5; conjugated pairs (A_i, T A_i T^-1) share
+    T, so their space is at least one-dimensional."""
+    regime = draw(st.sampled_from([QR, QC]))
+    n = draw(st.integers(1, 5))
+    samples = draw(st.lists(derogatory(regime, n), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        t = random_gl(n, regime, random.Random(draw(st.integers(0, 999)))) if n > 1 else mat([[3]], regime)
+        return [(a, mul(mul(t, a), inv(t))) for a in samples]
+    return [(a, draw(derogatory(regime, n))) for a in samples]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_lists())
+def test_intertwiner_basis_matches_the_scalar_reference(pairs):
+    got = intertwiner_basis(pairs)
+    assert got == _ref_intertwiners(pairs)
     for s in got:
-        assert mul(s, a) == mul(b, s)
+        assert all(mul(s, a) == mul(b, s) for a, b in pairs)
 
 
 def _sympy_charpoly(a):

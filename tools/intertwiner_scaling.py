@@ -1,0 +1,106 @@
+"""Time `similarity.intertwiner_basis` at growing n, on the checkout a path names.
+
+    python3 tools/intertwiner_scaling.py CHECKOUT
+
+Imports `localaut` from CHECKOUT/src and times the exact intertwiner solve
+on two-pair fits (A_i, T A_i T^-1), T = `random_gl(n, regime, rng)`:
+
+* `dense`: A_1, A_2 products of 8 random shears (`random_sl(..., 8)`, as
+  in the `localcheck_mix` benchmark), n = 3..8, over QR and QC;
+* `sparse`: A_1, A_2 products of the package default of 3 shears, which
+  are seldom cyclic, n = 3..8, over QR and QC;
+* `generating`: the recovery generating pair D, C of SL_n
+  (`recover.generating_pair`), n = 3..16, over QR and QC.
+
+Every case draws from `random.Random(f"{case}-{regime}-{n}")`. Prints one
+JSON object: per case the median raw milliseconds of REPEATS calls and the
+dimension of the space; and the median time of the `perfbench/hostspeed.py`
+reference kernel of this repository, taken before and after the cases, so
+two checkouts timed on a shared host can be set side by side. Run each
+checkout in its own process: a process imports one `localaut`.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import hostspeed  # noqa: E402
+
+KERNEL_CALLS = 30
+REPEATS = 5
+SAMPLED = range(3, 9)
+GENERATING = (3, 4, 5, 6, 8, 10, 12, 16)
+
+
+def kernel_median() -> float:
+    hostspeed.kernel()  # the first call runs cold
+    times = []
+    for _ in range(KERNEL_CALLS):
+        t0 = time.perf_counter()
+        hostspeed.kernel()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def cases(la):
+    from localaut.recover import generating_pair
+
+    for case, ns in (("dense", SAMPLED), ("sparse", SAMPLED), ("generating", GENERATING)):
+        for regime in ("QR", "QC"):
+            for n in ns:
+                rng = random.Random(f"{case}-{regime}-{n}")
+                if case == "generating":
+                    mats = generating_pair(la.GroupTag("SL", "R" if regime == "QR" else "C", n))
+                else:
+                    mats = [la.random_sl(n, regime, rng, 8 if case == "dense" else 3) for _ in range(2)]
+                t = la.random_gl(n, regime, rng)
+                t_inv = la.inv(t)
+                yield case, regime, n, [(a, la.mul(la.mul(t, a), t_inv)) for a in mats]
+
+
+def run(checkout: Path) -> dict:
+    sys.path.insert(0, str(checkout / "src"))
+    import localaut as la
+    from localaut.similarity import intertwiner_basis
+
+    before = kernel_median()
+    rows = []
+    for case, regime, n, pairs in cases(la):
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            basis = intertwiner_basis(pairs)
+            times.append(time.perf_counter() - t0)
+        rows.append({
+            "case": case,
+            "regime": regime,
+            "n": n,
+            "ms": round(1000 * statistics.median(times), 3),
+            "dim": len(basis),
+        })
+    return {
+        "checkout": str(checkout),
+        "python": platform.python_version(),
+        "hostspeed_kernel_median_s": {"before": round(before, 5), "after": round(kernel_median(), 5)},
+        "rows": rows,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    args = parser.parse_args()
+    print(json.dumps(run(args.checkout.resolve()), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
