@@ -29,7 +29,7 @@ from .errors import (
     ZeroInput,
 )
 from .mullattice import dep_exponent, relations, subgroup_exponents
-from .matrices import C64
+from .matrices import C64, scalar_close
 from .scalars import FIT_TOL, GaussRational, rational_pow
 
 RSTAR = "Rstar"
@@ -282,7 +282,9 @@ def pair_screen(group, first_kind: bool, sigma: str, p, q) -> tuple[bool, str]:
     n, side = group.n, ambient(group)
     if side == CIRCLE:
         return pair_ok_mu(complex(da), complex(ca), complex(db), complex(cb), n)
-    if da == db and ca != cb:
+    # C64 dets and candidates are floats: one value read off two samples
+    # may differ in its last bits
+    if scalar_close(da, db, FIT_TOL) and not scalar_close(ca, cb, FIT_TOL):
         return False, "one g cannot take two values at one determinant"
     if side == RSTAR:
         if da == db:

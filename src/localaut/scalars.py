@@ -24,7 +24,7 @@ from .errors import BadParameters, ZeroInput
 # compare exactly and read none of them. Each float step a value has been
 # through since the input widens the one it is judged by.
 DEFAULT_TOL = 1e-9  # an input's membership, and C64 equality of given matrices
-FIT_TOL = 1e-8  # a fit in floats: the unitary intertwiner, circle screens and tables, witness unitarity, verify-auto
+FIT_TOL = 1e-8  # a fit in floats: the unitary intertwiner, circle and C* pair screens, tables, witness unitarity, verify-auto
 RECHECK_TOL = 1e-7  # a fit re-checked after more float steps: a witness, the polar factor, recovery ratios
 ANSWER_TOL = 1e-6  # membership of an oracle's answer, computed by a map the toolkit does not see
 SU_RESIDUAL = 50 * DEFAULT_TOL  # the largest Frobenius distance an SU_n recovery verifies within

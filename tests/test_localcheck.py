@@ -176,6 +176,21 @@ def test_numeric_gl_complex_conj_map_is_interpolable():
     assert rep.counts()["Interpolable"] == 6
 
 
+def test_numeric_samples_at_one_determinant_are_interpolable():
+    """Two C64 GL_3(C) samples of det 2i get the scalar candidates
+    4.0000000000000275-1.1e-14j and 4.000000000000012+7.0e-15j, one value
+    in floats: the pair screen compares them within FIT_TOL, so the pair
+    is not refused as "one g cannot take two values at one determinant"."""
+    group = GroupTag("GL", "C", 3)
+    rng = random.Random(203)
+    t, _ = random_gl(3, QC, rng), random_gl(3, QC, rng)
+    a, b = random_gl(3, QC, rng), random_gl(3, QC, rng)
+    assert det(a) == det(b) == GaussRational(0, 2)
+    auto = make_automorphism(group, STANDARD, SIGMA_ID, t, PowerConjFunc(1, 1))
+    v = check_pair(group, *[(to_c64(x), to_c64(apply(auto, x))) for x in (a, b)], seed=0)
+    assert v.status == "Interpolable"
+
+
 def test_conj_branch_screens_the_conjugated_determinant():
     """phi(A) = g(det A) T conj(A) T^-1 on GL_3(C), with g(d) = e for
     e = (3 + 4i)/5 and d = conj(e)^3, and g(2) = 1. g exists with
