@@ -36,7 +36,6 @@ from .matrices import (
     identity,
     inv,
     mul,
-    transpose,
     _dots,
     _split,
     _to_numpy,
@@ -83,6 +82,9 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
         raise RegimeMismatch("all pairs must share size and regime")
     pairs = [_integral(a, b) for a, b in pairs]
     for chosen, (a, _) in enumerate(pairs):
+        _, re, im = grid(a)
+        if n > 1 and not any(re[n::n]) and not (im and any(im[n::n])):
+            continue  # A e_1 lies on the line of e_1
         chains = [(0, n)]
         u, tails = _krylov(a, chains)
         try:
@@ -99,12 +101,12 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
     starts = [e - k for e, k in zip(ends, lengths)]
     owner = [j for j, k in enumerate(lengths) for _ in range(k)]
     base = pairs[chosen][1]
-    powers = [identity(n, regime)]
-    for _ in range(max(lengths) - 1):
+    powers = [identity(n, regime), base][:max(lengths)]
+    while len(powers) < max(lengths):
         powers.append(mul(base, powers[-1]))
     # column t n + l of [B^0 | B^1 | ...]; and per chain length k, the
     # cell p n + l of B^0, ..., B^(k-1) as one vector
-    power_cols = [c for x in powers for c in _rows(transpose(x))]
+    power_cols = [c for x in powers for c in _columns(x)]
     width = len(power_cols)
     grids = [grid(x) for x in powers]
     stacks = {
@@ -117,7 +119,7 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
         if i == chosen:
             columns, targets = [e - 1 for e in ends], tails
         else:
-            columns, targets = range(n), _rows(transpose(mul(a, u)))
+            columns, targets = range(n), _columns(mul(a, u))
         # dc C_i at the chosen columns, x-th of them at c * across + x
         across = len(columns)
         cre, cim = _products(u_rows, targets)
@@ -185,6 +187,13 @@ def _rows(a: Mat) -> list[tuple]:
     return _vectors(_split(re, a.n), None if im is None else _split(im, a.n))
 
 
+def _columns(a: Mat) -> list[tuple]:
+    """The columns of the grid of a as (re, im) pairs."""
+    _, re, im = grid(a)
+    n = a.n
+    return _vectors([re[q::n] for q in range(n)], None if im is None else [im[q::n] for q in range(n)])
+
+
 def _products(xs: list[tuple], ys: list[tuple]) -> tuple:
     """The products of the int rows xs with the int columns ys, row by row,
     as (re, im) laid flat; over Z[i] with the (re | im) rows of `mul`."""
@@ -217,7 +226,7 @@ def _krylov(a: Mat, chains: list[tuple[int, int]]) -> tuple[Mat, list[tuple]]:
     """U, whose columns are the chains e_j, a e_j, ..., a^(k-1) e_j of the
     integer matrix a for each (j, k), and the vectors a^k e_j that follow
     the chains."""
-    a_rows, units = _rows(a), _rows(identity(a.n, a.regime))
+    a_rows, units = _rows(a), _columns(identity(a.n, a.regime))
     cols, tails = [], []
     for j, k in chains:
         *chain, tail = _chain(a_rows, units[j], k + 1)
