@@ -108,11 +108,7 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
     # cell p n + l of B^0, ..., B^(k-1) as one vector
     power_cols = [c for x in powers for c in _columns(x)]
     width = len(power_cols)
-    grids = [grid(x) for x in powers]
-    stacks = {
-        k: _vectors(list(zip(*[g[1] for g in grids[:k]])), None if regime == QR else list(zip(*[g[2] for g in grids[:k]])))
-        for k in set(lengths)
-    }
+    stacks = {k: _cells(powers[:k]) for k in set(lengths)}
     dc, u_rows = grid(u_inv)[0], _rows(u_inv)
     rows, ims = [], None if regime == QR else []
     for i, (a, b) in enumerate(pairs):
@@ -122,15 +118,11 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
             columns, targets = range(n), _columns(mul(a, u))
         # dc C_i at the chosen columns, x-th of them at c * across + x
         across = len(columns)
-        cre, cim = _products(u_rows, targets)
+        coeffs = _products(u_rows, targets)
         # terms[h][x n^2 + p n + l] = sum_s dc C_i[starts[h] + s][q] B^s[p][l]
         # for the x-th column q; images[p width + t n + l] = (B_i B^t)[p][l]
         terms = [
-            _products(
-                [(cre[o * across + x:e * across:across], None if cim is None else cim[o * across + x:e * across:across])
-                 for x in range(across)],
-                stacks[e - o],
-            )
+            _products([_take(coeffs, slice(o * across + x, e * across, across)) for x in range(across)], stacks[e - o])
             for o, e in zip(starts, ends)
         ]
         images = _products(_rows(b), power_cols)
@@ -151,12 +143,8 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
     b_rows = _rows(base)
     found = []
     for v, den in nullspace(rows, im=ims):
-        re, im = (v, None) if ims is None else (v[0::2], v[1::2])
-        cols = [
-            x
-            for j, k in enumerate(lengths)
-            for x in _chain(b_rows, (re[j * n:j * n + n], None if im is None else im[j * n:j * n + n]), k)
-        ]
+        v = (v, None) if ims is None else (v[0::2], v[1::2])
+        cols = [x for j, k in enumerate(lengths) for x in _chain(b_rows, _take(v, slice(j * n, j * n + n)), k)]
         found.append(mul(_from_columns(cols, regime, den), u_inv))
     return _reduced(found, regime)
 
@@ -179,6 +167,19 @@ def _integral(a: Mat, b: Mat) -> tuple[Mat, Mat]:
 def _vectors(re: list, im: list | None) -> list[tuple]:
     """Int vectors as (re, im) pairs, im None over Z."""
     return list(zip(re, im)) if im is not None else [(r, None) for r in re]
+
+
+def _take(v: tuple, part: slice) -> tuple:
+    """The slice of an (re, im) pair."""
+    re, im = v
+    return re[part], None if im is None else im[part]
+
+
+def _cells(mats: list[Mat]) -> list[tuple]:
+    """Per cell p n + l, the (re, im) vector of that cell across mats."""
+    grids = [grid(x) for x in mats]
+    im = None if grids[0][2] is None else list(zip(*[g[2] for g in grids]))
+    return _vectors(list(zip(*[g[1] for g in grids])), im)
 
 
 def _rows(a: Mat) -> list[tuple]:
@@ -241,7 +242,7 @@ def _greedy_chains(a: Mat) -> list[tuple[int, int]]:
     each cut where it falls into the span of the vectors before it. They
     are the pivot columns of [e_1, a e_1, ..., a^(n-1) e_1, e_2, ...]."""
     n, a_rows = a.n, _rows(a)
-    vecs = [x for unit in _rows(identity(n, a.regime)) for x in _chain(a_rows, unit, n)]
+    vecs = [x for unit in _columns(identity(n, a.regime)) for x in _chain(a_rows, unit, n)]
     _, pivots = rref(
         [[v[0][p] for v in vecs] for p in range(n)],
         im=None if a.regime == QR else [[v[1][p] for v in vecs] for p in range(n)],
