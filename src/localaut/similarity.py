@@ -36,6 +36,7 @@ from .matrices import (
     identity,
     inv,
     mul,
+    smul,
     _dots,
     _split,
     _to_numpy,
@@ -152,16 +153,8 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
 def _integral(a: Mat, b: Mat) -> tuple[Mat, Mat]:
     """(m a, m b) for the lcm m of their denominators: integer matrices with
     the intertwiners of (a, b)."""
-    (da, ra, ia), (db, rb, ib) = grid(a), grid(b)
-    m = lcm(da, db)
-    if m == 1:
-        return a, b
-
-    def scaled(x, d, re, im):
-        f = m // d
-        return from_grid(x.regime, 1, [f * y for y in re], None if im is None else [f * y for y in im])
-
-    return scaled(a, da, ra, ia), scaled(b, db, rb, ib)
+    m = lcm(grid(a)[0], grid(b)[0])
+    return (a, b) if m == 1 else (smul(m, a), smul(m, b))
 
 
 def _vectors(re: list, im: list | None) -> list[tuple]:
