@@ -32,7 +32,7 @@ def rref(rows: list[list[int]], aug: int = 0, im: list[list[int]] | None = None)
         w, m = 1, [list(r) for r in rows]
     else:
         w, m = 2, [[x for pair in zip(r, s) for x in pair] for r, s in zip(rows, im)]
-    nrows, length = len(m), len(m[0])
+    nrows = len(m)
     pivots: list[int] = []
     r = 0
     for c in range(len(rows[0]) - aug):
@@ -44,43 +44,21 @@ def rref(rows: list[list[int]], aug: int = 0, im: list[list[int]] | None = None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r] = _unit_pivot(m[r], lo, w)
-        pv = prow[lo]
-        if w == 1:
-            nz = [j for j in range(lo, length) if prow[j]]
-        else:
-            # i times the pivot row: (a + b i) i = -b + a i
-            iprow = [0] * length
-            iprow[0::2] = [-x for x in prow[1::2]]
-            iprow[1::2] = prow[0::2]
-            nz = [j for j in range(lo, length) if prow[j] or iprow[j]]
+        step = _pivot(m[r], lo, w)
+        m[r] = step[1]
         for i in range(nrows):
-            row = m[i]
-            if i == r or not (row[lo] or row[hi]):
-                continue
-            f, fi = row[lo], row[hi] if w == 2 else 0
-            g = gcd(pv, f, fi)
-            s = pv // g
-            f //= g
-            if s != 1:
-                row = [s * x for x in row]
-            if w == 1:
-                for j in nz:
-                    row[j] -= f * prow[j]
-            else:
-                fi //= g
-                for j in nz:
-                    row[j] -= f * prow[j] + fi * iprow[j]
-            g = gcd(*row)
-            m[i] = [x // g for x in row] if g > 1 else row
+            if i != r and (m[i][lo] or m[i][hi]):
+                m[i] = _eliminate(m[i], *step)
         pivots.append(c)
         r += 1
     return m, pivots
 
 
-def _unit_pivot(row: list[int], lo: int, w: int) -> list[int]:
-    """row rescaled so that its entry at lo is a positive integer and its
-    content is 1."""
+def _pivot(row: list[int], lo: int, w: int) -> tuple:
+    """The pivot step of an int row that is zero before its entry at lo: lo,
+    the row rescaled to a positive integer at lo and content 1, i times that
+    over Z[i] (else None), and the columns from lo on where either is
+    nonzero."""
     if w == 2 and row[lo + 1]:
         # times the conjugate of the pivot: (a + b i)(p - q i)
         p, q = row[lo], row[lo + 1]
@@ -91,7 +69,49 @@ def _unit_pivot(row: list[int], lo: int, w: int) -> list[int]:
     g = gcd(*row)
     if row[lo] < 0:
         g = -g
-    return [x // g for x in row] if g != 1 else row
+    prow = [x // g for x in row] if g != 1 else row
+    if w == 1:
+        return lo, prow, None, [j for j in range(lo, len(prow)) if prow[j]]
+    # i times the pivot row: (a + b i) i = -b + a i
+    iprow = [0] * len(prow)
+    iprow[0::2] = [-x for x in prow[1::2]]
+    iprow[1::2] = prow[0::2]
+    return lo, prow, iprow, [j for j in range(lo, len(prow)) if prow[j] or iprow[j]]
+
+
+def _eliminate(row: list[int], lo: int, prow: list[int], iprow: list[int] | None, nz: list[int]) -> list[int]:
+    """The int row with its entry at lo cleared by the pivot step
+    (lo, prow, iprow, nz), by cross-multiplying, divided by its content."""
+    pv, f = prow[lo], row[lo]
+    fi = 0 if iprow is None else row[lo + 1]
+    g = gcd(pv, f, fi)
+    s, f, fi = pv // g, f // g, fi // g
+    if s != 1:
+        row = [s * x for x in row]
+    if iprow is None:
+        for j in nz:
+            row[j] -= f * prow[j]
+    else:
+        for j in nz:
+            row[j] -= f * prow[j] + fi * iprow[j]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def extend(echelon: list, re: list[int], im: list[int] | None = None) -> bool:
+    """Whether the int vector (over Z[i] with `im`) is independent of the
+    vectors extended before; if so, its pivot step joins echelon, a list the
+    caller starts empty. The vector is cleared at each earlier pivot in
+    turn, and each step is zero at the pivots before its own."""
+    w = 1 if im is None else 2
+    row = list(re) if im is None else [x for pair in zip(re, im) for x in pair]
+    for step in echelon:
+        if row[step[0]] or row[step[0] + w - 1]:
+            row = _eliminate(row, *step)
+    lo = next((j - j % w for j, x in enumerate(row) if x), None)
+    if lo is not None:
+        echelon.append(_pivot(row, lo, w))
+    return lo is not None
 
 
 def rank(rows: list[list[int]], im: list[list[int]] | None = None) -> int:

@@ -25,6 +25,8 @@ from .errors import BadParameters, ZeroInput
 # through since the input widens the one it is judged by.
 DEFAULT_TOL = 1e-9  # an input's membership, and C64 equality of given matrices
 FIT_TOL = 1e-8  # a fit in floats: the unitary intertwiner, circle and C* pair screens, tables, witness unitarity, verify-auto
+COND_CAP = 1e8  # the largest condition number of a C64 intertwiner that is tried
+NULL_RTOL = 1e-12  # a C64 null space: singular values up to this share of the largest, or up to FIT_TOL
 RECHECK_TOL = 1e-7  # a fit re-checked after more float steps: a witness, the polar factor, recovery ratios
 ANSWER_TOL = 1e-6  # membership of an oracle's answer, computed by a map the toolkit does not see
 SU_RESIDUAL = 50 * DEFAULT_TOL  # the largest Frobenius distance an SU_n recovery verifies within

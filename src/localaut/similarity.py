@@ -1,15 +1,13 @@
 """Simultaneous similarity: find invertible S with S A_i = B_i S for all i.
 
 In QR and QC the intertwiner space L = {S : S A_i = B_i S} is computed
-exactly on the Krylov basis of one sample: S is a linear function of its
-images of the m chain starts, m n unknowns instead of n^2 (m = 1 when e_1
-is cyclic for the sample), and one integer nullspace over every pair's
-equations gives L. An invertible element is then hunted by a seeded
-randomized search plus a deterministic sweep of the simplex lattice
-K_1 + sum y_i K_i, y >= 0, sum y_i <= n. The solver is sound: a returned S
-is verified by direct multiplication, NoSolution is certified (L = {0},
-or the determinant, a polynomial of total degree n on that affine slice,
-vanishes on the whole lattice), and anything else is Inconclusive.
+exactly on the greedy Krylov basis of one sample, the first with one chain
+(e_1 cyclic) or else the first with the fewest: S is a linear function of
+its images of the m chain starts, m n unknowns instead of n^2, and one
+integer nullspace over every pair's equations gives L. The search for an
+invertible element of L is sound: a returned S is verified by direct
+multiplication, NoSolution is certified (L = {0}, or the determinant
+vanishes on a lattice that decides it), and anything else is Inconclusive.
 
 In C64 the search stays in numpy: L is the null space of an SVD, and only
 a well-conditioned candidate becomes a Mat, to be verified. Every random
@@ -23,8 +21,8 @@ from itertools import accumulate, chain
 from math import comb, lcm
 from operator import sub
 
-from .errors import BadParameters, RegimeMismatch, ResidualFail, SingularMatrix
-from .exactlinalg import nullspace, rref
+from .errors import BadParameters, RegimeMismatch, ResidualFail
+from .exactlinalg import extend, nullspace, rref
 from .matrices import (
     C64,
     QR,
@@ -42,7 +40,7 @@ from .matrices import (
     _to_numpy,
     _from_numpy,
 )
-from .scalars import FIT_TOL, RECHECK_TOL
+from .scalars import COND_CAP, FIT_TOL, NULL_RTOL, RECHECK_TOL
 
 GRID_CAP = 4096
 ATTEMPTS = 50  # seeded random combinations of the intertwiner basis tried, in every search
@@ -65,10 +63,10 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
     Each pair is scaled to integer matrices first, which keeps the space.
     If S A = B S and U holds chains w_j, A w_j, ..., A^(k_j - 1) w_j, then
     S U = W(v) has the columns B^t v_j for v_j = S w_j, so S = W(v) U^-1
-    is linear in m n unknowns for m chains. U is the chain of e_1 on the
-    first sample for which e_1 is cyclic (m = 1), else the greedy Krylov
-    basis of the sample with the fewest chains (`_greedy_chains`; m = n
-    for a scalar). Every pair then reads W(v) C_i = B_i W(v) for
+    is linear in m n unknowns for m chains. U is the greedy Krylov basis
+    (`_greedy_basis`) of the first sample with one chain, built on the
+    samples in order, else of the first with the fewest (m = n for a
+    scalar). Every pair then reads W(v) C_i = B_i W(v) for
     C_i = U^-1 A_i U, in integers once C_i is cleared of its
     denominator; on the chosen pair only the columns that end a chain say
     anything, as A maps every other column of U to the next. One
@@ -82,21 +80,14 @@ def intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list[Mat]:
     if any(x.n != n or x.regime != regime for pair in pairs for x in pair):
         raise RegimeMismatch("all pairs must share size and regime")
     pairs = [_integral(a, b) for a, b in pairs]
-    for chosen, (a, _) in enumerate(pairs):
-        _, re, im = grid(a)
-        if n > 1 and not any(re[n::n]) and not (im and any(im[n::n])):
-            continue  # A e_1 lies on the line of e_1
-        chains = [(0, n)]
-        u, tails = _krylov(a, chains)
-        try:
-            u_inv = inv(u)
+    bases = []
+    for a, _ in pairs:
+        bases.append(_greedy_basis(a))
+        if len(bases[-1][0]) == 1:
             break
-        except SingularMatrix:
-            continue
-    else:
-        chosen, chains = min(enumerate(_greedy_chains(a) for a, _ in pairs), key=lambda c: len(c[1]))
-        u, tails = _krylov(pairs[chosen][0], chains)
-        u_inv = inv(u)
+    chosen = min(range(len(bases)), key=lambda i: len(bases[i][0]))
+    chains, u, tails = bases[chosen]
+    u_inv = inv(u)
     lengths = [k for _, k in chains]
     ends = list(accumulate(lengths))
     starts = [e - k for e, k in zip(ends, lengths)]
@@ -216,32 +207,24 @@ def _chain(a_rows: list[tuple], x: tuple, k: int) -> list[tuple]:
     return out
 
 
-def _krylov(a: Mat, chains: list[tuple[int, int]]) -> tuple[Mat, list[tuple]]:
-    """U, whose columns are the chains e_j, a e_j, ..., a^(k-1) e_j of the
-    integer matrix a for each (j, k), and the vectors a^k e_j that follow
-    the chains."""
-    a_rows, units = _rows(a), _columns(identity(a.n, a.regime))
-    cols, tails = [], []
-    for j, k in chains:
-        *chain, tail = _chain(a_rows, units[j], k + 1)
-        cols += chain
-        tails.append(tail)
-    return _from_columns(cols, a.regime), tails
-
-
-def _greedy_chains(a: Mat) -> list[tuple[int, int]]:
-    """(j, k) for the chains of the Krylov basis of the integer matrix a
-    grown greedily: e_j, a e_j, ..., a^(k-1) e_j for j = 1, 2, ... in turn,
-    each cut where it falls into the span of the vectors before it. They
-    are the pivot columns of [e_1, a e_1, ..., a^(n-1) e_1, e_2, ...]."""
-    n, a_rows = a.n, _rows(a)
-    vecs = [x for unit in _columns(identity(n, a.regime)) for x in _chain(a_rows, unit, n)]
-    _, pivots = rref(
-        [[v[0][p] for v in vecs] for p in range(n)],
-        im=None if a.regime == QR else [[v[1][p] for v in vecs] for p in range(n)],
-    )
-    starts = sorted({c // n for c in pivots})
-    return [(j, sum(1 for c in pivots if c // n == j)) for j in starts]
+def _greedy_basis(a: Mat) -> tuple[list[tuple[int, int]], Mat, list[tuple]]:
+    """The greedy Krylov basis of the integer matrix a: the chains e_j, a e_j,
+    ..., a^(k-1) e_j for j = 1, 2, ... in turn, each cut at its first vector
+    in the span of the vectors before it, which are the pivot columns of
+    [e_1, a e_1, ..., a^(n-1) e_1, e_2, ...]. Returns the (j, k) of the
+    chains, U with the chains as columns, and the vectors a^k e_j that cut
+    them."""
+    a_rows, echelon, chains, cols, tails = _rows(a), [], [], [], []
+    for j, x in enumerate(_columns(identity(a.n, a.regime))):
+        k = 0
+        while len(cols) < a.n and extend(echelon, *x):
+            cols.append(x)
+            x = _products(a_rows, [x])
+            k += 1
+        if k:
+            chains.append((j, k))
+            tails.append(x)
+    return chains, _from_columns(cols, a.regime), tails
 
 
 def _reduced(basis: list[Mat], regime: str) -> list[Mat]:
@@ -285,6 +268,11 @@ def verify_intertwines(s: Mat, pairs: list[tuple[Mat, Mat]]) -> bool:
 
 
 def simultaneous_similarity(pairs: list[tuple[Mat, Mat]], seed: int = 0) -> SimilarityResult:
+    """Solved with an invertible S such that S A_i = B_i S for every pair,
+    NoSolution when none exists, else Inconclusive. It tries the basis
+    elements of the d-dimensional intertwiner space, then ATTEMPTS seeded
+    combinations, then in QR and QC the simplex sweep, which certifies
+    NoSolution, when C(n + d - 1, n) <= GRID_CAP."""
     regime = pairs[0][0].regime
     if regime == C64:
         return _numeric_similarity(pairs, seed)
@@ -349,14 +337,14 @@ def numeric_intertwiner_basis(pairs: list[tuple[Mat, Mat]]) -> list:
 
     S A - B S is (kron(I, A^T) - kron(B, I)) vec(S) for S read row by row;
     the basis is the right singular vectors of the stacked systems whose
-    singular values lie below the cutoff: FIT_TOL, or 1e-12 of the largest."""
+    singular values lie below the cutoff: FIT_TOL, or NULL_RTOL of the largest."""
     import numpy as np
 
     n = pairs[0][0].n
     eye = np.eye(n)
     big = np.vstack([np.kron(eye, _to_numpy(a).T) - np.kron(_to_numpy(b), eye) for a, b in pairs])
     _, sv, vh = np.linalg.svd(big)
-    cutoff = max(FIT_TOL, (sv[0] if len(sv) else 1.0) * 1e-12)
+    cutoff = max(FIT_TOL, (sv[0] if len(sv) else 1.0) * NULL_RTOL)
     # null vectors are columns of V, i.e. conjugated rows of V^H
     return [vh[i].conj().reshape(n, n) for i in range(len(vh)) if i >= len(sv) or sv[i] <= cutoff]
 
@@ -374,7 +362,7 @@ def _numeric_similarity(pairs, seed: int) -> SimilarityResult:
     rng = np.random.default_rng(seed)
     draws = (sum(c * k for c, k in zip(rng.normal(size=d), basis)) for _ in range(ATTEMPTS))
     for sm in chain(basis, draws):
-        if np.linalg.cond(sm) < 1e8:
+        if np.linalg.cond(sm) < COND_CAP:
             s = _from_numpy(sm)
             if verify_intertwines(s, pairs):
                 return SimilarityResult("Solved", s=s, dim=d)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localaut.errors import SingularMatrix
-from localaut.exactlinalg import nullspace, rank, rref, solve
+from localaut.exactlinalg import extend, nullspace, rank, rref, solve
 from localaut.matrices import QC, QR, det, inv, mat, mul
 from localaut.scalars import GaussRational
 
@@ -222,6 +222,20 @@ def test_rref_matches_sympy(field, case):
     assert pivots == want_pivots
     assert field_rows(m, pivots, field == "QI") == want
     assert rank(re, im=im) == len(want_pivots)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("case", range(4))
+def test_extend_takes_the_rows_that_raise_the_rank(field, case):
+    """extend accepts a row exactly when it is independent of the rows
+    before it: the pivot columns of the transpose, from the oracle."""
+    rng = random.Random(f"extend-{field}-{case}")
+    rows = _deficient(rng, field, 6, 5, 3) + [[_scalar(rng, field) for _ in range(5)] for _ in range(case)]
+    re, im = grid_rows(rows)
+    echelon = []
+    taken = [i for i in range(len(re)) if extend(echelon, re[i], None if im is None else im[i])]
+    assert taken == _oracle_rref([list(c) for c in zip(*rows)], field)[1]
+    assert len(echelon) == len(taken)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -12,11 +12,13 @@ from localaut.errors import LocalautError
 from localaut.localcheck import check_pair
 from localaut.matrices import (
     C64,
+    QC,
     QR,
     GroupTag,
     close,
     conj_transpose,
-    equal,
+    det,
+    diagonal,
     identity,
     inv,
     mat,
@@ -24,8 +26,12 @@ from localaut.matrices import (
     random_gl,
     random_sl,
     random_unitary,
+    smul,
+    trace,
     transpose,
 )
+from localaut.recover import generating_pair
+from localaut.scalars import GaussRational
 from localaut.similarity import (
     intertwiner_basis,
     simultaneous_similarity,
@@ -55,23 +61,16 @@ def test_exact_similarity_recovers_conjugation():
 
 
 def test_no_solution_is_certified():
-    rng = random.Random(9)
-    a = random_sl(3, QR, rng)
-    # a pair with mismatched traces cannot be similar
+    # a and a^2 have traces 4 and 8 and share the eigenvalue 1, so the
+    # intertwiner space is a line, and the simplex sweep finds it singular
+    a = random_sl(3, QR, random.Random(9))
     b = mul(a, a)
-    if equal(a, b):
-        raise AssertionError("degenerate sample")
-    res = simultaneous_similarity([(a, b)]) if _traces_differ(a, b) else None
-    if res is not None:
-        assert res.status in ("NoSolution", "Inconclusive")
-        if res.status == "NoSolution":
-            assert res.s is None
-
-
-def _traces_differ(a, b):
-    from localaut.matrices import trace
-
-    return trace(a) != trace(b)
+    assert (trace(a), trace(b)) == (4, 8)
+    res = simultaneous_similarity([(a, b)])
+    assert (res.status, res.dim, res.s) == ("NoSolution", 1, None)
+    # disjoint spectra leave only S = 0
+    res = simultaneous_similarity([(diagonal([1, 2, 3], QR), diagonal([4, 5, 6], QR))])
+    assert (res.status, res.dim, res.s) == ("NoSolution", 0, None)
 
 
 def test_transpose_pairs_have_no_common_similarity_with_fixed_witness():
@@ -85,6 +84,74 @@ def test_transpose_pairs_have_no_common_similarity_with_fixed_witness():
         assert verify_intertwines(res.s, pairs)
     else:
         assert res.status == "NoSolution"
+
+
+def _pivot_columns(rows):
+    """The columns of the rows of field scalars that are independent of the
+    columns before them: the pivots of textbook row elimination."""
+    m, pivots = [list(r) for r in rows], []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _builder_samples(regime, n):
+    """Words of 1, 3 and 8 shears, a diagonal with a repeated entry, a
+    scalar, and the recovery generating pair D, C."""
+    rng = random.Random(f"builder-{regime}-{n}")
+    words = [random_sl(n, regime, rng, k) for k in (1, 3, 8)]
+    diag = diagonal([j // 2 + 1 for j in range(n)], regime)
+    group = GroupTag("SL", "R" if regime == QR else "C", n)
+    return [*words, diag, smul(3, identity(n, regime)), *generating_pair(group)]
+
+
+@pytest.mark.parametrize("regime", (QR, QC))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_greedy_basis_matches_the_rank_reference(regime, n):
+    """The chains are the pivots of [e_1, A e_1, ..., A^(n-1) e_1, e_2, ...],
+    U is invertible, and each tail is A times the end of its chain and lies
+    in the span of the columns of U up to that end."""
+    for a in _builder_samples(regime, n):
+        a = similarity._integral(a, a)[0]
+        chains, u, tails = similarity._greedy_basis(a)
+        powers = [identity(n, regime)]
+        while len(powers) < n:
+            powers.append(mul(a, powers[-1]))
+        krylov = [[powers[c % n][p, c // n] for c in range(n * n)] for p in range(n)]
+        pivots = _pivot_columns(krylov)
+        assert pivots == [j * n + t for j, k in chains for t in range(k)]
+        assert det(u) != 0
+        assert u.rows() == [[row[c] for c in pivots] for row in krylov]
+        au, end = mul(a, u), 0
+        for (_, k), (re, im) in zip(chains, tails, strict=True):
+            end += k
+            tail = list(re) if im is None else [GaussRational(x, y) for x, y in zip(re, im)]
+            assert tail == [au[p, end - 1] for p in range(n)]
+            assert _pivot_columns([[*u.rows()[p][:end], tail[p]] for p in range(n)]) == list(range(end))
+
+
+@pytest.mark.parametrize("regime", (QR, QC))
+def test_the_solve_takes_the_first_sample_with_one_chain(monkeypatch, regime):
+    """On the generating pair (D, C) the diagonal D gives n chains and the
+    signed cycle C one, so the builder runs on both and the solve takes C;
+    with C first, it runs on C alone."""
+    n = 5
+    d, c = generating_pair(GroupTag("SL", "R" if regime == QR else "C", n))
+    greedy, built = similarity._greedy_basis, []
+    monkeypatch.setattr(similarity, "_greedy_basis", lambda a: built.append(greedy(a)) or built[-1])
+    assert intertwiner_basis([(d, d), (c, c)]) == [identity(n, regime)]
+    assert [len(chains) for chains, _, _ in built] == [n, 1]
+    built.clear()
+    assert intertwiner_basis([(c, c), (d, d)]) == [identity(n, regime)]
+    assert [len(chains) for chains, _, _ in built] == [1]
 
 
 def test_unitary_intertwiner_numeric():
