@@ -13,8 +13,13 @@ on two-pair fits (A_i, T A_i T^-1), T = `random_gl(n, regime, rng)`:
   (`recover.generating_pair`), n = 3..16, over QR and QC.
 
 Every case draws from `random.Random(f"{case}-{regime}-{n}")`. Prints one
-JSON object: per case the median raw milliseconds of REPEATS calls and the
-dimension of the space; and the median time of the `perfbench/hostspeed.py`
+JSON object: per case the median raw milliseconds of REPEATS calls, the
+dimension of the space, and the sample whose Krylov basis the solve takes
+with its chain count m (the first sample with one chain, else the first
+with the fewest), which the tool computes itself from one
+`exactlinalg.rref` of [e_1, A e_1, ..., A^(n-1) e_1, e_2, ...] per sample,
+so that the column reads the same on any checkout whose solve keeps that
+rule; and the median time of the `perfbench/hostspeed.py`
 reference kernel of this repository, taken before and after the cases, so
 two checkouts timed on a shared host can be set side by side. Run each
 checkout in its own process: a process imports one `localaut`.
@@ -66,9 +71,42 @@ def cases(la):
                 yield case, regime, n, [(a, la.mul(la.mul(t, a), t_inv)) for a in mats]
 
 
+def chain_count(a, grid, rref) -> int:
+    """The number of chains of the greedy Krylov basis of a from e_1, e_2,
+    ...: the starts among the pivot columns of [e_1, A e_1, ...,
+    A^(n-1) e_1, e_2, ...] for the integer grid A of a."""
+    n = a.n
+    _, re, im = grid(a)
+    im = im or [0] * (n * n)
+    vecs = []
+    for j in range(n):
+        x, y = [int(i == j) for i in range(n)], [0] * n
+        for _ in range(n):
+            vecs.append((x, y))
+            # (re + i im)(x + i y), row by row
+            x, y = (
+                [sum(re[p * n + q] * x[q] - im[p * n + q] * y[q] for q in range(n)) for p in range(n)],
+                [sum(re[p * n + q] * y[q] + im[p * n + q] * x[q] for q in range(n)) for p in range(n)],
+            )
+    _, pivots = rref([[v[0][p] for v in vecs] for p in range(n)], im=[[v[1][p] for v in vecs] for p in range(n)])
+    return len({c // n for c in pivots})
+
+
+def chosen_sample(pairs, grid, rref) -> tuple[int, int]:
+    """The index of the sample whose Krylov basis the solve takes, and its m."""
+    counts = []
+    for a, _ in pairs:
+        counts.append(chain_count(a, grid, rref))
+        if counts[-1] == 1:
+            break
+    return counts.index(min(counts)), min(counts)
+
+
 def run(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     import localaut as la
+    from localaut.exactlinalg import rref
+    from localaut.matrices import grid
     from localaut.similarity import intertwiner_basis
 
     before = kernel_median()
@@ -79,12 +117,15 @@ def run(checkout: Path) -> dict:
             t0 = time.perf_counter()
             basis = intertwiner_basis(pairs)
             times.append(time.perf_counter() - t0)
+        sample, m = chosen_sample(pairs, grid, rref)
         rows.append({
             "case": case,
             "regime": regime,
             "n": n,
             "ms": round(1000 * statistics.median(times), 3),
             "dim": len(basis),
+            "sample": sample,
+            "m": m,
         })
     return {
         "checkout": str(checkout),
