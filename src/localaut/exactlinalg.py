@@ -46,19 +46,16 @@ def rref(rows: list[list[int]], aug: int = 0, im: list[list[int]] | None = None)
         m[r], m[pivot] = m[pivot], m[r]
         step = _pivot(m[r], lo, w)
         m[r] = step[1]
-        for i in range(nrows):
-            if i != r and (m[i][lo] or m[i][hi]):
-                m[i] = _eliminate(m[i], *step)
+        _clear(m, *step)
         pivots.append(c)
         r += 1
     return m, pivots
 
 
 def _pivot(row: list[int], lo: int, w: int) -> tuple:
-    """The pivot step of an int row that is zero before its entry at lo: lo,
-    the row rescaled to a positive integer at lo and content 1, i times that
-    over Z[i] (else None), and the columns from lo on where either is
-    nonzero."""
+    """The pivot step of an int row that is zero before its entry at lo:
+    lo, the row scaled to content 1 and a positive integer at lo, i times it
+    over Z[i] or None, and the columns from lo on where either is nonzero."""
     if w == 2 and row[lo + 1]:
         # times the conjugate of the pivot: (a + b i)(p - q i)
         p, q = row[lo], row[lo + 1]
@@ -79,38 +76,41 @@ def _pivot(row: list[int], lo: int, w: int) -> tuple:
     return lo, prow, iprow, [j for j in range(lo, len(prow)) if prow[j] or iprow[j]]
 
 
-def _eliminate(row: list[int], lo: int, prow: list[int], iprow: list[int] | None, nz: list[int]) -> list[int]:
-    """The int row with its entry at lo cleared by the pivot step
-    (lo, prow, iprow, nz), by cross-multiplying, divided by its content."""
-    pv, f = prow[lo], row[lo]
-    fi = 0 if iprow is None else row[lo + 1]
-    g = gcd(pv, f, fi)
-    s, f, fi = pv // g, f // g, fi // g
-    if s != 1:
-        row = [s * x for x in row]
-    if iprow is None:
-        for j in nz:
-            row[j] -= f * prow[j]
-    else:
-        for j in nz:
-            row[j] -= f * prow[j] + fi * iprow[j]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _clear(m: list[list[int]], lo: int, prow: list[int], iprow: list[int] | None, nz: list[int]) -> None:
+    """Clear the entry at lo of every int row of m but prow by the pivot step,
+    cross-multiplying, and divide each row it changes by its content."""
+    pv, hi = prow[lo], lo if iprow is None else lo + 1
+    for i, row in enumerate(m):
+        if row is prow or not (row[lo] or row[hi]):
+            continue
+        f, fi = row[lo], row[hi] if iprow is not None else 0
+        g = gcd(pv, f, fi)
+        s = pv // g
+        f //= g
+        if s != 1:
+            row = [s * x for x in row]
+        if iprow is None:
+            for j in nz:
+                row[j] -= f * prow[j]
+        else:
+            fi //= g
+            for j in nz:
+                row[j] -= f * prow[j] + fi * iprow[j]
+        g = gcd(*row)
+        m[i] = [x // g for x in row] if g > 1 else row
 
 
 def extend(echelon: list, re: list[int], im: list[int] | None = None) -> bool:
-    """Whether the int vector (over Z[i] with `im`) is independent of the
-    vectors extended before; if so, its pivot step joins echelon, a list the
-    caller starts empty. The vector is cleared at each earlier pivot in
-    turn, and each step is zero at the pivots before its own."""
+    """Whether the int vector (over Z[i] with `im`) is independent of those
+    extended before, whose pivot steps the caller keeps in echelon (each zero
+    at the pivots before it); if so, its own step joins them."""
     w = 1 if im is None else 2
-    row = list(re) if im is None else [x for pair in zip(re, im) for x in pair]
+    m = [list(re) if im is None else [x for pair in zip(re, im) for x in pair]]
     for step in echelon:
-        if row[step[0]] or row[step[0] + w - 1]:
-            row = _eliminate(row, *step)
-    lo = next((j - j % w for j, x in enumerate(row) if x), None)
+        _clear(m, *step)
+    lo = next((j - j % w for j, x in enumerate(m[0]) if x), None)
     if lo is not None:
-        echelon.append(_pivot(row, lo, w))
+        echelon.append(_pivot(m[0], lo, w))
     return lo is not None
 
 

@@ -210,10 +210,10 @@ def _chain(a_rows: list[tuple], x: tuple, k: int) -> list[tuple]:
 def _greedy_basis(a: Mat) -> tuple[list[tuple[int, int]], Mat, list[tuple]]:
     """The greedy Krylov basis of the integer matrix a: the chains e_j, a e_j,
     ..., a^(k-1) e_j for j = 1, 2, ... in turn, each cut at its first vector
-    in the span of the vectors before it, which are the pivot columns of
-    [e_1, a e_1, ..., a^(n-1) e_1, e_2, ...]. Returns the (j, k) of the
-    chains, U with the chains as columns, and the vectors a^k e_j that cut
-    them."""
+    in the span of the vectors before it; together they are the pivot
+    columns of [e_1, a e_1, ..., a^(n-1) e_1, e_2, ...]. Returns the (j, k)
+    of the chains, U with the chains as columns, and the vectors a^k e_j
+    that cut them."""
     a_rows, echelon, chains, cols, tails = _rows(a), [], [], [], []
     for j, x in enumerate(_columns(identity(a.n, a.regime))):
         k = 0
