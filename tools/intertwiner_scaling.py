@@ -93,12 +93,9 @@ def chain_count(a, grid, rref) -> int:
 
 
 def chosen_sample(pairs, grid, rref) -> tuple[int, int]:
-    """The index of the sample whose Krylov basis the solve takes, and its m."""
-    counts = []
-    for a, _ in pairs:
-        counts.append(chain_count(a, grid, rref))
-        if counts[-1] == 1:
-            break
+    """The index of the sample whose Krylov basis the solve takes, and its m:
+    the first with the fewest chains, which is the first with one if any."""
+    counts = [chain_count(a, grid, rref) for a, _ in pairs]
     return counts.index(min(counts)), min(counts)
 
 
