@@ -118,9 +118,15 @@ class Mat:
     over Q. The grid is unique, so ==, hash, equal and close compare grids.
     `entries` is a view built on first use, and a Mat made from entries is
     cleared to its grid when a kernel first needs it. C64 keeps entries only.
+
+    `det`, `inv` and `charpoly` are memoized on the matrix: the first call
+    stores its value in a private slot, left unset until then, and later
+    calls on the same object return it. The kernels are pure and the matrix
+    is immutable, so the memo never changes a result; copies and pickles
+    rebuild through __init__ without it.
     """
 
-    __slots__ = ("n", "regime", "_entries", "_grid")
+    __slots__ = ("n", "regime", "_entries", "_grid", "_det", "_inv", "_charpoly")
 
     def __init__(self, n: int, regime: str, entries: tuple):
         if regime not in REGIMES:
@@ -381,6 +387,15 @@ def close(a: Mat, b: Mat, tol: float = DEFAULT_TOL) -> bool:
 
 
 def det(a: Mat):
+    """det a, computed once per matrix."""
+    d = getattr(a, "_det", None)
+    if d is None:
+        d = _compute_det(a)
+        _set(a, "_det", d)
+    return d
+
+
+def _compute_det(a: Mat):
     if a.regime == C64:
         import numpy as np
 
@@ -428,6 +443,16 @@ def _det_bareiss(a: Mat):
 
 
 def inv(a: Mat) -> Mat:
+    """a^-1, computed once per matrix; a singular a raises SingularMatrix on
+    every call."""
+    b = getattr(a, "_inv", None)
+    if b is None:
+        b = _compute_inv(a)
+        _set(a, "_inv", b)
+    return b
+
+
+def _compute_inv(a: Mat) -> Mat:
     if a.regime == C64:
         import numpy as np
 
@@ -512,7 +537,17 @@ def to_c64(a: Mat) -> Mat:
 
 def charpoly(a: Mat) -> list:
     """Characteristic polynomial det(tI - A), ascending coefficients; in
-    C64 numpy's, as complex numbers.
+    C64 numpy's, as complex numbers. Computed once per matrix, and a fresh
+    list on every call."""
+    p = getattr(a, "_charpoly", None)
+    if p is None:
+        p = tuple(_compute_charpoly(a))
+        _set(a, "_charpoly", p)
+    return list(p)
+
+
+def _compute_charpoly(a: Mat) -> list:
+    """The coefficients of `charpoly`, ascending.
 
     Exact: Faddeev-LeVerrier on the grid M = den A, over Z, or over Z[i] on
     (re, im) int pairs: B_1 = M, c_k = -tr(B_k) / k, B_(k+1) = M (B_k + c_k I).

@@ -33,6 +33,7 @@ from localaut.matrices import (
     scalar_one,
     scalar_zero,
     smul,
+    to_c64,
     trace,
     transpose,
 )
@@ -121,7 +122,8 @@ def test_zero_matrix_grids():
 
 def test_matrices_stay_immutable():
     a = mat([[1, 2], [3, 4]], QR)
-    for name, value in (("n", 3), ("regime", QC), ("entries", ()), ("_grid", None)):
+    memo = (("_det", 0), ("_inv", None), ("_charpoly", ()))
+    for name, value in (("n", 3), ("regime", QC), ("entries", ()), ("_grid", None), *memo):
         with pytest.raises(FrozenInstanceError):
             setattr(a, name, value)
     with pytest.raises(FrozenInstanceError):
@@ -133,6 +135,50 @@ def test_matrices_copy_and_pickle(regime):
     a = mul(mat([[1, 2], [Fraction(3, 4), 5]], regime), mat([[1, 0], [1, 1]], regime))
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and b.entries == a.entries
+
+
+MEMO = ("_det", "_inv", "_charpoly")
+
+
+def _fresh_copies(a):
+    """Copies rebuilt through __init__, which start without a memo."""
+    copies = [copy.copy(a), pickle.loads(pickle.dumps(a))]
+    assert all(getattr(b, slot, None) is None for b in copies for slot in MEMO)
+    return copies
+
+
+@pytest.mark.parametrize("regime", [QR, QC, C64])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_memoized_kernels_equal_those_of_a_fresh_copy(regime, n):
+    """det, inv and charpoly store their first value on the matrix, return
+    it on later calls, and equal what a copy without the memo computes."""
+    a = random_gl(n, QR if regime == QR else QC, random.Random(f"memo-{regime}-{n}"))
+    if regime == C64:
+        a = to_c64(a)
+    values = det(a), inv(a), charpoly(a)
+    assert det(a) is values[0] and inv(a) is values[1] and charpoly(a) == values[2]
+    for b in _fresh_copies(a):
+        assert (det(b), inv(b), charpoly(b)) == values
+
+
+@pytest.mark.parametrize("regime", [QR, QC, C64])
+def test_a_mutated_charpoly_leaves_the_memo_unchanged(regime):
+    a = mat([[2, 1, 0], [0, 1, 3], [1, 0, 1]], regime)
+    p = charpoly(a)
+    want = list(p)
+    p[0] = p[1] = scalar_zero(regime)
+    p.append(scalar_one(regime))
+    assert charpoly(a) == want and charpoly(a) is not charpoly(a)
+
+
+@pytest.mark.parametrize("regime", [QR, QC, C64])
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_singular_inverse_raises_on_every_call(regime, n):
+    a = mat([[i + j for j in range(n)] for i in range(n - 1)] + [[0] * n], regime)
+    for _ in range(2):
+        with pytest.raises(SingularMatrix):
+            inv(a)
+    assert getattr(a, "_inv", None) is None
 
 
 def test_no_exact_kernel_builds_the_entries_view():

@@ -137,10 +137,10 @@ def test_checkers_do_not_import_the_recovery_engines(module):
     assert "recover" not in set(_imported_modules(_parse(SRC / module)))
 
 
-# Mat's integer grid belongs to matrices; the grid helpers of scalars serve
-# the kernel module; the ring and field-row helpers the grid superseded are
-# gone, and exactlinalg reads int rows only
-GRID_SLOTS = {"_grid", "_entries"}
+# Mat's integer grid and its kernel memo belong to matrices; the grid
+# helpers of scalars serve the kernel module; the ring and field-row helpers
+# the grid superseded are gone, and exactlinalg reads int rows only
+GRID_SLOTS = {"_grid", "_entries", "_det", "_inv", "_charpoly"}
 GRID_PRIVATE = {"_grid_mat", "_canon"}
 SCALAR_GRID_HELPERS = {"clear_row", "rational", "gauss"}
 SUPERSEDED = {"ring_row", "exact_quotient", "quotient", "field_row", "int_width"}
