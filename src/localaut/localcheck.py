@@ -43,7 +43,7 @@ from .matrices import (
     charpolys_match,
     close,
     det,
-    member_det,
+    member,
     scalar_one,
     smul,
     to_c64,
@@ -188,31 +188,21 @@ def check_pair(
 
     Each sample's membership is tested within DEFAULT_TOL in C64, and
     `fit_map` answers on the two samples."""
-    samples, read = (*pair1, *pair2), []
+    samples = (*pair1, *pair2)
     for x in samples:
-        ok, d = member_det(x, group)
-        if not ok:
+        if not member(x, group):
             raise NotInGroup(f"sample outside {group.family}_{group.n}({group.field})")
-        read.append(d)
     if group.unitary and samples[0].regime == QC:
         # unitary witnesses need polar factors, which live in ApproxC; U_n
-        # reads its determinants off the lifted samples below
+        # reads its determinants off the lifted samples
         samples = tuple(to_c64(x) for x in samples)
-    # the branches of a group with a character read these four determinants;
-    # the GL membership test has read them already
-    dets = None
-    if ambient(group) is not None:
-        da, da_out, db, db_out = (det(x) if d is None else d for x, d in zip(samples, read))
-        dets = [(da, da_out), (db, db_out)]
     a, a_out, b, b_out = samples
-    return fit_map(group, [(a, a_out), (b, b_out)], seed, dets)
+    return fit_map(group, [(a, a_out), (b, b_out)], seed)
 
 
-def fit_map(group: GroupTag, pairs, seed: int = 0, dets=None) -> PairVerdict:
+def fit_map(group: GroupTag, pairs, seed: int = 0) -> PairVerdict:
     """Is there one canonical-form automorphism through every sample
-    (A, out) of pairs? The samples are taken to be members of group, and
-    dets, one (det A, det out) per sample, is read here when group carries
-    a character and dets is None.
+    (A, out) of pairs? The samples are taken to be members of group.
 
     Each branch (kind, sigma) reads the scalar c_i = g(det A_i) of every
     sample, screens each tuple of candidates against the class of the
@@ -225,8 +215,7 @@ def fit_map(group: GroupTag, pairs, seed: int = 0, dets=None) -> PairVerdict:
     if not pairs:
         raise BadParameters("a fit needs at least one sample")
     kinds, sigmas = _group_branches(group)
-    if ambient(group) is not None and dets is None:
-        dets = [(det(a), det(out)) for a, out in pairs]
+    dets = None if ambient(group) is None else [(det(a), det(out)) for a, out in pairs]
     spectra = [(charpoly(a), charpoly(out)) for a, out in pairs]
     verdict = PairVerdict("Obstructed", None)
     inconclusive = False

@@ -463,6 +463,34 @@ def test_a_fit_reads_each_spectrum_once_and_forms_op_only_for_a_solve(monkeypatc
     assert (CONTRAGREDIENT, SIGMA_CONJ) in ops and len(ops) < 4
 
 
+@pytest.mark.parametrize("sigma", [SIGMA_ID, SIGMA_CONJ])
+def test_a_map_check_computes_each_sample_kernel_once(monkeypatch, sigma):
+    """On an exact 4-sample GL_3(C) contragredient map, each sample's det
+    and charpoly are computed once across the map's building and all 6
+    pairs, though each sample recurs in 3 pairs; inv(A), which op forms
+    for sigma = id, is computed once too, and no output is inverted."""
+    group = GroupTag("GL", "C", 3)
+    rng = random.Random(3)
+    auto = make_automorphism(group, CONTRAGREDIENT, sigma, random_gl(3, QC, rng), PowerConjFunc(1, 1))
+    mats = [random_gl(3, QC, rng) for _ in range(4)]
+    computed = {name: [] for name in ("det", "inv", "charpoly")}
+    for name, seen in computed.items():
+        real = getattr(matrices, f"_compute_{name}")
+
+        def spy(a, real=real, seen=seen):
+            seen.append(a)
+            return real(a)
+
+        monkeypatch.setattr(matrices, f"_compute_{name}", spy)
+    sm = samples_from_automorphism(auto, mats)
+    rep = check_map(sm)
+    assert rep.status == "LocallyConsistent" and rep.counts()["Interpolable"] == 6
+    inputs, outputs = zip(*sm.samples)
+    times = {name: [sum(a is x for a in seen) for x in inputs + outputs] for name, seen in computed.items()}
+    assert times["det"] == times["charpoly"] == [1] * 8
+    assert times["inv"] == [int(sigma == SIGMA_ID)] * 4 + [0] * 4
+
+
 @pytest.mark.parametrize("regime", [QR, QC, C64])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_branch_spectra_follow_from_the_sample_spectra(regime, n):
