@@ -103,14 +103,18 @@ def _clear(m: list[list[int]], lo: int, prow: list[int], iprow: list[int] | None
 def extend(echelon: list, re: list[int], im: list[int] | None = None) -> bool:
     """Whether the int vector (over Z[i] with `im`) is independent of those
     extended before, whose pivot steps the caller keeps in echelon (each zero
-    at the pivots before it); if so, its own step joins them."""
+    at the pivots before it); if so, its own step joins them. A vector that
+    completes a basis joins as None, as no vector after it is independent
+    and none is cleared by its step."""
+    if len(echelon) == len(re):
+        return False
     w = 1 if im is None else 2
     m = [list(re) if im is None else [x for pair in zip(re, im) for x in pair]]
     for step in echelon:
         _clear(m, *step)
     lo = next((j - j % w for j, x in enumerate(m[0]) if x), None)
     if lo is not None:
-        echelon.append(_pivot(m[0], lo, w))
+        echelon.append(_pivot(m[0], lo, w) if len(echelon) < len(re) - 1 else None)
     return lo is not None
 
 
