@@ -606,25 +606,19 @@ def charpolys_match(px: list, py: list) -> bool:
 # group membership
 
 
-def member_det(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL):
-    """(a in g, det a), with None for det a where the test does not read
-    it: a U_n test, or a unitary test that fails before the determinant."""
+def member(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL) -> bool:
     if a.n != g.n:
         raise RegimeMismatch("size mismatch")
     if a.regime not in g.regimes():
         raise RegimeMismatch(f"regime {a.regime} does not model field {g.field}")
     if g.unitary and not close(mul(conj_transpose(a), a), identity(a.n, a.regime), tol):
-        return False, None
+        return False
     if g.family == "Un":
-        return True, None
+        return True
     d = det(a)
     if g.family == "GL":
-        return not scalar_close(d, _ZERO[a.regime], tol) and d == d, d  # a NaN det fails too
-    return scalar_close(d, _ONE[a.regime], tol), d
-
-
-def member(a: Mat, g: GroupTag, tol: float = DEFAULT_TOL) -> bool:
-    return member_det(a, g, tol)[0]
+        return not scalar_close(d, _ZERO[a.regime], tol) and d == d  # a NaN det fails too
+    return scalar_close(d, _ONE[a.regime], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,6 @@ TOL_PRIMITIVES = {
     ("matrices.py", "close"),
     ("matrices.py", "scalar_close"),
     ("matrices.py", "member"),
-    ("matrices.py", "member_det"),
     ("matrices.py", "ratio"),
     ("autos.py", "apply"),
     ("scalarmaps.py", "TableFunc.lookup"),
