@@ -18,7 +18,7 @@ does no class arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadParameters,
@@ -58,7 +58,6 @@ class Automorphism:
     kind: str
     sigma: str
     t: Mat
-    tinv: Mat = field(repr=False, compare=False)
     g: object | None = None
 
 
@@ -82,7 +81,7 @@ def make_automorphism(
     if t.regime not in group.regimes():
         raise RegimeMismatch(f"regime {t.regime} does not carry {group.family} over {group.field}")
     try:
-        tinv = inv(t)
+        inv(t)  # memoized on T, where `apply` reads it
     except Exception as exc:
         raise SingularT("T must be invertible") from exc
     if group.unitary:
@@ -95,14 +94,14 @@ def make_automorphism(
     res = check_character(group, kind == STANDARD, sigma, g)
     if not res.ok:
         raise IllegalScalarClass(res.reason)
-    return Automorphism(group, kind, sigma, t, tinv, g)
+    return Automorphism(group, kind, sigma, t, g)
 
 
 def op(a: Mat, kind: str, sigma: str) -> Mat:
     """The branch (kind, sigma) of A: sigma(A), transposed and inverted for
-    the contragredient kind. Every canonical form conjugates it by T."""
-    b = apply_sigma(a, sigma)
-    return transpose(inv(b)) if kind == CONTRAGREDIENT else b
+    the contragredient kind. Every canonical form conjugates it by T. sigma
+    commutes with inversion, so A's memoized inverse serves either sigma."""
+    return transpose(apply_sigma(inv(a), sigma)) if kind == CONTRAGREDIENT else apply_sigma(a, sigma)
 
 
 def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = True) -> Mat:
@@ -116,7 +115,7 @@ def apply(auto: Automorphism, a: Mat, tol: float = DEFAULT_TOL, check: bool = Tr
         raise RegimeMismatch(f"matrix regime {a.regime} vs T regime {auto.t.regime}")
     if check and not member(a, auto.group, tol):
         raise NotInGroup(f"input is not in {auto.group.family}_{auto.group.n}")
-    out = mul(mul(auto.t, op(a, auto.kind, auto.sigma)), auto.tinv)
+    out = mul(mul(auto.t, op(a, auto.kind, auto.sigma)), inv(auto.t))
     if auto.g is None:
         return out
     d = character_point(auto.group, auto.sigma, det(a))

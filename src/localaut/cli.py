@@ -215,7 +215,7 @@ def _cmd_verify_auto(args) -> dict:
         if auto.t.regime == C64:
             pool = [to_c64(a) for a in pool]
         else:
-            auto = replace(auto, t=to_c64(auto.t), tinv=to_c64(auto.tinv))
+            auto = replace(auto, t=to_c64(auto.t))
     failures = []
     for k in range(args.pairs):
         a = pool[rng.randrange(len(pool))]

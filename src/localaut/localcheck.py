@@ -7,7 +7,7 @@ every unordered pair of a sampled map. Over the rationals the verdicts are
 certificates: a witness automorphism on the positive side, an exhaustive
 branch refutation on the negative side. Interpolation branches are indexed
 by kind and sigma, and read each sample's spectra, the characteristic
-polynomials of A and out, computed once per fit. In a GL branch each
+polynomials of A and out, off the memo of its Mat. In a GL branch each
 sample A -> out fixes its scalar c = g(det A): out = c T op(A) T^-1
 gives c = tr(out) / tr(op(A)), exact, and the branch is refuted unless
 c^n = det(out) / det(op(A)). A sample with tr(op(A)) = 0 gives c^g for
@@ -208,20 +208,19 @@ def fit_map(group: GroupTag, pairs, seed: int = 0) -> PairVerdict:
     sample, screens each tuple of candidates against the class of the
     branch, and solves one intertwiner of all the pairs (op(A_i), out_i /
     c_i) whose spectra, read off charpoly(A_i) and charpoly(out_i), agree.
-    A branch fits its witness in floats and checks it against the samples
-    within RECHECK_TOL; in the exact regimes both compare exactly. The
-    first witness is the verdict; a refusal in C64 is not a certificate,
-    so there every refusal reads Inconclusive."""
+    Each branch calls det and charpoly itself; their values live only in
+    the memo of each Mat. A branch fits its witness in floats and checks it
+    against the samples within RECHECK_TOL; in the exact regimes both
+    compare exactly. The first witness is the verdict; a refusal in C64 is
+    not a certificate, so there every refusal reads Inconclusive."""
     if not pairs:
         raise BadParameters("a fit needs at least one sample")
     kinds, sigmas = _group_branches(group)
-    dets = None if ambient(group) is None else [(det(a), det(out)) for a, out in pairs]
-    spectra = [(charpoly(a), charpoly(out)) for a, out in pairs]
     verdict = PairVerdict("Obstructed", None)
     inconclusive = False
     for kind in kinds:
         for sigma in sigmas:
-            br = _try_branch(group, kind, sigma, pairs, spectra, dets, seed)
+            br = _try_branch(group, kind, sigma, pairs, seed)
             verdict.branches.append(br)
             if br.outcome == "witness":
                 verdict.status = "Interpolable"
@@ -235,18 +234,16 @@ def fit_map(group: GroupTag, pairs, seed: int = 0) -> PairVerdict:
     return verdict
 
 
-def _try_branch(group, kind, sigma, pairs, spectra, dets, seed) -> BranchReport:
-    polys = [_op_charpoly(p, kind, sigma) for p, _ in spectra]
-    ops = []  # op(A) of every sample, formed when a fit first reaches the solve
+def _try_branch(group, kind, sigma, pairs, seed) -> BranchReport:
+    polys = [_op_charpoly(charpoly(a), kind, sigma) for a, _ in pairs]
 
     def fit(cs, points) -> BranchReport:
         """The fit of every (op(A), out / c), with c = 1 when cs is None."""
         cs = cs or [None] * len(pairs)
-        scaled = [q if c is None else _scaled_charpoly(q, c) for (_, q), c in zip(spectra, cs)]
+        scaled = [charpoly(out) if c is None else _scaled_charpoly(charpoly(out), c) for (_, out), c in zip(pairs, cs)]
         if any(not charpolys_match(x, y) for x, y in zip(polys, scaled)):
             return BranchReport(kind, sigma, "refuted", "characteristic polynomials differ")
-        if not ops:
-            ops.extend(op(a, kind, sigma) for a, _ in pairs)
+        ops = [op(a, kind, sigma) for a, _ in pairs]
         outs = [out if c is None else smul(scalar_one(out.regime) / c, out) for (_, out), c in zip(pairs, cs)]
         return _similarity_step(group, kind, sigma, list(zip(ops, outs)), points, pairs, seed)
 
@@ -256,13 +253,14 @@ def _try_branch(group, kind, sigma, pairs, spectra, dets, seed) -> BranchReport:
     eps = -1 if kind == CONTRAGREDIENT else 1
     n = group.n
     found, points = [], []
-    for (a, _), (_, q), x, (d, d_out) in zip(pairs, spectra, polys, dets):
+    for (a, out), x in zip(pairs, polys):
+        d = det(a)
         d_op = (d.conjugate() if sigma == SIGMA_CONJ else d) ** eps
         points.append(character_point(group, sigma, d))
         if a.regime == C64:
-            found.append(_numeric_scalars(d_out / d_op, n))
+            found.append(_numeric_scalars(det(out) / d_op, n))
         else:
-            found.append(_trace_scalars(x, q, d_out / d_op, n, points[-1]))
+            found.append(_trace_scalars(x, charpoly(out), det(out) / d_op, n, points[-1]))
     empty = [(exhaustive, why) for cands, exhaustive, why in found if not cands]
     if empty:
         # one sample with no value at all refutes the branch, if its list is complete

@@ -24,6 +24,7 @@ from operator import add as _iadd, mul as _imul, neg as _ineg
 from .errors import BadParameters, RegimeMismatch, SingularMatrix
 from .exactlinalg import rref
 from .scalars import (
+    CHARPOLY_RTOL,
     DEFAULT_TOL,
     GQ_ONE,
     GQ_ZERO,
@@ -595,11 +596,11 @@ def _compute_charpoly(a: Mat) -> list:
 
 def charpolys_match(px: list, py: list) -> bool:
     """Are px and py, coefficients of `charpoly`, one polynomial? Exact in
-    QR and QC; in C64 they agree within 1e-6 of the largest of px's."""
+    QR and QC; in C64 they agree within CHARPOLY_RTOL of px's largest."""
     if not isinstance(px[0], complex):
         return px == py
     scale = max(1.0, max(abs(c) for c in px))
-    return all(abs(p - q) <= 1e-6 * scale for p, q in zip(px, py))
+    return all(abs(p - q) <= CHARPOLY_RTOL * scale for p, q in zip(px, py))
 
 
 # ---------------------------------------------------------------------------

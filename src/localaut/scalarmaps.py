@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mullattice import dep_exponent, relations, subgroup_exponents
 from .matrices import C64, scalar_close
-from .scalars import FIT_TOL, GaussRational, rational_pow
+from .scalars import FIT_TOL, POINT_TOL, GaussRational, rational_pow
 
 RSTAR = "Rstar"
 CIRCLE = "Circle"
@@ -300,14 +300,14 @@ def pair_screen(group, first_kind: bool, sigma: str, p, q) -> tuple[bool, str]:
 def witness_character(group, points) -> TableFunc:
     """The table through points [(d, g(d)), ...] that passed `pair_screen`,
     on group's ambient, one entry per point: sorted on R*, in the given order
-    on C* and the circle, where points within 1e-12 of an earlier one drop."""
+    on C* and the circle, where a point within POINT_TOL of an earlier one drops."""
     side = ambient(group)
     if side != CIRCLE:
         table = dict(points).items()
         return TableFunc(tuple(sorted(table) if side == RSTAR else table), side)
     table = []
     for d, c in points:
-        if all(abs(complex(d) - e) > 1e-12 for e, _ in table):
+        if all(abs(complex(d) - e) > POINT_TOL for e, _ in table):
             table.append((complex(d), complex(c)))
     return TableFunc(tuple(table), CIRCLE)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from localaut import matrices
 from localaut.autos import (
     CONTRAGREDIENT,
     SIGMA_CONJ,
@@ -11,6 +12,7 @@ from localaut.autos import (
     STANDARD,
     apply,
     make_automorphism,
+    op,
 )
 from localaut.errors import (
     BadParameters,
@@ -21,19 +23,26 @@ from localaut.errors import (
     SingularT,
 )
 from localaut.matrices import (
+    QC,
     GroupTag,
     QR,
+    close,
+    conj,
     det,
     equal,
     identity,
+    inv,
     mat,
     mul,
     random_gl,
     random_sl,
     random_unitary,
     smul,
+    to_c64,
+    transpose,
 )
-from localaut.scalarmaps import PowerFunc, TableFunc
+from localaut.scalarmaps import PowerConjFunc, PowerFunc, TableFunc
+from localaut.scalars import DEFAULT_TOL
 
 F = Fraction
 SL3 = GroupTag("SL", "R", 3)
@@ -126,3 +135,38 @@ def test_table_breaking_a_relation_among_the_dets_is_refused():
         make_automorphism(GL3, STANDARD, SIGMA_ID, identity(3, QR), table)
     pairwise = TableFunc(((F(2), F(2)), (F(3), F(9))))
     assert make_automorphism(GL3, STANDARD, SIGMA_ID, identity(3, QR), pairwise).g == pairwise
+
+
+def test_a_conj_contragredient_inverts_each_input_and_t_once(monkeypatch):
+    """Applying one contragredient sigma = conj automorphism of GL_3(C)
+    twice to each of 12 exact inputs inverts T once and each input once:
+    op reads A's memoized inverse, and apply reads T's."""
+    computed = []
+    real = matrices._compute_inv
+
+    def spy(a):
+        computed.append(a)
+        return real(a)
+
+    monkeypatch.setattr(matrices, "_compute_inv", spy)
+    rng = random.Random(6)
+    group = GroupTag("GL", "C", 3)
+    auto = make_automorphism(group, CONTRAGREDIENT, SIGMA_CONJ, random_gl(3, QC, rng), PowerConjFunc(1, 1))
+    mats = [random_gl(3, QC, rng) for _ in range(12)]
+    for _ in range(2):
+        for a in mats:
+            apply(auto, a)
+    assert len(computed) == 13
+    assert computed[0] is auto.t and all(x is a for x, a in zip(computed[1:], mats))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conjugation_commutes_with_inversion_in_op(n):
+    """op(A, contragredient, conj) = transpose(inv(conj(A))): exactly over
+    QC, within DEFAULT_TOL over C64."""
+    rng = random.Random(n)
+    for _ in range(10):
+        a = random_gl(n, QC, rng)
+        assert equal(op(a, CONTRAGREDIENT, SIGMA_CONJ), transpose(inv(conj(a))))
+        b = to_c64(a)
+        assert close(op(b, CONTRAGREDIENT, SIGMA_CONJ), transpose(inv(conj(b))), DEFAULT_TOL)

@@ -7,11 +7,15 @@ cold command line process loads nothing heavier.
 import ast
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import localaut
+from localaut.autos import SIGMA_ID, STANDARD, Automorphism, make_automorphism
+from localaut.matrices import QR, GroupTag, identity
+from localaut.serialize import auto_to_json
 
 SRC = Path(localaut.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -418,3 +422,11 @@ def test_no_tol_is_floored():
         and any(_is_tol(arg) for arg in (*call.args, *(kw.value for kw in call.keywords)))
     ]
     assert found == []
+
+
+def test_an_automorphism_holds_only_what_its_file_holds():
+    """An Automorphism is exactly the fields `auto_to_json` writes, so no
+    value derived from T, such as its inverse, rides beside it: T's det,
+    inverse and characteristic polynomial live in T's memo."""
+    auto = make_automorphism(GroupTag("SL", "R", 3), STANDARD, SIGMA_ID, identity(3, QR))
+    assert [f.name for f in fields(Automorphism)] == list(auto_to_json(auto)) == ["group", "kind", "sigma", "t", "g"]

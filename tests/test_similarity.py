@@ -41,8 +41,7 @@ from localaut.similarity import (
 
 
 def _conjugates(t, mats):
-    tinv = inv(t)
-    return [(a, mul(mul(t, a), tinv)) for a in mats]
+    return [(a, mul(mul(t, a), inv(t))) for a in mats]
 
 
 def test_exact_similarity_recovers_conjugation():
