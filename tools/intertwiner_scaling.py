@@ -26,33 +26,16 @@ checkout in its own process: a process imports one `localaut`.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import random
 import statistics
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-import hostspeed  # noqa: E402
+from scaling import main
 
-KERNEL_CALLS = 30
 REPEATS = 5
 SAMPLED = range(3, 9)
 GENERATING = (3, 4, 5, 6, 8, 10, 12, 16)
-
-
-def kernel_median() -> float:
-    hostspeed.kernel()  # the first call runs cold
-    times = []
-    for _ in range(KERNEL_CALLS):
-        t0 = time.perf_counter()
-        hostspeed.kernel()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def cases(la):
@@ -99,15 +82,11 @@ def chosen_sample(pairs, grid, rref) -> tuple[int, int]:
     return counts.index(min(counts)), min(counts)
 
 
-def run(checkout: Path) -> dict:
-    sys.path.insert(0, str(checkout / "src"))
-    import localaut as la
+def rows(la):
     from localaut.exactlinalg import rref
     from localaut.matrices import grid
     from localaut.similarity import intertwiner_basis
 
-    before = kernel_median()
-    rows = []
     for case, regime, n, pairs in cases(la):
         times = []
         for _ in range(REPEATS):
@@ -115,7 +94,7 @@ def run(checkout: Path) -> dict:
             basis = intertwiner_basis(pairs)
             times.append(time.perf_counter() - t0)
         sample, m = chosen_sample(pairs, grid, rref)
-        rows.append({
+        yield {
             "case": case,
             "regime": regime,
             "n": n,
@@ -123,22 +102,8 @@ def run(checkout: Path) -> dict:
             "dim": len(basis),
             "sample": sample,
             "m": m,
-        })
-    return {
-        "checkout": str(checkout),
-        "python": platform.python_version(),
-        "hostspeed_kernel_median_s": {"before": round(before, 5), "after": round(kernel_median(), 5)},
-        "rows": rows,
-    }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path)
-    args = parser.parse_args()
-    print(json.dumps(run(args.checkout.resolve()), indent=1))
-    return 0
+        }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, rows))

@@ -21,22 +21,14 @@ side by side. Run each checkout in its own process: a process imports one
 """
 from __future__ import annotations
 
-import argparse
 import copy
-import json
-import platform
 import random
-import statistics
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-import hostspeed  # noqa: E402
+from scaling import main
 
-KERNEL_CALLS = 30
 NS = (3, 4, 5, 6)
 SAMPLES = 12
 SHEARS = 8
@@ -48,16 +40,6 @@ FORMS = (
     ("gl-c", "GL", "C", "standard", "conj"),
     ("gl-r", "GL", "R", "standard", "id"),
 )
-
-
-def kernel_median() -> float:
-    hostspeed.kernel()  # the first call runs cold
-    times = []
-    for _ in range(KERNEL_CALLS):
-        t0 = time.perf_counter()
-        hostspeed.kernel()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def sample(la, group, rng: random.Random):
@@ -81,39 +63,20 @@ def cases(la):
             yield f"{label}-{n}", auto, la.SampleMap(group, cold)
 
 
-def run(checkout: Path) -> dict:
-    sys.path.insert(0, str(checkout / "src"))
-    import localaut as la
-
-    before = kernel_median()
-    rows = []
+def rows(la):
     for label, auto, sample_map in cases(la):
         t0 = time.perf_counter()
         rep = la.check_map(sample_map, seed=1)
         seconds = time.perf_counter() - t0
-        rows.append({
+        yield {
             "group": label,
             "kind": auto.kind,
             "sigma": auto.sigma,
             "seconds": round(seconds, 4),
             "status": rep.status,
             "pairs": rep.counts(),
-        })
-    return {
-        "checkout": str(checkout),
-        "python": platform.python_version(),
-        "hostspeed_kernel_median_s": {"before": round(before, 5), "after": round(kernel_median(), 5)},
-        "rows": rows,
-    }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path)
-    args = parser.parse_args()
-    print(json.dumps(run(args.checkout.resolve()), indent=1))
-    return 0
+        }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, rows))

@@ -16,21 +16,13 @@ checkout in its own process: a process imports one `localaut`.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import random
-import statistics
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-import hostspeed  # noqa: E402
+from scaling import main
 
-KERNEL_CALLS = 30
 NS = (3, 4, 7, 12, 16)
 # (label, family, field, g power or None)
 GROUPS = (
@@ -42,16 +34,6 @@ GROUPS = (
 )
 EXACT_BRANCHES = (("standard", "id"), ("contragredient", "id"))
 UNITARY_BRANCHES = (("standard", "id"), ("standard", "conj"))
-
-
-def kernel_median() -> float:
-    hostspeed.kernel()  # the first call runs cold
-    times = []
-    for _ in range(KERNEL_CALLS):
-        t0 = time.perf_counter()
-        hostspeed.kernel()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def cases(la):
@@ -67,14 +49,10 @@ def cases(la):
                 yield f"{label}-{n}", la.make_automorphism(group, kind, sigma, t, g)
 
 
-def run(checkout: Path) -> dict:
-    sys.path.insert(0, str(checkout / "src"))
-    import localaut as la
+def rows(la):
     from localaut.matrices import flat, ratio
     from localaut.recover import recover
 
-    before = kernel_median()
-    rows = []
     for label, auto in cases(la):
         t0 = time.perf_counter()
         rep = recover(la.AutomorphismOracle(auto), seed=1)
@@ -85,7 +63,7 @@ def run(checkout: Path) -> dict:
             # T is fixed up to a scalar: T_found T^-1 is a multiple of I
             quotient = la.mul(found.t, la.inv(auto.t))
             truth = ratio(flat(quotient), flat(la.identity(quotient.n, quotient.regime))) is not None
-        rows.append({
+        yield {
             "group": label,
             "kind": auto.kind,
             "sigma": auto.sigma,
@@ -93,22 +71,8 @@ def run(checkout: Path) -> dict:
             "probes_used": rep.probes_used,
             "status": rep.status,
             "recovered_truth": truth,
-        })
-    return {
-        "checkout": str(checkout),
-        "python": platform.python_version(),
-        "hostspeed_kernel_median_s": {"before": round(before, 5), "after": round(kernel_median(), 5)},
-        "rows": rows,
-    }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path)
-    args = parser.parse_args()
-    print(json.dumps(run(args.checkout.resolve()), indent=1))
-    return 0
+        }
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, rows))
