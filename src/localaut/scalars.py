@@ -25,7 +25,7 @@ from .errors import BadParameters, ZeroInput
 # through since the input widens the one it is judged by.
 DEFAULT_TOL = 1e-9  # an input's membership, and C64 equality of given matrices
 FIT_TOL = 1e-8  # a fit in floats: the unitary intertwiner, circle and C* pair screens, tables, witness unitarity, verify-auto
-CHARPOLY_RTOL = 1e-6  # C64 characteristic polynomials: coefficients agree within this share of the largest, or of 1
+CHARPOLY_RTOL = 1e-6  # C64 characteristic polynomials agree within this share of the first's largest coefficient, or of 1
 POINT_TOL = 1e-12  # C64 witness table points: one within this distance of an earlier point drops
 COND_CAP = 1e8  # the largest condition number of a C64 intertwiner that is tried
 NULL_RTOL = 1e-12  # a C64 null space: singular values up to this share of the largest, or up to FIT_TOL
